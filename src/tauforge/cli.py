@@ -2,8 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 means constructed or
 verified, 1 means a verification or condition check failed (the report
-carries the witness), 2 means malformed input.  All numbers are exact
-rational strings; nothing is ever printed in decimal.
+carries the witness), 2 means malformed input, 3 means an internal
+fault (an exactness guard or a self-check of the arithmetic failed; no
+input should cause it).  All numbers are exact rational strings;
+nothing is ever printed in decimal.
 """
 
 from __future__ import annotations
@@ -285,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

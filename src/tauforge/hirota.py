@@ -17,16 +17,15 @@ All checks return reports with full polynomial witnesses on failure.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .mpoly import MPoly
 from .schur import (ChargedPoly, DomainError, bilinear_window, embed_t,
                     embed_tprime, miwa_shift, schur_of_partition, xi_kernel)
 from .fock import (FockVector, PairTensor, fermionic_pairing, poly_to_fock,
                    shift_charge, tensor_of, tensor_sum)
+from .zseries import ZSeries
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,12 @@ def required_vars(u: ChargedPoly, v: ChargedPoly) -> int:
 
 
 def bilinear_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
-    """The charge-weighted two-point residue as a polynomial in (t, t')."""
+    """The charge-weighted two-point residue as a polynomial in (t, t').
+
+    Only the one coefficient of the triple product that the residue reads
+    is formed; the kernel order from ``bilinear_window`` is checked, not
+    assumed, by the exactness guard of ``ZSeries.product_coeff``.
+    """
     if D < required_vars(u, v):
         raise DomainError(f"need D >= {required_vars(u, v)}, got {D}")
     weight = u.charge - v.charge
@@ -78,7 +82,7 @@ def bilinear_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     right = miwa_shift(embed_tprime(v.poly, D), +1, var_offset=D)
     _, kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
     kernel = xi_kernel(D, kmax)
-    return (left * right * kernel).coeff(-1 - weight)
+    return ZSeries.product_coeff(left, right, kernel, order=-1 - weight)
 
 
 def _product_tt(left: ChargedPoly, right: ChargedPoly, D: int) -> MPoly:
@@ -168,27 +172,6 @@ def tensor_to_poly(tensor: PairTensor, D: int) -> MPoly:
     return out
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("TAUFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_checks(thunks: Sequence[Callable[[], Check]]) -> list[Check]:
-    """Evaluate independent checks, honoring the TAUFORGE_THREADS cap.
-
-    Results always come back in submission order, so reports do not
-    depend on the schedule.
-    """
-    cap = _thread_cap()
-    if cap == 1 or len(thunks) <= 1:
-        return [fn() for fn in thunks]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(lambda fn: fn(), thunks))
-
-
 def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                  sigmas: Sequence[ChargedPoly], k: int,
                  D: int | None = None) -> BilinearReport:
@@ -204,33 +187,23 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
         top = max(weights, default=0)
         _, kmax = bilinear_window(top, top, -1)
         D = max(top, kmax, k, 1)
-    thunks: list[Callable[[], Check]] = []
-
-    def kp_check() -> Check:
-        diff = kp_residue(tau, D)
-        return Check("KP", diff.is_zero, None if diff.is_zero else diff)
-
-    thunks.append(kp_check)
-    thunks.append(lambda: constrained_residue(tau, k, rhos, sigmas, D))
-    for j, rho in enumerate(rhos, start=1):
-        thunks.append(lambda rho=rho, j=j: rho_identity(tau, rho, D, f"rho_{j}"))
-    for j, sig in enumerate(sigmas, start=1):
-        thunks.append(lambda sig=sig, j=j: sigma_identity(tau, sig, k, D, f"sigma_{j}"))
+    kp = kp_residue(tau, D)
+    checks = [Check("KP", kp.is_zero, None if kp.is_zero else kp),
+              constrained_residue(tau, k, rhos, sigmas, D),
+              *eigenfunction_identities(tau, rhos, sigmas, k, D)]
 
     tau_f = poly_to_fock(tau)
     tau_shift = shift_charge(-k, tau_f)
     rho_fs = [poly_to_fock(r) for r in rhos]
     sigma_fs = [poly_to_fock(s) for s in sigmas]
-    thunks.append(lambda: fermionic_bilinear_check(tau_f, tau_f, {},
-                                                   label="fermionic-KP"))
     target = tensor_sum([tensor_of(rf, sf) for rf, sf in zip(rho_fs, sigma_fs)])
-    thunks.append(lambda: fermionic_bilinear_check(tau_f, tau_shift, target,
-                                                   label="fermionic-constrained-k"))
-    for j, rf in enumerate(rho_fs, start=1):
-        thunks.append(lambda rf=rf, j=j: fermionic_bilinear_check(
-            tau_f, rf, tensor_of(rf, tau_f), label=f"fermionic-rho_{j}"))
-    for j, sf in enumerate(sigma_fs, start=1):
-        thunks.append(lambda sf=sf, j=j: fermionic_bilinear_check(
-            sf, tau_shift, tensor_of(tau_shift, sf), label=f"fermionic-sigma_{j}"))
-
-    return BilinearReport(run_checks(thunks))
+    checks.append(fermionic_bilinear_check(tau_f, tau_f, {}, label="fermionic-KP"))
+    checks.append(fermionic_bilinear_check(tau_f, tau_shift, target,
+                                           label="fermionic-constrained-k"))
+    checks.extend(fermionic_bilinear_check(tau_f, rf, tensor_of(rf, tau_f),
+                                           label=f"fermionic-rho_{j}")
+                  for j, rf in enumerate(rho_fs, start=1))
+    checks.extend(fermionic_bilinear_check(sf, tau_shift, tensor_of(tau_shift, sf),
+                                           label=f"fermionic-sigma_{j}")
+                  for j, sf in enumerate(sigma_fs, start=1))
+    return BilinearReport(checks)

@@ -25,8 +25,11 @@ from .ratfun import PoleError, RatFun
 from .schur import ChargedPoly, DomainError, miwa_shift
 
 
-class TruncationError(ValueError):
-    """An identity was requested outside the guaranteed-exact order range."""
+class TruncationError(ArithmeticError):
+    """An identity was requested outside the guaranteed-exact order range.
+
+    An internal fault like ExactnessError, not a property of the input.
+    """
 
 
 class PoleBudgetError(ArithmeticError):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tauforge.hirota as hirota
 from tauforge.mpoly import MPoly
 from tauforge.fock import MayaState
 from tauforge.grassmann import reduce_point
@@ -12,6 +13,18 @@ from tauforge.grassmann import reduce_point
 def golden_point():
     """span{s^-2} + H_{-1}: the worked example used throughout."""
     return reduce_point([{-2: Fraction(1)}], -1)
+
+
+@pytest.fixture
+def short_window(monkeypatch):
+    """bilinear_window that asks for a kernel one order short."""
+    real = hirota.bilinear_window
+
+    def short(w_left, w_right, weight):
+        zmin, kmax = real(w_left, w_right, weight)
+        return zmin, kmax - 1
+
+    monkeypatch.setattr(hirota, "bilinear_window", short)
 
 
 def random_poly(rng: random.Random, vars: int, max_terms: int = 4,

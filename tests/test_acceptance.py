@@ -277,17 +277,17 @@ def test_acceptance_6_algebraic_relation_suites():
         st = FockVector.of(random_state(rng, max_part=4, max_len=2))
         a = next(iter(st.terms)).charge
         f = sigma_single(st, DV)
-        plus_series = plus_kernel * miwa_shift(f.poly, -1)
-        minus_series = minus_kernel * miwa_shift(f.poly, +1)
         n = rng.randint(-3, 8)
         k = F(2 * n - 1, 2)
         zpow = int(-k - F(1, 2))
         ferm = sigma_map(psi_plus(k, st), DV)
         got = ferm[0].poly if ferm else MPoly.zero(DV)
-        assert got == plus_series.coeff(zpow - a)
+        assert got == ZSeries.product_coeff(plus_kernel, miwa_shift(f.poly, -1),
+                                            order=zpow - a)
         ferm = sigma_map(psi_minus(k, st), DV)
         got = ferm[0].poly if ferm else MPoly.zero(DV)
-        assert got == minus_series.coeff(zpow + a)
+        assert got == ZSeries.product_coeff(minus_kernel, miwa_shift(f.poly, +1),
+                                            order=zpow + a)
 
     FL = -5
     for _ in range(50):  # adjoint anti-homomorphism and associativity

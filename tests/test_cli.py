@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import tauforge.cli as cli
 from tauforge.cli import main
 from tauforge.grassmann import companions
+from tauforge.psdo import TruncationError
 
 
 @pytest.fixture
@@ -99,6 +101,17 @@ class TestVerify:
         assert not checks["KP"]["pass"]
         assert checks["KP"]["witness"]["terms"]
 
+    def test_window_fault_is_internal_error(self, capsys, tmp_path, short_window):
+        square = tmp_path / "square.json"
+        square.write_text(json.dumps(
+            {"charge": 0, "poly": {"vars": 1,
+                                   "terms": [{"exp": [2], "coef": "1"}]}}))
+        code, out, err = run(capsys, ["verify", "--tau", str(square), "--k", "1"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ExactnessError")
+        assert "input error" not in err and "Traceback" not in err
+
     def test_byte_identical_reruns(self, capsys, golden_files):
         argv = ["verify", "--tau", golden_files["tau"],
                 "--rho", golden_files["rho"],
@@ -155,6 +168,18 @@ class TestDressAndLax:
         code, out, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
                                     "--k", "1", "--order", "3", "--trials", "3"])
         assert code == 1
+
+    def test_truncation_fault_is_internal_error(self, capsys, golden_files,
+                                                monkeypatch):
+        def truncated(*args, **kwargs):
+            raise TruncationError("differential part is not fully known")
+
+        monkeypatch.setattr(cli, "verify_constraint", truncated)
+        code, _, err = run(capsys, ["lax", "--tau", golden_files["tau"],
+                                    "--k", "1", "--order", "3"])
+        assert code == 3
+        assert err.startswith("internal error: TruncationError")
+        assert "Traceback" not in err
 
     def test_seeded_determinism(self, capsys, golden_files):
         argv = ["lax", "--tau", golden_files["tau"],

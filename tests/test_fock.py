@@ -229,17 +229,19 @@ class TestSigmaMap:
             st = FockVector.of(random_state(rng, max_part=4, max_len=2))
             a = next(iter(st.terms)).charge
             f = sigma_single(st, D)
-            plus_series = plus_kernel * miwa_shift(f.poly, -1)
-            minus_series = minus_kernel * miwa_shift(f.poly, +1)
+            lowered = miwa_shift(f.poly, -1)
+            raised = miwa_shift(f.poly, +1)
             for n in range(-4, 9):
                 k = F(2 * n - 1, 2)
                 zpow = int(-k - F(1, 2))
                 ferm = sigma_map(psi_plus(k, st), D)
                 got = ferm[0].poly if ferm else MPoly.zero(D)
-                assert got == plus_series.coeff(zpow - a)
+                assert got == ZSeries.product_coeff(plus_kernel, lowered,
+                                                    order=zpow - a)
                 ferm = sigma_map(psi_minus(k, st), D)
                 got = ferm[0].poly if ferm else MPoly.zero(D)
-                assert got == minus_series.coeff(zpow + a)
+                assert got == ZSeries.product_coeff(minus_kernel, raised,
+                                                    order=zpow + a)
 
     def test_sigma_intertwining(self):
         rng = random.Random(23)

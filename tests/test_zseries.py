@@ -69,3 +69,41 @@ def test_addition_tracks_windows():
     b = laurent(1, {1: 1}).truncate(3)
     assert (a + b).exact_hi == 3
     assert (a - b).coeff(1) == MPoly.const(1, -1)
+
+
+def test_product_coeff_matches_chained_mul():
+    # differential check against the full product: same coefficient on
+    # every order of the window, and ExactnessError on exactly the orders
+    # where the chained product's own guard refuses to answer
+    rng = random.Random(47)
+    answered = refused = 0
+    for _ in range(80):
+        factors = []
+        for _ in range(rng.choice((2, 3))):
+            s = ZSeries(2, {rng.randint(-3, 3): random_poly(rng, 2)
+                            for _ in range(rng.randint(0, 3))})
+            if rng.random() < 0.5:
+                s = s.truncate(rng.randint(-2, 3))
+            factors.append(s)
+        chained = factors[0]
+        for f in factors[1:]:
+            chained = chained * f
+        for order in range(-10, 11):
+            try:
+                want = chained.coeff(order)
+            except ExactnessError:
+                with pytest.raises(ExactnessError):
+                    ZSeries.product_coeff(*factors, order=order)
+                refused += 1
+            else:
+                assert ZSeries.product_coeff(*factors, order=order) == want
+                answered += 1
+    assert answered and refused
+
+
+def test_product_coeff_single_factor_and_guard():
+    cut = laurent(1, {-1: 2, 0: 1, 1: 4}).truncate(0)
+    assert ZSeries.product_coeff(cut, order=-1) == MPoly.const(1, 2)
+    with pytest.raises(ExactnessError):
+        ZSeries.product_coeff(cut, order=1)
+    assert issubclass(ExactnessError, ArithmeticError)
