@@ -29,7 +29,6 @@ from .psdo import dress_from_tau, verify_constraint, verify_flows
 @dataclass
 class RunConfig:
     D: int | None = None
-    window: int = 8
     truncation: int = 5
     seed: int = 0
     trials: int = 20
@@ -40,11 +39,11 @@ class RunConfig:
         if path:
             with open(path) as fh:
                 data = json.load(fh)
-            for key in ("D", "window", "truncation", "seed", "trials"):
+            for key in ("D", "truncation", "seed", "trials"):
                 if key in data:
                     setattr(cfg, key, int(data[key]))
-        if cfg.window < 1 or cfg.truncation < 1 or cfg.trials < 1:
-            raise ValueError("window, truncation and trials must be positive")
+        if cfg.truncation < 1 or cfg.trials < 1:
+            raise ValueError("truncation and trials must be positive")
         return cfg
 
 

@@ -148,10 +148,6 @@ def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoin
     return GrPoint(tail, tuple(tuple(sorted(r.items())) for r in rows))
 
 
-def point_charge(point: GrPoint) -> int:
-    return point.charge
-
-
 # -- the stability filtration ---------------------------------------------------
 
 def _stable_split(point: GrPoint, k: int

@@ -1,14 +1,16 @@
 """Truncated pseudo-differential operators and Sato dressing.
 
-Operators are finite sums a_i(t) d^i with rational-function coefficients
-and d = d/dt_1.  Composition uses the generalized Leibniz rule
+Operators are finite sums a_i(t) d^i with coefficients in Q[t][1/tau]
+(``TauFrac``) and d = d/dt_1.  Composition uses the generalized Leibniz rule
 d^i a = sum_j C(i, j) a^(j) d^(i-j); for negative i the sum is infinite
 and is cut at a floor order, with the guaranteed-exact range tracked
 through every operation so identity claims never rest on truncated
 terms.
 
 Dressing builds P = 1 + a_1 d^-1 + ... from a polynomial tau via its
-shifted quotient, then L = P d P^-1.  The constraint and flow checks
+shifted quotient tau(t-[z^-1])/tau(t), and P^-1 = B* from the adjoint
+wave function tau(t+[z^-1])/tau(t) (Date-Jimbo-Kashiwara-Miwa), so
+L^k = (P d^k) P^-1 is one composition.  The constraint and flow checks
 subtract the claimed right-hand sides and test coefficients for exact
 zero, with seeded rational-point evaluation as a fast pre-filter.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly, PolyError
-from .ratfun import PoleError, RatFun
+from .ratfun import PoleError, TauFrac, TauRing
 from .schur import ChargedPoly, DomainError, miwa_shift
 
 
@@ -47,52 +49,65 @@ def _binomial(i: int, j: int) -> Fraction:
 
 
 class PsiDO:
-    """Operator sum_{order <= max_order} coeffs[order] * d^order."""
+    """Operator sum_{order <= max_order} coeffs[order] * d^order.
 
-    __slots__ = ("vars", "coeffs", "floor", "exact_to")
+    Coefficients below ``floor`` are dropped; dropping a nonzero one
+    makes the operator exact only down to ``floor``.
+    """
 
-    def __init__(self, vars: int, coeffs: dict[int, RatFun] | None = None,
+    __slots__ = ("ring", "coeffs", "floor", "exact_to")
+
+    def __init__(self, ring: TauRing, coeffs: dict[int, TauFrac] | None = None,
                  floor: int = -8, exact_to: int | None = NEG_INF):
-        self.vars = vars
+        self.ring = ring
         self.floor = floor
-        clean: dict[int, RatFun] = {}
+        clean: dict[int, TauFrac] = {}
         for order, fn in (coeffs or {}).items():
-            if fn.vars != vars:
-                raise PolyError("coefficient variable count mismatch")
-            if order >= floor and not fn.is_zero:
+            if fn.ring is not ring and fn.ring.tau != ring.tau:
+                raise PolyError("coefficient ring mismatch")
+            if fn.is_zero:
+                continue
+            if order >= floor:
                 clean[int(order)] = fn
+            elif exact_to is None:
+                exact_to = floor
         self.coeffs = clean
         self.exact_to = exact_to if exact_to is None else max(exact_to, floor)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars: int, floor: int) -> "PsiDO":
-        return cls(vars, {}, floor)
+    def zero(cls, ring: TauRing, floor: int) -> "PsiDO":
+        return cls(ring, {}, floor)
 
     @classmethod
-    def identity(cls, vars: int, floor: int) -> "PsiDO":
-        return cls(vars, {0: RatFun.from_const(vars, 1)}, floor)
+    def identity(cls, ring: TauRing, floor: int) -> "PsiDO":
+        return cls(ring, {0: ring.const(1)}, floor)
 
     @classmethod
-    def d(cls, vars: int, floor: int, power: int = 1) -> "PsiDO":
-        return cls(vars, {power: RatFun.from_const(vars, 1)}, floor)
+    def d(cls, ring: TauRing, floor: int, power: int = 1) -> "PsiDO":
+        return cls(ring, {power: ring.const(1)}, floor)
 
     @classmethod
-    def multiplier(cls, fn: RatFun, floor: int) -> "PsiDO":
-        return cls(fn.vars, {0: fn}, floor)
+    def multiplier(cls, fn: TauFrac, floor: int) -> "PsiDO":
+        return cls(fn.ring, {0: fn}, floor)
 
     # -- structure ------------------------------------------------------------
+
+    @property
+    def vars(self) -> int:
+        return self.ring.vars
 
     @property
     def max_order(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
 
-    def coeff(self, order: int) -> RatFun:
+    def coeff(self, order: int) -> TauFrac:
         if self.exact_to is not None and order < self.exact_to:
             raise TruncationError(
                 f"order {order} below guaranteed-exact bound {self.exact_to}")
-        return self.coeffs.get(order, RatFun.from_const(self.vars, 0))
+        fn = self.coeffs.get(order)
+        return self.ring.const(0) if fn is None else fn
 
     @property
     def is_zero(self) -> bool:
@@ -131,17 +146,22 @@ class PsiDO:
         for order, fn in other.coeffs.items():
             cur = out.get(order)
             out[order] = fn if cur is None else cur + fn
-        return PsiDO(self.vars, out, floor, e)
+        return PsiDO(self.ring, out, floor, e)
 
     def __neg__(self) -> "PsiDO":
-        return PsiDO(self.vars, {o: -f for o, f in self.coeffs.items()},
+        return PsiDO(self.ring, {o: -f for o, f in self.coeffs.items()},
                      self.floor, self.exact_to)
 
     def __sub__(self, other: "PsiDO") -> "PsiDO":
-        return self + (-other)
+        floor, e = self._join(other)
+        out = dict(self.coeffs)
+        for order, fn in other.coeffs.items():
+            cur = out.get(order)
+            out[order] = -fn if cur is None else cur - fn
+        return PsiDO(self.ring, out, floor, e)
 
     def scale(self, c) -> "PsiDO":
-        return PsiDO(self.vars, {o: f * c for o, f in self.coeffs.items()},
+        return PsiDO(self.ring, {o: f * c for o, f in self.coeffs.items()},
                      self.floor, self.exact_to)
 
     def __mul__(self, other: "PsiDO") -> "PsiDO":
@@ -149,9 +169,9 @@ class PsiDO:
         if not isinstance(other, PsiDO):
             return self.scale(other)
         floor = max(self.floor, other.floor)
-        out: dict[int, RatFun] = {}
+        out: dict[int, TauFrac] = {}
         dropped = False
-        derivs: dict[int, list[RatFun]] = {l: [b] for l, b in other.coeffs.items()}
+        derivs: dict[int, list[TauFrac]] = {l: [b] for l, b in other.coeffs.items()}
         for i, a in self.coeffs.items():
             for l, chain in derivs.items():
                 j = 0
@@ -167,7 +187,7 @@ class PsiDO:
                         break
                     c = _binomial(i, j)
                     if c:
-                        term = a * deriv * c
+                        term = (a if c == 1 else a * c) * deriv
                         cur = out.get(order)
                         out[order] = term if cur is None else cur + term
                     if i >= 0 and j >= i:
@@ -189,24 +209,16 @@ class PsiDO:
             e = max(candidates)
         if dropped:
             e = floor if e is None else max(e, floor)
-        return PsiDO(self.vars, out, floor, e)
+        return PsiDO(self.ring, out, floor, e)
 
     __rmul__ = scale
-
-    def __pow__(self, n: int) -> "PsiDO":
-        if n < 0:
-            raise ValueError("negative operator power; invert explicitly")
-        result = PsiDO.identity(self.vars, self.floor)
-        for _ in range(n):
-            result = result * self
-        return result
 
     # -- involutions and parts ------------------------------------------------------
 
     def adjoint(self) -> "PsiDO":
         """(a d^i)* = (-d)^i a, extended linearly; an anti-involution."""
         floor = self.floor
-        out: dict[int, RatFun] = {}
+        out: dict[int, TauFrac] = {}
         dropped = False
         for i, a in self.coeffs.items():
             sign = 1 if i % 2 == 0 else -1
@@ -231,18 +243,18 @@ class PsiDO:
         e = self.exact_to
         if dropped:
             e = floor if e is None else max(e, floor)
-        return PsiDO(self.vars, out, floor, e)
+        return PsiDO(self.ring, out, floor, e)
 
     def plus_part(self) -> "PsiDO":
         """Differential part (orders >= 0), always fully exact."""
         if self.exact_to is not None and self.exact_to > 0:
             raise TruncationError("differential part is not fully known")
-        return PsiDO(self.vars,
+        return PsiDO(self.ring,
                      {o: f for o, f in self.coeffs.items() if o >= 0},
                      self.floor, NEG_INF)
 
     def minus_part(self) -> "PsiDO":
-        return PsiDO(self.vars,
+        return PsiDO(self.ring,
                      {o: f for o, f in self.coeffs.items() if o < 0},
                      self.floor, self.exact_to)
 
@@ -251,11 +263,11 @@ class PsiDO:
 
     # -- actions -----------------------------------------------------------------------
 
-    def apply_to(self, fn: RatFun) -> RatFun:
+    def apply_to(self, fn: TauFrac) -> TauFrac:
         """Apply a differential operator to a function."""
         if any(o < 0 for o in self.coeffs):
             raise ValueError("only differential operators act on functions")
-        out = RatFun.from_const(self.vars, 0)
+        out = self.ring.const(0)
         by_order = sorted(self.coeffs.items())
         deriv = fn
         level = 0
@@ -268,41 +280,28 @@ class PsiDO:
 
     def diff_coeffs(self, k: int) -> "PsiDO":
         """Coefficient-wise d/dt_k."""
-        return PsiDO(self.vars,
+        return PsiDO(self.ring,
                      {o: f.differentiate(k) for o, f in self.coeffs.items()},
                      self.floor, self.exact_to)
-
-    def inverse(self) -> "PsiDO":
-        """Neumann inverse of a monic order-zero operator, down to floor."""
-        unit = self.coeffs.get(0)
-        if self.max_order != 0 or unit is None or not unit.equals(
-                RatFun.from_const(self.vars, 1)):
-            raise ValueError("inverse requires a monic order-zero operator")
-        k = self - PsiDO.identity(self.vars, self.floor)
-        result = PsiDO.identity(self.vars, self.floor)
-        power = PsiDO.identity(self.vars, self.floor)
-        step = 0
-        while not power.is_zero and step <= -self.floor:
-            power = power * k
-            result = result + power.scale((-1) ** (step + 1))
-            step += 1
-        return PsiDO(self.vars, result.coeffs, self.floor, self.floor)
 
     # -- serialization --------------------------------------------------------------------
 
     def to_json(self) -> dict:
+        """Coefficients on the guaranteed-exact range, whose bound is "truncation"."""
+        bound = self.floor if self.exact_to is None else self.exact_to
         return {
             "maxOrder": self.max_order if self.coeffs else 0,
-            "truncation": self.floor,
-            "coefs": {str(o): self.coeffs[o].to_json() for o in sorted(self.coeffs)},
+            "truncation": bound,
+            "coefs": {str(o): self.coeffs[o].to_json()
+                      for o in sorted(self.coeffs) if o >= bound},
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PsiDO":
+    def from_json(cls, data: dict, ring: TauRing) -> "PsiDO":
+        """Read back to_json output whose denominators are powers of ring.tau."""
         floor = int(data["truncation"])
-        coeffs = {int(o): RatFun.from_json(fj) for o, fj in data.get("coefs", {}).items()}
-        vars = next(iter(coeffs.values())).vars if coeffs else 1
-        return cls(vars, coeffs, floor, floor)
+        coeffs = {int(o): ring.from_json(fj) for o, fj in data.get("coefs", {}).items()}
+        return cls(ring, coeffs, floor, floor)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -317,6 +316,39 @@ class DressingPair:
     L: PsiDO
 
 
+def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
+    """P and P^-1 of tau = poly in D variables, cut at floor.
+
+    a_i and b_i are the z**-i coefficients of tau(t -/+ [z^-1]) / tau(t);
+    P = 1 + sum a_i d^-i and P^-1 = B* with B = 1 + sum (-1)^i b_i d^-i,
+    the dressing operator of the adjoint wave function.  The adjoint's
+    infinite tails are cut at floor, so P^-1 is exact down to floor.
+
+    P B* = 1 is the bilinear identity, so it holds only when tau is a KP
+    tau function; it is checked, and otherwise Newton steps
+    Q <- Q - Q (P Q - 1), each squaring the error, make Q the inverse.
+    """
+    if poly.is_zero:
+        raise ValueError("tau must be nonzero")
+    if D < poly.max_var_used():
+        raise DomainError(f"need D >= {poly.max_var_used()}, got {D}")
+    ring = TauRing(poly.embed(D))
+    minus, plus = miwa_shift(ring.tau, -1), miwa_shift(ring.tau, +1)
+    a = {0: ring.const(1)}
+    b = {0: ring.const(1)}
+    for i in range(1, ring.tau.wdeg() + 1):
+        a[-i] = ring.frac(minus.coeff(-i), 1)
+        b[-i] = ring.frac(plus.coeff(-i) * (-1) ** i, 1)
+    P = PsiDO(ring, a, floor)
+    Pinv = PsiDO(ring, PsiDO(ring, b, floor).adjoint().coeffs, floor, floor)
+    one = PsiDO.identity(ring, floor)
+    error = P * Pinv - one
+    while not error.is_zero:
+        Pinv = Pinv - Pinv * error
+        error = P * Pinv - one
+    return P, Pinv
+
+
 def dress_from_tau(tau: ChargedPoly | MPoly, T: int, D: int | None = None) -> DressingPair:
     """Dressing operator and Lax operator of a polynomial tau.
 
@@ -324,26 +356,13 @@ def dress_from_tau(tau: ChargedPoly | MPoly, T: int, D: int | None = None) -> Dr
     conjugation of d by P, exact down to order -T.
     """
     poly = tau.poly if isinstance(tau, ChargedPoly) else tau
-    if poly.is_zero:
-        raise ValueError("tau must be nonzero")
     if T < 1:
         raise ValueError("truncation depth must be positive")
-    depth = poly.wdeg()
     if D is None:
         D = max(poly.max_var_used(), 1)
-    elif D < poly.max_var_used():
-        raise DomainError(f"need D >= {poly.max_var_used()}, got {D}")
-    base = poly.embed(D)
-    shifted = miwa_shift(base, -1)
-    work_floor = -(T + 1)
-    coeffs = {0: RatFun.from_const(D, 1)}
-    for i in range(1, depth + 1):
-        num = shifted.coeff(-i)
-        if not num.is_zero:
-            coeffs[-i] = RatFun(num, base)
-    P = PsiDO(D, coeffs, work_floor)
-    L = P * PsiDO.d(D, work_floor) * P.inverse()
-    return DressingPair(P, L)
+    floor = -(T + 1)
+    P, Pinv = _dressing(poly, D, floor)
+    return DressingPair(P, P * PsiDO.d(P.ring, floor) * Pinv)
 
 
 # -- seeded rational sampling -----------------------------------------------------
@@ -372,7 +391,7 @@ class OrderCheck:
     order: int
     passed: bool
     method: str
-    witness: RatFun | None = None
+    witness: TauFrac | None = None
 
     def to_json(self) -> dict:
         out = {"order": self.order, "pass": self.passed, "method": self.method}
@@ -418,26 +437,31 @@ def _zero_checks(op: PsiDO, orders: Sequence[int], points: Sequence[Sequence[Fra
     return out
 
 
+def _lax_vars(poly: MPoly, rhos: Sequence[ChargedPoly],
+              sigmas: Sequence[ChargedPoly], k: int, D: int | None) -> int:
+    if D is not None:
+        return D
+    return max(poly.max_var_used(), k,
+               *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+
+
 def constraint_defect(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                       sigmas: Sequence[ChargedPoly], k: int, T: int,
-                      D: int | None = None) -> tuple[PsiDO, PsiDO, list[RatFun], list[RatFun]]:
+                      D: int | None = None
+                      ) -> tuple[PsiDO, PsiDO, list[TauFrac], list[TauFrac]]:
     """L^k minus its differential part minus the claimed tail, plus context."""
     if len(rhos) != len(sigmas):
         raise ValueError("companion lists must have equal length")
     poly = tau.poly
-    if D is None:
-        D = max(poly.max_var_used(), k,
-                *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+    D = _lax_vars(poly, rhos, sigmas, k, D)
     work_floor = -(T + k + 1)
-    pair = dress_from_tau(ChargedPoly(poly, tau.charge), T + k, D)
-    P = PsiDO(D, pair.P.coeffs, work_floor)
-    L = P * PsiDO.d(D, work_floor) * P.inverse()
-    Lk = L**k
-    base = poly.embed(D)
-    qs = [RatFun(cp.poly.embed(D), base) for cp in rhos]
-    rs = [RatFun(cp.poly.embed(D), base) for cp in sigmas]
+    P, Pinv = _dressing(poly, D, work_floor)
+    ring = P.ring
+    Lk = P * PsiDO.d(ring, work_floor, k) * Pinv
+    qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
+    rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
     defect = Lk - Lk.plus_part()
-    dinv = PsiDO.d(D, work_floor, -1)
+    dinv = PsiDO.d(ring, work_floor, -1)
     for q, r in zip(qs, rs):
         defect = defect - PsiDO.multiplier(q, work_floor) * dinv * PsiDO.multiplier(r, work_floor)
     return defect, Lk, qs, rs
@@ -451,8 +475,7 @@ def verify_constraint(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     if T < 3:
         raise ValueError("truncation depth must be at least 3")
     defect, _, _, _ = constraint_defect(tau, rhos, sigmas, k, T, D)
-    vars = defect.vars
-    points = sample_points(vars, [tau.poly.embed(vars)], trials, seed)
+    points = sample_points(defect.vars, [defect.ring.tau], trials, seed)
     orders = range(-T, 0)
     report = OperatorReport(f"constraint-k{k}")
     report.checks.extend(_zero_checks(defect, orders, points))
@@ -472,32 +495,29 @@ def verify_flows(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     if T < 1:
         raise ValueError("truncation depth must be positive")
     poly = tau.poly
-    if D is None:
-        D = max(poly.max_var_used(), k,
-                *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+    D = _lax_vars(poly, rhos, sigmas, k, D)
     work_floor = -(T + 2 * k + 1)
-    pair = dress_from_tau(ChargedPoly(poly, tau.charge), T + 2 * k, D)
-    P = PsiDO(D, pair.P.coeffs, work_floor)
-    L = P * PsiDO.d(D, work_floor) * P.inverse()
-    Lk = L**k
+    P, Pinv = _dressing(poly, D, work_floor)
+    ring = P.ring
+    L = P * PsiDO.d(ring, work_floor) * Pinv
+    Lk = L if k == 1 else P * PsiDO.d(ring, work_floor, k) * Pinv
     Lk_plus = Lk.plus_part()
     lax = L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus)
-    points = sample_points(D, [poly.embed(D)], trials, seed)
+    points = sample_points(D, [ring.tau], trials, seed)
     top = (Lk_plus.max_order or 0) + 1
     lax_orders = orders if orders is not None else range(-T, top + 1)
     reports = [OperatorReport(f"lax-flow-t{k}")]
     reports[0].checks.extend(_zero_checks(lax, lax_orders, points))
-    base = poly.embed(D)
     adj = Lk_plus.adjoint()
     for j, (rho, sig) in enumerate(zip(rhos, sigmas), start=1):
-        q = RatFun(rho.poly.embed(D), base)
-        r = RatFun(sig.poly.embed(D), base)
+        q = ring.frac(rho.poly.embed(D), 1)
+        r = ring.frac(sig.poly.embed(D), 1)
         q_defect = q.differentiate(k) - Lk_plus.apply_to(q)
         r_defect = r.differentiate(k) + adj.apply_to(r)
         for name, defect in ((f"q_{j}-flow-t{k}", q_defect),
                              (f"r_{j}-flow-t{k}", r_defect)):
             rep = OperatorReport(name)
-            holder = PsiDO(D, {0: defect}, work_floor)
+            holder = PsiDO(ring, {0: defect}, work_floor)
             rep.checks.extend(_zero_checks(holder, [0], points))
             reports.append(rep)
     return reports

@@ -1,13 +1,12 @@
-"""Rational functions num/den with exact zero and equality tests.
+"""Lax-side coefficients: the ring Q[t][1/tau] and its rendering.
 
-Denominators are kept in factored form internally.  The dressing
-pipeline only ever divides by powers of a fixed tau polynomial, so
-factoring keeps additions from exploding the denominator degree, and
-single-divisor exact division (no general multivariate gcd) is enough
-to cancel factors that reappear in numerators.
-
-Normative equality is cross-multiplication:  a/b == c/d  iff  a*d == c*b
-as polynomials.  Zero testing is exact (numerator identically zero).
+Every coefficient the dressing pipeline produces is a polynomial over a
+power of one fixed tau, so an element is stored as (numerator, power of
+tau).  Addition lifts to the larger power, multiplication adds powers,
+and the zero test is "numerator is zero"; nothing is cancelled during
+arithmetic.  Only when an element is rendered for a report (``RatFun``)
+is the content/sign rule applied to the denominator tau**power, which is
+cancelled when it divides the numerator (the value is a polynomial).
 """
 
 from __future__ import annotations
@@ -22,234 +21,201 @@ class PoleError(ArithmeticError):
     """Evaluation point lies on the zero locus of the denominator."""
 
 
-def _factor_key(poly: MPoly):
-    return tuple(sorted((exp, (c.numerator, c.denominator))
-                        for exp, c in poly.terms.items()))
+class TauRing:
+    """Q[t][1/tau] for one nonzero tau, with its powers and first derivatives cached."""
+
+    __slots__ = ("tau", "vars", "_powers", "_derivs")
+
+    def __init__(self, tau: MPoly):
+        if tau.is_zero:
+            raise ZeroDivisionError("tau must be nonzero")
+        self.tau = tau
+        self.vars = tau.vars
+        self._powers = [MPoly.const(tau.vars, 1), tau]
+        self._derivs: dict[int, MPoly] = {}
+
+    def power(self, p: int) -> MPoly:
+        powers = self._powers
+        while len(powers) <= p:
+            powers.append(powers[-1] * self.tau)
+        return powers[p]
+
+    def deriv(self, i: int) -> MPoly:
+        d = self._derivs.get(i)
+        if d is None:
+            d = self._derivs[i] = self.tau.differentiate(i)
+        return d
+
+    def frac(self, num: MPoly, power: int = 0) -> "TauFrac":
+        """The element num / tau**power."""
+        if num.vars != self.vars:
+            raise PolyError("numerator and tau variable counts differ")
+        return TauFrac(self, num, power)
+
+    def const(self, value) -> "TauFrac":
+        return TauFrac(self, MPoly.const(self.vars, value), 0)
+
+    def from_json(self, data: dict) -> "TauFrac":
+        """Read back a rendered element whose denominator is a power of tau."""
+        num, den = MPoly.from_json(data["num"]), MPoly.from_json(data["den"])
+        step = self.tau.total_degree()
+        power = den.total_degree() // step if step else 0
+        unit = divexact(self.power(power), den)
+        if unit is None or unit.total_degree():
+            raise ValueError("denominator is not a power of tau")
+        return self.frac(num * unit, power)
 
 
-class RatFun:
-    """Immutable rational function with factored denominator."""
+class TauFrac:
+    """Immutable element num / tau**power of a TauRing.
 
-    __slots__ = ("vars", "_num", "_factors")
+    Derivatives are cached on the element: composition differentiates
+    the same coefficients of one operator again and again.
+    """
 
-    def __init__(self, num: MPoly, den: MPoly | None = None):
-        den = MPoly.const(num.vars, 1) if den is None else den
-        if den.vars != num.vars:
-            raise PolyError("numerator and denominator variable counts differ")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        factors = [] if den.total_degree() == 0 and den.coefficient((0,) * den.vars) == 1 \
-            else [(den, 1)]
-        self.vars = num.vars
-        self._num, self._factors = _normalize(num, factors)
+    __slots__ = ("ring", "num", "power", "_derivs")
 
-    @classmethod
-    def _raw(cls, num: MPoly, factors: list[tuple[MPoly, int]]) -> "RatFun":
-        self = object.__new__(cls)
-        self.vars = num.vars
-        self._num, self._factors = _normalize(num, factors)
-        return self
-
-    @classmethod
-    def _fast(cls, num: MPoly, factors: tuple) -> "RatFun":
-        """Skip cancellation; factors must already be canonical."""
-        self = object.__new__(cls)
-        self.vars = num.vars
-        self._num = num
-        self._factors = () if num.is_zero else factors
-        return self
-
-    @classmethod
-    def from_const(cls, vars: int, value) -> "RatFun":
-        return cls(MPoly.const(vars, value))
-
-    @classmethod
-    def from_poly(cls, poly: MPoly) -> "RatFun":
-        return cls(poly)
-
-    # -- views ----------------------------------------------------------
-
-    @property
-    def num(self) -> MPoly:
-        return self._num
-
-    @property
-    def den(self) -> MPoly:
-        out = MPoly.const(self.vars, 1)
-        for base, power in self._factors:
-            out = out * base**power
-        return out
+    def __init__(self, ring: TauRing, num: MPoly, power: int):
+        self.ring = ring
+        self.num = num
+        self.power = power if num.terms else 0
+        self._derivs: dict[int, TauFrac] | None = None
 
     @property
     def is_zero(self) -> bool:
-        return self._num.is_zero
+        return not self.num.terms
 
-    # -- arithmetic -------------------------------------------------------
+    def _check(self, other: "TauFrac") -> None:
+        if other.ring is not self.ring and other.ring.tau != self.ring.tau:
+            raise PolyError("elements of different tau rings")
 
-    def _coerce(self, other) -> "RatFun":
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, MPoly):
-            return RatFun(other)
-        return RatFun.from_const(self.vars, other)
+    def _lifted(self, other: "TauFrac") -> tuple[MPoly, MPoly, int]:
+        """Both numerators over the larger power of tau."""
+        self._check(other)
+        p, q = self.power, other.power
+        if p == q:
+            return self.num, other.num, p
+        if p < q:
+            return self.num * self.ring.power(q - p), other.num, q
+        return self.num, other.num * self.ring.power(p - q), p
 
-    def __add__(self, other) -> "RatFun":
-        other = self._coerce(other)
-        if self.vars != other.vars:
-            raise PolyError("variable counts differ")
-        if self.is_zero:
-            return other
-        if other.is_zero:
+    def __add__(self, other: "TauFrac") -> "TauFrac":
+        if not other.num.terms:
             return self
-        if self._factors == other._factors:
-            return RatFun._fast(self._num + other._num, self._factors)
-        merged: dict = {}
-        for base, power in self._factors + other._factors:
-            key = _factor_key(base)
-            prev = merged.get(key)
-            merged[key] = (base, max(prev[1], power) if prev else power)
-        lcm_factors = list(merged.values())
+        if not self.num.terms:
+            return other
+        a, b, p = self._lifted(other)
+        return TauFrac(self.ring, a + b, p)
 
-        def lift(num: MPoly, own: list) -> MPoly:
-            own_map = {_factor_key(b): p for b, p in own}
-            for base, power in lcm_factors:
-                need = power - own_map.get(_factor_key(base), 0)
-                if need:
-                    num = num * base**need
-            return num
+    def __neg__(self) -> "TauFrac":
+        return TauFrac(self.ring, -self.num, self.power)
 
-        num = lift(self._num, self._factors) + lift(other._num, other._factors)
-        return RatFun._raw(num, lcm_factors)
+    def __sub__(self, other: "TauFrac") -> "TauFrac":
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return -other
+        a, b, p = self._lifted(other)
+        return TauFrac(self.ring, a - b, p)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFun":
-        return RatFun._fast(-self._num, self._factors)
-
-    def __sub__(self, other) -> "RatFun":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RatFun":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatFun":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RatFun._fast(MPoly.zero(self.vars), ())
-            return RatFun._fast(self._num * other, self._factors)
-        other = self._coerce(other)
-        if self.vars != other.vars:
-            raise PolyError("variable counts differ")
-        merged: dict = {}
-        for base, power in self._factors + other._factors:
-            key = _factor_key(base)
-            prev = merged.get(key)
-            merged[key] = (base, prev[1] + power if prev else power)
-        return RatFun._raw(self._num * other._num, list(merged.values()))
+    def __mul__(self, other) -> "TauFrac":
+        if isinstance(other, TauFrac):
+            self._check(other)
+            return TauFrac(self.ring, self.num * other.num, self.power + other.power)
+        return TauFrac(self.ring, self.num * other, self.power)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RatFun":
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def inverse(self) -> "RatFun":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFun._raw(self.den, [(self._num, 1)])
-
-    def differentiate(self, i: int) -> "RatFun":
-        """Partial derivative with respect to t_i.
-
-        d(n / prod f^e) = (n' * prod f - n * sum e_j f_j' prod_{l != j} f_l)
-                          / prod f^(e+1)
-        """
-        if not self._factors:
-            return RatFun._raw(self._num.differentiate(i), [])
-        prod_f = MPoly.const(self.vars, 1)
-        for base, _ in self._factors:
-            prod_f = prod_f * base
-        num = self._num.differentiate(i) * prod_f
-        for j, (base, power) in enumerate(self._factors):
-            rest = MPoly.const(self.vars, 1)
-            for l, (b2, _) in enumerate(self._factors):
-                if l != j:
-                    rest = rest * b2
-            num = num - self._num * base.differentiate(i) * rest * power
-        return RatFun._raw(num, [(b, p + 1) for b, p in self._factors])
+    def differentiate(self, i: int) -> "TauFrac":
+        """d/dt_i (n / tau^p) = (n_i tau - p n tau_i) / tau^(p+1)."""
+        if self._derivs is None:
+            self._derivs = {}
+        out = self._derivs.get(i)
+        if out is None:
+            p, ring = self.power, self.ring
+            if not p:
+                out = TauFrac(ring, self.num.differentiate(i), 0)
+            else:
+                num = (self.num.differentiate(i) * ring.tau
+                       - self.num * ring.deriv(i) * p)
+                out = TauFrac(ring, num, p + 1)
+            self._derivs[i] = out
+        return out
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        den_val = Fraction(1)
-        for base, power in self._factors:
-            v = base.evaluate(point)
-            if v == 0:
-                raise PoleError(f"denominator vanishes at {tuple(point)}")
-            den_val *= v**power
-        return self._num.evaluate(point) / den_val
+        value = self.num.evaluate(point)
+        if not self.power:
+            return value
+        tv = self.ring.tau.evaluate(point)
+        if tv == 0:
+            raise PoleError(f"denominator vanishes at {tuple(point)}")
+        return value / tv**self.power
 
-    # -- comparisons ---------------------------------------------------------
-
-    def equals(self, other) -> bool:
-        """Cross-multiplied exact equality."""
-        other = self._coerce(other)
-        return (self._num * other.den - other._num * self.den).is_zero
+    def equals(self, other: "TauFrac") -> bool:
+        """Cross-multiplied exact equality, also across rings."""
+        return (self.num * other.ring.power(other.power)
+                - other.num * self.ring.power(self.power)).is_zero
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (RatFun, MPoly, int, Fraction)):
+        if isinstance(other, TauFrac):
             return self.equals(other)
         return NotImplemented
 
     __hash__ = None
 
-    # -- serialization ----------------------------------------------------------
+    def rendered(self) -> "RatFun":
+        return RatFun(self.num, self.ring.power(self.power))
 
     def to_json(self) -> dict:
-        return {"num": self._num.to_json(), "den": self.den.to_json()}
+        return self.rendered().to_json()
+
+    def __repr__(self) -> str:
+        return repr(self.rendered())
+
+
+class RatFun:
+    """num/den as reports print it.
+
+    den is divided by its content, which carries the sign that makes its
+    graded-lex leading coefficient positive, and is cancelled when it
+    divides num; a constant den folds into num.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MPoly, den: MPoly | None = None):
+        one = MPoly.const(num.vars, 1)
+        den = one if den is None else den
+        if den.vars != num.vars:
+            raise PolyError("numerator and denominator variable counts differ")
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            self.num, self.den = num, one
+            return
+        c = den.content()
+        den = den / c
+        if den.total_degree():
+            q = divexact(num, den)
+            if q is not None:
+                num, den = q, one
+        else:
+            den = one
+        self.num = num / c if c != 1 else num
+        self.den = den
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def to_json(self) -> dict:
+        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "RatFun":
         return cls(MPoly.from_json(data["num"]), MPoly.from_json(data["den"]))
 
     def __repr__(self) -> str:
-        if not self._factors:
-            return self._num.format()
-        return f"({self._num.format()}) / ({self.den.format()})"
-
-
-def _normalize(num: MPoly, factors: list[tuple[MPoly, int]]):
-    """Canonical content/sign form with greedy factor cancellation."""
-    if num.is_zero:
-        return num, ()
-    scale = Fraction(1)
-    clean: list[tuple[MPoly, int]] = []
-    for base, power in factors:
-        if power == 0:
-            continue
-        if base.is_zero:
-            raise ZeroDivisionError("zero denominator factor")
-        c = base.content()
-        base = base / c
-        scale /= c**power
-        if base.total_degree() == 0:  # constant factor folds into the scale
-            continue
-        while power > 0:
-            q = divexact(num, base)
-            if q is None:
-                break
-            num = q
-            power -= 1
-        if power:
-            clean.append((base, power))
-    num = num * scale
-    merged: dict = {}
-    for base, power in clean:
-        key = _factor_key(base)
-        prev = merged.get(key)
-        merged[key] = (base, prev[1] + power if prev else power)
-    ordered = tuple(sorted(merged.values(), key=lambda bp: _factor_key(bp[0])))
-    return num, ordered
-
-
-def ratfun_normalize(f: RatFun) -> RatFun:
-    """Re-run canonicalization (content/sign rule plus factor cancellation)."""
-    return RatFun(f.num, f.den)
+        if self.den.total_degree() == 0:
+            return self.num.format()
+        return f"({self.num.format()}) / ({self.den.format()})"

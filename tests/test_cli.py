@@ -153,6 +153,26 @@ class TestDressAndLax:
         assert payload["P"]["coefs"]["-1"]["den"]["terms"]
         assert "-2" not in payload["P"]["coefs"]
 
+    def test_dress_prints_only_exact_coefficients(self, capsys, tmp_path):
+        # tau = S_2 + 3 t_1: L at --order T is exact down to -T only
+        tau = tmp_path / "tau.json"
+        tau.write_text(json.dumps({"charge": 0, "poly": {"vars": 2, "terms": [
+            {"exp": [2, 0], "coef": "1/2"}, {"exp": [0, 1], "coef": "1"},
+            {"exp": [1, 0], "coef": "3"}]}}))
+        payloads = {}
+        for order in (3, 6):
+            code, out, _ = run(capsys, ["dress", "--tau", str(tau),
+                                        "--order", str(order)])
+            assert code == 0
+            payloads[order] = json.loads(out)
+        assert payloads[3]["L"]["truncation"] == -3
+        assert min(int(o) for o in payloads[3]["L"]["coefs"]) == -3
+        for op in ("P", "L"):
+            short, deep = payloads[3][op]["coefs"], payloads[6][op]["coefs"]
+            assert short
+            for o, coef in short.items():
+                assert deep[o] == coef, (op, o)
+
     def test_lax_pass(self, capsys, golden_files):
         code, out, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
                                     "--rho", golden_files["rho"],

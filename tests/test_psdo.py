@@ -1,61 +1,79 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from tauforge.mpoly import MPoly
-from tauforge.ratfun import RatFun
-from tauforge.schur import ChargedPoly, Partition, elementary_schur, schur_of_partition
-from tauforge.grassmann import companions, reduce_point
-from tauforge.psdo import (PsiDO, TruncationError, dress_from_tau,
-                           sample_points, verify_constraint, verify_flows)
+from tauforge.ratfun import TauRing
+from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
+                            schur_of_partition)
+from tauforge.grassmann import companions, reduce_point, tau_of
+from tauforge.psdo import (PsiDO, TruncationError, _dressing, constraint_defect,
+                           dress_from_tau, sample_points, verify_constraint,
+                           verify_flows)
 
-from conftest import random_poly
+from conftest import random_grpoint, random_poly
 
 D, FL = 3, -6
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
+R = TauRing(MPoly.variable(D, 1))  # coefficients in Q[t][1/t1]
 
 
 def var(i, vars=D):
-    return RatFun(MPoly.variable(vars, i))
+    return R.frac(MPoly.variable(vars, i))
 
 
 def mult(f):
     return PsiDO.multiplier(f, FL)
 
 
-d = PsiDO.d(D, FL)
-dinv = PsiDO.d(D, FL, -1)
+d = PsiDO.d(R, FL)
+dinv = PsiDO.d(R, FL, -1)
+inv_t1 = R.frac(MPoly.const(D, 1), 1)
 
 
 class TestCompose:
     def test_leibniz(self):
         got = d * mult(var(1))
-        assert got == PsiDO(D, {1: var(1), 0: RatFun.from_const(D, 1)}, FL)
+        assert got == PsiDO(R, {1: var(1), 0: R.const(1)}, FL)
 
     def test_inverse_order_terminates_on_polynomials(self):
         got = dinv * mult(var(1))
-        assert got == PsiDO(D, {-1: var(1), -2: RatFun.from_const(D, -1)}, FL)
+        assert got == PsiDO(R, {-1: var(1), -2: R.const(-1)}, FL)
         assert got.exact_to is None  # series ended naturally, fully exact
 
     def test_dinv_d_cancels(self):
-        assert dinv * d == PsiDO.identity(D, FL)
-        assert d * dinv == PsiDO.identity(D, FL)
+        assert dinv * d == PsiDO.identity(R, FL)
+        assert d * dinv == PsiDO.identity(R, FL)
 
     def test_rational_coefficient_series_truncates(self):
-        got = dinv * mult(var(1).inverse())
+        got = dinv * mult(inv_t1)
         assert got.exact_to == FL  # infinite tail was cut at the floor
         with pytest.raises(TruncationError):
             got.coeff(FL - 1)
+        # d^-1 t1^-1 = sum_j C(-1, j) (t1^-1)^(j) d^-(j+1) = sum_j j! t1^-(j+1) d^-(j+1)
+        for j in range(-FL):
+            assert got.coeff(-1 - j).equals(
+                R.frac(MPoly.const(D, math.factorial(j)), j + 1))
+
+    def test_constructor_guard_below_floor(self):
+        op = PsiDO(R, {0: R.const(1), -9: var(1)}, floor=FL)
+        assert op.exact_to == FL  # a nonzero coefficient was dropped
+        with pytest.raises(TruncationError):
+            op.coeff(-9)
+        assert op.coeff(FL).is_zero
+        assert PsiDO(R, {-9: R.const(0)}, FL).exact_to is None  # zero: nothing lost
+        assert PsiDO(R, {-9: var(1)}, FL, exact_to=-2).exact_to == -2
 
     def test_associativity_random(self):
         rng = random.Random(3)
         for _ in range(20):
             ops = []
             for _ in range(3):
-                coeffs = {rng.randint(-2, 2): RatFun(random_poly(rng, D))
+                coeffs = {rng.randint(-2, 2): R.frac(random_poly(rng, D))
                           for _ in range(2)}
-                ops.append(PsiDO(D, coeffs, FL))
+                ops.append(PsiDO(R, coeffs, FL))
             a, b, c = ops
             assert (a * b) * c == a * (b * c)
 
@@ -77,9 +95,9 @@ class TestAdjoint:
     def test_anti_homomorphism_random(self):
         rng = random.Random(7)
         for _ in range(20):
-            a = PsiDO(D, {rng.randint(0, 2): RatFun(random_poly(rng, D))
+            a = PsiDO(R, {rng.randint(0, 2): R.frac(random_poly(rng, D))
                           for _ in range(2)}, FL)
-            b = PsiDO(D, {rng.randint(-1, 2): RatFun(random_poly(rng, D))
+            b = PsiDO(R, {rng.randint(-1, 2): R.frac(random_poly(rng, D))
                           for _ in range(2)}, FL)
             assert (a * b).adjoint() == b.adjoint() * a.adjoint()
 
@@ -92,14 +110,14 @@ class TestSplit:
         assert plus == d and minus == u * dinv
         plus, minus = (d * d).split()
         assert plus == d * d and minus.is_zero
-        op = mult(var(1)) * dinv * dinv + PsiDO(D, {0: RatFun.from_const(D, 3)}, FL)
+        op = mult(var(1)) * dinv * dinv + PsiDO(R, {0: R.const(3)}, FL)
         plus, minus = op.split()
-        assert plus == PsiDO(D, {0: RatFun.from_const(D, 3)}, FL)
+        assert plus == PsiDO(R, {0: R.const(3)}, FL)
 
     def test_direct_sum(self):
         rng = random.Random(11)
         for _ in range(15):
-            op = PsiDO(D, {rng.randint(-3, 3): RatFun(random_poly(rng, D))
+            op = PsiDO(R, {rng.randint(-3, 3): R.frac(random_poly(rng, D))
                            for _ in range(3)}, FL)
             plus, minus = op.split()
             assert plus + minus == op
@@ -110,21 +128,22 @@ class TestSplit:
 class TestDressing:
     def test_trivial_tau(self):
         pair = dress_from_tau(ONE, 5)
-        assert pair.P == PsiDO.identity(pair.P.vars, pair.P.floor)
-        assert pair.L == PsiDO.d(pair.L.vars, pair.L.floor)
+        assert pair.P == PsiDO.identity(pair.P.ring, pair.P.floor)
+        assert pair.L == PsiDO.d(pair.L.ring, pair.L.floor)
 
     def test_linear_tau(self):
         pair = dress_from_tau(ChargedPoly(MPoly.variable(1, 1), 0), 5)
         vars = pair.P.vars
         t1 = MPoly.variable(vars, 1)
-        assert pair.P.coeff(-1).equals(RatFun(MPoly.const(vars, -1), t1))
-        assert pair.L.coeff(-1).equals(RatFun(MPoly.const(vars, -1), t1 ** 2))
+        T1 = TauRing(t1)
+        assert pair.P.coeff(-1).equals(T1.frac(MPoly.const(vars, -1), 1))
+        assert pair.L.coeff(-1).equals(T1.frac(MPoly.const(vars, -1), 2))
 
     def test_s2_tau(self):
         S2 = elementary_schur(2, 2)
         pair = dress_from_tau(ChargedPoly(S2, 0), 5)
         t1 = MPoly.variable(2, 1)
-        assert pair.P.coeff(-1).equals(RatFun(-t1, S2))
+        assert pair.P.coeff(-1).equals(TauRing(S2).frac(-t1, 1))
         assert pair.P.coeff(-2).is_zero
         assert pair.P.coeff(-5).is_zero
 
@@ -134,8 +153,27 @@ class TestDressing:
         pair = dress_from_tau(ChargedPoly(tau, 0), 4)
         vars = pair.L.vars
         base = tau.embed(vars)
-        log_slope = RatFun(base.differentiate(1), base)
+        log_slope = TauRing(base).frac(base.differentiate(1), 1)
         assert pair.L.coeff(-1).equals(log_slope.differentiate(1))
+
+    def test_adjoint_wave_function_inverts_P(self, monkeypatch):
+        # P^-1 = B*, B = 1 + sum (-1)^i b_i d^-i from tau(t+[z^-1])/tau(t),
+        # exactly when tau is a KP tau function
+        compositions = []
+        compose = PsiDO.__mul__
+        monkeypatch.setattr(PsiDO, "__mul__",
+                            lambda a, b: compositions.append(1) or compose(a, b))
+        t1 = MPoly.variable(2, 1)
+        S2 = elementary_schur(2, 2)
+        for poly, kp in [(S2 + t1 * 3, True), (S2 * S2, False), (t1 * t1, False)]:
+            compositions.clear()
+            _, Pinv = _dressing(poly, 2, FL)
+            assert (len(compositions) == 1) is kp  # only the P B* = 1 check
+            ring = Pinv.ring
+            shifted = miwa_shift(ring.tau, +1)
+            B = PsiDO(ring, {-i: ring.frac(shifted.coeff(-i) * (-1) ** i, 1)
+                             for i in range(poly.wdeg() + 1)}, FL)
+            assert (B.adjoint() == Pinv) is kp, poly
 
     def test_zero_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +266,55 @@ class TestSampling:
 
 
 def test_psdo_json_roundtrip():
-    op = d + mult(var(1)) * dinv
-    back = PsiDO.from_json(op.to_json())
-    assert back == PsiDO(D, dict(op.coeffs), op.floor)
+    op = d + mult(var(1)) * dinv + mult(inv_t1) * dinv * dinv
+    back = PsiDO.from_json(op.to_json(), R)
+    assert back == PsiDO(R, dict(op.coeffs), op.floor)
+    assert back.coeff(-2).equals(inv_t1)
+
+
+def test_json_emits_only_the_exact_range():
+    op = dinv * mult(inv_t1)  # infinite tail, exact down to FL
+    cut = PsiDO(R, op.coeffs, FL - 2, op.exact_to + 1)
+    payload = cut.to_json()
+    assert payload["truncation"] == FL + 1
+    assert min(int(o) for o in payload["coefs"]) == FL + 1
+    assert PsiDO.from_json(payload, R) == cut
+
+
+class TestIndependentOracle:
+    """The rebuilt Lax side against identities checked with MPoly alone."""
+
+    @staticmethod
+    def taus():
+        rng = random.Random(2024)
+        found = []
+        while len(found) < 6:
+            poly = tau_of(random_grpoint(rng)).poly
+            if 1 <= poly.wdeg() <= 4:
+                found.append(poly)
+        return found
+
+    def test_residue_of_Lk_is_second_log_derivative(self):
+        # Res L^k = d_1 d_k log tau = (tau tau_1k - tau_1 tau_k) / tau^2
+        for poly in self.taus():
+            for k in (1, 2, 3):
+                _, Lk, _, _ = constraint_defect(ChargedPoly(poly, 0), [], [], k, 3)
+                tau = poly.embed(Lk.vars)
+                t1, tk = tau.differentiate(1), tau.differentiate(k)
+                want = tau * t1.differentiate(k) - t1 * tk
+                got = Lk.coeff(-1)
+                assert (got.num * tau**2 - want * tau**got.power).is_zero, (poly, k)
+
+    def test_dressing_inverse_is_two_sided(self):
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        not_kp = [t1 * t1, t1 * t2 + 1, t1 + t2 * t2]  # P B* != 1 for these
+        for poly in self.taus() + not_kp:
+            floor = -6
+            P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor)
+            tau = poly.embed(P.vars)
+            for prod in (P * Pinv, Pinv * P):
+                assert prod.exact_to == floor
+                for order in range(floor, 1):
+                    c = prod.coeff(order)
+                    one = tau**c.power if order == 0 else MPoly.zero(tau.vars)
+                    assert (c.num - one).is_zero, (poly, order)

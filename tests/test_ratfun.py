@@ -4,13 +4,24 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.mpoly import MPoly
-from tauforge.ratfun import PoleError, RatFun, ratfun_normalize
+from tauforge.ratfun import PoleError, RatFun, TauRing
 
 from conftest import random_poly
 
 
 def V(i, vars=2):
     return MPoly.variable(vars, i)
+
+
+def random_ring(rng):
+    tau = MPoly.zero(2)
+    while tau.is_zero:
+        tau = random_poly(rng, 2)
+    return TauRing(tau)
+
+
+def random_element(rng, ring):
+    return ring.frac(random_poly(rng, 2), rng.randint(0, 2))
 
 
 class TestNormalization:
@@ -28,59 +39,74 @@ class TestNormalization:
         f = RatFun(MPoly.zero(2), V(1))
         assert f.is_zero
         assert f.den == MPoly.const(2, 1)
+        assert TauRing(V(1)).frac(MPoly.zero(2), 3).power == 0
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFun(V(1), MPoly.zero(2))
+        with pytest.raises(ZeroDivisionError):
+            TauRing(MPoly.zero(2))
 
     def test_power_cancellation(self):
-        # denominators built through the arithmetic keep their factored
-        # shape, so a tau reappearing in the numerator cancels exactly
+        # the ring never cancels; rendering cancels tau^p when it divides
         tau = V(1)**2 + V(2)
-        f = RatFun(tau * V(2), tau) * RatFun(MPoly.const(2, 1), tau)
-        assert f.num == V(2)
-        assert f.den == tau
+        R = TauRing(tau)
+        f = R.frac(tau * V(2), 1) * R.frac(tau * 2, 1)
+        assert (f.num, f.power) == (tau * tau * V(2) * 2, 2)
+        shown = f.rendered()
+        assert shown.num == V(2) * 2
+        assert shown.den == MPoly.const(2, 1)
+        # otherwise the power the arithmetic reached is kept
+        g = R.frac(tau * V(2), 1) * R.frac(MPoly.const(2, 3), 1)
+        shown = g.rendered()
+        assert (shown.num, shown.den) == (tau * V(2) * 3, tau * tau)
 
     def test_normalize_idempotent(self):
         f = RatFun(V(1) * 6, V(2) * 4)
-        g = ratfun_normalize(f)
-        assert g.equals(f)
+        g = RatFun(f.num, f.den)
+        assert (g.num, g.den) == (f.num, f.den)
         assert g.den.content() == 1
+        assert (f.num * V(2) * 4 - V(1) * 6 * f.den).is_zero
 
 
 class TestArithmetic:
     def test_common_denominator_add(self):
         tau = V(1)**2 + V(2)
-        a = RatFun(V(1), tau)
-        b = RatFun(V(2), tau)
+        R = TauRing(tau)
+        a = R.frac(V(1), 1)
+        b = R.frac(V(2), 1)
         s = a + b
-        assert s.equals(RatFun(V(1) + V(2), tau))
-        assert s.den == tau  # no degree explosion on shared denominators
+        assert s.equals(R.frac(V(1) + V(2), 1))
+        assert (s.num, s.power) == (V(1) + V(2), 1)  # no degree explosion
 
     def test_field_identities_random(self):
+        # ring axioms, with tau and the powers lifted and added as needed
         rng = random.Random(41)
         for _ in range(25):
-            num1, den1 = random_poly(rng, 2), random_poly(rng, 2)
-            num2, den2 = random_poly(rng, 2), random_poly(rng, 2)
-            if den1.is_zero or den2.is_zero or num2.is_zero:
-                continue
-            a = RatFun(num1, den1)
-            b = RatFun(num2, den2)
+            R = random_ring(rng)
+            a, b, c = (random_element(rng, R) for _ in range(3))
             assert (a + b - b).equals(a)
-            assert (a * b / b).equals(a)
             assert (a * b).equals(b * a)
+            assert ((a + b) + c).equals(a + (b + c))
+            assert ((a * b) * c).equals(a * (b * c))
+            assert (a * (b + c)).equals(a * b + a * c)
+            assert (a - a).is_zero
 
     def test_inverse(self):
-        f = RatFun(V(1), V(2))
-        assert (f * f.inverse()).equals(RatFun.from_const(2, 1))
-        with pytest.raises(ZeroDivisionError):
-            RatFun(MPoly.zero(2)).inverse()
+        # tau is a unit of Q[t][1/tau]: tau^p times (n / tau^p) is n
+        R = TauRing(V(2))
+        f = R.frac(V(1), 2)
+        assert (f * R.frac(V(2)**2)).equals(R.frac(V(1)))
+        assert (R.frac(MPoly.const(2, 1), 1) * R.frac(V(2))).equals(R.const(1))
+        with pytest.raises(ValueError):
+            f + TauRing(V(1)).frac(V(1), 1)  # different tau
 
 
 class TestDerivative:
     def test_inverse_power_rule(self):
-        f = RatFun(MPoly.const(2, 1), V(1))
-        assert f.differentiate(1).equals(RatFun(MPoly.const(2, -1), V(1)**2))
+        R = TauRing(V(1))
+        f = R.frac(MPoly.const(2, 1), 1)
+        assert f.differentiate(1).equals(R.frac(MPoly.const(2, -1), 2))
 
     def test_quotient_rule_random(self):
         rng = random.Random(7)
@@ -88,20 +114,24 @@ class TestDerivative:
             num, den = random_poly(rng, 2), random_poly(rng, 2)
             if den.is_zero:
                 continue
-            f = RatFun(num, den)
+            R = TauRing(den)
+            f = R.frac(num, 1)
             lhs = f.differentiate(1)
-            rhs = RatFun(num.differentiate(1) * den - num * den.differentiate(1),
-                         den * den)
+            rhs = R.frac(num.differentiate(1) * den - num * den.differentiate(1), 2)
             assert lhs.equals(rhs)
+            g = random_element(rng, R)  # Leibniz rule at any power
+            assert (f * g).differentiate(2).equals(
+                f.differentiate(2) * g + f * g.differentiate(2))
 
 
 class TestEvaluation:
     def test_separate_num_den(self):
-        f = RatFun(V(1)**2 - V(2)**2, V(1) - V(2))
-        assert f.evaluate([F(3), F(1)]) == 4
+        R = TauRing(V(1) - V(2))
+        assert R.frac(V(1)**2 - V(2)**2, 1).evaluate([F(3), F(1)]) == 4
+        assert RatFun(V(1)**2 - V(2)**2, V(1) - V(2)).num.evaluate([F(3), F(1)]) == 4
 
     def test_pole_error(self):
-        f = RatFun(V(1), V(2))
+        f = TauRing(V(2)).frac(V(1), 1)
         with pytest.raises(PoleError):
             f.evaluate([F(1), F(0)])
 
@@ -112,10 +142,11 @@ class TestEvaluation:
             num, den = random_poly(rng, 2), random_poly(rng, 2)
             if den.is_zero:
                 continue
-            f = RatFun(num, den)
-            g = RatFun(num * den, den * den)  # same function, bigger shape
+            R = TauRing(den)
+            f = R.frac(num, 1)
+            g = R.frac(num * den, 2)  # same function, bigger shape
             assert f.equals(g)
-            crossed = RatFun(num + den, den)
+            crossed = R.frac(num + den, 1)
             agree = f.equals(crossed)
             points = 0
             while points < 20:
@@ -138,4 +169,9 @@ class TestSerialization:
     def test_json_roundtrip(self):
         f = RatFun(V(1) + 1, V(2)**2)
         g = RatFun.from_json(f.to_json())
-        assert g.equals(f)
+        assert (g.num, g.den) == (f.num, f.den)
+        R = TauRing(V(2) * 3)
+        h = R.frac(V(1) + 1, 2)
+        assert R.from_json(h.to_json()).equals(h)
+        with pytest.raises(ValueError):
+            R.from_json(RatFun(V(2), V(1) + 1).to_json())
