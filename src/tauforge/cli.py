@@ -202,7 +202,7 @@ def cmd_fock_apply(args, cfg: RunConfig) -> int:
     op = args.op
     try:
         if op in ("psi+", "psi-"):
-            index = Fraction(args.index)
+            index = parse_rat(args.index)
             out = psi_plus(index, vec) if op == "psi+" else psi_minus(index, vec)
         elif op == "alpha":
             out = alpha(int(args.index), vec)

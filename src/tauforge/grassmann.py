@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .mpoly import MPoly, format_rat, parse_rat
-from .schur import ChargedPoly, DomainError, elementary_schur
+from .schur import ChargedPoly, DomainError, _det, elementary_schur
 from .fock import (FockVector, MayaState, WindowMatrix, _state_from_indices,
                    sigma_single, wedge_vector)
 
@@ -441,26 +441,12 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
                     acc = acc + elementary_schur(l - i, D) * columns[j][l - 1]
             row.append(acc)
         det_grid.append(row)
-    tau = _poly_det(det_grid, D)
+    tau = _det(det_grid, D)
 
     vectors = [{N - l: columns[j][l - 1] for l in range(1, M + 1)
                 if columns[j][l - 1]} for j in range(N)]
     point = reduce_point(vectors, -N)
     return point, ChargedPoly(tau, point.charge), report
-
-
-def _poly_det(grid: list[list[MPoly]], D: int) -> MPoly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = MPoly.zero(D)
-    for i in range(n):
-        if grid[i][0].is_zero:
-            continue
-        minor = [row[1:] for j, row in enumerate(grid) if j != i]
-        term = grid[i][0] * _poly_det(minor, D)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
 
 
 def grpoint_from_window_matrix(matrix: WindowMatrix, charge: int) -> GrPoint:

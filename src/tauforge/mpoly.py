@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial in variables t_1..t_D is stored as a mapping from exponent
-tuples (length D) to nonzero Fraction coefficients.  The zero polynomial
-is the empty mapping.  All arithmetic is exact; nothing in this package
-ever touches floating point.
+A polynomial in variables t_1..t_D is stored as integer numerators over
+one shared denominator: ``num`` maps exponent tuples (length D) to
+nonzero ints and ``den`` is a positive int with gcd(den, *num.values())
+== 1, so the coefficient of t**exp is num[exp]/den.  That form is
+canonical: equal polynomials have equal ``num`` and ``den``, and the
+zero polynomial is num = {} over den = 1.  Arithmetic is integer
+arithmetic plus at most one gcd pass per result; ``terms`` reads the
+coefficients back as Fractions.  Nothing in this package ever touches
+floating point.
 
 The weighted degree gives variable t_i weight i, so wdeg(t_2) = 2 and
 wdeg(t_1**3) = 3.  This is the grading under which the generating-series
@@ -14,12 +19,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Exponent = tuple[int, ...]
 
 Rat = Fraction
+
+_gcd = math.gcd
 
 
 class PolyError(ValueError):
@@ -27,8 +35,17 @@ class PolyError(ValueError):
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse an exact rational from a "p" or "p/q" string."""
-    return Fraction(text.strip())
+    """Parse an exact rational from a "p" or "p/q" string.
+
+    Anything else, a JSON number or a zero denominator included, is a
+    ValueError, which the CLI reports as an input error.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f'rational must be a "p/q" string, got {text!r}')
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rat(value: Fraction) -> str:
@@ -42,23 +59,54 @@ def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
 
 
+class Terms(Mapping):
+    """Read-only exponent -> Fraction view of a polynomial's coefficients.
+
+    A Fraction is built only when an item is read; the length is O(1).
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[Exponent, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exp: Exponent) -> Fraction:
+        return Fraction(self._num[exp], self._den)
+
+    def __contains__(self, exp) -> bool:
+        return exp in self._num
+
+    def __iter__(self) -> Iterator[Exponent]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+
 class MPoly:
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
-    def __init__(self, vars: int, terms: dict[Exponent, Fraction] | None = None):
+    def __init__(self, vars: int, terms: Mapping[Exponent, Fraction] | None = None):
+        """The polynomial with the given rational coefficients; zeros are dropped."""
         if vars < 0:
             raise PolyError(f"variable count must be nonnegative, got {vars}")
-        clean: dict[Exponent, Fraction] = {}
+        coefs: dict[Exponent, Fraction] = {}
         for exp, coef in (terms or {}).items():
             if len(exp) != vars:
                 raise PolyError(f"exponent {exp} has length {len(exp)}, expected {vars}")
             c = Fraction(coef)
             if c != 0:
-                clean[tuple(exp)] = c
+                coefs[tuple(exp)] = c
+        # over the lcm of the denominators some numerator is prime to each
+        # prime power of it, so the form is already canonical
+        den = math.lcm(*(c.denominator for c in coefs.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in coefs.items()}
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -66,23 +114,38 @@ class MPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, vars: int, terms: dict[Exponent, Fraction]) -> "MPoly":
-        """Internal fast path: terms must already be clean (no zeros)."""
+    def _make(cls, vars: int, num: dict[Exponent, int], den: int) -> "MPoly":
+        """Internal fast path: num/den must already be canonical."""
         self = object.__new__(cls)
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod
+    def _reduced(cls, vars: int, num: dict[Exponent, int], den: int) -> "MPoly":
+        """Internal: nonzero integer numerators over den > 0, reduced by their gcd."""
+        if den != 1:
+            g = den
+            for c in num.values():
+                g = _gcd(g, c)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                num = {e: c // g for e, c in num.items()}
+        return cls._make(vars, num, den)
+
+    @classmethod
     def zero(cls, vars: int) -> "MPoly":
-        return cls._make(vars, {})
+        return cls._make(vars, {}, 1)
 
     @classmethod
     def const(cls, vars: int, value) -> "MPoly":
         c = Fraction(value)
         if c == 0:
             return cls.zero(vars)
-        return cls(vars, {(0,) * vars: c})
+        return cls._make(vars, {(0,) * vars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, vars: int, i: int) -> "MPoly":
@@ -91,20 +154,26 @@ class MPoly:
             raise PolyError(f"variable index {i} out of range 1..{vars}")
         exp = [0] * vars
         exp[i - 1] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return cls._make(vars, {tuple(exp): 1}, 1)
 
     # -- predicates ----------------------------------------------------
 
     @property
+    def terms(self) -> Terms:
+        """The coefficients as a read-only exponent -> Fraction mapping."""
+        return Terms(self.num, self.den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            return (self.vars == other.vars and self.den == other.den
+                    and self.num == other.num)
         return NotImplemented
 
     __hash__ = None  # mutable-dict payload; equality by content only
@@ -115,71 +184,93 @@ class MPoly:
         if self.vars != other.vars:
             raise PolyError(f"variable counts differ: {self.vars} vs {other.vars}")
 
-    def __add__(self, other) -> "MPoly":
+    def _combine(self, other, sign: int) -> "MPoly":
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, MPoly):
             other = MPoly.const(self.vars, other)
         self._check(other)
-        out = dict(self.terms)
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            fb = sign
+        else:
+            g = _gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            out = {e: c * fa for e, c in self.num.items()}
+            da *= fa
         get = out.get
-        for exp, coef in other.terms.items():
+        for exp, coef in other.num.items():
             c = get(exp)
             if c is None:
-                out[exp] = coef
-            elif c == -coef:
-                del out[exp]
+                out[exp] = coef * fb
             else:
-                out[exp] = c + coef
-        return MPoly._make(self.vars, out)
+                c += coef * fb
+                if c:
+                    out[exp] = c
+                else:
+                    del out[exp]
+        return MPoly._reduced(self.vars, out, da)
+
+    def __add__(self, other) -> "MPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "MPoly":
-        if not isinstance(other, MPoly):
-            other = MPoly.const(self.vars, other)
-        self._check(other)
-        out = dict(self.terms)
-        get = out.get
-        for exp, coef in other.terms.items():
-            c = get(exp)
-            if c is None:
-                out[exp] = -coef
-            elif c == coef:
-                del out[exp]
-            else:
-                out[exp] = c - coef
-        return MPoly._make(self.vars, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "MPoly":
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "MPoly":
+        """self * p/q for coprime p and q > 0."""
+        if not p or not self.num:
+            return MPoly.zero(self.vars)
+        g = _gcd(p, self.den)
+        p //= g
+        den = self.den // g
+        if q != 1:
+            # gcd(den, num) = 1 and gcd(p, q) = 1 already, so the only
+            # factors left to cancel are shared by q and every numerator
+            h = q
+            for c in self.num.values():
+                h = _gcd(h, c)
+                if h == 1:
+                    break
+            den *= q // h
+            if h != 1:
+                return MPoly._make(self.vars, {e: c // h * p for e, c in self.num.items()}, den)
+        return MPoly._make(self.vars, {e: c * p for e, c in self.num.items()}, den)
+
     def __mul__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
             c = Fraction(other)
-            if c == 0:
-                return MPoly.zero(self.vars)
-            return MPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
+            return self._scaled(c.numerator, c.denominator)
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self.num or not other.num:
             return MPoly.zero(self.vars)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         get = out.get
-        small, large = (self.terms, other.terms) \
-            if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
+        small, large = (self.num, other.num) \
+            if len(self.num) <= len(other.num) else (other.num, self.num)
         for ea, ca in small.items():
             for eb, cb in large.items():
                 exp = tuple(map(int.__add__, ea, eb))
                 c = get(exp)
-                prod = ca * cb
                 if c is None:
-                    out[exp] = prod
-                elif c == -prod:
-                    del out[exp]
+                    out[exp] = ca * cb
                 else:
-                    out[exp] = c + prod
-        return MPoly._make(self.vars, out)
+                    c += ca * cb
+                    if c:
+                        out[exp] = c
+                    else:
+                        del out[exp]
+        return MPoly._reduced(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -207,29 +298,42 @@ class MPoly:
         """Exact partial derivative with respect to t_i (1-based)."""
         if not 1 <= i <= self.vars:
             raise PolyError(f"variable index {i} out of range 1..{self.vars}")
-        out: dict[Exponent, Fraction] = {}
-        for exp, coef in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, coef in self.num.items():
             e = exp[i - 1]
             if e == 0:
                 continue
             new = list(exp)
             new[i - 1] = e - 1
             out[tuple(new)] = coef * e
-        return MPoly._make(self.vars, out)
+        return MPoly._reduced(self.vars, out, self.den)
+
+    def _power_tables(self, point: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+        """Integer tables T and B with prod_i point_i**e_i = prod_i T[i][e_i] / B.
+
+        Coordinate a/b has T[i][e] = a**e * b**(top - e) over the common
+        denominator B = prod_i b**top, top being the highest power of t_i
+        in self, so every monomial of self evaluates to an integer over B.
+        """
+        if len(point) != self.vars:
+            raise PolyError(f"point has {len(point)} coordinates, expected {self.vars}")
+        tops = [max(col) for col in zip(*self.num)] if self.num else [0] * self.vars
+        tables = []
+        common = 1
+        for v, top in zip(point, tops):
+            a, b = v.numerator, v.denominator
+            tables.append([a**e * b ** (top - e) for e in range(top + 1)])
+            common *= b**top
+        return tables, common
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point (one value per variable)."""
-        if len(point) != self.vars:
-            raise PolyError(f"point has {len(point)} coordinates, expected {self.vars}")
-        vals = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for exp, coef in self.terms.items():
-            term = coef
-            for e, v in zip(exp, vals):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        tables, common = self._power_tables(point)
+        if not self.num:
+            return Fraction(0)
+        at = list.__getitem__
+        total = sum(c * math.prod(map(at, tables, e)) for e, c in self.num.items())
+        return Fraction(total, self.den * common)
 
     # -- structure -------------------------------------------------------
 
@@ -241,17 +345,17 @@ class MPoly:
         if weights is None:
             weights = range(1, self.vars + 1)
         return max(
-            (sum(w * e for w, e in zip(weights, exp)) for exp in self.terms),
+            (sum(w * e for w, e in zip(weights, exp)) for exp in self.num),
             default=0,
         )
 
     def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
+        return max((sum(exp) for exp in self.num), default=0)
 
     def max_var_used(self) -> int:
         """Largest 1-based variable index with a nonzero exponent (0 if none)."""
         best = 0
-        for exp in self.terms:
+        for exp in self.num:
             for i in range(self.vars - 1, best - 1, -1):
                 if exp[i]:
                     best = max(best, i + 1)
@@ -259,14 +363,14 @@ class MPoly:
         return best
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.num.get(tuple(exp), 0), self.den)
 
     def leading(self) -> tuple[Exponent, Fraction]:
         """Leading term in graded lexicographic order."""
-        if not self.terms:
+        if not self.num:
             raise PolyError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self.num, key=_grlex_key)
+        return exp, Fraction(self.num[exp], self.den)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, coprime coefficients.
@@ -274,16 +378,15 @@ class MPoly:
         Carries the sign of the graded-lex leading coefficient so that
         self/content() has positive leading coefficient.  Zero maps to 1.
         """
-        if not self.terms:
+        if not self.num:
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        mag = Fraction(num, den)
-        _, lead = self.leading()
-        return mag if lead > 0 else -mag
+        g = 0
+        for c in self.num.values():
+            g = _gcd(g, c)
+            if g == 1:
+                break
+        mag = Fraction(g, self.den)
+        return mag if self.num[max(self.num, key=_grlex_key)] > 0 else -mag
 
     # -- variable plumbing -------------------------------------------------
 
@@ -292,35 +395,35 @@ class MPoly:
         if offset < 0 or self.max_var_used() + offset > new_vars:
             raise PolyError("embedding does not fit in target variable space")
         out = {}
-        for exp, coef in self.terms.items():
+        for exp, coef in self.num.items():
             new = [0] * new_vars
             for i, e in enumerate(exp):
                 if e:
                     new[i + offset] = e
             out[tuple(new)] = coef
-        return MPoly._make(new_vars, out)
+        return MPoly._make(new_vars, out, self.den)
 
     def scale_vars(self, factors: Sequence[Fraction]) -> "MPoly":
         """Substitute t_i -> factors[i-1] * t_i."""
         if len(factors) != self.vars:
             raise PolyError("one scale factor per variable required")
-        out: dict[Exponent, Fraction] = {}
-        for exp, coef in self.terms.items():
-            c = coef
-            for e, f in zip(exp, factors):
-                if e:
-                    c *= Fraction(f) ** e
+        tables, common = self._power_tables(factors)
+        at = list.__getitem__
+        out = {}
+        for exp, coef in self.num.items():
+            c = coef * math.prod(map(at, tables, exp))
             if c:
                 out[exp] = c
-        return MPoly._make(self.vars, out)
+        return MPoly._reduced(self.vars, out, self.den * common)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        items = sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        den = self.den
         return {
             "vars": self.vars,
-            "terms": [{"exp": list(e), "coef": format_rat(c)} for e, c in items],
+            "terms": [{"exp": list(e), "coef": format_rat(Fraction(self.num[e], den))}
+                      for e in sorted(self.num, key=_grlex_key, reverse=True)],
         }
 
     @classmethod
@@ -334,13 +437,13 @@ class MPoly:
 
     def format(self, names: Sequence[str] | None = None) -> str:
         """Render with terms in descending graded-lex order."""
-        if not self.terms:
+        if not self.num:
             return "0"
         if names is None:
             names = [f"t{i}" for i in range(1, self.vars + 1)]
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            coef = self.terms[exp]
+        for exp in sorted(self.num, key=_grlex_key, reverse=True):
+            coef = Fraction(self.num[exp], self.den)
             factors = [
                 names[i] if e == 1 else f"{names[i]}^{e}"
                 for i, e in enumerate(exp)
@@ -370,7 +473,9 @@ def divexact(p: MPoly, d: MPoly) -> MPoly | None:
 
     Single-divisor division in graded-lex order; sound as an exact
     divisibility test because a failed leading-term step implies a
-    nonzero remainder.
+    nonzero remainder.  The remainder starts as p's integer numerators,
+    so the divisor's coefficients carry both denominators; quotient
+    coefficients are Fractions.
     """
     if d.vars != p.vars:
         raise PolyError("variable counts differ in division")
@@ -379,15 +484,17 @@ def divexact(p: MPoly, d: MPoly) -> MPoly | None:
     if p.is_zero:
         return MPoly.zero(p.vars)
     # both extreme monomials of p must be divisible by those of d
-    d_exp = max(d.terms, key=_grlex_key)
-    d_low = min(d.terms, key=_grlex_key)
-    p_low = min(p.terms, key=_grlex_key)
+    d_exp = max(d.num, key=_grlex_key)
+    d_low = min(d.num, key=_grlex_key)
+    p_low = min(p.num, key=_grlex_key)
     if any(a < b for a, b in zip(p_low, d_low)):
         return None
-    d_coef = d.terms[d_exp]
-    d_rest = [(exp, coef) for exp, coef in d.terms.items() if exp != d_exp]
+    # p / d = p.num / (d.num * p.den / d.den)
+    scale = Fraction(p.den, d.den)
+    d_coef = d.num[d_exp] * scale
+    d_rest = [(exp, coef * scale) for exp, coef in d.num.items() if exp != d_exp]
     quotient: dict[Exponent, Fraction] = {}
-    rem = dict(p.terms)
+    rem: dict[Exponent, int | Fraction] = dict(p.num)
     get = rem.get
 
     def heap_key(exp: Exponent):
@@ -417,4 +524,4 @@ def divexact(p: MPoly, d: MPoly) -> MPoly | None:
                 del rem[key]
             else:
                 rem[key] = c - prod
-    return MPoly._make(p.vars, quotient)
+    return MPoly(p.vars, quotient)

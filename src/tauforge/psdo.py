@@ -41,10 +41,11 @@ class PoleBudgetError(ArithmeticError):
 NEG_INF = None  # exact_to sentinel: exact at every order
 
 
-def _binomial(i: int, j: int) -> Fraction:
-    out = Fraction(1)
+def _binomial(i: int, j: int) -> int:
+    """C(i, j) = i (i-1) ... (i-j+1) / j!, an integer for every integer i."""
+    out = 1
     for s in range(j):
-        out *= Fraction(i - s, s + 1)
+        out = out * (i - s) // (s + 1)  # exact: out is C(i, s) here
     return out
 
 

@@ -78,12 +78,12 @@ class TauFrac:
     def __init__(self, ring: TauRing, num: MPoly, power: int):
         self.ring = ring
         self.num = num
-        self.power = power if num.terms else 0
+        self.power = 0 if num.is_zero else power
         self._derivs: dict[int, TauFrac] | None = None
 
     @property
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return self.num.is_zero
 
     def _check(self, other: "TauFrac") -> None:
         if other.ring is not self.ring and other.ring.tau != self.ring.tau:
@@ -100,9 +100,9 @@ class TauFrac:
         return self.num, other.num * self.ring.power(p - q), p
 
     def __add__(self, other: "TauFrac") -> "TauFrac":
-        if not other.num.terms:
+        if other.num.is_zero:
             return self
-        if not self.num.terms:
+        if self.num.is_zero:
             return other
         a, b, p = self._lifted(other)
         return TauFrac(self.ring, a + b, p)
@@ -111,9 +111,9 @@ class TauFrac:
         return TauFrac(self.ring, -self.num, self.power)
 
     def __sub__(self, other: "TauFrac") -> "TauFrac":
-        if not other.num.terms:
+        if other.num.is_zero:
             return self
-        if not self.num.terms:
+        if self.num.is_zero:
             return -other
         a, b, p = self._lifted(other)
         return TauFrac(self.ring, a - b, p)

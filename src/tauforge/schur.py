@@ -10,6 +10,7 @@ t'_1..t'_D in slots D+1..2D of a single polynomial ring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -173,32 +174,40 @@ def miwa_shift(p: MPoly, sign: int, z_window: int | None = None,
     depth = p.wdeg(weights)
     if z_window is not None and z_window < depth:
         raise DomainError(f"z window {z_window} below required depth {depth}")
-    out: dict[int, dict] = {}
-    for exp, coef in p.terms.items():
-        # expand prod (t_i + sign*z^-i/i)^e_i over choices of binomial splits
-        partials: list[tuple[int, tuple[int, ...], Fraction]] = [(0, exp, coef)]
+    # every coefficient is an integer over p.den * scale: a term that takes
+    # j_i factors z**-w_i/w_i from slot i is divided by prod w_i**j_i, which
+    # divides scale = prod w_i**top_i, top_i the highest power of slot i
+    scale = 1
+    for pos, w in enumerate(weights):
+        if w:
+            scale *= w ** max((exp[pos] for exp in p.num), default=0)
+    out: dict[int, dict[tuple[int, ...], int]] = {}
+    for exp, coef in p.num.items():
+        # expand prod (t_i + sign*z^-i/i)^e_i over choices of binomial splits;
+        # a partial carries (z order, exponent, numerator, divisor)
+        partials: list[tuple[int, tuple[int, ...], int, int]] = [(0, exp, coef, 1)]
         for pos in range(D):
             w = weights[pos]
             e = exp[pos]
             if w == 0 or e == 0:
                 continue
-            nxt: list[tuple[int, tuple[int, ...], Fraction]] = []
-            for order, cur_exp, cur_coef in partials:
+            nxt: list[tuple[int, tuple[int, ...], int, int]] = []
+            for order, cur_exp, cur_coef, div in partials:
                 binom = 1
-                step = Fraction(1)
                 for j in range(e + 1):
                     if j:
                         binom = binom * (e - j + 1) // j
-                        step *= Fraction(sign, w)
                     new_exp = list(cur_exp)
                     new_exp[pos] = e - j
                     nxt.append((order - w * j, tuple(new_exp),
-                                cur_coef * binom * step))
+                                cur_coef * binom * sign**j, div * w**j))
             partials = nxt
-        for order, new_exp, c in partials:
+        for order, new_exp, c, div in partials:
             bucket = out.setdefault(order, {})
-            bucket[new_exp] = bucket.get(new_exp, Fraction(0)) + c
-    coeffs = {order: MPoly(D, bucket) for order, bucket in out.items()}
+            bucket[new_exp] = bucket.get(new_exp, 0) + c * (scale // div)
+    den = p.den * scale
+    coeffs = {order: MPoly._reduced(D, {e: c for e, c in bucket.items() if c}, den)
+              for order, bucket in out.items()}
     return ZSeries(D, coeffs, None)
 
 
@@ -259,16 +268,17 @@ def hall_product(f: MPoly, g: MPoly) -> Fraction:
     if f.vars != g.vars:
         raise PolyError("variable counts differ")
     total = Fraction(0)
-    for exp, cf in f.terms.items():
-        cg = g.terms.get(exp)
+    for exp, cf in f.num.items():
+        cg = g.num.get(exp)
         if cg is None:
             continue
-        norm = Fraction(1)
+        norm_num = norm_den = 1
         for i, e in enumerate(exp, start=1):
-            for j in range(1, e + 1):
-                norm *= Fraction(j, i)
-        total += cf * cg * norm
-    return total
+            if e:
+                norm_num *= math.factorial(e)
+                norm_den *= i**e
+        total += Fraction(cf * cg * norm_num, norm_den)
+    return total / (f.den * g.den)
 
 
 def schur_expand(p: MPoly) -> dict[Partition, Fraction]:

@@ -121,6 +121,32 @@ class TestVerify:
         assert first == second
 
 
+class TestRationalInput:
+    """A rational that is not a "p/q" string with nonzero q is an input error."""
+
+    @pytest.mark.parametrize("command,flag,payload", [
+        ("verify", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [1], "coef": "1/0"}]}}),
+        ("verify", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [1], "coef": 2}]}}),
+        ("tau-from-matrix", "--matrix",
+         {"rows": 3, "cols": 1, "entries": [["1/0"], ["0"], ["1"]]}),
+        ("tau-from-matrix", "--matrix",
+         {"rows": 3, "cols": 1, "entries": [[1.5], ["0"], ["1"]]}),
+        ("grass min-n", "--grpoint",
+         {"tail": -1, "basis": [{"minExp": -2, "coefs": ["1/0"]}]}),
+    ])
+    def test_exit_two_without_traceback(self, capsys, tmp_path, command, flag,
+                                         payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, [*command.split(), flag, str(path), "--k", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
+
 class TestGrass:
     def test_min_n(self, capsys, golden_files):
         code, out, _ = run(capsys, ["grass", "min-n", "--grpoint",

@@ -32,7 +32,7 @@ def swap_and_flip(p: MPoly, D: int) -> MPoly:
     for exp, c in p.terms.items():
         out[tuple(list(exp[D:]) + list(exp[:D]))] = c
     signs = [F((-1) ** i) for i in range(D)] * 2
-    return MPoly._make(2 * D, out).scale_vars(signs)
+    return MPoly(2 * D, out).scale_vars(signs)
 
 
 def flip_times(p: MPoly) -> MPoly:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,11 @@ class TestRationals:
         for _ in range(50):
             q = F(rng.randint(-50, 50), rng.randint(1, 20))
             assert parse_rat(format_rat(q)) == q
+
+    @pytest.mark.parametrize("bad", ["1/0", "-3/0", 2, 1.5, None, ["1"]])
+    def test_non_string_or_zero_denominator_is_value_error(self, bad):
+        with pytest.raises(ValueError):
+            parse_rat(bad)
 
 
 class TestRingOps:
@@ -148,3 +154,166 @@ class TestSerialization:
         t1, t2 = V(2, 1), V(2, 2)
         p = t2 + t1**2 / 2 - 1
         assert str(p) == "1/2*t1^2 + t2 - 1"
+
+
+# -- differential oracle: SymPy Poly over QQ ---------------------------------
+
+ORACLE_VARS = 3
+
+
+def _oracle():
+    """Hypothesis and SymPy, skipping the calling test when either is missing."""
+    return pytest.importorskip("hypothesis"), pytest.importorskip("sympy")
+
+
+def _settings(hyp):
+    return hyp.settings(max_examples=60, deadline=None, database=None,
+                        derandomize=True)
+
+
+def _rats(st):
+    # few distinct denominators, so numerators and denominators of
+    # different operands often share factors that must cancel
+    return st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
+
+
+def _polys(st, vars=ORACLE_VARS):
+    """Sparse polynomials with small rational coefficients, zero included."""
+    exps = st.tuples(*[st.integers(0, 3)] * vars)
+    return st.dictionaries(exps, _rats(st), max_size=6).map(
+        lambda terms: MPoly(vars, terms))
+
+
+def _to_sympy(sp, p: MPoly):
+    gens = sp.symbols(f"t1:{p.vars + 1}")
+    return sp.Poly.from_dict({e: sp.Rational(c.numerator, c.denominator)
+                              for e, c in p.terms.items()}, *gens, domain=sp.QQ)
+
+
+def _coeffs(q) -> dict:
+    return {m: F(int(c.p), int(c.q)) for m, c in q.as_dict().items()}
+
+
+def assert_canonical(p: MPoly) -> None:
+    """Nonzero int numerators over a positive denominator prime to them all."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert all(len(e) == p.vars for e in p.num)
+    assert math.gcd(p.den, *p.num.values()) == 1
+
+
+def assert_matches(p: MPoly, q) -> None:
+    assert_canonical(p)
+    assert dict(p.terms) == _coeffs(q)
+    assert len(p.terms) == len(q.as_dict())
+
+
+class TestSympyOracle:
+    def test_ring_ops(self):
+        hyp, sp = _oracle()
+        st = hyp.strategies
+
+        @_settings(hyp)
+        @hyp.given(_polys(st), _polys(st))
+        def check(a, b):
+            sa, sb = _to_sympy(sp, a), _to_sympy(sp, b)
+            assert_matches(a, sa)
+            assert_matches(a + b, sa + sb)
+            assert_matches(a - b, sa - sb)
+            assert_matches(a * b, sa * sb)
+            assert_matches(-a, -sa)
+
+        check()
+
+    def test_scalar_product(self):
+        hyp, sp = _oracle()
+        st = hyp.strategies
+
+        @_settings(hyp)
+        @hyp.given(_polys(st), _rats(st), st.integers(-12, 12))
+        def check(a, c, n):
+            sa = _to_sympy(sp, a)
+            sc = sp.Rational(c.numerator, c.denominator)
+            assert_matches(a * c, sa.mul_ground(sc))
+            assert_matches(c * a, sa.mul_ground(sc))
+            assert_matches(a * n, sa.mul_ground(n))
+            if n:
+                assert_matches(a * n * F(1, n), sa)
+            if c:
+                assert_matches(a / c, sa.mul_ground(1 / sc))
+
+        check()
+
+    def test_differentiate_and_embed(self):
+        hyp, sp = _oracle()
+        st = hyp.strategies
+
+        @_settings(hyp)
+        @hyp.given(_polys(st), st.integers(1, ORACLE_VARS), st.integers(0, 2))
+        def check(a, i, offset):
+            sa = _to_sympy(sp, a)
+            assert_matches(a.differentiate(i), sa.diff(sa.gens[i - 1]))
+            wide = ORACLE_VARS + offset
+            gens = sp.symbols(f"t1:{wide + 1}")
+            moved = sa.as_expr().subs({g: gens[j + offset]
+                                       for j, g in enumerate(sa.gens)},
+                                      simultaneous=True)
+            assert_matches(a.embed(wide, offset),
+                           sp.Poly(moved, *gens, domain=sp.QQ))
+
+        check()
+
+    def test_evaluate_and_scale_vars(self):
+        hyp, sp = _oracle()
+        st = hyp.strategies
+        points = st.lists(_rats(st), min_size=ORACLE_VARS, max_size=ORACLE_VARS)
+
+        @_settings(hyp)
+        @hyp.given(_polys(st), points)
+        def check(a, point):
+            sa = _to_sympy(sp, a)
+            values = [sp.Rational(v.numerator, v.denominator) for v in point]
+            expected = sa.as_expr().subs(dict(zip(sa.gens, values)))
+            assert a.evaluate(point) == F(int(expected.p), int(expected.q))
+            scaled = sa.as_expr().subs({g: v * g for g, v in zip(sa.gens, values)},
+                                       simultaneous=True)
+            assert_matches(a.scale_vars(point),
+                           sp.Poly(scaled, *sa.gens, domain=sp.QQ))
+
+        check()
+
+    def test_divexact(self):
+        hyp, sp = _oracle()
+        st = hyp.strategies
+
+        @_settings(hyp)
+        @hyp.given(_polys(st), _polys(st))
+        def check(a, b):
+            hyp.assume(not b.is_zero)
+            sa, sb = _to_sympy(sp, a), _to_sympy(sp, b)
+            for p, sp_p in ((a * b, sa * sb), (a, sa)):
+                q = divexact(p, b)
+                try:
+                    expected = sp_p.exquo(sb)
+                except sp.ExactQuotientFailed:
+                    assert q is None
+                else:
+                    assert q is not None
+                    assert_matches(q, expected)
+
+        check()
+
+    def test_equality_is_zero_difference(self):
+        hyp, sp = _oracle()
+        st = hyp.strategies
+
+        @_settings(hyp)
+        @hyp.given(_polys(st), _polys(st), _polys(st))
+        def check(a, b, c):
+            assert (a == b) == (a - b).is_zero
+            back = (a + c) - c
+            assert back == a and (back - a).is_zero
+            assert_canonical(back)
+            assert (a * c == b * c) == (a * c - b * c).is_zero
+
+        check()
