@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mpoly import parse_rat
+from .mpoly import parse_int, parse_rat
 from .schur import ChargedPoly, DomainError
 from .fock import FockVector, alpha, psi_minus, psi_plus, shift_charge
 from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
@@ -41,7 +41,7 @@ class RunConfig:
                 data = json.load(fh)
             for key in ("D", "truncation", "seed", "trials"):
                 if key in data:
-                    setattr(cfg, key, int(data[key]))
+                    setattr(cfg, key, parse_int(data[key]))
         if cfg.truncation < 1 or cfg.trials < 1:
             raise ValueError("truncation and trials must be positive")
         return cfg
@@ -78,7 +78,7 @@ def _load_grpoint(path: str) -> GrPoint:
 def _load_matrix(path: str) -> list[list[Fraction]]:
     data = _load_json(path)
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = parse_int(data["rows"]), parse_int(data["cols"])
         entries = [[parse_rat(v) for v in row] for row in data["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad matrix payload ({exc})") from exc
@@ -278,6 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", 1) < 1:
+            raise InputError(f"--k must be at least 1, got {args.k}")
+        if getattr(args, "n", 0) < 0:
+            raise InputError(f"--n must be at least 0, got {args.n}")
         cfg = RunConfig.load(args.config)
         return args.fn(args, cfg)
     except InputError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .mpoly import MPoly, format_rat, parse_rat
+from .mpoly import MPoly, format_rat, parse_int, parse_rat
 from .schur import ChargedPoly, DomainError, Partition, schur_expand, schur_of_partition
 
 
@@ -68,7 +68,8 @@ class MayaState:
 
     @classmethod
     def from_json(cls, data: dict) -> "MayaState":
-        return cls(int(data["charge"]), tuple(int(p) for p in data["partition"]))
+        return cls(parse_int(data["charge"]),
+                   tuple(parse_int(p) for p in data["partition"]))
 
     def sort_key(self):
         return (self.charge, self.parts)
@@ -309,26 +310,6 @@ class WindowMatrix:
             return {j: Fraction(1)}
         col = {i: self.entry(i, j) for i in self.row_indices()}
         return {i: c for i, c in col.items() if c}
-
-    def determinant(self) -> Fraction:
-        idx = self.row_indices()
-        n = len(idx)
-        grid = [[self.entry(i, j) for j in idx] for i in idx]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if grid[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                grid[col], grid[pivot] = grid[pivot], grid[col]
-                det = -det
-            det *= grid[col][col]
-            inv = 1 / grid[col][col]
-            for r in range(col + 1, n):
-                if grid[r][col]:
-                    factor = grid[r][col] * inv
-                    grid[r] = [a - factor * b for a, b in zip(grid[r], grid[col])]
-        return det
 
 
 def apply_window_matrix(matrix: WindowMatrix, charge: int,

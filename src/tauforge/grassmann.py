@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .mpoly import MPoly, format_rat, parse_rat
+from .mpoly import MPoly, format_rat, parse_int, parse_rat
 from .schur import ChargedPoly, DomainError, _det, elementary_schur
 from .fock import (FockVector, MayaState, WindowMatrix, _state_from_indices,
                    sigma_single, wedge_vector)
@@ -43,10 +43,6 @@ def index_to_exp(i: Fraction) -> int:
     return int(e)
 
 
-def _vec_clean(vec: Mapping[int, Fraction]) -> LaurentVector:
-    return {int(e): Fraction(c) for e, c in vec.items() if c}
-
-
 def _vec_scale(vec: LaurentVector, c: Fraction) -> LaurentVector:
     return {e: v * c for e, v in vec.items()} if c else {}
 
@@ -66,6 +62,35 @@ def vec_mul_sk(vec: LaurentVector, k: int) -> LaurentVector:
     return {e + k: c for e, c in vec.items()}
 
 
+def _below(vec: Mapping[int, Fraction], tail: int) -> LaurentVector:
+    """The nonzero part of vec strictly below the tail; the rest is in H_tail."""
+    return {int(e): Fraction(c) for e, c in vec.items() if c and e < -tail}
+
+
+Rows = dict[int, tuple[LaurentVector, LaurentVector]]
+
+
+def _eliminate(rows: Rows, vec: LaurentVector, carry: LaurentVector
+               ) -> tuple[LaurentVector, LaurentVector]:
+    """Reduce vec against echelon rows keyed by their pivot (lowest exponent).
+
+    Each row is a (vector, carry) pair.  Every multiple of a row taken off
+    vec is taken off carry with the row's carry, so a carry records what
+    its vector was built from.  The remainder is empty or its lowest
+    exponent is no pivot; it is empty exactly when vec lies in the span.
+    """
+    while vec:
+        p = min(vec)
+        hit = rows.get(p)
+        if hit is None:
+            break
+        row, row_carry = hit
+        c = vec[p] / row[p]
+        vec = _vec_sub(vec, row, c)
+        carry = _vec_sub(carry, row_carry, c)
+    return vec, carry
+
+
 @dataclass(frozen=True)
 class GrPoint:
     """Reduced representative: tail level plus echelon extra basis."""
@@ -83,17 +108,9 @@ class GrPoint:
     def pivots(self) -> list[int]:
         return [min(dict(v)) for v in self.basis]
 
-    def reduce_vector(self, vec: LaurentVector) -> LaurentVector:
-        """Remainder of vec modulo this point (empty iff member)."""
-        rem = {e: c for e, c in _vec_clean(vec).items() if e < -self.tail}
-        for row in self.vectors():
-            p = min(row)
-            if p in rem:
-                rem = _vec_sub(rem, row, rem[p] / row[p])
-        return rem
-
     def contains_vector(self, vec: LaurentVector) -> bool:
-        return not self.reduce_vector(vec)
+        rows = {min(r): (r, {}) for r in self.vectors()}
+        return not _eliminate(rows, _below(vec, self.tail), {})[0]
 
     def contains_point(self, other: "GrPoint") -> bool:
         for e in range(-other.tail, -self.tail):
@@ -114,10 +131,10 @@ class GrPoint:
     def from_json(cls, data: dict) -> "GrPoint":
         vectors = []
         for row in data.get("basis", []):
-            lo = int(row["minExp"])
+            lo = parse_int(row["minExp"])
             vectors.append({lo + i: parse_rat(c)
                             for i, c in enumerate(row["coefs"])})
-        return reduce_point(vectors, int(data["tail"]))
+        return reduce_point(vectors, parse_int(data["tail"]))
 
     def __str__(self) -> str:
         def fmt(vec):
@@ -128,17 +145,13 @@ class GrPoint:
 
 def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoint:
     """Canonical echelon representative of span(vectors) + H_tail."""
-    rows: list[LaurentVector] = []
+    pivoted: Rows = {}
     for raw in vectors:
-        vec = {e: c for e, c in _vec_clean(raw).items() if e < -tail}
-        while vec:
+        vec, _ = _eliminate(pivoted, _below(raw, tail), {})
+        if vec:
             p = min(vec)
-            hit = next((r for r in rows if min(r) == p), None)
-            if hit is None:
-                rows.append(_vec_scale(vec, 1 / vec[p]))
-                break
-            vec = _vec_sub(vec, hit, vec[p] / hit[p])
-    rows.sort(key=min)
+            pivoted[p] = (_vec_scale(vec, 1 / vec[p]), {})
+    rows = [pivoted[p][0] for p in sorted(pivoted)]
     for i, row in enumerate(rows):  # back-substitute for a fully reduced form
         for other in rows[i + 1:]:
             p = min(other)
@@ -150,65 +163,34 @@ def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoin
 
 # -- the stability filtration ---------------------------------------------------
 
-def _stable_split(point: GrPoint, k: int
-                  ) -> tuple[list[LaurentVector], list[LaurentVector], int]:
+def _stable_split(point: GrPoint, k: int) -> tuple[list[LaurentVector], int]:
     """Kernel/complement split of multiplication by s**k modulo the point.
 
-    Returns (kernel vectors, complement vectors, codimension).  Kernel
-    vectors are re-echelonized so all pivots across both groups stay
-    distinct, which the wedge constructions rely on.
+    Returns (factors, codimension n): the n complement vectors first, then
+    the kernel vectors.  Each s**k v_i, cut at the tail, is eliminated
+    against the point's rows and the earlier shifted rows, carrying v_i;
+    a shift that vanishes leaves a carry whose s**k multiple lies in the
+    point.  Kernel vectors are re-echelonized so all pivots across both
+    groups stay distinct, which the wedge constructions rely on.
     """
     if k < 1:
         raise GrassmannError("the constraint power k must be positive")
     extras = point.vectors()
-    residuals = [point.reduce_vector(vec_mul_sk(v, k)) for v in extras]
-    support = sorted({e for r in residuals for e in r})
-    rows = [[r.get(e, Fraction(0)) for r in residuals] for e in support]
-    kernel_coords = _nullspace(rows, len(extras))
+    rows: Rows = {min(v): (v, {}) for v in extras}
     kernel = []
-    for coords in kernel_coords:
-        vec: LaurentVector = {}
-        for c, extra in zip(coords, extras):
-            if c:
-                vec = _vec_sub(vec, extra, -c)
-        kernel.append(vec)
-    kernel_point = reduce_point(kernel, point.tail)
-    kernel_vecs = kernel_point.vectors()
+    for v in extras:
+        rem, carry = _eliminate(rows, _below(vec_mul_sk(v, k), point.tail), v)
+        if rem:
+            rows[min(rem)] = (rem, carry)
+        else:
+            kernel.append(carry)
+    kernel_vecs = reduce_point(kernel, point.tail).vectors()
     kernel_pivots = {min(v) for v in kernel_vecs}
     complement = [v for v in extras if min(v) not in kernel_pivots]
     n = len(extras) - len(kernel_vecs)
     if len(complement) != n:
         raise GrassmannError("pivot bookkeeping failed in the stable split")
-    return kernel_vecs, complement, n
-
-
-def _nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the kernel of the matrix given by rows (width columns)."""
-    grid = [list(r) for r in rows]
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
-        if pivot_row is None:
-            continue
-        grid[rank], grid[pivot_row] = grid[pivot_row], grid[rank]
-        inv = 1 / grid[rank][col]
-        grid[rank] = [v * inv for v in grid[rank]]
-        for r in range(len(grid)):
-            if r != rank and grid[r][col]:
-                factor = grid[r][col]
-                grid[r] = [a - factor * b for a, b in zip(grid[r], grid[rank])]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    free = [c for c in range(width) if c not in pivots]
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for col, row in pivots.items():
-            vec[col] = -grid[row][f]
-        basis.append(vec)
-    return basis
+    return complement + kernel_vecs, n
 
 
 def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
@@ -217,8 +199,8 @@ def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
     The codimension is the minimal pair count n of the filtration level
     containing the point; n = 0 is exactly the k-reduction.
     """
-    kernel_vecs, _, n = _stable_split(point, k)
-    return reduce_point(kernel_vecs, point.tail), n
+    factors, n = _stable_split(point, k)
+    return reduce_point(factors[n:], point.tail), n
 
 
 # -- wedges and tau functions -----------------------------------------------------
@@ -239,38 +221,45 @@ def _pivot_state(pivots: Sequence[int], tail: int) -> MayaState:
     return _state_from_indices(indices, tail + len(pivots))
 
 
-def fock_of(point: GrPoint) -> FockVector:
-    """The perfect wedge of the point, scaled so the pivot minor is 1."""
-    wedge = _wedge_factors(point.vectors(), point.tail)
-    anchor = _pivot_state(point.pivots(), point.tail)
-    c = wedge.terms.get(anchor)
+def _anchored(factors: Sequence[LaurentVector], tail: int
+              ) -> tuple[FockVector, Fraction]:
+    """The wedge of echelon factors over H_tail divided by its pivot minor c.
+
+    Returns (wedge / c, c).
+    """
+    wedge = _wedge_factors(factors, tail)
+    c = wedge.terms.get(_pivot_state([min(v) for v in factors], tail))
     if not c:
         raise GrassmannError("echelon wedge lost its pivot coordinate")
-    return wedge / c
+    return wedge / c, c
+
+
+def _wedge_vars(wedges: Sequence[FockVector], D: int | None) -> int:
+    """D if given and large enough, else the least count the wedges need."""
+    needed = max([sum(s.parts) for fv in wedges for s in fv.terms] + [1])
+    if D is None:
+        return needed
+    if D < needed:
+        raise DomainError(f"need D >= {needed} for this point, got {D}")
+    return D
+
+
+def fock_of(point: GrPoint) -> FockVector:
+    """The perfect wedge of the point, scaled so the pivot minor is 1."""
+    return _anchored(point.vectors(), point.tail)[0]
 
 
 def tau_of(point: GrPoint, D: int | None = None) -> ChargedPoly:
     """Schur expansion of the point's wedge, normalized on the pivot minor."""
     wedge = fock_of(point)
-    needed = max((sum(s.parts) for s in wedge.terms), default=0)
-    if D is None:
-        D = max(needed, 1)
-    elif D < max(needed, 1):
-        raise DomainError(f"need D >= {needed} for this point, got {D}")
-    return sigma_single(wedge, D)
+    return sigma_single(wedge, _wedge_vars([wedge], D))
 
 
 def companions(point: GrPoint, k: int, D: int | None = None
                ) -> tuple[ChargedPoly, list[ChargedPoly], list[ChargedPoly]]:
     """Adapted tau with its n companion pairs at charges m+1 and m-k-1."""
     tau_fv, rho_fvs, sigma_fvs = companion_wedges(point, k)
-    weights = [max((sum(s.parts) for s in fv.terms), default=0)
-               for fv in [tau_fv, *rho_fvs, *sigma_fvs]]
-    needed = max(max(weights), 1)
-    if D is None:
-        D = needed
-    elif D < needed:
-        raise DomainError(f"need D >= {needed} for these companions, got {D}")
+    D = _wedge_vars([tau_fv, *rho_fvs, *sigma_fvs], D)
     tau = sigma_single(tau_fv, D)
     rhos = [sigma_single(fv, D) for fv in rho_fvs]
     sigmas = [sigma_single(fv, D) for fv in sigma_fvs]
@@ -286,14 +275,8 @@ def companion_wedges(point: GrPoint, k: int
     rho_j = (s**k w_j) wedge tau and sigma_j = (-1)**(j-1) times the
     shifted wedge with factor j dropped.
     """
-    kernel_vecs, complement, n = _stable_split(point, k)
-    factors = list(complement) + list(kernel_vecs)
-    tau_fv = _wedge_factors(factors, point.tail)
-    anchor = _pivot_state([min(v) for v in factors], point.tail)
-    c = tau_fv.terms.get(anchor)
-    if not c:
-        raise GrassmannError("echelon wedge lost its pivot coordinate")
-    tau_fv = tau_fv / c
+    factors, n = _stable_split(point, k)
+    tau_fv, c = _anchored(factors, point.tail)
     rho_fvs = []
     sigma_fvs = []
     for j in range(n):
@@ -319,28 +302,16 @@ def dtk_decomposition(point: GrPoint, k: int, D: int | None = None
     vector (pivots are distinct), so only the complement contributes and
     every summand is itself a perfect wedge.
     """
-    kernel_vecs, complement, n = _stable_split(point, k)
-    factors = list(complement) + list(kernel_vecs)
-    anchor = _pivot_state([min(v) for v in factors], point.tail)
-    base = _wedge_factors(factors, point.tail)
-    c = base.terms.get(anchor)
-    if not c:
-        raise GrassmannError("echelon wedge lost its pivot coordinate")
-    parts: list[ChargedPoly] = []
-    if D is None:
-        weights = []
-        for j in range(n):
-            replaced = factors[:j] + [vec_mul_sk(factors[j], k)] + factors[j + 1:]
-            fv = _wedge_factors(replaced, point.tail)
-            weights.append(max((sum(s.parts) for s in fv.terms), default=0))
-        D = max(weights + [1])
+    factors, n = _stable_split(point, k)
+    _, c = _anchored(factors, point.tail)
+    wedges = []
     for j in range(n):
         replaced = factors[:j] + [vec_mul_sk(factors[j], k)] + factors[j + 1:]
         fv = _wedge_factors(replaced, point.tail) / c
-        if fv.is_zero:
-            continue
-        parts.append(sigma_single(fv, D))
-    return parts
+        if not fv.is_zero:
+            wedges.append(fv)
+    D = _wedge_vars(wedges, D)
+    return [sigma_single(fv, D) for fv in wedges]
 
 
 # -- solution generator -------------------------------------------------------------
@@ -363,27 +334,6 @@ class GeneratorConditionError(GrassmannError):
         self.report = report
 
 
-def _rank(columns: list[list[Fraction]]) -> int:
-    if not columns:
-        return 0
-    grid = [list(row) for row in zip(*columns)]
-    rank = 0
-    width = len(columns)
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
-        if pivot_row is None:
-            continue
-        grid[rank], grid[pivot_row] = grid[pivot_row], grid[rank]
-        inv = 1 / grid[rank][col]
-        grid[rank] = [v * inv for v in grid[rank]]
-        for r in range(len(grid)):
-            if r != rank and grid[r][col]:
-                f = grid[r][col]
-                grid[r] = [a - f * b for a, b in zip(grid[r], grid[rank])]
-        rank += 1
-    return rank
-
-
 def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
                          n: int, D: int | None = None
                          ) -> tuple[GrPoint, ChargedPoly, GeneratorReport]:
@@ -403,7 +353,11 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
         raise GrassmannError(f"need rows > cols > 0, got {M} x {N}")
     grid = [[Fraction(v) for v in row] for row in entries]
     columns = [[grid[i][j] for i in range(M)] for j in range(N)]
-    if _rank(columns) != N:
+    # every exponent N - l lies below the tail at -N, so no entry is cut
+    vectors = [{N - l: columns[j][l - 1] for l in range(1, M + 1)
+                if columns[j][l - 1]} for j in range(N)]
+    point = reduce_point(vectors, -N)
+    if len(point.basis) != N:
         raise GrassmannError(f"matrix rank below {N}")
 
     def shifted(col: list[Fraction]) -> list[Fraction]:
@@ -442,10 +396,6 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
             row.append(acc)
         det_grid.append(row)
     tau = _det(det_grid, D)
-
-    vectors = [{N - l: columns[j][l - 1] for l in range(1, M + 1)
-                if columns[j][l - 1]} for j in range(N)]
-    point = reduce_point(vectors, -N)
     return point, ChargedPoly(tau, point.charge), report
 
 

@@ -48,6 +48,18 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def parse_int(value, minimum: int | None = None) -> int:
+    """Read a JSON integer, at least minimum when one is given.
+
+    A bool, a float or a string is a ValueError, as parse_rat's are.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value}")
+    return value
+
+
 def format_rat(value: Fraction) -> str:
     """Serialize an exact rational as "p" or "p/q"."""
     if value.denominator == 1:
@@ -428,10 +440,10 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MPoly":
-        vars = int(data["vars"])
+        vars = parse_int(data["vars"])
         terms = {}
         for item in data.get("terms", []):
-            exp = tuple(int(e) for e in item["exp"])
+            exp = tuple(parse_int(e, 0) for e in item["exp"])
             terms[exp] = terms.get(exp, Fraction(0)) + parse_rat(item["coef"])
         return cls(vars, terms)
 

@@ -438,12 +438,20 @@ def _zero_checks(op: PsiDO, orders: Sequence[int], points: Sequence[Sequence[Fra
     return out
 
 
-def _lax_vars(poly: MPoly, rhos: Sequence[ChargedPoly],
-              sigmas: Sequence[ChargedPoly], k: int, D: int | None) -> int:
-    if D is not None:
-        return D
-    return max(poly.max_var_used(), k,
-               *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+def _lax_setup(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
+               sigmas: Sequence[ChargedPoly], k: int, D: int | None,
+               floor: int) -> tuple[PsiDO, PsiDO, list[TauFrac], list[TauFrac]]:
+    """Dressing P and P^-1 and the pairs q_j, r_j, all over D variables."""
+    if len(rhos) != len(sigmas):
+        raise ValueError("companion lists must have equal length")
+    poly = tau.poly
+    if D is None:
+        D = max(poly.max_var_used(), k,
+                *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+    P, Pinv = _dressing(poly, D, floor)
+    qs = [P.ring.frac(cp.poly.embed(D), 1) for cp in rhos]
+    rs = [P.ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
+    return P, Pinv, qs, rs
 
 
 def constraint_defect(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
@@ -451,16 +459,10 @@ def constraint_defect(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                       D: int | None = None
                       ) -> tuple[PsiDO, PsiDO, list[TauFrac], list[TauFrac]]:
     """L^k minus its differential part minus the claimed tail, plus context."""
-    if len(rhos) != len(sigmas):
-        raise ValueError("companion lists must have equal length")
-    poly = tau.poly
-    D = _lax_vars(poly, rhos, sigmas, k, D)
     work_floor = -(T + k + 1)
-    P, Pinv = _dressing(poly, D, work_floor)
+    P, Pinv, qs, rs = _lax_setup(tau, rhos, sigmas, k, D, work_floor)
     ring = P.ring
     Lk = P * PsiDO.d(ring, work_floor, k) * Pinv
-    qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
-    rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
     defect = Lk - Lk.plus_part()
     dinv = PsiDO.d(ring, work_floor, -1)
     for q, r in zip(qs, rs):
@@ -495,24 +497,20 @@ def verify_flows(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     """
     if T < 1:
         raise ValueError("truncation depth must be positive")
-    poly = tau.poly
-    D = _lax_vars(poly, rhos, sigmas, k, D)
     work_floor = -(T + 2 * k + 1)
-    P, Pinv = _dressing(poly, D, work_floor)
+    P, Pinv, qs, rs = _lax_setup(tau, rhos, sigmas, k, D, work_floor)
     ring = P.ring
     L = P * PsiDO.d(ring, work_floor) * Pinv
     Lk = L if k == 1 else P * PsiDO.d(ring, work_floor, k) * Pinv
     Lk_plus = Lk.plus_part()
     lax = L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus)
-    points = sample_points(D, [ring.tau], trials, seed)
+    points = sample_points(ring.vars, [ring.tau], trials, seed)
     top = (Lk_plus.max_order or 0) + 1
     lax_orders = orders if orders is not None else range(-T, top + 1)
     reports = [OperatorReport(f"lax-flow-t{k}")]
     reports[0].checks.extend(_zero_checks(lax, lax_orders, points))
     adj = Lk_plus.adjoint()
-    for j, (rho, sig) in enumerate(zip(rhos, sigmas), start=1):
-        q = ring.frac(rho.poly.embed(D), 1)
-        r = ring.frac(sig.poly.embed(D), 1)
+    for j, (q, r) in enumerate(zip(qs, rs), start=1):
         q_defect = q.differentiate(k) - Lk_plus.apply_to(q)
         r_defect = r.differentiate(k) + adj.apply_to(r)
         for name, defect in ((f"q_{j}-flow-t{k}", q_defect),

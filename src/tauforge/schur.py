@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .mpoly import MPoly, PolyError
+from .mpoly import MPoly, PolyError, parse_int
 from .zseries import ZSeries
 
 
@@ -97,7 +97,7 @@ class ChargedPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChargedPoly":
-        return cls(MPoly.from_json(data["poly"]), int(data["charge"]))
+        return cls(MPoly.from_json(data["poly"]), parse_int(data["charge"]))
 
     def __repr__(self) -> str:
         return f"ChargedPoly({self.poly.format()}, charge={self.charge})"

@@ -122,7 +122,8 @@ class TestVerify:
 
 
 class TestRationalInput:
-    """A rational that is not a "p/q" string with nonzero q is an input error."""
+    """A rational that is not a "p/q" string with nonzero q, or an integer
+    that is not a JSON int in range, is an input error."""
 
     @pytest.mark.parametrize("command,flag,payload", [
         ("verify", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
@@ -135,6 +136,18 @@ class TestRationalInput:
          {"rows": 3, "cols": 1, "entries": [[1.5], ["0"], ["1"]]}),
         ("grass min-n", "--grpoint",
          {"tail": -1, "basis": [{"minExp": -2, "coefs": ["1/0"]}]}),
+        ("verify", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [0], "coef": "1"}, {"exp": [-1], "coef": "1"}]}}),
+        ("lax", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [0], "coef": "1"}, {"exp": [-1], "coef": "1"}]}}),
+        ("verify", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [1.7], "coef": "1"}]}}),
+        ("verify", "--tau", {"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [True], "coef": "1"}]}}),
+        ("grass min-n", "--grpoint",
+         {"tail": -1.5, "basis": [{"minExp": -2, "coefs": ["1"]}]}),
+        ("grass min-n", "--grpoint",
+         {"tail": -1, "basis": [{"minExp": -2.7, "coefs": ["1"]}]}),
     ])
     def test_exit_two_without_traceback(self, capsys, tmp_path, command, flag,
                                          payload):
@@ -145,6 +158,30 @@ class TestRationalInput:
         assert out == ""
         assert err.startswith("input error:")
         assert "Traceback" not in err
+
+
+class TestFlagRange:
+    """--k below 1 or --n below 0 is an input error on every command."""
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["tau-from-matrix", "--matrix", "matrix"],
+        ["verify", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
+        ["lax", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
+        ["grass", "min-n", "--grpoint", "point"],
+    ])
+    def test_nonpositive_k(self, capsys, golden_files, argv, k):
+        argv = [golden_files.get(a, a) for a in argv]
+        code, out, err = run(capsys, [*argv, f"--k={k}"])
+        assert (code, out) == (2, "")
+        assert err == f"input error: --k must be at least 1, got {k}\n"
+
+    def test_negative_n(self, capsys, golden_files):
+        code, out, err = run(capsys, ["tau-from-matrix", "--matrix",
+                                      golden_files["matrix"], "--k", "1",
+                                      "--n=-1"])
+        assert (code, out) == (2, "")
+        assert err == "input error: --n must be at least 0, got -1\n"
 
 
 class TestGrass:

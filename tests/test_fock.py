@@ -179,10 +179,6 @@ class TestWindowMatrix:
         with pytest.raises(WindowError):
             WindowMatrix(2, {(half(5), half(-1)): F(1)})
 
-    def test_determinant(self):
-        wm = WindowMatrix(2, {(half(-1), half(-1)): F(2)})
-        assert wm.determinant() == 2
-
 
 class TestSigmaMap:
     def test_vacuum(self):

@@ -103,6 +103,48 @@ class TestStableSubspace:
             assert n2 <= n
 
 
+def sympy_rank(grid):
+    """Rank of a list of rational rows, computed by SymPy."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                          for c in row] for row in grid]).rank()
+
+
+class TestSympyOracle:
+    """Ranks from SymPy, which shares no code with the elimination here."""
+
+    def test_filtration_level_is_rank_growth(self):
+        # n = rank([W; s^k W]) - rank(W) on the coordinates below the tail
+        rng = random.Random(41)
+        for _ in range(30):
+            p = random_grpoint(rng, max_extras=4, span=6)
+            W = p.vectors()
+            coords = range(min(p.pivots()), -p.tail)
+            for k in (1, 2, 3):
+                stacked = W + [vec_mul_sk(v, k) for v in W]
+                grid = [[v.get(e, F(0)) for e in coords] for v in stacked]
+                _, n = stable_subspace(p, k)
+                assert n == sympy_rank(grid) - sympy_rank(grid[:len(W)])
+
+    def test_generator_rejects_exactly_the_rank_deficient(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(80):
+            M = rng.randint(2, 5)
+            N = rng.randint(1, M - 1)
+            entries = [[F(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(N)]
+                       for _ in range(M)]
+            full = sympy_rank(entries) == N
+            seen.add(full)
+            try:
+                generate_from_matrix(entries, rng.randint(1, 2), N)
+            except GrassmannError as exc:
+                assert ("rank" in str(exc)) != full
+            else:
+                assert full
+        assert seen == {True, False}
+
+
 class TestTau:
     def test_full_cone(self):
         cp = tau_of(reduce_point([], 3))

@@ -251,6 +251,12 @@ class TestFlows:
         reports = verify_flows(tau, rhos, sigmas, 2, 3)
         assert all(r.all_pass for r in reports)
 
+    @pytest.mark.parametrize("check", [verify_constraint, verify_flows])
+    def test_unmatched_pairs_rejected(self, golden_point, check):
+        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        with pytest.raises(ValueError, match="equal length"):
+            check(tau, rhos, [], 1, 3)
+
 
 class TestSampling:
     def test_points_avoid_poles(self):
