@@ -26,24 +26,35 @@ from .hirota import required_vars, verify_suite
 from .psdo import dress_from_tau, verify_constraint, verify_flows
 
 
+# Upper bounds on the variable count and the truncation depth: work grows
+# linearly in D and about cubically in the depth, so neither a config
+# value nor --order can ask for unbounded work.
+MAX_VARS = 64
+MAX_TRUNCATION = 64
+
+
 @dataclass
 class RunConfig:
     D: int | None = None
     truncation: int = 5
-    seed: int = 0
-    trials: int = 20
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
+        """Read a JSON object with optional keys D and truncation."""
         cfg = cls()
-        if path:
-            with open(path) as fh:
-                data = json.load(fh)
-            for key in ("D", "truncation", "seed", "trials"):
-                if key in data:
-                    setattr(cfg, key, parse_int(data[key]))
-        if cfg.truncation < 1 or cfg.trials < 1:
-            raise ValueError("truncation and trials must be positive")
+        if not path:
+            return cfg
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        for key, value in data.items():
+            if key not in ("D", "truncation"):
+                raise ValueError(f"{path}: unknown config key {key!r}")
+            value = parse_int(value, minimum=1)
+            if value > (MAX_VARS if key == "D" else MAX_TRUNCATION):
+                raise ValueError(f"{path}: {key} {value} is above the limit")
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -124,9 +135,11 @@ def cmd_tau_from_matrix(args, cfg: RunConfig) -> int:
     except GeneratorConditionError as exc:
         _emit({"error": str(exc), "report": exc.report.to_json()}, args.pretty)
         return 1
-    except (GrassmannError, DomainError) as exc:
+    except GrassmannError as exc:
         _emit({"error": str(exc)}, args.pretty)
         return 1
+    except DomainError as exc:
+        raise InputError(str(exc)) from exc
     _emit({"tau": tau.to_json(), "report": report.to_json(),
            "grpoint": point.to_json()}, args.pretty)
     return 0
@@ -181,13 +194,9 @@ def cmd_lax(args, cfg: RunConfig) -> int:
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
     order = args.order if args.order is not None else cfg.truncation
-    seed = args.seed if args.seed is not None else cfg.seed
-    trials = args.trials if args.trials is not None else cfg.trials
     try:
-        constraint = verify_constraint(tau, rhos, sigmas, args.k, order,
-                                       trials=trials, seed=seed, D=cfg.D)
-        flows = verify_flows(tau, rhos, sigmas, args.k, min(order, 3),
-                             trials=trials, seed=seed, D=cfg.D)
+        constraint = verify_constraint(tau, rhos, sigmas, args.k, order, D=cfg.D)
+        flows = verify_flows(tau, rhos, sigmas, args.k, min(order, 3), D=cfg.D)
     except (ValueError, DomainError) as exc:
         raise InputError(str(exc)) from exc
     payload = {"constraint": constraint.to_json(),
@@ -261,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", action="append", default=[])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_lax)
 
     p = sub.add_parser("fock-apply", parents=[shared],
@@ -282,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--k must be at least 1, got {args.k}")
         if getattr(args, "n", 0) < 0:
             raise InputError(f"--n must be at least 0, got {args.n}")
+        if (getattr(args, "order", None) or 0) > MAX_TRUNCATION:
+            raise InputError(f"--order must be at most {MAX_TRUNCATION}, "
+                             f"got {args.order}")
         cfg = RunConfig.load(args.config)
         return args.fn(args, cfg)
     except InputError as exc:

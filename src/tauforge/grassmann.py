@@ -345,6 +345,8 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
     level n.  Rows map to loop vectors by e_l -> s**(N-l), columns enter
     the wedge in reverse order over the tail at level -N.
     """
+    if k < 1:
+        raise GrassmannError("the constraint power k must be positive")
     M = len(entries)
     if M == 0 or any(len(row) != len(entries[0]) for row in entries):
         raise GrassmannError("matrix entries must be rectangular and nonempty")

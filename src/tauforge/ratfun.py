@@ -11,14 +11,7 @@ cancelled when it divides the numerator (the value is a polynomial).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
-
 from .mpoly import MPoly, PolyError, divexact
-
-
-class PoleError(ArithmeticError):
-    """Evaluation point lies on the zero locus of the denominator."""
 
 
 class TauRing:
@@ -141,15 +134,6 @@ class TauFrac:
                 out = TauFrac(ring, num, p + 1)
             self._derivs[i] = out
         return out
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        value = self.num.evaluate(point)
-        if not self.power:
-            return value
-        tv = self.ring.tau.evaluate(point)
-        if tv == 0:
-            raise PoleError(f"denominator vanishes at {tuple(point)}")
-        return value / tv**self.power
 
     def equals(self, other: "TauFrac") -> bool:
         """Cross-multiplied exact equality, also across rings."""

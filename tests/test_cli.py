@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -240,17 +242,34 @@ class TestDressAndLax:
         code, out, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
                                     "--rho", golden_files["rho"],
                                     "--sigma", golden_files["sigma"],
-                                    "--k", "1", "--order", "4",
-                                    "--trials", "5", "--seed", "3"])
+                                    "--k", "1", "--order", "4"])
         assert code == 0
         payload = json.loads(out)
         assert payload["constraint"]["pass"] is True
         assert all(f["pass"] for f in payload["flows"])
+        for report in [payload["constraint"], *payload["flows"]]:
+            for check in report["orders"]:
+                assert check["method"] == "cross-multiplication"
 
     def test_lax_fail_without_pairs(self, capsys, golden_files):
         code, out, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
-                                    "--k", "1", "--order", "3", "--trials", "3"])
+                                    "--k", "1", "--order", "3"])
         assert code == 1
+        failing = [c for c in json.loads(out)["constraint"]["orders"]
+                   if not c["pass"]]
+        assert failing and all(c["method"] == "cross-multiplication"
+                               and "witness" in c for c in failing)
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_retired_sampling_flags_rejected(self, capsys, golden_files, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["lax", "--tau", golden_files["tau"], "--k", "1", flag, "5"])
+        assert exc.value.code == 2
+
+    def test_order_above_limit(self, capsys, golden_files):
+        code, _, err = run(capsys, ["dress", "--tau", golden_files["tau"],
+                                    "--order", str(cli.MAX_TRUNCATION + 1)])
+        assert code == 2 and "--order must be at most" in err
 
     def test_truncation_fault_is_internal_error(self, capsys, golden_files,
                                                 monkeypatch):
@@ -267,7 +286,7 @@ class TestDressAndLax:
     def test_seeded_determinism(self, capsys, golden_files):
         argv = ["lax", "--tau", golden_files["tau"],
                 "--rho", golden_files["rho"], "--sigma", golden_files["sigma"],
-                "--k", "1", "--order", "3", "--trials", "4", "--seed", "11"]
+                "--k", "1", "--order", "3"]
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
@@ -305,7 +324,7 @@ class TestConfig:
 
     def test_config_file(self, capsys, tmp_path, golden_files):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"truncation": 3, "trials": 4, "seed": 2}))
+        cfg.write_text(json.dumps({"truncation": 3}))
         code, out, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
                                     "--rho", golden_files["rho"],
                                     "--sigma", golden_files["sigma"],
@@ -326,7 +345,72 @@ class TestConfig:
 
     def test_bad_config_rejected(self, capsys, tmp_path, golden_files):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 0}))
+        cfg.write_text(json.dumps({"truncation": 0}))
         code, _, err = run(capsys, ["verify", "--tau", golden_files["tau"],
                                     "--k", "1", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("payload,message", [
+        (["D"], "must be a JSON object"),
+        (5, "must be a JSON object"),
+        ("D", "must be a JSON object"),
+        ({"seed": 0}, "unknown config key 'seed'"),
+        ({"trials": 20}, "unknown config key 'trials'"),
+        ({"D": 6, "window": 3}, "unknown config key 'window'"),
+        ({"D": 0}, ">= 1"),
+        ({"D": cli.MAX_VARS + 1}, "above the limit"),
+        ({"truncation": cli.MAX_TRUNCATION + 1}, "above the limit"),
+        ({"truncation": "5"}, "JSON integer"),
+    ])
+    def test_config_shape_and_keys(self, capsys, tmp_path, golden_files,
+                                   payload, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["dress", "--tau", golden_files["tau"],
+                                      "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and message in err
+
+    def test_short_var_count_for_matrix(self, capsys, tmp_path, golden_files):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"D": 1}))
+        code, out, err = run(capsys, ["tau-from-matrix", "--matrix",
+                                      golden_files["matrix"], "--k", "1",
+                                      "--n", "1", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: need D >= 2")
+
+
+def _json_values(st):
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                          max_leaves=6)
+    keys = st.sampled_from(["D", "truncation", "seed", "trials"]) | st.text(max_size=3)
+    # small integers too, so in-range and boundary values of D and truncation occur
+    ints = st.integers() | st.integers(-1, 70)
+    return values | st.dictionaries(keys, values | ints, max_size=3)
+
+
+def test_config_fuzz_exit_codes(tmp_path, golden_files):
+    """Any JSON value as --config ends in exit 0, 1 or 2, never a traceback."""
+    hyp = pytest.importorskip("hypothesis")
+    cfg = tmp_path / "cfg.json"
+    commands = [
+        ["dress", "--tau", golden_files["tau"]],
+        ["tau-from-matrix", "--matrix", golden_files["matrix"], "--k", "1", "--n", "1"],
+    ]
+
+    @hyp.settings(max_examples=80, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(_json_values(hyp.strategies), hyp.strategies.sampled_from(commands))
+    def check(payload, argv):
+        cfg.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(cfg)])  # an escape is a traceback
+        assert code in (0, 1, 2), (payload, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

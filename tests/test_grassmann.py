@@ -337,6 +337,12 @@ class TestGenerator:
             generate_from_matrix(entries, 1, 0)
         assert err.value.report.violating_columns == (1,)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_rejected(self, k):
+        entries = [[F(0), F(1)], [F(1), F(0)], [F(0), F(0)]]
+        with pytest.raises(GrassmannError, match="must be positive"):
+            generate_from_matrix(entries, k, 2)
+
     def test_violation_count_is_filtration_level(self):
         entries = [[F(0), F(0)], [F(0), F(1)], [F(1), F(0)]]
         point, tau, report = generate_from_matrix(entries, 1, 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.mpoly import MPoly
-from tauforge.ratfun import PoleError, RatFun, TauRing
+from tauforge.ratfun import RatFun, TauRing
 
 from conftest import random_poly
 
@@ -124,45 +124,48 @@ class TestDerivative:
                 f.differentiate(2) * g + f * g.differentiate(2))
 
 
+def value(f, point):
+    """f at a point, from MPoly evaluation of its numerator and tau; None on a pole."""
+    t = f.ring.tau.evaluate(point)
+    return None if t == 0 else f.num.evaluate(point) / t**f.power
+
+
 class TestEvaluation:
     def test_separate_num_den(self):
         R = TauRing(V(1) - V(2))
-        assert R.frac(V(1)**2 - V(2)**2, 1).evaluate([F(3), F(1)]) == 4
+        assert value(R.frac(V(1)**2 - V(2)**2, 1), [F(3), F(1)]) == 4
+        assert value(R.frac(V(1), 1), [F(1), F(1)]) is None
         assert RatFun(V(1)**2 - V(2)**2, V(1) - V(2)).num.evaluate([F(3), F(1)]) == 4
-
-    def test_pole_error(self):
-        f = TauRing(V(2)).frac(V(1), 1)
-        with pytest.raises(PoleError):
-            f.evaluate([F(1), F(0)])
 
     def test_cross_mult_equality_matches_evaluation(self):
         rng = random.Random(13)
-        pairs = 0
-        while pairs < 10:
-            num, den = random_poly(rng, 2), random_poly(rng, 2)
+        outcomes = []
+        while len(outcomes) < 30:
+            num, den, extra = (random_poly(rng, 2) for _ in range(3))
             if den.is_zero:
                 continue
             R = TauRing(den)
-            f = R.frac(num, 1)
-            g = R.frac(num * den, 2)  # same function, bigger shape
-            assert f.equals(g)
-            crossed = R.frac(num + den, 1)
-            agree = f.equals(crossed)
-            points = 0
-            while points < 20:
+            p, j = rng.randint(0, 2), rng.randint(1, 2)
+            f = R.frac(num, p)
+            g = rng.choice([
+                R.frac(num * R.power(j), p + j),  # same element, bigger shape
+                R.frac(num + den, p),  # differs by den / tau^p
+                R.frac(num + extra, p),  # differs unless extra is zero
+                R.frac(num * R.power(j) + extra, p + j),
+            ])
+            agree = f.equals(g)
+            values = []
+            while len(values) < 20:
                 pt = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
-                try:
-                    same = f.evaluate(pt) == crossed.evaluate(pt)
-                except PoleError:
-                    continue
-                points += 1
-                if not agree:
-                    # a disagreement must eventually show up pointwise
-                    if not same:
-                        break
-                else:
-                    assert same
-            pairs += 1
+                fv, gv = value(f, pt), value(g, pt)
+                if fv is not None:
+                    values.append(fv == gv)
+            if agree:
+                assert all(values)
+            else:  # a nonzero difference shows at some sampled point
+                assert not all(values)
+            outcomes.append(agree)
+        assert True in outcomes and False in outcomes
 
 
 class TestSerialization:
