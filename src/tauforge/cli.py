@@ -21,16 +21,19 @@ from .schur import ChargedPoly, DomainError
 from .fock import FockVector, alpha, psi_minus, psi_plus, shift_charge
 from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
                         companions, dtk_decomposition, generate_from_matrix,
-                        stable_subspace, tau_of)
-from .hirota import required_vars, verify_suite
+                        stable_subspace)
+from .hirota import identity_family, required_vars, verify_suite
 from .psdo import dress_from_tau, verify_constraint, verify_flows
 
 
-# Upper bounds on the variable count and the truncation depth: work grows
-# linearly in D and about cubically in the depth, so neither a config
-# value nor --order can ask for unbounded work.
+# Upper bounds on the variable count, the truncation depth, --k and the
+# fock-apply --index: work grows linearly in D, about cubically in the
+# depth, about 7x per step of 4 in --k and quadratically in the index of
+# a current mode, so no flag or config value can ask for unbounded work.
 MAX_VARS = 64
 MAX_TRUNCATION = 64
+MAX_K = 16
+MAX_INDEX = 64
 
 
 @dataclass
@@ -117,10 +120,9 @@ def _suite_vars(tau, rhos, sigmas, k, requested: int | None) -> int | None:
     """Honor a requested variable count, raising it when provably short."""
     if requested is None:
         return None
-    shifted = ChargedPoly(tau.poly, tau.charge - k)
-    needed = max([required_vars(tau, tau), required_vars(tau, shifted)]
-                 + [required_vars(tau, r) for r in rhos]
-                 + [required_vars(s, shifted) for s in sigmas])
+    operands, family = identity_family(tau, rhos, sigmas, k)
+    needed = max(required_vars(operands[left], operands[right])
+                 for _, left, right, _ in family)
     if requested < needed:
         print(f"notice: raising variable count {requested} -> {needed} "
               "to keep residues exact", file=sys.stderr)
@@ -208,17 +210,13 @@ def cmd_lax(args, cfg: RunConfig) -> int:
 
 def cmd_fock_apply(args, cfg: RunConfig) -> int:
     vec = _load_fock(args.vector)
-    op = args.op
+    op = {"psi+": psi_plus, "psi-": psi_minus, "alpha": alpha, "Q": shift_charge}[args.op]
     try:
-        if op in ("psi+", "psi-"):
-            index = parse_rat(args.index)
-            out = psi_plus(index, vec) if op == "psi+" else psi_minus(index, vec)
-        elif op == "alpha":
-            out = alpha(int(args.index), vec)
-        elif op == "Q":
-            out = shift_charge(int(args.index), vec)
-        else:
-            raise InputError(f"unknown operator {op}")
+        index = parse_rat(args.index) if args.op in ("psi+", "psi-") else int(args.index)
+        if abs(index) > MAX_INDEX:
+            raise InputError(f"--index must be at most {MAX_INDEX} in absolute "
+                             f"value, got {args.index}")
+        out = op(index, vec)
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
     _emit({"result": out.to_json()}, args.pretty)
@@ -287,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "k", 1) < 1:
             raise InputError(f"--k must be at least 1, got {args.k}")
+        if getattr(args, "k", 1) > MAX_K:
+            raise InputError(f"--k must be at most {MAX_K}, got {args.k}")
         if getattr(args, "n", 0) < 0:
             raise InputError(f"--n must be at least 0, got {args.n}")
         if (getattr(args, "order", None) or 0) > MAX_TRUNCATION:

@@ -85,76 +85,48 @@ def bilinear_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     return ZSeries.product_coeff(left, right, kernel, order=-1 - weight)
 
 
-def _product_tt(left: ChargedPoly, right: ChargedPoly, D: int) -> MPoly:
-    return embed_t(left.poly, D) * embed_tprime(right.poly, D)
-
-
 def kp_residue(tau: ChargedPoly, D: int) -> MPoly:
     """Zero exactly when tau solves the hierarchy."""
     return bilinear_residue(tau, tau, D)
 
 
-def _charge_guard(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                  sigmas: Sequence[ChargedPoly], k: int) -> None:
+Identity = tuple[str, int, int, tuple[tuple[int, int], ...]]
+
+
+def identity_family(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
+                    sigmas: Sequence[ChargedPoly],
+                    k: int) -> tuple[list[ChargedPoly], list[Identity]]:
+    """The identities of filtration level n = len(rhos), listed once.
+
+    Returns the operands [tau, tau at charge m-k, rho_1.., sigma_1..] and,
+    in report order, one (label, left, right, pairs) per identity, all
+    indices into the operands: the pairing of (left, right) must equal
+    the sum of a (x) b over the index pairs (a, b).  Bosonically that is
+    residue(left, right) = sum a(t) b(t'); the charges alone give the
+    weights z**0 (KP), z**k (constrained-k) and z**-1 (rho_j, sigma_j).
+    """
     if len(rhos) != len(sigmas):
         raise ValueError("companion lists must have equal length")
-    m = tau.charge
+    m, n = tau.charge, len(rhos)
     for j, rho in enumerate(rhos, start=1):
         if rho.charge != m + 1:
             raise ValueError(f"rho_{j} has charge {rho.charge}, expected {m + 1}")
     for j, sig in enumerate(sigmas, start=1):
         if sig.charge != m - k - 1:
             raise ValueError(f"sigma_{j} has charge {sig.charge}, expected {m - k - 1}")
-
-
-def constrained_residue(tau: ChargedPoly, k: int, rhos: Sequence[ChargedPoly],
-                        sigmas: Sequence[ChargedPoly], D: int) -> Check:
-    """z**k-weighted residue against sum_j rho_j(t) sigma_j(t')."""
-    _charge_guard(tau, rhos, sigmas, k)
-    shifted = ChargedPoly(tau.poly, tau.charge - k)
-    lhs = bilinear_residue(tau, shifted, D)
-    rhs = MPoly.zero(2 * D)
-    for rho, sig in zip(rhos, sigmas):
-        rhs = rhs + _product_tt(rho, sig, D)
-    diff = lhs - rhs
-    return Check("constrained-k", diff.is_zero, None if diff.is_zero else diff)
-
-
-def rho_identity(tau: ChargedPoly, rho: ChargedPoly, D: int, label: str = "rho") -> Check:
-    """z**-1-weighted residue of (tau, rho) against rho(t) tau(t')."""
-    if rho.charge != tau.charge + 1:
-        raise ValueError(f"rho has charge {rho.charge}, expected {tau.charge + 1}")
-    diff = bilinear_residue(tau, rho, D) - _product_tt(rho, tau, D)
-    return Check(label, diff.is_zero, None if diff.is_zero else diff)
-
-
-def sigma_identity(tau: ChargedPoly, sigma: ChargedPoly, k: int, D: int,
-                   label: str = "sigma") -> Check:
-    """z**-1-weighted residue of (sigma, k-shifted tau) against tau(t) sigma(t')."""
-    if sigma.charge != tau.charge - k - 1:
-        raise ValueError(f"sigma has charge {sigma.charge}, "
-                         f"expected {tau.charge - k - 1}")
-    shifted = ChargedPoly(tau.poly, tau.charge - k)
-    diff = bilinear_residue(sigma, shifted, D) - _product_tt(tau, sigma, D)
-    return Check(label, diff.is_zero, None if diff.is_zero else diff)
-
-
-def eigenfunction_identities(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                             sigmas: Sequence[ChargedPoly], k: int,
-                             D: int) -> list[Check]:
-    """Both one-sided identities for every companion, in report order."""
-    out = [rho_identity(tau, rho, D, f"rho_{j}")
-           for j, rho in enumerate(rhos, start=1)]
-    out.extend(sigma_identity(tau, sig, k, D, f"sigma_{j}")
-               for j, sig in enumerate(sigmas, start=1))
-    return out
+    operands = [tau, ChargedPoly(tau.poly, m - k), *rhos, *sigmas]
+    rho_at, sigma_at = range(2, 2 + n), range(2 + n, 2 + 2 * n)
+    family: list[Identity] = [("KP", 0, 0, ()),
+                              ("constrained-k", 0, 1, tuple(zip(rho_at, sigma_at)))]
+    family += [(f"rho_{j}", 0, r, ((r, 0),)) for j, r in enumerate(rho_at, start=1)]
+    family += [(f"sigma_{j}", s, 1, ((1, s),)) for j, s in enumerate(sigma_at, start=1)]
+    return operands, family
 
 
 def fermionic_bilinear_check(u: FockVector, v: FockVector, target: PairTensor,
-                             window: int | None = None,
                              label: str = "fermionic") -> Check:
     """Pass iff the canonical pairing of (u, v) equals the target tensor."""
-    got = fermionic_pairing(u, v, window)
+    got = fermionic_pairing(u, v)
     diff = tensor_sum([got, {key: -c for key, c in target.items()}])
     if not diff:
         return Check(label, True)
@@ -175,35 +147,28 @@ def tensor_to_poly(tensor: PairTensor, D: int) -> MPoly:
 def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                  sigmas: Sequence[ChargedPoly], k: int,
                  D: int | None = None) -> BilinearReport:
-    """All four identity families, in both representations.
+    """The identity family of ``identity_family``, in both representations.
 
     Passing certifies membership in filtration level n = len(rhos) of the
     k-constrained hierarchy; the bosonic residues and the fermionic
     tensors must agree one by one.
     """
-    _charge_guard(tau, rhos, sigmas, k)
+    operands, family = identity_family(tau, rhos, sigmas, k)
     if D is None:
-        weights = [cp.poly.wdeg() for cp in [tau, *rhos, *sigmas]]
-        top = max(weights, default=0)
+        top = max(cp.poly.wdeg() for cp in operands)
         _, kmax = bilinear_window(top, top, -1)
         D = max(top, kmax, k, 1)
-    kp = kp_residue(tau, D)
-    checks = [Check("KP", kp.is_zero, None if kp.is_zero else kp),
-              constrained_residue(tau, k, rhos, sigmas, D),
-              *eigenfunction_identities(tau, rhos, sigmas, k, D)]
+    checks = []
+    for label, left, right, pairs in family:
+        diff = bilinear_residue(operands[left], operands[right], D)
+        for a, b in pairs:
+            diff = diff - embed_t(operands[a].poly, D) * embed_tprime(operands[b].poly, D)
+        checks.append(Check(label, diff.is_zero, None if diff.is_zero else diff))
 
     tau_f = poly_to_fock(tau)
-    tau_shift = shift_charge(-k, tau_f)
-    rho_fs = [poly_to_fock(r) for r in rhos]
-    sigma_fs = [poly_to_fock(s) for s in sigmas]
-    target = tensor_sum([tensor_of(rf, sf) for rf, sf in zip(rho_fs, sigma_fs)])
-    checks.append(fermionic_bilinear_check(tau_f, tau_f, {}, label="fermionic-KP"))
-    checks.append(fermionic_bilinear_check(tau_f, tau_shift, target,
-                                           label="fermionic-constrained-k"))
-    checks.extend(fermionic_bilinear_check(tau_f, rf, tensor_of(rf, tau_f),
-                                           label=f"fermionic-rho_{j}")
-                  for j, rf in enumerate(rho_fs, start=1))
-    checks.extend(fermionic_bilinear_check(sf, tau_shift, tensor_of(tau_shift, sf),
-                                           label=f"fermionic-sigma_{j}")
-                  for j, sf in enumerate(sigma_fs, start=1))
+    images = [tau_f, shift_charge(-k, tau_f), *map(poly_to_fock, operands[2:])]
+    for label, left, right, pairs in family:
+        target = tensor_sum(tensor_of(images[a], images[b]) for a, b in pairs)
+        checks.append(fermionic_bilinear_check(images[left], images[right], target,
+                                               label=f"fermionic-{label}"))
     return BilinearReport(checks)

@@ -152,8 +152,8 @@ def _det(grid: list[list[MPoly]], D: int) -> MPoly:
     return acc
 
 
-def miwa_shift(p: MPoly, sign: int, z_window: int | None = None,
-               var_offset: int = 0, block: int | None = None) -> ZSeries:
+def miwa_shift(p: MPoly, sign: int, *, var_offset: int = 0,
+               block: int | None = None) -> ZSeries:
     """Substitute t_i -> t_i + sign * z**-i / i and expand exactly.
 
     The result is a Laurent polynomial in z**-1 with orders in
@@ -171,9 +171,6 @@ def miwa_shift(p: MPoly, sign: int, z_window: int | None = None,
     weights = [0] * D
     for b in range(block):
         weights[var_offset + b] = b + 1
-    depth = p.wdeg(weights)
-    if z_window is not None and z_window < depth:
-        raise DomainError(f"z window {z_window} below required depth {depth}")
     # every coefficient is an integer over p.den * scale: a term that takes
     # j_i factors z**-w_i/w_i from slot i is divided by prod w_i**j_i, which
     # divides scale = prod w_i**top_i, top_i the highest power of slot i

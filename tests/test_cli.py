@@ -162,21 +162,37 @@ class TestRationalInput:
         assert "Traceback" not in err
 
 
+K_COMMANDS = [
+    ["tau-from-matrix", "--matrix", "matrix"],
+    ["verify", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
+    ["lax", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
+    ["grass", "min-n", "--grpoint", "point"],
+]
+
+
 class TestFlagRange:
-    """--k below 1 or --n below 0 is an input error on every command."""
+    """--k outside 1..MAX_K or --n below 0 is an input error on every command."""
 
     @pytest.mark.parametrize("k", ["0", "-1"])
-    @pytest.mark.parametrize("argv", [
-        ["tau-from-matrix", "--matrix", "matrix"],
-        ["verify", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
-        ["lax", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
-        ["grass", "min-n", "--grpoint", "point"],
-    ])
+    @pytest.mark.parametrize("argv", K_COMMANDS)
     def test_nonpositive_k(self, capsys, golden_files, argv, k):
         argv = [golden_files.get(a, a) for a in argv]
         code, out, err = run(capsys, [*argv, f"--k={k}"])
         assert (code, out) == (2, "")
         assert err == f"input error: --k must be at least 1, got {k}\n"
+
+    @pytest.mark.parametrize("argv", K_COMMANDS)
+    def test_k_above_limit(self, capsys, golden_files, argv):
+        argv = [golden_files.get(a, a) for a in argv]
+        k = cli.MAX_K + 1
+        code, out, err = run(capsys, [*argv, f"--k={k}"])
+        assert (code, out) == (2, "")
+        assert err == f"input error: --k must be at most {cli.MAX_K}, got {k}\n"
+
+    def test_k_at_limit(self, capsys, golden_files):
+        code, out, _ = run(capsys, ["grass", "min-n", "--grpoint",
+                                    golden_files["point"], f"--k={cli.MAX_K}"])
+        assert code == 0 and json.loads(out)["n"] == 0
 
     def test_negative_n(self, capsys, golden_files):
         code, out, err = run(capsys, ["tau-from-matrix", "--matrix",
@@ -314,6 +330,26 @@ class TestFockApply:
                                     "--vector", golden_files["vector"]])
         assert code == 0
         assert json.loads(out)["result"][0]["state"]["charge"] == 2
+
+    @pytest.mark.parametrize("op,index", [
+        ("alpha", cli.MAX_INDEX + 1), ("alpha", -cli.MAX_INDEX - 1),
+        ("Q", cli.MAX_INDEX + 1), ("psi-", f"-{2 * cli.MAX_INDEX + 1}/2"),
+        ("psi+", f"{2 * cli.MAX_INDEX + 1}/2"),
+    ])
+    def test_index_above_limit(self, capsys, golden_files, op, index):
+        code, out, err = run(capsys, ["fock-apply", "--op", op, f"--index={index}",
+                                      "--vector", golden_files["vector"]])
+        assert (code, out) == (2, "")
+        assert err == (f"input error: --index must be at most {cli.MAX_INDEX} "
+                       f"in absolute value, got {index}\n")
+
+    @pytest.mark.parametrize("op,index", [
+        ("alpha", -cli.MAX_INDEX), ("psi-", f"-{2 * cli.MAX_INDEX - 1}/2"),
+    ])
+    def test_index_at_limit(self, capsys, golden_files, op, index):
+        code, _, _ = run(capsys, ["fock-apply", "--op", op, f"--index={index}",
+                                  "--vector", golden_files["vector"]])
+        assert code == 0
 
 
 class TestConfig:

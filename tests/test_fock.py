@@ -9,8 +9,7 @@ from tauforge.schur import DomainError, elementary_schur, miwa_shift
 from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
                            alpha, apply_window_matrix, fermionic_pairing, half,
                            poly_to_fock, psi_minus, psi_plus, r_matrix_unit,
-                           shift_charge, sigma_map, sigma_single, tensor_of,
-                           wedge_vector)
+                           shift_charge, sigma_map, sigma_single, tensor_of)
 
 from conftest import random_state
 

@@ -7,16 +7,14 @@ import pytest
 from tauforge.mpoly import MPoly
 from tauforge.schur import (ChargedPoly, DomainError, Partition,
                             partitions_up_to, schur_of_partition)
-from tauforge.fock import (FockVector, MayaState, fermionic_pairing,
-                           poly_to_fock, shift_charge, sigma_map, tensor_of)
-from tauforge.grassmann import companions, reduce_point
+from tauforge.fock import FockVector, MayaState, fermionic_pairing, sigma_map
+from tauforge.grassmann import companions, reduce_point, tau_of
 from tauforge.zseries import ExactnessError
-from tauforge.hirota import (bilinear_residue, constrained_residue,
-                             fermionic_bilinear_check, kp_residue,
-                             required_vars, rho_identity, sigma_identity,
+from tauforge.hirota import (bilinear_residue, fermionic_bilinear_check,
+                             identity_family, kp_residue, required_vars,
                              tensor_to_poly, verify_suite)
 
-from conftest import random_state
+from conftest import random_grpoint, random_state
 
 
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
@@ -24,6 +22,12 @@ ONE = ChargedPoly(MPoly.const(1, 1), 0)
 
 def charged(poly, charge=0):
     return ChargedPoly(poly, charge)
+
+
+def check_of(report, label):
+    """The one check of a suite report that carries ``label``."""
+    [check] = [c for c in report.checks if c.identity == label]
+    return check
 
 
 def swap_and_flip(p: MPoly, D: int) -> MPoly:
@@ -88,16 +92,16 @@ class TestWindowGuard:
 
 class TestConstrainedResidue:
     def test_trivial_tau(self):
-        assert constrained_residue(ONE, 1, [], [], 2).passed
+        assert check_of(verify_suite(ONE, [], [], 1, 2), "constrained-k").passed
 
     def test_golden_pair(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
-        check = constrained_residue(tau, 1, rhos, sigmas, 6)
+        check = check_of(verify_suite(tau, rhos, sigmas, 1, 6), "constrained-k")
         assert check.passed
 
     def test_missing_pairs_leave_witness(self, golden_point):
         tau, _, _ = companions(golden_point, 1, 6)
-        check = constrained_residue(tau, 1, [], [], 6)
+        check = check_of(verify_suite(tau, [], [], 1, 6), "constrained-k")
         assert not check.passed
         D = 6
         S11 = schur_of_partition(Partition((1, 1)), D).embed(2 * D)
@@ -106,24 +110,85 @@ class TestConstrainedResidue:
     def test_charge_guard(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
         wrong = [ChargedPoly(rhos[0].poly, 5)]
-        with pytest.raises(ValueError):
-            constrained_residue(tau, 1, wrong, sigmas, 6)
+        with pytest.raises(ValueError, match="rho_1 has charge 5, expected 1"):
+            verify_suite(tau, wrong, sigmas, 1, 6)
+        with pytest.raises(ValueError, match="rho_1 has charge 5, expected 1"):
+            identity_family(tau, wrong, sigmas, 1)
 
 
 class TestEigenfunctionIdentities:
+    # sigma = 1 at charge m - k - 1 completes the companion lists; only
+    # the rho_1 identity is read
+    SIGMA = ChargedPoly(MPoly.const(1, 1), -2)
+
     def test_monomial_rho_over_vacuum(self):
         rho = charged(MPoly.variable(1, 1), 1)
-        assert rho_identity(ONE, rho, 3).passed
+        assert check_of(verify_suite(ONE, [rho], [self.SIGMA], 1, 3), "rho_1").passed
 
     def test_square_is_rejected(self):
         rho = charged(MPoly.variable(1, 1) ** 2, 1)
-        check = rho_identity(ONE, rho, 4)
+        check = check_of(verify_suite(ONE, [rho], [self.SIGMA], 1, 4), "rho_1")
         assert not check.passed and check.witness is not None
 
     def test_golden_sigma(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
-        assert sigma_identity(tau, sigmas[0], 1, 6).passed
-        assert rho_identity(tau, rhos[0], 6).passed
+        report = verify_suite(tau, rhos, sigmas, 1, 6)
+        assert check_of(report, "sigma_1").passed
+        assert check_of(report, "rho_1").passed
+
+
+class TestIdentityFamily:
+    def test_operands_and_table(self):
+        point = reduce_point([{-4: F(1)}, {-2: F(1)}], -1)
+        tau, rhos, sigmas = companions(point, 1)
+        operands, family = identity_family(tau, rhos, sigmas, 1)
+        assert operands == [tau, ChargedPoly(tau.poly, tau.charge - 1),
+                            *rhos, *sigmas]
+        assert family == [("KP", 0, 0, ()),
+                          ("constrained-k", 0, 1, ((2, 4), (3, 5))),
+                          ("rho_1", 0, 2, ((2, 0),)), ("rho_2", 0, 3, ((3, 0),)),
+                          ("sigma_1", 4, 1, ((1, 4),)), ("sigma_2", 5, 1, ((1, 5),))]
+        report = verify_suite(tau, rhos, sigmas, 1)
+        assert [c.identity for c in report.checks] == (
+            [label for label, *_ in family]
+            + [f"fermionic-{label}" for label, *_ in family])
+
+    def test_unequal_lists(self, golden_point):
+        tau, rhos, _ = companions(golden_point, 1)
+        with pytest.raises(ValueError, match="companion lists must have equal length"):
+            identity_family(tau, rhos, [], 1)
+
+    def test_representations_agree_per_identity(self):
+        # seeded companion triples, with the full pair lists, every
+        # (n-1)-subset, and each companion multiplied by t_1: every bosonic
+        # identity and its fermionic mirror pair up and give one verdict
+        rng = random.Random(909)
+        cases, failed = 0, set()
+        while cases < 12:
+            point = random_grpoint(rng, max_extras=3, span=4)
+            if not point.basis or tau_of(point).poly.wdeg() > 4:
+                continue
+            k = 1 + cases % 3
+            tau, rhos, sigmas = companions(point, k)
+            if not rhos:
+                continue
+            t1 = lambda cp: ChargedPoly(cp.poly * MPoly.variable(cp.poly.vars, 1),
+                                        cp.charge)
+            lists = [(rhos, sigmas), ([*map(t1, rhos)], sigmas),
+                     (rhos, [*map(t1, sigmas)])]
+            lists += [([r for j, r in enumerate(rhos) if j != drop],
+                       [s for j, s in enumerate(sigmas) if j != drop])
+                      for drop in range(len(rhos))]
+            for sub_r, sub_s in lists:
+                checks = verify_suite(tau, sub_r, sub_s, k).checks
+                half = len(checks) // 2
+                bosonic, fermionic = checks[:half], checks[half:]
+                assert [f"fermionic-{c.identity}" for c in bosonic] == \
+                    [c.identity for c in fermionic]
+                assert [c.passed for c in bosonic] == [c.passed for c in fermionic]
+                failed |= {c.identity for c in bosonic if not c.passed}
+            cases += 1
+        assert {"constrained-k", "rho_1", "sigma_1"} <= failed
 
 
 class TestFermionicCheck:

@@ -146,10 +146,6 @@ class TestMiwaShift:
             assert s.coeff(0) == p
             assert s.min_order is None or s.min_order >= -p.wdeg()
 
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            miwa_shift(MPoly.variable(2, 2), -1, z_window=1)
-
     def test_offset_block(self):
         D = 2
         doubled = embed_tprime(MPoly.variable(D, 1), D)
