@@ -27,13 +27,28 @@ from .psdo import dress_from_tau, verify_constraint, verify_flows
 
 
 # Upper bounds on the variable count, the truncation depth, --k and the
-# fock-apply --index: work grows linearly in D, about cubically in the
-# depth, about 7x per step of 4 in --k and quadratically in the index of
-# a current mode, so no flag or config value can ask for unbounded work.
+# fock-apply --index and state charges: work grows linearly in D, about
+# cubically in the depth, about 7x per step of 4 in --k, quadratically in
+# the index of a current mode and linearly in the charge of a state that
+# psi- contracts inside its filled tail, so no flag, config value or
+# vector can ask for unbounded work.
 MAX_VARS = 64
 MAX_TRUNCATION = 64
 MAX_K = 16
 MAX_INDEX = 64
+
+
+class InputError(Exception):
+    pass
+
+
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack allows
+        raise InputError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -47,8 +62,7 @@ class RunConfig:
         cfg = cls()
         if not path:
             return cfg
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _load_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         for key, value in data.items():
@@ -59,18 +73,6 @@ class RunConfig:
                 raise ValueError(f"{path}: {key} {value} is above the limit")
             setattr(cfg, key, value)
         return cfg
-
-
-class InputError(Exception):
-    pass
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_charged_poly(path: str) -> ChargedPoly:
@@ -104,9 +106,13 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
 def _load_fock(path: str) -> FockVector:
     data = _load_json(path)
     try:
-        return FockVector.from_json(data)
+        vec = FockVector.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad vector payload ({exc})") from exc
+    if any(abs(m) > MAX_INDEX for m in vec.charges()):
+        raise InputError(f"{path}: state charges must be at most {MAX_INDEX} "
+                         "in absolute value")
+    return vec
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -294,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
                              f"got {args.order}")
         cfg = RunConfig.load(args.config)
         return args.fn(args, cfg)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

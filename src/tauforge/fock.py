@@ -6,13 +6,19 @@ The vacuum of charge m is (m, ()).  Wedge factors are always kept sorted
 strictly decreasing, and every operator reports the permutation sign it
 incurs, which is the single source of all signs here.
 
-Half-integer indices are passed as Fraction values with denominator 2.
+Inside this module an index p is held as its integer code p - 1/2, so
+position s of the state (m, lambda) has code lambda_s + m - s and every
+state operation is integer arithmetic on partitions.  Half-integer
+Fraction values (denominator 2) appear only at the public boundary: the
+fermion operators, wedge_vector, WindowMatrix, MayaState.index and
+MayaState.occupied take or return them, and each is checked once on entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .mpoly import MPoly, format_rat, parse_int, parse_rat
@@ -37,6 +43,11 @@ def _check_half(j: Fraction) -> Fraction:
     return j
 
 
+def _code(p: Fraction) -> int:
+    """The integer code p - 1/2 of a half-integer index."""
+    return (_check_half(p).numerator - 1) // 2
+
+
 @dataclass(frozen=True)
 class MayaState:
     charge: int
@@ -54,14 +65,8 @@ class MayaState:
         lam = self.parts[s - 1] if s <= len(self.parts) else 0
         return Fraction(2 * (lam + self.charge - s) + 1, 2)
 
-    def prefix(self, length: int) -> list[Fraction]:
-        return [self.index(s) for s in range(1, length + 1)]
-
     def occupied(self, p: Fraction) -> bool:
-        # every index at or below the undisturbed tail is occupied
-        if p <= self.index(len(self.parts) + 1):
-            return True
-        return any(self.index(s) == p for s in range(1, len(self.parts) + 1))
+        return _position(self, _code(p)) is not None
 
     def to_json(self) -> dict:
         return {"charge": self.charge, "partition": list(self.parts)}
@@ -78,53 +83,79 @@ class MayaState:
         return f"|{self.charge};{','.join(map(str, self.parts)) or '-'}>"
 
 
-def _state_from_indices(indices: list[Fraction], charge: int) -> MayaState:
-    """Rebuild (charge, partition) from a strictly decreasing index prefix.
+def _codes(state: MayaState) -> list[int]:
+    """Codes of positions 1..len(parts)+1; the last tops the filled tail."""
+    m = state.charge
+    return [lam + m - s for s, lam in enumerate(state.parts + (0,), start=1)]
 
-    The prefix must be long enough that the remaining indices are pure
-    vacuum tail of the given charge.
+
+def _descending_codes(state: MayaState) -> Iterator[int]:
+    """The codes of positions 1, 2, ... without end, tail included."""
+    codes = _codes(state)
+    return chain(codes[:-1], count(codes[-1], -1))
+
+
+def _position(state: MayaState, c: int) -> int | None:
+    """The position holding code c, or None when c is free."""
+    codes = _codes(state)
+    if c <= codes[-1]:
+        return state.charge - c  # in the filled tail, code m - s
+    return codes.index(c) + 1 if c in codes else None
+
+
+def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
+    """Wedge code c in front and sort; None when c is occupied.
+
+    Below a occupied codes the result has charge m + 1, parts
+    (lambda_1 - 1, .., lambda_a - 1, c - m + a, lambda_{a+1}, ..) and
+    sign (-1)**a.
     """
-    parts = []
-    for s, idx in enumerate(indices, start=1):
-        lam = idx - charge + s - Fraction(1, 2)
-        if lam.denominator != 1:
-            raise ValueError("indices are not aligned to the charge lattice")
-        parts.append(int(lam))
-    while parts and parts[-1] == 0:
-        parts.pop()
-    if any(p < 0 for p in parts):
-        raise ValueError("index prefix too short for this charge")
-    return MayaState(charge, tuple(parts))
+    codes = _codes(state)
+    if c <= codes[-1] or c in codes:
+        return None
+    a = sum(1 for held in codes if held > c)
+    m, parts = state.charge, state.parts
+    new = tuple(lam - 1 for lam in parts[:a]) + (c - m + a,) + parts[a:]
+    # parts stay weakly decreasing, so any zeros form the end
+    return (-1 if a % 2 else 1), MayaState(m + 1, tuple(lam for lam in new if lam))
+
+
+def _contract(state: MayaState, s: int) -> tuple[int, MayaState]:
+    """Contract the code at position s, with sign (-1)**(s+1).
+
+    The result has charge m - 1 and parts (lambda_1 + 1, ..,
+    lambda_{s-1} + 1, lambda_{s+1}, ..), padded with 1s when s lies in
+    the tail.
+    """
+    parts = state.parts
+    new = (tuple(lam + 1 for lam in parts[:s - 1]) + (1,) * (s - 1 - len(parts))
+           + parts[s:])
+    return (1 if s % 2 else -1), MayaState(state.charge - 1, new)
+
+
+def _remove(state: MayaState, c: int) -> tuple[int, MayaState] | None:
+    """Contract code c; None when c is free."""
+    s = _position(state, c)
+    return None if s is None else _contract(state, s)
 
 
 def insert_index(state: MayaState, p: Fraction) -> tuple[int, MayaState] | None:
     """Wedge v_p in front and sort; None when p is already occupied."""
-    p = _check_half(p)
-    if state.occupied(p):
-        return None
-    above = 0
-    while state.index(above + 1) > p:
-        above += 1
-    length = max(len(state.parts), above) + 2
-    prefix = state.prefix(length)
-    prefix.insert(above, p)
-    sign = -1 if above % 2 else 1
-    return sign, _state_from_indices(prefix, state.charge + 1)
+    return _wedge(state, _code(p))
 
 
 def remove_index(state: MayaState, p: Fraction) -> tuple[int, MayaState] | None:
     """Contract index p with sign (-1)**(s+1); None when p is absent."""
-    p = _check_half(p)
-    if not state.occupied(p):
-        return None
-    s = 1
-    while state.index(s) != p:
-        s += 1
-    length = max(len(state.parts), s) + 2
-    prefix = state.prefix(length)
-    prefix.pop(s - 1)
-    sign = 1 if (s + 1) % 2 == 0 else -1
-    return sign, _state_from_indices(prefix, state.charge - 1)
+    return _remove(state, _code(p))
+
+
+def _add_to(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    c = out.get(key, 0) + value
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
 
 
 class FockVector:
@@ -158,11 +189,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for state, coef in other.terms.items():
-            c = out.get(state, Fraction(0)) + coef
-            if c:
-                out[state] = c
-            else:
-                out.pop(state, None)
+            _add_to(out, state, coef)
         return FockVector(out)
 
     def __neg__(self) -> "FockVector":
@@ -195,14 +222,8 @@ class FockVector:
         out: dict[MayaState, Fraction] = {}
         for state, coef in self.terms.items():
             hit = op(state)
-            if hit is None:
-                continue
-            sign, new_state = hit
-            c = out.get(new_state, Fraction(0)) + coef * sign
-            if c:
-                out[new_state] = c
-            else:
-                out.pop(new_state, None)
+            if hit is not None:
+                _add_to(out, hit[1], coef * hit[0])
         return FockVector(out)
 
     def to_json(self) -> list[dict]:
@@ -212,8 +233,7 @@ class FockVector:
     def from_json(cls, data: Iterable[dict]) -> "FockVector":
         out: dict[MayaState, Fraction] = {}
         for item in data:
-            state = MayaState.from_json(item["state"])
-            out[state] = out.get(state, Fraction(0)) + parse_rat(item["coef"])
+            _add_to(out, MayaState.from_json(item["state"]), parse_rat(item["coef"]))
         return cls(out)
 
     def __repr__(self) -> str:
@@ -226,14 +246,14 @@ class FockVector:
 
 def psi_plus(j: Fraction, v: FockVector) -> FockVector:
     """Wedging operator: inserts index -j, raising the charge by one."""
-    j = _check_half(j)
-    return v.map_states(lambda s: insert_index(s, -j))
+    c = -1 - _code(j)  # the code of index -j
+    return v.map_states(lambda s: _wedge(s, c))
 
 
 def psi_minus(j: Fraction, v: FockVector) -> FockVector:
     """Contracting operator: removes index j, lowering the charge by one."""
-    j = _check_half(j)
-    return v.map_states(lambda s: remove_index(s, j))
+    c = _code(j)
+    return v.map_states(lambda s: _remove(s, c))
 
 
 def r_matrix_unit(i: Fraction, j: Fraction, v: FockVector) -> FockVector:
@@ -245,20 +265,17 @@ def alpha(k: int, v: FockVector) -> FockVector:
     """Mode k of the current: sum over E_{j,j+k}; k = 0 multiplies by charge."""
     if k == 0:
         return FockVector({s: c * s.charge for s, c in v.terms.items()})
-    out = FockVector()
+    out: dict[MayaState, Fraction] = {}
     for state, coef in v.terms.items():
-        # occupied p with p-k free; beyond len(parts)+|k| both sides sit in
-        # the undisturbed tail and every term cancels
-        for s in range(1, len(state.parts) + abs(k) + 1):
-            p = state.index(s)
-            removed = remove_index(state, p)
-            sign_r, mid = removed
-            inserted = insert_index(mid, p - k)
-            if inserted is None:
-                continue
-            sign_i, final = inserted
-            out = out + FockVector.of(final, coef * sign_r * sign_i)
-    return out
+        # occupied code c with c - k free; beyond len(parts)+|k| both sides
+        # sit in the undisturbed tail and every term cancels
+        positions = islice(_descending_codes(state), len(state.parts) + abs(k))
+        for s, c in enumerate(positions, start=1):
+            sign_r, mid = _contract(state, s)
+            inserted = _wedge(mid, c - k)
+            if inserted is not None:
+                _add_to(out, inserted[1], coef * sign_r * inserted[0])
+    return FockVector(out)
 
 
 def shift_charge(power: int, v: FockVector) -> FockVector:
@@ -268,11 +285,16 @@ def shift_charge(power: int, v: FockVector) -> FockVector:
 
 def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVector:
     """Wedge a general vector sum_p column[p] v_p in front."""
-    out = FockVector()
+    out: dict[MayaState, Fraction] = {}
     for p, coef in column.items():
-        if coef:
-            out = out + v.map_states(lambda s, p=p: insert_index(s, p)) * coef
-    return out
+        if not coef:
+            continue
+        c, coef = _code(p), Fraction(coef)
+        for state, vc in v.terms.items():
+            hit = _wedge(state, c)
+            if hit is not None:
+                _add_to(out, hit[1], vc * coef * hit[0])
+    return FockVector(out)
 
 
 # -- window matrices ---------------------------------------------------------
@@ -384,11 +406,7 @@ def tensor_of(u: FockVector, v: FockVector) -> PairTensor:
     out: PairTensor = {}
     for su, cu in u.terms.items():
         for sv, cv in v.terms.items():
-            c = out.get((su, sv), Fraction(0)) + cu * cv
-            if c:
-                out[(su, sv)] = c
-            else:
-                out.pop((su, sv), None)
+            _add_to(out, (su, sv), cu * cv)
     return out
 
 
@@ -396,16 +414,11 @@ def tensor_sum(parts: Iterable[PairTensor]) -> PairTensor:
     out: PairTensor = {}
     for tensor in parts:
         for key, coef in tensor.items():
-            c = out.get(key, Fraction(0)) + coef
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+            _add_to(out, key, coef)
     return out
 
 
-def fermionic_pairing(u: FockVector, v: FockVector,
-                      window: int | None = None) -> PairTensor:
+def fermionic_pairing(u: FockVector, v: FockVector) -> PairTensor:
     """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v).
 
     The sum over half-integers i is finite on window states: the index
@@ -413,31 +426,18 @@ def fermionic_pairing(u: FockVector, v: FockVector,
     tail of u.  The result is canonicalized in the Maya (x) Maya basis
     so equality against any target tensor is coefficient comparison.
     """
-    if window is not None:
-        for vec in (u, v):
-            for state in vec.terms:
-                top = state.parts[0] + state.charge if state.parts else state.charge
-                bottom = len(state.parts) - state.charge
-                if top > window or bottom > window:
-                    raise WindowError(f"state {state} outside window {window}")
     out: PairTensor = {}
     for su, cu in u.terms.items():
-        floor_u = su.index(len(su.parts) + 1)  # everything at or below is occupied
+        codes_u = _codes(su)  # the last one tops the filled tail
+        floor, held = codes_u[-1], set(codes_u)
         for sv, cv in v.terms.items():
-            s = 1
-            while True:
-                p = sv.index(s)
-                if p < floor_u:
+            coef = cu * cv
+            for s, c in enumerate(_descending_codes(sv), start=1):
+                if c < floor:
                     break
-                s += 1
-                if su.occupied(p):
+                if c in held:
                     continue
-                sign_r, right = remove_index(sv, p)
-                sign_i, left = insert_index(su, p)
-                key = (left, right)
-                c = out.get(key, Fraction(0)) + cu * cv * sign_i * sign_r
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+                sign_r, right = _contract(sv, s)
+                sign_i, left = _wedge(su, c)
+                _add_to(out, (left, right), coef * sign_i * sign_r)
     return out

@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .mpoly import MPoly, format_rat, parse_int, parse_rat
 from .schur import ChargedPoly, DomainError, _det, elementary_schur
-from .fock import (FockVector, MayaState, WindowMatrix, _state_from_indices,
-                   sigma_single, wedge_vector)
+from .fock import (FockVector, MayaState, WindowMatrix, sigma_single,
+                   wedge_vector)
 
 LaurentVector = dict[int, Fraction]
 
@@ -217,8 +217,11 @@ def _wedge_factors(factors: Sequence[LaurentVector], tail: int) -> FockVector:
 
 
 def _pivot_state(pivots: Sequence[int], tail: int) -> MayaState:
-    indices = sorted((exp_to_index(p) for p in pivots), reverse=True)
-    return _state_from_indices(indices, tail + len(pivots))
+    """The Maya state whose wedge codes are -e - 1 over the pivots, then H_tail."""
+    charge = tail + len(pivots)
+    codes = sorted((-e - 1 for e in pivots), reverse=True)
+    parts = (c - charge + s for s, c in enumerate(codes, start=1))
+    return MayaState(charge, tuple(lam for lam in parts if lam))
 
 
 def _anchored(factors: Sequence[LaurentVector], tail: int

@@ -162,6 +162,27 @@ class TestRationalInput:
         assert "Traceback" not in err
 
 
+class TestDeepNesting:
+    """JSON nested past the decoder's recursion limit is an input error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tau", "deep", "--k", "1"],
+        ["lax", "--tau", "deep", "--k", "1"],
+        ["grass", "min-n", "--grpoint", "deep", "--k", "1"],
+        ["tau-from-matrix", "--matrix", "deep", "--k", "1"],
+        ["fock-apply", "--op", "Q", "--index", "1", "--vector", "deep"],
+        ["dress", "--tau", "tau", "--config", "deep"],
+    ])
+    def test_exit_two_without_traceback(self, capsys, tmp_path, golden_files, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        files = {**golden_files, "deep": str(deep)}
+        code, out, err = run(capsys, [files.get(a, a) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and "recursion" in err
+        assert "Traceback" not in err
+
+
 K_COMMANDS = [
     ["tau-from-matrix", "--matrix", "matrix"],
     ["verify", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
@@ -343,6 +364,16 @@ class TestFockApply:
         assert err == (f"input error: --index must be at most {cli.MAX_INDEX} "
                        f"in absolute value, got {index}\n")
 
+    @pytest.mark.parametrize("charge", [cli.MAX_INDEX + 1, -cli.MAX_INDEX - 1])
+    def test_charge_above_limit(self, capsys, tmp_path, charge):
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps(
+            [{"state": {"charge": charge, "partition": []}, "coef": "1"}]))
+        code, out, err = run(capsys, ["fock-apply", "--op", "psi-",
+                                      "--index=1/2", "--vector", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and "state charges" in err
+
     @pytest.mark.parametrize("op,index", [
         ("alpha", -cli.MAX_INDEX), ("psi-", f"-{2 * cli.MAX_INDEX - 1}/2"),
     ])
@@ -446,6 +477,40 @@ def test_config_fuzz_exit_codes(tmp_path, golden_files):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--config", str(cfg)])  # an escape is a traceback
+        assert code in (0, 1, 2), (payload, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def _vector_payloads(st):
+    """Arbitrary JSON, and lists shaped like a FockVector payload."""
+    ints = st.integers() | st.integers(-70, 70)
+    coefs = st.sampled_from(["1", "-1/2", "0", "3/0", "x"]) | st.integers() | st.floats()
+    state = st.fixed_dictionaries({"charge": ints | st.text(max_size=2),
+                                   "partition": st.lists(ints, max_size=4)})
+    item = st.fixed_dictionaries({"state": state | _json_values(st), "coef": coefs})
+    return _json_values(st) | st.lists(item | _json_values(st), max_size=3)
+
+
+def test_fock_vector_fuzz_exit_codes(tmp_path):
+    """Any JSON value as a fock-apply --vector ends in exit 0, 1 or 2."""
+    hyp = pytest.importorskip("hypothesis")
+    vector = tmp_path / "vector.json"
+    st = hyp.strategies
+    ops = st.sampled_from([("psi+", "-1/2"), ("psi+", "3/2"), ("psi-", "1/2"),
+                           ("psi-", "-5/2"), ("alpha", "-3"), ("alpha", "2"),
+                           ("Q", "-1")])
+
+    @hyp.settings(max_examples=150, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(_vector_payloads(st), ops)
+    def check(payload, op):
+        vector.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["fock-apply", "--op", op[0], f"--index={op[1]}", "--vector", str(vector)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an escape is a traceback
         assert code in (0, 1, 2), (payload, err.getvalue())
         assert "Traceback" not in err.getvalue()
 

@@ -5,11 +5,12 @@ import pytest
 
 from tauforge.mpoly import MPoly
 from tauforge.zseries import ZSeries
-from tauforge.schur import DomainError, elementary_schur, miwa_shift
+from tauforge.schur import DomainError, elementary_schur, miwa_shift, partitions_up_to
 from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
                            alpha, apply_window_matrix, fermionic_pairing, half,
-                           poly_to_fock, psi_minus, psi_plus, r_matrix_unit,
-                           shift_charge, sigma_map, sigma_single, tensor_of)
+                           insert_index, poly_to_fock, psi_minus, psi_plus,
+                           r_matrix_unit, remove_index, shift_charge, sigma_map,
+                           sigma_single, tensor_of)
 
 from conftest import random_state
 
@@ -273,15 +274,151 @@ class TestPairing:
         bad = FockVector.of(MayaState(0, (2,))) + FockVector.of(MayaState(0, (1, 1)))
         assert fermionic_pairing(bad, bad)
 
-    def test_window_guard(self):
-        big = FockVector.of(MayaState(0, (9,)))
-        with pytest.raises(WindowError):
-            fermionic_pairing(big, big, window=4)
-
     def test_tensor_of(self):
         u = FockVector.of(MayaState(1), 2)
         v = FockVector.of(MayaState(0, (1,)), F(1, 2))
         assert tensor_of(u, v) == {(MayaState(1), MayaState(0, (1,))): F(1)}
+
+
+# -- reference on explicit index lists ------------------------------------------
+#
+# A state is written out as its first `depth` half-integer indices, a
+# strictly decreasing list cut below the filled tail; the depth is chosen
+# so that the cut lies below every index in play.  Signs are counted from
+# the indices above.
+
+def _ref_indices(state, depth):
+    parts = state.parts + (0,) * depth
+    return [F(2 * (parts[s - 1] + state.charge - s) + 1, 2)
+            for s in range(1, depth + 1)]
+
+
+def _ref_depth(state, p):
+    return len(state.parts) + abs(state.charge) + abs(int(p)) + 3
+
+
+def _ref_state(indices, charge):
+    parts = [int(p - charge + s - F(1, 2)) for s, p in enumerate(indices, start=1)]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return MayaState(charge, tuple(parts))
+
+
+def _ref_insert(state, p):
+    idx = _ref_indices(state, _ref_depth(state, p))
+    assert p > idx[-1]  # the cut lies below p
+    if p in idx:
+        return None
+    above = sum(1 for q in idx if q > p)
+    idx.insert(above, p)
+    return (-1) ** above, _ref_state(idx, state.charge + 1)
+
+
+def _ref_remove(state, p):
+    idx = _ref_indices(state, _ref_depth(state, p))
+    assert p > idx[-1]
+    if p not in idx:
+        return None
+    above = idx.index(p)
+    del idx[above]
+    return (-1) ** above, _ref_state(idx, state.charge - 1)
+
+
+def _accumulate(out, key, value):
+    out[key] = out.get(key, 0) + value
+    if not out[key]:
+        del out[key]
+
+
+def _ref_pairing(u, v):
+    out = {}
+    for su, cu in u.terms.items():
+        for sv, cv in v.terms.items():
+            depth = (len(su.parts) + len(sv.parts) + abs(su.charge)
+                     + abs(sv.charge) + 3)  # below the filled tail of su
+            for p in _ref_indices(sv, depth):
+                wedged = _ref_insert(su, p)
+                if wedged is None:
+                    continue
+                sign_r, right = _ref_remove(sv, p)
+                _accumulate(out, (wedged[1], right), cu * cv * wedged[0] * sign_r)
+    return out
+
+
+def _ref_alpha(k, v):
+    out = {}
+    for state, coef in v.terms.items():
+        depth = len(state.parts) + abs(state.charge) + abs(k) + 3
+        for p in _ref_indices(state, depth):
+            sign_r, mid = _ref_remove(state, p)
+            moved = _ref_insert(mid, p - k)
+            if moved is not None:
+                _accumulate(out, moved[1], coef * sign_r * moved[0])
+    return FockVector(out)
+
+
+SHAPES = [shape.parts for shape in partitions_up_to(6)]
+
+
+def _random_vector(rng):
+    terms = {MayaState(rng.randint(-3, 3), rng.choice(SHAPES)):
+             F(rng.randint(-4, 4), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 3))}
+    return FockVector(terms) if any(terms.values()) else VAC(0)
+
+
+def _tail_top(state):
+    return state.index(len(state.parts) + 1)
+
+
+class TestAgainstIndexLists:
+    """The integer-code routines against the explicit index-list reference."""
+
+    def test_insert_and_remove(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            state = MayaState(rng.randint(-3, 3), rng.choice(SHAPES))
+            indices = [half(n) for n in range(-13, 14, 2)] + [_tail_top(state)]
+            for p in indices:
+                assert insert_index(state, p) == _ref_insert(state, p), (state, p)
+                assert remove_index(state, p) == _ref_remove(state, p), (state, p)
+                assert state.occupied(p) == (p in _ref_indices(state, _ref_depth(state, p)))
+
+    def test_filled_tail_top(self):
+        for state in [MayaState(0), MayaState(2, (3, 1)), MayaState(-3, (1, 1, 1))]:
+            top = _tail_top(state)
+            assert insert_index(state, top) is None
+            assert remove_index(state, top) == _ref_remove(state, top)
+            assert insert_index(state, top + 1) == _ref_insert(state, top + 1)
+
+    def test_pairing(self):
+        rng = random.Random(31)
+        cases = [(VAC(0), VAC(0)), (VAC(2), VAC(-1)), (VAC(-1), VAC(2))]
+        cases += [(_random_vector(rng), _random_vector(rng)) for _ in range(60)]
+        for u, v in cases:
+            assert fermionic_pairing(u, v) == _ref_pairing(u, v), (u, v)
+
+    def test_pairing_through_filled_tail_top(self):
+        # v holds the top of u's filled tail (occupied in u, so skipped) and
+        # a free index of u above it (one term)
+        for su in [MayaState(0), MayaState(0, (2,)), MayaState(1, (3, 3)),
+                   MayaState(-2, (2, 1))]:
+            top = _tail_top(su)
+            u = FockVector.of(su, F(3, 2))
+            m = int(top + F(5, 2))  # charge whose vacuum holds top + 1 and top
+            v = FockVector({MayaState(m): -2, MayaState(m, (1,)): 1})
+            assert all(sv.occupied(top) for sv in v.terms)
+            assert not su.occupied(top + 1)
+            got = fermionic_pairing(u, v)
+            assert got and got == _ref_pairing(u, v), su
+
+    def test_alpha(self):
+        rng = random.Random(37)
+        modes = [-4, -3, -2, -1, 1, 2, 3, 4]
+        for _ in range(60):
+            v = _random_vector(rng)
+            for k in modes:
+                assert alpha(k, v) == _ref_alpha(k, v), (v, k)
 
 
 def test_fock_vector_json_roundtrip():
