@@ -22,7 +22,6 @@ from .grassmann import (GrPoint, GrassmannError, companions,
 from .hirota import (BilinearReport, bilinear_residue,
                      fermionic_bilinear_check, identity_family, kp_residue,
                      tensor_to_poly, verify_suite)
-from .psdo import (DressingPair, PsiDO, dress_from_tau, verify_constraint,
-                   verify_flows)
+from .psdo import DressingPair, PsiDO, dress_from_tau, verify_lax
 
 __version__ = "0.1.0"

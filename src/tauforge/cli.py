@@ -23,7 +23,7 @@ from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
                         companions, dtk_decomposition, generate_from_matrix,
                         stable_subspace)
 from .hirota import identity_family, required_vars, verify_suite
-from .psdo import dress_from_tau, verify_constraint, verify_flows
+from .psdo import dress_from_tau, verify_lax
 
 
 # Upper bounds on the variable count, the truncation depth, --k and the
@@ -36,6 +36,11 @@ MAX_VARS = 64
 MAX_TRUNCATION = 64
 MAX_K = 16
 MAX_INDEX = 64
+# Upper bound on the weighted degree of a --tau, --rho or --sigma file:
+# the bilinear residues of verify grow about 2.2x per step of weight
+# (verify --k 1 on t_1^8 takes 1.3 s, on t_1^10 6.8 s, on a 2-core x86
+# machine under CPython 3.11).
+MAX_WEIGHT = 8
 
 
 class InputError(Exception):
@@ -78,9 +83,14 @@ class RunConfig:
 def _load_charged_poly(path: str) -> ChargedPoly:
     data = _load_json(path)
     try:
-        return ChargedPoly.from_json(data)
+        cp = ChargedPoly.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad polynomial payload ({exc})") from exc
+    weight = cp.poly.wdeg()
+    if weight > MAX_WEIGHT:
+        raise InputError(f"{path}: weighted degree {weight} is above the "
+                         f"limit {MAX_WEIGHT}")
+    return cp
 
 
 def _load_grpoint(path: str) -> GrPoint:
@@ -203,8 +213,7 @@ def cmd_lax(args, cfg: RunConfig) -> int:
     sigmas = [_load_charged_poly(p) for p in args.sigma]
     order = args.order if args.order is not None else cfg.truncation
     try:
-        constraint = verify_constraint(tau, rhos, sigmas, args.k, order, D=cfg.D)
-        flows = verify_flows(tau, rhos, sigmas, args.k, min(order, 3), D=cfg.D)
+        constraint, *flows = verify_lax(tau, rhos, sigmas, args.k, order, D=cfg.D)
     except (ValueError, DomainError) as exc:
         raise InputError(str(exc)) from exc
     payload = {"constraint": constraint.to_json(),

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 Exponent = tuple[int, ...]
 
-Rat = Fraction
+# ASCII digits only: Fraction alone would also take "1.5", "1e5", "1_000"
+# and non-ASCII digits, and an exponent costs unbounded work
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 _gcd = math.gcd
 
@@ -40,7 +43,7 @@ def parse_rat(text: str) -> Fraction:
     Anything else, a JSON number or a zero denominator included, is a
     ValueError, which the CLI reports as an input error.
     """
-    if not isinstance(text, str):
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text.strip()):
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
     try:
         return Fraction(text.strip())

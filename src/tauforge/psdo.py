@@ -397,74 +397,48 @@ def _zero_checks(op: PsiDO, orders: Sequence[int]) -> list[OrderCheck]:
     return out
 
 
-def _lax_setup(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-               sigmas: Sequence[ChargedPoly], k: int, D: int | None,
-               floor: int) -> tuple[PsiDO, PsiDO, list[TauFrac], list[TauFrac]]:
-    """Dressing P and P^-1 and the pairs q_j, r_j, all over D variables."""
+def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
+               sigmas: Sequence[ChargedPoly], k: int, T: int,
+               D: int | None = None) -> list[OperatorReport]:
+    """The constraint and the flows along t_k, from one dressing of tau.
+
+    The constraint L^k = (L^k)_+ + sum q_j d^-1 r_j is checked
+    coefficientwise on orders -T..-1; the Lax flow
+    dL/dt_k = [(L^k)_+, L] from order -3 up, and the eigenfunction flows
+    dq_j/dt_k = (L^k)_+ q_j and dr_j/dt_k = -((L^k)_+)* r_j exactly.
+    The reports come in that order, the q_j/r_j pairs interleaved.
+    """
+    if T < 3:
+        raise ValueError("truncation depth must be at least 3")
     if len(rhos) != len(sigmas):
         raise ValueError("companion lists must have equal length")
     poly = tau.poly
     if D is None:
         D = max(poly.max_var_used(), k,
                 *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+    # L^k is exact down to floor + k, so the constraint's -T needs floor
+    # -(T + k + 1); the flow brackets lose k + 1 more orders, so their -3
+    # needs -(3 + 2k + 1)
+    floor = -(max(T, k + 3) + k + 1)
     P, Pinv = _dressing(poly, D, floor)
-    qs = [P.ring.frac(cp.poly.embed(D), 1) for cp in rhos]
-    rs = [P.ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
-    return P, Pinv, qs, rs
-
-
-def constraint_defect(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                      sigmas: Sequence[ChargedPoly], k: int, T: int,
-                      D: int | None = None
-                      ) -> tuple[PsiDO, PsiDO, list[TauFrac], list[TauFrac]]:
-    """L^k minus its differential part minus the claimed tail, plus context."""
-    work_floor = -(T + k + 1)
-    P, Pinv, qs, rs = _lax_setup(tau, rhos, sigmas, k, D, work_floor)
     ring = P.ring
-    Lk = P * PsiDO.d(ring, work_floor, k) * Pinv
-    defect = Lk - Lk.plus_part()
-    dinv = PsiDO.d(ring, work_floor, -1)
-    for q, r in zip(qs, rs):
-        defect = defect - PsiDO.multiplier(q, work_floor) * dinv * PsiDO.multiplier(r, work_floor)
-    return defect, Lk, qs, rs
-
-
-def verify_constraint(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                      sigmas: Sequence[ChargedPoly], k: int, T: int,
-                      D: int | None = None) -> OperatorReport:
-    """Check L^k = (L^k)_+ + sum q_j d^-1 r_j coefficientwise to order -T."""
-    if T < 3:
-        raise ValueError("truncation depth must be at least 3")
-    defect, _, _, _ = constraint_defect(tau, rhos, sigmas, k, T, D)
-    return OperatorReport(f"constraint-k{k}", _zero_checks(defect, range(-T, 0)))
-
-
-def verify_flows(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                 sigmas: Sequence[ChargedPoly], k: int, T: int,
-                 D: int | None = None) -> list[OperatorReport]:
-    """Lax flow and eigenfunction flows along t_k, asserted exactly.
-
-    dL/dt_k = [(L^k)_+, L], dq_j/dt_k = (L^k)_+ q_j and
-    dr_j/dt_k = -((L^k)_+)* r_j, coefficientwise down to order -T.
-    """
-    if T < 1:
-        raise ValueError("truncation depth must be positive")
-    work_floor = -(T + 2 * k + 1)
-    P, Pinv, qs, rs = _lax_setup(tau, rhos, sigmas, k, D, work_floor)
-    ring = P.ring
-    L = P * PsiDO.d(ring, work_floor) * Pinv
-    Lk = L if k == 1 else P * PsiDO.d(ring, work_floor, k) * Pinv
+    qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
+    rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
+    Lk = P * PsiDO.d(ring, floor, k) * Pinv
     Lk_plus = Lk.plus_part()
+    defect = Lk - Lk_plus
+    dinv = PsiDO.d(ring, floor, -1)
+    for q, r in zip(qs, rs):
+        defect = defect - PsiDO.multiplier(q, floor) * dinv * PsiDO.multiplier(r, floor)
+    reports = [OperatorReport(f"constraint-k{k}", _zero_checks(defect, range(-T, 0)))]
+    L = Lk if k == 1 else P * PsiDO.d(ring, floor) * Pinv
     lax = L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus)
     top = (Lk_plus.max_order or 0) + 1
-    reports = [OperatorReport(f"lax-flow-t{k}",
-                              _zero_checks(lax, range(-T, top + 1)))]
+    reports.append(OperatorReport(f"lax-flow-t{k}", _zero_checks(lax, range(-3, top + 1))))
     adj = Lk_plus.adjoint()
     for j, (q, r) in enumerate(zip(qs, rs), start=1):
-        q_defect = q.differentiate(k) - Lk_plus.apply_to(q)
-        r_defect = r.differentiate(k) + adj.apply_to(r)
-        for name, defect in ((f"q_{j}-flow-t{k}", q_defect),
-                             (f"r_{j}-flow-t{k}", r_defect)):
-            holder = PsiDO(ring, {0: defect}, work_floor)
-            reports.append(OperatorReport(name, _zero_checks(holder, [0])))
+        for name, fn in ((f"q_{j}-flow-t{k}", q.differentiate(k) - Lk_plus.apply_to(q)),
+                         (f"r_{j}-flow-t{k}", r.differentiate(k) + adj.apply_to(r))):
+            reports.append(OperatorReport(
+                name, [OrderCheck(0, fn.is_zero, None if fn.is_zero else fn)]))
     return reports

@@ -1,10 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tauforge
 import tauforge.cli as cli
+import tauforge.psdo as psdo
 from tauforge.cli import main
 from tauforge.grassmann import companions
 from tauforge.psdo import TruncationError
@@ -161,6 +167,20 @@ class TestRationalInput:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    def test_exponent_coefficient_exits_at_once(self, tmp_path):
+        # Fraction("1e100000000") alone would build a 10**8-digit integer;
+        # a child process keeps a hang from stalling the suite
+        tau = tmp_path / "tau.json"
+        tau.write_text(json.dumps({"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [1], "coef": "1e100000000"}]}}))
+        src = str(Path(tauforge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "tauforge.cli", "verify",
+                               "--tau", str(tau), "--k", "1"],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == 2
+        assert done.stderr.startswith("input error:") and "1e100000000" in done.stderr
+
 
 class TestDeepNesting:
     """JSON nested past the decoder's recursion limit is an input error."""
@@ -181,6 +201,44 @@ class TestDeepNesting:
         assert (code, out) == (2, "")
         assert err.startswith("input error:") and "recursion" in err
         assert "Traceback" not in err
+
+
+def monomial_file(path, weight: int) -> str:
+    """t_1**weight at charge 0, written to path."""
+    path.write_text(json.dumps({"charge": 0, "poly": {"vars": 1, "terms": [
+        {"exp": [weight], "coef": "1"}]}}))
+    return str(path)
+
+
+class TestWeightBudget:
+    """A --tau, --rho or --sigma file of weighted degree above MAX_WEIGHT is
+    an input error that names the file, before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tau", "heavy", "--k", "1"],
+        ["verify", "--tau", "tau", "--rho", "heavy", "--sigma", "sigma", "--k", "1"],
+        ["lax", "--tau", "tau", "--rho", "rho", "--sigma", "heavy", "--k", "1"],
+        ["lax", "--tau", "heavy", "--k", "1"],
+        ["dress", "--tau", "heavy"],
+    ])
+    def test_above_the_limit(self, capsys, tmp_path, golden_files, argv):
+        heavy = monomial_file(tmp_path / "heavy.json", cli.MAX_WEIGHT + 1)
+        files = {**golden_files, "heavy": heavy}
+        code, out, err = run(capsys, [files.get(a, a) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {heavy}: weighted degree "
+                              f"{cli.MAX_WEIGHT + 1} is above the limit")
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["verify", "--tau", "limit", "--k", "1"], 1),
+        (["lax", "--tau", "limit", "--k", "1"], 1),
+        (["dress", "--tau", "limit"], 0),
+    ])
+    def test_at_the_limit(self, capsys, tmp_path, argv, expect):
+        # t_1**n is not a KP tau for n >= 2, so the checks run and fail
+        files = {"limit": monomial_file(tmp_path / "limit.json", cli.MAX_WEIGHT)}
+        code, _, err = run(capsys, [files.get(a, a) for a in argv])
+        assert (code, err) == (expect, "")
 
 
 K_COMMANDS = [
@@ -313,12 +371,25 @@ class TestDressAndLax:
         def truncated(*args, **kwargs):
             raise TruncationError("differential part is not fully known")
 
-        monkeypatch.setattr(cli, "verify_constraint", truncated)
+        monkeypatch.setattr(cli, "verify_lax", truncated)
         code, _, err = run(capsys, ["lax", "--tau", golden_files["tau"],
                                     "--k", "1", "--order", "3"])
         assert code == 3
         assert err.startswith("internal error: TruncationError")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_one_dressing_per_job(self, capsys, golden_files, monkeypatch, k):
+        calls = []
+        dressing = psdo._dressing
+        monkeypatch.setattr(psdo, "_dressing",
+                            lambda *args: calls.append(args) or dressing(*args))
+        code, _, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
+                                  "--rho", golden_files["rho"],
+                                  "--sigma", golden_files["sigma"],
+                                  "--k", k, "--order", "4"])
+        assert code in (0, 1)
+        assert len(calls) == 1
 
     def test_seeded_determinism(self, capsys, golden_files):
         argv = ["lax", "--tau", golden_files["tau"],

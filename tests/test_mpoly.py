@@ -27,7 +27,8 @@ class TestRationals:
             q = F(rng.randint(-50, 50), rng.randint(1, 20))
             assert parse_rat(format_rat(q)) == q
 
-    @pytest.mark.parametrize("bad", ["1/0", "-3/0", 2, 1.5, None, ["1"]])
+    @pytest.mark.parametrize("bad", ["1/0", "-3/0", 2, 1.5, None, ["1"],
+                                     "2.5", "1e5", "1_000", "\u0661"])
     def test_non_string_or_zero_denominator_is_value_error(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)

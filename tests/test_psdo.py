@@ -9,14 +9,26 @@ from tauforge.ratfun import TauRing
 from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.grassmann import companions, reduce_point, tau_of
-from tauforge.psdo import (PsiDO, TruncationError, _dressing, constraint_defect,
-                           dress_from_tau, verify_constraint, verify_flows)
+from tauforge.psdo import (PsiDO, TruncationError, _dressing, dress_from_tau,
+                           verify_lax)
 
 from conftest import random_grpoint, random_poly
 
 D, FL = 3, -6
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
 R = TauRing(MPoly.variable(D, 1))  # coefficients in Q[t][1/t1]
+
+
+def constraint(tau, rhos, sigmas, k, T):
+    """The constraint-k report of verify_lax, which comes first."""
+    report = verify_lax(tau, rhos, sigmas, k, T)[0]
+    assert report.label == f"constraint-k{k}"
+    return report
+
+
+def flows(tau, rhos, sigmas, k, T):
+    """The lax-flow and q_j/r_j flow reports of verify_lax."""
+    return verify_lax(tau, rhos, sigmas, k, T)[1:]
 
 
 def var(i, vars=D):
@@ -181,12 +193,12 @@ class TestDressing:
 
 class TestConstraint:
     def test_vacuum(self):
-        report = verify_constraint(ONE, [], [], 1, 5)
+        report = constraint(ONE, [], [], 1, 5)
         assert report.all_pass
 
     def test_golden_to_depth_five(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
-        report = verify_constraint(tau, rhos, sigmas, 1, 5)
+        report = constraint(tau, rhos, sigmas, 1, 5)
         assert report.all_pass
         orders = [c.order for c in report.checks]
         assert orders == [-1, -2, -3, -4, -5]
@@ -195,33 +207,33 @@ class TestConstraint:
 
     def test_golden_without_pairs_fails_at_minus_one(self, golden_point):
         tau, _, _ = companions(golden_point, 1, 6)
-        report = verify_constraint(tau, [], [], 1, 3)
+        report = constraint(tau, [], [], 1, 3)
         failing = [c.order for c in report.checks if not c.passed]
         assert -1 in failing
 
     def test_golden_k2(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 2, 6)
-        assert verify_constraint(tau, rhos, sigmas, 2, 4).all_pass
+        assert constraint(tau, rhos, sigmas, 2, 4).all_pass
 
     def test_minimality(self, golden_point):
         # dropping the only pair breaks the constraint, matching n = 1
         tau, rhos, sigmas = companions(golden_point, 1, 6)
-        assert not verify_constraint(tau, [], [], 1, 3).all_pass
+        assert not constraint(tau, [], [], 1, 3).all_pass
 
     def test_minimality_two_pairs(self):
         point = reduce_point([{-4: F(1)}, {-2: F(1)}], -1)
         tau, rhos, sigmas = companions(point, 1)
         assert len(rhos) == 2
-        assert verify_constraint(tau, rhos, sigmas, 1, 3).all_pass
+        assert constraint(tau, rhos, sigmas, 1, 3).all_pass
         for drop in range(2):
             subset_r = [r for j, r in enumerate(rhos) if j != drop]
             subset_s = [s for j, s in enumerate(sigmas) if j != drop]
-            assert not verify_constraint(tau, subset_r, subset_s, 1, 3).all_pass
+            assert not constraint(tau, subset_r, subset_s, 1, 3).all_pass
 
     def test_two_pair_flows(self):
         point = reduce_point([{-4: F(1)}, {-2: F(1)}], -1)
         tau, rhos, sigmas = companions(point, 1)
-        reports = verify_flows(tau, rhos, sigmas, 1, 3)
+        reports = flows(tau, rhos, sigmas, 1, 3)
         assert [r.label for r in reports] == \
             ["lax-flow-t1", "q_1-flow-t1", "r_1-flow-t1",
              "q_2-flow-t1", "r_2-flow-t1"]
@@ -229,33 +241,32 @@ class TestConstraint:
 
     def test_report_json(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
-        payload = verify_constraint(tau, rhos, sigmas, 1, 3).to_json()
+        payload = constraint(tau, rhos, sigmas, 1, 3).to_json()
         assert payload["pass"] is True
         assert [c["order"] for c in payload["orders"]] == [-1, -2, -3]
 
 
 class TestFlows:
     def test_vacuum(self):
-        reports = verify_flows(ONE, [], [], 2, 3)
+        reports = flows(ONE, [], [], 2, 3)
         assert all(r.all_pass for r in reports)
 
     def test_golden_k1(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
-        reports = verify_flows(tau, rhos, sigmas, 1, 4)
+        reports = flows(tau, rhos, sigmas, 1, 4)
         assert [r.label for r in reports] == \
             ["lax-flow-t1", "q_1-flow-t1", "r_1-flow-t1"]
         assert all(r.all_pass for r in reports)
 
     def test_golden_k2(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 2, 6)
-        reports = verify_flows(tau, rhos, sigmas, 2, 3)
+        reports = flows(tau, rhos, sigmas, 2, 3)
         assert all(r.all_pass for r in reports)
 
-    @pytest.mark.parametrize("check", [verify_constraint, verify_flows])
-    def test_unmatched_pairs_rejected(self, golden_point, check):
+    def test_unmatched_pairs_rejected(self, golden_point):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
         with pytest.raises(ValueError, match="equal length"):
-            check(tau, rhos, [], 1, 3)
+            verify_lax(tau, rhos, [], 1, 3)
 
 
 def test_psdo_json_roundtrip():
@@ -291,7 +302,8 @@ class TestIndependentOracle:
         # Res L^k = d_1 d_k log tau = (tau tau_1k - tau_1 tau_k) / tau^2
         for poly in self.taus():
             for k in (1, 2, 3):
-                _, Lk, _, _ = constraint_defect(ChargedPoly(poly, 0), [], [], k, 3)
+                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1))
+                Lk = P * PsiDO.d(P.ring, P.floor, k) * Pinv
                 tau = poly.embed(Lk.vars)
                 t1, tk = tau.differentiate(1), tau.differentiate(k)
                 want = tau * t1.differentiate(k) - t1 * tk
