@@ -263,10 +263,13 @@ class TestFlows:
         reports = flows(tau, rhos, sigmas, 2, 3)
         assert all(r.all_pass for r in reports)
 
-    def test_unmatched_pairs_rejected(self, golden_point):
+    # the ids name the constraint and flow checks that verify_lax now joins
+    @pytest.mark.parametrize("check", [constraint, flows],
+                             ids=["verify_constraint", "verify_flows"])
+    def test_unmatched_pairs_rejected(self, golden_point, check):
         tau, rhos, sigmas = companions(golden_point, 1, 6)
         with pytest.raises(ValueError, match="equal length"):
-            verify_lax(tau, rhos, [], 1, 3)
+            check(tau, rhos, [], 1, 3)
 
 
 def test_psdo_json_roundtrip():
