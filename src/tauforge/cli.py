@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mpoly import parse_int, parse_rat
-from .schur import ChargedPoly, DomainError
+from .schur import ChargedPoly
 from .fock import FockVector, alpha, psi_minus, psi_plus, shift_charge
 from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
                         companions, dtk_decomposition, generate_from_matrix,
                         stable_subspace)
 from .hirota import identity_family, required_vars, verify_suite
-from .psdo import dress_from_tau, verify_lax
+from .psdo import dress_from_tau, lax_depth, verify_lax
 
 
 # Upper bounds on the variable count, the truncation depth, --k and the
@@ -36,6 +36,15 @@ MAX_VARS = 64
 MAX_TRUNCATION = 64
 MAX_K = 16
 MAX_INDEX = 64
+# Upper bound on the dressing depth: lax_depth(k, T) = max(T, k + 3) + k + 1
+# for lax, T + 1 for dress, so the limits on --k and --order cannot multiply.
+# Timed on a 2-core x86 machine under CPython 3.11, on t_1^2 + t_2: depth 20
+# (lax --k 8 --order 3) 0.5 s, (--k 1 --order 18) 0.4 s; 28 (--k 12 --order
+# 3) 3.4 s; 32 (--k 14 --order 3) 6.0 s; 36 (--k 16 --order 5) 11.3 s; 42
+# (--k 1 --order 40) 3.5 s; 81 (--k 16 --order 64) ran past 90 s.  On
+# t_1^8 + t_2^4, at the weight limit: depth 16 (--k 6 --order 3) 3.0 s,
+# 20 (--k 8 --order 3) 9.4 s, 24 (--k 1 --order 22) 6.2 s.
+MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file:
 # the bilinear residues of verify grow about 2.2x per step of weight
 # (verify --k 1 on t_1^8 takes 1.3 s, on t_1^10 6.8 s, on a 2-core x86
@@ -86,6 +95,9 @@ def _load_charged_poly(path: str) -> ChargedPoly:
         cp = ChargedPoly.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad polynomial payload ({exc})") from exc
+    if cp.poly.vars > MAX_VARS:
+        raise InputError(f"{path}: {cp.poly.vars} variables is above the limit "
+                         f"{MAX_VARS}")
     weight = cp.poly.wdeg()
     if weight > MAX_WEIGHT:
         raise InputError(f"{path}: weighted degree {weight} is above the "
@@ -95,6 +107,8 @@ def _load_charged_poly(path: str) -> ChargedPoly:
 
 def _load_grpoint(path: str) -> GrPoint:
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: a point must be a JSON object")
     try:
         return GrPoint.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -156,8 +170,6 @@ def cmd_tau_from_matrix(args, cfg: RunConfig) -> int:
     except GrassmannError as exc:
         _emit({"error": str(exc)}, args.pretty)
         return 1
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
     _emit({"tau": tau.to_json(), "report": report.to_json(),
            "grpoint": point.to_json()}, args.pretty)
     return 0
@@ -167,55 +179,51 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     tau = _load_charged_poly(args.tau)
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
-    try:
-        D = _suite_vars(tau, rhos, sigmas, args.k, cfg.D)
-        report = verify_suite(tau, rhos, sigmas, args.k, D)
-    except (ValueError, DomainError) as exc:
-        raise InputError(str(exc)) from exc
+    D = _suite_vars(tau, rhos, sigmas, args.k, cfg.D)
+    report = verify_suite(tau, rhos, sigmas, args.k, D)
     _emit(report.to_json(), args.pretty)
     return 0 if report.all_pass else 1
 
 
 def cmd_grass(args, cfg: RunConfig) -> int:
     point = _load_grpoint(args.grpoint)
-    try:
-        if args.action == "min-n":
-            sub, n = stable_subspace(point, args.k)
-            _emit({"n": n, "stable": sub.to_json(),
-                   "charge": point.charge}, args.pretty)
-        elif args.action == "companions":
-            tau, rhos, sigmas = companions(point, args.k, cfg.D)
-            _emit({"tau": tau.to_json(),
-                   "rho": [r.to_json() for r in rhos],
-                   "sigma": [s.to_json() for s in sigmas]}, args.pretty)
-        else:
-            parts = dtk_decomposition(point, args.k, cfg.D)
-            _emit({"parts": [p.to_json() for p in parts]}, args.pretty)
-    except (GrassmannError, DomainError) as exc:
-        raise InputError(str(exc)) from exc
+    if args.action == "min-n":
+        sub, n = stable_subspace(point, args.k)
+        _emit({"n": n, "stable": sub.to_json(),
+               "charge": point.charge}, args.pretty)
+    elif args.action == "companions":
+        tau, rhos, sigmas = companions(point, args.k, cfg.D)
+        _emit({"tau": tau.to_json(),
+               "rho": [r.to_json() for r in rhos],
+               "sigma": [s.to_json() for s in sigmas]}, args.pretty)
+    else:
+        parts = dtk_decomposition(point, args.k, cfg.D)
+        _emit({"parts": [p.to_json() for p in parts]}, args.pretty)
     return 0
 
 
+def _check_depth(depth: int, flags: str) -> None:
+    if depth > MAX_DEPTH:
+        raise InputError(f"{flags}: dressing depth {depth} is above the limit "
+                         f"{MAX_DEPTH}")
+
+
 def cmd_dress(args, cfg: RunConfig) -> int:
-    tau = _load_charged_poly(args.tau)
     order = args.order if args.order is not None else cfg.truncation
-    try:
-        pair = dress_from_tau(tau, order, cfg.D)
-    except (ValueError, DomainError) as exc:
-        raise InputError(str(exc)) from exc
+    _check_depth(order + 1, f"--order {order}")
+    tau = _load_charged_poly(args.tau)
+    pair = dress_from_tau(tau, order, cfg.D)
     _emit({"P": pair.P.to_json(), "L": pair.L.to_json()}, args.pretty)
     return 0
 
 
 def cmd_lax(args, cfg: RunConfig) -> int:
+    order = args.order if args.order is not None else cfg.truncation
+    _check_depth(lax_depth(args.k, order), f"--k {args.k} and --order {order}")
     tau = _load_charged_poly(args.tau)
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
-    order = args.order if args.order is not None else cfg.truncation
-    try:
-        constraint, *flows = verify_lax(tau, rhos, sigmas, args.k, order, D=cfg.D)
-    except (ValueError, DomainError) as exc:
-        raise InputError(str(exc)) from exc
+    constraint, *flows = verify_lax(tau, rhos, sigmas, args.k, order, D=cfg.D)
     payload = {"constraint": constraint.to_json(),
                "flows": [f.to_json() for f in flows]}
     _emit(payload, args.pretty)

@@ -237,9 +237,6 @@ class MPoly:
     def __sub__(self, other) -> "MPoly":
         return self._combine(other, -1)
 
-    def __rsub__(self, other) -> "MPoly":
-        return (-self) + other
-
     def _scaled(self, p: int, q: int) -> "MPoly":
         """self * p/q for coprime p and q > 0."""
         if not p or not self.num:
@@ -376,16 +373,6 @@ class MPoly:
                     best = max(best, i + 1)
                     break
         return best
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return Fraction(self.num.get(tuple(exp), 0), self.den)
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        """Leading term in graded lexicographic order."""
-        if not self.num:
-            raise PolyError("zero polynomial has no leading term")
-        exp = max(self.num, key=_grlex_key)
-        return exp, Fraction(self.num[exp], self.den)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, coprime coefficients.

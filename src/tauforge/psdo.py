@@ -52,12 +52,12 @@ class PsiDO:
 
     __slots__ = ("ring", "coeffs", "floor", "exact_to")
 
-    def __init__(self, ring: TauRing, coeffs: dict[int, TauFrac] | None = None,
-                 floor: int = -8, exact_to: int | None = NEG_INF):
+    def __init__(self, ring: TauRing, coeffs: dict[int, TauFrac], floor: int,
+                 exact_to: int | None = NEG_INF):
         self.ring = ring
         self.floor = floor
         clean: dict[int, TauFrac] = {}
-        for order, fn in (coeffs or {}).items():
+        for order, fn in coeffs.items():
             if fn.ring is not ring and fn.ring.tau != ring.tau:
                 raise PolyError("coefficient ring mismatch")
             if fn.is_zero:
@@ -70,10 +70,6 @@ class PsiDO:
         self.exact_to = exact_to if exact_to is None else max(exact_to, floor)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: TauRing, floor: int) -> "PsiDO":
-        return cls(ring, {}, floor)
 
     @classmethod
     def identity(cls, ring: TauRing, floor: int) -> "PsiDO":
@@ -155,14 +151,8 @@ class PsiDO:
             out[order] = -fn if cur is None else cur - fn
         return PsiDO(self.ring, out, floor, e)
 
-    def scale(self, c) -> "PsiDO":
-        return PsiDO(self.ring, {o: f * c for o, f in self.coeffs.items()},
-                     self.floor, self.exact_to)
-
     def __mul__(self, other: "PsiDO") -> "PsiDO":
         """Composition; exactness shrinks by the partner's top order."""
-        if not isinstance(other, PsiDO):
-            return self.scale(other)
         floor = max(self.floor, other.floor)
         out: dict[int, TauFrac] = {}
         dropped = False
@@ -206,8 +196,6 @@ class PsiDO:
             e = floor if e is None else max(e, floor)
         return PsiDO(self.ring, out, floor, e)
 
-    __rmul__ = scale
-
     # -- involutions and parts ------------------------------------------------------
 
     def adjoint(self) -> "PsiDO":
@@ -248,14 +236,6 @@ class PsiDO:
                      {o: f for o, f in self.coeffs.items() if o >= 0},
                      self.floor, NEG_INF)
 
-    def minus_part(self) -> "PsiDO":
-        return PsiDO(self.ring,
-                     {o: f for o, f in self.coeffs.items() if o < 0},
-                     self.floor, self.exact_to)
-
-    def split(self) -> tuple["PsiDO", "PsiDO"]:
-        return self.plus_part(), self.minus_part()
-
     # -- actions -----------------------------------------------------------------------
 
     def apply_to(self, fn: TauFrac) -> TauFrac:
@@ -290,13 +270,6 @@ class PsiDO:
             "coefs": {str(o): self.coeffs[o].to_json()
                       for o in sorted(self.coeffs) if o >= bound},
         }
-
-    @classmethod
-    def from_json(cls, data: dict, ring: TauRing) -> "PsiDO":
-        """Read back to_json output whose denominators are powers of ring.tau."""
-        floor = int(data["truncation"])
-        coeffs = {int(o): ring.from_json(fj) for o, fj in data.get("coefs", {}).items()}
-        return cls(ring, coeffs, floor, floor)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -397,6 +370,16 @@ def _zero_checks(op: PsiDO, orders: Sequence[int]) -> list[OrderCheck]:
     return out
 
 
+def lax_depth(k: int, T: int) -> int:
+    """Depth of the one dressing verify_lax makes.
+
+    L^k is exact down to floor + k, so the constraint's -T needs floor
+    -(T + k + 1); the flow brackets lose k + 1 more orders, so their -3
+    needs -(3 + 2k + 1).
+    """
+    return max(T, k + 3) + k + 1
+
+
 def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                sigmas: Sequence[ChargedPoly], k: int, T: int,
                D: int | None = None) -> list[OperatorReport]:
@@ -416,10 +399,7 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     if D is None:
         D = max(poly.max_var_used(), k,
                 *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
-    # L^k is exact down to floor + k, so the constraint's -T needs floor
-    # -(T + k + 1); the flow brackets lose k + 1 more orders, so their -3
-    # needs -(3 + 2k + 1)
-    floor = -(max(T, k + 3) + k + 1)
+    floor = -lax_depth(k, T)
     P, Pinv = _dressing(poly, D, floor)
     ring = P.ring
     qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]

@@ -48,16 +48,6 @@ class TauRing:
     def const(self, value) -> "TauFrac":
         return TauFrac(self, MPoly.const(self.vars, value), 0)
 
-    def from_json(self, data: dict) -> "TauFrac":
-        """Read back a rendered element whose denominator is a power of tau."""
-        num, den = MPoly.from_json(data["num"]), MPoly.from_json(data["den"])
-        step = self.tau.total_degree()
-        power = den.total_degree() // step if step else 0
-        unit = divexact(self.power(power), den)
-        if unit is None or unit.total_degree():
-            raise ValueError("denominator is not a power of tau")
-        return self.frac(num * unit, power)
-
 
 class TauFrac:
     """Immutable element num / tau**power of a TauRing.
@@ -188,16 +178,8 @@ class RatFun:
         self.num = num / c if c != 1 else num
         self.den = den
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RatFun":
-        return cls(MPoly.from_json(data["num"]), MPoly.from_json(data["den"]))
 
     def __repr__(self) -> str:
         if self.den.total_degree() == 0:

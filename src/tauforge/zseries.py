@@ -10,7 +10,6 @@ error, never a silent zero, so residue extraction is provably exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from .mpoly import MPoly, PolyError
 
 
@@ -37,11 +36,6 @@ class ZSeries:
         self.coeffs = clean
         self.exact_hi = exact_hi  # None means exact at every order
 
-    @classmethod
-    def from_poly(cls, poly: MPoly, order: int = 0) -> "ZSeries":
-        """A single term poly * z**order, exact everywhere."""
-        return cls(poly.vars, {order: poly}, None)
-
     @property
     def min_order(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
@@ -56,10 +50,6 @@ class ZSeries:
                 f"order {order} above guaranteed-exact bound {self.exact_hi}")
         return self.coeffs.get(order, MPoly.zero(self.vars))
 
-    def residue(self) -> MPoly:
-        """Coefficient of z**-1."""
-        return self.coeff(-1)
-
     def _check(self, other: "ZSeries") -> None:
         if self.vars != other.vars:
             raise PolyError("variable counts differ")
@@ -72,32 +62,7 @@ class ZSeries:
             return a
         return min(a, b)
 
-    def __add__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for order, poly in other.coeffs.items():
-            s = out.get(order, MPoly.zero(self.vars)) + poly
-            if s.is_zero:
-                out.pop(order, None)
-            else:
-                out[order] = s
-        return ZSeries(self.vars, out, self._min_hi(self.exact_hi, other.exact_hi))
-
-    def __neg__(self) -> "ZSeries":
-        return ZSeries(self.vars, {o: -p for o, p in self.coeffs.items()}, self.exact_hi)
-
-    def __sub__(self, other: "ZSeries") -> "ZSeries":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ZSeries":
-        if isinstance(other, (int, Fraction)):
-            return ZSeries(self.vars,
-                           {o: p * other for o, p in self.coeffs.items()},
-                           self.exact_hi)
-        if isinstance(other, MPoly):
-            return ZSeries(self.vars,
-                           {o: p * other for o, p in self.coeffs.items()},
-                           self.exact_hi)
+    def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
         # Unknown orders above exact_hi of one factor contaminate products
         # starting at exact_hi + (lowest stored order of the other factor).
@@ -125,8 +90,6 @@ class ZSeries:
                 else:
                     out[order] = s
         return ZSeries(self.vars, out, hi)
-
-    __rmul__ = __mul__
 
     @staticmethod
     def product_coeff(*factors: "ZSeries", order: int) -> MPoly:
@@ -181,18 +144,6 @@ class ZSeries:
                         out[o] = s
             partial = out
         return partial.get(order, zero)
-
-    def shift_z(self, power: int) -> "ZSeries":
-        """Multiply by z**power."""
-        hi = None if self.exact_hi is None else self.exact_hi + power
-        return ZSeries(self.vars, {o + power: p for o, p in self.coeffs.items()}, hi)
-
-    def truncate(self, hi: int) -> "ZSeries":
-        """Forget everything above order hi and record the loss."""
-        new_hi = hi if self.exact_hi is None else min(hi, self.exact_hi)
-        return ZSeries(self.vars,
-                       {o: p for o, p in self.coeffs.items() if o <= new_hi},
-                       new_hi)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ZSeries):

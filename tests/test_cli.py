@@ -12,8 +12,10 @@ import tauforge
 import tauforge.cli as cli
 import tauforge.psdo as psdo
 from tauforge.cli import main
-from tauforge.grassmann import companions
-from tauforge.psdo import TruncationError
+from tauforge.grassmann import (DegenerateCompanionError, companions,
+                                generate_from_matrix)
+from tauforge.hirota import verify_suite
+from tauforge.psdo import TruncationError, dress_from_tau, verify_lax
 
 
 @pytest.fixture
@@ -156,6 +158,11 @@ class TestRationalInput:
          {"tail": -1.5, "basis": [{"minExp": -2, "coefs": ["1"]}]}),
         ("grass min-n", "--grpoint",
          {"tail": -1, "basis": [{"minExp": -2.7, "coefs": ["1"]}]}),
+        ("grass min-n", "--grpoint", None),
+        ("grass companions", "--grpoint", [{"tail": -1}]),
+        ("verify", "--tau", {"charge": 0, "poly": {"vars": 10**12, "terms": []}}),
+        ("lax", "--tau", {"charge": 0, "poly": {"vars": cli.MAX_VARS + 1, "terms": [
+            {"exp": [1] + [0] * cli.MAX_VARS, "coef": "1"}]}}),
     ])
     def test_exit_two_without_traceback(self, capsys, tmp_path, command, flag,
                                          payload):
@@ -241,6 +248,53 @@ class TestWeightBudget:
         assert (code, err) == (expect, "")
 
 
+class TestDepthBudget:
+    """lax and dress refuse, before any work, a dressing deeper than MAX_DEPTH;
+    the message names the flags that set the depth."""
+
+    def test_largest_flags_exit_at_once(self, golden_files):
+        # each flag is within its own limit; together they ask for depth 81.
+        # A child process keeps a hang from stalling the suite
+        src = str(Path(tauforge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "tauforge.cli", "lax",
+                               "--tau", golden_files["tau"], "--k", "16",
+                               "--order", "64"],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"input error: --k 16 and --order 64: dressing depth "
+                               f"81 is above the limit {cli.MAX_DEPTH}\n")
+
+    @pytest.mark.parametrize("argv,depth", [
+        (["lax", "--k", "1", "--order", str(cli.MAX_DEPTH - 1)], cli.MAX_DEPTH + 1),
+        (["lax", "--k", str(cli.MAX_DEPTH // 2), "--order", "3"], cli.MAX_DEPTH + 4),
+        (["dress", "--order", str(cli.MAX_DEPTH)], cli.MAX_DEPTH + 1),
+    ])
+    def test_above_the_limit(self, capsys, tmp_path, argv, depth):
+        # the tau file is never read
+        code, out, err = run(capsys, [*argv, "--tau", str(tmp_path / "absent.json")])
+        assert (code, out) == (2, "")
+        flags = " and ".join(f"{f} {v}" for f, v in zip(argv[1::2], argv[2::2]))
+        assert err == (f"input error: {flags}: dressing depth {depth} is above "
+                       f"the limit {cli.MAX_DEPTH}\n")
+
+    def test_config_truncation_counts(self, capsys, tmp_path, golden_files):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truncation": cli.MAX_DEPTH}))
+        code, _, err = run(capsys, ["dress", "--tau", golden_files["tau"],
+                                    "--config", str(cfg)])
+        assert code == 2 and "dressing depth" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lax", "--k", "1", "--order", str(cli.MAX_DEPTH - 2)],
+        ["lax", "--k", str((cli.MAX_DEPTH - 4) // 2), "--order", "3"],
+        ["dress", "--order", str(cli.MAX_DEPTH - 1)],
+    ])
+    def test_at_the_limit(self, capsys, golden_files, argv):
+        code, _, err = run(capsys, [*argv, "--tau", golden_files["tau"]])
+        assert code in (0, 1) and err == ""
+
+
 K_COMMANDS = [
     ["tau-from-matrix", "--matrix", "matrix"],
     ["verify", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
@@ -279,6 +333,54 @@ class TestFlagRange:
                                       "--n=-1"])
         assert (code, out) == (2, "")
         assert err == "input error: --n must be at least 0, got -1\n"
+
+
+def library_error(call) -> str:
+    """The stderr the CLI owes a ValueError that call raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return f"input error: {exc.value}\n"
+
+
+class TestLibraryErrors:
+    """A ValueError from the library (DomainError and GrassmannError among
+    them) exits 2 with the library's message, unchanged."""
+
+    @pytest.mark.parametrize("case", ["verify-unequal-pairs", "lax-unequal-pairs",
+                                      "grass-companions-short-D", "dress-short-D",
+                                      "grass-degenerate-companion"])
+    def test_exit_two_with_library_message(self, capsys, tmp_path, monkeypatch,
+                                           golden_point, golden_files, case):
+        tau, rhos, _ = companions(golden_point, 1, 6)
+        f = golden_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"D": 1}))
+        if case == "grass-degenerate-companion":
+            def degenerate(*args):
+                raise DegenerateCompanionError("companion 1 vanished")
+
+            monkeypatch.setattr(cli, "companions", degenerate)
+        argv, call = {
+            "verify-unequal-pairs": (
+                ["verify", "--tau", f["tau"], "--rho", f["rho"], "--k", "1"],
+                lambda: verify_suite(tau, rhos, [], 1)),
+            "lax-unequal-pairs": (
+                ["lax", "--tau", f["tau"], "--rho", f["rho"], "--k", "1"],
+                lambda: verify_lax(tau, rhos, [], 1, 5)),
+            "grass-companions-short-D": (
+                ["grass", "companions", "--grpoint", f["point"], "--k", "1",
+                 "--config", str(cfg)],
+                lambda: companions(golden_point, 1, 1)),
+            "dress-short-D": (
+                ["dress", "--tau", f["tau"], "--config", str(cfg)],
+                lambda: dress_from_tau(tau, 5, 1)),
+            "grass-degenerate-companion": (
+                ["grass", "companions", "--grpoint", f["point"], "--k", "1"],
+                lambda: cli.companions(golden_point, 1)),
+        }[case]
+        expected = library_error(call)
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", expected)
 
 
 class TestGrass:
@@ -516,6 +618,8 @@ class TestConfig:
                                       golden_files["matrix"], "--k", "1",
                                       "--n", "1", "--config", str(cfg)])
         assert code == 2 and out == ""
+        entries = cli._load_matrix(golden_files["matrix"])
+        assert err == library_error(lambda: generate_from_matrix(entries, 1, 1, 1))
         assert err.startswith("input error: need D >= 2")
 
 
@@ -582,6 +686,83 @@ def test_fock_vector_fuzz_exit_codes(tmp_path):
         argv = ["fock-apply", "--op", op[0], f"--index={op[1]}", "--vector", str(vector)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)  # an escape is a traceback
+        assert code in (0, 1, 2), (payload, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def _mostly(st, good, bad):
+    """good nine draws in ten, else bad, so most payloads get past the loader."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+def _loader_payloads(st, loader):
+    """Objects shaped like the loader's payload with a stray bad field here
+    and there, and arbitrary JSON.
+
+    The tail and the pivots of a point are never large integers: grass
+    work grows with the weight and the charge of the point, which no limit
+    bounds yet, so those would test the missing size budget, not the
+    loader.  Elsewhere any integer may stand in a field.
+    """
+    junk = (st.none() | st.booleans() | st.floats() | st.text(max_size=2)
+            | st.sampled_from(["1/0", "1e5", "x", "1.5"]))
+    big = junk | st.integers()
+    coef = _mostly(st, st.sampled_from(["1", "-1/2", "0", "3", "-2/3"]), big)
+    small = _mostly(st, st.integers(-6, 6), junk)
+    if loader == "tau":
+        term = st.fixed_dictionaries({
+            "exp": _mostly(st, st.lists(_mostly(st, st.integers(0, 2), big),
+                                        min_size=3, max_size=3),
+                           st.lists(big, max_size=4)),
+            "coef": coef})
+        poly = st.fixed_dictionaries({"vars": _mostly(st, st.just(3), big),
+                                      "terms": _mostly(st, st.lists(term, max_size=3), big)})
+        shaped = st.fixed_dictionaries({"charge": _mostly(st, st.integers(-6, 6), big),
+                                        "poly": _mostly(st, poly, _json_values(st))})
+    elif loader == "grpoint":
+        row = st.fixed_dictionaries({
+            "minExp": small,
+            "coefs": _mostly(st, st.lists(coef, min_size=1, max_size=3), junk)})
+        shaped = st.fixed_dictionaries({
+            "tail": small, "basis": _mostly(st, st.lists(row, max_size=3), junk)})
+    else:
+        shaped = st.integers(1, 5).flatmap(lambda rows: st.integers(1, 3).flatmap(
+            lambda cols: st.fixed_dictionaries({
+                "rows": _mostly(st, st.just(rows), big),
+                "cols": _mostly(st, st.just(cols), big),
+                "entries": _mostly(st, st.lists(st.lists(coef, min_size=cols,
+                                                         max_size=cols),
+                                                min_size=rows, max_size=rows),
+                                   junk)})))
+    return _mostly(st, shaped, _json_values(st))
+
+
+@pytest.mark.parametrize("loader,argv", [
+    ("tau", ["verify", "--tau"]),
+    ("grpoint", ["grass", "min-n", "--grpoint"]),
+    ("grpoint", ["grass", "companions", "--grpoint"]),
+    ("grpoint", ["grass", "dtk", "--grpoint"]),
+    ("matrix", ["tau-from-matrix", "--matrix"]),
+])
+def test_loader_fuzz_exit_codes(tmp_path, loader, argv):
+    """Any JSON value as a tau, point or matrix file ends in exit 0, 1 or 2:
+    never an internal error, never a traceback."""
+    hyp = pytest.importorskip("hypothesis")
+    path = tmp_path / "input.json"
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, database=None,
+                  derandomize=True)
+    @hyp.given(_loader_payloads(st, loader), st.sampled_from(["1", "2"]),
+               st.sampled_from(["0", "1", "2"]))
+    def check(payload, k, n):
+        path.write_text(json.dumps(payload))
+        extra = ["--n", n] if loader == "matrix" else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path), "--k", k, *extra])  # an escape is a traceback
         assert code in (0, 1, 2), (payload, err.getvalue())
         assert "Traceback" not in err.getvalue()
 

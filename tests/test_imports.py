@@ -1,5 +1,6 @@
 """Every imported name in the sources and tests is read somewhere, and so
-is every module-level definition of the package.
+is every module-level definition of the package and every method and
+property of its classes.
 
 ``tauforge/__init__.py`` is skipped: its imports are the package's
 re-exports.  ``from __future__`` imports are directives, not names.
@@ -43,10 +44,21 @@ def test_no_unread_imports():
     assert found == {}
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def module_definitions(source: str) -> dict[str, int]:
-    """Module-level functions, classes and assigned names, dunders aside."""
+    """Module-level functions, classes and assigned names, dunders aside,
+    and the methods and properties of module-level classes as
+    ``Class.name``."""
     found = {}
     for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{item.name}", item.lineno)
+                         for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not is_dunder(item.name))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -57,7 +69,7 @@ def module_definitions(source: str) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if not (name.startswith("__") and name.endswith("__")):
+            if not is_dunder(name):
                 found[name] = node.lineno
     return found
 
@@ -75,10 +87,13 @@ def names_read(source: str) -> set[str]:
 
 def test_scan_sees_unread_definitions():
     source = ("A = 1\nB, C = 2, 3\n__all__ = []\ndef f(): return g.h\n"
-              "class K: pass\nD: int = A\n")
+              "class K: pass\nD: int = A\n"
+              "class M:\n    def m(self): pass\n    @property\n    def p(self): pass\n"
+              "    def __eq__(self, other): pass\n    x = 1\n")
     assert module_definitions(source) == \
-        {"A": 1, "B": 2, "C": 2, "f": 4, "K": 5, "D": 6}
-    assert names_read(source) == {"A", "g", "h", "int"}
+        {"A": 1, "B": 2, "C": 2, "f": 4, "K": 5, "D": 6, "M": 7, "M.m": 8,
+         "M.p": 10}
+    assert names_read(source) == {"A", "g", "h", "int", "property"}
 
 
 def test_no_unread_definitions():
@@ -91,5 +106,6 @@ def test_no_unread_definitions():
     found = {path.name: unread for path in modules
              if (unread := [f"line {line}: {name}" for name, line
                             in module_definitions(path.read_text()).items()
-                            if name not in read | exported])}
+                            if name.rpartition(".")[2] not in read
+                            and name not in exported])}
     assert found == {}

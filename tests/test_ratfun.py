@@ -37,7 +37,7 @@ class TestNormalization:
 
     def test_zero_numerator(self):
         f = RatFun(MPoly.zero(2), V(1))
-        assert f.is_zero
+        assert f.num.is_zero
         assert f.den == MPoly.const(2, 1)
         assert TauRing(V(1)).frac(MPoly.zero(2), 3).power == 0
 
@@ -166,15 +166,3 @@ class TestEvaluation:
                 assert not all(values)
             outcomes.append(agree)
         assert True in outcomes and False in outcomes
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        f = RatFun(V(1) + 1, V(2)**2)
-        g = RatFun.from_json(f.to_json())
-        assert (g.num, g.den) == (f.num, f.den)
-        R = TauRing(V(2) * 3)
-        h = R.frac(V(1) + 1, 2)
-        assert R.from_json(h.to_json()).equals(h)
-        with pytest.raises(ValueError):
-            R.from_json(RatFun(V(2), V(1) + 1).to_json())
