@@ -22,7 +22,7 @@ from .fock import FockVector, alpha, psi_minus, psi_plus, shift_charge
 from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
                         companions, dtk_decomposition, generate_from_matrix,
                         stable_subspace)
-from .hirota import identity_family, required_vars, verify_suite
+from .hirota import verify_suite
 from .psdo import dress_from_tau, lax_depth, verify_lax
 
 
@@ -45,11 +45,20 @@ MAX_INDEX = 64
 # t_1^8 + t_2^4, at the weight limit: depth 16 (--k 6 --order 3) 3.0 s,
 # 20 (--k 8 --order 3) 9.4 s, 24 (--k 1 --order 22) 6.2 s.
 MAX_DEPTH = 20
-# Upper bound on the weighted degree of a --tau, --rho or --sigma file:
-# the bilinear residues of verify grow about 2.2x per step of weight
-# (verify --k 1 on t_1^8 takes 1.3 s, on t_1^10 6.8 s, on a 2-core x86
-# machine under CPython 3.11).
+# Upper bound on the weighted degree of a --tau, --rho or --sigma file and
+# of the tau of a --grpoint point: the bilinear residues of verify grow
+# about 2.2x per step of weight (verify --k 1 on t_1^8 takes 1.3 s, on
+# t_1^10 6.8 s, on a 2-core x86 machine under CPython 3.11); grass
+# companions took 7 s on a weight-19 point, at most 0.3 s on weight-8
+# points for --k 1..16, with tails of 0, -10^6 and -10^300 alike.
 MAX_WEIGHT = 8
+# Upper bound on the term count of a lax or dress --tau; verify is not
+# bounded by it.  On the first n terms of S_(8) in 8 variables (weight 8),
+# on the machine above: n = 4: dress --order 5 0.3 s, lax --k 1 --order 5
+# 0.3 s, --k 3 2.3 s; n = 6: 0.5, 0.8 and 21 s; n = 8: 1.4, 3.6 s; n = 10:
+# 2.4, 6.3 s; n = 22: 13 and 45 s.  Bench lax taus have at most 4 terms.
+# Depth still multiplies: at depth 20 (--k 8 --order 3) n = 4 ran past 120 s.
+MAX_TERMS = 6
 
 
 class InputError(Exception):
@@ -89,12 +98,17 @@ class RunConfig:
         return cfg
 
 
-def _load_charged_poly(path: str) -> ChargedPoly:
+def _load(path: str, kind: str, parse):
+    """parse(JSON of path); a payload it rejects is a bad <kind> payload."""
     data = _load_json(path)
     try:
-        cp = ChargedPoly.from_json(data)
+        return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad polynomial payload ({exc})") from exc
+        raise InputError(f"{path}: bad {kind} payload ({exc})") from exc
+
+
+def _load_charged_poly(path: str) -> ChargedPoly:
+    cp = _load(path, "polynomial", ChargedPoly.from_json)
     if cp.poly.vars > MAX_VARS:
         raise InputError(f"{path}: {cp.poly.vars} variables is above the limit "
                          f"{MAX_VARS}")
@@ -105,34 +119,40 @@ def _load_charged_poly(path: str) -> ChargedPoly:
     return cp
 
 
+def _load_lax_tau(path: str) -> ChargedPoly:
+    tau = _load_charged_poly(path)
+    terms = len(tau.poly.num)
+    if terms > MAX_TERMS:
+        raise InputError(f"{path}: {terms} terms is above the limit {MAX_TERMS}")
+    return tau
+
+
 def _load_grpoint(path: str) -> GrPoint:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: a point must be a JSON object")
-    try:
+    def parse(data) -> GrPoint:
+        if not isinstance(data, dict):
+            raise InputError(f"{path}: a point must be a JSON object")
         return GrPoint.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad point payload ({exc})") from exc
+
+    point = _load(path, "point", parse)
+    if point.weight > MAX_WEIGHT:
+        raise InputError(f"{path}: the point's tau has weighted degree "
+                         f"{point.weight}, above the limit {MAX_WEIGHT}")
+    return point
 
 
 def _load_matrix(path: str) -> list[list[Fraction]]:
-    data = _load_json(path)
-    try:
+    def parse(data) -> list[list[Fraction]]:
         rows, cols = parse_int(data["rows"]), parse_int(data["cols"])
         entries = [[parse_rat(v) for v in row] for row in data["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad matrix payload ({exc})") from exc
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise InputError(f"{path}: entry grid does not match rows x cols")
-    return entries
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise InputError(f"{path}: entry grid does not match rows x cols")
+        return entries
+
+    return _load(path, "matrix", parse)
 
 
 def _load_fock(path: str) -> FockVector:
-    data = _load_json(path)
-    try:
-        vec = FockVector.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad vector payload ({exc})") from exc
+    vec = _load(path, "vector", FockVector.from_json)
     if any(abs(m) > MAX_INDEX for m in vec.charges()):
         raise InputError(f"{path}: state charges must be at most {MAX_INDEX} "
                          "in absolute value")
@@ -144,20 +164,6 @@ def _emit(payload, pretty: bool) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def _suite_vars(tau, rhos, sigmas, k, requested: int | None) -> int | None:
-    """Honor a requested variable count, raising it when provably short."""
-    if requested is None:
-        return None
-    operands, family = identity_family(tau, rhos, sigmas, k)
-    needed = max(required_vars(operands[left], operands[right])
-                 for _, left, right, _ in family)
-    if requested < needed:
-        print(f"notice: raising variable count {requested} -> {needed} "
-              "to keep residues exact", file=sys.stderr)
-        return needed
-    return requested
 
 
 def cmd_tau_from_matrix(args, cfg: RunConfig) -> int:
@@ -179,8 +185,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     tau = _load_charged_poly(args.tau)
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
-    D = _suite_vars(tau, rhos, sigmas, args.k, cfg.D)
-    report = verify_suite(tau, rhos, sigmas, args.k, D)
+    report = verify_suite(tau, rhos, sigmas, args.k, cfg.D)
+    if cfg.D is not None and report.D > cfg.D:
+        print(f"notice: raising variable count {cfg.D} -> {report.D} "
+              "to keep residues exact", file=sys.stderr)
     _emit(report.to_json(), args.pretty)
     return 0 if report.all_pass else 1
 
@@ -211,7 +219,7 @@ def _check_depth(depth: int, flags: str) -> None:
 def cmd_dress(args, cfg: RunConfig) -> int:
     order = args.order if args.order is not None else cfg.truncation
     _check_depth(order + 1, f"--order {order}")
-    tau = _load_charged_poly(args.tau)
+    tau = _load_lax_tau(args.tau)
     pair = dress_from_tau(tau, order, cfg.D)
     _emit({"P": pair.P.to_json(), "L": pair.L.to_json()}, args.pretty)
     return 0
@@ -220,7 +228,7 @@ def cmd_dress(args, cfg: RunConfig) -> int:
 def cmd_lax(args, cfg: RunConfig) -> int:
     order = args.order if args.order is not None else cfg.truncation
     _check_depth(lax_depth(args.k, order), f"--k {args.k} and --order {order}")
-    tau = _load_charged_poly(args.tau)
+    tau = _load_lax_tau(args.tau)
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
     constraint, *flows = verify_lax(tau, rhos, sigmas, args.k, order, D=cfg.D)

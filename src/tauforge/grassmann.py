@@ -108,6 +108,11 @@ class GrPoint:
     def pivots(self) -> list[int]:
         return [min(dict(v)) for v in self.basis]
 
+    @property
+    def weight(self) -> int:
+        """Weighted degree of the point's tau: the weight of its pivot partition."""
+        return sum(_pivot_state(self.pivots(), self.tail).parts)
+
     def contains_vector(self, vec: LaurentVector) -> bool:
         rows = {min(r): (r, {}) for r in self.vectors()}
         return not _eliminate(rows, _below(vec, self.tail), {})[0]

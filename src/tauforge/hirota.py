@@ -17,7 +17,7 @@ All checks return reports with full polynomial witnesses on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .mpoly import MPoly
@@ -48,7 +48,10 @@ class Check:
 
 @dataclass
 class BilinearReport:
-    checks: list[Check] = field(default_factory=list)
+    """The checks, and the variable count D the residues were formed in."""
+
+    checks: list[Check]
+    D: int
 
     @property
     def all_pass(self) -> bool:
@@ -78,8 +81,10 @@ def bilinear_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     if D < required_vars(u, v):
         raise DomainError(f"need D >= {required_vars(u, v)}, got {D}")
     weight = u.charge - v.charge
-    left = miwa_shift(embed_t(u.poly, D), -1, block=D)
-    right = miwa_shift(embed_tprime(v.poly, D), +1, var_offset=D)
+    left = miwa_shift(u.poly.embed(D), -1)
+    right = miwa_shift(v.poly.embed(D), +1)
+    left = ZSeries(2 * D, {o: embed_t(c, D) for o, c in left.coeffs.items()})
+    right = ZSeries(2 * D, {o: embed_tprime(c, D) for o, c in right.coeffs.items()})
     _, kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
     kernel = xi_kernel(D, kmax)
     return ZSeries.product_coeff(left, right, kernel, order=-1 - weight)
@@ -105,6 +110,8 @@ def identity_family(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     residue(left, right) = sum a(t) b(t'); the charges alone give the
     weights z**0 (KP), z**k (constrained-k) and z**-1 (rho_j, sigma_j).
     """
+    if tau.poly.is_zero:
+        raise ValueError("tau must be nonzero")
     if len(rhos) != len(sigmas):
         raise ValueError("companion lists must have equal length")
     m, n = tau.charge, len(rhos)
@@ -151,13 +158,16 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
 
     Passing certifies membership in filtration level n = len(rhos) of the
     k-constrained hierarchy; the bosonic residues and the fermionic
-    tensors must agree one by one.
+    tensors must agree one by one.  A D too short for some residue is
+    raised to the least that keeps every residue exact.
     """
     operands, family = identity_family(tau, rhos, sigmas, k)
     if D is None:
         top = max(cp.poly.wdeg() for cp in operands)
         _, kmax = bilinear_window(top, top, -1)
         D = max(top, kmax, k, 1)
+    D = max(D, *(required_vars(operands[left], operands[right])
+                 for _, left, right, _ in family))
     checks = []
     for label, left, right, pairs in family:
         diff = bilinear_residue(operands[left], operands[right], D)
@@ -171,4 +181,4 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
         target = tensor_sum(tensor_of(images[a], images[b]) for a, b in pairs)
         checks.append(fermionic_bilinear_check(images[left], images[right], target,
                                                label=f"fermionic-{label}"))
-    return BilinearReport(checks)
+    return BilinearReport(checks, D)

@@ -349,15 +349,13 @@ class MPoly:
 
     # -- structure -------------------------------------------------------
 
-    def wdeg(self, weights: Sequence[int] | None = None) -> int:
-        """Weighted degree; variable t_i has weight i unless overridden.
+    def wdeg(self) -> int:
+        """Weighted degree; variable t_i has weight i.
 
         The zero polynomial reports 0.
         """
-        if weights is None:
-            weights = range(1, self.vars + 1)
         return max(
-            (sum(w * e for w, e in zip(weights, exp)) for exp in self.num),
+            (sum(w * e for w, e in enumerate(exp, start=1)) for exp in self.num),
             default=0,
         )
 
@@ -437,18 +435,16 @@ class MPoly:
             terms[exp] = terms.get(exp, Fraction(0)) + parse_rat(item["coef"])
         return cls(vars, terms)
 
-    def format(self, names: Sequence[str] | None = None) -> str:
+    def format(self) -> str:
         """Render with terms in descending graded-lex order."""
         if not self.num:
             return "0"
-        if names is None:
-            names = [f"t{i}" for i in range(1, self.vars + 1)]
         parts = []
         for exp in sorted(self.num, key=_grlex_key, reverse=True):
             coef = Fraction(self.num[exp], self.den)
             factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(exp)
+                f"t{i}" if e == 1 else f"t{i}^{e}"
+                for i, e in enumerate(exp, start=1)
                 if e
             ]
             body = "*".join(factors)

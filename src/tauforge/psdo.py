@@ -43,6 +43,40 @@ def _binomial(i: int, j: int) -> int:
     return out
 
 
+def _tightest(*bounds: int | None) -> int | None:
+    """The tightest exact_to bound; exact at every order only if all bounds are."""
+    known = [e for e in bounds if e is not None]
+    return max(known) if known else NEG_INF
+
+
+def _leibniz(out: dict[int, TauFrac], a: TauFrac | int, i: int, b: TauFrac, l: int,
+             floor: int) -> bool:
+    """Add a d^i b d^l = sum_j C(i, j) a b^(j) d^(i-j+l) into out, in that
+    order of j, down to floor; True if the series was cut there.
+
+    a is a coefficient or an integer sign.  The series stops where b^(j)
+    vanishes or, for i >= 0, at j = i.
+    """
+    deriv = b
+    j = 0
+    while True:
+        order = i - j + l
+        if order < floor:
+            return True
+        if j:
+            deriv = deriv.differentiate(1)  # cached on the element
+        if deriv.is_zero:
+            return False
+        c = _binomial(i, j)
+        if c:
+            term = (a if c == 1 else a * c) * deriv
+            cur = out.get(order)
+            out[order] = term if cur is None else cur + term
+        if i >= 0 and j >= i:
+            return False
+        j += 1
+
+
 class PsiDO:
     """Operator sum_{order <= max_order} coeffs[order] * d^order.
 
@@ -108,8 +142,7 @@ class PsiDO:
         """Coefficientwise equality on the jointly guaranteed order range."""
         if not isinstance(other, PsiDO):
             return NotImplemented
-        bounds = [e for e in (self.exact_to, other.exact_to) if e is not None]
-        bound = max(bounds) if bounds else None
+        bound = _tightest(self.exact_to, other.exact_to)
         orders = set(self.coeffs) | set(other.coeffs)
         if bound is not None:
             orders = {o for o in orders if o >= bound}
@@ -119,114 +152,45 @@ class PsiDO:
 
     # -- ring operations ----------------------------------------------------------
 
-    def _join(self, other: "PsiDO") -> tuple[int, int | None]:
-        floor = max(self.floor, other.floor)
-        if self.exact_to is None and other.exact_to is None:
-            e = NEG_INF
-        elif self.exact_to is None:
-            e = other.exact_to
-        elif other.exact_to is None:
-            e = self.exact_to
-        else:
-            e = max(self.exact_to, other.exact_to)
-        return floor, e
-
     def __add__(self, other: "PsiDO") -> "PsiDO":
-        floor, e = self._join(other)
         out = dict(self.coeffs)
         for order, fn in other.coeffs.items():
             cur = out.get(order)
             out[order] = fn if cur is None else cur + fn
-        return PsiDO(self.ring, out, floor, e)
+        return PsiDO(self.ring, out, max(self.floor, other.floor),
+                     _tightest(self.exact_to, other.exact_to))
 
     def __neg__(self) -> "PsiDO":
         return PsiDO(self.ring, {o: -f for o, f in self.coeffs.items()},
                      self.floor, self.exact_to)
 
     def __sub__(self, other: "PsiDO") -> "PsiDO":
-        floor, e = self._join(other)
-        out = dict(self.coeffs)
-        for order, fn in other.coeffs.items():
-            cur = out.get(order)
-            out[order] = -fn if cur is None else cur - fn
-        return PsiDO(self.ring, out, floor, e)
+        return self + -other
 
     def __mul__(self, other: "PsiDO") -> "PsiDO":
         """Composition; exactness shrinks by the partner's top order."""
         floor = max(self.floor, other.floor)
         out: dict[int, TauFrac] = {}
         dropped = False
-        derivs: dict[int, list[TauFrac]] = {l: [b] for l, b in other.coeffs.items()}
         for i, a in self.coeffs.items():
-            for l, chain in derivs.items():
-                j = 0
-                while True:
-                    order = i - j + l
-                    if order < floor:
-                        dropped = True
-                        break
-                    if j == len(chain):
-                        chain.append(chain[-1].differentiate(1))
-                    deriv = chain[j]
-                    if deriv.is_zero:
-                        break
-                    c = _binomial(i, j)
-                    if c:
-                        term = (a if c == 1 else a * c) * deriv
-                        cur = out.get(order)
-                        out[order] = term if cur is None else cur + term
-                    if i >= 0 and j >= i:
-                        break
-                    j += 1
-        e_self, e_other = self.exact_to, other.exact_to
-        top_self = self.max_order
-        top_other = other.max_order
-        if e_self is None and e_other is None:
-            e: int | None = NEG_INF
-        elif top_self is None or top_other is None:
-            e = NEG_INF  # zero operator
-        else:
-            candidates = []
-            if e_self is not None:
-                candidates.append(e_self + top_other)
-            if e_other is not None:
-                candidates.append(e_other + top_self)
-            e = max(candidates)
-        if dropped:
-            e = floor if e is None else max(e, floor)
-        return PsiDO(self.ring, out, floor, e)
+            for l, b in other.coeffs.items():
+                dropped |= _leibniz(out, a, i, b, l, floor)
+        e = NEG_INF  # a zero operand gives the exact zero operator
+        if self.coeffs and other.coeffs:
+            e = _tightest(None if self.exact_to is None else self.exact_to + other.max_order,
+                          None if other.exact_to is None else other.exact_to + self.max_order)
+        return PsiDO(self.ring, out, floor, _tightest(e, floor) if dropped else e)
 
     # -- involutions and parts ------------------------------------------------------
 
     def adjoint(self) -> "PsiDO":
         """(a d^i)* = (-d)^i a, extended linearly; an anti-involution."""
-        floor = self.floor
         out: dict[int, TauFrac] = {}
         dropped = False
         for i, a in self.coeffs.items():
-            sign = 1 if i % 2 == 0 else -1
-            deriv = a
-            j = 0
-            while True:
-                order = i - j
-                if order < floor:
-                    dropped = True
-                    break
-                if deriv.is_zero:
-                    break
-                c = _binomial(i, j)
-                if c:
-                    term = deriv * (c * sign)
-                    cur = out.get(order)
-                    out[order] = term if cur is None else cur + term
-                if i >= 0 and j >= i:
-                    break
-                deriv = deriv.differentiate(1)
-                j += 1
+            dropped |= _leibniz(out, 1 if i % 2 == 0 else -1, i, a, 0, self.floor)
         e = self.exact_to
-        if dropped:
-            e = floor if e is None else max(e, floor)
-        return PsiDO(self.ring, out, floor, e)
+        return PsiDO(self.ring, out, self.floor, _tightest(e, self.floor) if dropped else e)
 
     def plus_part(self) -> "PsiDO":
         """Differential part (orders >= 0), always fully exact."""
@@ -361,13 +325,14 @@ class OperatorReport:
                 "orders": [c.to_json() for c in self.checks]}
 
 
+def _zero_check(order: int, fn: TauFrac) -> OrderCheck:
+    """Exact zero test of one coefficient; a nonzero one is its witness."""
+    return OrderCheck(order, fn.is_zero, None if fn.is_zero else fn)
+
+
 def _zero_checks(op: PsiDO, orders: Sequence[int]) -> list[OrderCheck]:
-    """Exact zero test per order, top first; a nonzero coefficient is its witness."""
-    out = []
-    for order in sorted(orders, reverse=True):
-        fn = op.coeff(order)
-        out.append(OrderCheck(order, fn.is_zero, None if fn.is_zero else fn))
-    return out
+    """One zero check per order, top first."""
+    return [_zero_check(order, op.coeff(order)) for order in sorted(orders, reverse=True)]
 
 
 def lax_depth(k: int, T: int) -> int:
@@ -396,9 +361,12 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     if len(rhos) != len(sigmas):
         raise ValueError("companion lists must have equal length")
     poly = tau.poly
+    needed = max(poly.max_var_used(), k,
+                 *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]], 1)
     if D is None:
-        D = max(poly.max_var_used(), k,
-                *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]] or [1], 1)
+        D = needed
+    elif D < needed:
+        raise DomainError(f"need D >= {needed}, got {D}")
     floor = -lax_depth(k, T)
     P, Pinv = _dressing(poly, D, floor)
     ring = P.ring
@@ -419,6 +387,5 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     for j, (q, r) in enumerate(zip(qs, rs), start=1):
         for name, fn in ((f"q_{j}-flow-t{k}", q.differentiate(k) - Lk_plus.apply_to(q)),
                          (f"r_{j}-flow-t{k}", r.differentiate(k) + adj.apply_to(r))):
-            reports.append(OperatorReport(
-                name, [OrderCheck(0, fn.is_zero, None if fn.is_zero else fn)]))
+            reports.append(OperatorReport(name, [_zero_check(0, fn)]))
     return reports

@@ -152,41 +152,28 @@ def _det(grid: list[list[MPoly]], D: int) -> MPoly:
     return acc
 
 
-def miwa_shift(p: MPoly, sign: int, *, var_offset: int = 0,
-               block: int | None = None) -> ZSeries:
+def miwa_shift(p: MPoly, sign: int) -> ZSeries:
     """Substitute t_i -> t_i + sign * z**-i / i and expand exactly.
 
     The result is a Laurent polynomial in z**-1 with orders in
-    [-wdeg(p), 0]; the z**0 coefficient is p itself.  ``var_offset`` and
-    ``block`` select a contiguous variable block to shift (slot b of the
-    block carries weight b), which is how the primed copy of a doubled
-    variable space gets its own shift.
+    [-wdeg(p), 0]; the z**0 coefficient is p itself.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     D = p.vars
-    block = D - var_offset if block is None else block
-    if var_offset < 0 or var_offset + block > D:
-        raise PolyError("shift block out of range")
-    weights = [0] * D
-    for b in range(block):
-        weights[var_offset + b] = b + 1
     # every coefficient is an integer over p.den * scale: a term that takes
-    # j_i factors z**-w_i/w_i from slot i is divided by prod w_i**j_i, which
-    # divides scale = prod w_i**top_i, top_i the highest power of slot i
+    # j_i factors z**-i/i from t_i is divided by prod i**j_i, which divides
+    # scale = prod i**top_i, top_i the highest power of t_i
     scale = 1
-    for pos, w in enumerate(weights):
-        if w:
-            scale *= w ** max((exp[pos] for exp in p.num), default=0)
+    for w in range(2, D + 1):
+        scale *= w ** max((exp[w - 1] for exp in p.num), default=0)
     out: dict[int, dict[tuple[int, ...], int]] = {}
     for exp, coef in p.num.items():
         # expand prod (t_i + sign*z^-i/i)^e_i over choices of binomial splits;
         # a partial carries (z order, exponent, numerator, divisor)
         partials: list[tuple[int, tuple[int, ...], int, int]] = [(0, exp, coef, 1)]
-        for pos in range(D):
-            w = weights[pos]
-            e = exp[pos]
-            if w == 0 or e == 0:
+        for w, e in enumerate(exp, start=1):
+            if e == 0:
                 continue
             nxt: list[tuple[int, tuple[int, ...], int, int]] = []
             for order, cur_exp, cur_coef, div in partials:
@@ -195,7 +182,7 @@ def miwa_shift(p: MPoly, sign: int, *, var_offset: int = 0,
                     if j:
                         binom = binom * (e - j + 1) // j
                     new_exp = list(cur_exp)
-                    new_exp[pos] = e - j
+                    new_exp[w - 1] = e - j
                     nxt.append((order - w * j, tuple(new_exp),
                                 cur_coef * binom * sign**j, div * w**j))
             partials = nxt
@@ -284,14 +271,14 @@ def schur_expand(p: MPoly) -> dict[Partition, Fraction]:
     D = max(p.vars, w_max, 1)
     lifted = p.embed(D)
     out: dict[Partition, Fraction] = {}
+    check = MPoly.zero(D)
     for w in range(w_max + 1):
         for shape in partitions_of(w):
-            c = hall_product(lifted, schur_of_partition(shape, D))
+            s_shape = schur_of_partition(shape, D)
+            c = hall_product(lifted, s_shape)
             if c:
                 out[shape] = c
-    check = MPoly.zero(D)
-    for shape, c in out.items():
-        check = check + schur_of_partition(shape, D) * c
+                check = check + s_shape * c
     if not (check - lifted).is_zero:
         raise ArithmeticError("Schur expansion failed to reproduce the input")
     return out

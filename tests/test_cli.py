@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from tauforge.cli import main
 from tauforge.grassmann import (DegenerateCompanionError, companions,
                                 generate_from_matrix)
 from tauforge.hirota import verify_suite
+from tauforge.mpoly import MPoly
+from tauforge.schur import ChargedPoly, Partition, schur_of_partition
 from tauforge.psdo import TruncationError, dress_from_tau, verify_lax
 
 
@@ -121,6 +125,12 @@ class TestVerify:
         assert out == ""
         assert err.startswith("internal error: ExactnessError")
         assert "input error" not in err and "Traceback" not in err
+
+    def test_zero_tau_rejected(self, capsys, tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"charge": 0, "poly": {"vars": 3, "terms": []}}))
+        code, out, err = run(capsys, ["verify", "--tau", str(zero), "--k", "1"])
+        assert (code, out, err) == (2, "", "input error: tau must be nonzero\n")
 
     def test_byte_identical_reruns(self, capsys, golden_files):
         argv = ["verify", "--tau", golden_files["tau"],
@@ -295,6 +305,88 @@ class TestDepthBudget:
         assert code in (0, 1) and err == ""
 
 
+def child_run(argv) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a child process, capped at 2 GiB and 20 s, so that a
+    missing budget fails the test without stalling the suite; with the
+    seconds it took, interpreter start-up included."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(tauforge.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "tauforge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=cap)
+    return done, time.perf_counter() - start
+
+
+class TestPointBudget:
+    """A --grpoint whose tau has weighted degree above MAX_WEIGHT is an input
+    error, read off the pivots before any work."""
+
+    @pytest.mark.parametrize("point,weight", [
+        # unbounded, companions took 7 s on the first, and the second ran
+        # out of memory
+        ({"tail": 0, "basis": [{"minExp": -20, "coefs": ["1", "1"]}]}, 19),
+        ({"tail": -1000000, "basis": [{"minExp": -1000002, "coefs": ["1", "1"]}]},
+         2000001),
+    ])
+    def test_above_the_limit_exits_at_once(self, tmp_path, point, weight):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(point))
+        done, seconds = child_run(["grass", "companions", "--grpoint", str(path),
+                                   "--k", "1"])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"input error: {path}: the point's tau has weighted "
+                               f"degree {weight}, above the limit {cli.MAX_WEIGHT}\n")
+        assert seconds < 1
+
+    @pytest.mark.parametrize("point", [
+        {"tail": 0, "basis": [{"minExp": -cli.MAX_WEIGHT - 1, "coefs": ["1", "2"]}]},
+        {"tail": -1000000, "basis": [{"minExp": 999999, "coefs": ["1"]}]},
+    ])
+    @pytest.mark.parametrize("action", ["min-n", "companions", "dtk"])
+    def test_at_the_limit(self, capsys, tmp_path, point, action):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(point))
+        code, _, err = run(capsys, ["grass", action, "--grpoint", str(path), "--k", "1"])
+        assert (code, err) == (0, "")
+
+
+class TestTermBudget:
+    """The --tau of lax and dress has at most MAX_TERMS terms, checked before
+    any work; verify has no such limit."""
+
+    @pytest.mark.parametrize("argv", [["dress", "--order", "5"],
+                                      ["lax", "--k", "1", "--order", "5"]])
+    def test_dense_tau_exits_at_once(self, tmp_path, argv):
+        # S_(8) in 8 variables: 22 terms at the weight limit; unbounded,
+        # dress took 13 s and lax 45 s
+        path = tmp_path / "s8.json"
+        s8 = ChargedPoly(schur_of_partition(Partition((8,)), 8), 0)
+        path.write_text(json.dumps(s8.to_json()))
+        done, seconds = child_run([*argv, "--tau", str(path)])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"input error: {path}: 22 terms is above the limit "
+                               f"{cli.MAX_TERMS}\n")
+        assert seconds < 1
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["dress"], 0), (["lax", "--k", "1"], 1), (["verify", "--k", "1"], 1)])
+    def test_at_and_past_the_limit(self, capsys, tmp_path, argv, expect):
+        # t_1^w, w = 0..n-1, a non-KP tau of n terms
+        for n in (cli.MAX_TERMS, cli.MAX_TERMS + 1):
+            poly = sum((MPoly.variable(1, 1) ** w for w in range(1, n)), MPoly.const(1, 1))
+            path = tmp_path / f"tau{n}.json"
+            path.write_text(json.dumps(ChargedPoly(poly, 0).to_json()))
+            code, _, err = run(capsys, [*argv, "--tau", str(path)])
+            if n > cli.MAX_TERMS and argv[0] != "verify":
+                assert (code, err) == (2, f"input error: {path}: {n} terms is above "
+                                          f"the limit {cli.MAX_TERMS}\n")
+            else:
+                assert (code, err) == (expect, "")
+
+
 K_COMMANDS = [
     ["tau-from-matrix", "--matrix", "matrix"],
     ["verify", "--tau", "tau", "--rho", "rho", "--sigma", "sigma"],
@@ -348,13 +440,23 @@ class TestLibraryErrors:
 
     @pytest.mark.parametrize("case", ["verify-unequal-pairs", "lax-unequal-pairs",
                                       "grass-companions-short-D", "dress-short-D",
-                                      "grass-degenerate-companion"])
+                                      "grass-degenerate-companion", "lax-short-D-for-k",
+                                      "lax-short-D-for-rho"])
     def test_exit_two_with_library_message(self, capsys, tmp_path, monkeypatch,
                                            golden_point, golden_files, case):
         tau, rhos, _ = companions(golden_point, 1, 6)
         f = golden_files
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"D": 1}))
+        # t_1^2 with a 3-variable rho, in D = 2: short for --k 3 and for the rho
+        cfg2 = tmp_path / "cfg2.json"
+        cfg2.write_text(json.dumps({"D": 2}))
+        square = ChargedPoly(MPoly.variable(1, 1) ** 2, 0)
+        rho3 = ChargedPoly(MPoly.variable(3, 3), 1)
+        one = ChargedPoly(MPoly.const(1, 1), -2)
+        for name, cp in [("square", square), ("rho3", rho3), ("one", one)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(cp.to_json()))
+            f = {**f, name: str(tmp_path / f"{name}.json")}
         if case == "grass-degenerate-companion":
             def degenerate(*args):
                 raise DegenerateCompanionError("companion 1 vanished")
@@ -377,10 +479,19 @@ class TestLibraryErrors:
             "grass-degenerate-companion": (
                 ["grass", "companions", "--grpoint", f["point"], "--k", "1"],
                 lambda: cli.companions(golden_point, 1)),
+            "lax-short-D-for-k": (
+                ["lax", "--tau", f["square"], "--k", "3", "--config", str(cfg2)],
+                lambda: verify_lax(square, [], [], 3, 5, 2)),
+            "lax-short-D-for-rho": (
+                ["lax", "--tau", f["square"], "--rho", f["rho3"], "--sigma", f["one"],
+                 "--k", "1", "--config", str(cfg2)],
+                lambda: verify_lax(square, [rho3], [one], 1, 5, 2)),
         }[case]
         expected = library_error(call)
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", expected)
+        if case.startswith("lax-short-D"):
+            assert err == "input error: need D >= 3, got 2\n"
 
 
 class TestGrass:
@@ -699,18 +810,15 @@ def _mostly(st, good, bad):
 
 def _loader_payloads(st, loader):
     """Objects shaped like the loader's payload with a stray bad field here
-    and there, and arbitrary JSON.
-
-    The tail and the pivots of a point are never large integers: grass
-    work grows with the weight and the charge of the point, which no limit
-    bounds yet, so those would test the missing size budget, not the
-    loader.  Elsewhere any integer may stand in a field.
+    and there, and arbitrary JSON.  Any integer may stand in a field, the
+    tail and the pivots of a point included: the point budget rejects a
+    heavy point before any work, and the charge alone costs little.
     """
     junk = (st.none() | st.booleans() | st.floats() | st.text(max_size=2)
             | st.sampled_from(["1/0", "1e5", "x", "1.5"]))
     big = junk | st.integers()
     coef = _mostly(st, st.sampled_from(["1", "-1/2", "0", "3", "-2/3"]), big)
-    small = _mostly(st, st.integers(-6, 6), junk)
+    small = _mostly(st, st.integers(-6, 6), big)
     if loader == "tau":
         term = st.fixed_dictionaries({
             "exp": _mostly(st, st.lists(_mostly(st, st.integers(0, 2), big),

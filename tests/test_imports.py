@@ -109,3 +109,95 @@ def test_no_unread_definitions():
                             if name.rpartition(".")[2] not in read
                             and name not in exported])}
     assert found == {}
+
+
+def defaulted_parameters(source: str) -> dict[str, list[tuple[str, int | None, int]]]:
+    """Parameters with a default of module-level functions and of the
+    methods of module-level classes, constructors aside, keyed by the
+    name a call uses: (parameter, index a positional argument fills or
+    None if keyword-only, line)."""
+    found = {}
+
+    def add(fn, bound: bool):
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args][1 if bound else 0:]
+        params = [(a.arg, i) for i, a in enumerate(positional)][
+            len(positional) - len(args.defaults):]
+        params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None]
+        if params:
+            found.setdefault(fn.name, []).extend(
+                (name, index, fn.lineno) for name, index in params)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            add(node, False)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and item.name != "__init__"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    add(item, not static)
+    return found
+
+
+def calls_made(source: str) -> dict[str, tuple[int, set[str]]]:
+    """Per called name (``f(..)`` or ``x.f(..)``): the most positional
+    arguments any call passes and every keyword any call passes; a
+    ``*args`` counts as every position and a ``**kwargs`` as every keyword."""
+    made = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        most, keywords = made.get(name, (0, set()))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        most = max(most, float("inf") if starred else len(node.args))
+        for kw in node.keywords:
+            keywords.add("**" if kw.arg is None else kw.arg)
+        made[name] = (most, keywords)
+    return made
+
+
+def unused_options(definitions, made) -> list[str]:
+    out = []
+    for fn, params in definitions.items():
+        most, keywords = made.get(fn, (0, set()))
+        out += [f"line {line}: {fn}({name})" for name, index, line in params
+                if not (index is not None and index < most)
+                and name not in keywords and "**" not in keywords]
+    return out
+
+
+def test_scan_sees_unused_options():
+    source = ("def f(a, b=1, *, c=2, d=3): pass\n"
+              "def g(x=0): pass\n"
+              "class K:\n    def __init__(self, v=0): pass\n"
+              "    def m(self, p=1, q=2): pass\n"
+              "    @staticmethod\n    def s(r=1): pass\n"
+              "f(1, c=3)\nk.m(5)\nK.s(*args)\n")
+    definitions = defaulted_parameters(source)
+    assert definitions == {"f": [("b", 1, 1), ("c", None, 1), ("d", None, 1)],
+                           "g": [("x", 0, 2)], "m": [("p", 0, 5), ("q", 1, 5)],
+                           "s": [("r", 0, 7)]}
+    assert unused_options(definitions, calls_made(source)) == \
+        ["line 1: f(b)", "line 1: f(d)", "line 2: g(x)", "line 5: m(q)"]
+    assert unused_options(definitions, calls_made("g(**opts)\n")) == \
+        ["line 1: f(b)", "line 1: f(c)", "line 1: f(d)", "line 5: m(p)",
+         "line 5: m(q)", "line 7: s(r)"]
+
+
+def test_no_unused_options():
+    made = {}
+    for path in FILES:
+        for name, (most, keywords) in calls_made(path.read_text()).items():
+            seen, seen_keywords = made.get(name, (0, set()))
+            made[name] = (max(seen, most), seen_keywords | keywords)
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    found = {path.name: unused for path in modules
+             if (unused := unused_options(defaulted_parameters(path.read_text()), made))}
+    assert found == {}

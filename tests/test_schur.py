@@ -7,10 +7,9 @@ import pytest
 from tauforge.mpoly import MPoly
 from tauforge.zseries import ExactnessError, ZSeries
 from tauforge.schur import (ChargedPoly, DomainError, Partition,
-                            bilinear_window, elementary_schur, embed_t,
-                            embed_tprime, hall_product, miwa_shift,
-                            partitions_of, partitions_up_to, schur_expand,
-                            schur_of_partition, xi_kernel)
+                            bilinear_window, elementary_schur, hall_product,
+                            miwa_shift, partitions_of, partitions_up_to,
+                            schur_expand, schur_of_partition, xi_kernel)
 
 from conftest import random_poly
 
@@ -141,14 +140,6 @@ class TestMiwaShift:
             s = miwa_shift(p, -1)
             assert s.coeff(0) == p
             assert s.min_order is None or s.min_order >= -p.wdeg()
-
-    def test_offset_block(self):
-        D = 2
-        doubled = embed_tprime(MPoly.variable(D, 1), D)
-        s = miwa_shift(doubled, +1, var_offset=D)
-        assert s.coeff(-1) == MPoly.const(2 * D, 1)
-        untouched = embed_t(MPoly.variable(D, 1), D)
-        assert miwa_shift(untouched, +1, var_offset=D).coeff(0) == untouched
 
 
 class TestKernel:
