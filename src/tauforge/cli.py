@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mpoly import parse_int, parse_rat
@@ -21,17 +20,17 @@ from .schur import ChargedPoly
 from .fock import FockVector, alpha, psi_minus, psi_plus, shift_charge
 from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
                         companions, dtk_decomposition, generate_from_matrix,
-                        stable_subspace)
+                        point_rows, reduce_point, stable_subspace)
 from .hirota import verify_suite
 from .psdo import dress_from_tau, lax_depth, verify_lax
 
 
-# Upper bounds on the variable count, the truncation depth, --k and the
-# fock-apply --index and state charges: work grows linearly in D, about
+# Upper bounds on the variable count of a polynomial file, --order, --k and
+# the fock-apply --index and state charges: work grows linearly in D, about
 # cubically in the depth, about 7x per step of 4 in --k, quadratically in
 # the index of a current mode and linearly in the charge of a state that
-# psi- contracts inside its filled tail, so no flag, config value or
-# vector can ask for unbounded work.
+# psi- contracts inside its filled tail, so no flag, file or vector can ask
+# for unbounded work.
 MAX_VARS = 64
 MAX_TRUNCATION = 64
 MAX_K = 16
@@ -52,13 +51,23 @@ MAX_DEPTH = 20
 # companions took 7 s on a weight-19 point, at most 0.3 s on weight-8
 # points for --k 1..16, with tails of 0, -10^6 and -10^300 alike.
 MAX_WEIGHT = 8
-# Upper bound on the term count of a lax or dress --tau; verify is not
-# bounded by it.  On the first n terms of S_(8) in 8 variables (weight 8),
-# on the machine above: n = 4: dress --order 5 0.3 s, lax --k 1 --order 5
-# 0.3 s, --k 3 2.3 s; n = 6: 0.5, 0.8 and 21 s; n = 8: 1.4, 3.6 s; n = 10:
-# 2.4, 6.3 s; n = 22: 13 and 45 s.  Bench lax taus have at most 4 terms.
-# Depth still multiplies: at depth 20 (--k 8 --order 3) n = 4 ran past 120 s.
-MAX_TERMS = 6
+# Upper bound on terms^2 x depth^3 for the --tau of lax and dress, the depth
+# being that of the dressing (see MAX_DEPTH); verify is not bounded by it.
+# It admits 4 terms at depth 10, the largest bench lax job.  On the first n
+# terms of S_(8) in 8 variables (weight 8), on the machine above, start-up
+# included, (n, depth) inside: (4, 10) 2.3 s, (5, 8) 2.7 s, (3, 12) 2.7 s,
+# (8, 6) 1.4 s, (15, 4) 0.7 s, (2, 15) 0.5 s, (1, 20) 0.5 s on t_1^8; outside:
+# (6, 10) 23 s, (5, 10) 13 s, (4, 12) 6.1 s, (3, 16) 14 s, (2, 20) 2.9 s (11 s
+# on t_1^8 + t_2^4), (3, 20) past 40 s, and (22, 4) 0.8 s.
+MAX_LAX_WORK = 4**2 * 10**3
+# Upper bound on the characters of the coefficients of a --grpoint file,
+# counted before any is parsed; a file also has at most MAX_INDEX rows.  The
+# elimination grows about cubically in the rows and faster than linearly in
+# the digits.  On the machine above, in process, on r rows of r + 8 random
+# coefficients at the limit: r = 41 of 1 digit 0.43 s, 28 of 2 characters
+# 0.16 s, 10 of 10 digits 0.02 s; unbounded, 64 rows of 72 60-digit ones
+# took 2 minutes, 64 rows of 4,096 85 s and 8 rows of 20,000 6.4 s.
+MAX_POINT_CHARS = 2048
 
 
 class InputError(Exception):
@@ -72,30 +81,6 @@ def _load_json(path: str):
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's stack allows
         raise InputError(f"{path}: {exc}") from exc
-
-
-@dataclass
-class RunConfig:
-    D: int | None = None
-    truncation: int = 5
-
-    @classmethod
-    def load(cls, path: str | None) -> "RunConfig":
-        """Read a JSON object with optional keys D and truncation."""
-        cfg = cls()
-        if not path:
-            return cfg
-        data = _load_json(path)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        for key, value in data.items():
-            if key not in ("D", "truncation"):
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            value = parse_int(value, minimum=1)
-            if value > (MAX_VARS if key == "D" else MAX_TRUNCATION):
-                raise ValueError(f"{path}: {key} {value} is above the limit")
-            setattr(cfg, key, value)
-        return cfg
 
 
 def _load(path: str, kind: str, parse):
@@ -119,11 +104,13 @@ def _load_charged_poly(path: str) -> ChargedPoly:
     return cp
 
 
-def _load_lax_tau(path: str) -> ChargedPoly:
+def _load_lax_tau(path: str, depth: int) -> ChargedPoly:
+    """The --tau of lax or dress, whose dressing goes down to order -depth."""
     tau = _load_charged_poly(path)
     terms = len(tau.poly.num)
-    if terms > MAX_TERMS:
-        raise InputError(f"{path}: {terms} terms is above the limit {MAX_TERMS}")
+    if terms**2 * depth**3 > MAX_LAX_WORK:
+        raise InputError(f"{path}: {terms} terms at dressing depth {depth} is above "
+                         f"the limit terms^2 x depth^3 <= {MAX_LAX_WORK}")
     return tau
 
 
@@ -131,7 +118,21 @@ def _load_grpoint(path: str) -> GrPoint:
     def parse(data) -> GrPoint:
         if not isinstance(data, dict):
             raise InputError(f"{path}: a point must be a JSON object")
-        return GrPoint.from_json(data)
+        rows = data.get("basis", [])
+        chars = sum(len(str(c)) for row in rows for c in row["coefs"])
+        if len(rows) > MAX_INDEX or chars > MAX_POINT_CHARS:
+            raise InputError(f"{path}: {len(rows)} rows of {chars} coefficient "
+                             f"characters is above the limit of {MAX_INDEX} rows "
+                             f"of {MAX_POINT_CHARS} characters")
+        vectors, tail = point_rows(data)
+        low = min((e for v in vectors for e, c in v.items() if c and e < -tail),
+                  default=-tail)
+        # the top part of the pivot partition, -low - tail - (pivot count)
+        least = -low - tail - len(rows)
+        if least > MAX_WEIGHT:
+            raise InputError(f"{path}: the point's tau has weighted degree at "
+                             f"least {least}, above the limit {MAX_WEIGHT}")
+        return reduce_point(vectors, tail)
 
     point = _load(path, "point", parse)
     if point.weight > MAX_WEIGHT:
@@ -166,10 +167,10 @@ def _emit(payload, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def cmd_tau_from_matrix(args, cfg: RunConfig) -> int:
+def cmd_tau_from_matrix(args) -> int:
     entries = _load_matrix(args.matrix)
     try:
-        point, tau, report = generate_from_matrix(entries, args.k, args.n, cfg.D)
+        point, tau, report = generate_from_matrix(entries, args.k, args.n)
     except GeneratorConditionError as exc:
         _emit({"error": str(exc), "report": exc.report.to_json()}, args.pretty)
         return 1
@@ -181,31 +182,28 @@ def cmd_tau_from_matrix(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     tau = _load_charged_poly(args.tau)
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
-    report = verify_suite(tau, rhos, sigmas, args.k, cfg.D)
-    if cfg.D is not None and report.D > cfg.D:
-        print(f"notice: raising variable count {cfg.D} -> {report.D} "
-              "to keep residues exact", file=sys.stderr)
+    report = verify_suite(tau, rhos, sigmas, args.k)
     _emit(report.to_json(), args.pretty)
     return 0 if report.all_pass else 1
 
 
-def cmd_grass(args, cfg: RunConfig) -> int:
+def cmd_grass(args) -> int:
     point = _load_grpoint(args.grpoint)
     if args.action == "min-n":
         sub, n = stable_subspace(point, args.k)
         _emit({"n": n, "stable": sub.to_json(),
                "charge": point.charge}, args.pretty)
     elif args.action == "companions":
-        tau, rhos, sigmas = companions(point, args.k, cfg.D)
+        tau, rhos, sigmas = companions(point, args.k)
         _emit({"tau": tau.to_json(),
                "rho": [r.to_json() for r in rhos],
                "sigma": [s.to_json() for s in sigmas]}, args.pretty)
     else:
-        parts = dtk_decomposition(point, args.k, cfg.D)
+        parts = dtk_decomposition(point, args.k)
         _emit({"parts": [p.to_json() for p in parts]}, args.pretty)
     return 0
 
@@ -216,22 +214,22 @@ def _check_depth(depth: int, flags: str) -> None:
                          f"{MAX_DEPTH}")
 
 
-def cmd_dress(args, cfg: RunConfig) -> int:
-    order = args.order if args.order is not None else cfg.truncation
-    _check_depth(order + 1, f"--order {order}")
-    tau = _load_lax_tau(args.tau)
-    pair = dress_from_tau(tau, order, cfg.D)
+def cmd_dress(args) -> int:
+    depth = args.order + 1
+    _check_depth(depth, f"--order {args.order}")
+    tau = _load_lax_tau(args.tau, depth)
+    pair = dress_from_tau(tau, args.order)
     _emit({"P": pair.P.to_json(), "L": pair.L.to_json()}, args.pretty)
     return 0
 
 
-def cmd_lax(args, cfg: RunConfig) -> int:
-    order = args.order if args.order is not None else cfg.truncation
-    _check_depth(lax_depth(args.k, order), f"--k {args.k} and --order {order}")
-    tau = _load_lax_tau(args.tau)
+def cmd_lax(args) -> int:
+    depth = lax_depth(args.k, args.order)
+    _check_depth(depth, f"--k {args.k} and --order {args.order}")
+    tau = _load_lax_tau(args.tau, depth)
     rhos = [_load_charged_poly(p) for p in args.rho]
     sigmas = [_load_charged_poly(p) for p in args.sigma]
-    constraint, *flows = verify_lax(tau, rhos, sigmas, args.k, order, D=cfg.D)
+    constraint, *flows = verify_lax(tau, rhos, sigmas, args.k, args.order)
     payload = {"constraint": constraint.to_json(),
                "flows": [f.to_json() for f in flows]}
     _emit(payload, args.pretty)
@@ -239,7 +237,7 @@ def cmd_lax(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_fock_apply(args, cfg: RunConfig) -> int:
+def cmd_fock_apply(args) -> int:
     vec = _load_fock(args.vector)
     op = {"psi+": psi_plus, "psi-": psi_minus, "alpha": alpha, "Q": shift_charge}[args.op]
     try:
@@ -256,7 +254,6 @@ def cmd_fock_apply(args, cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON run configuration")
     shared.add_argument("--pretty", action="store_true", help="indent output")
     parser = argparse.ArgumentParser(
         prog="tauforge",
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dress", parents=[shared],
                        help="dressing and Lax operators of tau")
     p.add_argument("--tau", required=True)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, default=5)
     p.set_defaults(fn=cmd_dress)
 
     p = sub.add_parser("lax", parents=[shared],
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", action="append", default=[])
     p.add_argument("--sigma", action="append", default=[])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, default=5)
     p.set_defaults(fn=cmd_lax)
 
     p = sub.add_parser("fock-apply", parents=[shared],
@@ -320,11 +317,10 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--k must be at most {MAX_K}, got {args.k}")
         if getattr(args, "n", 0) < 0:
             raise InputError(f"--n must be at least 0, got {args.n}")
-        if (getattr(args, "order", None) or 0) > MAX_TRUNCATION:
+        if getattr(args, "order", 0) > MAX_TRUNCATION:
             raise InputError(f"--order must be at most {MAX_TRUNCATION}, "
                              f"got {args.order}")
-        cfg = RunConfig.load(args.config)
-        return args.fn(args, cfg)
+        return args.fn(args)
     except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .mpoly import MPoly, format_rat, parse_int, parse_rat
-from .schur import ChargedPoly, DomainError, _det, elementary_schur
+from .schur import ChargedPoly, _det, elementary_schur
 from .fock import (FockVector, MayaState, WindowMatrix, sigma_single,
                    wedge_vector)
 
@@ -132,20 +132,20 @@ class GrPoint:
                                    for e in range(lo, hi + 1)]})
         return {"tail": self.tail, "basis": rows}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GrPoint":
-        vectors = []
-        for row in data.get("basis", []):
-            lo = parse_int(row["minExp"])
-            vectors.append({lo + i: parse_rat(c)
-                            for i, c in enumerate(row["coefs"])})
-        return reduce_point(vectors, parse_int(data["tail"]))
-
     def __str__(self) -> str:
         def fmt(vec):
             return " + ".join(f"{format_rat(c)}*s^{e}" for e, c in sorted(vec.items()))
         body = ", ".join(fmt(v) for v in self.vectors()) or "-"
         return f"GrPoint(tail H_{self.tail}; {body})"
+
+
+def point_rows(data: dict) -> tuple[list[LaurentVector], int]:
+    """The raw vectors and the tail of a point payload, before any elimination."""
+    vectors = []
+    for row in data.get("basis", []):
+        lo = parse_int(row["minExp"])
+        vectors.append({lo + i: parse_rat(c) for i, c in enumerate(row["coefs"])})
+    return vectors, parse_int(data["tail"])
 
 
 def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoint:
@@ -242,14 +242,9 @@ def _anchored(factors: Sequence[LaurentVector], tail: int
     return wedge / c, c
 
 
-def _wedge_vars(wedges: Sequence[FockVector], D: int | None) -> int:
-    """D if given and large enough, else the least count the wedges need."""
-    needed = max([sum(s.parts) for fv in wedges for s in fv.terms] + [1])
-    if D is None:
-        return needed
-    if D < needed:
-        raise DomainError(f"need D >= {needed} for this point, got {D}")
-    return D
+def _wedge_vars(wedges: Sequence[FockVector]) -> int:
+    """The least variable count the Schur images of the wedges need."""
+    return max([sum(s.parts) for fv in wedges for s in fv.terms] + [1])
 
 
 def fock_of(point: GrPoint) -> FockVector:
@@ -257,17 +252,17 @@ def fock_of(point: GrPoint) -> FockVector:
     return _anchored(point.vectors(), point.tail)[0]
 
 
-def tau_of(point: GrPoint, D: int | None = None) -> ChargedPoly:
+def tau_of(point: GrPoint) -> ChargedPoly:
     """Schur expansion of the point's wedge, normalized on the pivot minor."""
     wedge = fock_of(point)
-    return sigma_single(wedge, _wedge_vars([wedge], D))
+    return sigma_single(wedge, _wedge_vars([wedge]))
 
 
-def companions(point: GrPoint, k: int, D: int | None = None
+def companions(point: GrPoint, k: int
                ) -> tuple[ChargedPoly, list[ChargedPoly], list[ChargedPoly]]:
     """Adapted tau with its n companion pairs at charges m+1 and m-k-1."""
     tau_fv, rho_fvs, sigma_fvs = companion_wedges(point, k)
-    D = _wedge_vars([tau_fv, *rho_fvs, *sigma_fvs], D)
+    D = _wedge_vars([tau_fv, *rho_fvs, *sigma_fvs])
     tau = sigma_single(tau_fv, D)
     rhos = [sigma_single(fv, D) for fv in rho_fvs]
     sigmas = [sigma_single(fv, D) for fv in sigma_fvs]
@@ -302,8 +297,7 @@ def companion_wedges(point: GrPoint, k: int
     return tau_fv, rho_fvs, sigma_fvs
 
 
-def dtk_decomposition(point: GrPoint, k: int, D: int | None = None
-                      ) -> list[ChargedPoly]:
+def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
     """Split d(tau)/dt_k into wedge summands, one per complement factor.
 
     Replacing a stable factor by its s**k multiple reproduces no basis
@@ -318,7 +312,7 @@ def dtk_decomposition(point: GrPoint, k: int, D: int | None = None
         fv = _wedge_factors(replaced, point.tail) / c
         if not fv.is_zero:
             wedges.append(fv)
-    D = _wedge_vars(wedges, D)
+    D = _wedge_vars(wedges)
     return [sigma_single(fv, D) for fv in wedges]
 
 
@@ -343,8 +337,7 @@ class GeneratorConditionError(GrassmannError):
 
 
 def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
-                         n: int, D: int | None = None
-                         ) -> tuple[GrPoint, ChargedPoly, GeneratorReport]:
+                         n: int) -> tuple[GrPoint, ChargedPoly, GeneratorReport]:
     """Polynomial solution from an M x N rank-N matrix of chain data.
 
     The shift matrix R drops every row index by k.  Columns must chain
@@ -391,10 +384,7 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
             f"{len(violating)} columns break the chain condition, allowed {n}",
             report)
 
-    if D is None:
-        D = max(M - 1, 1)
-    elif D < max(M - 1, 1):
-        raise DomainError(f"need D >= {max(M - 1, 1)} for this matrix, got {D}")
+    D = max(M - 1, 1)
     det_grid = []
     for i in range(1, N + 1):
         row = []

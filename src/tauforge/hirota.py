@@ -48,10 +48,7 @@ class Check:
 
 @dataclass
 class BilinearReport:
-    """The checks, and the variable count D the residues were formed in."""
-
     checks: list[Check]
-    D: int
 
     @property
     def all_pass(self) -> bool:
@@ -152,22 +149,20 @@ def tensor_to_poly(tensor: PairTensor, D: int) -> MPoly:
 
 
 def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                 sigmas: Sequence[ChargedPoly], k: int,
-                 D: int | None = None) -> BilinearReport:
+                 sigmas: Sequence[ChargedPoly], k: int) -> BilinearReport:
     """The identity family of ``identity_family``, in both representations.
 
     Passing certifies membership in filtration level n = len(rhos) of the
     k-constrained hierarchy; the bosonic residues and the fermionic
-    tensors must agree one by one.  A D too short for some residue is
-    raised to the least that keeps every residue exact.
+    tensors must agree one by one.  The residues are formed in
+    D = max(top, kmax, k, 1) variables, top the highest weighted degree of
+    an operand and kmax the kernel order of the widest window, weight -1;
+    every identity has weight >= -1, so every residue is exact in D.
     """
     operands, family = identity_family(tau, rhos, sigmas, k)
-    if D is None:
-        top = max(cp.poly.wdeg() for cp in operands)
-        _, kmax = bilinear_window(top, top, -1)
-        D = max(top, kmax, k, 1)
-    D = max(D, *(required_vars(operands[left], operands[right])
-                 for _, left, right, _ in family))
+    top = max(cp.poly.wdeg() for cp in operands)
+    _, kmax = bilinear_window(top, top, -1)
+    D = max(top, kmax, k, 1)
     checks = []
     for label, left, right, pairs in family:
         diff = bilinear_residue(operands[left], operands[right], D)
@@ -181,4 +176,4 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
         target = tensor_sum(tensor_of(images[a], images[b]) for a, b in pairs)
         checks.append(fermionic_bilinear_check(images[left], images[right], target,
                                                label=f"fermionic-{label}"))
-    return BilinearReport(checks, D)
+    return BilinearReport(checks)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .mpoly import MPoly, PolyError
 from .ratfun import TauFrac, TauRing
-from .schur import ChargedPoly, DomainError, miwa_shift
+from .schur import ChargedPoly, miwa_shift
 
 
 class TruncationError(ArithmeticError):
@@ -262,8 +262,6 @@ def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
     """
     if poly.is_zero:
         raise ValueError("tau must be nonzero")
-    if D < poly.max_var_used():
-        raise DomainError(f"need D >= {poly.max_var_used()}, got {D}")
     ring = TauRing(poly.embed(D))
     minus, plus = miwa_shift(ring.tau, -1), miwa_shift(ring.tau, +1)
     a = {0: ring.const(1)}
@@ -281,7 +279,7 @@ def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
     return P, Pinv
 
 
-def dress_from_tau(tau: ChargedPoly | MPoly, T: int, D: int | None = None) -> DressingPair:
+def dress_from_tau(tau: ChargedPoly | MPoly, T: int) -> DressingPair:
     """Dressing operator and Lax operator of a polynomial tau.
 
     a_i is the z**-i coefficient of the shifted tau over tau itself; L is
@@ -290,10 +288,8 @@ def dress_from_tau(tau: ChargedPoly | MPoly, T: int, D: int | None = None) -> Dr
     poly = tau.poly if isinstance(tau, ChargedPoly) else tau
     if T < 1:
         raise ValueError("truncation depth must be positive")
-    if D is None:
-        D = max(poly.max_var_used(), 1)
     floor = -(T + 1)
-    P, Pinv = _dressing(poly, D, floor)
+    P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor)
     return DressingPair(P, P * PsiDO.d(P.ring, floor) * Pinv)
 
 
@@ -346,8 +342,7 @@ def lax_depth(k: int, T: int) -> int:
 
 
 def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-               sigmas: Sequence[ChargedPoly], k: int, T: int,
-               D: int | None = None) -> list[OperatorReport]:
+               sigmas: Sequence[ChargedPoly], k: int, T: int) -> list[OperatorReport]:
     """The constraint and the flows along t_k, from one dressing of tau.
 
     The constraint L^k = (L^k)_+ + sum q_j d^-1 r_j is checked
@@ -360,15 +355,9 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
         raise ValueError("truncation depth must be at least 3")
     if len(rhos) != len(sigmas):
         raise ValueError("companion lists must have equal length")
-    poly = tau.poly
-    needed = max(poly.max_var_used(), k,
-                 *[cp.poly.max_var_used() for cp in [*rhos, *sigmas]], 1)
-    if D is None:
-        D = needed
-    elif D < needed:
-        raise DomainError(f"need D >= {needed}, got {D}")
+    D = max(k, 1, *[cp.poly.max_var_used() for cp in [tau, *rhos, *sigmas]])
     floor = -lax_depth(k, T)
-    P, Pinv = _dressing(poly, D, floor)
+    P, Pinv = _dressing(tau.poly, D, floor)
     ring = P.ring
     qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
     rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]

@@ -197,16 +197,11 @@ def miwa_shift(p: MPoly, sign: int) -> ZSeries:
 
 @lru_cache(maxsize=None)
 def _difference_schur(i: int, D: int) -> MPoly:
-    """S_i(t - t') over the doubled space of 2D variables."""
-    if i < 0:
-        return MPoly.zero(2 * D)
-    if i == 0:
-        return MPoly.const(2 * D, 1)
-    acc = MPoly.zero(2 * D)
-    for j in range(1, i + 1):
-        xj = MPoly.variable(2 * D, j) - MPoly.variable(2 * D, D + j)
-        acc = acc + xj * _difference_schur(i - j, D) * j
-    return acc / i
+    """S_i(t - t') = sum_j S_j(t) S_{i-j}(-t') in the doubled space of 2D variables."""
+    flip = [-1] * D
+    return sum((embed_t(elementary_schur(j, D), D)
+                * embed_tprime(elementary_schur(i - j, D).scale_vars(flip), D)
+                for j in range(i + 1)), MPoly.zero(2 * D))
 
 
 def xi_kernel(D: int, order: int) -> ZSeries:

@@ -142,10 +142,10 @@ def test_acceptance_4_worked_example_chain(golden_point):
     S11 = schur_of_partition(Partition((1, 1)), D)
     _, n = stable_subspace(golden_point, 1)
     assert n == 1
-    tau, rhos, sigmas = companions(golden_point, 1, D)
-    assert tau.poly == S2 and tau.charge == 0
-    assert rhos[0].poly == -S11 and rhos[0].charge == 1  # fixed sign: minus
-    assert sigmas[0].poly == MPoly.const(D, 1) and sigmas[0].charge == -2
+    tau, rhos, sigmas = companions(golden_point, 1)
+    assert tau.poly.embed(D) == S2 and tau.charge == 0
+    assert rhos[0].poly.embed(D) == -S11 and rhos[0].charge == 1  # fixed sign: minus
+    assert sigmas[0].poly.embed(D) == MPoly.const(D, 1) and sigmas[0].charge == -2
     assert verify_suite(tau, rhos, sigmas, 1).all_pass
 
     pair = dress_from_tau(tau, 5)
@@ -158,10 +158,10 @@ def test_acceptance_4_worked_example_chain(golden_point):
     log_slope = ring.frac(base.differentiate(1), 1)
     assert pair.L.coeff(-1).equals(log_slope.differentiate(1))
 
-    parts_k1 = dtk_decomposition(golden_point, 1, D)
-    assert [cp.poly for cp in parts_k1] == [MPoly.variable(D, 1)]
-    parts_k2 = dtk_decomposition(golden_point, 2, D)
-    assert [cp.poly for cp in parts_k2] == [MPoly.const(D, 1)]
+    parts_k1 = dtk_decomposition(golden_point, 1)
+    assert [cp.poly.embed(D) for cp in parts_k1] == [MPoly.variable(D, 1)]
+    parts_k2 = dtk_decomposition(golden_point, 2)
+    assert [cp.poly.embed(D) for cp in parts_k2] == [MPoly.const(D, 1)]
     for cp in parts_k1 + parts_k2:
         assert kp_residue(cp, required_vars(cp, cp)).is_zero
     report(4, "golden chain: tau = S_2, n = 1, companions, dressing and "
@@ -185,7 +185,7 @@ def test_acceptance_5_generator_consistency():
         point = grpoint_from_window_matrix(matrix, m)
         assert point.charge == m
         direct = sigma_single(wedge, 12)
-        via_point = tau_of(point, 12)
+        via_point = tau_of(point)
         ratio = None
         normalized = poly_to_fock(via_point)
         for state, coef in wedge.terms.items():
@@ -194,7 +194,7 @@ def test_acceptance_5_generator_consistency():
             r = coef / other
             ratio = r if ratio is None else ratio
             assert r == ratio, "wedge and point disagree beyond one scalar"
-        assert (direct.poly - via_point.poly * ratio).is_zero
+        assert (direct.poly - via_point.poly.embed(12) * ratio).is_zero
         done += 1
     assert nontrivial >= 20
 
@@ -205,7 +205,7 @@ def test_acceptance_5_generator_consistency():
          elementary_schur(2, 2) - MPoly.variable(2, 1) ** 2, 1),
     ]
     for entries, expected, violations in documented:
-        point, tau, rep = generate_from_matrix(entries, 1, violations, 2)
+        point, tau, rep = generate_from_matrix(entries, 1, violations)
         assert tau.poly == expected
         assert len(rep.violating_columns) == violations
         _, n = stable_subspace(point, 1)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,17 +16,16 @@ import tauforge
 import tauforge.cli as cli
 import tauforge.psdo as psdo
 from tauforge.cli import main
-from tauforge.grassmann import (DegenerateCompanionError, companions,
-                                generate_from_matrix)
+from tauforge.grassmann import DegenerateCompanionError, companions
 from tauforge.hirota import verify_suite
 from tauforge.mpoly import MPoly
 from tauforge.schur import ChargedPoly, Partition, schur_of_partition
-from tauforge.psdo import TruncationError, dress_from_tau, verify_lax
+from tauforge.psdo import TruncationError, verify_lax
 
 
 @pytest.fixture
 def golden_files(tmp_path, golden_point):
-    tau, rhos, sigmas = companions(golden_point, 1, 6)
+    tau, rhos, sigmas = companions(golden_point, 1)
     paths = {}
     for name, payload in [
         ("tau", tau.to_json()),
@@ -208,7 +209,6 @@ class TestDeepNesting:
         ["grass", "min-n", "--grpoint", "deep", "--k", "1"],
         ["tau-from-matrix", "--matrix", "deep", "--k", "1"],
         ["fock-apply", "--op", "Q", "--index", "1", "--vector", "deep"],
-        ["dress", "--tau", "tau", "--config", "deep"],
     ])
     def test_exit_two_without_traceback(self, capsys, tmp_path, golden_files, argv):
         deep = tmp_path / "deep.json"
@@ -288,20 +288,15 @@ class TestDepthBudget:
         assert err == (f"input error: {flags}: dressing depth {depth} is above "
                        f"the limit {cli.MAX_DEPTH}\n")
 
-    def test_config_truncation_counts(self, capsys, tmp_path, golden_files):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"truncation": cli.MAX_DEPTH}))
-        code, _, err = run(capsys, ["dress", "--tau", golden_files["tau"],
-                                    "--config", str(cfg)])
-        assert code == 2 and "dressing depth" in err
-
     @pytest.mark.parametrize("argv", [
         ["lax", "--k", "1", "--order", str(cli.MAX_DEPTH - 2)],
         ["lax", "--k", str((cli.MAX_DEPTH - 4) // 2), "--order", "3"],
         ["dress", "--order", str(cli.MAX_DEPTH - 1)],
     ])
-    def test_at_the_limit(self, capsys, golden_files, argv):
-        code, _, err = run(capsys, [*argv, "--tau", golden_files["tau"]])
+    def test_at_the_limit(self, capsys, tmp_path, argv):
+        # a one-term tau: at depth 20 the term budget admits no more terms
+        tau = monomial_file(tmp_path / "t1.json", 1)
+        code, _, err = run(capsys, [*argv, "--tau", tau])
         assert code in (0, 1) and err == ""
 
 
@@ -322,7 +317,8 @@ def child_run(argv) -> tuple[subprocess.CompletedProcess, float]:
 
 class TestPointBudget:
     """A --grpoint whose tau has weighted degree above MAX_WEIGHT is an input
-    error, read off the pivots before any work."""
+    error, read off the raw rows before any elimination where they show it,
+    else off the pivots before any other work."""
 
     @pytest.mark.parametrize("point,weight", [
         # unbounded, companions took 7 s on the first, and the second ran
@@ -338,7 +334,41 @@ class TestPointBudget:
                                    "--k", "1"])
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (f"input error: {path}: the point's tau has weighted "
-                               f"degree {weight}, above the limit {cli.MAX_WEIGHT}\n")
+                               f"degree at least {weight}, above the limit "
+                               f"{cli.MAX_WEIGHT}\n")
+        assert seconds < 1
+
+    def test_weight_read_off_the_pivots(self, capsys, tmp_path):
+        # the lowest exponent -10 allows weight 8 with two pivots; the pivots
+        # -10 and -9 give the partition (8, 8)
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"tail": 0, "basis": [
+            {"minExp": -10, "coefs": ["1"]}, {"minExp": -9, "coefs": ["1"]}]}))
+        code, out, err = run(capsys, ["grass", "min-n", "--grpoint", str(path),
+                                      "--k", "1"])
+        assert (code, out) == (2, "")
+        assert err == (f"input error: {path}: the point's tau has weighted degree "
+                       f"16, above the limit {cli.MAX_WEIGHT}\n")
+
+    @pytest.mark.parametrize("rows,width", [
+        (400, None),  # rows of ones, a valid weight-0 point: 2.1 s unbounded
+        (64, 4096),  # random coefficients: 85 s unbounded
+        (8, 20000),  # 6.4 s unbounded
+    ])
+    def test_large_file_exits_at_once(self, tmp_path, rows, width):
+        rng = random.Random(rows)
+        if width is None:
+            basis = [{"minExp": -i, "coefs": ["1"] * i} for i in range(1, rows + 1)]
+        else:
+            basis = [{"minExp": -width - i,
+                      "coefs": [str(rng.randint(-99, 99)) for _ in range(width)]}
+                     for i in range(rows)]
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"tail": 0, "basis": basis}))
+        done, seconds = child_run(["grass", "min-n", "--grpoint", str(path),
+                                   "--k", "1"])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"input error: {path}: {rows} rows of ")
         assert seconds < 1
 
     @pytest.mark.parametrize("point", [
@@ -354,8 +384,9 @@ class TestPointBudget:
 
 
 class TestTermBudget:
-    """The --tau of lax and dress has at most MAX_TERMS terms, checked before
-    any work; verify has no such limit."""
+    """The --tau of lax and dress has terms^2 x depth^3 at most MAX_LAX_WORK,
+    the depth being that of the dressing, checked before any work; verify
+    has no such limit."""
 
     @pytest.mark.parametrize("argv", [["dress", "--order", "5"],
                                       ["lax", "--k", "1", "--order", "5"]])
@@ -366,23 +397,46 @@ class TestTermBudget:
         s8 = ChargedPoly(schur_of_partition(Partition((8,)), 8), 0)
         path.write_text(json.dumps(s8.to_json()))
         done, seconds = child_run([*argv, "--tau", str(path)])
+        depth = 6 if argv[0] == "dress" else 7
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"input error: {path}: 22 terms is above the limit "
-                               f"{cli.MAX_TERMS}\n")
+        assert done.stderr == (f"input error: {path}: 22 terms at dressing depth "
+                               f"{depth} is above the limit terms^2 x depth^3 <= "
+                               f"{cli.MAX_LAX_WORK}\n")
+        assert seconds < 1
+
+    @pytest.mark.parametrize("terms,argv", [
+        (6, ["--k", "3", "--order", "5"]),  # depth 10: 22 s unbounded
+        (4, ["--k", "8", "--order", "3"]),  # depth 20: past 120 s unbounded
+    ])
+    def test_corners_exit_at_once(self, tmp_path, terms, argv):
+        # the first terms of S_(8): each flag and the file are within their
+        # own limits
+        s8 = ChargedPoly(schur_of_partition(Partition((8,)), 8), 0).to_json()
+        s8["poly"]["terms"] = s8["poly"]["terms"][:terms]
+        path = tmp_path / "s8.json"
+        path.write_text(json.dumps(s8))
+        done, seconds = child_run(["lax", *argv, "--tau", str(path)])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"input error: {path}: {terms} terms at "
+                                      "dressing depth ")
         assert seconds < 1
 
     @pytest.mark.parametrize("argv,expect", [
         (["dress"], 0), (["lax", "--k", "1"], 1), (["verify", "--k", "1"], 1)])
     def test_at_and_past_the_limit(self, capsys, tmp_path, argv, expect):
-        # t_1^w, w = 0..n-1, a non-KP tau of n terms
-        for n in (cli.MAX_TERMS, cli.MAX_TERMS + 1):
+        # t_1^w, w = 0..n-1, a non-KP tau of n terms; at the default --order
+        # 5 dress dresses to depth 6 and lax --k 1 to depth 7
+        depth = 6 if argv[0] == "dress" else 7
+        most = math.isqrt(cli.MAX_LAX_WORK // depth**3)
+        for n in (most, most + 1):
             poly = sum((MPoly.variable(1, 1) ** w for w in range(1, n)), MPoly.const(1, 1))
             path = tmp_path / f"tau{n}.json"
             path.write_text(json.dumps(ChargedPoly(poly, 0).to_json()))
             code, _, err = run(capsys, [*argv, "--tau", str(path)])
-            if n > cli.MAX_TERMS and argv[0] != "verify":
-                assert (code, err) == (2, f"input error: {path}: {n} terms is above "
-                                          f"the limit {cli.MAX_TERMS}\n")
+            if n > most and argv[0] != "verify":
+                assert (code, err) == (2, f"input error: {path}: {n} terms at dressing "
+                                          f"depth {depth} is above the limit terms^2 "
+                                          f"x depth^3 <= {cli.MAX_LAX_WORK}\n")
             else:
                 assert (code, err) == (expect, "")
 
@@ -439,24 +493,11 @@ class TestLibraryErrors:
     them) exits 2 with the library's message, unchanged."""
 
     @pytest.mark.parametrize("case", ["verify-unequal-pairs", "lax-unequal-pairs",
-                                      "grass-companions-short-D", "dress-short-D",
-                                      "grass-degenerate-companion", "lax-short-D-for-k",
-                                      "lax-short-D-for-rho"])
-    def test_exit_two_with_library_message(self, capsys, tmp_path, monkeypatch,
+                                      "grass-degenerate-companion"])
+    def test_exit_two_with_library_message(self, capsys, monkeypatch,
                                            golden_point, golden_files, case):
-        tau, rhos, _ = companions(golden_point, 1, 6)
+        tau, rhos, _ = companions(golden_point, 1)
         f = golden_files
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"D": 1}))
-        # t_1^2 with a 3-variable rho, in D = 2: short for --k 3 and for the rho
-        cfg2 = tmp_path / "cfg2.json"
-        cfg2.write_text(json.dumps({"D": 2}))
-        square = ChargedPoly(MPoly.variable(1, 1) ** 2, 0)
-        rho3 = ChargedPoly(MPoly.variable(3, 3), 1)
-        one = ChargedPoly(MPoly.const(1, 1), -2)
-        for name, cp in [("square", square), ("rho3", rho3), ("one", one)]:
-            (tmp_path / f"{name}.json").write_text(json.dumps(cp.to_json()))
-            f = {**f, name: str(tmp_path / f"{name}.json")}
         if case == "grass-degenerate-companion":
             def degenerate(*args):
                 raise DegenerateCompanionError("companion 1 vanished")
@@ -469,29 +510,13 @@ class TestLibraryErrors:
             "lax-unequal-pairs": (
                 ["lax", "--tau", f["tau"], "--rho", f["rho"], "--k", "1"],
                 lambda: verify_lax(tau, rhos, [], 1, 5)),
-            "grass-companions-short-D": (
-                ["grass", "companions", "--grpoint", f["point"], "--k", "1",
-                 "--config", str(cfg)],
-                lambda: companions(golden_point, 1, 1)),
-            "dress-short-D": (
-                ["dress", "--tau", f["tau"], "--config", str(cfg)],
-                lambda: dress_from_tau(tau, 5, 1)),
             "grass-degenerate-companion": (
                 ["grass", "companions", "--grpoint", f["point"], "--k", "1"],
                 lambda: cli.companions(golden_point, 1)),
-            "lax-short-D-for-k": (
-                ["lax", "--tau", f["square"], "--k", "3", "--config", str(cfg2)],
-                lambda: verify_lax(square, [], [], 3, 5, 2)),
-            "lax-short-D-for-rho": (
-                ["lax", "--tau", f["square"], "--rho", f["rho3"], "--sigma", f["one"],
-                 "--k", "1", "--config", str(cfg2)],
-                lambda: verify_lax(square, [rho3], [one], 1, 5, 2)),
         }[case]
         expected = library_error(call)
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", expected)
-        if case.startswith("lax-short-D"):
-            assert err == "input error: need D >= 3, got 2\n"
 
 
 class TestGrass:
@@ -515,6 +540,30 @@ class TestGrass:
         parts = json.loads(out)["parts"]
         assert len(parts) == 1
         assert parts[0]["poly"]["terms"] == [{"exp": [1], "coef": "1"}]
+
+
+class TestVariableCount:
+    """No flag sets the variable count: each command prints its polynomials
+    in the least count its inputs need."""
+
+    def test_companions_in_the_least_count(self, capsys, golden_files):
+        code, out, _ = run(capsys, ["grass", "companions", "--grpoint",
+                                    golden_files["point"], "--k", "1"])
+        payload = json.loads(out)
+        triple = [payload["tau"], *payload["rho"], *payload["sigma"]]
+        # tau = S_2 and rho_1 = -S_(1,1) need t_2; one count serves the triple
+        assert code == 0 and [cp["poly"]["vars"] for cp in triple] == [2, 2, 2]
+
+    @pytest.mark.parametrize("k,vars", [(1, 8), (6, 12)])
+    def test_verify_witness_in_twice_the_suite_count(self, capsys, tmp_path, k, vars):
+        # t_1^2 + t_2 fails KP; its witness lives in 2 D variables,
+        # D = max(2 top, k, 1) with top = 2 its weighted degree
+        path = tmp_path / "tau.json"
+        tau = MPoly.variable(2, 1) ** 2 + MPoly.variable(2, 2)
+        path.write_text(json.dumps(ChargedPoly(tau, 0).to_json()))
+        code, out, _ = run(capsys, ["verify", "--tau", str(path), "--k", str(k)])
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["KP"]["witness"]["vars"] == vars
 
 
 class TestDressAndLax:
@@ -568,7 +617,7 @@ class TestDressAndLax:
         assert failing and all(c["method"] == "cross-multiplication"
                                and "witness" in c for c in failing)
 
-    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--config"])
     def test_retired_sampling_flags_rejected(self, capsys, golden_files, flag):
         with pytest.raises(SystemExit) as exc:
             main(["lax", "--tau", golden_files["tau"], "--k", "1", flag, "5"])
@@ -673,100 +722,24 @@ class TestConfig:
                                     golden_files["point"], "--k", "1", "--pretty"])
         assert code == 0 and out.startswith("{\n")
 
-    def test_config_file(self, capsys, tmp_path, golden_files):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"truncation": 3}))
+    def test_config_file(self, capsys, golden_files):
+        # --order alone sets the checked orders; there is no config file
         code, out, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
                                     "--rho", golden_files["rho"],
                                     "--sigma", golden_files["sigma"],
-                                    "--k", "1", "--config", str(cfg)])
+                                    "--k", "1", "--order", "3"])
         assert code == 0
         payload = json.loads(out)
         assert [c["order"] for c in payload["constraint"]["orders"]] == [-1, -2, -3]
 
-    def test_small_var_count_raised_with_notice(self, capsys, tmp_path, golden_files):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"D": 2}))
-        code, out, err = run(capsys, ["verify", "--tau", golden_files["tau"],
-                                      "--rho", golden_files["rho"],
-                                      "--sigma", golden_files["sigma"],
-                                      "--k", "1", "--config", str(cfg)])
-        assert code == 0
-        assert "notice" in err and "raising variable count" in err
-
-    def test_bad_config_rejected(self, capsys, tmp_path, golden_files):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"truncation": 0}))
-        code, _, err = run(capsys, ["verify", "--tau", golden_files["tau"],
-                                    "--k", "1", "--config", str(cfg)])
-        assert code == 2
-
-    @pytest.mark.parametrize("payload,message", [
-        (["D"], "must be a JSON object"),
-        (5, "must be a JSON object"),
-        ("D", "must be a JSON object"),
-        ({"seed": 0}, "unknown config key 'seed'"),
-        ({"trials": 20}, "unknown config key 'trials'"),
-        ({"D": 6, "window": 3}, "unknown config key 'window'"),
-        ({"D": 0}, ">= 1"),
-        ({"D": cli.MAX_VARS + 1}, "above the limit"),
-        ({"truncation": cli.MAX_TRUNCATION + 1}, "above the limit"),
-        ({"truncation": "5"}, "JSON integer"),
-    ])
-    def test_config_shape_and_keys(self, capsys, tmp_path, golden_files,
-                                   payload, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
-        code, out, err = run(capsys, ["dress", "--tau", golden_files["tau"],
-                                      "--config", str(cfg)])
-        assert code == 2 and out == ""
-        assert err.startswith("input error:") and message in err
-
-    def test_short_var_count_for_matrix(self, capsys, tmp_path, golden_files):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"D": 1}))
-        code, out, err = run(capsys, ["tau-from-matrix", "--matrix",
-                                      golden_files["matrix"], "--k", "1",
-                                      "--n", "1", "--config", str(cfg)])
-        assert code == 2 and out == ""
-        entries = cli._load_matrix(golden_files["matrix"])
-        assert err == library_error(lambda: generate_from_matrix(entries, 1, 1, 1))
-        assert err.startswith("input error: need D >= 2")
-
 
 def _json_values(st):
+    """Small arbitrary JSON values."""
     scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                | st.text(max_size=4))
-    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
-                          | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-                          max_leaves=6)
-    keys = st.sampled_from(["D", "truncation", "seed", "trials"]) | st.text(max_size=3)
-    # small integers too, so in-range and boundary values of D and truncation occur
-    ints = st.integers() | st.integers(-1, 70)
-    return values | st.dictionaries(keys, values | ints, max_size=3)
-
-
-def test_config_fuzz_exit_codes(tmp_path, golden_files):
-    """Any JSON value as --config ends in exit 0, 1 or 2, never a traceback."""
-    hyp = pytest.importorskip("hypothesis")
-    cfg = tmp_path / "cfg.json"
-    commands = [
-        ["dress", "--tau", golden_files["tau"]],
-        ["tau-from-matrix", "--matrix", golden_files["matrix"], "--k", "1", "--n", "1"],
-    ]
-
-    @hyp.settings(max_examples=80, deadline=None, database=None,
-                  derandomize=True)
-    @hyp.given(_json_values(hyp.strategies), hyp.strategies.sampled_from(commands))
-    def check(payload, argv):
-        cfg.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(cfg)])  # an escape is a traceback
-        assert code in (0, 1, 2), (payload, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-
-    check()
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                        max_leaves=6)
 
 
 def _vector_payloads(st):

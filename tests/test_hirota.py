@@ -92,26 +92,26 @@ class TestWindowGuard:
 
 class TestConstrainedResidue:
     def test_trivial_tau(self):
-        assert check_of(verify_suite(ONE, [], [], 1, 2), "constrained-k").passed
+        assert check_of(verify_suite(ONE, [], [], 1), "constrained-k").passed
 
     def test_golden_pair(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
-        check = check_of(verify_suite(tau, rhos, sigmas, 1, 6), "constrained-k")
+        tau, rhos, sigmas = companions(golden_point, 1)
+        check = check_of(verify_suite(tau, rhos, sigmas, 1), "constrained-k")
         assert check.passed
 
     def test_missing_pairs_leave_witness(self, golden_point):
-        tau, _, _ = companions(golden_point, 1, 6)
-        check = check_of(verify_suite(tau, [], [], 1, 6), "constrained-k")
+        tau, _, _ = companions(golden_point, 1)
+        check = check_of(verify_suite(tau, [], [], 1), "constrained-k")
         assert not check.passed
-        D = 6
+        D = 4  # verify_suite's rule: max(2 * wdeg(tau), k, 1), tau = S_2
         S11 = schur_of_partition(Partition((1, 1)), D).embed(2 * D)
         assert check.witness == -S11
 
     def test_charge_guard(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         wrong = [ChargedPoly(rhos[0].poly, 5)]
         with pytest.raises(ValueError, match="rho_1 has charge 5, expected 1"):
-            verify_suite(tau, wrong, sigmas, 1, 6)
+            verify_suite(tau, wrong, sigmas, 1)
         with pytest.raises(ValueError, match="rho_1 has charge 5, expected 1"):
             identity_family(tau, wrong, sigmas, 1)
 
@@ -123,16 +123,16 @@ class TestEigenfunctionIdentities:
 
     def test_monomial_rho_over_vacuum(self):
         rho = charged(MPoly.variable(1, 1), 1)
-        assert check_of(verify_suite(ONE, [rho], [self.SIGMA], 1, 3), "rho_1").passed
+        assert check_of(verify_suite(ONE, [rho], [self.SIGMA], 1), "rho_1").passed
 
     def test_square_is_rejected(self):
         rho = charged(MPoly.variable(1, 1) ** 2, 1)
-        check = check_of(verify_suite(ONE, [rho], [self.SIGMA], 1, 4), "rho_1")
+        check = check_of(verify_suite(ONE, [rho], [self.SIGMA], 1), "rho_1")
         assert not check.passed and check.witness is not None
 
     def test_golden_sigma(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
-        report = verify_suite(tau, rhos, sigmas, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
+        report = verify_suite(tau, rhos, sigmas, 1)
         assert check_of(report, "sigma_1").passed
         assert check_of(report, "rho_1").passed
 
@@ -253,19 +253,19 @@ class TestVerifySuite:
                        "fermionic-constrained-k"]
 
     def test_golden(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         report = verify_suite(tau, rhos, sigmas, 1)
         assert report.all_pass
         assert len(report.checks) == 8
 
     def test_golden_without_pairs_fails(self, golden_point):
-        tau, _, _ = companions(golden_point, 1, 6)
+        tau, _, _ = companions(golden_point, 1)
         report = verify_suite(tau, [], [], 1)
         failed = {c.identity for c in report.failures()}
         assert failed == {"constrained-k", "fermionic-constrained-k"}
 
     def test_scaling_invariance(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         c = F(7, 3)
         scaled = verify_suite(
             ChargedPoly(tau.poly * c, tau.charge),
@@ -287,13 +287,13 @@ class TestVerifySuite:
         assert verify_suite(tau, r2, s2, 1).all_pass
 
     def test_report_json_deterministic(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         a = json.dumps(verify_suite(tau, rhos, sigmas, 1).to_json(), sort_keys=True)
         b = json.dumps(verify_suite(tau, rhos, sigmas, 1).to_json(), sort_keys=True)
         assert a == b
 
     def test_witness_in_json(self, golden_point):
-        tau, _, _ = companions(golden_point, 1, 6)
+        tau, _, _ = companions(golden_point, 1)
         payload = verify_suite(tau, [], [], 1).to_json()
         failing = [c for c in payload["checks"] if not c["pass"]]
         assert failing and all("witness" in c for c in failing)

@@ -201,7 +201,7 @@ class TestConstraint:
         assert report.all_pass
 
     def test_golden_to_depth_five(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         report = constraint(tau, rhos, sigmas, 1, 5)
         assert report.all_pass
         orders = [c.order for c in report.checks]
@@ -210,18 +210,18 @@ class TestConstraint:
                    for c in report.to_json()["orders"])
 
     def test_golden_without_pairs_fails_at_minus_one(self, golden_point):
-        tau, _, _ = companions(golden_point, 1, 6)
+        tau, _, _ = companions(golden_point, 1)
         report = constraint(tau, [], [], 1, 3)
         failing = [c.order for c in report.checks if not c.passed]
         assert -1 in failing
 
     def test_golden_k2(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 2, 6)
+        tau, rhos, sigmas = companions(golden_point, 2)
         assert constraint(tau, rhos, sigmas, 2, 4).all_pass
 
     def test_minimality(self, golden_point):
         # dropping the only pair breaks the constraint, matching n = 1
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         assert not constraint(tau, [], [], 1, 3).all_pass
 
     def test_minimality_two_pairs(self):
@@ -244,7 +244,7 @@ class TestConstraint:
         assert all(r.all_pass for r in reports)
 
     def test_report_json(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         payload = constraint(tau, rhos, sigmas, 1, 3).to_json()
         assert payload["pass"] is True
         assert [c["order"] for c in payload["orders"]] == [-1, -2, -3]
@@ -256,14 +256,14 @@ class TestFlows:
         assert all(r.all_pass for r in reports)
 
     def test_golden_k1(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         reports = flows(tau, rhos, sigmas, 1, 4)
         assert [r.label for r in reports] == \
             ["lax-flow-t1", "q_1-flow-t1", "r_1-flow-t1"]
         assert all(r.all_pass for r in reports)
 
     def test_golden_k2(self, golden_point):
-        tau, rhos, sigmas = companions(golden_point, 2, 6)
+        tau, rhos, sigmas = companions(golden_point, 2)
         reports = flows(tau, rhos, sigmas, 2, 3)
         assert all(r.all_pass for r in reports)
 
@@ -271,7 +271,7 @@ class TestFlows:
     @pytest.mark.parametrize("check", [constraint, flows],
                              ids=["verify_constraint", "verify_flows"])
     def test_unmatched_pairs_rejected(self, golden_point, check):
-        tau, rhos, sigmas = companions(golden_point, 1, 6)
+        tau, rhos, sigmas = companions(golden_point, 1)
         with pytest.raises(ValueError, match="equal length"):
             check(tau, rhos, [], 1, 3)
 
