@@ -144,6 +144,8 @@ def point_rows(data: dict) -> tuple[list[LaurentVector], int]:
     vectors = []
     for row in data.get("basis", []):
         lo = parse_int(row["minExp"])
+        if not isinstance(row["coefs"], list):
+            raise ValueError("the coefs of a basis row must be a list")
         vectors.append({lo + i: parse_rat(c) for i, c in enumerate(row["coefs"])})
     return vectors, parse_int(data["tail"])
 

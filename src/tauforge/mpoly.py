@@ -1,14 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in variables t_1..t_D is stored as integer numerators over
-one shared denominator: ``num`` maps exponent tuples (length D) to
-nonzero ints and ``den`` is a positive int with gcd(den, *num.values())
-== 1, so the coefficient of t**exp is num[exp]/den.  That form is
+one shared denominator: ``num`` maps packed exponent vectors to nonzero
+ints and ``den`` is a positive int with gcd(den, *num.values()) == 1, so
+the coefficient of t**exp is num[_pack(exp)]/den.  That form is
 canonical: equal polynomials have equal ``num`` and ``den``, and the
 zero polynomial is num = {} over den = 1.  Arithmetic is integer
 arithmetic plus at most one gcd pass per result; ``terms`` reads the
-coefficients back as Fractions.  Nothing in this package ever touches
-floating point.
+coefficients back as Fractions, keyed by exponent tuples.  Nothing in
+this package ever touches floating point.
+
+Packed exponents (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  An exponent
+vector is one nonnegative int: the exponent of t_i sits in bits
+[16(i-1), 16i), so a monomial product is one integer addition, a shift
+moves variables and ``bit_length`` finds the last one used.  The top bit
+of each field is a guard bit.  Every exponent is below 2**15, so the sum
+of two fields is below 2**16 and never carries into its neighbour; a
+product whose key has any guard bit set (``_guard``) would leave that
+range, and raises ArithmeticError instead of building the monomial.
+The constructor refuses an exponent outside 0..2**15 - 1 with PolyError.
+Keys unpack to tuples only at the edges: ``terms``, serialization,
+printing (graded-lex order compares tuples), ``content``, evaluation
+and ``divexact``.
 
 The weighted degree gives variable t_i weight i, so wdeg(t_2) = 2 and
 wdeg(t_1**3) = 3.  This is the grading under which the generating-series
@@ -20,11 +34,18 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import struct
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 Exponent = tuple[int, ...]
+
+# bits per exponent field; exponents stay below the field's guard bit
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)
 
 # ASCII digits only: Fraction alone would also take "1.5", "1e5", "1_000"
 # and non-ASCII digits, and an exponent costs unbounded work
@@ -70,6 +91,27 @@ def format_rat(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+@lru_cache(maxsize=None)
+def _layout(vars: int) -> struct.Struct:
+    return struct.Struct(f"<{vars}H")
+
+
+@lru_cache(maxsize=None)
+def _guard(vars: int) -> int:
+    """The guard bits of the fields of t_1..t_vars."""
+    return sum(_LIMIT << (_BITS * i) for i in range(vars))
+
+
+def _pack(exp: Exponent) -> int:
+    """One int for an exponent tuple with entries in 0..2**16 - 1."""
+    return int.from_bytes(_layout(len(exp)).pack(*exp), "little")
+
+
+def _unpack(key: int, vars: int) -> Exponent:
+    """The exponent tuple of a packed key of vars fields."""
+    return _layout(vars).unpack(key.to_bytes(2 * vars, "little"))
+
+
 def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
 
@@ -80,20 +122,27 @@ class Terms(Mapping):
     A Fraction is built only when an item is read; the length is O(1).
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_vars")
 
-    def __init__(self, num: dict[Exponent, int], den: int):
+    def __init__(self, num: dict[int, int], den: int, vars: int):
         self._num = num
         self._den = den
+        self._vars = vars
+
+    def _key(self, exp) -> int | None:
+        if len(exp) != self._vars or not all(0 <= e < _LIMIT for e in exp):
+            return None
+        return _pack(exp)
 
     def __getitem__(self, exp: Exponent) -> Fraction:
-        return Fraction(self._num[exp], self._den)
+        return Fraction(self._num[self._key(exp)], self._den)
 
     def __contains__(self, exp) -> bool:
-        return exp in self._num
+        return self._key(exp) in self._num
 
     def __iter__(self) -> Iterator[Exponent]:
-        return iter(self._num)
+        vars = self._vars
+        return (_unpack(k, vars) for k in self._num)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -108,13 +157,15 @@ class MPoly:
         """The polynomial with the given rational coefficients; zeros are dropped."""
         if vars < 0:
             raise PolyError(f"variable count must be nonnegative, got {vars}")
-        coefs: dict[Exponent, Fraction] = {}
+        coefs: dict[int, Fraction] = {}
         for exp, coef in (terms or {}).items():
             if len(exp) != vars:
                 raise PolyError(f"exponent {exp} has length {len(exp)}, expected {vars}")
+            if not all(0 <= e < _LIMIT for e in exp):
+                raise PolyError(f"exponent {exp} has an entry outside 0..{_LIMIT - 1}")
             c = Fraction(coef)
             if c != 0:
-                coefs[tuple(exp)] = c
+                coefs[_pack(exp)] = c
         # over the lcm of the denominators some numerator is prime to each
         # prime power of it, so the form is already canonical
         den = math.lcm(*(c.denominator for c in coefs.values()))
@@ -129,7 +180,7 @@ class MPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, vars: int, num: dict[Exponent, int], den: int) -> "MPoly":
+    def _make(cls, vars: int, num: dict[int, int], den: int) -> "MPoly":
         """Internal fast path: num/den must already be canonical."""
         self = object.__new__(cls)
         object.__setattr__(self, "vars", vars)
@@ -138,7 +189,7 @@ class MPoly:
         return self
 
     @classmethod
-    def _reduced(cls, vars: int, num: dict[Exponent, int], den: int) -> "MPoly":
+    def _reduced(cls, vars: int, num: dict[int, int], den: int) -> "MPoly":
         """Internal: nonzero integer numerators over den > 0, reduced by their gcd."""
         if den != 1:
             g = den
@@ -160,23 +211,21 @@ class MPoly:
         c = Fraction(value)
         if c == 0:
             return cls.zero(vars)
-        return cls._make(vars, {(0,) * vars: c.numerator}, c.denominator)
+        return cls._make(vars, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, vars: int, i: int) -> "MPoly":
         """The polynomial t_i (1-based index)."""
         if not 1 <= i <= vars:
             raise PolyError(f"variable index {i} out of range 1..{vars}")
-        exp = [0] * vars
-        exp[i - 1] = 1
-        return cls._make(vars, {tuple(exp): 1}, 1)
+        return cls._make(vars, {1 << (_BITS * (i - 1)): 1}, 1)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def terms(self) -> Terms:
         """The coefficients as a read-only exponent -> Fraction mapping."""
-        return Terms(self.num, self.den)
+        return Terms(self.num, self.den, self.vars)
 
     @property
     def is_zero(self) -> bool:
@@ -266,13 +315,13 @@ class MPoly:
         self._check(other)
         if not self.num or not other.num:
             return MPoly.zero(self.vars)
-        out: dict[Exponent, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         small, large = (self.num, other.num) \
             if len(self.num) <= len(other.num) else (other.num, self.num)
         for ea, ca in small.items():
             for eb, cb in large.items():
-                exp = tuple(map(int.__add__, ea, eb))
+                exp = ea + eb
                 c = get(exp)
                 if c is None:
                     out[exp] = ca * cb
@@ -282,6 +331,8 @@ class MPoly:
                         out[exp] = c
                     else:
                         del out[exp]
+        if any(map(_guard(self.vars).__and__, out)):
+            raise ArithmeticError(f"an exponent of the product reaches {_LIMIT}")
         return MPoly._reduced(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -310,14 +361,13 @@ class MPoly:
         """Exact partial derivative with respect to t_i (1-based)."""
         if not 1 <= i <= self.vars:
             raise PolyError(f"variable index {i} out of range 1..{self.vars}")
-        out: dict[Exponent, int] = {}
-        for exp, coef in self.num.items():
-            e = exp[i - 1]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i - 1] = e - 1
-            out[tuple(new)] = coef * e
+        shift = _BITS * (i - 1)
+        unit = 1 << shift
+        out: dict[int, int] = {}
+        for key, coef in self.num.items():
+            e = (key >> shift) & _FIELD
+            if e:
+                out[key - unit] = coef * e
         return MPoly._reduced(self.vars, out, self.den)
 
     def _power_tables(self, point: Sequence[Fraction]) -> tuple[list[list[int]], int]:
@@ -329,7 +379,7 @@ class MPoly:
         """
         if len(point) != self.vars:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.vars}")
-        tops = [max(col) for col in zip(*self.num)] if self.num else [0] * self.vars
+        tops = [max(col) for col in zip(*self.terms)] if self.num else [0] * self.vars
         tables = []
         common = 1
         for v, top in zip(point, tops):
@@ -344,7 +394,9 @@ class MPoly:
         if not self.num:
             return Fraction(0)
         at = list.__getitem__
-        total = sum(c * math.prod(map(at, tables, e)) for e, c in self.num.items())
+        vars = self.vars
+        total = sum(c * math.prod(map(at, tables, _unpack(k, vars)))
+                    for k, c in self.num.items())
         return Fraction(total, self.den * common)
 
     # -- structure -------------------------------------------------------
@@ -355,22 +407,19 @@ class MPoly:
         The zero polynomial reports 0.
         """
         return max(
-            (sum(w * e for w, e in enumerate(exp, start=1)) for exp in self.num),
+            (sum(w * e for w, e in enumerate(exp, start=1)) for exp in self.terms),
             default=0,
         )
 
     def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.num), default=0)
+        return max((sum(exp) for exp in self.terms), default=0)
 
     def max_var_used(self) -> int:
         """Largest 1-based variable index with a nonzero exponent (0 if none)."""
-        best = 0
-        for exp in self.num:
-            for i in range(self.vars - 1, best - 1, -1):
-                if exp[i]:
-                    best = max(best, i + 1)
-                    break
-        return best
+        used = 0
+        for key in self.num:
+            used |= key
+        return -(-used.bit_length() // _BITS)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, coprime coefficients.
@@ -386,7 +435,8 @@ class MPoly:
             if g == 1:
                 break
         mag = Fraction(g, self.den)
-        return mag if self.num[max(self.num, key=_grlex_key)] > 0 else -mag
+        lead = _pack(max(self.terms, key=_grlex_key))
+        return mag if self.num[lead] > 0 else -mag
 
     # -- variable plumbing -------------------------------------------------
 
@@ -394,14 +444,11 @@ class MPoly:
         """Reinterpret in a larger variable space, shifting indices by offset."""
         if offset < 0 or self.max_var_used() + offset > new_vars:
             raise PolyError("embedding does not fit in target variable space")
-        out = {}
-        for exp, coef in self.num.items():
-            new = [0] * new_vars
-            for i, e in enumerate(exp):
-                if e:
-                    new[i + offset] = e
-            out[tuple(new)] = coef
-        return MPoly._make(new_vars, out, self.den)
+        if not offset:
+            return MPoly._make(new_vars, self.num, self.den)
+        shift = _BITS * offset
+        return MPoly._make(new_vars, {k << shift: c for k, c in self.num.items()},
+                           self.den)
 
     def scale_vars(self, factors: Sequence[Fraction]) -> "MPoly":
         """Substitute t_i -> factors[i-1] * t_i."""
@@ -409,21 +456,28 @@ class MPoly:
             raise PolyError("one scale factor per variable required")
         tables, common = self._power_tables(factors)
         at = list.__getitem__
+        vars = self.vars
         out = {}
-        for exp, coef in self.num.items():
-            c = coef * math.prod(map(at, tables, exp))
+        for key, coef in self.num.items():
+            c = coef * math.prod(map(at, tables, _unpack(key, vars)))
             if c:
-                out[exp] = c
+                out[key] = c
         return MPoly._reduced(self.vars, out, self.den * common)
 
     # -- serialization ------------------------------------------------------
+
+    def _sorted(self) -> list[tuple[Exponent, int]]:
+        """(exponent, numerator) pairs in descending graded-lex order."""
+        vars = self.vars
+        return sorted(((_unpack(k, vars), c) for k, c in self.num.items()),
+                      key=lambda item: _grlex_key(item[0]), reverse=True)
 
     def to_json(self) -> dict:
         den = self.den
         return {
             "vars": self.vars,
-            "terms": [{"exp": list(e), "coef": format_rat(Fraction(self.num[e], den))}
-                      for e in sorted(self.num, key=_grlex_key, reverse=True)],
+            "terms": [{"exp": list(e), "coef": format_rat(Fraction(c, den))}
+                      for e, c in self._sorted()],
         }
 
     @classmethod
@@ -440,8 +494,8 @@ class MPoly:
         if not self.num:
             return "0"
         parts = []
-        for exp in sorted(self.num, key=_grlex_key, reverse=True):
-            coef = Fraction(self.num[exp], self.den)
+        for exp, c in self._sorted():
+            coef = Fraction(c, self.den)
             factors = [
                 f"t{i}" if e == 1 else f"t{i}^{e}"
                 for i, e in enumerate(exp, start=1)
@@ -482,17 +536,19 @@ def divexact(p: MPoly, d: MPoly) -> MPoly | None:
     if p.is_zero:
         return MPoly.zero(p.vars)
     # both extreme monomials of p must be divisible by those of d
-    d_exp = max(d.num, key=_grlex_key)
-    d_low = min(d.num, key=_grlex_key)
-    p_low = min(p.num, key=_grlex_key)
+    vars = p.vars
+    d_num = {_unpack(k, vars): c for k, c in d.num.items()}
+    d_exp = max(d_num, key=_grlex_key)
+    d_low = min(d_num, key=_grlex_key)
+    rem: dict[Exponent, int | Fraction] = {_unpack(k, vars): c for k, c in p.num.items()}
+    p_low = min(rem, key=_grlex_key)
     if any(a < b for a, b in zip(p_low, d_low)):
         return None
     # p / d = p.num / (d.num * p.den / d.den)
     scale = Fraction(p.den, d.den)
-    d_coef = d.num[d_exp] * scale
-    d_rest = [(exp, coef * scale) for exp, coef in d.num.items() if exp != d_exp]
+    d_coef = d_num[d_exp] * scale
+    d_rest = [(exp, coef * scale) for exp, coef in d_num.items() if exp != d_exp]
     quotient: dict[Exponent, Fraction] = {}
-    rem: dict[Exponent, int | Fraction] = dict(p.num)
     get = rem.get
 
     def heap_key(exp: Exponent):

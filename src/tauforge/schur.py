@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .mpoly import MPoly, PolyError, parse_int
+from .mpoly import _BITS, MPoly, PolyError, _unpack, parse_int
 from .zseries import ZSeries
 
 
@@ -161,34 +161,34 @@ def miwa_shift(p: MPoly, sign: int) -> ZSeries:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     D = p.vars
+    exps = [(_unpack(key, D), key, coef) for key, coef in p.num.items()]
     # every coefficient is an integer over p.den * scale: a term that takes
     # j_i factors z**-i/i from t_i is divided by prod i**j_i, which divides
     # scale = prod i**top_i, top_i the highest power of t_i
     scale = 1
     for w in range(2, D + 1):
-        scale *= w ** max((exp[w - 1] for exp in p.num), default=0)
-    out: dict[int, dict[tuple[int, ...], int]] = {}
-    for exp, coef in p.num.items():
+        scale *= w ** max((exp[w - 1] for exp, _, _ in exps), default=0)
+    out: dict[int, dict[int, int]] = {}
+    for exp, key, coef in exps:
         # expand prod (t_i + sign*z^-i/i)^e_i over choices of binomial splits;
-        # a partial carries (z order, exponent, numerator, divisor)
-        partials: list[tuple[int, tuple[int, ...], int, int]] = [(0, exp, coef, 1)]
+        # a partial carries (z order, packed exponent, numerator, divisor)
+        partials: list[tuple[int, int, int, int]] = [(0, key, coef, 1)]
         for w, e in enumerate(exp, start=1):
             if e == 0:
                 continue
-            nxt: list[tuple[int, tuple[int, ...], int, int]] = []
-            for order, cur_exp, cur_coef, div in partials:
+            unit = 1 << (_BITS * (w - 1))
+            nxt: list[tuple[int, int, int, int]] = []
+            for order, cur_key, cur_coef, div in partials:
                 binom = 1
                 for j in range(e + 1):
                     if j:
                         binom = binom * (e - j + 1) // j
-                    new_exp = list(cur_exp)
-                    new_exp[w - 1] = e - j
-                    nxt.append((order - w * j, tuple(new_exp),
+                    nxt.append((order - w * j, cur_key - j * unit,
                                 cur_coef * binom * sign**j, div * w**j))
             partials = nxt
-        for order, new_exp, c, div in partials:
+        for order, new_key, c, div in partials:
             bucket = out.setdefault(order, {})
-            bucket[new_exp] = bucket.get(new_exp, 0) + c * (scale // div)
+            bucket[new_key] = bucket.get(new_key, 0) + c * (scale // div)
     den = p.den * scale
     coeffs = {order: MPoly._reduced(D, {e: c for e, c in bucket.items() if c}, den)
               for order, bucket in out.items()}
@@ -247,12 +247,12 @@ def hall_product(f: MPoly, g: MPoly) -> Fraction:
     if f.vars != g.vars:
         raise PolyError("variable counts differ")
     total = Fraction(0)
-    for exp, cf in f.num.items():
-        cg = g.num.get(exp)
+    for key, cf in f.num.items():
+        cg = g.num.get(key)
         if cg is None:
             continue
         norm_num = norm_den = 1
-        for i, e in enumerate(exp, start=1):
+        for i, e in enumerate(_unpack(key, f.vars), start=1):
             if e:
                 norm_num *= math.factorial(e)
                 norm_den *= i**e

@@ -174,6 +174,10 @@ class TestRationalInput:
         ("verify", "--tau", {"charge": 0, "poly": {"vars": 10**12, "terms": []}}),
         ("lax", "--tau", {"charge": 0, "poly": {"vars": cli.MAX_VARS + 1, "terms": [
             {"exp": [1] + [0] * cli.MAX_VARS, "coef": "1"}]}}),
+        # a string or an object of coefficients was read key by key
+        ("grass min-n", "--grpoint", {"tail": 0, "basis": [{"minExp": -3, "coefs": "121"}]}),
+        ("grass min-n", "--grpoint",
+         {"tail": 0, "basis": [{"minExp": -3, "coefs": {"1": 0, "2": 0}}]}),
     ])
     def test_exit_two_without_traceback(self, capsys, tmp_path, command, flag,
                                          payload):
@@ -198,6 +202,23 @@ class TestRationalInput:
                               capture_output=True, text=True, env=env, timeout=20)
         assert done.returncode == 2
         assert done.stderr.startswith("input error:") and "1e100000000" in done.stderr
+
+
+class TestExponentRange:
+    """An exponent outside 0..2**15 - 1, the range of a packed exponent
+    field below its guard bit, is an input error."""
+
+    @pytest.mark.parametrize("exponent", [2**15, 10**30, -1])
+    @pytest.mark.parametrize("argv", [["verify", "--k", "1"], ["lax", "--k", "1"],
+                                      ["dress"]])
+    def test_exit_two_without_traceback(self, capsys, tmp_path, argv, exponent):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"charge": 0, "poly": {"vars": 1, "terms": [
+            {"exp": [exponent], "coef": "1"}]}}))
+        code, out, err = run(capsys, [*argv, "--tau", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {path}: bad polynomial payload")
+        assert "Traceback" not in err
 
 
 class TestDeepNesting:
@@ -381,6 +402,57 @@ class TestPointBudget:
         path.write_text(json.dumps(point))
         code, _, err = run(capsys, ["grass", action, "--grpoint", str(path), "--k", "1"])
         assert (code, err) == (0, "")
+
+
+class TestMatrixBudget:
+    """A --matrix above MAX_MATRIX_ROWS x MAX_MATRIX_COLS, or with more than
+    MAX_MATRIX_CHARS characters of entries, is an input error before any
+    elimination or determinant."""
+
+    @pytest.mark.parametrize("rows,cols,digits", [
+        (12, 4, 1),  # unbounded 2.5 s
+        (12, 5, 1),  # 10 s
+        (20, 3, 1),  # past 30 s
+        (8, 7, 1),  # 1.3 s, though its tau has weight 7
+        (8, 4, 1000),  # 1,000-digit rationals: 49 s
+    ])
+    def test_above_the_limit_exits_at_once(self, tmp_path, rows, cols, digits):
+        rng = random.Random(rows * cols)
+        if digits == 1:
+            entries = [[str(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        else:
+            entries = [[f"{rng.randint(1, 10**digits)}/{rng.randint(1, 10**digits)}"
+                        for _ in range(cols)] for _ in range(rows)]
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
+        done, seconds = child_run(["tau-from-matrix", "--matrix", str(path),
+                                   "--k", "1", "--n", str(cols)])
+        assert (done.returncode, done.stdout) == (2, "")
+        shape = f"a {rows} x {cols} matrix" if digits == 1 else "entry characters"
+        assert done.stderr.startswith(f"input error: {path}: ")
+        assert shape in done.stderr and "above the limit" in done.stderr
+        assert seconds < 5
+
+    def test_at_the_limit(self, capsys, tmp_path):
+        rng = random.Random(86)
+        rows, cols = cli.MAX_MATRIX_ROWS, cli.MAX_MATRIX_COLS
+        entries = [[str(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
+        code, out, err = run(capsys, ["tau-from-matrix", "--matrix", str(path),
+                                      "--k", "1", "--n", str(cols)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["cols"] == cols
+
+    @pytest.mark.parametrize("entries", [["0", "0", "1"], [["0"], ["0"], {"1": 0}]])
+    def test_rows_must_be_lists(self, capsys, tmp_path, entries):
+        # a string row was read character by character
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 1, "entries": entries}))
+        code, out, err = run(capsys, ["tau-from-matrix", "--matrix", str(path),
+                                      "--k", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: entry grid does not match rows x cols\n"
 
 
 class TestTermBudget:

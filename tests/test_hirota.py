@@ -1,11 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from tauforge.mpoly import MPoly
-from tauforge.schur import (ChargedPoly, DomainError, Partition,
+from tauforge.schur import (ChargedPoly, DomainError, Partition, bilinear_window,
                             partitions_up_to, schur_of_partition)
 from tauforge.fock import FockVector, MayaState, fermionic_pairing, sigma_map
 from tauforge.grassmann import companions, reduce_point, tau_of
@@ -79,6 +80,55 @@ class TestKpResidue:
             direct = kp_residue(cp, D)
             flipped = kp_residue(charged(flip_times(poly)), D)
             assert swap_and_flip(flipped, D) == -direct
+
+
+class TestKpResidueOracle:
+    """kp_residue against SymPy: the z**-1 coefficient of
+    tau(t - [1/z]) tau(t' + [1/z]) exp(sum_{i <= kmax} (t_i - t'_i) z**i)."""
+
+    @staticmethod
+    def expected(sp, tau: MPoly, D: int, kmax: int) -> dict:
+        """The residue as {exponent over (t, t'): coefficient}, expanded in a
+        SymPy ring over (t, t', z), every factor scaled by z**wdeg to clear 1/z."""
+        ring, *gens = sp.ring([f"t{i}" for i in range(1, D + 1)]
+                              + [f"s{i}" for i in range(1, D + 1)] + ["z"], sp.QQ)
+        t, tp, z = gens[:D], gens[D:-1], gens[-1]
+        w = tau.wdeg()
+
+        def shifted(times, sign):  # z**w tau(times + sign [1/z])
+            out = ring(0)
+            for exp, c in tau.embed(D).terms.items():
+                term = ring(c) * z**(w - sum(i * e for i, e in enumerate(exp, start=1)))
+                for i, (g, e) in enumerate(zip(times, exp), start=1):
+                    term *= (g * z**i + sp.Rational(sign, i)) ** e
+                out += term
+            return out
+
+        def cut(p):  # drop the powers of z above kmax
+            return ring({m: c for m, c in p.items() if m[-1] <= kmax})
+
+        x = sum(((t[i - 1] - tp[i - 1]) * z**i for i in range(1, kmax + 1)), ring(0))
+        kernel, power = ring(1), ring(1)
+        for n in range(1, kmax + 1):
+            power = cut(power * x)
+            kernel += power * sp.Rational(1, math.factorial(n))
+        product = shifted(t, -1) * shifted(tp, 1) * kernel
+        return {m[:-1]: F(int(c.numerator), int(c.denominator))
+                for m, c in product.items() if m[-1] == 2 * w - 1}
+
+    @pytest.mark.parametrize("tau", [
+        *[schur_of_partition(lam, 4) for lam in partitions_up_to(3)],
+        MPoly.variable(4, 1) ** 2,
+        MPoly.variable(4, 1) * MPoly.variable(4, 2) + 1,
+    ], ids=str)
+    def test_matches_sympy(self, tau):
+        sp = pytest.importorskip("sympy")
+        cp = charged(tau)
+        D = required_vars(cp, cp)
+        _, kmax = bilinear_window(tau.wdeg(), tau.wdeg(), 0)
+        got = kp_residue(cp, D)
+        assert got.vars == 2 * D
+        assert dict(got.terms) == self.expected(sp, tau, D, kmax)
 
 
 class TestWindowGuard:

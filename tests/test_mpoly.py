@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tauforge.mpoly import MPoly, PolyError, divexact, format_rat, parse_rat
+from tauforge.mpoly import (_BITS, MPoly, PolyError, _guard, _pack, _unpack, divexact,
+                            format_rat, parse_rat)
 
 from conftest import random_poly
 
@@ -139,6 +140,61 @@ class TestDivision:
             assert divexact(a * b, b) == a
 
 
+class TestPacking:
+    """Exponent vectors are packed ints; a product that would reach a guard
+    bit raises, and no exponent outside 0..2**15 - 1 is ever stored."""
+
+    def test_roundtrip(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hyp.given(st.lists(st.integers(0, 2**15 - 1), max_size=64).map(tuple))
+        def check(exp):
+            assert _unpack(_pack(exp), len(exp)) == exp
+
+        check()
+
+    @pytest.mark.parametrize("vars,i", [(1, 1), (3, 2), (3, 3)])
+    def test_guard_bit_raises(self, vars, i):
+        big = MPoly(vars, {tuple(2**14 if j == i else 0 for j in range(1, vars + 1)): 1})
+        with pytest.raises(ArithmeticError):
+            big * big
+        with pytest.raises(ArithmeticError):
+            big**2
+
+    @pytest.mark.parametrize("vars,i", [(1, 1), (3, 2), (3, 3)])
+    def test_below_the_guard_bit(self, vars, i):
+        def power(e):
+            return MPoly(vars, {tuple(e if j == i else 0 for j in range(1, vars + 1)): 1})
+
+        top = 2**15 - 1
+        assert power(2**14 - 1) * power(2**14) == power(top)
+        # every field at 2**15 - 1 at once: the largest key, no carry
+        low, high = MPoly(vars, {(2**14 - 1,) * vars: 1}), MPoly(vars, {(2**14,) * vars: 1})
+        assert dict((low * high).terms) == {(top,) * vars: 1}
+
+    @pytest.mark.parametrize("exp", [(2**15,), (10**30,), (-1,), (0, 2**15)])
+    def test_constructor_refuses_out_of_range(self, exp):
+        with pytest.raises(PolyError):
+            MPoly(len(exp), {exp: 1})
+        with pytest.raises(ValueError):
+            MPoly.from_json({"vars": len(exp),
+                             "terms": [{"exp": list(exp), "coef": "1"}]})
+
+    def test_embed_matches_tuple_shift(self):
+        rng = random.Random(31)
+        for D in range(1, 7):
+            for _ in range(10):
+                p = random_poly(rng, D, max_terms=6, max_exp=3)
+                shifted = MPoly(2 * D, {(0,) * D + e: c for e, c in p.terms.items()})
+                padded = MPoly(2 * D, {e + (0,) * D: c for e, c in p.terms.items()})
+                assert p.embed(2 * D, D) == shifted
+                assert p.embed(2 * D) == padded
+                used = p.max_var_used()
+                assert p.embed(2 * D, D).max_var_used() == (D + used if used else 0)
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         rng = random.Random(9)
@@ -196,10 +252,14 @@ def _coeffs(q) -> dict:
 
 
 def assert_canonical(p: MPoly) -> None:
-    """Nonzero int numerators over a positive denominator prime to them all."""
+    """Nonzero int numerators over a positive denominator prime to them all,
+    keyed by packed exponents of p.vars fields with no guard bit set."""
     assert type(p.den) is int and p.den > 0
     assert all(type(c) is int and c for c in p.num.values())
-    assert all(len(e) == p.vars for e in p.num)
+    for k in p.num:
+        assert type(k) is int and k >= 0
+        assert not k & _guard(p.vars) and not k >> (_BITS * p.vars)
+        assert _pack(_unpack(k, p.vars)) == k
     assert math.gcd(p.den, *p.num.values()) == 1
 
 
