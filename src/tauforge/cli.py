@@ -69,15 +69,15 @@ MAX_LAX_WORK = 4**2 * 10**3
 # took 2 minutes, 64 rows of 4,096 85 s and 8 rows of 20,000 6.4 s.
 MAX_POINT_CHARS = 2048
 # Upper bounds on the shape of a --matrix and on the characters of its
-# entries, counted before any is parsed: the tau determinant is expanded by
-# Laplace over cols! products of Schur sums in rows - 1 variables, so the
-# work grows with both sides and about quadratically in the digits.  They
-# admit every bench tau-from-matrix job (at most 8 x 4 of small integers).
-# On the machine above, in process, on random entries: inside, 8 x 6 of one
-# digit 0.4 s and of 2,048 characters 1.2 s, 8 x 5 and 7 x 6 at 2,048
-# characters 0.4 s; outside, 8 x 7 1.3 s (4.8 s at 2,048 characters), 9 x 6
-# 1.1 s, 12 x 4 2.5 s, 12 x 5 10 s, 20 x 3 past 30 s, and 8 x 4 of
-# 1,000-digit rationals 49 s.
+# entries, counted before any is parsed: tau is the Schur image of the wedge
+# of the columns (Sato's formula), whose states fill the cols x (rows - cols)
+# box, so the work grows with the box and with the digits.  They admit every
+# bench tau-from-matrix job (at most 8 x 4 of small integers).  On the
+# machine above, in process, on random entries: inside, 8 x 6 of one digit
+# 0.05 s and at 2,048 characters (20-digit over 20-digit rationals) 0.07 s,
+# 8 x 5 and 7 x 6 at 2,048 characters 0.09 and 0.02 s; outside, 8 x 7 0.03 s
+# (0.04 s at 2,048 characters), 9 x 6 0.25 s, 12 x 4 5.3 s, 12 x 5 25 s,
+# 20 x 3 past 40 s, and 8 x 4 of 1,000-digit rationals 9.4 s.
 MAX_MATRIX_ROWS = 8
 MAX_MATRIX_COLS = 6
 MAX_MATRIX_CHARS = 2048
@@ -157,6 +157,8 @@ def _load_grpoint(path: str) -> GrPoint:
 def _load_matrix(path: str) -> list[list[Fraction]]:
     def parse(data) -> list[list[Fraction]]:
         rows, cols = parse_int(data["rows"]), parse_int(data["cols"])
+        if not rows > cols > 0:
+            raise InputError(f"{path}: need rows > cols > 0, got {rows} x {cols}")
         if rows > MAX_MATRIX_ROWS or cols > MAX_MATRIX_COLS:
             raise InputError(f"{path}: a {rows} x {cols} matrix is above the limit "
                              f"of {MAX_MATRIX_ROWS} rows and {MAX_MATRIX_COLS} columns")

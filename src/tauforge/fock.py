@@ -16,13 +16,14 @@ MayaState.occupied take or return them, and each is checked once on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .mpoly import MPoly, format_rat, parse_int, parse_rat
-from .schur import ChargedPoly, DomainError, Partition, schur_expand, schur_of_partition
+from .schur import ChargedPoly, Partition, schur_expand, schur_of_partition
 
 
 class WindowError(ValueError):
@@ -37,7 +38,8 @@ def half(numerator: int) -> Fraction:
 
 
 def _check_half(j: Fraction) -> Fraction:
-    j = Fraction(j)
+    if type(j) is not Fraction:
+        j = Fraction(j)
     if j.denominator != 2:
         raise ValueError(f"expected a half-integer (odd/2), got {j}")
     return j
@@ -52,9 +54,6 @@ def _code(p: Fraction) -> int:
 class MayaState:
     charge: int
     parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        Partition(self.parts)  # validates monotonicity/positivity
 
     @property
     def partition(self) -> Partition:
@@ -73,8 +72,9 @@ class MayaState:
 
     @classmethod
     def from_json(cls, data: dict) -> "MayaState":
-        return cls(parse_int(data["charge"]),
-                   tuple(parse_int(p) for p in data["partition"]))
+        """The one entry from outside, so the one place parts are checked."""
+        parts = Partition(tuple(parse_int(p) for p in data["partition"])).parts
+        return cls(parse_int(data["charge"]), parts)
 
     def sort_key(self):
         return (self.charge, self.parts)
@@ -111,9 +111,13 @@ def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
     sign (-1)**a.
     """
     codes = _codes(state)
-    if c <= codes[-1] or c in codes:
+    if c <= codes[-1]:
         return None
-    a = sum(1 for held in codes if held > c)
+    a = 0
+    while codes[a] > c:  # codes decrease, so a counts those above c
+        a += 1
+    if codes[a] == c:
+        return None
     m, parts = state.charge, state.parts
     new = tuple(lam - 1 for lam in parts[:a]) + (c - m + a,) + parts[a:]
     # parts stay weakly decreasing, so any zeros form the end
@@ -166,7 +170,7 @@ class FockVector:
     def __init__(self, terms: Mapping[MayaState, Fraction] | None = None):
         clean: dict[MayaState, Fraction] = {}
         for state, coef in (terms or {}).items():
-            c = Fraction(coef)
+            c = coef if type(coef) is Fraction else Fraction(coef)
             if c:
                 clean[state] = c
         self.terms = clean
@@ -284,17 +288,24 @@ def shift_charge(power: int, v: FockVector) -> FockVector:
 
 
 def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVector:
-    """Wedge a general vector sum_p column[p] v_p in front."""
-    out: dict[MayaState, Fraction] = {}
-    for p, coef in column.items():
-        if not coef:
-            continue
-        c, coef = _code(p), Fraction(coef)
-        for state, vc in v.terms.items():
+    """Wedge a general vector sum_p column[p] v_p in front.
+
+    The column and v each go over one common denominator, so products and
+    sums are on integers and each result term is one Fraction.
+    """
+    col = {_code(p): Fraction(coef) for p, coef in column.items() if coef}
+    den_col = math.lcm(*(a.denominator for a in col.values()))
+    den_v = math.lcm(*(b.denominator for b in v.terms.values()))
+    vec = [(s, b.numerator * (den_v // b.denominator)) for s, b in v.terms.items()]
+    out: dict[MayaState, int] = {}
+    for c, a in col.items():
+        a = a.numerator * (den_col // a.denominator)
+        for state, b in vec:
             hit = _wedge(state, c)
             if hit is not None:
-                _add_to(out, hit[1], vc * coef * hit[0])
-    return FockVector(out)
+                out[hit[1]] = out.get(hit[1], 0) + hit[0] * a * b
+    den = den_col * den_v
+    return FockVector({s: Fraction(n, den) for s, n in out.items() if n})
 
 
 # -- window matrices ---------------------------------------------------------
@@ -366,10 +377,7 @@ def apply_window_matrix(matrix: WindowMatrix, charge: int,
 # -- the boson-fermion dictionary ---------------------------------------------
 
 def sigma_map(v: FockVector, D: int) -> list[ChargedPoly]:
-    """Per charge, the polynomial sum of coefficients times S_lambda."""
-    needed = max((sum(s.parts) for s in v.terms), default=0)
-    if D < max(needed, 1):
-        raise DomainError(f"need D >= {needed} for this vector, got {D}")
+    """Per charge, the sum of coefficients times S_lambda (DomainError below a hook)."""
     by_charge: dict[int, MPoly] = {}
     for state, coef in v.terms.items():
         poly = schur_of_partition(state.partition, D) * coef

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .mpoly import MPoly, format_rat, parse_int, parse_rat
-from .schur import ChargedPoly, _det, elementary_schur
+from .mpoly import format_rat, parse_int, parse_rat
+from .schur import ChargedPoly
 from .fock import (FockVector, MayaState, WindowMatrix, sigma_single,
                    wedge_vector)
 
@@ -343,10 +343,13 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
     """Polynomial solution from an M x N rank-N matrix of chain data.
 
     The shift matrix R drops every row index by k.  Columns must chain
-    (R A_j is the next column or zero) except for at most n of them; the
-    tau determinant det(sum_l S_{l-i} A_{lj}) then lands in filtration
-    level n.  Rows map to loop vectors by e_l -> s**(N-l), columns enter
-    the wedge in reverse order over the tail at level -N.
+    (R A_j is the next column or zero) except for at most n of them; tau
+    then lands in filtration level n.  Rows map to loop vectors by
+    e_l -> s**(N-l), and tau is Sato's formula on the raw columns: the
+    Schur image of their wedge over the tail at level -N, the sum of
+    Pluecker coordinates times S_lambda.  Wedging the columns in reverse
+    order cancels the reversal sign (-1)**(N(N-1)/2), so tau equals the
+    determinant det(sum_l S_{l-i} A_{lj}) exactly, not up to a scalar.
     """
     if k < 1:
         raise GrassmannError("the constraint power k must be positive")
@@ -356,49 +359,30 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
     N = len(entries[0])
     if not (M > N > 0):
         raise GrassmannError(f"need rows > cols > 0, got {M} x {N}")
-    grid = [[Fraction(v) for v in row] for row in entries]
-    columns = [[grid[i][j] for i in range(M)] for j in range(N)]
+    columns = [[Fraction(row[j]) for row in entries] for j in range(N)]
     # every exponent N - l lies below the tail at -N, so no entry is cut
-    vectors = [{N - l: columns[j][l - 1] for l in range(1, M + 1)
-                if columns[j][l - 1]} for j in range(N)]
+    vectors = [{N - l: c for l, c in enumerate(col, start=1) if c} for col in columns]
     point = reduce_point(vectors, -N)
     if len(point.basis) != N:
         raise GrassmannError(f"matrix rank below {N}")
-
-    def shifted(col: list[Fraction]) -> list[Fraction]:
-        return [col[i + k] if i + k < M else Fraction(0) for i in range(M)]
-
-    for j in range(N):
-        r_col = shifted(columns[j])
-        for i in range(j):
-            if r_col == columns[i] and any(r_col):
-                raise GrassmannError(
-                    f"shift of column {j + 1} duplicates earlier column {i + 1}")
     violating = []
-    for j in range(N):
-        r_col = shifted(columns[j])
-        chains = not any(r_col) or (j + 1 < N and r_col == columns[j + 1])
-        if not chains:
+    for j, col in enumerate(columns):
+        r_col = col[k:] + [Fraction(0)] * min(k, M)  # R A_j
+        if not any(r_col):
+            continue
+        if r_col in columns[:j]:
+            raise GrassmannError(f"shift of column {j + 1} duplicates earlier "
+                                 f"column {columns.index(r_col) + 1}")
+        if columns[j + 1:j + 2] != [r_col]:
             violating.append(j + 1)
     report = GeneratorReport(M, N, k, tuple(violating))
     if len(violating) > n:
         raise GeneratorConditionError(
             f"{len(violating)} columns break the chain condition, allowed {n}",
             report)
-
-    D = max(M - 1, 1)
-    det_grid = []
-    for i in range(1, N + 1):
-        row = []
-        for j in range(N):
-            acc = MPoly.zero(D)
-            for l in range(1, M + 1):
-                if columns[j][l - 1] and l - i >= 0:
-                    acc = acc + elementary_schur(l - i, D) * columns[j][l - 1]
-            row.append(acc)
-        det_grid.append(row)
-    tau = _det(det_grid, D)
-    return point, ChargedPoly(tau, point.charge), report
+    # the box N x (M - N) holds every state, so its hook M - 1 is enough
+    tau = sigma_single(_wedge_factors(vectors[::-1], -N), max(M - 1, 1))
+    return point, tau, report
 
 
 def grpoint_from_window_matrix(matrix: WindowMatrix, charge: int) -> GrPoint:

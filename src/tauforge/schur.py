@@ -3,7 +3,8 @@ and the exponential kernels that drive the bilinear residue checks.
 
 Conventions.  S_i(t) is the coefficient of z**i in exp(sum t_j z**j),
 with S_i = 0 for i < 0.  A partition indexes S_lambda through the
-determinant det(S_{lambda_i - i + j}).  The doubled variable space for
+determinant det(S_{lambda_i - i + j}), which needs D at least the hook
+lambda_1 + len(lambda) - 1.  The doubled variable space for
 two-point identities puts t_1..t_D in slots 1..D and the primed copies
 t'_1..t'_D in slots D+1..2D of a single polynomial ring.
 """
@@ -123,11 +124,14 @@ def elementary_schur(i: int, D: int) -> MPoly:
     return acc / i
 
 
+@lru_cache(maxsize=None)
 def schur_of_partition(shape: Partition, D: int) -> MPoly:
-    """S_lambda = det(S_{lambda_i - i + j}) for i, j = 1..len(lambda)."""
-    if D < max(shape.weight, 1):
-        raise DomainError(f"need D >= {shape.weight} for {shape}, got {D}")
+    """S_lambda = det(S_{lambda_i - i + j}) for i, j = 1..len(lambda); the grid
+    reads no S_i above the hook lambda_1 + len(lambda) - 1, so D >= hook."""
     n = len(shape)
+    hook = shape.parts[0] + n - 1 if n else 1
+    if D < hook:
+        raise DomainError(f"need D >= {hook} for {shape}, got {D}")
     if n == 0:
         return MPoly.const(D, 1)
     grid = [[elementary_schur(shape.parts[i] - i + j, D) if shape.parts[i] - i + j >= 0

@@ -81,6 +81,29 @@ class TestTauFromMatrix:
         assert code == 1
         assert json.loads(out)["report"]["violations"] == [1]
 
+    def test_duplicate_shift_exits_one(self, capsys, tmp_path):
+        # columns (e_2, e_3): R A_2 = e_2 = A_1
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 2,
+                                    "entries": [["0", "0"], ["1", "0"], ["0", "1"]]}))
+        code, out, _ = run(capsys, ["tau-from-matrix", "--matrix", str(path),
+                                    "--k", "1", "--n", "2"])
+        assert code == 1
+        assert "duplicates" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("rows,cols,entries", [
+        (2, 3, [["1", "0", "0"], ["0", "1", "0"]]),
+        (0, 0, []),
+    ])
+    def test_malformed_shape_exits_two(self, capsys, tmp_path, rows, cols, entries):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
+        code, out, err = run(capsys, ["tau-from-matrix", "--matrix", str(path),
+                                      "--k", "1"])
+        assert (code, out) == (2, "")
+        assert err == (f"input error: {path}: need rows > cols > 0, "
+                       f"got {rows} x {cols}\n")
+
 
 class TestVerify:
     def test_passing_suite(self, capsys, golden_files):
@@ -410,11 +433,11 @@ class TestMatrixBudget:
     elimination or determinant."""
 
     @pytest.mark.parametrize("rows,cols,digits", [
-        (12, 4, 1),  # unbounded 2.5 s
-        (12, 5, 1),  # 10 s
-        (20, 3, 1),  # past 30 s
-        (8, 7, 1),  # 1.3 s, though its tau has weight 7
-        (8, 4, 1000),  # 1,000-digit rationals: 49 s
+        (12, 4, 1),  # unbounded 5.3 s
+        (12, 5, 1),  # 25 s
+        (20, 3, 1),  # past 40 s
+        (8, 7, 1),  # 0.03 s: a shape limit, not a time limit
+        (8, 4, 1000),  # 1,000-digit rationals: 9.4 s
     ])
     def test_above_the_limit_exits_at_once(self, tmp_path, rows, cols, digits):
         rng = random.Random(rows * cols)
@@ -434,15 +457,25 @@ class TestMatrixBudget:
         assert seconds < 5
 
     def test_at_the_limit(self, capsys, tmp_path):
+        # in process, one-digit entries and 42-character rationals (2,016
+        # characters in all), each under a second
         rng = random.Random(86)
         rows, cols = cli.MAX_MATRIX_ROWS, cli.MAX_MATRIX_COLS
-        entries = [[str(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
-        path = tmp_path / "matrix.json"
-        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
-        code, out, err = run(capsys, ["tau-from-matrix", "--matrix", str(path),
-                                      "--k", "1", "--n", str(cols)])
-        assert (code, err) == (0, "")
-        assert json.loads(out)["report"]["cols"] == cols
+        small = [[str(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        wide = [[f"{rng.randint(10**20, 10**21 - 1)}/{rng.randint(10**19, 10**20 - 1)}"
+                 for _ in range(cols)] for _ in range(rows)]
+        chars = sum(len(v) for row in wide for v in row)
+        assert cli.MAX_MATRIX_CHARS - rows * cols < chars <= cli.MAX_MATRIX_CHARS
+        for entries in (small, wide):
+            path = tmp_path / "matrix.json"
+            path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["tau-from-matrix", "--matrix", str(path),
+                                          "--k", "1", "--n", str(cols)])
+            seconds = time.perf_counter() - start
+            assert (code, err) == (0, "")
+            assert json.loads(out)["report"]["cols"] == cols
+            assert seconds < 1
 
     @pytest.mark.parametrize("entries", [["0", "0", "1"], [["0"], ["0"], {"1": 0}]])
     def test_rows_must_be_lists(self, capsys, tmp_path, entries):
@@ -778,6 +811,18 @@ class TestFockApply:
                                       "--index=1/2", "--vector", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("input error:") and "state charges" in err
+
+    @pytest.mark.parametrize("parts", [[1, 2], [2, 0]])
+    def test_state_not_a_partition(self, capsys, tmp_path, parts):
+        # checked where a state comes in, not on every state the operators build
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps(
+            [{"state": {"charge": 0, "partition": parts}, "coef": "1"}]))
+        code, out, err = run(capsys, ["fock-apply", "--op", "alpha",
+                                      "--index=-1", "--vector", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {path}: bad vector payload") \
+            and "partition parts must be" in err
 
     @pytest.mark.parametrize("op,index", [
         ("alpha", -cli.MAX_INDEX), ("psi-", f"-{2 * cli.MAX_INDEX - 1}/2"),

@@ -5,7 +5,8 @@ import pytest
 
 from tauforge.mpoly import MPoly
 from tauforge.zseries import ZSeries
-from tauforge.schur import DomainError, elementary_schur, miwa_shift, partitions_up_to
+from tauforge.schur import (DomainError, Partition, elementary_schur, miwa_shift,
+                            partitions_up_to, schur_of_partition)
 from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
                            alpha, apply_window_matrix, fermionic_pairing, half,
                            insert_index, poly_to_fock, psi_minus, psi_plus,
@@ -37,6 +38,11 @@ class TestMayaState:
     def test_json(self):
         v = MayaState(-2, (3, 1))
         assert MayaState.from_json(v.to_json()) == v
+
+    @pytest.mark.parametrize("parts", [[1, 2], [2, 0], [-1]])
+    def test_json_parts_must_form_a_partition(self, parts):
+        with pytest.raises(ValueError):
+            MayaState.from_json({"charge": 0, "partition": parts})
 
 
 class TestFermionOps:
@@ -195,6 +201,16 @@ class TestSigmaMap:
     def test_var_count_guard(self):
         with pytest.raises(DomainError):
             sigma_map(FockVector.of(MayaState(0, (3,))), 2)
+
+    def test_weight_above_D_when_every_hook_fits(self):
+        # (2,2) has weight 4 and hook 3, (3) and (1,1,1) hook 3
+        vec = FockVector({MayaState(1, (2, 2)): F(1, 2), MayaState(1, (3,)): F(-3),
+                          MayaState(1, (1, 1, 1)): F(1)})
+        img = sigma_single(vec, 3)
+        want = sum((schur_of_partition(Partition(s.parts), 4) * c
+                    for s, c in vec.terms.items()), MPoly.zero(4))
+        assert img.charge == 1 and img.poly.vars == 3
+        assert img.poly.embed(4) == want
 
     def test_poly_to_fock_roundtrip(self):
         rng = random.Random(17)

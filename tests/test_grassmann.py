@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.mpoly import MPoly
-from tauforge.schur import ChargedPoly, Partition, elementary_schur, schur_of_partition
+from tauforge.schur import (ChargedPoly, Partition, _det, elementary_schur,
+                            schur_of_partition)
 from tauforge.fock import (FockVector, MayaState, WindowMatrix,
                            apply_window_matrix, fermionic_pairing, half,
                            poly_to_fock, sigma_single, wedge_vector)
@@ -350,10 +351,50 @@ class TestGenerator:
         _, n = stable_subspace(point, 1)
         assert n == len(report.violating_columns) == 1
 
+    @staticmethod
+    def determinant(entries):
+        """Oracle: det(sum_l S_{l-i} A_{lj}) over i, j = 1..N in M - 1
+        variables, expanded by Laplace."""
+        M, N = len(entries), len(entries[0])
+        D = max(M - 1, 1)
+        grid = [[sum((elementary_schur(l - i, D) * entries[l - 1][j]
+                      for l in range(i, M + 1) if entries[l - 1][j]), MPoly.zero(D))
+                 for j in range(N)] for i in range(1, N + 1)]
+        return _det(grid, D)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_wedge_is_the_determinant(self, rational):
+        # Sato's formula on the raw columns equals the determinant exactly,
+        # not up to a scalar: the reversed wedge cancels the column reversal
+        rng = random.Random(41 + rational)
+
+        def entry():
+            if rational:
+                return F(rng.randint(-9, 9), rng.randint(1, 9))
+            return F(rng.randint(-2, 2))
+
+        shapes = [(8, 6), (8, 5), (7, 6), (8, 1)]
+        while len(shapes) < 24:
+            M = rng.randint(2, 6)
+            shapes.append((M, rng.randint(1, M - 1)))
+        for M, N in shapes:
+            for _ in range(20):
+                entries = [[entry() for _ in range(N)] for _ in range(M)]
+                try:
+                    _, tau, _ = generate_from_matrix(entries, rng.randint(1, 2), N)
+                except GrassmannError:  # rank below N or a duplicated shift
+                    continue
+                assert tau.charge == 0
+                assert tau.poly == self.determinant(entries), (M, N)
+                break
+            else:
+                raise AssertionError(f"no admissible {M} x {N} matrix drawn")
+
     def test_random_matrices_match_their_points(self):
-        # the determinant and the wedge of the mapped columns agree up to
-        # one scalar for arbitrary shapes and powers, and the violation
-        # count bounds the true filtration level
+        # tau (the wedge of the raw columns) and tau_of(point) (the wedge of
+        # the echelon basis, scaled to pivot minor 1) agree up to one scalar
+        # for arbitrary shapes and powers, and the violation count bounds
+        # the true filtration level
         rng = random.Random(37)
         done = 0
         while done < 15:
@@ -366,7 +407,7 @@ class TestGenerator:
                 point, tau, report = generate_from_matrix(entries, k, N)
             except GrassmannError:
                 continue
-            via_point = tau_of(point)  # may need more slots than the det used
+            via_point = tau_of(point)  # may need more slots than M - 1
             assert via_point.charge == tau.charge
             D = via_point.poly.vars
             lifted = tau.poly.embed(D)

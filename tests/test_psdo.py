@@ -311,6 +311,23 @@ class TestIndependentOracle:
                 got = Lk.coeff(-1)
                 assert (got.num * tau**2 - want * tau**got.power).is_zero, (poly, k)
 
+    def test_residue_of_L_matches_sympy(self):
+        # the d^-1 coefficient of L is u_1 = d^2/dt_1^2 log tau
+        sp = pytest.importorskip("sympy")
+        for poly in self.taus():
+            L = dress_from_tau(ChargedPoly(poly, 0), 5).L
+            got = L.coeff(-1)
+            t = sp.symbols(f"t1:{got.num.vars + 1}")
+
+            def expr(p):
+                return sum((sp.Rational(c.numerator, c.denominator)
+                            * sp.Mul(*(x**e for x, e in zip(t, exp)))
+                            for exp, c in p.terms.items()), sp.Integer(0))
+
+            tau = expr(poly.embed(got.num.vars))
+            want = sp.cancel(sp.diff(sp.log(tau), t[0], 2))
+            assert sp.cancel(expr(got.num) / tau**got.power - want) == 0, poly
+
     def test_dressing_inverse_is_two_sided(self):
         t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
         not_kp = [t1 * t1, t1 * t2 + 1, t1 + t2 * t2]  # P B* != 1 for these

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -88,6 +89,25 @@ class TestPartitionSchur:
     def test_rejects_small_var_count(self):
         with pytest.raises(DomainError):
             schur_of_partition(Partition((3, 1)), 3)
+
+    @staticmethod
+    def hook(lam):
+        return max(lam.parts[0] + len(lam) - 1 if lam.parts else 0, 1)
+
+    def test_hook_many_variables_are_enough(self):
+        # Jacobi-Trudi reads no S_i above the hook lambda_1 + len - 1, so
+        # S_lambda built there is the one built at the weight
+        for lam in partitions_up_to(8):
+            at_hook = schur_of_partition(lam, self.hook(lam))
+            weight = max(lam.weight, 1)
+            assert at_hook.embed(weight) == schur_of_partition(lam, weight), lam
+
+    def test_rejects_one_below_the_hook(self):
+        # the rule itself, not a later refusal of some S_i
+        for lam in partitions_up_to(8):
+            hook = self.hook(lam)
+            with pytest.raises(DomainError, match=re.escape(f"need D >= {hook} for {lam},")):
+                schur_of_partition(lam, hook - 1)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
