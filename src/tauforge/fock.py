@@ -57,7 +57,9 @@ class MayaState:
 
     @property
     def partition(self) -> Partition:
-        return Partition(self.parts)
+        """Not checked again: from_json checks the parts, and every state
+        the library builds (wedge, contraction, pivots) is a partition."""
+        return Partition.trusted(self.parts)
 
     def index(self, s: int) -> Fraction:
         """s-th wedge index (1-based), lambda_s + m - s + 1/2."""

@@ -39,6 +39,14 @@ class Partition:
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition of parts already known to be positive integers,
+        weakly decreasing, without checking them again."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "parts", parts)
+        return shape
+
     @property
     def weight(self) -> int:
         return sum(self.parts)

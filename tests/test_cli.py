@@ -7,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -344,19 +345,35 @@ class TestDepthBudget:
         assert code in (0, 1) and err == ""
 
 
+# argv: the file for the seconds, then the CLI arguments
+CHILD = """
+import sys, time
+from tauforge.cli import main
+start = time.perf_counter()
+try:
+    code = main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as out:
+        out.write(repr(time.perf_counter() - start))
+sys.exit(code)
+"""
+
+
 def child_run(argv) -> tuple[subprocess.CompletedProcess, float]:
     """Run the CLI in a child process, capped at 2 GiB and 20 s, so that a
     missing budget fails the test without stalling the suite; with the
-    seconds it took, interpreter start-up included."""
+    seconds from entering cli.main to its return, as the child timed them,
+    so that interpreter start-up on a loaded machine does not count."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(Path(tauforge.__file__).parents[1])}
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "tauforge.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20,
-                          preexec_fn=cap)
-    return done, time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as tmp:
+        clock = Path(tmp) / "seconds"
+        done = subprocess.run([sys.executable, "-c", CHILD, str(clock), *argv],
+                              capture_output=True, text=True, env=env, timeout=20,
+                              preexec_fn=cap)
+        return done, float(clock.read_text())
 
 
 class TestPointBudget:
@@ -757,6 +774,25 @@ class TestDressAndLax:
                                   "--k", k, "--order", "4"])
         assert code in (0, 1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k,sato,fallback", [("1", 6, 7), ("2", 6, 9)])
+    def test_compositions_per_job(self, capsys, golden_files, monkeypatch, k,
+                                  sato, fallback):
+        # a KP tau and one pair: P B* = 1, P d^k P^-1 and q d^-1 r, then
+        # one composition cut at order -4 for Sato's equation; in its place
+        # the commutator composes L (k >= 2) and [(L^k)_+, L] at full depth
+        argv = ["lax", "--tau", golden_files["tau"], "--rho", golden_files["rho"],
+                "--sigma", golden_files["sigma"], "--k", k, "--order", "4"]
+        calls = []
+        compose = psdo.PsiDO.__mul__
+        monkeypatch.setattr(psdo.PsiDO, "__mul__",
+                            lambda a, b: calls.append(1) or compose(a, b))
+        run(capsys, argv)
+        certified = len(calls)
+        monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
+        calls.clear()
+        run(capsys, argv)
+        assert (certified, len(calls)) == (sato, fallback)
 
     def test_seeded_determinism(self, capsys, golden_files):
         argv = ["lax", "--tau", golden_files["tau"],

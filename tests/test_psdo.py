@@ -9,8 +9,9 @@ from tauforge.ratfun import TauRing
 from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.grassmann import companions, reduce_point, tau_of
-from tauforge.psdo import (PsiDO, TruncationError, _dressing, dress_from_tau,
-                           verify_lax)
+import tauforge.psdo as psdo
+from tauforge.psdo import (OperatorReport, PsiDO, TruncationError, _dressing,
+                           _zero_checks, dress_from_tau, lax_depth, verify_lax)
 
 from conftest import random_grpoint, random_poly
 
@@ -276,6 +277,68 @@ class TestFlows:
             check(tau, rhos, [], 1, 3)
 
 
+def commutator_flow(poly, k, T):
+    """The lax-flow-t{k} report of a tau without pairs from
+    dL/dt_k - [(L^k)_+, L] alone: the reference for both paths."""
+    floor = -lax_depth(k, T)
+    P, Pinv = _dressing(poly, max(k, poly.max_var_used(), 1), floor)
+    L = P * PsiDO.d(P.ring, floor) * Pinv
+    Lk_plus = (P * PsiDO.d(P.ring, floor, k) * Pinv).plus_part()
+    lax = L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus)
+    return OperatorReport(f"lax-flow-t{k}", _zero_checks(lax, range(-3, k + 2)))
+
+
+class TestLaxFlowPaths:
+    """Sato's equation on orders -1..-3 certifies a Lax-flow pass; when it
+    fails, the commutator decides and gives the witnesses."""
+
+    @pytest.fixture
+    def sato(self, monkeypatch):
+        """The verdicts of the Sato test, one per verify_lax call."""
+        verdicts = []
+        real = psdo._sato_pass
+        monkeypatch.setattr(psdo, "_sato_pass",
+                            lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        return verdicts
+
+    def test_sato_failure_takes_the_commutator(self, sato):
+        # the converse fails: 3 t1 t2 is no KP tau, fails Sato at k = 2 and
+        # passes the flow; seed 1 gives non-KP taus of either verdict
+        rng = random.Random(1)
+        cases = [(MPoly.variable(2, 1) * MPoly.variable(2, 2) * 3, 2)]
+        polys = [random_poly(rng, 3, max_terms=3) for _ in range(3)]
+        cases += [(poly, k) for poly in polys for k in (2, 3)]
+        verdicts = []
+        for poly, k in cases:
+            sato.clear()
+            report = flows(ChargedPoly(poly, 0), [], [], k, 3)[0]
+            assert sato == [False], (poly, k)
+            assert report.to_json() == commutator_flow(poly, k, 3).to_json()
+            verdicts.append(report.all_pass)
+        assert verdicts == [True, False, False, True, True, False, False]
+        witness = next(c for c in report.checks if not c.passed)
+        assert witness.order == -2 and not witness.witness.is_zero
+
+    def test_forced_fallback_gives_identical_reports(self, golden_point, sato,
+                                                     monkeypatch):
+        cases = [(*companions(golden_point, k), k) for k in (1, 2)]
+        cases += [(ChargedPoly(poly, 0), [], [], k)
+                  for poly in TestIndependentOracle.taus() for k in (1, 2, 3)]
+        certified = [[r.to_json() for r in verify_lax(*case, 4)] for case in cases]
+        assert sato == [True] * len(cases)
+        monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
+        assert [[r.to_json() for r in verify_lax(*case, 4)] for case in cases] == certified
+
+    def test_sato_reads_only_exact_orders(self, golden_point):
+        # a dressing cut above the orders Sato reads is refused, not read
+        tau, _, _ = companions(golden_point, 1)
+        P, Pinv = _dressing(tau.poly, 2, -3)
+        minus = P * PsiDO.d(P.ring, -3, 2) * Pinv
+        minus = minus - minus.plus_part()
+        with pytest.raises(TruncationError):
+            psdo._sato_pass(P, minus, 2)
+
+
 def test_json_emits_only_the_exact_range():
     op = dinv * mult(inv_t1)  # infinite tail, exact down to FL
     cut = PsiDO(R, op.coeffs, FL - 2, op.exact_to + 1)
@@ -311,22 +374,35 @@ class TestIndependentOracle:
                 got = Lk.coeff(-1)
                 assert (got.num * tau**2 - want * tau**got.power).is_zero, (poly, k)
 
+    @staticmethod
+    def sympy_minus_log_derivative(sp, poly, got, k):
+        """SymPy's got - d/dt_1 d/dt_k log tau, canceled; got is over tau."""
+        t = sp.symbols(f"t1:{got.num.vars + 1}")
+
+        def expr(p):
+            return sum((sp.Rational(c.numerator, c.denominator)
+                        * sp.Mul(*(x**e for x, e in zip(t, exp)))
+                        for exp, c in p.terms.items()), sp.Integer(0))
+
+        tau = expr(poly.embed(got.num.vars))
+        want = sp.cancel(sp.diff(sp.log(tau), t[0], t[k - 1]))
+        return sp.cancel(expr(got.num) / tau**got.power - want)
+
     def test_residue_of_L_matches_sympy(self):
         # the d^-1 coefficient of L is u_1 = d^2/dt_1^2 log tau
         sp = pytest.importorskip("sympy")
         for poly in self.taus():
-            L = dress_from_tau(ChargedPoly(poly, 0), 5).L
-            got = L.coeff(-1)
-            t = sp.symbols(f"t1:{got.num.vars + 1}")
+            got = dress_from_tau(ChargedPoly(poly, 0), 5).L.coeff(-1)
+            assert self.sympy_minus_log_derivative(sp, poly, got, 1) == 0, poly
 
-            def expr(p):
-                return sum((sp.Rational(c.numerator, c.denominator)
-                            * sp.Mul(*(x**e for x, e in zip(t, exp)))
-                            for exp, c in p.terms.items()), sp.Integer(0))
-
-            tau = expr(poly.embed(got.num.vars))
-            want = sp.cancel(sp.diff(sp.log(tau), t[0], 2))
-            assert sp.cancel(expr(got.num) / tau**got.power - want) == 0, poly
+    def test_residue_of_Lk_matches_sympy(self):
+        # res L^k = d/dt_1 d/dt_k log tau
+        sp = pytest.importorskip("sympy")
+        for poly in self.taus():
+            for k in (1, 2, 3):
+                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1))
+                got = (P * PsiDO.d(P.ring, P.floor, k) * Pinv).coeff(-1)
+                assert self.sympy_minus_log_derivative(sp, poly, got, k) == 0, (poly, k)
 
     def test_dressing_inverse_is_two_sided(self):
         t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
