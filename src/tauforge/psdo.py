@@ -10,9 +10,15 @@ terms.
 Dressing builds P = 1 + a_1 d^-1 + ... from a polynomial tau via its
 shifted quotient tau(t-[z^-1])/tau(t), and P^-1 = B* from the adjoint
 wave function tau(t+[z^-1])/tau(t) (Date-Jimbo-Kashiwara-Miwa), so
-L^k = (P d^k) P^-1 is one composition.  The constraint and flow checks
-subtract the claimed right-hand sides and test each coefficient for
-exact zero: its numerator over the power of tau is the zero polynomial.
+L^k = (P d^k) P^-1 is one composition, cut where it stops being exact.
+P B* = 1 holds for KP taus only.  It is certified by polynomial residues
+with no composition: by Dickey's lemma res_z (P e^{xz})(Q e^{-xz}) =
+res_d (P Q*), the t_1-derivatives of the bilinear residue of
+tau(t-[z^-1]) tau(t'+[z^-1]) are unit-triangular in the coefficients of
+P B* - 1.  A tau that fails it takes Newton steps to the exact inverse.
+The constraint and flow checks subtract the claimed right-hand sides and
+test each coefficient for exact zero: its numerator over the power of
+tau is the zero polynomial.
 
 The Lax flow dL/dt_k = [(L^k)_+, L] is certified by Sato's equation for
 the dressing operator (Date-Jimbo-Kashiwara-Miwa 1983; Dickey, Soliton
@@ -31,6 +37,7 @@ from typing import Sequence
 from .mpoly import MPoly, PolyError
 from .ratfun import TauFrac, TauRing
 from .schur import ChargedPoly, miwa_shift
+from .zseries import ZSeries
 
 
 class TruncationError(ArithmeticError):
@@ -256,6 +263,37 @@ class DressingPair:
     L: PsiDO
 
 
+def _bilinear_certificate(minus: ZSeries, plus: ZSeries, N: int) -> bool:
+    """True when P B* = 1 on orders -1..-N, from polynomials alone.
+
+    minus and plus are A = tau(t - [z^-1]) and B = tau(t + [z^-1]), so
+    P e^{xi} = A e^{xi} / tau and B e^{-xi} / tau = B(d) e^{-xi}.  The
+    test is H_n = 0 for n < N, where H_n = res_z [(d_1 + z)^n A] B
+    = sum_m C(n, m) sum_{i+j = m-n-1} (d_1^m A_i) B_j is d^n/dt_1^n of
+    res_z A(t,z) B(t',z) e^{xi(t-t',z)} at t' = t.  Dickey's lemma,
+    res_z (P e^{xz})(Q e^{-xz}) = res_d (P Q*), gives
+    res_d(d^n P B*) = tau^-1 sum_m C(n, m) d_1^(n-m)(tau^-1) H_m, and
+    res_d(d^n P B*) is r_{n+1} plus derivatives of r_1..r_n, the r_i of
+    P B* - 1 = sum r_i d^-i.  Both systems are triangular with units on
+    the diagonal, so H_0..H_{N-1} vanish exactly when r_1..r_N do.
+    """
+    top = max(-minus.min_order, -plus.min_order, 1)  # H_0 reads A_-1
+    zero = MPoly.zero(minus.vars)
+    # G[top + i] is the z^i coefficient of (d_1 + z)^n A; orders above top
+    # are never read, and each order needs only orders at or below it
+    G = [minus.coeff(i) for i in range(-top, 1)] + [zero] * top
+    B = [plus.coeff(j) for j in range(-top, 1)]  # B[top + j] is B_j
+    for n in range(N):
+        if n:
+            G = [g.differentiate(1) + lower for g, lower in zip(G, [zero, *G])]
+        H = zero
+        for i in range(-1, top):
+            H = H + G[top + i] * B[top - 1 - i]
+        if not H.is_zero:
+            return False
+    return True
+
+
 def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
     """P and P^-1 of tau = poly in D variables, cut at floor.
 
@@ -265,8 +303,9 @@ def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
     infinite tails are cut at floor, so P^-1 is exact down to floor.
 
     P B* = 1 is the bilinear identity, so it holds only when tau is a KP
-    tau function; it is checked, and otherwise Newton steps
-    Q <- Q - Q (P Q - 1), each squaring the error, make Q the inverse.
+    tau function.  _bilinear_certificate checks it on orders -1..floor
+    from the Miwa shifts alone; a tau that fails it takes Newton steps
+    Q <- Q - Q (P Q - 1), each squaring the error, to the exact inverse.
     """
     if poly.is_zero:
         raise ValueError("tau must be nonzero")
@@ -279,6 +318,8 @@ def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
         b[-i] = ring.frac(plus.coeff(-i) * (-1) ** i, 1)
     P = PsiDO(ring, a, floor)
     Pinv = PsiDO(ring, PsiDO(ring, b, floor).adjoint().coeffs, floor, floor)
+    if _bilinear_certificate(minus, plus, -floor):
+        return P, Pinv
     one = PsiDO.identity(ring, floor)
     error = P * Pinv - one
     while not error.is_zero:
@@ -298,7 +339,7 @@ def dress_from_tau(tau: ChargedPoly | MPoly, T: int) -> DressingPair:
         raise ValueError("truncation depth must be positive")
     floor = -(T + 1)
     P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor)
-    return DressingPair(P, P * PsiDO.d(P.ring, floor) * Pinv)
+    return DressingPair(P, P * PsiDO.d(P.ring, floor + 1) * Pinv)
 
 
 @dataclass(frozen=True)
@@ -379,7 +420,9 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     dP/dt_k = -(L^k)_- P holding on orders -1..-3 certifies a pass on
     every order; otherwise the commutator dL/dt_k - [(L^k)_+, L] is
     checked order by order and gives the witnesses.  A passing order
-    carries no witness on either path, so the report is the same.
+    carries no witness on either path, so the report is the same.  At
+    k = 1, (L)_+ = d and S = dP/dt_1 + L_- P vanishes for every P, so
+    lax-flow-t1 passes for every tau and is no evidence about it.
     """
     if T < 3:
         raise ValueError("truncation depth must be at least 3")
@@ -391,13 +434,16 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     ring = P.ring
     qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
     rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
-    Lk = P * PsiDO.d(ring, floor, k) * Pinv
+    # P d^k P^-1 is exact down to floor + k only, so no composition of
+    # L^k, nor of the q d^-1 r beside it, goes below that
+    cut = floor + k
+    Lk = P * PsiDO.d(ring, cut, k) * Pinv
     Lk_plus = Lk.plus_part()
     minus = Lk - Lk_plus
     defect = minus
-    dinv = PsiDO.d(ring, floor, -1)
+    dinv = PsiDO.d(ring, cut, -1)
     for q, r in zip(qs, rs):
-        defect = defect - PsiDO.multiplier(q, floor) * dinv * PsiDO.multiplier(r, floor)
+        defect = defect - PsiDO.multiplier(q, cut) * dinv * PsiDO.multiplier(r, cut)
     reports = [OperatorReport(f"constraint-k{k}", _zero_checks(defect, range(-T, 0)))]
     orders = range((Lk_plus.max_order or 0) + 1, SATO_CUT, -1)
     if _sato_pass(P, minus, k):
@@ -406,7 +452,7 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     else:
         # the converse fails (3 t1 t2 at k = 2 fails Sato and passes the
         # flow), so the commutator decides
-        L = Lk if k == 1 else P * PsiDO.d(ring, floor) * Pinv
+        L = Lk if k == 1 else P * PsiDO.d(ring, floor + 1) * Pinv
         checks = _zero_checks(L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus), orders)
     reports.append(OperatorReport(f"lax-flow-t{k}", checks))
     adj = Lk_plus.adjoint()

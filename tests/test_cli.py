@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -775,12 +776,13 @@ class TestDressAndLax:
         assert code in (0, 1)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("k,sato,fallback", [("1", 6, 7), ("2", 6, 9)])
+    @pytest.mark.parametrize("k,sato,fallback", [("1", 5, 6), ("2", 5, 8)])
     def test_compositions_per_job(self, capsys, golden_files, monkeypatch, k,
                                   sato, fallback):
-        # a KP tau and one pair: P B* = 1, P d^k P^-1 and q d^-1 r, then
-        # one composition cut at order -4 for Sato's equation; in its place
-        # the commutator composes L (k >= 2) and [(L^k)_+, L] at full depth
+        # a KP tau and one pair: P d^k P^-1 and q d^-1 r (P B* = 1 is
+        # certified by residues, with no composition), then one composition
+        # cut at order -4 for Sato's equation; in its place the commutator
+        # composes L (k >= 2) and [(L^k)_+, L] at full depth
         argv = ["lax", "--tau", golden_files["tau"], "--rho", golden_files["rho"],
                 "--sigma", golden_files["sigma"], "--k", k, "--order", "4"]
         calls = []
@@ -801,6 +803,88 @@ class TestDressAndLax:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+def digest_cases(golden_point):
+    """(id, tau, rhos, sigmas, k) of the lax and dress reports pinned below.
+
+    The golden companions with and without their pairs, 3 t1 t2 at k = 2
+    (Sato's equation fails and the commutator decides) and two taus that
+    are no KP taus, whose P^-1 needs Newton steps.
+    """
+    t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+    s2 = schur_of_partition(Partition((2,)), 2)
+    cases = []
+    for k in (1, 2, 3):
+        tau, rhos, sigmas = companions(golden_point, k)
+        cases.append((f"golden-k{k}", tau, rhos, sigmas, k))
+        if rhos:  # the golden point has no pair at k = 3
+            cases.append((f"golden-k{k}-unpaired", tau, [], [], k))
+    cases += [(name, ChargedPoly(poly, 0), [], [], k) for name, poly, k in
+              [("3t1t2-k2", t1 * t2 * 3, 2), ("t1^3-k2", t1 * t1 * t1, 2),
+               ("S2^2-k1", s2 * s2, 1)]]
+    return cases
+
+
+class TestGoldenDigests:
+    """Exit code and sha256 of lax and dress stdout, computed with the
+    P * P^-1 product check and compositions at full depth; a change of any
+    byte fails."""
+
+    LAX = {
+        "golden-k1":
+            (0, "79426bb78354205d8672d9d1fcca3a72dcd9198f6e0acc29755f3fddcd05ffa4"),
+        "golden-k1-unpaired":
+            (1, "14a9216ec0bae36917b881a3e3b858ad086f5ed15749cfb64423835c61e0a3b0"),
+        "golden-k2":
+            (0, "bd6f7eb1dd34b8183859e99503f0fb68c3b5960f7fbf8c9fd5c1a9162c2bc096"),
+        "golden-k2-unpaired":
+            (1, "d07fe7b6eac701196b1bd9a1aa270b01e321a0be8721f3afdafdf70e5a30201c"),
+        "golden-k3":
+            (0, "5e8c4ca993c7ab15e2c1c057914b94bece59f3823ebd86842d5cb5af7dbc49fc"),
+        "3t1t2-k2":
+            (0, "fe82b7fd55cea6d5cf408fedbaf351909b7c364e7e121c3d6a27625bc5c46803"),
+        "t1^3-k2":
+            (1, "7c55610de4e0986078a36f799b415a0e9f07ec8f95781f5643c1931c8c0da6b4"),
+        "S2^2-k1":
+            (1, "6ccf9cb3220460054acfb814a25e13e0e08adfed14bfeb49ee2775aff58f5658"),
+    }
+    DRESS = {
+        "golden":
+            (0, "35a31a2afefcb17af9157df5ad181ebc30649e64e096bf4135828e953c9d987e"),
+        "3t1t2":
+            (0, "baf1321f29a80bd482b4b498b4312512f50f7ea56398f4780592b6acde9e1f04"),
+        "t1^3":
+            (0, "9c65ce27baccef038992448d25dc7c0051f361e74619708e4cee5db9df392fd7"),
+        "S2^2":
+            (0, "5f18802ecfefc7a9774c219086448b2b85b0587466b18a4e73903c0c05a31132"),
+    }
+
+    @staticmethod
+    def outputs(capsys, tmp_path, golden_point):
+        """{(command, id): (exit code, sha256 of stdout)}."""
+        out = {}
+        for name, tau, rhos, sigmas, k in digest_cases(golden_point):
+            tau_path = tmp_path / f"{name}-tau.json"
+            tau_path.write_text(json.dumps(tau.to_json()))
+            argv = ["lax", "--tau", str(tau_path), "--k", str(k)]
+            for j, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+                for flag, cp in (("rho", rho), ("sigma", sigma)):
+                    path = tmp_path / f"{name}-{flag}{j}.json"
+                    path.write_text(json.dumps(cp.to_json()))
+                    argv += [f"--{flag}", str(path)]
+            code, stdout, _ = run(capsys, argv)
+            out["lax", name] = code, hashlib.sha256(stdout.encode()).hexdigest()
+            dress = name.split("-")[0]
+            if ("dress", dress) not in out:
+                code, stdout, _ = run(capsys, ["dress", "--tau", str(tau_path)])
+                out["dress", dress] = code, hashlib.sha256(stdout.encode()).hexdigest()
+        return out
+
+    def test_reports_are_byte_identical(self, capsys, tmp_path, golden_point):
+        want = {("lax", name): pin for name, pin in self.LAX.items()}
+        want.update((("dress", name), pin) for name, pin in self.DRESS.items())
+        assert self.outputs(capsys, tmp_path, golden_point) == want
 
 
 class TestFockApply:

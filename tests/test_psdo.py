@@ -184,16 +184,67 @@ class TestDressing:
         for poly, kp in [(S2 + t1 * 3, True), (S2 * S2, False), (t1 * t1, False)]:
             compositions.clear()
             _, Pinv = _dressing(poly, 2, FL)
-            assert (len(compositions) == 1) is kp  # only the P B* = 1 check
-            ring = Pinv.ring
-            shifted = miwa_shift(ring.tau, +1)
-            B = PsiDO(ring, {-i: ring.frac(shifted.coeff(-i) * (-1) ** i, 1)
-                             for i in range(poly.wdeg() + 1)}, FL)
-            assert (B.adjoint() == Pinv) is kp, poly
+            # the residue certificate settles P B* = 1 with no composition;
+            # only a tau that fails it composes, for the Newton steps
+            assert (len(compositions) == 0) is kp
+            *_, Bstar = adjoint_wave_dressing(poly, 2, FL)
+            assert (Bstar == Pinv) is kp, poly
 
     def test_zero_tau_rejected(self):
         with pytest.raises(ValueError):
             dress_from_tau(ChargedPoly(MPoly.zero(1), 0), 4)
+
+
+def adjoint_wave_dressing(poly, D, floor):
+    """The Miwa shifts tau(t -/+ [z^-1]), P and B* of poly in D variables,
+    before any Newton step."""
+    ring = TauRing(poly.embed(D))
+    minus, plus = miwa_shift(ring.tau, -1), miwa_shift(ring.tau, +1)
+    top = ring.tau.wdeg() + 1
+    P = PsiDO(ring, {-i: ring.frac(minus.coeff(-i), 1) for i in range(top)}, floor)
+    B = PsiDO(ring, {-i: ring.frac(plus.coeff(-i) * (-1) ** i, 1)
+                     for i in range(top)}, floor)
+    return minus, plus, P, B.adjoint()
+
+
+class TestBilinearCertificate:
+    """H_0..H_{N-1}, residues in t_1 of tau(t-[z^-1]) tau(t'+[z^-1]), vanish
+    exactly when P B* = 1 on orders -1..-N."""
+
+    @staticmethod
+    def seeded_taus():
+        rng = random.Random(7)
+        polys = [poly for poly in (random_poly(rng, rng.randint(1, 4), max_terms=3)
+                                   for _ in range(10)) if not poly.is_zero]
+        return [MPoly.const(1, 1), MPoly.const(2, -3), *polys,
+                *TestIndependentOracle.taus()]
+
+    def test_matches_the_product_order_by_order(self):
+        verdicts = set()
+        for poly in self.seeded_taus():
+            minus, plus, P, Bstar = adjoint_wave_dressing(
+                poly, max(poly.max_var_used(), 1), -12)
+            error = P * Bstar - PsiDO.identity(P.ring, -12)
+            for N in range(1, 13):
+                want = all(error.coeff(-o).is_zero for o in range(1, N + 1))
+                assert psdo._bilinear_certificate(minus, plus, N) is want, (poly, N)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_non_kp_taus_reach_newton(self, monkeypatch):
+        t1 = MPoly.variable(2, 1)
+        S2 = elementary_schur(2, 2)
+        compositions = []
+        compose = PsiDO.__mul__
+        monkeypatch.setattr(PsiDO, "__mul__",
+                            lambda a, b: compositions.append(1) or compose(a, b))
+        for poly in (t1 * t1, S2 * S2, t1 * t1 * t1):
+            minus, plus, _, _ = adjoint_wave_dressing(poly, 2, FL)
+            assert not psdo._bilinear_certificate(minus, plus, -FL), poly
+            compositions.clear()
+            P, Pinv = _dressing(poly, 2, FL)
+            assert compositions, poly  # the Newton loop ran
+            assert P * Pinv == PsiDO.identity(P.ring, FL), poly
 
 
 class TestConstraint:
@@ -328,6 +379,16 @@ class TestLaxFlowPaths:
         assert sato == [True] * len(cases)
         monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
         assert [[r.to_json() for r in verify_lax(*case, 4)] for case in cases] == certified
+
+    def test_sato_holds_at_k1_for_every_tau(self):
+        # L_+ = d, so S = P_x + L_- P vanishes for any P: lax-flow-t1 says
+        # nothing about tau, and these taus are no KP taus
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        for poly in (t1 * t1 * t1, t1 * t2 * 3):
+            floor = -lax_depth(1, 3)
+            P, Pinv = _dressing(poly, 2, floor)
+            L = P * PsiDO.d(P.ring, floor + 1) * Pinv
+            assert psdo._sato_pass(P, L - L.plus_part(), 1), poly
 
     def test_sato_reads_only_exact_orders(self, golden_point):
         # a dressing cut above the orders Sato reads is refused, not read
