@@ -26,7 +26,9 @@ Equations and Hamiltonian Systems): with L = P d P^-1 and
 S = dP/dt_k + (L^k)_- P, the Lax defect is [S P^-1, L], so S vanishing
 on orders -1..-3 proves the flow on every order from -3 up.  That needs
 one composition cut at order -4.  The converse fails, so when S does
-not vanish the commutator itself decides and gives the witnesses.
+not vanish the commutator itself decides and gives the witnesses.  At
+k = 1, S = dP/dt_1 + L_- P vanishes for every P, so it is not formed.
+The one dressing goes only as deep as these checks read (lax_depth).
 """
 
 from __future__ import annotations
@@ -381,13 +383,15 @@ def _zero_checks(op: PsiDO, orders: Sequence[int]) -> list[OrderCheck]:
 
 
 def lax_depth(k: int, T: int) -> int:
-    """Depth of the one dressing verify_lax makes.
+    """Depth of the one dressing verify_lax makes, the least at which every
+    order it reads is exact.
 
     L^k is exact down to floor + k, so the constraint's -T needs floor
-    -(T + k + 1); the flow brackets lose k + 1 more orders, so their -3
-    needs -(3 + 2k + 1).
+    -(T + k) and Sato's -3 needs -(3 + k); the commutator (k >= 2) composes
+    (L^k)_+ with L, exact down to floor + 1, and reads -3, so it needs
+    -(4 + k).
     """
-    return max(T, k + 3) + k + 1
+    return max(T, 4) + k
 
 
 SATO_CUT = -4  # S is read on orders -1..-3 only
@@ -422,7 +426,8 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     checked order by order and gives the witnesses.  A passing order
     carries no witness on either path, so the report is the same.  At
     k = 1, (L)_+ = d and S = dP/dt_1 + L_- P vanishes for every P, so
-    lax-flow-t1 passes for every tau and is no evidence about it.
+    Sato is not tested there: lax-flow-t1 passes for every tau and is no
+    evidence about it.
     """
     if T < 3:
         raise ValueError("truncation depth must be at least 3")
@@ -446,13 +451,14 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
         defect = defect - PsiDO.multiplier(q, cut) * dinv * PsiDO.multiplier(r, cut)
     reports = [OperatorReport(f"constraint-k{k}", _zero_checks(defect, range(-T, 0)))]
     orders = range((Lk_plus.max_order or 0) + 1, SATO_CUT, -1)
-    if _sato_pass(P, minus, k):
-        # the Lax defect is [S P^-1, L], of order at most -4 when S is
+    if k == 1 or _sato_pass(P, minus, k):
+        # the Lax defect is [S P^-1, L], of order at most -4 when S is;
+        # at k = 1, S = dP/dt_1 + L_- P = P_x - [d, P] = 0 for every P
         checks = [OrderCheck(o, True) for o in orders]
     else:
         # the converse fails (3 t1 t2 at k = 2 fails Sato and passes the
         # flow), so the commutator decides
-        L = Lk if k == 1 else P * PsiDO.d(ring, floor + 1) * Pinv
+        L = P * PsiDO.d(ring, floor + 1) * Pinv
         checks = _zero_checks(L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus), orders)
     reports.append(OperatorReport(f"lax-flow-t{k}", checks))
     adj = Lk_plus.adjoint()

@@ -309,25 +309,33 @@ class TestDepthBudget:
     the message names the flags that set the depth."""
 
     def test_largest_flags_exit_at_once(self, golden_files):
-        # each flag is within its own limit; together they ask for depth 81.
-        # A child process keeps a hang from stalling the suite
+        # each flag is within its own limit; together they ask for depth
+        # lax_depth(16, 64) = 80.  A child process keeps a hang from
+        # stalling the suite
         src = str(Path(tauforge.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
+        k, order = cli.MAX_K, cli.MAX_TRUNCATION
         done = subprocess.run([sys.executable, "-m", "tauforge.cli", "lax",
-                               "--tau", golden_files["tau"], "--k", "16",
-                               "--order", "64"],
+                               "--tau", golden_files["tau"], "--k", str(k),
+                               "--order", str(order)],
                               capture_output=True, text=True, env=env, timeout=20)
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == (f"input error: --k 16 and --order 64: dressing depth "
-                               f"81 is above the limit {cli.MAX_DEPTH}\n")
+        assert done.stderr == (f"input error: --k {k} and --order {order}: dressing "
+                               f"depth {psdo.lax_depth(k, order)} is above the limit "
+                               f"{cli.MAX_DEPTH}\n")
 
+    # one past the limit along --order, along --k (MAX_K, the --order that
+    # takes it over) and for dress
     @pytest.mark.parametrize("argv,depth", [
-        (["lax", "--k", "1", "--order", str(cli.MAX_DEPTH - 1)], cli.MAX_DEPTH + 1),
-        (["lax", "--k", str(cli.MAX_DEPTH // 2), "--order", "3"], cli.MAX_DEPTH + 4),
+        (["lax", "--k", "1", "--order", str(cli.MAX_DEPTH)],
+         psdo.lax_depth(1, cli.MAX_DEPTH)),
+        (["lax", "--k", str(cli.MAX_K), "--order", str(cli.MAX_DEPTH - cli.MAX_K + 1)],
+         psdo.lax_depth(cli.MAX_K, cli.MAX_DEPTH - cli.MAX_K + 1)),
         (["dress", "--order", str(cli.MAX_DEPTH)], cli.MAX_DEPTH + 1),
     ])
     def test_above_the_limit(self, capsys, tmp_path, argv, depth):
         # the tau file is never read
+        assert depth == cli.MAX_DEPTH + 1
         code, out, err = run(capsys, [*argv, "--tau", str(tmp_path / "absent.json")])
         assert (code, out) == (2, "")
         flags = " and ".join(f"{f} {v}" for f, v in zip(argv[1::2], argv[2::2]))
@@ -335,12 +343,15 @@ class TestDepthBudget:
                        f"the limit {cli.MAX_DEPTH}\n")
 
     @pytest.mark.parametrize("argv", [
-        ["lax", "--k", "1", "--order", str(cli.MAX_DEPTH - 2)],
-        ["lax", "--k", str((cli.MAX_DEPTH - 4) // 2), "--order", "3"],
+        ["lax", "--k", "1", "--order", str(cli.MAX_DEPTH - 1)],
+        ["lax", "--k", str(cli.MAX_K), "--order", str(cli.MAX_DEPTH - cli.MAX_K)],
         ["dress", "--order", str(cli.MAX_DEPTH - 1)],
     ])
     def test_at_the_limit(self, capsys, tmp_path, argv):
         # a one-term tau: at depth 20 the term budget admits no more terms
+        order = int(argv[-1])
+        depth = order + 1 if argv[0] == "dress" else psdo.lax_depth(int(argv[2]), order)
+        assert depth == cli.MAX_DEPTH
         tau = monomial_file(tmp_path / "t1.json", 1)
         code, _, err = run(capsys, [*argv, "--tau", tau])
         assert code in (0, 1) and err == ""
@@ -515,12 +526,12 @@ class TestTermBudget:
                                       ["lax", "--k", "1", "--order", "5"]])
     def test_dense_tau_exits_at_once(self, tmp_path, argv):
         # S_(8) in 8 variables: 22 terms at the weight limit; unbounded,
-        # dress took 13 s and lax 45 s
+        # dress and lax each took 2.0 s, start-up included
         path = tmp_path / "s8.json"
         s8 = ChargedPoly(schur_of_partition(Partition((8,)), 8), 0)
         path.write_text(json.dumps(s8.to_json()))
         done, seconds = child_run([*argv, "--tau", str(path)])
-        depth = 6 if argv[0] == "dress" else 7
+        depth = 6 if argv[0] == "dress" else psdo.lax_depth(1, 5)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (f"input error: {path}: 22 terms at dressing depth "
                                f"{depth} is above the limit terms^2 x depth^3 <= "
@@ -528,8 +539,8 @@ class TestTermBudget:
         assert seconds < 1
 
     @pytest.mark.parametrize("terms,argv", [
-        (6, ["--k", "3", "--order", "5"]),  # depth 10: 22 s unbounded
-        (4, ["--k", "8", "--order", "3"]),  # depth 20: past 120 s unbounded
+        (6, ["--k", "3", "--order", "5"]),  # depth 8: 0.73 s unbounded
+        (4, ["--k", "8", "--order", "3"]),  # depth 12: 1.4 s unbounded
     ])
     def test_corners_exit_at_once(self, tmp_path, terms, argv):
         # the first terms of S_(8): each flag and the file are within their
@@ -548,8 +559,8 @@ class TestTermBudget:
         (["dress"], 0), (["lax", "--k", "1"], 1), (["verify", "--k", "1"], 1)])
     def test_at_and_past_the_limit(self, capsys, tmp_path, argv, expect):
         # t_1^w, w = 0..n-1, a non-KP tau of n terms; at the default --order
-        # 5 dress dresses to depth 6 and lax --k 1 to depth 7
-        depth = 6 if argv[0] == "dress" else 7
+        # 5 dress dresses to depth 6 and lax --k 1 to lax_depth(1, 5) = 6
+        depth = 6 if argv[0] == "dress" else psdo.lax_depth(1, 5)
         most = math.isqrt(cli.MAX_LAX_WORK // depth**3)
         for n in (most, most + 1):
             poly = sum((MPoly.variable(1, 1) ** w for w in range(1, n)), MPoly.const(1, 1))
@@ -776,13 +787,14 @@ class TestDressAndLax:
         assert code in (0, 1)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("k,sato,fallback", [("1", 5, 6), ("2", 5, 8)])
+    @pytest.mark.parametrize("k,sato,fallback", [("1", 4, 4), ("2", 5, 8)])
     def test_compositions_per_job(self, capsys, golden_files, monkeypatch, k,
                                   sato, fallback):
         # a KP tau and one pair: P d^k P^-1 and q d^-1 r (P B* = 1 is
-        # certified by residues, with no composition), then one composition
-        # cut at order -4 for Sato's equation; in its place the commutator
-        # composes L (k >= 2) and [(L^k)_+, L] at full depth
+        # certified by residues, with no composition), then, for k >= 2,
+        # one composition cut at order -4 for Sato's equation; in its place
+        # the commutator composes L and [(L^k)_+, L] at full depth.  At
+        # k = 1 Sato holds for every tau, so neither is composed
         argv = ["lax", "--tau", golden_files["tau"], "--rho", golden_files["rho"],
                 "--sigma", golden_files["sigma"], "--k", k, "--order", "4"]
         calls = []
@@ -806,30 +818,37 @@ class TestDressAndLax:
 
 
 def digest_cases(golden_point):
-    """(id, tau, rhos, sigmas, k) of the lax and dress reports pinned below.
+    """(id, tau, rhos, sigmas, k, order) of the lax and dress reports pinned
+    below.
 
     The golden companions with and without their pairs, 3 t1 t2 at k = 2
     (Sato's equation fails and the commutator decides) and two taus that
-    are no KP taus, whose P^-1 needs Newton steps.
+    are no KP taus, whose P^-1 needs Newton steps, at the default --order
+    5; then the corners of lax_depth: --order 3, where the flow reads bind
+    the depth, and --order 8 at k = 1.
     """
     t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
     s2 = schur_of_partition(Partition((2,)), 2)
+    golden = {k: companions(golden_point, k) for k in (1, 2, 3)}
     cases = []
-    for k in (1, 2, 3):
-        tau, rhos, sigmas = companions(golden_point, k)
-        cases.append((f"golden-k{k}", tau, rhos, sigmas, k))
+    for k, (tau, rhos, sigmas) in golden.items():
+        cases.append((f"golden-k{k}", tau, rhos, sigmas, k, 5))
         if rhos:  # the golden point has no pair at k = 3
-            cases.append((f"golden-k{k}-unpaired", tau, [], [], k))
-    cases += [(name, ChargedPoly(poly, 0), [], [], k) for name, poly, k in
+            cases.append((f"golden-k{k}-unpaired", tau, [], [], k, 5))
+    cases += [(name, ChargedPoly(poly, 0), [], [], k, 5) for name, poly, k in
               [("3t1t2-k2", t1 * t2 * 3, 2), ("t1^3-k2", t1 * t1 * t1, 2),
                ("S2^2-k1", s2 * s2, 1)]]
+    cases += [(f"golden-k{k}-o{order}", *golden[k], k, order)
+              for k, order in ((2, 3), (3, 3), (1, 8))]
+    cases.append(("3t1t2-k2-o3", ChargedPoly(t1 * t2 * 3, 0), [], [], 2, 3))
     return cases
 
 
 class TestGoldenDigests:
     """Exit code and sha256 of lax and dress stdout, computed with the
-    P * P^-1 product check and compositions at full depth; a change of any
-    byte fails."""
+    P * P^-1 product check and compositions at full depth (the --order 3
+    and 8 cases with the dressing at max(T, k + 3) + k + 1); a change of
+    any byte fails."""
 
     LAX = {
         "golden-k1":
@@ -848,6 +867,14 @@ class TestGoldenDigests:
             (1, "7c55610de4e0986078a36f799b415a0e9f07ec8f95781f5643c1931c8c0da6b4"),
         "S2^2-k1":
             (1, "6ccf9cb3220460054acfb814a25e13e0e08adfed14bfeb49ee2775aff58f5658"),
+        "golden-k2-o3":
+            (0, "fc6e1b977727419c15d7cf2611f33c0d6ecb8c44413b86ee85e0aba9b66a539b"),
+        "golden-k3-o3":
+            (0, "ec6f01175e880bfe43d12b84dcb641ff38fd4ee2d89c221b9113eb05f83690f0"),
+        "golden-k1-o8":
+            (0, "38932f875eeda6b34f5dc07caac82f88235aee11c34a8e2260e354b3732f05bc"),
+        "3t1t2-k2-o3":
+            (0, "479f4be893e3f4d421db902fc05e2084cd7d00da8121e745f00860fd36c9faaf"),
     }
     DRESS = {
         "golden":
@@ -864,10 +891,10 @@ class TestGoldenDigests:
     def outputs(capsys, tmp_path, golden_point):
         """{(command, id): (exit code, sha256 of stdout)}."""
         out = {}
-        for name, tau, rhos, sigmas, k in digest_cases(golden_point):
+        for name, tau, rhos, sigmas, k, order in digest_cases(golden_point):
             tau_path = tmp_path / f"{name}-tau.json"
             tau_path.write_text(json.dumps(tau.to_json()))
-            argv = ["lax", "--tau", str(tau_path), "--k", str(k)]
+            argv = ["lax", "--tau", str(tau_path), "--k", str(k), "--order", str(order)]
             for j, (rho, sigma) in enumerate(zip(rhos, sigmas)):
                 for flag, cp in (("rho", rho), ("sigma", sigma)):
                     path = tmp_path / f"{name}-{flag}{j}.json"

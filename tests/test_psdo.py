@@ -372,9 +372,16 @@ class TestLaxFlowPaths:
 
     def test_forced_fallback_gives_identical_reports(self, golden_point, sato,
                                                      monkeypatch):
-        cases = [(*companions(golden_point, k), k) for k in (1, 2)]
-        cases += [(ChargedPoly(poly, 0), [], [], k)
-                  for poly in TestIndependentOracle.taus() for k in (1, 2, 3)]
+        # Sato is tested at k >= 2 only; at k = 1 the report is the
+        # commutator's, which verify_lax no longer forms
+        taus = TestIndependentOracle.taus()
+        for tau, rhos, sigmas in [companions(golden_point, 1),
+                                  *[(ChargedPoly(poly, 0), [], []) for poly in taus]]:
+            report = verify_lax(tau, rhos, sigmas, 1, 4)[1]
+            assert report.to_json() == commutator_flow(tau.poly, 1, 4).to_json()
+        assert sato == []
+        cases = [(*companions(golden_point, 2), 2)]
+        cases += [(ChargedPoly(poly, 0), [], [], k) for poly in taus for k in (2, 3)]
         certified = [[r.to_json() for r in verify_lax(*case, 4)] for case in cases]
         assert sato == [True] * len(cases)
         monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
@@ -398,6 +405,46 @@ class TestLaxFlowPaths:
         minus = minus - minus.plus_part()
         with pytest.raises(TruncationError):
             psdo._sato_pass(P, minus, 2)
+
+
+class TestLaxDepth:
+    """lax_depth is the least depth at which every order verify_lax reads
+    is exact: one order less raises TruncationError."""
+
+    @staticmethod
+    def taus(golden_point):
+        """The golden tau, two non-KP taus and two Grassmannian taus."""
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        return [companions(golden_point, 1)[0].poly, t1 * t2 * 3, t1 * t1 * t1,
+                *TestIndependentOracle.taus()[:2]]
+
+    def test_formula(self):
+        assert [lax_depth(k, 5) for k in (1, 2, 3)] == [6, 7, 8]
+        assert [lax_depth(2, T) for T in (3, 4, 5)] == [6, 6, 7]
+
+    def test_one_less_is_refused(self, golden_point, monkeypatch):
+        real = lax_depth
+        monkeypatch.setattr(psdo, "lax_depth", lambda k, T: real(k, T) - 1)
+        # for T >= 4 the constraint's order -T binds, on every path
+        for poly in self.taus(golden_point):
+            for k, T in ((1, 4), (2, 4), (1, 5), (3, 6)):
+                with pytest.raises(TruncationError):
+                    verify_lax(ChargedPoly(poly, 0), [], [], k, T)
+        # at T = 3 the commutator's order -3 binds: 3 t1 t2 fails Sato at k = 2
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        with pytest.raises(TruncationError):
+            verify_lax(ChargedPoly(t1 * t2 * 3, 0), [], [], 2, 3)
+
+    def test_enough_on_both_paths(self, golden_point, monkeypatch):
+        cases = [(ChargedPoly(poly, 0), k, T) for poly in self.taus(golden_point)
+                 for k in (1, 2, 3, 4) for T in range(3, 9)]
+        for case in cases:
+            verify_lax(case[0], [], [], *case[1:])
+        # the commutator, which k = 1 never takes
+        monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
+        for case in cases:
+            if case[1] > 1:
+                verify_lax(case[0], [], [], *case[1:])
 
 
 def test_json_emits_only_the_exact_range():
