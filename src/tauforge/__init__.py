@@ -10,7 +10,7 @@ from .zseries import ExactnessError, ZSeries
 from .ratfun import RatFun, TauFrac, TauRing
 from .schur import (ChargedPoly, DomainError, Partition, bilinear_window,
                     elementary_schur, hall_product, miwa_shift,
-                    schur_expand, schur_of_partition, xi_kernel)
+                    schur_expand, schur_of_partition, xi_series)
 from .fock import (FockVector, MayaState, WindowMatrix, alpha,
                    apply_window_matrix, fermionic_pairing, poly_to_fock,
                    psi_minus, psi_plus, r_matrix_unit, shift_charge,

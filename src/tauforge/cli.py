@@ -48,10 +48,12 @@ MAX_INDEX = 64
 MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file and
 # of the tau of a --grpoint point: the bilinear residues of verify grow
-# about 2.2x per step of weight (verify --k 1 on t_1^8 takes 1.3 s, on
-# t_1^10 6.8 s, on a 2-core x86 machine under CPython 3.11); grass
-# companions took 7 s on a weight-19 point, at most 0.3 s on weight-8
-# points for --k 1..16, with tails of 0, -10^6 and -10^300 alike.
+# about 2x per step of weight (verify --k 1 on t_1^8 takes 0.28 s of CPU,
+# start-up included; in process, with cold caches, verify_suite takes 0.08,
+# 0.17 and 0.33 s on t_1^8, t_1^9 and t_1^10, on a 2-core x86 machine under
+# CPython 3.11); grass companions took 7 s on a weight-19 point, at most
+# 0.3 s on weight-8 points for --k 1..16, with tails of 0, -10^6 and
+# -10^300 alike.
 MAX_WEIGHT = 8
 # Upper bound on terms^2 x depth^3 for the --tau of lax and dress, the depth
 # being that of the dressing (see MAX_DEPTH); verify is not bounded by it.
@@ -113,9 +115,8 @@ def _load_charged_poly(path: str) -> ChargedPoly:
     if cp.poly.vars > MAX_VARS:
         raise InputError(f"{path}: {cp.poly.vars} variables is above the limit "
                          f"{MAX_VARS}")
-    weight = cp.poly.wdeg()
-    if weight > MAX_WEIGHT:
-        raise InputError(f"{path}: weighted degree {weight} is above the "
+    if cp.weight > MAX_WEIGHT:
+        raise InputError(f"{path}: weighted degree {cp.weight} is above the "
                          f"limit {MAX_WEIGHT}")
     return cp
 

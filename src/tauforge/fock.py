@@ -433,21 +433,40 @@ def fermionic_pairing(u: FockVector, v: FockVector) -> PairTensor:
 
     The sum over half-integers i is finite on window states: the index
     must be occupied in v and free in u, which pins it above the filled
-    tail of u.  The result is canonicalized in the Maya (x) Maya basis
-    so equality against any target tensor is coefficient comparison.
+    tail of u.  So each v state's contractions are listed once, down to
+    the lowest filled-tail top among the u states, and each u state's
+    wedges are made once per code.  u and v each go over one common
+    denominator, so the sums are on integers.  The result is
+    canonicalized in the Maya (x) Maya basis so equality against any
+    target tensor is coefficient comparison.
     """
-    out: PairTensor = {}
+    if not u.terms:
+        return {}
+    floor = min(_codes(su)[-1] for su in u.terms)
+    den_u = math.lcm(*(a.denominator for a in u.terms.values()))
+    den_v = math.lcm(*(b.denominator for b in v.terms.values()))
+    contractions = []  # per v state: its numerator, then (code, sign, state)
+    for sv, cv in v.terms.items():
+        row = []
+        for s, c in enumerate(_descending_codes(sv), start=1):
+            if c < floor:
+                break
+            row.append((c, *_contract(sv, s)))
+        contractions.append((cv.numerator * (den_v // cv.denominator), row))
+    sums: dict[tuple[MayaState, MayaState], int] = {}
+    get = sums.get
     for su, cu in u.terms.items():
-        codes_u = _codes(su)  # the last one tops the filled tail
-        floor, held = codes_u[-1], set(codes_u)
-        for sv, cv in v.terms.items():
-            coef = cu * cv
-            for s, c in enumerate(_descending_codes(sv), start=1):
-                if c < floor:
+        top = _codes(su)[-1]  # codes at or below it are filled
+        nu = cu.numerator * (den_u // cu.denominator)
+        wedges: dict[int, tuple[int, MayaState] | None] = {}
+        for nv, row in contractions:
+            coef = nu * nv
+            for c, sign_r, right in row:
+                if c <= top:
                     break
-                if c in held:
-                    continue
-                sign_r, right = _contract(sv, s)
-                sign_i, left = _wedge(su, c)
-                _add_to(out, (left, right), coef * sign_i * sign_r)
-    return out
+                hit = wedges[c] if c in wedges else wedges.setdefault(c, _wedge(su, c))
+                if hit is not None:
+                    key = (hit[1], right)
+                    sums[key] = get(key, 0) + (coef if hit[0] == sign_r else -coef)
+    den = den_u * den_v
+    return {key: Fraction(n, den) for key, n in sums.items() if n}

@@ -1,28 +1,41 @@
 """Exact verification of the bilinear residue identities.
 
-The two-point residue of a pair (u at charge a, v at charge b) is
+Each identity is Sato's bilinear identity (Date, Jimbo, Kashiwara and
+Miwa 1983) for a pair (u at charge a, v at charge b):
 
-    Res_z  z**(a-b) * u(t - [z**-1]) * v(t' + [z**-1]) * sum_i S_i(t-t') z**i
+    Res_z  z**(a-b) * w_u(t, z) * w*_v(t', z)  =  sum_j a_j(t) b_j(t'),
 
-over the doubled variable space; the charge difference in the exponent
-is exactly the z**(charge) factor of the bosonized fermion fields, so
-this single formula reproduces every identity in the family: weight z**0
-for the plain hierarchy test, z**k against the k-shifted partner, and
-z**-1 for both eigenfunction identities.  The fermionic pairing is the
-normative mirror: the residue equals the Schur image of
+with the wave factors w_u(t, z) = u(t - [z**-1]) exp(xi(t, z)) and
+w*_v(t', z) = v(t' + [z**-1]) exp(-xi(t', z)).  The charge difference in
+the exponent is exactly the z**(charge) factor of the bosonized fermion
+fields, so this single formula reproduces every identity in the family:
+weight z**0 for the plain hierarchy test, z**k against the k-shifted
+partner, and z**-1 for both eigenfunction identities.  The fermionic
+pairing is the normative mirror: the residue equals the Schur image of
 sum_i (wedge_i u) (x) (contract_{-i} v), coefficient by coefficient.
 
-All checks return reports with full polynomial witnesses on failure.
+Each wave factor is built once per operand and side: its z-coefficients
+A_m(t) and B_n(t') are polynomials in D variables, one Miwa shift times
+the one-sided kernel sum_j S_j(+-t) z**j.  The residue is
+sum_m A_m (x) B_{N-m}, N = -1 - (a - b), a sum of tensors that is never
+multiplied out.  The right-hand factors B_n and b_j are brought to
+echelon form e_k (distinct leading monomials, so linearly independent)
+and the left-hand combinations X_k carried along, so that the defect is
+sum_k X_k (x) e_k: an identity holds exactly when every X_k is zero, and
+a pass forms no product in the doubled space.  A failure's witness is
+that sum, expanded once over the doubled space (t in slots 1..D, t' in
+slots D+1..2D), in canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly
 from .schur import (ChargedPoly, DomainError, bilinear_window, embed_t,
-                    embed_tprime, miwa_shift, schur_of_partition, xi_kernel)
+                    embed_tprime, miwa_shift, schur_of_partition, xi_series)
 from .fock import (FockVector, PairTensor, fermionic_pairing, poly_to_fock,
                    shift_charge, tensor_of, tensor_sum)
 from .zseries import ZSeries
@@ -63,28 +76,108 @@ class BilinearReport:
 
 def required_vars(u: ChargedPoly, v: ChargedPoly) -> int:
     """Smallest variable count that keeps the residue of (u, v) exact."""
-    wu, wv = u.poly.wdeg(), v.poly.wdeg()
-    _, kmax = bilinear_window(wu, wv, u.charge - v.charge)
-    return max(wu, wv, kmax, 1)
+    _, kmax = bilinear_window(u.weight, v.weight, u.charge - v.charge)
+    return max(u.weight, v.weight, kmax, 1)
+
+
+def _wave(p: MPoly, sign: int, kmax: int, weight: int) -> ZSeries:
+    """The z-coefficients of p(t + sign [z**-1]) exp(-sign xi(t, z)).
+
+    A kernel of order kmax proves the factor exact up to z**hi,
+    hi = kmax - weight, since the shift reaches down to z**-weight at most;
+    orders above hi are not claimed, so reading one is an ExactnessError.
+    The kernel is cut at the least order that keeps those exact, hi - lo
+    for the shift's lowest order lo (kmax when lo = -weight).
+    """
+    hi = kmax - weight
+    shift = miwa_shift(p, sign)
+    lo = shift.min_order if shift.coeffs else 0
+    return (shift * xi_series(p.vars, hi - lo, -sign)).cut(hi)
+
+
+class _Echelon:
+    """Right-hand factors in echelon form over the rationals.
+
+    Every row has a leading monomial (its largest packed key) that no
+    other row has, so the rows are linearly independent.  ``coords(p)``
+    writes p as sum_k c_k rows[k]; what is left of p becomes a new row.
+    Each factor is reduced once, however many identities read it.
+    """
+
+    def __init__(self):
+        self.rows: list[MPoly] = []
+        self._lead: dict[int, int] = {}  # leading key -> row index
+        self._seen: dict[int, tuple[MPoly, dict[int, Fraction]]] = {}
+
+    def coords(self, p: MPoly) -> dict[int, Fraction]:
+        seen = self._seen.get(id(p))
+        if seen is not None:
+            return seen[1]
+        out: dict[int, Fraction] = {}
+        rest = p
+        while rest.num:
+            key = max(rest.num)
+            k = self._lead.get(key)
+            if k is None:
+                self._lead[key] = len(self.rows)
+                out[len(self.rows)] = Fraction(1)
+                self.rows.append(rest)
+                break
+            row = self.rows[k]
+            # the lead of rest drops below key, so row k comes up once
+            c = Fraction(rest.num[key] * row.den, rest.den * row.num[key])
+            out[k] = c
+            rest = rest - row * c
+        self._seen[id(p)] = (p, out)  # holding p keeps its id unique
+        return out
+
+    def expand(self, combos: dict[int, MPoly], D: int) -> MPoly:
+        """sum_k combos[k](t) rows[k](t') over the doubled space."""
+        return sum((embed_t(x, D) * embed_tprime(self.rows[k], D)
+                    for k, x in combos.items()), MPoly.zero(2 * D))
+
+
+def _defect(left: ZSeries, right: ZSeries, wl: int, wr: int, weight: int,
+            kmax: int, pairs: Sequence[tuple[MPoly, MPoly]],
+            echelon: _Echelon) -> dict[int, MPoly]:
+    """The nonzero X_k with residue - sum a (x) b = sum_k X_k (x) rows[k].
+
+    The residue is sum_m A_m (x) B_{N-m}, N = -1 - weight, over
+    m = -wl..N + wr, the orders the window bilinear_window(wl, wr, weight)
+    spans.  Both factors are read through copies cut at the orders that
+    window proves, A up to kmax - wl and B up to kmax - wr, so a window
+    too short for the identity raises ExactnessError.
+    """
+    A, B = left.cut(kmax - wl), right.cut(kmax - wr)
+    N = -1 - weight
+    terms = [(A.coeff(m), B.coeff(N - m)) for m in range(-wl, N + wr + 1)]
+    terms += [(-a, b) for a, b in pairs]
+    combos: dict[int, MPoly] = {}
+    for a, b in terms:
+        if a.num and b.num:
+            for k, c in echelon.coords(b).items():
+                x = combos.get(k)
+                combos[k] = a * c if x is None else x + a * c
+    return {k: x for k, x in combos.items() if x.num}
 
 
 def bilinear_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     """The charge-weighted two-point residue as a polynomial in (t, t').
 
-    Only the one coefficient of the triple product that the residue reads
-    is formed; the kernel order from ``bilinear_window`` is checked, not
-    assumed, by the exactness guard of ``ZSeries.product_coeff``.
+    sum_m A_m(t) B_{N-m}(t') of the two wave factors, N = -1 - weight,
+    expanded over the doubled space through the echelon form of the
+    B_{N-m}; the kernel order from ``bilinear_window`` is checked, not
+    assumed, by ``ZSeries.coeff`` on every order read.
     """
     if D < required_vars(u, v):
         raise DomainError(f"need D >= {required_vars(u, v)}, got {D}")
     weight = u.charge - v.charge
-    left = miwa_shift(u.poly.embed(D), -1)
-    right = miwa_shift(v.poly.embed(D), +1)
-    left = ZSeries(2 * D, {o: embed_t(c, D) for o, c in left.coeffs.items()})
-    right = ZSeries(2 * D, {o: embed_tprime(c, D) for o, c in right.coeffs.items()})
-    _, kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
-    kernel = xi_kernel(D, kmax)
-    return ZSeries.product_coeff(left, right, kernel, order=-1 - weight)
+    _, kmax = bilinear_window(u.weight, v.weight, weight)
+    left = _wave(u.poly.embed(D), -1, kmax, u.weight)
+    right = _wave(v.poly.embed(D), +1, kmax, v.weight)
+    echelon = _Echelon()
+    combos = _defect(left, right, u.weight, v.weight, weight, kmax, (), echelon)
+    return echelon.expand(combos, D)
 
 
 def kp_residue(tau: ChargedPoly, D: int) -> MPoly:
@@ -158,17 +251,37 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     D = max(top, kmax, k, 1) variables, top the highest weighted degree of
     an operand and kmax the kernel order of the widest window, weight -1;
     every identity has weight >= -1, so every residue is exact in D.
+
+    Each operand's wave factor is built once per side, with the kernel
+    order of the widest window that reads it, and one echelon form serves
+    every identity's right-hand factors.
     """
     operands, family = identity_family(tau, rhos, sigmas, k)
-    top = max(cp.poly.wdeg() for cp in operands)
+    # operand 1 is tau at another charge: the same polynomial and factors
+    source = [0, 0, *range(2, len(operands))]
+    weights = [operands[i].weight for i in source]
+    top = max(weights)
     _, kmax = bilinear_window(top, top, -1)
     D = max(top, kmax, k, 1)
+    polys = [cp.poly.embed(D) for cp in operands]
+    windows = []
+    reach: dict[tuple[int, int], int] = {}  # (operand, side) -> kernel order
+    for _, left, right, _ in family:
+        weight = operands[left].charge - operands[right].charge
+        _, kmax = bilinear_window(weights[left], weights[right], weight)
+        windows.append((weight, kmax))
+        for side in ((source[left], -1), (source[right], +1)):
+            reach[side] = max(reach.get(side, kmax), kmax)
+    waves = {(i, sign): _wave(polys[i], sign, kmax, weights[i])
+             for (i, sign), kmax in reach.items()}
+    echelon = _Echelon()
     checks = []
-    for label, left, right, pairs in family:
-        diff = bilinear_residue(operands[left], operands[right], D)
-        for a, b in pairs:
-            diff = diff - embed_t(operands[a].poly, D) * embed_tprime(operands[b].poly, D)
-        checks.append(Check(label, diff.is_zero, None if diff.is_zero else diff))
+    for (label, left, right, pairs), (weight, kmax) in zip(family, windows):
+        combos = _defect(waves[source[left], -1], waves[source[right], +1],
+                         weights[left], weights[right], weight, kmax,
+                         [(polys[a], polys[b]) for a, b in pairs], echelon)
+        witness = echelon.expand(combos, D) if combos else None
+        checks.append(Check(label, not combos, witness))
 
     tau_f = poly_to_fock(tau)
     images = [tau_f, shift_charge(-k, tau_f), *map(poly_to_fock, operands[2:])]

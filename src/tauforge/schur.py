@@ -1,5 +1,6 @@
 """Elementary Schur polynomials, partition Schur functions, Miwa shifts
-and the exponential kernels that drive the bilinear residue checks.
+and the exponential kernel exp(+-xi(t, z)) of the wave functions that
+drive the bilinear residue checks.
 
 Conventions.  S_i(t) is the coefficient of z**i in exp(sum t_j z**j),
 with S_i = 0 for i < 0.  A partition indexes S_lambda through the
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .mpoly import _BITS, MPoly, PolyError, _unpack, parse_int
@@ -100,6 +101,11 @@ class ChargedPoly:
 
     poly: MPoly
     charge: int
+
+    @cached_property
+    def weight(self) -> int:
+        """The weighted degree of the polynomial, scanned once."""
+        return self.poly.wdeg()
 
     def to_json(self) -> dict:
         return {"charge": self.charge, "poly": self.poly.to_json()}
@@ -208,23 +214,22 @@ def miwa_shift(p: MPoly, sign: int) -> ZSeries:
 
 
 @lru_cache(maxsize=None)
-def _difference_schur(i: int, D: int) -> MPoly:
-    """S_i(t - t') = sum_j S_j(t) S_{i-j}(-t') in the doubled space of 2D variables."""
-    flip = [-1] * D
-    return sum((embed_t(elementary_schur(j, D), D)
-                * embed_tprime(elementary_schur(i - j, D).scale_vars(flip), D)
-                for j in range(i + 1)), MPoly.zero(2 * D))
+def _flipped_schur(i: int, D: int) -> MPoly:
+    """S_i(-t), the coefficient of z**i in exp(-xi(t, z))."""
+    return elementary_schur(i, D).scale_vars([-1] * D)
 
 
-def xi_kernel(D: int, order: int) -> ZSeries:
-    """sum_{i=0..order} S_i(t - t') z**i over the doubled variable space.
+def xi_series(D: int, order: int, sign: int) -> ZSeries:
+    """exp(sign * xi(t, z)) = sum_{j=0..order} S_j(sign * t) z**j in D variables.
 
     Exact up to z**order; reading beyond that is an ExactnessError.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     if order > D:
         raise DomainError(f"kernel order {order} exceeds variable count {D}")
-    coeffs = {i: _difference_schur(i, D) for i in range(max(order, 0) + 1)}
-    return ZSeries(2 * D, coeffs, order)
+    schur = elementary_schur if sign == 1 else _flipped_schur
+    return ZSeries(D, {j: schur(j, D) for j in range(max(order, 0) + 1)}, order)
 
 
 def embed_t(p: MPoly, D: int) -> MPoly:

@@ -10,7 +10,9 @@ error, never a silent zero, so residue extraction is provably exact.
 
 from __future__ import annotations
 
-from .mpoly import MPoly, PolyError
+import math
+
+from .mpoly import _LIMIT, MPoly, PolyError, _guard
 
 
 class ExactnessError(ArithmeticError):
@@ -48,7 +50,13 @@ class ZSeries:
         if self.exact_hi is not None and order > self.exact_hi:
             raise ExactnessError(
                 f"order {order} above guaranteed-exact bound {self.exact_hi}")
-        return self.coeffs.get(order, MPoly.zero(self.vars))
+        poly = self.coeffs.get(order)
+        return MPoly.zero(self.vars) if poly is None else poly
+
+    def cut(self, hi: int) -> "ZSeries":
+        """The same coefficients, claimed exact up to z**hi at most: a
+        bound the series already has below hi stays."""
+        return ZSeries(self.vars, self.coeffs, self._min_hi(self.exact_hi, hi))
 
     def _check(self, other: "ZSeries") -> None:
         if self.vars != other.vars:
@@ -62,6 +70,13 @@ class ZSeries:
             return a
         return min(a, b)
 
+    def _numerators(self) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
+        """One common denominator and, per order, the (key, numerator)
+        pairs of the coefficient over it."""
+        den = math.lcm(*(p.den for p in self.coeffs.values()))
+        return den, [(o, [(k, c * (den // p.den)) for k, c in p.num.items()])
+                     for o, p in self.coeffs.items()]
+
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
         # Unknown orders above exact_hi of one factor contaminate products
@@ -74,21 +89,29 @@ class ZSeries:
             lo = self.min_order
             h2 = None if lo is None else other.exact_hi + lo
             hi = self._min_hi(hi, h2)
-        out: dict[int, MPoly] = {}
-        for oa, pa in self.coeffs.items():
-            for ob, pb in other.coeffs.items():
+        # each order is summed on integers over the two common denominators
+        den_a, left = self._numerators()
+        den_b, right = other._numerators()
+        sums: dict[int, dict[int, int]] = {}
+        for oa, terms_a in left:
+            for ob, terms_b in right:
                 order = oa + ob
                 if hi is not None and order > hi:
                     continue
-                prod = pa * pb
-                if prod.is_zero:
-                    continue
-                s = out.get(order)
-                s = prod if s is None else s + prod
-                if s.is_zero:
-                    out.pop(order, None)
-                else:
-                    out[order] = s
+                bucket = sums.setdefault(order, {})
+                get = bucket.get
+                for ka, ca in terms_a:
+                    for kb, cb in terms_b:
+                        key = ka + kb
+                        bucket[key] = get(key, 0) + ca * cb
+        guard = _guard(self.vars)
+        out: dict[int, MPoly] = {}
+        for order, bucket in sums.items():
+            num = {key: c for key, c in bucket.items() if c}
+            if any(map(guard.__and__, num)):
+                raise ArithmeticError(f"an exponent of the product reaches {_LIMIT}")
+            if num:
+                out[order] = MPoly._reduced(self.vars, num, den_a * den_b)
         return ZSeries(self.vars, out, hi)
 
     @staticmethod

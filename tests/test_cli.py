@@ -21,6 +21,7 @@ from tauforge.cli import main
 from tauforge.grassmann import DegenerateCompanionError, companions
 from tauforge.hirota import verify_suite
 from tauforge.mpoly import MPoly
+from tauforge.zseries import ZSeries
 from tauforge.schur import ChargedPoly, Partition, schur_of_partition
 from tauforge.psdo import TruncationError, verify_lax
 
@@ -151,6 +152,44 @@ class TestVerify:
         assert out == ""
         assert err.startswith("internal error: ExactnessError")
         assert "input error" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tau", ["golden", "S21"])
+    def test_window_fault_on_kp_tau(self, capsys, tmp_path, golden_files, tau,
+                                    short_window):
+        # every identity of a KP tau passes, so only the window guard on the
+        # wave factors' reads can fault
+        path = golden_files["tau"]
+        if tau == "S21":
+            path = tmp_path / "s21.json"
+            s21 = ChargedPoly(schur_of_partition(Partition((2, 1)), 3), 0)
+            path.write_text(json.dumps(s21.to_json()))
+        code, out, err = run(capsys, ["verify", "--tau", str(path), "--k", "2"])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ExactnessError")
+
+    @pytest.mark.parametrize("pair,doubled", [(True, False), (False, True)])
+    def test_products_in_the_doubled_space(self, capsys, golden_files, monkeypatch,
+                                           pair, doubled):
+        # a passing job decides every identity on D-variable factors; only a
+        # failure expands its witness over 2D variables (D = 4 here: tau,
+        # rho and sigma have weights 2, 2 and 0)
+        argv = ["verify", "--tau", golden_files["tau"], "--k", "1"]
+        if pair:
+            argv += ["--rho", golden_files["rho"], "--sigma", golden_files["sigma"]]
+        seen = set()
+
+        def spy(product):
+            def mul(a, b):
+                if isinstance(b, type(a)):
+                    seen.add(a.vars)
+                return product(a, b)
+            return mul
+
+        for cls in (MPoly, ZSeries):
+            monkeypatch.setattr(cls, "__mul__", spy(cls.__mul__))
+        code, _, _ = run(capsys, argv)
+        assert code == (0 if pair else 1)
+        assert (8 in seen) == doubled
 
     def test_zero_tau_rejected(self, capsys, tmp_path):
         zero = tmp_path / "zero.json"
@@ -844,11 +883,41 @@ def digest_cases(golden_point):
     return cases
 
 
+def verify_digest_cases(golden_point):
+    """(id, tau, rhos, sigmas, k) of the verify reports pinned below: the
+    golden companions at k = 1, 2 and 3, each also without its last pair,
+    t_1^2 at k = 1 (no KP tau) and 3 t_1 t_2 at k = 2."""
+    t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+    cases = []
+    for k in (1, 2, 3):
+        tau, rhos, sigmas = companions(golden_point, k)
+        cases.append((f"golden-k{k}", tau, rhos, sigmas, k))
+        if rhos:  # the golden point has no pair at k = 3
+            cases.append((f"golden-k{k}-unpaired", tau, rhos[:-1], sigmas[:-1], k))
+    cases.append(("t1^2-k1", ChargedPoly(t1 * t1, 0), [], [], 1))
+    cases.append(("3t1t2-k2", ChargedPoly(t1 * t2 * 3, 0), [], [], 2))
+    return cases
+
+
+def write_job(tmp_path, name, tau, rhos, sigmas) -> list[str]:
+    """Write the operands of one job; the --tau, --rho and --sigma flags."""
+    tau_path = tmp_path / f"{name}-tau.json"
+    tau_path.write_text(json.dumps(tau.to_json()))
+    argv = ["--tau", str(tau_path)]
+    for j, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+        for flag, cp in (("rho", rho), ("sigma", sigma)):
+            path = tmp_path / f"{name}-{flag}{j}.json"
+            path.write_text(json.dumps(cp.to_json()))
+            argv += [f"--{flag}", str(path)]
+    return argv
+
+
 class TestGoldenDigests:
     """Exit code and sha256 of lax and dress stdout, computed with the
     P * P^-1 product check and compositions at full depth (the --order 3
-    and 8 cases with the dressing at max(T, k + 3) + k + 1); a change of
-    any byte fails."""
+    and 8 cases with the dressing at max(T, k + 3) + k + 1), and of verify
+    stdout, computed with every residue read off the doubled-space triple
+    product; a change of any byte fails."""
 
     LAX = {
         "golden-k1":
@@ -886,31 +955,46 @@ class TestGoldenDigests:
         "S2^2":
             (0, "5f18802ecfefc7a9774c219086448b2b85b0587466b18a4e73903c0c05a31132"),
     }
+    VERIFY = {
+        "golden-k1":
+            (0, "f544bccf617dfd5f4bf3a3bf21fb2044afa687ce334234334898a1e6e567e0c1"),
+        "golden-k1-unpaired":
+            (1, "3c3b2065aabac9087cd3cf55a8eec9fe3b5e88199253d83fa1f64e89e5127160"),
+        "golden-k2":
+            (0, "f544bccf617dfd5f4bf3a3bf21fb2044afa687ce334234334898a1e6e567e0c1"),
+        "golden-k2-unpaired":
+            (1, "71c481ccb7d16f0cdf5be62636c2197f56a371f88a5747662991604679bbc1fc"),
+        "golden-k3":
+            (0, "ec0b768b418b04f6095688a96f1744ad5f2a0e556adc712ece076ab5bc57ef17"),
+        "t1^2-k1":
+            (1, "5e45c0283c353f213d0185d2570348d78c94b927587a3aa594fccb607a45d635"),
+        "3t1t2-k2":
+            (1, "59e2440442b5838399453889d737d93ac68b8f80121407c61ac81f20a6a6069e"),
+    }
 
     @staticmethod
     def outputs(capsys, tmp_path, golden_point):
         """{(command, id): (exit code, sha256 of stdout)}."""
         out = {}
         for name, tau, rhos, sigmas, k, order in digest_cases(golden_point):
-            tau_path = tmp_path / f"{name}-tau.json"
-            tau_path.write_text(json.dumps(tau.to_json()))
-            argv = ["lax", "--tau", str(tau_path), "--k", str(k), "--order", str(order)]
-            for j, (rho, sigma) in enumerate(zip(rhos, sigmas)):
-                for flag, cp in (("rho", rho), ("sigma", sigma)):
-                    path = tmp_path / f"{name}-{flag}{j}.json"
-                    path.write_text(json.dumps(cp.to_json()))
-                    argv += [f"--{flag}", str(path)]
-            code, stdout, _ = run(capsys, argv)
+            files = write_job(tmp_path, name, tau, rhos, sigmas)
+            code, stdout, _ = run(capsys, ["lax", *files, "--k", str(k),
+                                           "--order", str(order)])
             out["lax", name] = code, hashlib.sha256(stdout.encode()).hexdigest()
             dress = name.split("-")[0]
             if ("dress", dress) not in out:
-                code, stdout, _ = run(capsys, ["dress", "--tau", str(tau_path)])
+                code, stdout, _ = run(capsys, ["dress", *files[:2]])
                 out["dress", dress] = code, hashlib.sha256(stdout.encode()).hexdigest()
+        for name, tau, rhos, sigmas, k in verify_digest_cases(golden_point):
+            files = write_job(tmp_path, f"verify-{name}", tau, rhos, sigmas)
+            code, stdout, _ = run(capsys, ["verify", *files, "--k", str(k)])
+            out["verify", name] = code, hashlib.sha256(stdout.encode()).hexdigest()
         return out
 
     def test_reports_are_byte_identical(self, capsys, tmp_path, golden_point):
         want = {("lax", name): pin for name, pin in self.LAX.items()}
         want.update((("dress", name), pin) for name, pin in self.DRESS.items())
+        want.update((("verify", name), pin) for name, pin in self.VERIFY.items())
         assert self.outputs(capsys, tmp_path, golden_point) == want
 
 

@@ -5,17 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
+import tauforge.hirota as hirota
 from tauforge.mpoly import MPoly
 from tauforge.schur import (ChargedPoly, DomainError, Partition, bilinear_window,
+                            elementary_schur, embed_t, embed_tprime, miwa_shift,
                             partitions_up_to, schur_of_partition)
 from tauforge.fock import FockVector, MayaState, fermionic_pairing, sigma_map
 from tauforge.grassmann import companions, reduce_point, tau_of
-from tauforge.zseries import ExactnessError
+from tauforge.zseries import ExactnessError, ZSeries
 from tauforge.hirota import (bilinear_residue, fermionic_bilinear_check,
                              identity_family, kp_residue, required_vars,
                              tensor_to_poly, verify_suite)
 
-from conftest import random_grpoint, random_state
+from conftest import random_grpoint, random_poly, random_state
 
 
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
@@ -138,6 +140,124 @@ class TestWindowGuard:
         cp = charged(MPoly.variable(1, 1) ** 2)
         with pytest.raises(ExactnessError):
             bilinear_residue(cp, cp, 3)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1)], ids=str)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_short_kernel_raises_on_kp_taus(self, short_window, shape, k):
+        # S_(2) (the golden tau) and S_(2,1) pass every identity, so only
+        # the reads of the wave factors, cut at the window, can fault; a
+        # shift of each stops above z**-wdeg, so its actual support would
+        # leave a short kernel room, and the window's claim must bind
+        cp = charged(schur_of_partition(Partition(shape), sum(shape) + 1))
+        with pytest.raises(ExactnessError):
+            kp_residue(cp, required_vars(cp, cp))
+        with pytest.raises(ExactnessError):
+            verify_suite(cp, [], [], k)
+
+    def test_each_identity_reads_to_its_own_window(self, monkeypatch):
+        # only the KP window (weight 0) is short; the rho_1 and sigma_1
+        # windows read tau's factors further, so only a read cut at the
+        # KP window itself can fault
+        real = hirota.bilinear_window
+
+        def short_kp(w_left, w_right, weight):
+            zmin, kmax = real(w_left, w_right, weight)
+            return zmin, kmax - (weight == 0)
+
+        monkeypatch.setattr(hirota, "bilinear_window", short_kp)
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        with pytest.raises(ExactnessError, match="order 0 above .* bound -1"):
+            verify_suite(charged(t1), [charged(t1 * t1, 1)], [charged(t2, -2)], 1)
+
+    def test_short_kernel_raises_with_pairs(self, short_window, golden_point):
+        tau, rhos, sigmas = companions(golden_point, 1)
+        with pytest.raises(ExactnessError):
+            verify_suite(tau, rhos, sigmas, 1)
+
+
+def doubled_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
+    """The residue expanded over the doubled space: the z**(-1 - weight)
+    coefficient of u(t - [z^-1]) v(t' + [z^-1]) sum_i S_i(t - t') z**i, the
+    kernel built from elementary_schur by S_i(t - t') = sum_j S_j(t) S_{i-j}(-t')."""
+    weight = u.charge - v.charge
+    _, kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
+    flip = [F(-1)] * D
+    kernel = ZSeries(2 * D, {
+        i: sum((embed_t(elementary_schur(j, D), D)
+                * embed_tprime(elementary_schur(i - j, D).scale_vars(flip), D)
+                for j in range(i + 1)), MPoly.zero(2 * D))
+        for i in range(kmax + 1)}, kmax)
+    left, right = (ZSeries(2 * D, {o: embed(c, D) for o, c in
+                                   miwa_shift(cp.poly.embed(D), sign).coeffs.items()})
+                   for cp, sign, embed in ((u, -1, embed_t), (v, 1, embed_tprime)))
+    return ZSeries.product_coeff(left, right, kernel, order=-1 - weight)
+
+
+def seeded_operand(rng: random.Random, kp: bool) -> MPoly:
+    """The tau of a random point (kp) or a random polynomial, of weight 1..4."""
+    while True:
+        if kp:
+            poly = tau_of(random_grpoint(rng, max_extras=2, span=3)).poly
+        else:
+            poly = random_poly(rng, 3, max_terms=4, max_exp=2)
+        if 1 <= poly.wdeg() <= 4:
+            return poly
+
+
+class TestDoubledSpaceOracle:
+    """The wave-factor route against the doubled-space expansion."""
+
+    def test_residues_match(self):
+        # weights -1, 0 and k, KP taus and others, u = v and u != v
+        rng = random.Random(2024)
+        kinds = set()
+        for case in range(60):
+            u = seeded_operand(rng, case % 2 == 0)
+            v = u if case % 3 == 1 else seeded_operand(rng, case % 4 < 2)
+            weight = [-1, 0, 1 + case // 3 % 3][case % 3]
+            cu, cv = charged(u, weight), charged(v, 0)
+            D = required_vars(cu, cv)
+            got = bilinear_residue(cu, cv, D)
+            assert got == doubled_residue(cu, cv, D), (u, v, weight)
+            kinds.add((weight, got.is_zero))
+        assert {(0, True), (0, False), (-1, False)} <= kinds
+
+    def test_suite_matches(self):
+        # seeded companion triples, with and without their last pair, and
+        # random taus with random companions: each bosonic verdict and
+        # witness is the oracle residue minus sum a(t) b(t')
+        rng = random.Random(77)
+        verdicts = set()
+        for case in range(24):
+            k = 1 + case % 3
+            if case % 4 == 3:
+                tau = charged(seeded_operand(rng, False))
+                rhos = [charged(seeded_operand(rng, False), 1)]
+                sigmas = [charged(seeded_operand(rng, False), -k - 1)]
+            else:
+                point = random_grpoint(rng, max_extras=3, span=4)
+                tau, rhos, sigmas = companions(point, k)
+                if tau.poly.wdeg() > 4:
+                    continue
+            lists = [(rhos, sigmas)]
+            if rhos:
+                lists.append((rhos[:-1], sigmas[:-1]))
+            for sub_r, sub_s in lists:
+                report = verify_suite(tau, sub_r, sub_s, k)
+                operands, family = identity_family(tau, sub_r, sub_s, k)
+                top = max(cp.poly.wdeg() for cp in operands)
+                D = max(2 * top, k, 1)
+                for (label, left, right, pairs), check in zip(family, report.checks):
+                    want = doubled_residue(operands[left], operands[right], D)
+                    for a, b in pairs:
+                        want = want - (embed_t(operands[a].poly.embed(D), D)
+                                       * embed_tprime(operands[b].poly.embed(D), D))
+                    assert check.identity == label
+                    assert check.passed == want.is_zero
+                    assert check.witness == (None if want.is_zero else want)
+                    verdicts.add((label.split("_")[0], check.passed))
+        assert {("KP", True), ("KP", False), ("constrained-k", True),
+                ("constrained-k", False), ("rho", True), ("sigma", True)} <= verdicts
 
 
 class TestConstrainedResidue:

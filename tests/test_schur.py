@@ -10,7 +10,7 @@ from tauforge.zseries import ExactnessError, ZSeries
 from tauforge.schur import (ChargedPoly, DomainError, Partition,
                             bilinear_window, elementary_schur, hall_product,
                             miwa_shift, partitions_of, partitions_up_to,
-                            schur_expand, schur_of_partition, xi_kernel)
+                            schur_expand, schur_of_partition, xi_series)
 
 from conftest import random_poly
 
@@ -164,29 +164,38 @@ class TestMiwaShift:
 
 
 class TestKernel:
+    """The one-sided kernel exp(+-xi(t, z)) = sum_j S_j(+-t) z**j."""
+
     def test_order_zero(self):
-        k = xi_kernel(2, 0)
-        assert k.coeff(0) == MPoly.const(4, 1)
+        for sign in (1, -1):
+            assert xi_series(2, 0, sign).coeff(0) == MPoly.const(2, 1)
 
     def test_order_one(self):
-        D = 2
-        k = xi_kernel(D, 1)
-        x1 = MPoly.variable(2 * D, 1) - MPoly.variable(2 * D, D + 1)
-        assert k.coeff(1) == x1
+        t1 = MPoly.variable(2, 1)
+        assert xi_series(2, 1, 1).coeff(1) == t1
+        assert xi_series(2, 1, -1).coeff(1) == -t1
 
-    def test_order_two_matches_difference_schur(self):
+    def test_order_two(self):
         D = 3
-        k = xi_kernel(D, 2)
-        x1 = MPoly.variable(2 * D, 1) - MPoly.variable(2 * D, D + 1)
-        x2 = MPoly.variable(2 * D, 2) - MPoly.variable(2 * D, D + 2)
-        assert k.coeff(2) == x1**2 / 2 + x2
+        t1, t2 = MPoly.variable(D, 1), MPoly.variable(D, 2)
+        assert xi_series(D, 2, 1).coeff(2) == t1**2 / 2 + t2
+        assert xi_series(D, 2, -1).coeff(2) == t1**2 / 2 - t2
+
+    def test_matches_oracle_and_inverts(self):
+        # exp(xi) term by term, and exp(xi) exp(-xi) = 1 to the cut
+        D = 6
+        plus, minus = xi_series(D, D, 1), xi_series(D, D, -1)
+        assert plus == exp_series_oracle(D, D)
+        product = plus * minus
+        assert product.exact_hi == D
+        assert {o: p for o, p in product.coeffs.items()} == {0: MPoly.const(D, 1)}
 
     def test_order_above_vars_rejected(self):
         with pytest.raises(DomainError):
-            xi_kernel(3, 4)
+            xi_series(3, 4, 1)
 
     def test_truncation_is_tracked(self):
-        k = xi_kernel(3, 2)
+        k = xi_series(3, 2, -1)
         with pytest.raises(ExactnessError):
             k.coeff(3)
 
