@@ -37,14 +37,17 @@ MAX_K = 16
 MAX_INDEX = 64
 # Upper bound on the dressing depth: lax_depth(k, T) = max(T, 4) + k for
 # lax, T + 1 for dress, so the limits on --k and --order cannot multiply.
-# Timed in a child process, start-up included, on a 2-core x86 machine
-# under CPython 3.11, on t_1^2 + t_2: depth 20 (lax --k 16 --order 4)
-# 0.41 s, (--k 1 --order 19) 0.29 s; 28 (--k 16 --order 12) 0.78 s; 32
-# (--order 16) 1.3 s; 36 (--order 20) 1.8 s; 42 (--k 1 --order 41) 2.1 s; 80
-# (--k 16 --order 64) ran past 60 s.  On t_1^8: depth 20 (--k 16 --order 4)
-# 0.31 s.  On t_1^8 + t_2^4, at the weight limit: depth 15 (--k 11 --order
-# 4) 0.50 s, 16 (--k 12) 0.68 s, 20 (--k 16) 1.4 s, 24 (--k 1 --order 23)
-# 2.0 s.
+# Only lax's witness path dresses; a job whose bilinear identities all hold
+# does not.  Every corner below takes the witness path, with Newton steps
+# and, for k >= 2, the commutator: none of these taus is a KP tau.  Timed
+# in a child process, start-up included, best of two, on a 2-core x86
+# machine under CPython 3.11, on t_1^2 + t_2: depth 20 (lax --k 16 --order
+# 4) 0.29 s, (--k 1 --order 19) 0.27 s; 28 (--k 16 --order 12) 0.59 s; 32
+# (--order 16) 0.88 s; 36 (--order 20) 1.2 s; 42 (--k 1 --order 41) 1.7 s;
+# 80 (--k 16 --order 64) ran past 60 s when last tried.  On t_1^8: depth 20
+# (--k 16 --order 4) 0.31 s.  On t_1^8 + t_2^4, at the weight limit: depth
+# 15 (--k 11 --order 4) 0.46 s, 16 (--k 12) 0.64 s, 20 (--k 16) 1.5 s, 24
+# (--k 1 --order 23) 2.2 s.
 MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file and
 # of the tau of a --grpoint point: the bilinear residues of verify grow
@@ -58,12 +61,15 @@ MAX_WEIGHT = 8
 # Upper bound on terms^2 x depth^3 for the --tau of lax and dress, the depth
 # being that of the dressing (see MAX_DEPTH); verify is not bounded by it.
 # It admits 5 terms at depth 8, the deepest bench lax job (--k 3 --order 5),
-# and 4 at depth 10.  On the first n terms of S_(8) in 8 variables (weight
-# 8), as above, lax at --order 5 (dress --order 3 at depth 4), (n, depth)
-# inside: (4, 10) 0.51 s, (5, 8) 0.51 s, (3, 12) 0.66 s, (8, 6) 0.29 s,
-# (15, 4) 0.26 s, (2, 15) 0.31 s, (1, 20) 0.31 s; outside: (6, 8) 0.73 s,
-# (6, 10) 2.9 s, (5, 10) 1.6 s, (4, 12) 0.97 s, (3, 16) 2.0 s, (2, 20)
-# 0.70 s (1.4 s on t_1^8 + t_2^4), (3, 20) 6.8 s, and (22, 4) 0.32 s.
+# and 4 at depth 10.  It bounds the witness path only, which every corner
+# below takes: the first n terms of S_(8) (in 8 variables, weight 8) are no
+# KP tau for n < 22, and all 22 fail constrained-1.  Timed as above, lax at
+# --order 5 (dress --order 3 at depth 4), (n, depth) inside: (4, 10)
+# 0.47 s, (5, 8) 0.48 s, (3, 12) 0.48 s, (8, 6) 0.37 s, (15, 4) 0.23 s,
+# (2, 15) 0.32 s, (1, 20) 0.37 s; outside: (6, 8) 0.69 s, (6, 10) 2.3 s,
+# (5, 10) 1.2 s, (4, 12) 1.2 s, (3, 16) 2.2 s, (2, 20) 0.88 s (1.5 s on
+# t_1^8 + t_2^4), (3, 20) 7.0 s, (22, 4) 0.27 s, and (22, 6) at lax --k 1
+# 1.7 s.
 MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The

@@ -10,8 +10,8 @@ Inside this module an index p is held as its integer code p - 1/2, so
 position s of the state (m, lambda) has code lambda_s + m - s and every
 state operation is integer arithmetic on partitions.  Half-integer
 Fraction values (denominator 2) appear only at the public boundary: the
-fermion operators, wedge_vector, WindowMatrix, MayaState.index and
-MayaState.occupied take or return them, and each is checked once on entry.
+fermion operators, wedge_vector, WindowMatrix and MayaState.index take
+or return them, and each is checked once on entry.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ from .schur import ChargedPoly, Partition, schur_expand, schur_of_partition
 
 class WindowError(ValueError):
     """State or column support does not fit inside the requested window."""
-
-
-def half(numerator: int) -> Fraction:
-    """The half-integer numerator/2."""
-    value = Fraction(numerator, 2)
-    _check_half(value)
-    return value
 
 
 def _check_half(j: Fraction) -> Fraction:
@@ -65,9 +58,6 @@ class MayaState:
         """s-th wedge index (1-based), lambda_s + m - s + 1/2."""
         lam = self.parts[s - 1] if s <= len(self.parts) else 0
         return Fraction(2 * (lam + self.charge - s) + 1, 2)
-
-    def occupied(self, p: Fraction) -> bool:
-        return _position(self, _code(p)) is not None
 
     def to_json(self) -> dict:
         return {"charge": self.charge, "partition": list(self.parts)}
@@ -145,16 +135,6 @@ def _remove(state: MayaState, c: int) -> tuple[int, MayaState] | None:
     return None if s is None else _contract(state, s)
 
 
-def insert_index(state: MayaState, p: Fraction) -> tuple[int, MayaState] | None:
-    """Wedge v_p in front and sort; None when p is already occupied."""
-    return _wedge(state, _code(p))
-
-
-def remove_index(state: MayaState, p: Fraction) -> tuple[int, MayaState] | None:
-    """Contract index p with sign (-1)**(s+1); None when p is absent."""
-    return _remove(state, _code(p))
-
-
 def _add_to(out: dict, key, value) -> None:
     """out[key] += value, dropping the key when the sum is zero."""
     c = out.get(key, 0) + value
@@ -180,10 +160,6 @@ class FockVector:
     @classmethod
     def vacuum(cls, charge: int) -> "FockVector":
         return cls({MayaState(charge): Fraction(1)})
-
-    @classmethod
-    def of(cls, state: MayaState, coef=1) -> "FockVector":
-        return cls({state: Fraction(coef)})
 
     @property
     def is_zero(self) -> bool:

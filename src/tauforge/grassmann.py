@@ -113,16 +113,6 @@ class GrPoint:
         """Weighted degree of the point's tau: the weight of its pivot partition."""
         return sum(_pivot_state(self.pivots(), self.tail).parts)
 
-    def contains_vector(self, vec: LaurentVector) -> bool:
-        rows = {min(r): (r, {}) for r in self.vectors()}
-        return not _eliminate(rows, _below(vec, self.tail), {})[0]
-
-    def contains_point(self, other: "GrPoint") -> bool:
-        for e in range(-other.tail, -self.tail):
-            if not self.contains_vector({e: Fraction(1)}):
-                return False
-        return all(self.contains_vector(v) for v in other.vectors())
-
     def to_json(self) -> dict:
         rows = []
         for vec in self.vectors():

@@ -24,7 +24,8 @@ and the left-hand combinations X_k carried along, so that the defect is
 sum_k X_k (x) e_k: an identity holds exactly when every X_k is zero, and
 a pass forms no product in the doubled space.  A failure's witness is
 that sum, expanded once over the doubled space (t in slots 1..D, t' in
-slots D+1..2D), in canonical form.
+slots D+1..2D), in canonical form.  ``bilinear_defects`` is that bosonic
+half; ``psdo`` reads the Lax verdicts from it and expands no witness.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class BilinearReport:
 
     def to_json(self) -> dict:
         return {"checks": [c.to_json() for c in self.checks]}
-
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
 
 
 def required_vars(u: ChargedPoly, v: ChargedPoly) -> int:
@@ -241,22 +239,22 @@ def tensor_to_poly(tensor: PairTensor, D: int) -> MPoly:
     return out
 
 
-def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
-                 sigmas: Sequence[ChargedPoly], k: int) -> BilinearReport:
-    """The identity family of ``identity_family``, in both representations.
+def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity],
+                     k: int) -> tuple[int, _Echelon, list[dict[int, MPoly]]]:
+    """The bosonic half of verify_suite: each identity's defect, unexpanded.
 
-    Passing certifies membership in filtration level n = len(rhos) of the
-    k-constrained hierarchy; the bosonic residues and the fermionic
-    tensors must agree one by one.  The residues are formed in
-    D = max(top, kmax, k, 1) variables, top the highest weighted degree of
-    an operand and kmax the kernel order of the widest window, weight -1;
-    every identity has weight >= -1, so every residue is exact in D.
+    operands and family are those of ``identity_family``, or a part of
+    its family.  Returns D = max(top, kmax, k, 1), top the highest
+    weighted degree of an operand and kmax the kernel order of the widest
+    window, weight -1 (every identity has weight >= -1, so every residue
+    is exact in D); the echelon form of the right-hand factors; and per
+    identity the nonzero X_k of ``_defect``, empty exactly when the
+    identity holds.
 
     Each operand's wave factor is built once per side, with the kernel
     order of the widest window that reads it, and one echelon form serves
     every identity's right-hand factors.
     """
-    operands, family = identity_family(tau, rhos, sigmas, k)
     # operand 1 is tau at another charge: the same polynomial and factors
     source = [0, 0, *range(2, len(operands))]
     weights = [operands[i].weight for i in source]
@@ -275,13 +273,27 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     waves = {(i, sign): _wave(polys[i], sign, kmax, weights[i])
              for (i, sign), kmax in reach.items()}
     echelon = _Echelon()
-    checks = []
-    for (label, left, right, pairs), (weight, kmax) in zip(family, windows):
-        combos = _defect(waves[source[left], -1], waves[source[right], +1],
-                         weights[left], weights[right], weight, kmax,
-                         [(polys[a], polys[b]) for a, b in pairs], echelon)
-        witness = echelon.expand(combos, D) if combos else None
-        checks.append(Check(label, not combos, witness))
+    defects = [_defect(waves[source[left], -1], waves[source[right], +1],
+                       weights[left], weights[right], weight, kmax,
+                       [(polys[a], polys[b]) for a, b in pairs], echelon)
+               for (_, left, right, pairs), (weight, kmax) in zip(family, windows)]
+    return D, echelon, defects
+
+
+def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
+                 sigmas: Sequence[ChargedPoly], k: int) -> BilinearReport:
+    """The identity family of ``identity_family``, in both representations.
+
+    Passing certifies membership in filtration level n = len(rhos) of the
+    k-constrained hierarchy; the bosonic residues and the fermionic
+    tensors must agree one by one.  The bosonic defects come from
+    ``bilinear_defects``, and a failure's witness is its defect expanded
+    over the doubled space of 2D variables.
+    """
+    operands, family = identity_family(tau, rhos, sigmas, k)
+    D, echelon, defects = bilinear_defects(operands, family, k)
+    checks = [Check(label, not combos, echelon.expand(combos, D) if combos else None)
+              for (label, *_), combos in zip(family, defects)]
 
     tau_f = poly_to_fock(tau)
     images = [tau_f, shift_charge(-k, tau_f), *map(poly_to_fock, operands[2:])]

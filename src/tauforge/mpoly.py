@@ -388,17 +388,6 @@ class MPoly:
             common *= b**top
         return tables, common
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at a rational point (one value per variable)."""
-        tables, common = self._power_tables(point)
-        if not self.num:
-            return Fraction(0)
-        at = list.__getitem__
-        vars = self.vars
-        total = sum(c * math.prod(map(at, tables, _unpack(k, vars)))
-                    for k, c in self.num.items())
-        return Fraction(total, self.den * common)
-
     # -- structure -------------------------------------------------------
 
     def wdeg(self) -> int:

@@ -11,24 +11,22 @@ Dressing builds P = 1 + a_1 d^-1 + ... from a polynomial tau via its
 shifted quotient tau(t-[z^-1])/tau(t), and P^-1 = B* from the adjoint
 wave function tau(t+[z^-1])/tau(t) (Date-Jimbo-Kashiwara-Miwa), so
 L^k = (P d^k) P^-1 is one composition, cut where it stops being exact.
-P B* = 1 holds for KP taus only.  It is certified by polynomial residues
-with no composition: by Dickey's lemma res_z (P e^{xz})(Q e^{-xz}) =
-res_d (P Q*), the t_1-derivatives of the bilinear residue of
-tau(t-[z^-1]) tau(t'+[z^-1]) are unit-triangular in the coefficients of
-P B* - 1.  A tau that fails it takes Newton steps to the exact inverse.
-The constraint and flow checks subtract the claimed right-hand sides and
-test each coefficient for exact zero: its numerator over the power of
-tau is the zero polynomial.
+P B* = 1 holds for KP taus only; a tau that fails the KP identity takes
+Newton steps to the exact inverse.
 
-The Lax flow dL/dt_k = [(L^k)_+, L] is certified by Sato's equation for
-the dressing operator (Date-Jimbo-Kashiwara-Miwa 1983; Dickey, Soliton
-Equations and Hamiltonian Systems): with L = P d P^-1 and
-S = dP/dt_k + (L^k)_- P, the Lax defect is [S P^-1, L], so S vanishing
-on orders -1..-3 proves the flow on every order from -3 up.  That needs
-one composition cut at order -4.  The converse fails, so when S does
-not vanish the commutator itself decides and gives the witnesses.  At
-k = 1, S = dP/dt_1 + L_- P vanishes for every P, so it is not formed.
-The one dressing goes only as deep as these checks read (lax_depth).
+The Lax reports take their verdicts from the bilinear identities that
+``hirota.bilinear_defects`` proves (Sato's bilinear identity; Dickey's
+lemma res_z (P e^{xz})(Q e^{-xz}) = res_d (P Q*) reads them at t' = t):
+KP gives P B* = 1 and Sato's equation, so the Lax flow along every t_k;
+KP with constrained-k gives (L^k)_- = sum q_j d^-1 r_j; KP with rho_j or
+sigma_j gives the q_j or r_j flow.  So the identities imply the reports,
+and a job whose identities all hold passes with no dressing.  The
+converse fails (3 t1 t2 at k = 2 fails KP and passes the flow), so a job
+with a failing identity is dressed once (lax_depth), and each
+coefficient of the constraint and flow defects is tested for exact zero:
+its numerator over the power of tau is the zero polynomial, and a
+nonzero one is the witness.  At k = 1 the flow holds for every tau, so a
+lax-flow-t1 pass is no evidence about tau.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from typing import Sequence
 
 from .mpoly import MPoly, PolyError
 from .ratfun import TauFrac, TauRing
+from .hirota import bilinear_defects, identity_family
 from .schur import ChargedPoly, miwa_shift
-from .zseries import ZSeries
 
 
 class TruncationError(ArithmeticError):
@@ -265,38 +263,7 @@ class DressingPair:
     L: PsiDO
 
 
-def _bilinear_certificate(minus: ZSeries, plus: ZSeries, N: int) -> bool:
-    """True when P B* = 1 on orders -1..-N, from polynomials alone.
-
-    minus and plus are A = tau(t - [z^-1]) and B = tau(t + [z^-1]), so
-    P e^{xi} = A e^{xi} / tau and B e^{-xi} / tau = B(d) e^{-xi}.  The
-    test is H_n = 0 for n < N, where H_n = res_z [(d_1 + z)^n A] B
-    = sum_m C(n, m) sum_{i+j = m-n-1} (d_1^m A_i) B_j is d^n/dt_1^n of
-    res_z A(t,z) B(t',z) e^{xi(t-t',z)} at t' = t.  Dickey's lemma,
-    res_z (P e^{xz})(Q e^{-xz}) = res_d (P Q*), gives
-    res_d(d^n P B*) = tau^-1 sum_m C(n, m) d_1^(n-m)(tau^-1) H_m, and
-    res_d(d^n P B*) is r_{n+1} plus derivatives of r_1..r_n, the r_i of
-    P B* - 1 = sum r_i d^-i.  Both systems are triangular with units on
-    the diagonal, so H_0..H_{N-1} vanish exactly when r_1..r_N do.
-    """
-    top = max(-minus.min_order, -plus.min_order, 1)  # H_0 reads A_-1
-    zero = MPoly.zero(minus.vars)
-    # G[top + i] is the z^i coefficient of (d_1 + z)^n A; orders above top
-    # are never read, and each order needs only orders at or below it
-    G = [minus.coeff(i) for i in range(-top, 1)] + [zero] * top
-    B = [plus.coeff(j) for j in range(-top, 1)]  # B[top + j] is B_j
-    for n in range(N):
-        if n:
-            G = [g.differentiate(1) + lower for g, lower in zip(G, [zero, *G])]
-        H = zero
-        for i in range(-1, top):
-            H = H + G[top + i] * B[top - 1 - i]
-        if not H.is_zero:
-            return False
-    return True
-
-
-def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
+def _dressing(poly: MPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, PsiDO]:
     """P and P^-1 of tau = poly in D variables, cut at floor.
 
     a_i and b_i are the z**-i coefficients of tau(t -/+ [z^-1]) / tau(t);
@@ -304,13 +271,10 @@ def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
     the dressing operator of the adjoint wave function.  The adjoint's
     infinite tails are cut at floor, so P^-1 is exact down to floor.
 
-    P B* = 1 is the bilinear identity, so it holds only when tau is a KP
-    tau function.  _bilinear_certificate checks it on orders -1..floor
-    from the Miwa shifts alone; a tau that fails it takes Newton steps
-    Q <- Q - Q (P Q - 1), each squaring the error, to the exact inverse.
+    kp is the verdict of the KP identity, which gives P B* = 1 on every
+    order.  A tau that fails it takes Newton steps Q <- Q - Q (P Q - 1),
+    each squaring the error, to the exact inverse.
     """
-    if poly.is_zero:
-        raise ValueError("tau must be nonzero")
     ring = TauRing(poly.embed(D))
     minus, plus = miwa_shift(ring.tau, -1), miwa_shift(ring.tau, +1)
     a = {0: ring.const(1)}
@@ -320,7 +284,7 @@ def _dressing(poly: MPoly, D: int, floor: int) -> tuple[PsiDO, PsiDO]:
         b[-i] = ring.frac(plus.coeff(-i) * (-1) ** i, 1)
     P = PsiDO(ring, a, floor)
     Pinv = PsiDO(ring, PsiDO(ring, b, floor).adjoint().coeffs, floor, floor)
-    if _bilinear_certificate(minus, plus, -floor):
+    if kp:
         return P, Pinv
     one = PsiDO.identity(ring, floor)
     error = P * Pinv - one
@@ -334,13 +298,16 @@ def dress_from_tau(tau: ChargedPoly | MPoly, T: int) -> DressingPair:
     """Dressing operator and Lax operator of a polynomial tau.
 
     a_i is the z**-i coefficient of the shifted tau over tau itself; L is
-    conjugation of d by P, exact down to order -T.
+    conjugation of d by P, exact down to order -T.  P^-1 takes Newton
+    steps only when tau fails the KP identity of ``bilinear_defects``.
     """
     poly = tau.poly if isinstance(tau, ChargedPoly) else tau
     if T < 1:
         raise ValueError("truncation depth must be positive")
+    operands, family = identity_family(ChargedPoly(poly, 0), [], [], 1)
+    kp = not bilinear_defects(operands, family[:1], 1)[2][0]
     floor = -(T + 1)
-    P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor)
+    P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor, kp)
     return DressingPair(P, P * PsiDO.d(P.ring, floor + 1) * Pinv)
 
 
@@ -378,64 +345,68 @@ def _zero_check(order: int, fn: TauFrac) -> OrderCheck:
 
 
 def _zero_checks(op: PsiDO, orders: Sequence[int]) -> list[OrderCheck]:
-    """One zero check per order, top first."""
-    return [_zero_check(order, op.coeff(order)) for order in sorted(orders, reverse=True)]
+    """One zero check per order, in the order given."""
+    return [_zero_check(order, op.coeff(order)) for order in orders]
+
+
+def _passed(orders: Sequence[int]) -> list[OrderCheck]:
+    """A pass on each order, with no witness."""
+    return [OrderCheck(order, True) for order in orders]
 
 
 def lax_depth(k: int, T: int) -> int:
-    """Depth of the one dressing verify_lax makes, the least at which every
-    order it reads is exact.
+    """Depth of the dressing verify_lax makes on its witness path, the least
+    at which every order it may read is exact.
 
     L^k is exact down to floor + k, so the constraint's -T needs floor
-    -(T + k) and Sato's -3 needs -(3 + k); the commutator (k >= 2) composes
+    -(T + k); the commutator (k >= 2, a tau that fails KP) composes
     (L^k)_+ with L, exact down to floor + 1, and reads -3, so it needs
     -(4 + k).
     """
     return max(T, 4) + k
 
 
-SATO_CUT = -4  # S is read on orders -1..-3 only
-
-
-def _sato_pass(P: PsiDO, minus: PsiDO, k: int) -> bool:
-    """True when S = dP/dt_k + (L^k)_- P vanishes on orders -1..-3.
-
-    minus is (L^k)_-.  Both operands are cut at SATO_CUT, so the one
-    composition stops there; PsiDO.coeff raises TruncationError should
-    the cut reach an order read.
-    """
-    ring = P.ring
-    P = PsiDO(ring, P.coeffs, SATO_CUT, P.exact_to)
-    S = P.diff_coeffs(k) + PsiDO(ring, minus.coeffs, SATO_CUT, minus.exact_to) * P
-    return all(S.coeff(o).is_zero for o in range(SATO_CUT + 1, 0))
-
-
 def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                sigmas: Sequence[ChargedPoly], k: int, T: int) -> list[OperatorReport]:
-    """The constraint and the flows along t_k, from one dressing of tau.
+    """The constraint and the flows along t_k.
 
     The constraint L^k = (L^k)_+ + sum q_j d^-1 r_j is checked
-    coefficientwise on orders -T..-1; the Lax flow
-    dL/dt_k = [(L^k)_+, L] from order -3 up, and the eigenfunction flows
-    dq_j/dt_k = (L^k)_+ q_j and dr_j/dt_k = -((L^k)_+)* r_j exactly.
-    The reports come in that order, the q_j/r_j pairs interleaved.
+    coefficientwise on orders -1..-T; the Lax flow
+    dL/dt_k = [(L^k)_+, L] from order k + 1 down to -3, and the
+    eigenfunction flows dq_j/dt_k = (L^k)_+ q_j and
+    dr_j/dt_k = -((L^k)_+)* r_j exactly.  The reports come in that order,
+    the q_j/r_j pairs interleaved.
 
-    The Lax flow has two paths to one verdict.  Sato's equation
-    dP/dt_k = -(L^k)_- P holding on orders -1..-3 certifies a pass on
-    every order; otherwise the commutator dL/dt_k - [(L^k)_+, L] is
-    checked order by order and gives the witnesses.  A passing order
-    carries no witness on either path, so the report is the same.  At
-    k = 1, (L)_+ = d and S = dP/dt_1 + L_- P vanishes for every P, so
-    Sato is not tested there: lax-flow-t1 passes for every tau and is no
-    evidence about it.
+    The identities of ``identity_family`` imply every report (see the
+    module docstring), so they are run first, by ``bilinear_defects`` with
+    the charges fixed at 0, 1 and -k-1, since the Lax side ignores
+    charges.  When every identity holds, every report passes, with no
+    dressing and no composition.  The converse fails (3 t1 t2 at k = 2
+    fails KP and passes the Lax flow), so when an identity fails, one
+    dressing of tau is composed and every coefficient is tested for exact
+    zero; its failing orders give the witnesses.  There KP still decides
+    two things: a tau that fails it takes Newton steps to P^-1, and only
+    then does the commutator dL/dt_k - [(L^k)_+, L] decide the flow.  A
+    passing order carries no witness on either path, so the report is the
+    same.  At k = 1, (L)_+ = d and the flow holds for every tau, so
+    lax-flow-t1 passes always and is no evidence about tau.
     """
     if T < 3:
         raise ValueError("truncation depth must be at least 3")
-    if len(rhos) != len(sigmas):
-        raise ValueError("companion lists must have equal length")
+    operands, family = identity_family(
+        ChargedPoly(tau.poly, 0), [ChargedPoly(cp.poly, 1) for cp in rhos],
+        [ChargedPoly(cp.poly, -k - 1) for cp in sigmas], k)
+    defects = bilinear_defects(operands, family, k)[2]
+    labels = [f"constraint-k{k}", f"lax-flow-t{k}"]
+    labels += [f"{f}_{j}-flow-t{k}" for j in range(1, len(rhos) + 1) for f in "qr"]
+    constraint, flow = range(-1, -T - 1, -1), range(k + 1, -4, -1)
+    if not any(defects):
+        checks = [_passed(constraint), _passed(flow), *[_passed([0])] * 2 * len(rhos)]
+        return [OperatorReport(label, c) for label, c in zip(labels, checks)]
+    kp = not defects[0]
     D = max(k, 1, *[cp.poly.max_var_used() for cp in [tau, *rhos, *sigmas]])
     floor = -lax_depth(k, T)
-    P, Pinv = _dressing(tau.poly, D, floor)
+    P, Pinv = _dressing(tau.poly, D, floor, kp)
     ring = P.ring
     qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
     rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
@@ -444,26 +415,18 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     cut = floor + k
     Lk = P * PsiDO.d(ring, cut, k) * Pinv
     Lk_plus = Lk.plus_part()
-    minus = Lk - Lk_plus
-    defect = minus
+    defect = Lk - Lk_plus
     dinv = PsiDO.d(ring, cut, -1)
     for q, r in zip(qs, rs):
         defect = defect - PsiDO.multiplier(q, cut) * dinv * PsiDO.multiplier(r, cut)
-    reports = [OperatorReport(f"constraint-k{k}", _zero_checks(defect, range(-T, 0)))]
-    orders = range((Lk_plus.max_order or 0) + 1, SATO_CUT, -1)
-    if k == 1 or _sato_pass(P, minus, k):
-        # the Lax defect is [S P^-1, L], of order at most -4 when S is;
-        # at k = 1, S = dP/dt_1 + L_- P = P_x - [d, P] = 0 for every P
-        checks = [OrderCheck(o, True) for o in orders]
+    checks = [_zero_checks(defect, constraint)]
+    if k == 1 or kp:
+        checks.append(_passed(flow))
     else:
-        # the converse fails (3 t1 t2 at k = 2 fails Sato and passes the
-        # flow), so the commutator decides
         L = P * PsiDO.d(ring, floor + 1) * Pinv
-        checks = _zero_checks(L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus), orders)
-    reports.append(OperatorReport(f"lax-flow-t{k}", checks))
+        checks.append(_zero_checks(L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus), flow))
     adj = Lk_plus.adjoint()
-    for j, (q, r) in enumerate(zip(qs, rs), start=1):
-        for name, fn in ((f"q_{j}-flow-t{k}", q.differentiate(k) - Lk_plus.apply_to(q)),
-                         (f"r_{j}-flow-t{k}", r.differentiate(k) + adj.apply_to(r))):
-            reports.append(OperatorReport(name, [_zero_check(0, fn)]))
-    return reports
+    for q, r in zip(qs, rs):
+        checks += [[_zero_check(0, q.differentiate(k) - Lk_plus.apply_to(q))],
+                   [_zero_check(0, r.differentiate(k) + adj.apply_to(r))]]
+    return [OperatorReport(label, c) for label, c in zip(labels, checks)]

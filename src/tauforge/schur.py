@@ -55,12 +55,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [sum(1 for p in self.parts if p > i) for i in range(self.parts[0])]
-        return Partition(tuple(cols))
-
     def to_json(self) -> list[int]:
         return list(self.parts)
 
@@ -89,10 +83,6 @@ def partitions_of(n: int) -> list[Partition]:
 
     rec(n, n, [])
     return out
-
-
-def partitions_up_to(n: int) -> list[Partition]:
-    return [p for w in range(n + 1) for p in partitions_of(w)]
 
 
 @dataclass(frozen=True)

@@ -114,60 +114,6 @@ class ZSeries:
                 out[order] = MPoly._reduced(self.vars, num, den_a * den_b)
         return ZSeries(self.vars, out, hi)
 
-    @staticmethod
-    def product_coeff(*factors: "ZSeries", order: int) -> MPoly:
-        """Coefficient of z**order in the product of the factors.
-
-        Equal to ``(f1 * f2 * ...).coeff(order)`` but forms no other order
-        of the product: the factors are multiplied left to right, keeping
-        only the partial orders from which the remaining factors' order
-        ranges can still reach ``order``.  The exactness rule is the one
-        ``__mul__`` applies: a factor exact up to ``exact_hi`` leaves the
-        product exact up to ``exact_hi`` plus the lowest orders of the
-        other factors, and asking above that raises ExactnessError.
-        """
-        first = factors[0]
-        for f in factors[1:]:
-            first._check(f)
-        lows = [f.min_order for f in factors]
-        # An empty factor has no lowest order; it bounds no other factor.
-        bound: int | None = None
-        for i, f in enumerate(factors):
-            others = lows[:i] + lows[i + 1:]
-            if f.exact_hi is not None and None not in others:
-                bound = ZSeries._min_hi(bound, f.exact_hi + sum(others))
-        if bound is not None and order > bound:
-            raise ExactnessError(
-                f"order {order} above guaranteed-exact bound {bound}")
-        zero = MPoly.zero(first.vars)
-        if None in lows:
-            return zero
-        highs = [f.max_order for f in factors]
-
-        def reachable(i: int) -> tuple[int, int]:
-            """Partial orders after factor i that can still reach order."""
-            return order - sum(highs[i + 1:]), order - sum(lows[i + 1:])
-
-        lo, hi = reachable(0)
-        partial = {o: p for o, p in first.coeffs.items() if lo <= o <= hi}
-        for i in range(1, len(factors)):
-            lo, hi = reachable(i)
-            out: dict[int, MPoly] = {}
-            for op, pp in partial.items():
-                for of, pf in factors[i].coeffs.items():
-                    o = op + of
-                    if o < lo or o > hi:
-                        continue
-                    prod = pp * pf
-                    s = out.get(o)
-                    s = prod if s is None else s + prod
-                    if s.is_zero:
-                        out.pop(o, None)
-                    else:
-                        out[o] = s
-            partial = out
-        return partial.get(order, zero)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ZSeries):
             return (self.vars == other.vars and self.coeffs == other.coeffs

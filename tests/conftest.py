@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 
 import tauforge.hirota as hirota
 from tauforge.mpoly import MPoly
-from tauforge.fock import MayaState
+from tauforge.fock import FockVector, MayaState
 from tauforge.grassmann import reduce_point
+from tauforge.schur import partitions_of
+from tauforge.zseries import ExactnessError, ZSeries
 
 
 @pytest.fixture
@@ -25,6 +28,12 @@ def short_window(monkeypatch):
         return zmin, kmax - 1
 
     monkeypatch.setattr(hirota, "bilinear_window", short)
+
+
+def refute(operands, family, k):
+    """hirota.bilinear_defects with every identity failing, for psdo:
+    verify_lax takes its witness path, and P^-1 takes Newton steps."""
+    return None, None, [{0: MPoly.const(1, 1)}] * len(family)
 
 
 def random_poly(rng: random.Random, vars: int, max_terms: int = 4,
@@ -56,3 +65,68 @@ def random_grpoint(rng: random.Random, max_extras: int = 2,
         vec[lo] = Fraction(rng.choice([1, 2, -1, 3]))
         vectors.append(vec)
     return reduce_point(vectors, tail)
+
+
+def one_state(state: MayaState, coef=1) -> FockVector:
+    """coef times one basis state."""
+    return FockVector({state: Fraction(coef)})
+
+
+def half(numerator: int) -> Fraction:
+    """The half-integer numerator/2."""
+    assert numerator % 2
+    return Fraction(numerator, 2)
+
+
+def evaluate(p: MPoly, point) -> Fraction:
+    """Exact value of p at a rational point (one value per variable)."""
+    assert len(point) == p.vars
+    return sum((c * math.prod(Fraction(x) ** e for x, e in zip(point, exp))
+                for exp, c in p.terms.items()), Fraction(0))
+
+
+def partitions_up_to(n: int):
+    return [p for w in range(n + 1) for p in partitions_of(w)]
+
+
+def product_coeff(*factors: ZSeries, order: int) -> MPoly:
+    """Coefficient of z**order in the product of the factors.
+
+    Equal to ``(f1 * f2 * ...).coeff(order)`` but forms no other order of
+    the product: the factors are multiplied left to right, keeping only
+    the partial orders from which the remaining factors' order ranges can
+    still reach ``order``.  The exactness rule is the one ``__mul__``
+    applies: a factor exact up to ``exact_hi`` leaves the product exact up
+    to ``exact_hi`` plus the lowest orders of the other factors, and
+    asking above that raises ExactnessError.
+    """
+    first = factors[0]
+    assert all(f.vars == first.vars for f in factors)
+    lows = [f.min_order for f in factors]
+    # An empty factor has no lowest order; it bounds no other factor.
+    bounds = [f.exact_hi + sum(lows[:i] + lows[i + 1:])
+              for i, f in enumerate(factors)
+              if f.exact_hi is not None and None not in lows[:i] + lows[i + 1:]]
+    if bounds and order > min(bounds):
+        raise ExactnessError(f"order {order} above guaranteed-exact bound {min(bounds)}")
+    zero = MPoly.zero(first.vars)
+    if None in lows:
+        return zero
+    highs = [f.max_order for f in factors]
+
+    def reachable(i: int) -> tuple[int, int]:
+        """Partial orders after factor i that can still reach order."""
+        return order - sum(highs[i + 1:]), order - sum(lows[i + 1:])
+
+    lo, hi = reachable(0)
+    partial = {o: p for o, p in first.coeffs.items() if lo <= o <= hi}
+    for i in range(1, len(factors)):
+        lo, hi = reachable(i)
+        out: dict[int, MPoly] = {}
+        for op, pp in partial.items():
+            for of, pf in factors[i].coeffs.items():
+                o = op + of
+                if lo <= o <= hi:
+                    out[o] = pp * pf if o not in out else out[o] + pp * pf
+        partial = {o: p for o, p in out.items() if not p.is_zero}
+    return partial.get(order, zero)

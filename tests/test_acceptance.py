@@ -11,10 +11,9 @@ from fractions import Fraction as F
 
 from tauforge.mpoly import MPoly
 from tauforge.ratfun import TauRing
-from tauforge.schur import (ChargedPoly, Partition, elementary_schur,
-                            partitions_up_to, schur_of_partition)
+from tauforge.schur import ChargedPoly, Partition, elementary_schur, schur_of_partition
 from tauforge.fock import (FockVector, WindowMatrix, alpha,
-                           apply_window_matrix, half, poly_to_fock, psi_minus,
+                           apply_window_matrix, poly_to_fock, psi_minus,
                            psi_plus, shift_charge, sigma_map, sigma_single)
 from tauforge.grassmann import (companions, dtk_decomposition,
                                 generate_from_matrix, grpoint_from_window_matrix,
@@ -23,7 +22,8 @@ from tauforge.hirota import (fermionic_bilinear_check, kp_residue,
                              required_vars, verify_suite)
 from tauforge.psdo import PsiDO, dress_from_tau, verify_lax
 
-from conftest import random_grpoint, random_poly, random_state
+from conftest import (half, one_state, partitions_up_to, product_coeff,
+                      random_grpoint, random_poly, random_state)
 
 
 def report(number: int, text: str) -> None:
@@ -126,7 +126,7 @@ def test_acceptance_3_filtration_end_to_end():
                 subset_r = [r for j, r in enumerate(rhos) if j != drop]
                 subset_s = [s for j, s in enumerate(sigmas) if j != drop]
                 partial = verify_suite(tau, subset_r, subset_s, k)
-                failed = {c.identity for c in partial.failures()}
+                failed = {c.identity for c in partial.checks if not c.passed}
                 assert {"constrained-k", "fermionic-constrained-k"} <= failed, \
                     (trial, k, drop)
             constraint = verify_lax(tau, rhos, sigmas, k, 5)[0]
@@ -221,7 +221,7 @@ def test_acceptance_6_algebraic_relation_suites():
     ops = {"+": psi_plus, "-": psi_minus}
 
     for _ in range(50):  # Clifford anticommutators
-        st = FockVector.of(random_state(rng), F(rng.randint(1, 4), rng.randint(1, 3)))
+        st = one_state(random_state(rng), F(rng.randint(1, 4), rng.randint(1, 3)))
         i = half(rng.choice(range(-7, 8, 2)))
         j = half(rng.choice(range(-7, 8, 2)))
         la, mu = rng.choice("+-"), rng.choice("+-")
@@ -231,21 +231,21 @@ def test_acceptance_6_algebraic_relation_suites():
 
     modes = [-4, -3, -2, -1, 1, 2, 3, 4]
     for _ in range(50):  # oscillator commutators
-        st = FockVector.of(random_state(rng))
+        st = one_state(random_state(rng))
         k, l = rng.choice(modes), rng.choice(modes)
         lhs = alpha(k, alpha(l, st)) - alpha(l, alpha(k, st))
         expect = st * k if k == -l else FockVector()
         assert lhs == expect
 
     for _ in range(50):  # charge-shift commutation
-        st = FockVector.of(random_state(rng))
+        st = one_state(random_state(rng))
         k = half(rng.choice(range(-7, 8, 2)))
         assert shift_charge(1, psi_plus(k, st)) == psi_plus(k - 1, shift_charge(1, st))
         assert shift_charge(1, psi_minus(k, st)) == psi_minus(k + 1, shift_charge(1, st))
 
     D = 16
     for _ in range(50):  # boson dictionary intertwining
-        st = FockVector.of(random_state(rng, max_part=3, max_len=3))
+        st = one_state(random_state(rng, max_part=3, max_len=3))
         img = sigma_single(st, D)
         m = rng.randint(1, 3)
         made = sigma_map(alpha(-m, st), D)
@@ -271,7 +271,7 @@ def test_acceptance_6_algebraic_relation_suites():
 
     plus_kernel, minus_kernel = xi_exp(+1), xi_exp(-1)
     for _ in range(50):  # vertex operator coefficients to order 8
-        st = FockVector.of(random_state(rng, max_part=4, max_len=2))
+        st = one_state(random_state(rng, max_part=4, max_len=2))
         a = next(iter(st.terms)).charge
         f = sigma_single(st, DV)
         n = rng.randint(-3, 8)
@@ -279,11 +279,11 @@ def test_acceptance_6_algebraic_relation_suites():
         zpow = int(-k - F(1, 2))
         ferm = sigma_map(psi_plus(k, st), DV)
         got = ferm[0].poly if ferm else MPoly.zero(DV)
-        assert got == ZSeries.product_coeff(plus_kernel, miwa_shift(f.poly, -1),
+        assert got == product_coeff(plus_kernel, miwa_shift(f.poly, -1),
                                             order=zpow - a)
         ferm = sigma_map(psi_minus(k, st), DV)
         got = ferm[0].poly if ferm else MPoly.zero(DV)
-        assert got == ZSeries.product_coeff(minus_kernel, miwa_shift(f.poly, +1),
+        assert got == product_coeff(minus_kernel, miwa_shift(f.poly, +1),
                                             order=zpow + a)
 
     FL = -5

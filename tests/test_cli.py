@@ -25,6 +25,8 @@ from tauforge.zseries import ZSeries
 from tauforge.schur import ChargedPoly, Partition, schur_of_partition
 from tauforge.psdo import TruncationError, verify_lax
 
+from conftest import refute
+
 
 @pytest.fixture
 def golden_files(tmp_path, golden_point):
@@ -813,39 +815,54 @@ class TestDressAndLax:
         assert err.startswith("internal error: TruncationError")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("k", ["1", "2"])
-    def test_one_dressing_per_job(self, capsys, golden_files, monkeypatch, k):
+    @staticmethod
+    def golden_jobs(tmp_path, golden_point, k):
+        """The lax argv of the golden companions at k, with and without
+        their pair."""
+        tau, rhos, sigmas = companions(golden_point, k)
+        tail = ["--k", str(k), "--order", "4"]
+        return (["lax", *write_job(tmp_path, "paired", tau, rhos, sigmas), *tail],
+                ["lax", *write_job(tmp_path, "unpaired", tau, [], []), *tail])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_dressing_per_job(self, capsys, tmp_path, golden_point,
+                                  monkeypatch, k):
+        # a job whose identities all hold is not dressed; the golden tau
+        # without its pair fails constrained-k and is dressed once
         calls = []
         dressing = psdo._dressing
         monkeypatch.setattr(psdo, "_dressing",
                             lambda *args: calls.append(args) or dressing(*args))
-        code, _, _ = run(capsys, ["lax", "--tau", golden_files["tau"],
-                                  "--rho", golden_files["rho"],
-                                  "--sigma", golden_files["sigma"],
-                                  "--k", k, "--order", "4"])
-        assert code in (0, 1)
-        assert len(calls) == 1
+        counts = []
+        for argv, code in zip(self.golden_jobs(tmp_path, golden_point, k), (0, 1)):
+            calls.clear()
+            assert run(capsys, argv)[0] == code
+            counts.append(len(calls))
+        assert counts == [0, 1]
 
-    @pytest.mark.parametrize("k,sato,fallback", [("1", 4, 4), ("2", 5, 8)])
-    def test_compositions_per_job(self, capsys, golden_files, monkeypatch, k,
-                                  sato, fallback):
-        # a KP tau and one pair: P d^k P^-1 and q d^-1 r (P B* = 1 is
-        # certified by residues, with no composition), then, for k >= 2,
-        # one composition cut at order -4 for Sato's equation; in its place
-        # the commutator composes L and [(L^k)_+, L] at full depth.  At
-        # k = 1 Sato holds for every tau, so neither is composed
-        argv = ["lax", "--tau", golden_files["tau"], "--rho", golden_files["rho"],
-                "--sigma", golden_files["sigma"], "--k", k, "--order", "4"]
+    @pytest.mark.parametrize("k,unpaired,forced", [(1, 2, 5), (2, 2, 9)])
+    def test_compositions_per_job(self, capsys, tmp_path, golden_point,
+                                  monkeypatch, k, unpaired, forced):
+        # a passing job composes nothing.  The golden tau without its pair
+        # is a KP tau, so P^-1 = B* with no Newton step and L^k = P d^k P^-1
+        # is two compositions; the flow passes by KP.  With every identity
+        # forced false, the paired job also checks P B* = 1 by one product,
+        # composes q d^-1 r and, for k >= 2, decides the flow by the
+        # commutator: L and [(L^k)_+, L], four more
+        paired, bare = self.golden_jobs(tmp_path, golden_point, k)
         calls = []
         compose = psdo.PsiDO.__mul__
         monkeypatch.setattr(psdo.PsiDO, "__mul__",
                             lambda a, b: calls.append(1) or compose(a, b))
-        run(capsys, argv)
-        certified = len(calls)
-        monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
+        counts = []
+        for argv in (paired, bare):
+            calls.clear()
+            run(capsys, argv)
+            counts.append(len(calls))
+        monkeypatch.setattr(psdo, "bilinear_defects", refute)
         calls.clear()
-        run(capsys, argv)
-        assert (certified, len(calls)) == (sato, fallback)
+        run(capsys, paired)
+        assert (*counts, len(calls)) == (0, unpaired, forced)
 
     def test_seeded_determinism(self, capsys, golden_files):
         argv = ["lax", "--tau", golden_files["tau"],
@@ -861,10 +878,10 @@ def digest_cases(golden_point):
     below.
 
     The golden companions with and without their pairs, 3 t1 t2 at k = 2
-    (Sato's equation fails and the commutator decides) and two taus that
-    are no KP taus, whose P^-1 needs Newton steps, at the default --order
-    5; then the corners of lax_depth: --order 3, where the flow reads bind
-    the depth, and --order 8 at k = 1.
+    (KP fails and the commutator decides) and two taus that are no KP
+    taus, whose P^-1 needs Newton steps, at the default --order 5; then
+    the corners of lax_depth: --order 3, where the flow reads bind the
+    depth, and --order 8 at k = 1.
     """
     t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
     s2 = schur_of_partition(Partition((2,)), 2)

@@ -7,16 +7,29 @@ from tauforge.mpoly import MPoly
 from tauforge.schur import (ChargedPoly, Partition, _det, elementary_schur,
                             schur_of_partition)
 from tauforge.fock import (FockVector, MayaState, WindowMatrix,
-                           apply_window_matrix, fermionic_pairing, half,
+                           apply_window_matrix, fermionic_pairing,
                            poly_to_fock, sigma_single, wedge_vector)
 from tauforge.grassmann import (GeneratorConditionError,
-                                GrassmannError, companion_wedges,
+                                GrassmannError, _below, _eliminate, companion_wedges,
                                 companions, dtk_decomposition, exp_to_index,
                                 generate_from_matrix, grpoint_from_window_matrix,
                                 point_rows, reduce_point, stable_subspace, tau_of,
                                 vec_mul_sk)
 
-from conftest import random_grpoint
+from conftest import half, random_grpoint
+
+
+def contains_vector(p, vec):
+    """Whether the point p contains the Laurent vector vec."""
+    rows = {min(r): (r, {}) for r in p.vectors()}
+    return not _eliminate(rows, _below(vec, p.tail), {})[0]
+
+
+def contains_point(p, other):
+    """Whether the point p contains the point other."""
+    if any(not contains_vector(p, {e: F(1)}) for e in range(-other.tail, -p.tail)):
+        return False
+    return all(contains_vector(p, v) for v in other.vectors())
 
 
 S = lambda parts, D=6: schur_of_partition(Partition(parts), D)
@@ -42,8 +55,8 @@ class TestReduce:
 
     def test_membership(self):
         p = reduce_point([{-2: F(1), -1: F(1)}], 0)
-        assert p.contains_vector({-2: F(2), -1: F(2), 3: F(5)})
-        assert not p.contains_vector({-2: F(1)})
+        assert contains_vector(p, {-2: F(2), -1: F(2), 3: F(5)})
+        assert not contains_vector(p, {-2: F(1)})
 
     def test_json_roundtrip(self):
         p = reduce_point([{-3: F(1), -1: F(1, 2)}], -1)
@@ -89,9 +102,9 @@ class TestStableSubspace:
             p = random_grpoint(rng)
             for k in (1, 2):
                 sub, n = stable_subspace(p, k)
-                assert p.contains_point(sub)
+                assert contains_point(p, sub)
                 for vec in sub.vectors():
-                    assert p.contains_vector(vec_mul_sk(vec, k))
+                    assert contains_vector(p, vec_mul_sk(vec, k))
                 assert len(p.basis) - len(sub.basis) == n
 
     def test_tail_growth_never_raises_n(self):

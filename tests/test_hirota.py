@@ -9,7 +9,7 @@ import tauforge.hirota as hirota
 from tauforge.mpoly import MPoly
 from tauforge.schur import (ChargedPoly, DomainError, Partition, bilinear_window,
                             elementary_schur, embed_t, embed_tprime, miwa_shift,
-                            partitions_up_to, schur_of_partition)
+                            schur_of_partition)
 from tauforge.fock import FockVector, MayaState, fermionic_pairing, sigma_map
 from tauforge.grassmann import companions, reduce_point, tau_of
 from tauforge.zseries import ExactnessError, ZSeries
@@ -17,7 +17,8 @@ from tauforge.hirota import (bilinear_residue, fermionic_bilinear_check,
                              identity_family, kp_residue, required_vars,
                              tensor_to_poly, verify_suite)
 
-from conftest import random_grpoint, random_poly, random_state
+from conftest import (half, one_state, partitions_up_to, product_coeff,
+                      random_grpoint, random_poly, random_state)
 
 
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
@@ -190,7 +191,7 @@ def doubled_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     left, right = (ZSeries(2 * D, {o: embed(c, D) for o, c in
                                    miwa_shift(cp.poly.embed(D), sign).coeffs.items()})
                    for cp, sign, embed in ((u, -1, embed_t), (v, 1, embed_tprime)))
-    return ZSeries.product_coeff(left, right, kernel, order=-1 - weight)
+    return product_coeff(left, right, kernel, order=-1 - weight)
 
 
 def seeded_operand(rng: random.Random, kp: bool) -> MPoly:
@@ -368,7 +369,7 @@ class TestFermionicCheck:
 
     def test_random_wedges_pass(self):
         rng = random.Random(3)
-        from tauforge.fock import WindowMatrix, apply_window_matrix, half
+        from tauforge.fock import WindowMatrix, apply_window_matrix
         done = 0
         while done < 10:
             N = 4
@@ -386,7 +387,7 @@ class TestFermionicCheck:
             done += 1
 
     def test_non_decomposable_fails(self):
-        bad = FockVector.of(MayaState(0, (2,))) + FockVector.of(MayaState(0, (1, 1)))
+        bad = one_state(MayaState(0, (2,))) + one_state(MayaState(0, (1, 1)))
         check = fermionic_bilinear_check(bad, bad, {})
         assert not check.passed and check.tensor_witness is not None
 
@@ -431,7 +432,7 @@ class TestVerifySuite:
     def test_golden_without_pairs_fails(self, golden_point):
         tau, _, _ = companions(golden_point, 1)
         report = verify_suite(tau, [], [], 1)
-        failed = {c.identity for c in report.failures()}
+        failed = {c.identity for c in report.checks if not c.passed}
         assert failed == {"constrained-k", "fermionic-constrained-k"}
 
     def test_scaling_invariance(self, golden_point):

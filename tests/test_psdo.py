@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -9,11 +10,12 @@ from tauforge.ratfun import TauRing
 from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.grassmann import companions, reduce_point, tau_of
+from tauforge.hirota import kp_residue, required_vars
 import tauforge.psdo as psdo
 from tauforge.psdo import (OperatorReport, PsiDO, TruncationError, _dressing,
                            _zero_checks, dress_from_tau, lax_depth, verify_lax)
 
-from conftest import random_grpoint, random_poly
+from conftest import random_grpoint, random_poly, refute
 
 D, FL = 3, -6
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
@@ -183,9 +185,9 @@ class TestDressing:
         S2 = elementary_schur(2, 2)
         for poly, kp in [(S2 + t1 * 3, True), (S2 * S2, False), (t1 * t1, False)]:
             compositions.clear()
-            _, Pinv = _dressing(poly, 2, FL)
-            # the residue certificate settles P B* = 1 with no composition;
-            # only a tau that fails it composes, for the Newton steps
+            _, Pinv = _dressing(poly, 2, FL, kp)
+            # the KP identity settles P B* = 1 with no composition; only a
+            # tau that fails it composes, for the Newton steps
             assert (len(compositions) == 0) is kp
             *_, Bstar = adjoint_wave_dressing(poly, 2, FL)
             assert (Bstar == Pinv) is kp, poly
@@ -207,9 +209,15 @@ def adjoint_wave_dressing(poly, D, floor):
     return minus, plus, P, B.adjoint()
 
 
+def kp_holds(poly):
+    """The KP verdict of tau = poly, from its bilinear residue."""
+    tau = ChargedPoly(poly, 0)
+    return kp_residue(tau, required_vars(tau, tau)).is_zero
+
+
 class TestBilinearCertificate:
-    """H_0..H_{N-1}, residues in t_1 of tau(t-[z^-1]) tau(t'+[z^-1]), vanish
-    exactly when P B* = 1 on orders -1..-N."""
+    """The KP identity certifies P B* = 1: a tau that passes it needs no
+    Newton step, and one that fails it takes them."""
 
     @staticmethod
     def seeded_taus():
@@ -219,31 +227,40 @@ class TestBilinearCertificate:
         return [MPoly.const(1, 1), MPoly.const(2, -3), *polys,
                 *TestIndependentOracle.taus()]
 
-    def test_matches_the_product_order_by_order(self):
+    def test_kp_implies_the_product_is_one(self):
         verdicts = set()
         for poly in self.seeded_taus():
-            minus, plus, P, Bstar = adjoint_wave_dressing(
-                poly, max(poly.max_var_used(), 1), -12)
+            _, _, P, Bstar = adjoint_wave_dressing(poly, max(poly.max_var_used(), 1), -12)
             error = P * Bstar - PsiDO.identity(P.ring, -12)
-            for N in range(1, 13):
-                want = all(error.coeff(-o).is_zero for o in range(1, N + 1))
-                assert psdo._bilinear_certificate(minus, plus, N) is want, (poly, N)
-                verdicts.add(want)
+            kp = kp_holds(poly)
+            if kp:
+                assert all(error.coeff(o).is_zero for o in range(-12, 0)), poly
+            verdicts.add(kp)
         assert verdicts == {True, False}
 
     def test_non_kp_taus_reach_newton(self, monkeypatch):
+        # dress and lax hand the KP verdict to _dressing, which takes Newton
+        # steps when it is False
         t1 = MPoly.variable(2, 1)
         S2 = elementary_schur(2, 2)
+        verdicts = []
+        dressing = psdo._dressing
+        monkeypatch.setattr(psdo, "_dressing",
+                            lambda *args: verdicts.append(args[3]) or dressing(*args))
         compositions = []
         compose = PsiDO.__mul__
-        monkeypatch.setattr(PsiDO, "__mul__",
-                            lambda a, b: compositions.append(1) or compose(a, b))
         for poly in (t1 * t1, S2 * S2, t1 * t1 * t1):
-            minus, plus, _, _ = adjoint_wave_dressing(poly, 2, FL)
-            assert not psdo._bilinear_certificate(minus, plus, -FL), poly
+            assert not kp_holds(poly), poly
+            verdicts.clear()
+            dress_from_tau(ChargedPoly(poly, 0), 5)
+            verify_lax(ChargedPoly(poly, 0), [], [], 2, 3)
+            assert verdicts == [False, False], poly
+            monkeypatch.setattr(PsiDO, "__mul__",
+                                lambda a, b: compositions.append(1) or compose(a, b))
             compositions.clear()
-            P, Pinv = _dressing(poly, 2, FL)
+            P, Pinv = dressing(poly, 2, FL, False)
             assert compositions, poly  # the Newton loop ran
+            monkeypatch.setattr(PsiDO, "__mul__", compose)
             assert P * Pinv == PsiDO.identity(P.ring, FL), poly
 
 
@@ -332,84 +349,106 @@ def commutator_flow(poly, k, T):
     """The lax-flow-t{k} report of a tau without pairs from
     dL/dt_k - [(L^k)_+, L] alone: the reference for both paths."""
     floor = -lax_depth(k, T)
-    P, Pinv = _dressing(poly, max(k, poly.max_var_used(), 1), floor)
+    P, Pinv = _dressing(poly, max(k, poly.max_var_used(), 1), floor, False)
     L = P * PsiDO.d(P.ring, floor) * Pinv
     Lk_plus = (P * PsiDO.d(P.ring, floor, k) * Pinv).plus_part()
     lax = L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus)
-    return OperatorReport(f"lax-flow-t{k}", _zero_checks(lax, range(-3, k + 2)))
+    return OperatorReport(f"lax-flow-t{k}", _zero_checks(lax, range(k + 1, -4, -1)))
+
+
+@pytest.fixture
+def holds(monkeypatch):
+    """Per verify_lax call, whether every identity held (the pass path),
+    and whether KP held."""
+    seen = []
+    real = psdo.bilinear_defects
+
+    def spy(operands, family, k):
+        out = real(operands, family, k)
+        seen.append((not any(out[2]), not out[2][0]))
+        return out
+
+    monkeypatch.setattr(psdo, "bilinear_defects", spy)
+    return seen
 
 
 class TestLaxFlowPaths:
-    """Sato's equation on orders -1..-3 certifies a Lax-flow pass; when it
-    fails, the commutator decides and gives the witnesses."""
+    """A job whose identities all hold passes every report; otherwise the
+    dressing decides, and a KP failure takes the commutator for the flow,
+    which gives the witnesses."""
 
-    @pytest.fixture
-    def sato(self, monkeypatch):
-        """The verdicts of the Sato test, one per verify_lax call."""
-        verdicts = []
-        real = psdo._sato_pass
-        monkeypatch.setattr(psdo, "_sato_pass",
-                            lambda *args: verdicts.append(real(*args)) or verdicts[-1])
-        return verdicts
-
-    def test_sato_failure_takes_the_commutator(self, sato):
-        # the converse fails: 3 t1 t2 is no KP tau, fails Sato at k = 2 and
-        # passes the flow; seed 1 gives non-KP taus of either verdict
+    def test_kp_failure_takes_the_commutator(self, holds):
+        # the converse fails: 3 t1 t2 is no KP tau and passes the flow at
+        # k = 2; seed 1 gives non-KP taus of either verdict
         rng = random.Random(1)
         cases = [(MPoly.variable(2, 1) * MPoly.variable(2, 2) * 3, 2)]
         polys = [random_poly(rng, 3, max_terms=3) for _ in range(3)]
         cases += [(poly, k) for poly in polys for k in (2, 3)]
         verdicts = []
         for poly, k in cases:
-            sato.clear()
+            holds.clear()
             report = flows(ChargedPoly(poly, 0), [], [], k, 3)[0]
-            assert sato == [False], (poly, k)
+            assert holds == [(False, False)], (poly, k)
             assert report.to_json() == commutator_flow(poly, k, 3).to_json()
             verdicts.append(report.all_pass)
         assert verdicts == [True, False, False, True, True, False, False]
         witness = next(c for c in report.checks if not c.passed)
         assert witness.order == -2 and not witness.witness.is_zero
 
-    def test_forced_fallback_gives_identical_reports(self, golden_point, sato,
-                                                     monkeypatch):
-        # Sato is tested at k >= 2 only; at k = 1 the report is the
-        # commutator's, which verify_lax no longer forms
-        taus = TestIndependentOracle.taus()
-        for tau, rhos, sigmas in [companions(golden_point, 1),
-                                  *[(ChargedPoly(poly, 0), [], []) for poly in taus]]:
-            report = verify_lax(tau, rhos, sigmas, 1, 4)[1]
-            assert report.to_json() == commutator_flow(tau.poly, 1, 4).to_json()
-        assert sato == []
-        cases = [(*companions(golden_point, 2), 2)]
-        cases += [(ChargedPoly(poly, 0), [], [], k) for poly in taus for k in (2, 3)]
-        certified = [[r.to_json() for r in verify_lax(*case, 4)] for case in cases]
-        assert sato == [True] * len(cases)
-        monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
-        assert [[r.to_json() for r in verify_lax(*case, 4)] for case in cases] == certified
-
-    def test_sato_holds_at_k1_for_every_tau(self):
-        # L_+ = d, so S = P_x + L_- P vanishes for any P: lax-flow-t1 says
+    def test_flow_holds_at_k1_for_every_tau(self, holds):
+        # L_+ = d, so the k = 1 flow holds for any P: lax-flow-t1 says
         # nothing about tau, and these taus are no KP taus
         t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
         for poly in (t1 * t1 * t1, t1 * t2 * 3):
-            floor = -lax_depth(1, 3)
-            P, Pinv = _dressing(poly, 2, floor)
-            L = P * PsiDO.d(P.ring, floor + 1) * Pinv
-            assert psdo._sato_pass(P, L - L.plus_part(), 1), poly
+            assert commutator_flow(poly, 1, 3).all_pass, poly
+            assert flows(ChargedPoly(poly, 0), [], [], 1, 3)[0].all_pass, poly
+        assert [kp for _, kp in holds] == [False, False]
 
-    def test_sato_reads_only_exact_orders(self, golden_point):
-        # a dressing cut above the orders Sato reads is refused, not read
-        tau, _, _ = companions(golden_point, 1)
-        P, Pinv = _dressing(tau.poly, 2, -3)
-        minus = P * PsiDO.d(P.ring, -3, 2) * Pinv
-        minus = minus - minus.plus_part()
-        with pytest.raises(TruncationError):
-            psdo._sato_pass(P, minus, 2)
+    def test_forced_fallback_gives_identical_reports(self, golden_point, holds,
+                                                     monkeypatch):
+        # the identities imply every report: forcing them false sends each
+        # job through the dressing, and no report changes
+        cases = []
+        for k in (1, 2, 3, 4):
+            tau, rhos, sigmas = companions(golden_point, k)
+            cases.append((tau, rhos, sigmas, k))
+            if rhos:
+                cases.append((tau, rhos[:-1], sigmas[:-1], k))
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        taus = {str(poly): poly for poly in
+                [t1 * t2 * 3, t1 * t1 * t1, *TestLaxDepth.taus(golden_point)]}
+        cases += [(ChargedPoly(poly, 0), [], [], k) for poly in taus.values()
+                  for k in (1, 2, 3, 4)]
+        want = [[r.to_json() for r in verify_lax(*case, 4)] for case in cases]
+        assert {path for path, _ in holds} == {True, False}
+        assert {kp for path, kp in holds if not path} == {True, False}
+        monkeypatch.setattr(psdo, "bilinear_defects", refute)
+        assert [[r.to_json() for r in verify_lax(*case, 4)] for case in cases] == want
+
+    def test_seeded_points_give_identical_reports(self, holds, monkeypatch):
+        # the same on the companions of seeded points of weight 2..4, with
+        # and without their last pair, and on tau + t1^2, no KP tau
+        rng = random.Random(5)
+        points = []
+        while len(points) < 6:
+            point = random_grpoint(rng, 3, 5)
+            if 2 <= point.weight <= 4:
+                points.append(point)
+        cases = []
+        for point, k in itertools.product(points, (1, 2, 3)):
+            tau, rhos, sigmas = companions(point, k)
+            cases += [(tau, rhos, sigmas, k), (tau, rhos[:-1], sigmas[:-1], k),
+                      (ChargedPoly(tau.poly + MPoly.variable(tau.poly.vars, 1)**2, 0),
+                       [], [], k)]
+        want = [[r.to_json() for r in verify_lax(*case, 3)] for case in cases]
+        assert {path for path, _ in holds} == {True, False}
+        monkeypatch.setattr(psdo, "bilinear_defects", refute)
+        assert [[r.to_json() for r in verify_lax(*case, 3)] for case in cases] == want
 
 
 class TestLaxDepth:
-    """lax_depth is the least depth at which every order verify_lax reads
-    is exact: one order less raises TruncationError."""
+    """lax_depth is the least depth at which every order the witness path
+    of verify_lax may read is exact: one order less raises TruncationError."""
 
     @staticmethod
     def taus(golden_point):
@@ -425,13 +464,15 @@ class TestLaxDepth:
     def test_one_less_is_refused(self, golden_point, monkeypatch):
         real = lax_depth
         monkeypatch.setattr(psdo, "lax_depth", lambda k, T: real(k, T) - 1)
-        # for T >= 4 the constraint's order -T binds, on every path
-        for poly in self.taus(golden_point):
-            for k, T in ((1, 4), (2, 4), (1, 5), (3, 6)):
+        # only the witness path dresses: the golden tau without its pair
+        # and two non-KP taus; for T >= 4 the constraint's order -T binds
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        golden = companions(golden_point, 1)[0].poly
+        for poly in (golden, t1 * t2 * 3, t1 * t1 * t1):
+            for k, T in ((1, 4), (2, 4), (1, 5), (2, 6)):
                 with pytest.raises(TruncationError):
                     verify_lax(ChargedPoly(poly, 0), [], [], k, T)
-        # at T = 3 the commutator's order -3 binds: 3 t1 t2 fails Sato at k = 2
-        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        # at T = 3 the commutator's order -3 binds: 3 t1 t2 fails KP at k = 2
         with pytest.raises(TruncationError):
             verify_lax(ChargedPoly(t1 * t2 * 3, 0), [], [], 2, 3)
 
@@ -440,11 +481,10 @@ class TestLaxDepth:
                  for k in (1, 2, 3, 4) for T in range(3, 9)]
         for case in cases:
             verify_lax(case[0], [], [], *case[1:])
-        # the commutator, which k = 1 never takes
-        monkeypatch.setattr(psdo, "_sato_pass", lambda *args: False)
+        # the witness path on every job, with Newton and the commutator
+        monkeypatch.setattr(psdo, "bilinear_defects", refute)
         for case in cases:
-            if case[1] > 1:
-                verify_lax(case[0], [], [], *case[1:])
+            verify_lax(case[0], [], [], *case[1:])
 
 
 def test_json_emits_only_the_exact_range():
@@ -474,7 +514,7 @@ class TestIndependentOracle:
         # Res L^k = d_1 d_k log tau = (tau tau_1k - tau_1 tau_k) / tau^2
         for poly in self.taus():
             for k in (1, 2, 3):
-                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1))
+                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1), True)
                 Lk = P * PsiDO.d(P.ring, P.floor, k) * Pinv
                 tau = poly.embed(Lk.vars)
                 t1, tk = tau.differentiate(1), tau.differentiate(k)
@@ -508,16 +548,17 @@ class TestIndependentOracle:
         sp = pytest.importorskip("sympy")
         for poly in self.taus():
             for k in (1, 2, 3):
-                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1))
+                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1), True)
                 got = (P * PsiDO.d(P.ring, P.floor, k) * Pinv).coeff(-1)
                 assert self.sympy_minus_log_derivative(sp, poly, got, k) == 0, (poly, k)
 
     def test_dressing_inverse_is_two_sided(self):
         t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
         not_kp = [t1 * t1, t1 * t2 + 1, t1 + t2 * t2]  # P B* != 1 for these
-        for poly in self.taus() + not_kp:
+        for poly, kp in [(poly, True) for poly in self.taus()] + \
+                [(poly, False) for poly in not_kp]:
             floor = -6
-            P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor)
+            P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor, kp)
             tau = poly.embed(P.vars)
             for prod in (P * Pinv, Pinv * P):
                 assert prod.exact_to == floor
