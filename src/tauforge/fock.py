@@ -10,8 +10,8 @@ Inside this module an index p is held as its integer code p - 1/2, so
 position s of the state (m, lambda) has code lambda_s + m - s and every
 state operation is integer arithmetic on partitions.  Half-integer
 Fraction values (denominator 2) appear only at the public boundary: the
-fermion operators, wedge_vector, WindowMatrix and MayaState.index take
-or return them, and each is checked once on entry.
+fermion operators, wedge_vector and WindowMatrix take or return them,
+and each is checked once on entry.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ class MayaState:
         """Not checked again: from_json checks the parts, and every state
         the library builds (wedge, contraction, pivots) is a partition."""
         return Partition.trusted(self.parts)
-
-    def index(self, s: int) -> Fraction:
-        """s-th wedge index (1-based), lambda_s + m - s + 1/2."""
-        lam = self.parts[s - 1] if s <= len(self.parts) else 0
-        return Fraction(2 * (lam + self.charge - s) + 1, 2)
 
     def to_json(self) -> dict:
         return {"charge": self.charge, "partition": list(self.parts)}

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mpoly import MPoly
+from .mpoly import MPoly, dot
 from .schur import (ChargedPoly, DomainError, bilinear_window, embed_t,
                     embed_tprime, miwa_shift, schur_of_partition, xi_series)
 from .fock import (FockVector, PairTensor, fermionic_pairing, poly_to_fock,
@@ -131,8 +131,8 @@ class _Echelon:
 
     def expand(self, combos: dict[int, MPoly], D: int) -> MPoly:
         """sum_k combos[k](t) rows[k](t') over the doubled space."""
-        return sum((embed_t(x, D) * embed_tprime(self.rows[k], D)
-                    for k, x in combos.items()), MPoly.zero(2 * D))
+        return dot(2 * D, [(embed_t(x, D), embed_tprime(self.rows[k], D))
+                           for k, x in combos.items()])
 
 
 def _defect(left: ZSeries, right: ZSeries, wl: int, wr: int, weight: int,
@@ -231,12 +231,9 @@ def fermionic_bilinear_check(u: FockVector, v: FockVector, target: PairTensor,
 
 def tensor_to_poly(tensor: PairTensor, D: int) -> MPoly:
     """Schur image of a pairing tensor in the doubled variable space."""
-    out = MPoly.zero(2 * D)
-    for (left, right), coef in tensor.items():
-        lp = schur_of_partition(left.partition, D)
-        rp = schur_of_partition(right.partition, D)
-        out = out + embed_t(lp, D) * embed_tprime(rp, D) * coef
-    return out
+    return dot(2 * D, [(embed_t(schur_of_partition(left.partition, D), D) * coef,
+                        embed_tprime(schur_of_partition(right.partition, D), D))
+                       for (left, right), coef in tensor.items()])
 
 
 def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity],

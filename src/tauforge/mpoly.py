@@ -24,6 +24,13 @@ Keys unpack to tuples only at the edges: ``terms``, serialization,
 printing (graded-lex order compares tuples), ``content``, evaluation
 and ``divexact``.
 
+``dot(vars, pairs)`` is the one product kernel: sum a*b over its pairs,
+on integers over one common denominator, with one guard-bit check and
+one gcd pass.  ``MPoly * MPoly`` is its one-pair case, a ZSeries
+product calls it once per z-order, and the Jacobi-Trudi determinants
+and witness expansions call it once per sum.  No other code reads the
+guard bits.
+
 The weighted degree gives variable t_i weight i, so wdeg(t_2) = 2 and
 wdeg(t_1**3) = 3.  This is the grading under which the generating-series
 kernels used elsewhere are homogeneous.
@@ -38,7 +45,7 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -52,6 +59,7 @@ _LIMIT = 1 << (_BITS - 1)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 _gcd = math.gcd
+_lcm = math.lcm
 
 
 class PolyError(ValueError):
@@ -312,28 +320,7 @@ class MPoly:
                 return self._scaled(other, 1)
             c = Fraction(other)
             return self._scaled(c.numerator, c.denominator)
-        self._check(other)
-        if not self.num or not other.num:
-            return MPoly.zero(self.vars)
-        out: dict[int, int] = {}
-        get = out.get
-        small, large = (self.num, other.num) \
-            if len(self.num) <= len(other.num) else (other.num, self.num)
-        for ea, ca in small.items():
-            for eb, cb in large.items():
-                exp = ea + eb
-                c = get(exp)
-                if c is None:
-                    out[exp] = ca * cb
-                else:
-                    c += ca * cb
-                    if c:
-                        out[exp] = c
-                    else:
-                        del out[exp]
-        if any(map(_guard(self.vars).__and__, out)):
-            raise ArithmeticError(f"an exponent of the product reaches {_LIMIT}")
-        return MPoly._reduced(self.vars, out, self.den * other.den)
+        return dot(self.vars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -507,6 +494,49 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.vars}, {self.format()})"
+
+
+def dot(vars: int, pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
+    """sum a*b over the pairs, all in vars variables: the one product kernel.
+
+    Every product is summed on integers over one common denominator, the
+    lcm of the a.den * b.den, dropping a key as soon as it cancels; one
+    guard-bit check and one gcd pass finish the sum.  A pair with a zero
+    factor adds nothing, and no pair left gives the zero polynomial.
+    """
+    live = []
+    den = 1
+    for a, b in pairs:
+        if a.vars != vars or b.vars != vars:
+            raise PolyError(f"variable counts differ: {a.vars} and {b.vars} vs {vars}")
+        if a.num and b.num:
+            d = a.den * b.den
+            live.append((a.num, b.num, d))
+            den = _lcm(den, d)
+    if not live:
+        return MPoly.zero(vars)
+    out: dict[int, int] = {}
+    get = out.get
+    for na, nb, d in live:
+        scale = den // d
+        small, large = (na, nb) if len(na) <= len(nb) else (nb, na)
+        for ea, ca in small.items():
+            if scale != 1:
+                ca *= scale
+            for eb, cb in large.items():
+                exp = ea + eb
+                c = get(exp)
+                if c is None:
+                    out[exp] = ca * cb
+                else:
+                    c += ca * cb
+                    if c:
+                        out[exp] = c
+                    else:
+                        del out[exp]
+    if any(map(_guard(vars).__and__, out)):
+        raise ArithmeticError(f"an exponent of the product reaches {_LIMIT}")
+    return MPoly._reduced(vars, out, den)
 
 
 def divexact(p: MPoly, d: MPoly) -> MPoly | None:

@@ -135,10 +135,6 @@ class PsiDO:
     # -- structure ------------------------------------------------------------
 
     @property
-    def vars(self) -> int:
-        return self.ring.vars
-
-    @property
     def max_order(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
 

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable
 
-from .mpoly import _BITS, MPoly, PolyError, _unpack, parse_int
+from .mpoly import _BITS, MPoly, PolyError, _unpack, dot, parse_int
 from .zseries import ZSeries
 
 
@@ -48,19 +47,8 @@ class Partition:
         object.__setattr__(shape, "parts", parts)
         return shape
 
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "Partition":
-        return cls(tuple(int(p) for p in data))
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
@@ -122,10 +110,8 @@ def elementary_schur(i: int, D: int) -> MPoly:
     if i == 0:
         return MPoly.const(D, 1)
     # i*S_i = sum_{j=1..i} j*t_j*S_{i-j}, from d/dz of the generating series
-    acc = MPoly.zero(D)
-    for j in range(1, i + 1):
-        acc = acc + MPoly.variable(D, j) * elementary_schur(i - j, D) * j
-    return acc / i
+    return dot(D, [(MPoly.variable(D, j) * Fraction(j, i), elementary_schur(i - j, D))
+                   for j in range(1, i + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +135,9 @@ def _det(grid: list[list[MPoly]], D: int) -> MPoly:
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    acc = MPoly.zero(D)
-    for i in range(n):
-        entry = grid[i][0]
-        if entry.is_zero:
-            continue
-        minor = [row[1:] for j, row in enumerate(grid) if j != i]
-        term = entry * _det(minor, D)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    return dot(D, [(-entry if i % 2 else entry,
+                    _det([row[1:] for j, row in enumerate(grid) if j != i], D))
+                   for i, entry in enumerate(r[0] for r in grid) if entry.num])
 
 
 def miwa_shift(p: MPoly, sign: int) -> ZSeries:

@@ -6,13 +6,13 @@ which it is guaranteed exact.  Everything below the stored support is an
 exact zero; orders above ``exact_hi`` are unknown (a truncated kernel,
 for instance).  Reading a coefficient outside the guaranteed range is an
 error, never a silent zero, so residue extraction is provably exact.
+A product forms each of its orders with one ``mpoly.dot`` over the
+coefficient pairs that reach it.
 """
 
 from __future__ import annotations
 
-import math
-
-from .mpoly import _LIMIT, MPoly, PolyError, _guard
+from .mpoly import MPoly, PolyError, dot
 
 
 class ExactnessError(ArithmeticError):
@@ -42,10 +42,6 @@ class ZSeries:
     def min_order(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
 
-    @property
-    def max_order(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
-
     def coeff(self, order: int) -> MPoly:
         if self.exact_hi is not None and order > self.exact_hi:
             raise ExactnessError(
@@ -70,13 +66,6 @@ class ZSeries:
             return a
         return min(a, b)
 
-    def _numerators(self) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
-        """One common denominator and, per order, the (key, numerator)
-        pairs of the coefficient over it."""
-        den = math.lcm(*(p.den for p in self.coeffs.values()))
-        return den, [(o, [(k, c * (den // p.den)) for k, c in p.num.items()])
-                     for o, p in self.coeffs.items()]
-
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
         # Unknown orders above exact_hi of one factor contaminate products
@@ -89,29 +78,14 @@ class ZSeries:
             lo = self.min_order
             h2 = None if lo is None else other.exact_hi + lo
             hi = self._min_hi(hi, h2)
-        # each order is summed on integers over the two common denominators
-        den_a, left = self._numerators()
-        den_b, right = other._numerators()
-        sums: dict[int, dict[int, int]] = {}
-        for oa, terms_a in left:
-            for ob, terms_b in right:
+        # each order is one dot over the coefficient pairs that reach it
+        pairs: dict[int, list[tuple[MPoly, MPoly]]] = {}
+        for oa, a in self.coeffs.items():
+            for ob, b in other.coeffs.items():
                 order = oa + ob
-                if hi is not None and order > hi:
-                    continue
-                bucket = sums.setdefault(order, {})
-                get = bucket.get
-                for ka, ca in terms_a:
-                    for kb, cb in terms_b:
-                        key = ka + kb
-                        bucket[key] = get(key, 0) + ca * cb
-        guard = _guard(self.vars)
-        out: dict[int, MPoly] = {}
-        for order, bucket in sums.items():
-            num = {key: c for key, c in bucket.items() if c}
-            if any(map(guard.__and__, num)):
-                raise ArithmeticError(f"an exponent of the product reaches {_LIMIT}")
-            if num:
-                out[order] = MPoly._reduced(self.vars, num, den_a * den_b)
+                if hi is None or order <= hi:
+                    pairs.setdefault(order, []).append((a, b))
+        out = {order: dot(self.vars, terms) for order, terms in pairs.items()}
         return ZSeries(self.vars, out, hi)
 
     def __eq__(self, other) -> bool:

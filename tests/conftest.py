@@ -112,7 +112,7 @@ def product_coeff(*factors: ZSeries, order: int) -> MPoly:
     zero = MPoly.zero(first.vars)
     if None in lows:
         return zero
-    highs = [f.max_order for f in factors]
+    highs = [max(f.coeffs) for f in factors]
 
     def reachable(i: int) -> tuple[int, int]:
         """Partial orders after factor i that can still reach order."""

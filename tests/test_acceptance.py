@@ -48,7 +48,7 @@ def random_sparse_window_matrix(rng: random.Random, window: int,
 def test_acceptance_1_schur_kp_suite():
     shapes = partitions_up_to(6)
     for lam in shapes:
-        cp = ChargedPoly(schur_of_partition(lam, max(lam.weight, 1)), 0)
+        cp = ChargedPoly(schur_of_partition(lam, max(sum(lam.parts), 1)), 0)
         residue = kp_residue(cp, required_vars(cp, cp))
         assert residue.is_zero, f"S_{lam} failed the hierarchy residue"
     square = ChargedPoly(MPoly.variable(1, 1) ** 2, 0)
@@ -149,7 +149,7 @@ def test_acceptance_4_worked_example_chain(golden_point):
     assert verify_suite(tau, rhos, sigmas, 1).all_pass
 
     pair = dress_from_tau(tau, 5)
-    vars = pair.P.vars
+    vars = pair.P.ring.vars
     base = S2.embed(vars)
     t1 = MPoly.variable(vars, 1)
     ring = TauRing(base)

@@ -4,6 +4,11 @@ its classes is read in the sources or exported by the package.
 
 ``tauforge/__init__.py`` is skipped: its imports are the package's
 re-exports.  ``from __future__`` imports are directives, not names.
+
+The definitions scan matches a method by its bare name, whatever object
+the read is on: a method survives it when src/ reads a method of the same
+name on another class, or a builtin's (``list.index``), so such a
+definition must be found by reading the sources.
 """
 
 import ast
@@ -111,6 +116,28 @@ def test_no_unread_definitions():
                             in module_definitions(path.read_text()).items()
                             if name.rpartition(".")[2] not in read
                             and name not in exported])}
+    assert found == {}
+
+
+KERNEL_PRIVATES = {"_guard", "_LIMIT"}
+
+
+def kernel_privates_read(source: str) -> set[str]:
+    """The names of the packed-exponent guard a source imports or reads."""
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return KERNEL_PRIVATES & (imported | names_read(source))
+
+
+def test_one_product_kernel():
+    # the guard bits are read only where the one product kernel,
+    # mpoly.dot, lives, so a second multiply loop cannot come back
+    assert kernel_privates_read("from .mpoly import _guard as g\nmpoly._LIMIT\n") == \
+        KERNEL_PRIVATES
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "mpoly.py"]
+    assert len(modules) > 5
+    found = {path.name: sorted(names) for path in modules
+             if (names := kernel_privates_read(path.read_text()))}
     assert found == {}
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.mpoly import (_BITS, MPoly, PolyError, _guard, _pack, _unpack, divexact,
-                            format_rat, parse_rat)
+                            dot, format_rat, parse_rat)
 
 from conftest import evaluate, random_poly
 
@@ -378,3 +378,35 @@ class TestSympyOracle:
             assert (a * c == b * c) == (a * c - b * c).is_zero
 
         check()
+
+
+class TestDot:
+    """dot(vars, pairs) is sum a*b, one pair at a time or all at once."""
+
+    def test_matches_repeated_addition(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        # the lists draw no pair and pairs with a zero factor, _polys
+        # unlike denominators; cancel appends each pair negated, so the
+        # whole sum must cancel to zero
+        @_settings(hyp)
+        @hyp.given(st.lists(st.tuples(_polys(st), _polys(st)), max_size=4), st.booleans())
+        def check(pairs, cancel):
+            if cancel:
+                pairs = pairs + [(-a, b) for a, b in pairs]
+            want = MPoly.zero(ORACLE_VARS)
+            for a, b in pairs:
+                want = want + a * b
+            got = dot(ORACLE_VARS, pairs)
+            assert_canonical(got)
+            assert got == want
+            assert got.is_zero or not cancel
+
+        check()
+
+    def test_other_variable_count_raises(self):
+        a, b = V(2, 1), V(3, 1)
+        for pairs in ([(a, b)], [(b, a)], [(a, a), (b, b)], [(MPoly.zero(3), a)]):
+            with pytest.raises(PolyError):
+                dot(2, pairs)

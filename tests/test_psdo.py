@@ -151,7 +151,7 @@ class TestDressing:
 
     def test_linear_tau(self):
         pair = dress_from_tau(ChargedPoly(MPoly.variable(1, 1), 0), 5)
-        vars = pair.P.vars
+        vars = pair.P.ring.vars
         t1 = MPoly.variable(vars, 1)
         T1 = TauRing(t1)
         assert pair.P.coeff(-1).equals(T1.frac(MPoly.const(vars, -1), 1))
@@ -169,7 +169,7 @@ class TestDressing:
     def test_u1_is_second_log_derivative(self, shape):
         tau = schur_of_partition(Partition(shape), max(sum(shape), 1))
         pair = dress_from_tau(ChargedPoly(tau, 0), 4)
-        vars = pair.L.vars
+        vars = pair.L.ring.vars
         base = tau.embed(vars)
         log_slope = TauRing(base).frac(base.differentiate(1), 1)
         assert pair.L.coeff(-1).equals(log_slope.differentiate(1))
@@ -516,7 +516,7 @@ class TestIndependentOracle:
             for k in (1, 2, 3):
                 P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1), True)
                 Lk = P * PsiDO.d(P.ring, P.floor, k) * Pinv
-                tau = poly.embed(Lk.vars)
+                tau = poly.embed(Lk.ring.vars)
                 t1, tk = tau.differentiate(1), tau.differentiate(k)
                 want = tau * t1.differentiate(k) - t1 * tk
                 got = Lk.coeff(-1)
@@ -559,7 +559,7 @@ class TestIndependentOracle:
                 [(poly, False) for poly in not_kp]:
             floor = -6
             P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor, kp)
-            tau = poly.embed(P.vars)
+            tau = poly.embed(P.ring.vars)
             for prod in (P * Pinv, Pinv * P):
                 assert prod.exact_to == floor
                 for order in range(floor, 1):

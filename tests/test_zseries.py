@@ -85,6 +85,15 @@ def test_product_coeff_matches_chained_mul():
     assert answered and refused
 
 
+@pytest.mark.parametrize("vars,i", [(1, 1), (3, 2), (3, 3)])
+def test_product_guard_bit_raises(vars, i):
+    # t_i**(2**14) at z**0 squares to t_i**(2**15), out of range, at z**0
+    big = MPoly(vars, {tuple(2**14 if j == i else 0 for j in range(1, vars + 1)): 1})
+    s = ZSeries(vars, {0: big, 1: MPoly.const(vars, 1)})
+    with pytest.raises(ArithmeticError, match="reaches"):
+        s * s
+
+
 def test_product_coeff_single_factor_and_guard():
     cut = truncated(laurent(1, {-1: 2, 0: 1, 1: 4}), 0)
     assert product_coeff(cut, order=-1) == MPoly.const(1, 2)
