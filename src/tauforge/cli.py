@@ -51,9 +51,9 @@ MAX_INDEX = 64
 MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file and
 # of the tau of a --grpoint point: the bilinear residues of verify grow
-# about 2x per step of weight (verify --k 1 on t_1^8 takes 0.28 s of CPU,
-# start-up included; in process, with cold caches, verify_suite takes 0.08,
-# 0.17 and 0.33 s on t_1^8, t_1^9 and t_1^10, on a 2-core x86 machine under
+# about 2x per step of weight (verify --k 1 on t_1^8 takes 0.23 s of CPU,
+# start-up included; in process, with cold caches, verify_suite takes 0.036,
+# 0.075 and 0.13 s on t_1^8, t_1^9 and t_1^10, on a 2-core x86 machine under
 # CPython 3.11); grass companions took 7 s on a weight-19 point, at most
 # 0.3 s on weight-8 points for --k 1..16, with tails of 0, -10^6 and
 # -10^300 alike.

@@ -12,6 +12,11 @@ state operation is integer arithmetic on partitions.  Half-integer
 Fraction values (denominator 2) appear only at the public boundary: the
 fermion operators, wedge_vector and WindowMatrix take or return them,
 and each is checked once on entry.
+
+The bilinear pairing sums on integers: ``pairing_defect`` puts every
+vector over one common denominator and keys its sums by plain (charge,
+parts, charge, parts) tuples, so no MayaState is hashed and no Fraction
+is added on the way; ``fermionic_pairing`` is its case with no pairs.
 """
 
 from __future__ import annotations
@@ -90,14 +95,15 @@ def _position(state: MayaState, c: int) -> int | None:
     return codes.index(c) + 1 if c in codes else None
 
 
-def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
-    """Wedge code c in front and sort; None when c is occupied.
+def _wedged(codes: list[int], m: int, parts: tuple[int, ...],
+            c: int) -> tuple[int, tuple[int, ...]] | None:
+    """The sign and parts of code c wedged in front of the state (m,
+    parts) whose ``_codes`` are given; None when c is occupied.
 
     Below a occupied codes the result has charge m + 1, parts
     (lambda_1 - 1, .., lambda_a - 1, c - m + a, lambda_{a+1}, ..) and
     sign (-1)**a.
     """
-    codes = _codes(state)
     if c <= codes[-1]:
         return None
     a = 0
@@ -105,23 +111,31 @@ def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
         a += 1
     if codes[a] == c:
         return None
-    m, parts = state.charge, state.parts
     new = tuple(lam - 1 for lam in parts[:a]) + (c - m + a,) + parts[a:]
     # parts stay weakly decreasing, so any zeros form the end
-    return (-1 if a % 2 else 1), MayaState(m + 1, tuple(lam for lam in new if lam))
+    return (-1 if a % 2 else 1), tuple(lam for lam in new if lam)
+
+
+def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
+    """Wedge code c in front and sort; None when c is occupied."""
+    hit = _wedged(_codes(state), state.charge, state.parts, c)
+    return None if hit is None else (hit[0], MayaState(state.charge + 1, hit[1]))
+
+
+def _contracted(parts: tuple[int, ...], s: int) -> tuple[int, tuple[int, ...]]:
+    """The sign (-1)**(s+1) and parts of the state with the code at
+    position s contracted, charge m - 1: (lambda_1 + 1, ..,
+    lambda_{s-1} + 1, lambda_{s+1}, ..), padded with 1s when s lies in
+    the tail."""
+    new = (tuple(lam + 1 for lam in parts[:s - 1]) + (1,) * (s - 1 - len(parts))
+           + parts[s:])
+    return (1 if s % 2 else -1), new
 
 
 def _contract(state: MayaState, s: int) -> tuple[int, MayaState]:
-    """Contract the code at position s, with sign (-1)**(s+1).
-
-    The result has charge m - 1 and parts (lambda_1 + 1, ..,
-    lambda_{s-1} + 1, lambda_{s+1}, ..), padded with 1s when s lies in
-    the tail.
-    """
-    parts = state.parts
-    new = (tuple(lam + 1 for lam in parts[:s - 1]) + (1,) * (s - 1 - len(parts))
-           + parts[s:])
-    return (1 if s % 2 else -1), MayaState(state.charge - 1, new)
+    """Contract the code at position s."""
+    sign, parts = _contracted(state.parts, s)
+    return sign, MayaState(state.charge - 1, parts)
 
 
 def _remove(state: MayaState, c: int) -> tuple[int, MayaState] | None:
@@ -260,6 +274,12 @@ def shift_charge(power: int, v: FockVector) -> FockVector:
     return v.map_states(lambda s: (1, MayaState(s.charge + power, s.parts)))
 
 
+def _over_one_den(v: FockVector) -> tuple[list[tuple[MayaState, int]], int]:
+    """The terms of v as integer numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for c in v.terms.values()))
+    return [(s, c.numerator * (den // c.denominator)) for s, c in v.terms.items()], den
+
+
 def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVector:
     """Wedge a general vector sum_p column[p] v_p in front.
 
@@ -268,8 +288,7 @@ def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVect
     """
     col = {_code(p): Fraction(coef) for p, coef in column.items() if coef}
     den_col = math.lcm(*(a.denominator for a in col.values()))
-    den_v = math.lcm(*(b.denominator for b in v.terms.values()))
-    vec = [(s, b.numerator * (den_v // b.denominator)) for s, b in v.terms.items()]
+    vec, den_v = _over_one_den(v)
     out: dict[MayaState, int] = {}
     for c, a in col.items():
         a = a.numerator * (den_col // a.denominator)
@@ -372,7 +391,7 @@ def sigma_single(v: FockVector, D: int) -> ChargedPoly:
 def poly_to_fock(cp: ChargedPoly) -> FockVector:
     """Inverse dictionary: expand the polynomial over S_lambda."""
     out: dict[MayaState, Fraction] = {}
-    for shape, coef in schur_expand(cp.poly).items():
+    for shape, coef in schur_expand(cp.poly, cp.weight).items():
         out[MayaState(cp.charge, shape.parts)] = coef
     return FockVector(out)
 
@@ -380,64 +399,77 @@ def poly_to_fock(cp: ChargedPoly) -> FockVector:
 # -- bilinear pairing ----------------------------------------------------------
 
 PairTensor = dict[tuple[MayaState, MayaState], Fraction]
+PairKey = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
 
-def tensor_of(u: FockVector, v: FockVector) -> PairTensor:
-    """The decomposable tensor u (x) v in the Maya basis."""
-    out: PairTensor = {}
-    for su, cu in u.terms.items():
-        for sv, cv in v.terms.items():
-            _add_to(out, (su, sv), cu * cv)
-    return out
+def pairing_defect(u: FockVector, v: FockVector,
+                   pairs: Iterable[tuple[FockVector, FockVector]]
+                   ) -> tuple[dict[PairKey, int], int]:
+    """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v)
+    minus sum a (x) b over the pairs, on integers.
 
-
-def tensor_sum(parts: Iterable[PairTensor]) -> PairTensor:
-    out: PairTensor = {}
-    for tensor in parts:
-        for key, coef in tensor.items():
-            _add_to(out, key, coef)
-    return out
-
-
-def fermionic_pairing(u: FockVector, v: FockVector) -> PairTensor:
-    """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v).
+    Returns the nonzero numerators over one common denominator, keyed
+    (charge, parts, charge, parts) in the Maya (x) Maya basis, and that
+    denominator: the dict is empty exactly when the pairing equals the
+    sum.  Every vector goes over its own common denominator, and each
+    product of two over the lcm of those products.
 
     The sum over half-integers i is finite on window states: the index
     must be occupied in v and free in u, which pins it above the filled
     tail of u.  So each v state's contractions are listed once, down to
     the lowest filled-tail top among the u states, and each u state's
-    wedges are made once per code.  u and v each go over one common
-    denominator, so the sums are on integers.  The result is
-    canonicalized in the Maya (x) Maya basis so equality against any
-    target tensor is coefficient comparison.
+    wedges are made once per code.
     """
-    if not u.terms:
-        return {}
-    floor = min(_codes(su)[-1] for su in u.terms)
-    den_u = math.lcm(*(a.denominator for a in u.terms.values()))
-    den_v = math.lcm(*(b.denominator for b in v.terms.values()))
-    contractions = []  # per v state: its numerator, then (code, sign, state)
-    for sv, cv in v.terms.items():
+    nu, du = _over_one_den(u)
+    nv, dv = _over_one_den(v)
+    targets = [(_over_one_den(a), _over_one_den(b)) for a, b in pairs]
+    den = math.lcm(du * dv, *(da * db for (_, da), (_, db) in targets))
+    sums: dict[PairKey, int] = {}
+    get = sums.get
+    floor = min((_codes(su)[-1] for su, _ in nu), default=0)
+    scale = den // (du * dv)
+    contractions = []  # per v state: its numerator, then (code, sign, key)
+    for sv, cv in nv:
         row = []
         for s, c in enumerate(_descending_codes(sv), start=1):
             if c < floor:
                 break
-            row.append((c, *_contract(sv, s)))
-        contractions.append((cv.numerator * (den_v // cv.denominator), row))
-    sums: dict[tuple[MayaState, MayaState], int] = {}
-    get = sums.get
-    for su, cu in u.terms.items():
-        top = _codes(su)[-1]  # codes at or below it are filled
-        nu = cu.numerator * (den_u // cu.denominator)
-        wedges: dict[int, tuple[int, MayaState] | None] = {}
-        for nv, row in contractions:
-            coef = nu * nv
+            sign, right = _contracted(sv.parts, s)
+            row.append((c, sign, (sv.charge - 1, right)))
+        contractions.append((cv * scale, row))
+    codes = {c for _, row in contractions for c, _, _ in row}
+    for su, cu in nu:
+        m, parts = su.charge, su.parts
+        codes_u = _codes(su)
+        top = codes_u[-1]  # codes at or below it are filled
+        wedges = {}
+        for c in codes:
+            hit = _wedged(codes_u, m, parts, c)
+            if hit is not None:
+                wedges[c] = (hit[0], (m + 1, hit[1]))
+        for cv, row in contractions:
+            coef = cu * cv
             for c, sign_r, right in row:
                 if c <= top:
                     break
-                hit = wedges[c] if c in wedges else wedges.setdefault(c, _wedge(su, c))
+                hit = wedges.get(c)
                 if hit is not None:
-                    key = (hit[1], right)
+                    key = hit[1] + right
                     sums[key] = get(key, 0) + (coef if hit[0] == sign_r else -coef)
-    den = den_u * den_v
-    return {key: Fraction(n, den) for key, n in sums.items() if n}
+    for (na, da), (nb, db) in targets:
+        scale = den // (da * db)
+        right = [((sb.charge, sb.parts), cb) for sb, cb in nb]
+        for sa, ca in na:
+            left, ca = (sa.charge, sa.parts), ca * scale
+            for key_b, cb in right:
+                key = left + key_b
+                sums[key] = get(key, 0) - ca * cb
+    return {key: n for key, n in sums.items() if n}, den
+
+
+def fermionic_pairing(u: FockVector, v: FockVector) -> PairTensor:
+    """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v), in
+    the Maya (x) Maya basis: the case of ``pairing_defect`` with no pairs."""
+    sums, den = pairing_defect(u, v, ())
+    return {(MayaState(m, lam), MayaState(n, mu)): Fraction(c, den)
+            for (m, lam, n, mu), c in sums.items()}

@@ -54,10 +54,12 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of weight exactly n."""
+@lru_cache(maxsize=None)
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of weight exactly n, built once per n: the cached
+    tuple is shared, so it is immutable."""
     if n == 0:
-        return [Partition()]
+        return (Partition(),)
     out: list[Partition] = []
 
     def rec(remaining: int, maximum: int, prefix: list[int]):
@@ -70,7 +72,7 @@ def partitions_of(n: int) -> list[Partition]:
             prefix.pop()
 
     rec(n, n, [])
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,17 @@ def bilinear_window(w_left: int, w_right: int, weight: int) -> tuple[int, int]:
     return zmin, kmax
 
 
+def _hall_norm(key: int, D: int) -> tuple[int, int]:
+    """<t^a, t^a> = prod_i a_i! / i^a_i of the monomial with packed key,
+    as (numerator, denominator)."""
+    num = den = 1
+    for i, e in enumerate(_unpack(key, D), start=1):
+        if e:
+            num *= math.factorial(e)
+            den *= i**e
+    return num, den
+
+
 def hall_product(f: MPoly, g: MPoly) -> Fraction:
     """Exact Hall pairing in time coordinates.
 
@@ -236,31 +249,44 @@ def hall_product(f: MPoly, g: MPoly) -> Fraction:
     total = Fraction(0)
     for key, cf in f.num.items():
         cg = g.num.get(key)
-        if cg is None:
-            continue
-        norm_num = norm_den = 1
-        for i, e in enumerate(_unpack(key, f.vars), start=1):
-            if e:
-                norm_num *= math.factorial(e)
-                norm_den *= i**e
-        total += Fraction(cf * cg * norm_num, norm_den)
+        if cg is not None:
+            norm_num, norm_den = _hall_norm(key, f.vars)
+            total += Fraction(cf * cg * norm_num, norm_den)
     return total / (f.den * g.den)
 
 
-def schur_expand(p: MPoly) -> dict[Partition, Fraction]:
-    """Write p as a combination of S_lambda (complete: they span)."""
-    w_max = p.wdeg()
-    D = max(p.vars, w_max, 1)
+@lru_cache(maxsize=None)
+def _hall_weights(shape: Partition, D: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The Hall weights <t^a, S_shape> of the monomials t^a of S_shape, as
+    (packed key, integer) pairs over one common denominator."""
+    s = schur_of_partition(shape, D)
+    norms = [(key, c, *_hall_norm(key, D)) for key, c in s.num.items()]
+    common = math.lcm(*(den for *_, den in norms))
+    return (tuple((key, c * num * (common // den)) for key, c, num, den in norms),
+            s.den * common)
+
+
+def schur_expand(p: MPoly, weight: int) -> dict[Partition, Fraction]:
+    """Write p, of weighted degree weight, as a combination of S_lambda
+    (complete: they span).
+
+    Each coefficient is the Hall product <p, S_lambda>, summed on
+    integers from the cached weights of S_lambda; the sum of
+    c_lambda S_lambda must give p back, so a weight below that of p, or
+    a wrong Hall weight, raises ArithmeticError.
+    """
+    D = max(p.vars, weight, 1)
     lifted = p.embed(D)
+    num = lifted.num
     out: dict[Partition, Fraction] = {}
-    check = MPoly.zero(D)
-    for w in range(w_max + 1):
+    for w in range(weight + 1):
         for shape in partitions_of(w):
-            s_shape = schur_of_partition(shape, D)
-            c = hall_product(lifted, s_shape)
+            weights, den = _hall_weights(shape, D)
+            c = sum(num[key] * h for key, h in weights if key in num)
             if c:
-                out[shape] = c
-                check = check + s_shape * c
-    if not (check - lifted).is_zero:
+                out[shape] = Fraction(c, lifted.den * den)
+    check = dot(D, [(schur_of_partition(shape, D), MPoly.const(D, c))
+                    for shape, c in out.items()])
+    if check != lifted:
         raise ArithmeticError("Schur expansion failed to reproduce the input")
     return out

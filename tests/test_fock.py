@@ -9,9 +9,10 @@ from tauforge.schur import (DomainError, Partition, elementary_schur, miwa_shift
                             schur_of_partition)
 from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
                            _code, _position, _remove, _wedge, alpha,
-                           apply_window_matrix, fermionic_pairing, poly_to_fock,
-                           psi_minus, psi_plus, r_matrix_unit, shift_charge,
-                           sigma_map, sigma_single, tensor_of)
+                           apply_window_matrix, fermionic_pairing, pairing_defect,
+                           poly_to_fock, psi_minus, psi_plus, r_matrix_unit,
+                           shift_charge, sigma_map, sigma_single)
+from tauforge.hirota import fermionic_bilinear_check
 
 from conftest import half, one_state, partitions_up_to, product_coeff, random_state
 
@@ -317,6 +318,23 @@ class TestPairing:
         assert tensor_of(u, v) == {(MayaState(1), MayaState(0, (1,))): F(1)}
 
 
+def tensor_of(u, v):
+    """The decomposable tensor u (x) v in the Maya basis, over Fractions."""
+    out = {}
+    for su, cu in u.terms.items():
+        for sv, cv in v.terms.items():
+            _accumulate(out, (su, sv), cu * cv)
+    return out
+
+
+def tensor_sum(parts):
+    out = {}
+    for tensor in parts:
+        for key, coef in tensor.items():
+            _accumulate(out, key, coef)
+    return out
+
+
 # -- reference on explicit index lists ------------------------------------------
 #
 # A state is written out as its first `depth` half-integer indices, a
@@ -448,6 +466,44 @@ class TestAgainstIndexLists:
             assert not occupied(su, top + 1)
             got = fermionic_pairing(u, v)
             assert got and got == _ref_pairing(u, v), su
+
+    def test_pairing_defect(self):
+        # the integer defect against the pairing minus sum a (x) b summed
+        # one Fraction at a time, with the witness taken by sort_key
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        states = st.builds(MayaState, st.integers(-2, 2), st.sampled_from(SHAPES))
+        coefs = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+        vectors = st.dictionaries(states, coefs, max_size=3).map(FockVector)
+        pair_lists = st.lists(st.tuples(vectors, vectors), max_size=3)
+        one = one_state(MayaState(0, (1,)), F(2, 3))
+
+        @hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hyp.example(FockVector(), one, [(one, one)], False)
+        @hyp.example(one, FockVector(), [], False)
+        @hyp.example(one, one, [], True)
+        @hyp.given(vectors, vectors, pair_lists, st.booleans())
+        def check(u, v, pairs, cancel):
+            if cancel:
+                # the pairing term by term, and each drawn pair with its negative
+                pairs = [(one_state(left, c), one_state(right))
+                         for (left, right), c in _ref_pairing(u, v).items()
+                         ] + pairs + [(-a, b) for a, b in pairs]
+            ref = tensor_sum([_ref_pairing(u, v),
+                              *({key: -c for key, c in tensor_of(a, b).items()}
+                                for a, b in pairs)])
+            defect, den = pairing_defect(u, v, pairs)
+            assert all(type(n) is int and n for n in defect.values())
+            assert {(MayaState(m, lam), MayaState(n, mu)): F(c, den)
+                    for (m, lam, n, mu), c in defect.items()} == ref
+            assert not cancel or not ref
+            got = fermionic_bilinear_check(u, v, pairs)
+            assert got.passed == (not ref)
+            if ref:
+                key = sorted(ref, key=lambda st: (st[0].sort_key(), st[1].sort_key()))[0]
+                assert got.tensor_witness == (*key, ref[key])
+
+        check()
 
     def test_alpha(self):
         rng = random.Random(37)

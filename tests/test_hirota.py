@@ -365,7 +365,7 @@ class TestIdentityFamily:
 class TestFermionicCheck:
     def test_vacuum(self):
         vac = FockVector.vacuum(0)
-        assert fermionic_bilinear_check(vac, vac, {}).passed
+        assert fermionic_bilinear_check(vac, vac, ()).passed
 
     def test_random_wedges_pass(self):
         rng = random.Random(3)
@@ -383,12 +383,12 @@ class TestFermionicCheck:
                 wedge = apply_window_matrix(WindowMatrix(N, entries), m)
             except Exception:
                 continue
-            assert fermionic_bilinear_check(wedge, wedge, {}).passed
+            assert fermionic_bilinear_check(wedge, wedge, ()).passed
             done += 1
 
     def test_non_decomposable_fails(self):
         bad = one_state(MayaState(0, (2,))) + one_state(MayaState(0, (1, 1)))
-        check = fermionic_bilinear_check(bad, bad, {})
+        check = fermionic_bilinear_check(bad, bad, ())
         assert not check.passed and check.tensor_witness is not None
 
 
@@ -428,6 +428,18 @@ class TestVerifySuite:
         report = verify_suite(tau, rhos, sigmas, 1)
         assert report.all_pass
         assert len(report.checks) == 8
+
+    def test_fermionic_side_reads_no_bosonic_result(self, monkeypatch):
+        # with every bosonic defect forced to zero, the fermionic mirror
+        # still refutes the triple with its last pair dropped
+        point = reduce_point([{-4: F(1)}, {-2: F(1)}], -1)
+        tau, rhos, sigmas = companions(point, 1)
+        monkeypatch.setattr(hirota, "bilinear_defects",
+                            lambda operands, family, k: (1, None, [{}] * len(family)))
+        report = verify_suite(tau, rhos[:-1], sigmas[:-1], 1)
+        passed = {c.identity: c.passed for c in report.checks}
+        assert passed["constrained-k"]
+        assert not passed["fermionic-constrained-k"]
 
     def test_golden_without_pairs_fails(self, golden_point):
         tau, _, _ = companions(golden_point, 1)

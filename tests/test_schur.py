@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import tauforge.schur as schur
 from tauforge.mpoly import MPoly
 from tauforge.zseries import ExactnessError, ZSeries
 from tauforge.schur import (ChargedPoly, DomainError, Partition,
@@ -221,7 +222,7 @@ class TestHall:
         rng = random.Random(11)
         for _ in range(10):
             p = random_poly(rng, 3, max_terms=3, max_exp=2)
-            expansion = schur_expand(p)
+            expansion = schur_expand(p, p.wdeg())
             rebuilt = MPoly.zero(max(p.vars, p.wdeg(), 1))
             for lam, coef in expansion.items():
                 rebuilt = rebuilt + schur_of_partition(lam, rebuilt.vars) * coef
@@ -229,8 +230,37 @@ class TestHall:
 
     def test_known_expansion(self):
         t1 = MPoly.variable(1, 1)
-        expansion = schur_expand(t1**2)
-        assert expansion == {Partition((2,)): F(1), Partition((1, 1)): F(1)}
+        for weight in (2, 4):  # a weight above wdeg adds only zero coefficients
+            expansion = schur_expand(t1**2, weight)
+            assert expansion == {Partition((2,)): F(1), Partition((1, 1)): F(1)}
+
+    def test_weight_below_wdeg_raises(self):
+        # the shapes stop at the weight given, so the top terms are lost
+        # and the reproduction check fails
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        for p, weight in [(t1**3 + t1, 2), (t1 * t2, 2), (t2, 0)]:
+            with pytest.raises(ArithmeticError):
+                schur_expand(p, weight)
+
+    def test_wrong_hall_weight_raises(self, monkeypatch):
+        real = schur._hall_weights
+
+        def doubled(shape, D):
+            weights, den = real(shape, D)
+            if shape == Partition((2,)):
+                return tuple((key, 2 * h) for key, h in weights), den
+            return weights, den
+
+        monkeypatch.setattr(schur, "_hall_weights", doubled)
+        t1 = MPoly.variable(1, 1)
+        with pytest.raises(ArithmeticError):
+            schur_expand(t1**2, 2)
+        assert schur_expand(t1, 1) == {Partition((1,)): F(1)}
+
+    def test_shape_table_is_immutable(self):
+        shapes = partitions_of(4)
+        assert isinstance(shapes, tuple)
+        assert partitions_of(4) is shapes
 
 
 def test_charged_poly_json():
