@@ -285,64 +285,85 @@ def cmd_fock_apply(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--pretty", action="store_true", help="indent output")
+def _tau_from_matrix_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, default=0, help="allowed chain violations")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau", required=True)
+    p.add_argument("--rho", action="append", default=[])
+    p.add_argument("--sigma", action="append", default=[])
+    p.add_argument("--k", type=int, required=True)
+
+
+def _grass_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["min-n", "companions", "dtk"])
+    p.add_argument("--grpoint", required=True)
+    p.add_argument("--k", type=int, required=True)
+
+
+def _dress_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau", required=True)
+    p.add_argument("--order", type=int, default=5)
+
+
+def _lax_args(p: argparse.ArgumentParser) -> None:
+    _verify_args(p)
+    p.add_argument("--order", type=int, default=5)
+
+
+def _fock_apply_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--op", required=True, choices=["psi+", "psi-", "alpha", "Q"])
+    p.add_argument("--index", required=True)
+    p.add_argument("--vector", required=True)
+
+
+# name -> (help line, command, the function that adds its arguments); the
+# one table both the named command's parser and the listing parser read
+COMMANDS = {
+    "tau-from-matrix": ("build tau from chain-matrix data", cmd_tau_from_matrix,
+                        _tau_from_matrix_args),
+    "verify": ("run the bilinear identity suite", cmd_verify, _verify_args),
+    "grass": ("filtration data of a point", cmd_grass, _grass_args),
+    "dress": ("dressing and Lax operators of tau", cmd_dress, _dress_args),
+    "lax": ("constraint and flow checks on the Lax side", cmd_lax, _lax_args),
+    "fock-apply": ("apply a fermion-side operator", cmd_fock_apply, _fock_apply_args),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, add_args) -> argparse.ArgumentParser:
+    """--pretty first, then the command's own arguments, in help order."""
+    p.add_argument("--pretty", action="store_true", help="indent output")
+    add_args(p)
+    return p
+
+
+def _listing_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command as a subparser: it prints the
+    help that lists them, and the usage error of an argv that names none."""
     parser = argparse.ArgumentParser(
         prog="tauforge",
         description="construct and verify polynomial tau-functions of the "
                     "vector k-constrained KP hierarchy")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tau-from-matrix", parents=[shared],
-                       help="build tau from chain-matrix data")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=0, help="allowed chain violations")
-    p.set_defaults(fn=cmd_tau_from_matrix)
-
-    p = sub.add_parser("verify", parents=[shared],
-                       help="run the bilinear identity suite")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--rho", action="append", default=[])
-    p.add_argument("--sigma", action="append", default=[])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("grass", parents=[shared],
-                       help="filtration data of a point")
-    p.add_argument("action", choices=["min-n", "companions", "dtk"])
-    p.add_argument("--grpoint", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_grass)
-
-    p = sub.add_parser("dress", parents=[shared],
-                       help="dressing and Lax operators of tau")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--order", type=int, default=5)
-    p.set_defaults(fn=cmd_dress)
-
-    p = sub.add_parser("lax", parents=[shared],
-                       help="constraint and flow checks on the Lax side")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--rho", action="append", default=[])
-    p.add_argument("--sigma", action="append", default=[])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=5)
-    p.set_defaults(fn=cmd_lax)
-
-    p = sub.add_parser("fock-apply", parents=[shared],
-                       help="apply a fermion-side operator")
-    p.add_argument("--op", required=True, choices=["psi+", "psi-", "alpha", "Q"])
-    p.add_argument("--index", required=True)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(fn=cmd_fock_apply)
+    for name, (help_line, _, add_args) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), add_args)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's parser is built, and every call builds its own
+    if argv and argv[0] in COMMANDS:
+        _, fn, add_args = COMMANDS[argv[0]]
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"tauforge {argv[0]}"),
+                                add_args)
+        args = parser.parse_args(argv[1:])
+    else:
+        args = _listing_parser().parse_args(argv)
+        fn = COMMANDS[args.command][1]
     try:
         if getattr(args, "k", 1) < 1:
             raise InputError(f"--k must be at least 1, got {args.k}")
@@ -353,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "order", 0) > MAX_TRUNCATION:
             raise InputError(f"--order must be at most {MAX_TRUNCATION}, "
                              f"got {args.order}")
-        return args.fn(args)
+        return fn(args)
     except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

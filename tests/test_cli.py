@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -1104,6 +1105,98 @@ class TestConfig:
         assert code == 0
         payload = json.loads(out)
         assert [c["order"] for c in payload["constraint"]["orders"]] == [-1, -2, -3]
+
+
+def command_argvs(files) -> dict[str, list[str]]:
+    """One valid argv per command, each exiting 0 on the golden files."""
+    return {
+        "tau-from-matrix": ["tau-from-matrix", "--matrix", files["matrix"], "--k", "1",
+                            "--n", "1"],
+        "verify": ["verify", "--tau", files["tau"], "--rho", files["rho"],
+                   "--sigma", files["sigma"], "--k", "1"],
+        "grass": ["grass", "min-n", "--grpoint", files["point"], "--k", "1"],
+        "dress": ["dress", "--tau", files["tau"], "--order", "3"],
+        "lax": ["lax", "--tau", files["tau"], "--rho", files["rho"],
+                "--sigma", files["sigma"], "--k", "1", "--order", "3"],
+        "fock-apply": ["fock-apply", "--op", "psi+", "--index=-1/2",
+                       "--vector", files["vector"]],
+    }
+
+
+class TestParsers:
+    """main builds only the parser of the command argv[0] names; the listing
+    parser, every command a subparser, serves an argv that names none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every ArgumentParser constructed, in order."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_one_parser_per_call(self, capsys, golden_files, built, name):
+        code, out, err = run(capsys, command_argvs(golden_files)[name])
+        assert (code, err) == (0, "") and out
+        assert built == [f"tauforge {name}"]
+
+    @pytest.mark.parametrize("argv,code", [(["-h"], 0), ([], 2), (["bogus"], 2)])
+    def test_listing_parser_when_no_command_is_named(self, capsys, built, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == code
+        assert built == ["tauforge", *(f"tauforge {name}" for name in cli.COMMANDS)]
+        assert all(name in out + err for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    @pytest.mark.parametrize("rest,code", [(["-h"], 0), ([], 2)])
+    def test_same_text_as_the_listing_subparser(self, capsys, monkeypatch, name,
+                                                 rest, code):
+        # help, and the usage error of a missing required argument
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parse in (main, cli._listing_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([name, *rest])
+            assert exc.value.code == code
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert (texts[0].out + texts[0].err).startswith(
+            f"usage: tauforge {name} [-h] [--pretty]")
+
+    def test_unknown_flag_against_the_command_usage(self, capsys, golden_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tau", golden_files["tau"], "--k", "1", "--bogus"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: tauforge verify ")
+        assert err.endswith("tauforge verify: error: unrecognized arguments: --bogus\n")
+
+    def test_child_process_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(tauforge.__file__).parents[1])}
+
+        def child(*argv):
+            return subprocess.run([sys.executable, "-m", "tauforge.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=20)
+
+        with pytest.raises(SystemExit):
+            main(["verify", "-h"])
+        done = child("verify", "-h")
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, capsys.readouterr().out, "")
+        done = child()
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: tauforge [-h] {tau-from-matrix,verify,")
+        assert done.stderr.endswith("tauforge: error: the following arguments are "
+                                    "required: command\n")
 
 
 def _json_values(st):
