@@ -13,10 +13,15 @@ Fraction values (denominator 2) appear only at the public boundary: the
 fermion operators, wedge_vector and WindowMatrix take or return them,
 and each is checked once on entry.
 
-The bilinear pairing sums on integers: ``pairing_defect`` puts every
-vector over one common denominator and keys its sums by plain (charge,
-parts, charge, parts) tuples, so no MayaState is hashed and no Fraction
-is added on the way; ``fermionic_pairing`` is its case with no pairs.
+The wedge and the bilinear pairing sum on a vector's integer form
+(``FockVector.to_ints``): int numerators keyed by plain (charge, parts)
+tuples over one common denominator, so no MayaState is hashed and no
+Fraction is built on the way.  ``wedge_ints`` is the one wedge kernel;
+``wedge_vector`` and ``psi_plus`` convert once and call it, and
+``wedge_columns`` wedges a list of columns over a vacuum with it, for
+``apply_window_matrix`` and the Grassmannian wedges.  ``pairing_defect``
+keys its sums by (charge, parts, charge, parts) tuples;
+``fermionic_pairing`` is its case with no pairs.
 """
 
 from __future__ import annotations
@@ -75,21 +80,27 @@ class MayaState:
         return f"|{self.charge};{','.join(map(str, self.parts)) or '-'}>"
 
 
-def _codes(state: MayaState) -> list[int]:
-    """Codes of positions 1..len(parts)+1; the last tops the filled tail."""
-    m = state.charge
-    return [lam + m - s for s, lam in enumerate(state.parts + (0,), start=1)]
+# a Maya state as a plain key, and a vector as int numerators over one
+# denominator: the integer form the wedge and the pairing sum on
+State = tuple[int, tuple[int, ...]]
+IntVector = tuple[dict[State, int], int]
 
 
-def _descending_codes(state: MayaState) -> Iterator[int]:
+def _codes(m: int, parts: tuple[int, ...]) -> list[int]:
+    """Codes of positions 1..len(parts)+1 of the state (m, parts); the last
+    tops the filled tail."""
+    return [lam + m - s for s, lam in enumerate(parts + (0,), start=1)]
+
+
+def _descending_codes(m: int, parts: tuple[int, ...]) -> Iterator[int]:
     """The codes of positions 1, 2, ... without end, tail included."""
-    codes = _codes(state)
+    codes = _codes(m, parts)
     return chain(codes[:-1], count(codes[-1], -1))
 
 
 def _position(state: MayaState, c: int) -> int | None:
     """The position holding code c, or None when c is free."""
-    codes = _codes(state)
+    codes = _codes(state.charge, state.parts)
     if c <= codes[-1]:
         return state.charge - c  # in the filled tail, code m - s
     return codes.index(c) + 1 if c in codes else None
@@ -118,7 +129,7 @@ def _wedged(codes: list[int], m: int, parts: tuple[int, ...],
 
 def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
     """Wedge code c in front and sort; None when c is occupied."""
-    hit = _wedged(_codes(state), state.charge, state.parts, c)
+    hit = _wedged(_codes(state.charge, state.parts), state.charge, state.parts, c)
     return None if hit is None else (hit[0], MayaState(state.charge + 1, hit[1]))
 
 
@@ -144,6 +155,43 @@ def _remove(state: MayaState, c: int) -> tuple[int, MayaState] | None:
     return None if s is None else _contract(state, s)
 
 
+def over_one_den(items: Iterable[tuple]) -> tuple[dict, int]:
+    """(key, rational) items as a dict of int numerators over their least
+    common denominator."""
+    items = list(items)
+    den = math.lcm(*(c.denominator for _, c in items))
+    return {key: c.numerator * (den // c.denominator) for key, c in items}, den
+
+
+def wedge_ints(column: Mapping[int, int], vec: Mapping[State, int]) -> dict[State, int]:
+    """The one wedge kernel: sum_c column[c] e_c wedged in front of vec.
+
+    The column maps codes to int numerators and vec maps (charge, parts)
+    keys to int numerators; the result's numerators are over the product
+    of their two denominators, with the zeros dropped.
+    """
+    out: dict[State, int] = {}
+    get = out.get
+    for (m, parts), b in vec.items():
+        codes = _codes(m, parts)
+        for c, a in column.items():
+            hit = _wedged(codes, m, parts, c)
+            if hit is not None:
+                key = (m + 1, hit[1])
+                out[key] = get(key, 0) + (a * b if hit[0] > 0 else -a * b)
+    return {key: n for key, n in out.items() if n}
+
+
+def wedge_columns(columns: Iterable[tuple[Mapping[int, int], int]], tail: int
+                  ) -> IntVector:
+    """Wedge each (column, den) in front in turn, starting over H_tail:
+    the result is in integer form, over the product of the columns' dens."""
+    vec, den = {(tail, ()): 1}, 1
+    for column, d in columns:
+        vec, den = wedge_ints(column, vec), den * d
+    return vec, den
+
+
 def _add_to(out: dict, key, value) -> None:
     """out[key] += value, dropping the key when the sum is zero."""
     c = out.get(key, 0) + value
@@ -167,8 +215,18 @@ class FockVector:
         self.terms = clean
 
     @classmethod
-    def vacuum(cls, charge: int) -> "FockVector":
-        return cls({MayaState(charge): Fraction(1)})
+    def from_ints(cls, vec: Mapping[State, int], den: int) -> "FockVector":
+        """The vector sum vec[(m, parts)]/den |m; parts>, for nonzero
+        numerators and a nonzero den of either sign."""
+        self = object.__new__(cls)
+        self.terms = {MayaState(m, parts): Fraction(n, den)
+                      for (m, parts), n in vec.items()}
+        return self
+
+    def to_ints(self) -> IntVector:
+        """The integer form: numerators keyed (charge, parts) over the least
+        common denominator."""
+        return over_one_den(((s.charge, s.parts), c) for s, c in self.terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -194,9 +252,6 @@ class FockVector:
         return FockVector({s: k * c for s, k in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "FockVector":
-        return self * (1 / Fraction(scalar))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FockVector):
@@ -237,8 +292,7 @@ class FockVector:
 
 def psi_plus(j: Fraction, v: FockVector) -> FockVector:
     """Wedging operator: inserts index -j, raising the charge by one."""
-    c = -1 - _code(j)  # the code of index -j
-    return v.map_states(lambda s: _wedge(s, c))
+    return wedge_vector({-_check_half(j): 1}, v)
 
 
 def psi_minus(j: Fraction, v: FockVector) -> FockVector:
@@ -260,7 +314,8 @@ def alpha(k: int, v: FockVector) -> FockVector:
     for state, coef in v.terms.items():
         # occupied code c with c - k free; beyond len(parts)+|k| both sides
         # sit in the undisturbed tail and every term cancels
-        positions = islice(_descending_codes(state), len(state.parts) + abs(k))
+        positions = islice(_descending_codes(state.charge, state.parts),
+                           len(state.parts) + abs(k))
         for s, c in enumerate(positions, start=1):
             sign_r, mid = _contract(state, s)
             inserted = _wedge(mid, c - k)
@@ -274,30 +329,17 @@ def shift_charge(power: int, v: FockVector) -> FockVector:
     return v.map_states(lambda s: (1, MayaState(s.charge + power, s.parts)))
 
 
-def _over_one_den(v: FockVector) -> tuple[list[tuple[MayaState, int]], int]:
-    """The terms of v as integer numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for c in v.terms.values()))
-    return [(s, c.numerator * (den // c.denominator)) for s, c in v.terms.items()], den
-
-
 def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVector:
     """Wedge a general vector sum_p column[p] v_p in front.
 
-    The column and v each go over one common denominator, so products and
-    sums are on integers and each result term is one Fraction.
+    The column and v each go over one common denominator, once, and
+    ``wedge_ints`` sums the wedge on integers; each result term is one
+    Fraction.
     """
-    col = {_code(p): Fraction(coef) for p, coef in column.items() if coef}
-    den_col = math.lcm(*(a.denominator for a in col.values()))
-    vec, den_v = _over_one_den(v)
-    out: dict[MayaState, int] = {}
-    for c, a in col.items():
-        a = a.numerator * (den_col // a.denominator)
-        for state, b in vec:
-            hit = _wedge(state, c)
-            if hit is not None:
-                out[hit[1]] = out.get(hit[1], 0) + hit[0] * a * b
-    den = den_col * den_v
-    return FockVector({s: Fraction(n, den) for s, n in out.items() if n})
+    col, den_col = over_one_den((_code(p), Fraction(coef))
+                                for p, coef in column.items() if coef)
+    vec, den_v = v.to_ints()
+    return FockVector.from_ints(wedge_ints(col, vec), den_col * den_v)
 
 
 # -- window matrices ---------------------------------------------------------
@@ -353,12 +395,10 @@ def apply_window_matrix(matrix: WindowMatrix, charge: int,
         if value != delta and not (-target < i < target):
             raise WindowError(f"modified column {j} has support at {i} "
                               f"outside target window {target}")
-    v = FockVector.vacuum(-N)
-    j = Fraction(-2 * N + 1, 2)
-    top = Fraction(2 * charge - 1, 2)
-    while j <= top:
-        v = wedge_vector(matrix.column(j), v)
-        j += 1
+    # columns j = -N + 1/2 .. charge - 1/2, each wedged in front, in integer form
+    columns = (over_one_den((_code(i), c) for i, c in matrix.column(j).items())
+               for j in (Fraction(2 * r + 1, 2) for r in range(-N, charge)))
+    v = FockVector.from_ints(*wedge_columns(columns, -N))
     if v.is_zero:
         # columns below the charge line are dependent over the tail, so the
         # operator cannot be completed to an invertible one on this block
@@ -402,17 +442,19 @@ PairTensor = dict[tuple[MayaState, MayaState], Fraction]
 PairKey = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
 
-def pairing_defect(u: FockVector, v: FockVector,
-                   pairs: Iterable[tuple[FockVector, FockVector]]
+def pairing_defect(u: IntVector, v: IntVector,
+                   pairs: Iterable[tuple[IntVector, IntVector]]
                    ) -> tuple[dict[PairKey, int], int]:
     """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v)
     minus sum a (x) b over the pairs, on integers.
 
-    Returns the nonzero numerators over one common denominator, keyed
-    (charge, parts, charge, parts) in the Maya (x) Maya basis, and that
-    denominator: the dict is empty exactly when the pairing equals the
-    sum.  Every vector goes over its own common denominator, and each
-    product of two over the lcm of those products.
+    Every vector comes in integer form (``FockVector.to_ints``), so a
+    caller puts each over its denominator once however many identities
+    read it.  Returns the nonzero numerators over one common denominator,
+    keyed (charge, parts, charge, parts) in the Maya (x) Maya basis, and
+    that denominator: the dict is empty exactly when the pairing equals
+    the sum.  Each product of two vectors goes over the lcm of the
+    products of their denominators.
 
     The sum over half-integers i is finite on window states: the index
     must be occupied in v and free in u, which pins it above the filled
@@ -420,27 +462,26 @@ def pairing_defect(u: FockVector, v: FockVector,
     the lowest filled-tail top among the u states, and each u state's
     wedges are made once per code.
     """
-    nu, du = _over_one_den(u)
-    nv, dv = _over_one_den(v)
-    targets = [(_over_one_den(a), _over_one_den(b)) for a, b in pairs]
+    nu, du = u
+    nv, dv = v
+    targets = list(pairs)
     den = math.lcm(du * dv, *(da * db for (_, da), (_, db) in targets))
     sums: dict[PairKey, int] = {}
     get = sums.get
-    floor = min((_codes(su)[-1] for su, _ in nu), default=0)
+    floor = min((_codes(m, parts)[-1] for m, parts in nu), default=0)
     scale = den // (du * dv)
     contractions = []  # per v state: its numerator, then (code, sign, key)
-    for sv, cv in nv:
+    for (n, mu), cv in nv.items():
         row = []
-        for s, c in enumerate(_descending_codes(sv), start=1):
+        for s, c in enumerate(_descending_codes(n, mu), start=1):
             if c < floor:
                 break
-            sign, right = _contracted(sv.parts, s)
-            row.append((c, sign, (sv.charge - 1, right)))
+            sign, right = _contracted(mu, s)
+            row.append((c, sign, (n - 1, right)))
         contractions.append((cv * scale, row))
     codes = {c for _, row in contractions for c, _, _ in row}
-    for su, cu in nu:
-        m, parts = su.charge, su.parts
-        codes_u = _codes(su)
+    for (m, parts), cu in nu.items():
+        codes_u = _codes(m, parts)
         top = codes_u[-1]  # codes at or below it are filled
         wedges = {}
         for c in codes:
@@ -458,11 +499,10 @@ def pairing_defect(u: FockVector, v: FockVector,
                     sums[key] = get(key, 0) + (coef if hit[0] == sign_r else -coef)
     for (na, da), (nb, db) in targets:
         scale = den // (da * db)
-        right = [((sb.charge, sb.parts), cb) for sb, cb in nb]
-        for sa, ca in na:
-            left, ca = (sa.charge, sa.parts), ca * scale
-            for key_b, cb in right:
-                key = left + key_b
+        for left, ca in na.items():
+            ca *= scale
+            for right, cb in nb.items():
+                key = left + right
                 sums[key] = get(key, 0) - ca * cb
     return {key: n for key, n in sums.items() if n}, den
 
@@ -470,6 +510,6 @@ def pairing_defect(u: FockVector, v: FockVector,
 def fermionic_pairing(u: FockVector, v: FockVector) -> PairTensor:
     """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v), in
     the Maya (x) Maya basis: the case of ``pairing_defect`` with no pairs."""
-    sums, den = pairing_defect(u, v, ())
+    sums, den = pairing_defect(u.to_ints(), v.to_ints(), ())
     return {(MayaState(m, lam), MayaState(n, mu)): Fraction(c, den)
             for (m, lam, n, mu), c in sums.items()}

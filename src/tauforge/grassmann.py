@@ -8,6 +8,9 @@ written s to keep it apart from the time variables t_i.
 
 The fermion dictionary identifies s**e with the wedge index -e - 1/2, so
 multiplication by s**k is the k-fold index lowering on wedge factors.
+The wedges are summed on integers by ``fock.wedge_columns``: s**e is the
+code -e - 1, each factor goes over its own denominator, and a FockVector
+is built once, from the finished wedge.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .mpoly import format_rat, parse_int, parse_rat
 from .schur import ChargedPoly
-from .fock import (FockVector, MayaState, WindowMatrix, sigma_single,
-                   wedge_vector)
+from .fock import (FockVector, State, WindowMatrix, over_one_den, sigma_single,
+                   wedge_columns, wedge_ints)
 
 LaurentVector = dict[int, Fraction]
 
@@ -30,10 +33,6 @@ class GrassmannError(ValueError):
 
 class DegenerateCompanionError(GrassmannError):
     """A companion vanished, so the requested pair count is not minimal."""
-
-
-def exp_to_index(e: int) -> Fraction:
-    return Fraction(-2 * e - 1, 2)
 
 
 def index_to_exp(i: Fraction) -> int:
@@ -111,7 +110,7 @@ class GrPoint:
     @property
     def weight(self) -> int:
         """Weighted degree of the point's tau: the weight of its pivot partition."""
-        return sum(_pivot_state(self.pivots(), self.tail).parts)
+        return sum(_pivot_state(self.pivots(), self.tail)[1])
 
     def to_json(self) -> dict:
         rows = []
@@ -202,36 +201,47 @@ def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
 
 # -- wedges and tau functions -----------------------------------------------------
 
-def _column_of(vec: LaurentVector) -> dict[Fraction, Fraction]:
-    return {exp_to_index(e): c for e, c in vec.items()}
+def _column(vec: LaurentVector) -> tuple[dict[int, int], int]:
+    """The factor vec as a wedge column: s**e at code -e - 1, its
+    coefficients over their own denominator."""
+    return over_one_den((-e - 1, c) for e, c in vec.items() if c)
 
 
-def _wedge_factors(factors: Sequence[LaurentVector], tail: int) -> FockVector:
-    v = FockVector.vacuum(tail)
-    for vec in reversed(list(factors)):
-        v = wedge_vector(_column_of(vec), v)
-    return v
+def _wedge_factors(factors: Sequence[LaurentVector], tail: int
+                   ) -> tuple[dict[State, int], int]:
+    """The wedge of the factors over H_tail in integer form: numerators
+    keyed (charge, parts) over the product of the factors' denominators."""
+    return wedge_columns(map(_column, reversed(factors)), tail)
 
 
-def _pivot_state(pivots: Sequence[int], tail: int) -> MayaState:
-    """The Maya state whose wedge codes are -e - 1 over the pivots, then H_tail."""
+def _divided(factors: Sequence[LaurentVector], tail: int, c: Fraction) -> FockVector:
+    """The wedge of the factors over H_tail, divided by c."""
+    vec, den = _wedge_factors(factors, tail)
+    return FockVector.from_ints({s: n * c.denominator for s, n in vec.items()},
+                                den * c.numerator)
+
+
+def _pivot_state(pivots: Sequence[int], tail: int) -> State:
+    """The (charge, parts) of the Maya state whose wedge codes are -e - 1
+    over the pivots, then H_tail."""
     charge = tail + len(pivots)
     codes = sorted((-e - 1 for e in pivots), reverse=True)
     parts = (c - charge + s for s, c in enumerate(codes, start=1))
-    return MayaState(charge, tuple(lam for lam in parts if lam))
+    return charge, tuple(lam for lam in parts if lam)
 
 
 def _anchored(factors: Sequence[LaurentVector], tail: int
-              ) -> tuple[FockVector, Fraction]:
+              ) -> tuple[tuple[dict[State, int], int], Fraction]:
     """The wedge of echelon factors over H_tail divided by its pivot minor c.
 
-    Returns (wedge / c, c).
+    Returns (wedge / c in integer form, c): over the pivot minor's own
+    numerator, the wedge's denominator cancels.
     """
-    wedge = _wedge_factors(factors, tail)
-    c = wedge.terms.get(_pivot_state([min(v) for v in factors], tail))
-    if not c:
+    vec, den = _wedge_factors(factors, tail)
+    pivot = vec.get(_pivot_state([min(v) for v in factors], tail))
+    if not pivot:
         raise GrassmannError("echelon wedge lost its pivot coordinate")
-    return wedge / c, c
+    return (vec, pivot), Fraction(pivot, den)
 
 
 def _wedge_vars(wedges: Sequence[FockVector]) -> int:
@@ -241,7 +251,7 @@ def _wedge_vars(wedges: Sequence[FockVector]) -> int:
 
 def fock_of(point: GrPoint) -> FockVector:
     """The perfect wedge of the point, scaled so the pivot minor is 1."""
-    return _anchored(point.vectors(), point.tail)[0]
+    return FockVector.from_ints(*_anchored(point.vectors(), point.tail)[0])
 
 
 def tau_of(point: GrPoint) -> ChargedPoly:
@@ -271,22 +281,21 @@ def companion_wedges(point: GrPoint, k: int
     shifted wedge with factor j dropped.
     """
     factors, n = _stable_split(point, k)
-    tau_fv, c = _anchored(factors, point.tail)
+    (tau, den), c = _anchored(factors, point.tail)
     rho_fvs = []
     sigma_fvs = []
     for j in range(n):
-        rho = wedge_vector(_column_of(vec_mul_sk(factors[j], k)), tau_fv)
-        if rho.is_zero:
+        column, d = _column(vec_mul_sk(factors[j], k))
+        rho = wedge_ints(column, tau)
+        if not rho:
             raise DegenerateCompanionError(f"companion {j + 1} vanished")
-        rho_fvs.append(rho)
+        rho_fvs.append(FockVector.from_ints(rho, den * d))
         rest = [vec_mul_sk(f, k) for i, f in enumerate(factors) if i != j]
-        sigma = _wedge_factors(rest, point.tail - k) / c
-        if j % 2:
-            sigma = -sigma
+        sigma = _divided(rest, point.tail - k, -c if j % 2 else c)
         if sigma.is_zero:
             raise DegenerateCompanionError(f"companion {j + 1} vanished")
         sigma_fvs.append(sigma)
-    return tau_fv, rho_fvs, sigma_fvs
+    return FockVector.from_ints(tau, den), rho_fvs, sigma_fvs
 
 
 def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
@@ -301,7 +310,7 @@ def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
     wedges = []
     for j in range(n):
         replaced = factors[:j] + [vec_mul_sk(factors[j], k)] + factors[j + 1:]
-        fv = _wedge_factors(replaced, point.tail) / c
+        fv = _divided(replaced, point.tail, c)
         if not fv.is_zero:
             wedges.append(fv)
     D = _wedge_vars(wedges)
@@ -349,7 +358,7 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
     N = len(entries[0])
     if not (M > N > 0):
         raise GrassmannError(f"need rows > cols > 0, got {M} x {N}")
-    columns = [[Fraction(row[j]) for row in entries] for j in range(N)]
+    columns = [[row[j] for row in entries] for j in range(N)]
     # every exponent N - l lies below the tail at -N, so no entry is cut
     vectors = [{N - l: c for l, c in enumerate(col, start=1) if c} for col in columns]
     point = reduce_point(vectors, -N)
@@ -371,7 +380,8 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
             f"{len(violating)} columns break the chain condition, allowed {n}",
             report)
     # the box N x (M - N) holds every state, so its hook M - 1 is enough
-    tau = sigma_single(_wedge_factors(vectors[::-1], -N), max(M - 1, 1))
+    tau = sigma_single(FockVector.from_ints(*_wedge_factors(vectors[::-1], -N)),
+                       max(M - 1, 1))
     return point, tau, report
 
 

@@ -15,7 +15,8 @@ pairing is the normative mirror: the residue equals the Schur image of
 sum_i (wedge_i u) (x) (contract_{-i} v), coefficient by coefficient.
 Fermionically each identity is one integer dict, ``fock.pairing_defect``
 of (u, v) against its pairs, over one common denominator and empty
-exactly when the identity holds; it reads no bosonic result, so the
+exactly when the identity holds; each operand's image goes into integer
+form once per job, and the pairing reads no bosonic result, so the
 mirror stays an independent oracle.
 
 Each wave factor is built once per operand and side: its z-coefficients
@@ -41,8 +42,8 @@ from typing import Sequence
 from .mpoly import MPoly, dot
 from .schur import (ChargedPoly, DomainError, bilinear_window, embed_t,
                     embed_tprime, miwa_shift, schur_of_partition, xi_series)
-from .fock import (FockVector, MayaState, PairTensor, pairing_defect,
-                   poly_to_fock, shift_charge)
+from .fock import (IntVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
+                   shift_charge)
 from .zseries import ZSeries
 
 
@@ -222,11 +223,12 @@ def identity_family(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     return operands, family
 
 
-def fermionic_bilinear_check(u: FockVector, v: FockVector,
-                             pairs: Sequence[tuple[FockVector, FockVector]],
+def fermionic_bilinear_check(u: IntVector, v: IntVector,
+                             pairs: Sequence[tuple[IntVector, IntVector]],
                              label: str = "fermionic") -> Check:
     """Pass iff the canonical pairing of (u, v) equals sum a (x) b over the
-    pairs; a failure's witness is the first state pair of the defect by
+    pairs, every vector in integer form (``FockVector.to_ints``); a
+    failure's witness is the first state pair of the defect by
     (left.sort_key(), right.sort_key()), with its coefficient."""
     defect, den = pairing_defect(u, v, pairs)
     if not defect:
@@ -301,7 +303,8 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
               for (label, *_), combos in zip(family, defects)]
 
     tau_f = poly_to_fock(tau)
-    images = [tau_f, shift_charge(-k, tau_f), *map(poly_to_fock, operands[2:])]
+    images = [v.to_ints() for v in (tau_f, shift_charge(-k, tau_f),
+                                    *map(poly_to_fock, operands[2:]))]
     checks += [fermionic_bilinear_check(images[left], images[right],
                                         [(images[a], images[b]) for a, b in pairs],
                                         label=f"fermionic-{label}")

@@ -72,12 +72,16 @@ def parse_rat(text: str) -> Fraction:
     Anything else, a JSON number or a zero denominator included, is a
     ValueError, which the CLI reports as an input error.
     """
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text.strip()):
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    num, _, den = match.group().partition("/")
+    if not den:
+        return Fraction(int(num))
+    den = int(den)
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
 def parse_int(value, minimum: int | None = None) -> int:
@@ -94,9 +98,12 @@ def parse_int(value, minimum: int | None = None) -> int:
 
 def format_rat(value: Fraction) -> str:
     """Serialize an exact rational as "p" or "p/q"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format(value.numerator, value.denominator)
+
+
+def _format(num: int, den: int) -> str:
+    """The rational num/den, in lowest terms with den > 0, as "p" or "p/q"."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 @lru_cache(maxsize=None)
@@ -450,11 +457,11 @@ class MPoly:
 
     def to_json(self) -> dict:
         den = self.den
-        return {
-            "vars": self.vars,
-            "terms": [{"exp": list(e), "coef": format_rat(Fraction(c, den))}
-                      for e, c in self._sorted()],
-        }
+        terms = []
+        for e, c in self._sorted():
+            g = _gcd(c, den)  # each coefficient c/den in lowest terms
+            terms.append({"exp": list(e), "coef": _format(c // g, den // g)})
+        return {"vars": self.vars, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "MPoly":

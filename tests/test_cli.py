@@ -925,6 +925,52 @@ def verify_digest_cases(golden_point):
     return cases
 
 
+def construct_digest_jobs(tmp_path) -> dict[str, list[str]]:
+    """{id: argv} of the construct reports pinned below: a rational chain
+    matrix accepted with one violation and rejected with none allowed, a
+    rank-3 matrix at k = 2, the filtration data of a weight-6 rational
+    point at k = 1 and 2, and psi+ on a rational vector over three
+    charges."""
+    payloads = {
+        "matrix": {"rows": 5, "cols": 2,
+                   "entries": [["1/2", "-3"], ["-3", "2/3"], ["2/3", "0"],
+                               ["0", "5"], ["5", "0"]]},
+        "matrix3": {"rows": 6, "cols": 3,
+                    "entries": [["1", "0", "0"], ["-1/3", "7/2", "0"],
+                                ["7/2", "0", "1"], ["0", "4/9", "0"],
+                                ["4/9", "0", "-2"], ["0", "-2", "0"]]},
+        "point": {"tail": 0, "basis": [
+            {"minExp": -5, "coefs": ["1", "0", "0", "2/7", "1/8"]},
+            {"minExp": -4, "coefs": ["1", "0", "0", "3"]},
+            {"minExp": -3, "coefs": ["1", "0", "1/4"]}]},
+        "vector": [
+            {"state": {"charge": 0, "partition": [2, 1]}, "coef": "-3/4"},
+            {"state": {"charge": 0, "partition": [3]}, "coef": "5"},
+            {"state": {"charge": 1, "partition": []}, "coef": "2/9"},
+            {"state": {"charge": -2, "partition": [1, 1, 1]}, "coef": "-1/6"}],
+    }
+    path = {}
+    for name, payload in payloads.items():
+        path[name] = tmp_path / f"construct-{name}.json"
+        path[name].write_text(json.dumps(payload))
+    jobs = {
+        "matrix-n1": ["tau-from-matrix", "--matrix", path["matrix"],
+                      "--k", "1", "--n", "1"],
+        "matrix-n0": ["tau-from-matrix", "--matrix", path["matrix"],
+                      "--k", "1", "--n", "0"],
+        "matrix3-k2": ["tau-from-matrix", "--matrix", path["matrix3"],
+                       "--k", "2", "--n", "3"],
+    }
+    for action in ("min-n", "companions", "dtk"):
+        for k in (1, 2):
+            jobs[f"grass-{action}-k{k}"] = ["grass", action, "--grpoint",
+                                            path["point"], "--k", str(k)]
+    for index in ("1/2", "-5/2"):
+        jobs[f"psi+{index}"] = ["fock-apply", "--op", "psi+", f"--index={index}",
+                                "--vector", path["vector"]]
+    return {name: [str(a) for a in argv] for name, argv in jobs.items()}
+
+
 def write_job(tmp_path, name, tau, rhos, sigmas) -> list[str]:
     """Write the operands of one job; the --tau, --rho and --sigma flags."""
     tau_path = tmp_path / f"{name}-tau.json"
@@ -941,9 +987,10 @@ def write_job(tmp_path, name, tau, rhos, sigmas) -> list[str]:
 class TestGoldenDigests:
     """Exit code and sha256 of lax and dress stdout, computed with the
     P * P^-1 product check and compositions at full depth (the --order 3
-    and 8 cases with the dressing at max(T, k + 3) + k + 1), and of verify
+    and 8 cases with the dressing at max(T, k + 3) + k + 1), of verify
     stdout, computed with every residue read off the doubled-space triple
-    product; a change of any byte fails."""
+    product, and of tau-from-matrix, grass and fock-apply psi+ stdout; a
+    change of any byte fails."""
 
     LAX = {
         "golden-k1":
@@ -997,6 +1044,30 @@ class TestGoldenDigests:
         "3t1t2-k2":
             (1, "59e2440442b5838399453889d737d93ac68b8f80121407c61ac81f20a6a6069e"),
     }
+    CONSTRUCT = {
+        "matrix-n1":
+            (0, "6c8c6768082ace84606f4308abc2bffd9580452298b8da64eef369fe47ebb661"),
+        "matrix-n0":
+            (1, "1000b217437ccdddc0d4b44fa0a292d5050d7a1224b266b98d3f10569fa0e4cb"),
+        "matrix3-k2":
+            (0, "70a1e45b731bb452a4b275d1888df2081830f5e1713f579f943c977d2d709b33"),
+        "grass-min-n-k1":
+            (0, "c57f92160706818ab259011e1e1927b456870070ab31469b809e9d0b7d0ebd1f"),
+        "grass-min-n-k2":
+            (0, "a0e4adf5e9848bc3e9e68f83a9eca6d3c695818c733811beacc740d7a7db3a65"),
+        "grass-companions-k1":
+            (0, "b974e1107e1c20633e582ad6c8ac314eb8710ab01a8a1b2f02f3d2720775a0f8"),
+        "grass-companions-k2":
+            (0, "5109be7689808f830938f70e5c7626d3a618535e7ee33bc3b3e52542afe3dca2"),
+        "grass-dtk-k1":
+            (0, "5e636e1b59049a911acacaa9c4f284efd16d38f4c58187ab4e7c520ec9deb8d2"),
+        "grass-dtk-k2":
+            (0, "648919df28737014b660deba200613ee7bc93c527d8d80b6ca37b7281eeb3e62"),
+        "psi+1/2":
+            (0, "18d520fb91f084d555fd438429fbceac1223dda9faf1282baae0086769154137"),
+        "psi+-5/2":
+            (0, "0c2e2052da54437b1044602a4311cedd1698809350f4b59ed9d7102207ebfe2b"),
+    }
 
     @staticmethod
     def outputs(capsys, tmp_path, golden_point):
@@ -1022,6 +1093,14 @@ class TestGoldenDigests:
         want.update((("dress", name), pin) for name, pin in self.DRESS.items())
         want.update((("verify", name), pin) for name, pin in self.VERIFY.items())
         assert self.outputs(capsys, tmp_path, golden_point) == want
+
+    def test_construct_reports_are_byte_identical(self, capsys, tmp_path):
+        # computed with a Fraction per wedge term and per Schur image term
+        out = {}
+        for name, argv in construct_digest_jobs(tmp_path).items():
+            code, stdout, _ = run(capsys, argv)
+            out[name] = code, hashlib.sha256(stdout.encode()).hexdigest()
+        assert out == self.CONSTRUCT
 
 
 class TestFockApply:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,8 @@ from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
                            _code, _position, _remove, _wedge, alpha,
                            apply_window_matrix, fermionic_pairing, pairing_defect,
                            poly_to_fock, psi_minus, psi_plus, r_matrix_unit,
-                           shift_charge, sigma_map, sigma_single)
+                           shift_charge, sigma_map, sigma_single, wedge_ints,
+                           wedge_vector)
 from tauforge.hirota import fermionic_bilinear_check
 
 from conftest import half, one_state, partitions_up_to, product_coeff, random_state
@@ -38,7 +40,8 @@ def remove_index(state, p):
     return _remove(state, _code(p))
 
 
-VAC = FockVector.vacuum
+def VAC(m):
+    return one_state(MayaState(m))
 
 
 class TestMayaState:
@@ -294,6 +297,47 @@ class TestSigmaMap:
             assert shifted.charge == img.charge + 1
             assert shifted.poly == img.poly
 
+    def test_matches_the_sum_per_charge(self):
+        # against sum c * S_lambda per charge; every charge of the vector
+        # keeps its image, since the S_lambda whose hook fits in D are
+        # linearly independent
+        rng = random.Random(41)
+        for _ in range(60):
+            v = _random_vector(rng, size=6)
+            D = max([s.parts[0] + len(s.parts) - 1 for s in v.terms if s.parts] + [1])
+            want = {}
+            for state, coef in v.terms.items():
+                term = schur_of_partition(state.partition, D) * coef
+                want[state.charge] = want.get(state.charge, MPoly.zero(D)) + term
+            images = sigma_map(v, D)
+            assert [cp.charge for cp in images] == sorted(v.charges())
+            assert all(cp.poly == want[cp.charge] and not cp.poly.is_zero
+                       for cp in images)
+
+
+class TestWedgeKernel:
+    def test_wedge_vector_matches_the_per_term_loop(self):
+        # integer and rational columns against vectors over several charges
+        rng = random.Random(43)
+        for trial in range(150):
+            column = {}
+            for _ in range(rng.randint(1, 5)):
+                c = F(rng.randint(-3, 3), rng.randint(1, 4) if trial % 2 else 1)
+                column[half(2 * rng.randint(-5, 5) + 1)] = c
+            v = _random_vector(rng, size=5)
+            assert wedge_vector(column, v) == _ref_wedge_vector(column, v), (column, v)
+
+    def test_kernel_on_integer_form(self):
+        rng = random.Random(47)
+        for _ in range(100):
+            v = _random_vector(rng, size=5)
+            column = {rng.randint(-5, 5): rng.randint(-4, 4) for _ in range(4)}
+            column = {c: a for c, a in column.items() if a}
+            vec, den = v.to_ints()
+            got = FockVector.from_ints(wedge_ints(column, vec), den)
+            want = _ref_wedge_vector({half(2 * c + 1): F(a) for c, a in column.items()}, v)
+            assert got == want
+
 
 class TestPairing:
     def test_vacuum_pairs_to_zero(self):
@@ -385,6 +429,24 @@ def _accumulate(out, key, value):
         del out[key]
 
 
+def _ref_wedge_vector(column, v):
+    """wedge_vector by the per-term loop it used to run: the column and v
+    over one denominator each, and every state wedged by ``_wedge``."""
+    col = {_code(p): F(coef) for p, coef in column.items() if coef}
+    den_col = math.lcm(*(a.denominator for a in col.values()))
+    den_v = math.lcm(*(c.denominator for c in v.terms.values()))
+    vec = [(s, c.numerator * (den_v // c.denominator)) for s, c in v.terms.items()]
+    out = {}
+    for c, a in col.items():
+        a = a.numerator * (den_col // a.denominator)
+        for state, b in vec:
+            hit = _wedge(state, c)
+            if hit is not None:
+                out[hit[1]] = out.get(hit[1], 0) + hit[0] * a * b
+    den = den_col * den_v
+    return FockVector({s: F(n, den) for s, n in out.items() if n})
+
+
 def _ref_pairing(u, v):
     out = {}
     for su, cu in u.terms.items():
@@ -415,10 +477,10 @@ def _ref_alpha(k, v):
 SHAPES = [shape.parts for shape in partitions_up_to(6)]
 
 
-def _random_vector(rng):
+def _random_vector(rng, size=3):
     terms = {MayaState(rng.randint(-3, 3), rng.choice(SHAPES)):
              F(rng.randint(-4, 4), rng.randint(1, 3))
-             for _ in range(rng.randint(1, 3))}
+             for _ in range(rng.randint(1, size))}
     return FockVector(terms) if any(terms.values()) else VAC(0)
 
 
@@ -492,12 +554,13 @@ class TestAgainstIndexLists:
             ref = tensor_sum([_ref_pairing(u, v),
                               *({key: -c for key, c in tensor_of(a, b).items()}
                                 for a, b in pairs)])
-            defect, den = pairing_defect(u, v, pairs)
+            ints = [(a.to_ints(), b.to_ints()) for a, b in pairs]
+            defect, den = pairing_defect(u.to_ints(), v.to_ints(), ints)
             assert all(type(n) is int and n for n in defect.values())
             assert {(MayaState(m, lam), MayaState(n, mu)): F(c, den)
                     for (m, lam, n, mu), c in defect.items()} == ref
             assert not cancel or not ref
-            got = fermionic_bilinear_check(u, v, pairs)
+            got = fermionic_bilinear_check(u.to_ints(), v.to_ints(), ints)
             assert got.passed == (not ref)
             if ref:
                 key = sorted(ref, key=lambda st: (st[0].sort_key(), st[1].sort_key()))[0]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,9 @@ from tauforge.fock import (FockVector, MayaState, WindowMatrix,
                            apply_window_matrix, fermionic_pairing,
                            poly_to_fock, sigma_single, wedge_vector)
 from tauforge.grassmann import (GeneratorConditionError,
-                                GrassmannError, _below, _eliminate, companion_wedges,
-                                companions, dtk_decomposition, exp_to_index,
+                                GrassmannError, _below, _eliminate, _wedge_factors,
+                                companion_wedges,
+                                companions, dtk_decomposition,
                                 generate_from_matrix, grpoint_from_window_matrix,
                                 point_rows, reduce_point, stable_subspace, tau_of,
                                 vec_mul_sk)
@@ -33,6 +35,11 @@ def contains_point(p, other):
 
 
 S = lambda parts, D=6: schur_of_partition(Partition(parts), D)
+
+
+def exp_to_index(e: int) -> F:
+    """The wedge index -e - 1/2 of the loop vector s**e."""
+    return F(-2 * e - 1, 2)
 
 
 class TestReduce:
@@ -158,6 +165,55 @@ class TestSympyOracle:
             else:
                 assert full
         assert seen == {True, False}
+
+
+def fraction_det(rows) -> F:
+    """The determinant of a square Fraction matrix, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    det = F(1)
+    for i in range(len(rows)):
+        pivot = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for r in range(i + 1, len(rows)):
+            f = rows[r][i] / rows[i][i]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
+    return det
+
+
+class TestWedgeMinors:
+    def test_coefficients_are_the_minors(self):
+        # f_1 ^ .. ^ f_N over H_tail: the state whose codes above the
+        # filled tail are c_1 > .. > c_N has the minor det f_j(c_i), s**e
+        # at code -e - 1; entries inside the tail hit filled codes
+        rng = random.Random(53)
+        for trial in range(80):
+            tail, N = rng.randint(-3, 2), rng.randint(1, 4)
+            low = -tail - N - rng.randint(0, 3)
+            factors = []
+            for _ in range(N):
+                vec = {}
+                for e in range(low, -tail + 2):
+                    c = rng.choice([0, 0, 1, -1, 2, -3])
+                    if c:
+                        vec[e] = F(c, rng.randint(1, 5)) if trial % 2 else F(c)
+                factors.append(vec)
+            vec, den = _wedge_factors(factors, tail)
+            got = {MayaState(*key): F(n, den) for key, n in vec.items()}
+            free = sorted({-e - 1 for f in factors for e in f if -e - 1 >= tail},
+                          reverse=True)
+            want = {}
+            for codes in combinations(free, N):
+                minor = fraction_det([[f.get(-c - 1, F(0)) for f in factors]
+                                      for c in codes])
+                if minor:
+                    parts = (c - tail - N + s for s, c in enumerate(codes, start=1))
+                    want[MayaState(tail + N, tuple(lam for lam in parts if lam))] = minor
+            assert got == want, (factors, tail)
 
 
 class TestTau:

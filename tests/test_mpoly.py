@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,65 @@ class TestRationals:
     def test_non_string_or_zero_denominator_is_value_error(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+    def test_same_strings_as_the_fraction_parser(self):
+        # the same strings accepted, with equal values, and the same
+        # ValueError on the rest, as parsing through Fraction(str)
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        chars = list("0123456789+-/ ._e") + ["\t", "\u00a0", "\u0661", "\u0966", "\uff11"]
+        digits = st.text(st.sampled_from(list("0001234567890_") + ["\u0661"]), max_size=4)
+        # sign, digits, separator, digits, padding: near the grammar
+        shaped = st.tuples(st.sampled_from(["", "+", "-", " ", "+-", "e"]), digits,
+                           st.sampled_from(["", "/", "/", "/", "//", ".", "e", "/-"]),
+                           digits, st.sampled_from(["", " ", "\t", "."])).map("".join)
+
+        @hyp.settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+        @hyp.example("7/0")
+        @hyp.example(" -0/00 ")
+        @hyp.example("+12/08")
+        @hyp.example("-3/4")
+        @hyp.given(st.one_of(st.text(st.sampled_from(chars), max_size=9), shaped))
+        def check(text):
+            try:
+                want = fraction_parse_rat(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    parse_rat(text)
+                assert str(got.value) == str(exc)
+            else:
+                got = parse_rat(text)
+                assert type(got) is F and got == want
+
+        check()
+
+    def test_to_json_prints_each_coefficient_in_lowest_terms(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coefs = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+        exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+        @hyp.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hyp.given(st.dictionaries(exps, coefs, max_size=6))
+        def check(terms):
+            p = MPoly(2, terms)
+            printed = {tuple(t["exp"]): t["coef"] for t in p.to_json()["terms"]}
+            assert printed == {e: format_rat(F(c)) for e, c in terms.items() if c}
+
+        check()
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def fraction_parse_rat(text):
+    """parse_rat as it was, through Fraction(str) after the same grammar."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(f'rational must be a "p/q" string, got {text!r}')
+    try:
+        return F(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class TestRingOps:
