@@ -19,9 +19,9 @@ from .grassmann import (GrPoint, GrassmannError, companions,
                         dtk_decomposition, generate_from_matrix,
                         grpoint_from_window_matrix, reduce_point,
                         stable_subspace, tau_of)
-from .hirota import (BilinearReport, bilinear_residue,
-                     fermionic_bilinear_check, identity_family, kp_residue,
-                     tensor_to_poly, verify_suite)
+from .hirota import (BilinearReport, fermionic_bilinear_check,
+                     identity_family, kp_residue, tensor_to_poly,
+                     verify_suite)
 from .psdo import DressingPair, PsiDO, dress_from_tau, verify_lax
 
 __version__ = "0.1.0"

@@ -30,7 +30,9 @@ sum_k X_k (x) e_k: an identity holds exactly when every X_k is zero, and
 a pass forms no product in the doubled space.  A failure's witness is
 that sum, expanded once over the doubled space (t in slots 1..D, t' in
 slots D+1..2D), in canonical form.  ``bilinear_defects`` is that bosonic
-half; ``psdo`` reads the Lax verdicts from it and expands no witness.
+half and the only place that assembles a bosonic defect: ``kp_residue``
+expands its KP defect, and ``psdo`` reads the Lax verdicts from it and
+expands no witness.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import MPoly, dot
-from .schur import (ChargedPoly, DomainError, bilinear_window, embed_t,
-                    embed_tprime, miwa_shift, schur_of_partition, xi_series)
+from .schur import (ChargedPoly, bilinear_window, embed_t, embed_tprime,
+                    miwa_shift, schur_of_partition, xi_series)
 from .fock import (IntVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
                    shift_charge)
 from .zseries import ZSeries
@@ -75,12 +77,6 @@ class BilinearReport:
 
     def to_json(self) -> dict:
         return {"checks": [c.to_json() for c in self.checks]}
-
-
-def required_vars(u: ChargedPoly, v: ChargedPoly) -> int:
-    """Smallest variable count that keeps the residue of (u, v) exact."""
-    _, kmax = bilinear_window(u.weight, v.weight, u.charge - v.charge)
-    return max(u.weight, v.weight, kmax, 1)
 
 
 def _wave(p: MPoly, sign: int, kmax: int, weight: int) -> ZSeries:
@@ -164,30 +160,6 @@ def _defect(left: ZSeries, right: ZSeries, wl: int, wr: int, weight: int,
     return {k: x for k, x in combos.items() if x.num}
 
 
-def bilinear_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
-    """The charge-weighted two-point residue as a polynomial in (t, t').
-
-    sum_m A_m(t) B_{N-m}(t') of the two wave factors, N = -1 - weight,
-    expanded over the doubled space through the echelon form of the
-    B_{N-m}; the kernel order from ``bilinear_window`` is checked, not
-    assumed, by ``ZSeries.coeff`` on every order read.
-    """
-    if D < required_vars(u, v):
-        raise DomainError(f"need D >= {required_vars(u, v)}, got {D}")
-    weight = u.charge - v.charge
-    _, kmax = bilinear_window(u.weight, v.weight, weight)
-    left = _wave(u.poly.embed(D), -1, kmax, u.weight)
-    right = _wave(v.poly.embed(D), +1, kmax, v.weight)
-    echelon = _Echelon()
-    combos = _defect(left, right, u.weight, v.weight, weight, kmax, (), echelon)
-    return echelon.expand(combos, D)
-
-
-def kp_residue(tau: ChargedPoly, D: int) -> MPoly:
-    """Zero exactly when tau solves the hierarchy."""
-    return bilinear_residue(tau, tau, D)
-
-
 Identity = tuple[str, int, int, tuple[tuple[int, int], ...]]
 
 
@@ -266,14 +238,13 @@ def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity]
     source = [0, 0, *range(2, len(operands))]
     weights = [operands[i].weight for i in source]
     top = max(weights)
-    _, kmax = bilinear_window(top, top, -1)
-    D = max(top, kmax, k, 1)
+    D = max(top, bilinear_window(top, top, -1), k, 1)
     polys = [cp.poly.embed(D) for cp in operands]
     windows = []
     reach: dict[tuple[int, int], int] = {}  # (operand, side) -> kernel order
     for _, left, right, _ in family:
         weight = operands[left].charge - operands[right].charge
-        _, kmax = bilinear_window(weights[left], weights[right], weight)
+        kmax = bilinear_window(weights[left], weights[right], weight)
         windows.append((weight, kmax))
         for side in ((source[left], -1), (source[right], +1)):
             reach[side] = max(reach.get(side, kmax), kmax)
@@ -285,6 +256,22 @@ def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity]
                        [(polys[a], polys[b]) for a, b in pairs], echelon)
                for (_, left, right, pairs), (weight, kmax) in zip(family, windows)]
     return D, echelon, defects
+
+
+def _kp_defect(tau: ChargedPoly) -> tuple[int, _Echelon, dict[int, MPoly]]:
+    """The KP identity of tau alone, as ``bilinear_defects`` reads it:
+    (D, echelon, combos), combos empty exactly when tau solves the
+    hierarchy."""
+    operands, family = identity_family(tau, [], [], 1)
+    D, echelon, [combos] = bilinear_defects(operands, family[:1], 1)
+    return D, echelon, combos
+
+
+def kp_residue(tau: ChargedPoly) -> MPoly:
+    """The KP defect of tau expanded over the doubled space, the witness
+    ``verify_suite`` prints; zero exactly when tau solves the hierarchy."""
+    D, echelon, combos = _kp_defect(tau)
+    return echelon.expand(combos, D)
 
 
 def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],

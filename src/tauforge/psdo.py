@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .mpoly import MPoly, PolyError
 from .ratfun import TauFrac, TauRing
-from .hirota import bilinear_defects, identity_family
+from .hirota import _kp_defect, bilinear_defects, identity_family
 from .schur import ChargedPoly, miwa_shift
 
 
@@ -290,20 +290,19 @@ def _dressing(poly: MPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, PsiDO]:
     return P, Pinv
 
 
-def dress_from_tau(tau: ChargedPoly | MPoly, T: int) -> DressingPair:
+def dress_from_tau(tau: ChargedPoly, T: int) -> DressingPair:
     """Dressing operator and Lax operator of a polynomial tau.
 
     a_i is the z**-i coefficient of the shifted tau over tau itself; L is
     conjugation of d by P, exact down to order -T.  P^-1 takes Newton
-    steps only when tau fails the KP identity of ``bilinear_defects``.
+    steps only when tau fails the KP identity of ``bilinear_defects``,
+    decided on its unexpanded defect.
     """
-    poly = tau.poly if isinstance(tau, ChargedPoly) else tau
     if T < 1:
         raise ValueError("truncation depth must be positive")
-    operands, family = identity_family(ChargedPoly(poly, 0), [], [], 1)
-    kp = not bilinear_defects(operands, family[:1], 1)[2][0]
+    kp = not _kp_defect(tau)[2]
     floor = -(T + 1)
-    P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor, kp)
+    P, Pinv = _dressing(tau.poly, max(tau.poly.max_var_used(), 1), floor, kp)
     return DressingPair(P, P * PsiDO.d(P.ring, floor + 1) * Pinv)
 
 

@@ -214,17 +214,14 @@ def embed_tprime(p: MPoly, D: int) -> MPoly:
     return p.embed(2 * D, D)
 
 
-def bilinear_window(w_left: int, w_right: int, weight: int) -> tuple[int, int]:
+def bilinear_window(w_left: int, w_right: int, weight: int) -> int:
     """Sufficiency rule for a residue of z**weight against the kernel.
 
-    Returns (lowest z order needed, kernel order needed).  The product of
-    the two Miwa shifts reaches down to -(w_left + w_right), and the
-    kernel must reach order w_left + w_right - 1 - weight to feed the
-    residue, padded below by 0.
+    Returns the kernel order needed.  The product of the two Miwa shifts
+    reaches down to -(w_left + w_right), so the kernel must reach order
+    w_left + w_right - 1 - weight to feed the residue, padded below by 0.
     """
-    zmin = -(w_left + w_right) - max(weight, 0)
-    kmax = max(w_left + w_right - 1 - weight, 0)
-    return zmin, kmax
+    return max(w_left + w_right - 1 - weight, 0)
 
 
 def _hall_norm(key: int, D: int) -> tuple[int, int]:

@@ -18,8 +18,7 @@ from tauforge.fock import (FockVector, WindowMatrix, alpha,
 from tauforge.grassmann import (companions, dtk_decomposition,
                                 generate_from_matrix, grpoint_from_window_matrix,
                                 reduce_point, stable_subspace, tau_of)
-from tauforge.hirota import (fermionic_bilinear_check, kp_residue,
-                             required_vars, verify_suite)
+from tauforge.hirota import fermionic_bilinear_check, kp_residue, verify_suite
 from tauforge.psdo import PsiDO, dress_from_tau, verify_lax
 
 from conftest import (half, one_state, partitions_up_to, product_coeff,
@@ -49,11 +48,11 @@ def test_acceptance_1_schur_kp_suite():
     shapes = partitions_up_to(6)
     for lam in shapes:
         cp = ChargedPoly(schur_of_partition(lam, max(sum(lam.parts), 1)), 0)
-        residue = kp_residue(cp, required_vars(cp, cp))
+        residue = kp_residue(cp)
         assert residue.is_zero, f"S_{lam} failed the hierarchy residue"
     square = ChargedPoly(MPoly.variable(1, 1) ** 2, 0)
-    D = required_vars(square, square)
-    got = kp_residue(square, D)
+    got = kp_residue(square)
+    D = got.vars // 2
     x = lambda i: MPoly.variable(2 * D, i) - MPoly.variable(2 * D, D + i)
     assert got == x(1) ** 3 / 6 - x(1) * x(2) + x(3)
     report(1, f"{len(shapes)} Schur residues vanish exactly; "
@@ -82,7 +81,7 @@ def test_acceptance_2_cross_representation_oracle():
     for wedge, m in wedges:
         assert fermionic_bilinear_check(wedge.to_ints(), wedge.to_ints(), ()).passed
         image = sigma_single(wedge, 8)
-        assert kp_residue(image, required_vars(image, image)).is_zero
+        assert kp_residue(image).is_zero
 
     failures = 0
     attempts = 0
@@ -98,7 +97,7 @@ def test_acceptance_2_cross_representation_oracle():
         if ferm.passed:
             continue  # accidentally decomposable; not part of this batch
         image = sigma_single(vec, 8)
-        residue = kp_residue(image, required_vars(image, image))
+        residue = kp_residue(image)
         assert not residue.is_zero  # both representations reject it
         failures += 1
     report(2, "50 perfect wedges pass both representations; "
@@ -163,7 +162,7 @@ def test_acceptance_4_worked_example_chain(golden_point):
     parts_k2 = dtk_decomposition(golden_point, 2)
     assert [cp.poly.embed(D) for cp in parts_k2] == [MPoly.const(D, 1)]
     for cp in parts_k1 + parts_k2:
-        assert kp_residue(cp, required_vars(cp, cp)).is_zero
+        assert kp_residue(cp).is_zero
     report(4, "golden chain: tau = S_2, n = 1, companions, dressing and "
               "derivative split all exact")
 

@@ -7,15 +7,15 @@ import pytest
 
 import tauforge.hirota as hirota
 from tauforge.mpoly import MPoly
-from tauforge.schur import (ChargedPoly, DomainError, Partition, bilinear_window,
+from tauforge.schur import (ChargedPoly, Partition, bilinear_window,
                             elementary_schur, embed_t, embed_tprime, miwa_shift,
                             schur_of_partition)
 from tauforge.fock import FockVector, MayaState, fermionic_pairing, sigma_map
 from tauforge.grassmann import companions, reduce_point, tau_of
 from tauforge.zseries import ExactnessError, ZSeries
-from tauforge.hirota import (bilinear_residue, fermionic_bilinear_check,
-                             identity_family, kp_residue, required_vars,
-                             tensor_to_poly, verify_suite)
+from tauforge.hirota import (bilinear_defects, fermionic_bilinear_check,
+                             identity_family, kp_residue, tensor_to_poly,
+                             verify_suite)
 
 from conftest import (half, one_state, partitions_up_to, product_coeff,
                       random_grpoint, random_poly, random_state)
@@ -47,29 +47,57 @@ def flip_times(p: MPoly) -> MPoly:
     return p.scale_vars([F((-1) ** i) for i in range(p.vars)])
 
 
+def residue(u: ChargedPoly, v: ChargedPoly) -> MPoly:
+    """The residue of (u, v) as the one identity of ``bilinear_defects``
+    with no pairs, expanded over its doubled space of ``vars // 2`` times.
+
+    bilinear_defects sizes D for the weights of ``identity_family``, all
+    at least -1; its k only raises D, so k = the pair's kernel order keeps
+    a residue of lower weight (charge u - charge v < -1) exact too."""
+    k = bilinear_window(u.weight, v.weight, u.charge - v.charge)
+    D, echelon, [combos] = bilinear_defects([u, u, v], [("uv", 0, 2, ())], k)
+    return echelon.expand(combos, D)
+
+
 class TestKpResidue:
     def test_constant(self):
-        assert kp_residue(ONE, 1).is_zero
+        assert kp_residue(ONE).is_zero
 
     def test_linear(self):
-        assert kp_residue(charged(MPoly.variable(1, 1)), 2).is_zero
+        assert kp_residue(charged(MPoly.variable(1, 1))).is_zero
 
     def test_square_witness(self):
         cp = charged(MPoly.variable(1, 1) ** 2)
-        D = required_vars(cp, cp)
-        got = kp_residue(cp, D)
+        got = kp_residue(cp)
+        D = got.vars // 2
         x = lambda i: MPoly.variable(2 * D, i) - MPoly.variable(2 * D, D + i)
         assert got == x(1) ** 3 / 6 - x(1) * x(2) + x(3)
 
-    def test_var_count_guard(self):
-        cp = charged(MPoly.variable(1, 1) ** 2)
-        with pytest.raises(DomainError):
-            kp_residue(cp, 1)
+    def test_zero_tau_rejected(self):
+        # the zero tau solves nothing: kp_residue rejects it as verify does
+        with pytest.raises(ValueError, match="nonzero"):
+            kp_residue(charged(MPoly.zero(2)))
+        with pytest.raises(ValueError, match="nonzero"):
+            verify_suite(charged(MPoly.zero(2)), [], [], 1)
+
+    def test_one_route_with_verify(self):
+        # kp_residue is the KP witness verify prints, and zero on a pass
+        rng = random.Random(2024)
+        taus = [charged(3 * MPoly.variable(2, 1) * MPoly.variable(2, 2))]
+        taus += [charged(seeded_operand(rng, case % 2 == 0)) for case in range(20)]
+        verdicts = set()
+        for tau in taus:
+            got = kp_residue(tau)
+            check = verify_suite(tau, [], [], 1).checks[0]
+            assert check.identity == "KP"
+            assert got.is_zero if check.passed else got == check.witness
+            verdicts.add(check.passed)
+        assert verdicts == {True, False}
 
     def test_schur_functions_pass(self):
         for lam in partitions_up_to(4):
             cp = charged(schur_of_partition(lam, max(sum(lam.parts), 1)))
-            assert kp_residue(cp, required_vars(cp, cp)).is_zero, lam
+            assert kp_residue(cp).is_zero, lam
 
     def test_exchange_antisymmetry(self):
         # exchanging the argument blocks composed with the alternating
@@ -78,10 +106,9 @@ class TestKpResidue:
                  MPoly.variable(1, 1) ** 3,
                  MPoly.variable(2, 1) * MPoly.variable(2, 2)]
         for poly in polys:
-            cp = charged(poly)
-            D = required_vars(cp, cp)
-            direct = kp_residue(cp, D)
-            flipped = kp_residue(charged(flip_times(poly)), D)
+            direct = kp_residue(charged(poly))
+            flipped = kp_residue(charged(flip_times(poly)))
+            D = flipped.vars // 2
             assert swap_and_flip(flipped, D) == -direct
 
 
@@ -126,11 +153,9 @@ class TestKpResidueOracle:
     ], ids=str)
     def test_matches_sympy(self, tau):
         sp = pytest.importorskip("sympy")
-        cp = charged(tau)
-        D = required_vars(cp, cp)
-        _, kmax = bilinear_window(tau.wdeg(), tau.wdeg(), 0)
-        got = kp_residue(cp, D)
-        assert got.vars == 2 * D
+        got = kp_residue(charged(tau))
+        D = got.vars // 2
+        kmax = bilinear_window(tau.wdeg(), tau.wdeg(), 0)
         assert dict(got.terms) == self.expected(sp, tau, D, kmax)
 
 
@@ -140,7 +165,7 @@ class TestWindowGuard:
         # short of the window leaves the residue order unproved
         cp = charged(MPoly.variable(1, 1) ** 2)
         with pytest.raises(ExactnessError):
-            bilinear_residue(cp, cp, 3)
+            kp_residue(cp)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 1)], ids=str)
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -151,7 +176,7 @@ class TestWindowGuard:
         # leave a short kernel room, and the window's claim must bind
         cp = charged(schur_of_partition(Partition(shape), sum(shape) + 1))
         with pytest.raises(ExactnessError):
-            kp_residue(cp, required_vars(cp, cp))
+            kp_residue(cp)
         with pytest.raises(ExactnessError):
             verify_suite(cp, [], [], k)
 
@@ -162,8 +187,7 @@ class TestWindowGuard:
         real = hirota.bilinear_window
 
         def short_kp(w_left, w_right, weight):
-            zmin, kmax = real(w_left, w_right, weight)
-            return zmin, kmax - (weight == 0)
+            return real(w_left, w_right, weight) - (weight == 0)
 
         monkeypatch.setattr(hirota, "bilinear_window", short_kp)
         t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
@@ -181,7 +205,7 @@ def doubled_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     coefficient of u(t - [z^-1]) v(t' + [z^-1]) sum_i S_i(t - t') z**i, the
     kernel built from elementary_schur by S_i(t - t') = sum_j S_j(t) S_{i-j}(-t')."""
     weight = u.charge - v.charge
-    _, kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
+    kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
     flip = [F(-1)] * D
     kernel = ZSeries(2 * D, {
         i: sum((embed_t(elementary_schur(j, D), D)
@@ -217,9 +241,8 @@ class TestDoubledSpaceOracle:
             v = u if case % 3 == 1 else seeded_operand(rng, case % 4 < 2)
             weight = [-1, 0, 1 + case // 3 % 3][case % 3]
             cu, cv = charged(u, weight), charged(v, 0)
-            D = required_vars(cu, cv)
-            got = bilinear_residue(cu, cv, D)
-            assert got == doubled_residue(cu, cv, D), (u, v, weight)
+            got = residue(cu, cv)
+            assert got == doubled_residue(cu, cv, got.vars // 2), (u, v, weight)
             kinds.add((weight, got.is_zero))
         assert {(0, True), (0, False), (-1, False)} <= kinds
 
@@ -408,9 +431,8 @@ class TestOracleEquivalence:
             su, sv = sigma_map(u, 8), sigma_map(v, 8)
             if len(su) != 1 or len(sv) != 1:
                 continue
-            D = required_vars(su[0], sv[0])
-            lhs = bilinear_residue(su[0], sv[0], D)
-            rhs = tensor_to_poly(fermionic_pairing(u, v), D)
+            lhs = residue(su[0], sv[0])
+            rhs = tensor_to_poly(fermionic_pairing(u, v), lhs.vars // 2)
             assert lhs == rhs
             done += 1
 

@@ -141,6 +141,33 @@ def test_one_product_kernel():
     assert found == {}
 
 
+ASSEMBLY = {"_wave", "_defect"}
+
+
+def assembly_callers(source: str) -> set[str]:
+    """The module-level functions and classes (``<module>`` outside any)
+    that call ``_wave`` or ``_defect``, bare or as an attribute."""
+    found = set()
+    for node in ast.parse(source).body:
+        caller = getattr(node, "name", "<module>")
+        found.update(caller for call in ast.walk(node) if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", getattr(call.func, "attr", None))
+                     in ASSEMBLY)
+    return found
+
+
+def test_one_bosonic_assembly():
+    # the wave factors and defects of hirota are assembled only in
+    # bilinear_defects, so a second bosonic residue route cannot come back
+    assert assembly_callers("def bilinear_defects():\n    [_wave() for _ in x]\n"
+                            "def other():\n    hirota._defect()\n"
+                            "class K:\n    def m(self): _wave()\n_defect()\n") == \
+        {"bilinear_defects", "other", "K", "<module>"}
+    found = {path.name: sorted(callers) for path in PACKAGE.glob("*.py")
+             if (callers := assembly_callers(path.read_text()))}
+    assert found == {"hirota.py": ["bilinear_defects"]}
+
+
 def defaulted_parameters(source: str) -> dict[str, list[tuple[str, int | None, int]]]:
     """Parameters with a default of module-level functions and of the
     methods of module-level classes, constructors aside, keyed by the

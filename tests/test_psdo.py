@@ -10,7 +10,7 @@ from tauforge.ratfun import TauRing
 from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.grassmann import companions, reduce_point, tau_of
-from tauforge.hirota import kp_residue, required_vars
+from tauforge.hirota import kp_residue
 import tauforge.psdo as psdo
 from tauforge.psdo import (OperatorReport, PsiDO, TruncationError, _dressing,
                            _zero_checks, dress_from_tau, lax_depth, verify_lax)
@@ -211,8 +211,7 @@ def adjoint_wave_dressing(poly, D, floor):
 
 def kp_holds(poly):
     """The KP verdict of tau = poly, from its bilinear residue."""
-    tau = ChargedPoly(poly, 0)
-    return kp_residue(tau, required_vars(tau, tau)).is_zero
+    return kp_residue(ChargedPoly(poly, 0)).is_zero
 
 
 class TestBilinearCertificate:

@@ -203,9 +203,7 @@ class TestKernel:
             k.coeff(3)
 
     def test_window_rule(self):
-        zmin, kmax = bilinear_window(2, 3, 1)
-        assert zmin <= -(2 + 3) - 1
-        assert kmax >= 2 + 3 - 1 - 1
+        assert bilinear_window(2, 3, 1) >= 2 + 3 - 1 - 1
 
 
 class TestHall:
