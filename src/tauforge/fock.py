@@ -13,15 +13,18 @@ Fraction values (denominator 2) appear only at the public boundary: the
 fermion operators, wedge_vector and WindowMatrix take or return them,
 and each is checked once on entry.
 
-The wedge and the bilinear pairing sum on a vector's integer form
-(``FockVector.to_ints``): int numerators keyed by plain (charge, parts)
-tuples over one common denominator, so no MayaState is hashed and no
-Fraction is built on the way.  ``wedge_ints`` is the one wedge kernel;
-``wedge_vector`` and ``psi_plus`` convert once and call it, and
-``wedge_columns`` wedges a list of columns over a vacuum with it, for
-``apply_window_matrix`` and the Grassmannian wedges.  ``pairing_defect``
-keys its sums by (charge, parts, charge, parts) tuples;
-``fermionic_pairing`` is its case with no pairs.
+A FockVector is stored as MPoly is: ``num`` maps plain (charge, parts)
+keys to nonzero ints and ``den`` is a positive int with
+gcd(den, *num.values()) == 1, so equal vectors have equal ``num`` and
+``den`` and zero is {} over 1.  Every operator works on that form, so no
+MayaState is hashed and no Fraction is built on the way; ``terms`` reads
+the coefficients back as a MayaState -> Fraction dict.
+``FockVector._canonical`` is the one constructor from integer
+numerators.  ``wedge_ints`` is the one wedge kernel: ``wedge_columns``
+wedges a list of columns in front of a vector with it, for
+``wedge_vector``, ``apply_window_matrix`` and the Grassmannian wedges.
+``pairing_defect`` keys its sums by (charge, parts, charge, parts)
+tuples; ``fermionic_pairing`` is its case with no pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .mpoly import MPoly, format_rat, parse_int, parse_rat
 from .schur import ChargedPoly, Partition, schur_expand, schur_of_partition
@@ -80,10 +83,8 @@ class MayaState:
         return f"|{self.charge};{','.join(map(str, self.parts)) or '-'}>"
 
 
-# a Maya state as a plain key, and a vector as int numerators over one
-# denominator: the integer form the wedge and the pairing sum on
+# a Maya state as a plain key, the key of FockVector.num
 State = tuple[int, tuple[int, ...]]
-IntVector = tuple[dict[State, int], int]
 
 
 def _codes(m: int, parts: tuple[int, ...]) -> list[int]:
@@ -96,14 +97,6 @@ def _descending_codes(m: int, parts: tuple[int, ...]) -> Iterator[int]:
     """The codes of positions 1, 2, ... without end, tail included."""
     codes = _codes(m, parts)
     return chain(codes[:-1], count(codes[-1], -1))
-
-
-def _position(state: MayaState, c: int) -> int | None:
-    """The position holding code c, or None when c is free."""
-    codes = _codes(state.charge, state.parts)
-    if c <= codes[-1]:
-        return state.charge - c  # in the filled tail, code m - s
-    return codes.index(c) + 1 if c in codes else None
 
 
 def _wedged(codes: list[int], m: int, parts: tuple[int, ...],
@@ -127,12 +120,6 @@ def _wedged(codes: list[int], m: int, parts: tuple[int, ...],
     return (-1 if a % 2 else 1), tuple(lam for lam in new if lam)
 
 
-def _wedge(state: MayaState, c: int) -> tuple[int, MayaState] | None:
-    """Wedge code c in front and sort; None when c is occupied."""
-    hit = _wedged(_codes(state.charge, state.parts), state.charge, state.parts, c)
-    return None if hit is None else (hit[0], MayaState(state.charge + 1, hit[1]))
-
-
 def _contracted(parts: tuple[int, ...], s: int) -> tuple[int, tuple[int, ...]]:
     """The sign (-1)**(s+1) and parts of the state with the code at
     position s contracted, charge m - 1: (lambda_1 + 1, ..,
@@ -143,21 +130,10 @@ def _contracted(parts: tuple[int, ...], s: int) -> tuple[int, tuple[int, ...]]:
     return (1 if s % 2 else -1), new
 
 
-def _contract(state: MayaState, s: int) -> tuple[int, MayaState]:
-    """Contract the code at position s."""
-    sign, parts = _contracted(state.parts, s)
-    return sign, MayaState(state.charge - 1, parts)
-
-
-def _remove(state: MayaState, c: int) -> tuple[int, MayaState] | None:
-    """Contract code c; None when c is free."""
-    s = _position(state, c)
-    return None if s is None else _contract(state, s)
-
-
-def over_one_den(items: Iterable[tuple]) -> tuple[dict, int]:
+def _over_one_den(items: Iterable[tuple]) -> tuple[dict, int]:
     """(key, rational) items as a dict of int numerators over their least
-    common denominator."""
+    common denominator; over the lcm some numerator is prime to each prime
+    power of it, so nonzero items come out in canonical form."""
     items = list(items)
     den = math.lcm(*(c.denominator for _, c in items))
     return {key: c.numerator * (den // c.denominator) for key, c in items}, den
@@ -182,95 +158,81 @@ def wedge_ints(column: Mapping[int, int], vec: Mapping[State, int]) -> dict[Stat
     return {key: n for key, n in out.items() if n}
 
 
-def wedge_columns(columns: Iterable[tuple[Mapping[int, int], int]], tail: int
-                  ) -> IntVector:
-    """Wedge each (column, den) in front in turn, starting over H_tail:
-    the result is in integer form, over the product of the columns' dens."""
-    vec, den = {(tail, ()): 1}, 1
-    for column, d in columns:
-        vec, den = wedge_ints(column, vec), den * d
-    return vec, den
-
-
-def _add_to(out: dict, key, value) -> None:
-    """out[key] += value, dropping the key when the sum is zero."""
-    c = out.get(key, 0) + value
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
-
-
 class FockVector:
-    """Finite rational linear combination of Maya states."""
+    """Finite rational linear combination of Maya states: integer
+    numerators keyed (charge, parts) over one positive denominator, in
+    canonical form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: Mapping[MayaState, Fraction] | None = None):
-        clean: dict[MayaState, Fraction] = {}
-        for state, coef in (terms or {}).items():
-            c = coef if type(coef) is Fraction else Fraction(coef)
-            if c:
-                clean[state] = c
-        self.terms = clean
+        """The vector with the given rational coefficients; zeros are dropped."""
+        coefs = ((s, c if type(c) is Fraction else Fraction(c))
+                 for s, c in (terms or {}).items())
+        self.num, self.den = _over_one_den(((s.charge, s.parts), c) for s, c in coefs if c)
 
     @classmethod
-    def from_ints(cls, vec: Mapping[State, int], den: int) -> "FockVector":
-        """The vector sum vec[(m, parts)]/den |m; parts>, for nonzero
-        numerators and a nonzero den of either sign."""
+    def _canonical(cls, num: dict[State, int], den: int) -> "FockVector":
+        """The vector sum num[(m, parts)]/den |m; parts>, for nonzero
+        numerators and a nonzero den of either sign, reduced to canonical
+        form: the one constructor from integer numerators."""
+        g = math.gcd(den, *num.values())
+        if den < 0:
+            g = -g
         self = object.__new__(cls)
-        self.terms = {MayaState(m, parts): Fraction(n, den)
-                      for (m, parts), n in vec.items()}
+        if g == 1:
+            self.num, self.den = num, den
+        else:
+            self.num, self.den = {key: n // g for key, n in num.items()}, den // g
         return self
 
-    def to_ints(self) -> IntVector:
-        """The integer form: numerators keyed (charge, parts) over the least
-        common denominator."""
-        return over_one_den(((s.charge, s.parts), c) for s, c in self.terms.items())
+    @property
+    def terms(self) -> dict[MayaState, Fraction]:
+        """The coefficients as a MayaState -> Fraction dict, built on each read."""
+        den = self.den
+        return {MayaState(m, parts): Fraction(n, den) for (m, parts), n in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __iter__(self) -> Iterator[tuple[MayaState, Fraction]]:
         return iter(sorted(self.terms.items(), key=lambda kv: kv[0].sort_key()))
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for state, coef in other.terms.items():
-            _add_to(out, state, coef)
-        return FockVector(out)
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        out = {key: n * fa for key, n in self.num.items()}
+        get = out.get
+        for key, n in other.num.items():
+            out[key] = get(key, 0) + n * fb
+        return FockVector._canonical({key: n for key, n in out.items() if n},
+                                     self.den * fa)
 
     def __neg__(self) -> "FockVector":
-        return FockVector({s: -c for s, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-other)
 
     def __mul__(self, scalar) -> "FockVector":
         c = Fraction(scalar)
-        return FockVector({s: k * c for s, k in self.terms.items()})
+        if not c:
+            return FockVector()
+        return FockVector._canonical({key: n * c.numerator for key, n in self.num.items()},
+                                     self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FockVector):
-            return self.terms == other.terms
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     __hash__ = None
 
     def charges(self) -> set[int]:
-        return {s.charge for s in self.terms}
-
-    def map_states(self, op: Callable[[MayaState], tuple[int, MayaState] | None]
-                   ) -> "FockVector":
-        out: dict[MayaState, Fraction] = {}
-        for state, coef in self.terms.items():
-            hit = op(state)
-            if hit is not None:
-                _add_to(out, hit[1], coef * hit[0])
-        return FockVector(out)
+        return {m for m, _ in self.num}
 
     def to_json(self) -> list[dict]:
         return [{"state": s.to_json(), "coef": format_rat(c)} for s, c in self]
@@ -279,7 +241,8 @@ class FockVector:
     def from_json(cls, data: Iterable[dict]) -> "FockVector":
         out: dict[MayaState, Fraction] = {}
         for item in data:
-            _add_to(out, MayaState.from_json(item["state"]), parse_rat(item["coef"]))
+            state = MayaState.from_json(item["state"])
+            out[state] = out.get(state, 0) + parse_rat(item["coef"])
         return cls(out)
 
     def __repr__(self) -> str:
@@ -296,9 +259,22 @@ def psi_plus(j: Fraction, v: FockVector) -> FockVector:
 
 
 def psi_minus(j: Fraction, v: FockVector) -> FockVector:
-    """Contracting operator: removes index j, lowering the charge by one."""
+    """Contracting operator: removes index j, lowering the charge by one.
+
+    Distinct states lose code c to distinct states, so no terms meet."""
     c = _code(j)
-    return v.map_states(lambda s: _remove(s, c))
+    out: dict[State, int] = {}
+    for (m, parts), n in v.num.items():
+        codes = _codes(m, parts)
+        if c <= codes[-1]:
+            s = m - c  # in the filled tail, code m - s
+        elif c in codes:
+            s = codes.index(c) + 1
+        else:
+            continue
+        sign, new = _contracted(parts, s)
+        out[m - 1, new] = n if sign > 0 else -n
+    return FockVector._canonical(out, v.den)
 
 
 def r_matrix_unit(i: Fraction, j: Fraction, v: FockVector) -> FockVector:
@@ -309,37 +285,46 @@ def r_matrix_unit(i: Fraction, j: Fraction, v: FockVector) -> FockVector:
 def alpha(k: int, v: FockVector) -> FockVector:
     """Mode k of the current: sum over E_{j,j+k}; k = 0 multiplies by charge."""
     if k == 0:
-        return FockVector({s: c * s.charge for s, c in v.terms.items()})
-    out: dict[MayaState, Fraction] = {}
-    for state, coef in v.terms.items():
+        return FockVector._canonical({key: n * key[0] for key, n in v.num.items()
+                                      if key[0]}, v.den)
+    out: dict[State, int] = {}
+    get = out.get
+    for (m, parts), n in v.num.items():
         # occupied code c with c - k free; beyond len(parts)+|k| both sides
         # sit in the undisturbed tail and every term cancels
-        positions = islice(_descending_codes(state.charge, state.parts),
-                           len(state.parts) + abs(k))
+        positions = islice(_descending_codes(m, parts), len(parts) + abs(k))
         for s, c in enumerate(positions, start=1):
-            sign_r, mid = _contract(state, s)
-            inserted = _wedge(mid, c - k)
-            if inserted is not None:
-                _add_to(out, inserted[1], coef * sign_r * inserted[0])
-    return FockVector(out)
+            sign_r, mid = _contracted(parts, s)
+            hit = _wedged(_codes(m - 1, mid), m - 1, mid, c - k)
+            if hit is not None:
+                key = (m, hit[1])
+                out[key] = get(key, 0) + (n if hit[0] == sign_r else -n)
+    return FockVector._canonical({key: n for key, n in out.items() if n}, v.den)
 
 
 def shift_charge(power: int, v: FockVector) -> FockVector:
     """Uniform index translation by +power (the invertible charge shift)."""
-    return v.map_states(lambda s: (1, MayaState(s.charge + power, s.parts)))
+    return FockVector._canonical({(m + power, parts): n
+                                  for (m, parts), n in v.num.items()}, v.den)
+
+
+def wedge_columns(columns: Iterable[Mapping[int, Fraction]], v: FockVector
+                  ) -> FockVector:
+    """Wedge each column, a map from codes to rationals, in front of v in
+    turn.  Each column goes over its own denominator and ``wedge_ints``
+    sums on integers over the product of the denominators, reduced once
+    at the end."""
+    num, den = v.num, v.den
+    for column in columns:
+        col, d = _over_one_den(column.items())
+        num, den = wedge_ints(col, num), den * d
+    return FockVector._canonical(num, den)
 
 
 def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVector:
-    """Wedge a general vector sum_p column[p] v_p in front.
-
-    The column and v each go over one common denominator, once, and
-    ``wedge_ints`` sums the wedge on integers; each result term is one
-    Fraction.
-    """
-    col, den_col = over_one_den((_code(p), Fraction(coef))
-                                for p, coef in column.items() if coef)
-    vec, den_v = v.to_ints()
-    return FockVector.from_ints(wedge_ints(col, vec), den_col * den_v)
+    """Wedge a general vector sum_p column[p] v_p in front."""
+    return wedge_columns([{_code(p): Fraction(coef) for p, coef in column.items()
+                           if coef}], v)
 
 
 # -- window matrices ---------------------------------------------------------
@@ -395,10 +380,10 @@ def apply_window_matrix(matrix: WindowMatrix, charge: int,
         if value != delta and not (-target < i < target):
             raise WindowError(f"modified column {j} has support at {i} "
                               f"outside target window {target}")
-    # columns j = -N + 1/2 .. charge - 1/2, each wedged in front, in integer form
-    columns = (over_one_den((_code(i), c) for i, c in matrix.column(j).items())
+    # columns j = -N + 1/2 .. charge - 1/2, each wedged in front of H_-N
+    columns = ({_code(i): c for i, c in matrix.column(j).items()}
                for j in (Fraction(2 * r + 1, 2) for r in range(-N, charge)))
-    v = FockVector.from_ints(*wedge_columns(columns, -N))
+    v = wedge_columns(columns, FockVector({MayaState(-N): 1}))
     if v.is_zero:
         # columns below the charge line are dependent over the tail, so the
         # operator cannot be completed to an invertible one on this block
@@ -409,14 +394,18 @@ def apply_window_matrix(matrix: WindowMatrix, charge: int,
 # -- the boson-fermion dictionary ---------------------------------------------
 
 def sigma_map(v: FockVector, D: int) -> list[ChargedPoly]:
-    """Per charge, the sum of coefficients times S_lambda (DomainError below a hook)."""
+    """Per charge, the sum of coefficients times S_lambda (DomainError below a hook).
+
+    The S_lambda whose hook fits in D are polynomials in the algebraically
+    independent S_1..S_D, so they are linearly independent: every charge
+    of a vector has a nonzero image.
+    """
     by_charge: dict[int, MPoly] = {}
-    for state, coef in v.terms.items():
-        poly = schur_of_partition(state.partition, D) * coef
-        prev = by_charge.get(state.charge)
-        by_charge[state.charge] = poly if prev is None else prev + poly
-    return [ChargedPoly(by_charge[m], m) for m in sorted(by_charge)
-            if not by_charge[m].is_zero]
+    for (m, parts), n in v.num.items():
+        poly = schur_of_partition(Partition.trusted(parts), D) * n
+        prev = by_charge.get(m)
+        by_charge[m] = poly if prev is None else prev + poly
+    return [ChargedPoly(by_charge[m] / v.den, m) for m in sorted(by_charge)]
 
 
 def sigma_single(v: FockVector, D: int) -> ChargedPoly:
@@ -430,10 +419,8 @@ def sigma_single(v: FockVector, D: int) -> ChargedPoly:
 
 def poly_to_fock(cp: ChargedPoly) -> FockVector:
     """Inverse dictionary: expand the polynomial over S_lambda."""
-    out: dict[MayaState, Fraction] = {}
-    for shape, coef in schur_expand(cp.poly, cp.weight).items():
-        out[MayaState(cp.charge, shape.parts)] = coef
-    return FockVector(out)
+    return FockVector._canonical(*_over_one_den(
+        ((cp.charge, shape.parts), c) for shape, c in schur_expand(cp.poly, cp.weight).items()))
 
 
 # -- bilinear pairing ----------------------------------------------------------
@@ -442,15 +429,14 @@ PairTensor = dict[tuple[MayaState, MayaState], Fraction]
 PairKey = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
 
-def pairing_defect(u: IntVector, v: IntVector,
-                   pairs: Iterable[tuple[IntVector, IntVector]]
+def pairing_defect(u: FockVector, v: FockVector,
+                   pairs: Iterable[tuple[FockVector, FockVector]]
                    ) -> tuple[dict[PairKey, int], int]:
     """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v)
     minus sum a (x) b over the pairs, on integers.
 
-    Every vector comes in integer form (``FockVector.to_ints``), so a
-    caller puts each over its denominator once however many identities
-    read it.  Returns the nonzero numerators over one common denominator,
+    Every vector's numerators and denominator are read as stored.
+    Returns the nonzero numerators over one common denominator,
     keyed (charge, parts, charge, parts) in the Maya (x) Maya basis, and
     that denominator: the dict is empty exactly when the pairing equals
     the sum.  Each product of two vectors goes over the lcm of the
@@ -462,10 +448,10 @@ def pairing_defect(u: IntVector, v: IntVector,
     the lowest filled-tail top among the u states, and each u state's
     wedges are made once per code.
     """
-    nu, du = u
-    nv, dv = v
-    targets = list(pairs)
-    den = math.lcm(du * dv, *(da * db for (_, da), (_, db) in targets))
+    nu, du = u.num, u.den
+    nv, dv = v.num, v.den
+    targets = [(a.num, a.den, b.num, b.den) for a, b in pairs]
+    den = math.lcm(du * dv, *(da * db for _, da, _, db in targets))
     sums: dict[PairKey, int] = {}
     get = sums.get
     floor = min((_codes(m, parts)[-1] for m, parts in nu), default=0)
@@ -497,7 +483,7 @@ def pairing_defect(u: IntVector, v: IntVector,
                 if hit is not None:
                     key = hit[1] + right
                     sums[key] = get(key, 0) + (coef if hit[0] == sign_r else -coef)
-    for (na, da), (nb, db) in targets:
+    for na, da, nb, db in targets:
         scale = den // (da * db)
         for left, ca in na.items():
             ca *= scale
@@ -510,6 +496,6 @@ def pairing_defect(u: IntVector, v: IntVector,
 def fermionic_pairing(u: FockVector, v: FockVector) -> PairTensor:
     """The canonical pairing sum_i (wedge_i u) (x) (contract_{-i} v), in
     the Maya (x) Maya basis: the case of ``pairing_defect`` with no pairs."""
-    sums, den = pairing_defect(u.to_ints(), v.to_ints(), ())
+    sums, den = pairing_defect(u, v, ())
     return {(MayaState(m, lam), MayaState(n, mu)): Fraction(c, den)
             for (m, lam, n, mu), c in sums.items()}

@@ -9,8 +9,8 @@ written s to keep it apart from the time variables t_i.
 The fermion dictionary identifies s**e with the wedge index -e - 1/2, so
 multiplication by s**k is the k-fold index lowering on wedge factors.
 The wedges are summed on integers by ``fock.wedge_columns``: s**e is the
-code -e - 1, each factor goes over its own denominator, and a FockVector
-is built once, from the finished wedge.
+code -e - 1, and each finished wedge is a FockVector, which the
+companions and the d/dt_k summands scale by their pivot minor.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .mpoly import format_rat, parse_int, parse_rat
 from .schur import ChargedPoly
-from .fock import (FockVector, State, WindowMatrix, over_one_den, sigma_single,
-                   wedge_columns, wedge_ints)
+from .fock import (FockVector, MayaState, State, WindowMatrix, sigma_single,
+                   wedge_columns)
 
 LaurentVector = dict[int, Fraction]
 
@@ -63,7 +63,7 @@ def vec_mul_sk(vec: LaurentVector, k: int) -> LaurentVector:
 
 def _below(vec: Mapping[int, Fraction], tail: int) -> LaurentVector:
     """The nonzero part of vec strictly below the tail; the rest is in H_tail."""
-    return {int(e): Fraction(c) for e, c in vec.items() if c and e < -tail}
+    return {e: c for e, c in vec.items() if c and e < -tail}
 
 
 Rows = dict[int, tuple[LaurentVector, LaurentVector]]
@@ -140,10 +140,16 @@ def point_rows(data: dict) -> tuple[list[LaurentVector], int]:
 
 
 def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoint:
-    """Canonical echelon representative of span(vectors) + H_tail."""
+    """Canonical echelon representative of span(vectors) + H_tail.
+
+    A coefficient that is not a Fraction (an int from a caller) becomes
+    one here, once, so every division below stays exact.
+    """
     pivoted: Rows = {}
     for raw in vectors:
-        vec, _ = _eliminate(pivoted, _below(raw, tail), {})
+        vec = {e: c if type(c) is Fraction else Fraction(c)
+               for e, c in _below(raw, tail).items()}
+        vec, _ = _eliminate(pivoted, vec, {})
         if vec:
             p = min(vec)
             pivoted[p] = (_vec_scale(vec, 1 / vec[p]), {})
@@ -201,24 +207,14 @@ def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
 
 # -- wedges and tau functions -----------------------------------------------------
 
-def _column(vec: LaurentVector) -> tuple[dict[int, int], int]:
-    """The factor vec as a wedge column: s**e at code -e - 1, its
-    coefficients over their own denominator."""
-    return over_one_den((-e - 1, c) for e, c in vec.items() if c)
+def _column(vec: LaurentVector) -> dict[int, Fraction]:
+    """The factor vec as a wedge column: s**e at code -e - 1."""
+    return {-e - 1: c for e, c in vec.items() if c}
 
 
-def _wedge_factors(factors: Sequence[LaurentVector], tail: int
-                   ) -> tuple[dict[State, int], int]:
-    """The wedge of the factors over H_tail in integer form: numerators
-    keyed (charge, parts) over the product of the factors' denominators."""
-    return wedge_columns(map(_column, reversed(factors)), tail)
-
-
-def _divided(factors: Sequence[LaurentVector], tail: int, c: Fraction) -> FockVector:
-    """The wedge of the factors over H_tail, divided by c."""
-    vec, den = _wedge_factors(factors, tail)
-    return FockVector.from_ints({s: n * c.denominator for s, n in vec.items()},
-                                den * c.numerator)
+def _wedge_factors(factors: Sequence[LaurentVector], tail: int) -> FockVector:
+    """The wedge of the factors over H_tail."""
+    return wedge_columns(map(_column, reversed(factors)), FockVector({MayaState(tail): 1}))
 
 
 def _pivot_state(pivots: Sequence[int], tail: int) -> State:
@@ -230,28 +226,25 @@ def _pivot_state(pivots: Sequence[int], tail: int) -> State:
     return charge, tuple(lam for lam in parts if lam)
 
 
-def _anchored(factors: Sequence[LaurentVector], tail: int
-              ) -> tuple[tuple[dict[State, int], int], Fraction]:
-    """The wedge of echelon factors over H_tail divided by its pivot minor c.
-
-    Returns (wedge / c in integer form, c): over the pivot minor's own
-    numerator, the wedge's denominator cancels.
-    """
-    vec, den = _wedge_factors(factors, tail)
-    pivot = vec.get(_pivot_state([min(v) for v in factors], tail))
+def _pivot_minor(factors: Sequence[LaurentVector], tail: int
+                 ) -> tuple[FockVector, Fraction]:
+    """The wedge of echelon factors over H_tail and its pivot minor."""
+    wedge = _wedge_factors(factors, tail)
+    pivot = wedge.num.get(_pivot_state([min(v) for v in factors], tail))
     if not pivot:
         raise GrassmannError("echelon wedge lost its pivot coordinate")
-    return (vec, pivot), Fraction(pivot, den)
+    return wedge, Fraction(pivot, wedge.den)
 
 
 def _wedge_vars(wedges: Sequence[FockVector]) -> int:
     """The least variable count the Schur images of the wedges need."""
-    return max([sum(s.parts) for fv in wedges for s in fv.terms] + [1])
+    return max([sum(parts) for fv in wedges for _, parts in fv.num] + [1])
 
 
 def fock_of(point: GrPoint) -> FockVector:
     """The perfect wedge of the point, scaled so the pivot minor is 1."""
-    return FockVector.from_ints(*_anchored(point.vectors(), point.tail)[0])
+    wedge, c = _pivot_minor(point.vectors(), point.tail)
+    return wedge * (1 / c)
 
 
 def tau_of(point: GrPoint) -> ChargedPoly:
@@ -281,21 +274,21 @@ def companion_wedges(point: GrPoint, k: int
     shifted wedge with factor j dropped.
     """
     factors, n = _stable_split(point, k)
-    (tau, den), c = _anchored(factors, point.tail)
+    wedge, c = _pivot_minor(factors, point.tail)
+    tau = wedge * (1 / c)
     rho_fvs = []
     sigma_fvs = []
     for j in range(n):
-        column, d = _column(vec_mul_sk(factors[j], k))
-        rho = wedge_ints(column, tau)
-        if not rho:
+        rho = wedge_columns([_column(vec_mul_sk(factors[j], k))], tau)
+        if rho.is_zero:
             raise DegenerateCompanionError(f"companion {j + 1} vanished")
-        rho_fvs.append(FockVector.from_ints(rho, den * d))
+        rho_fvs.append(rho)
         rest = [vec_mul_sk(f, k) for i, f in enumerate(factors) if i != j]
-        sigma = _divided(rest, point.tail - k, -c if j % 2 else c)
+        sigma = _wedge_factors(rest, point.tail - k) * ((-1 if j % 2 else 1) / c)
         if sigma.is_zero:
             raise DegenerateCompanionError(f"companion {j + 1} vanished")
         sigma_fvs.append(sigma)
-    return FockVector.from_ints(tau, den), rho_fvs, sigma_fvs
+    return tau, rho_fvs, sigma_fvs
 
 
 def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
@@ -306,11 +299,11 @@ def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
     every summand is itself a perfect wedge.
     """
     factors, n = _stable_split(point, k)
-    _, c = _anchored(factors, point.tail)
+    _, c = _pivot_minor(factors, point.tail)
     wedges = []
     for j in range(n):
         replaced = factors[:j] + [vec_mul_sk(factors[j], k)] + factors[j + 1:]
-        fv = _divided(replaced, point.tail, c)
+        fv = _wedge_factors(replaced, point.tail) * (1 / c)
         if not fv.is_zero:
             wedges.append(fv)
     D = _wedge_vars(wedges)
@@ -380,8 +373,7 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
             f"{len(violating)} columns break the chain condition, allowed {n}",
             report)
     # the box N x (M - N) holds every state, so its hook M - 1 is enough
-    tau = sigma_single(FockVector.from_ints(*_wedge_factors(vectors[::-1], -N)),
-                       max(M - 1, 1))
+    tau = sigma_single(_wedge_factors(vectors[::-1], -N), max(M - 1, 1))
     return point, tau, report
 
 

@@ -15,9 +15,9 @@ pairing is the normative mirror: the residue equals the Schur image of
 sum_i (wedge_i u) (x) (contract_{-i} v), coefficient by coefficient.
 Fermionically each identity is one integer dict, ``fock.pairing_defect``
 of (u, v) against its pairs, over one common denominator and empty
-exactly when the identity holds; each operand's image goes into integer
-form once per job, and the pairing reads no bosonic result, so the
-mirror stays an independent oracle.
+exactly when the identity holds; it reads each operand's FockVector
+image, integer numerators over one denominator, as stored, and no
+bosonic result, so the mirror stays an independent oracle.
 
 Each wave factor is built once per operand and side: its z-coefficients
 A_m(t) and B_n(t') are polynomials in D variables, one Miwa shift times
@@ -44,7 +44,7 @@ from typing import Sequence
 from .mpoly import MPoly, dot
 from .schur import (ChargedPoly, bilinear_window, embed_t, embed_tprime,
                     miwa_shift, schur_of_partition, xi_series)
-from .fock import (IntVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
+from .fock import (FockVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
                    shift_charge)
 from .zseries import ZSeries
 
@@ -195,12 +195,11 @@ def identity_family(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     return operands, family
 
 
-def fermionic_bilinear_check(u: IntVector, v: IntVector,
-                             pairs: Sequence[tuple[IntVector, IntVector]],
+def fermionic_bilinear_check(u: FockVector, v: FockVector,
+                             pairs: Sequence[tuple[FockVector, FockVector]],
                              label: str = "fermionic") -> Check:
     """Pass iff the canonical pairing of (u, v) equals sum a (x) b over the
-    pairs, every vector in integer form (``FockVector.to_ints``); a
-    failure's witness is the first state pair of the defect by
+    pairs; a failure's witness is the first state pair of the defect by
     (left.sort_key(), right.sort_key()), with its coefficient."""
     defect, den = pairing_defect(u, v, pairs)
     if not defect:
@@ -290,8 +289,7 @@ def verify_suite(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
               for (label, *_), combos in zip(family, defects)]
 
     tau_f = poly_to_fock(tau)
-    images = [v.to_ints() for v in (tau_f, shift_charge(-k, tau_f),
-                                    *map(poly_to_fock, operands[2:]))]
+    images = [tau_f, shift_charge(-k, tau_f), *map(poly_to_fock, operands[2:])]
     checks += [fermionic_bilinear_check(images[left], images[right],
                                         [(images[a], images[b]) for a, b in pairs],
                                         label=f"fermionic-{label}")

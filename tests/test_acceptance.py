@@ -79,7 +79,7 @@ def test_acceptance_2_cross_representation_oracle():
         wedges.append((wedge, m))
     assert nontrivial >= 40
     for wedge, m in wedges:
-        assert fermionic_bilinear_check(wedge.to_ints(), wedge.to_ints(), ()).passed
+        assert fermionic_bilinear_check(wedge, wedge, ()).passed
         image = sigma_single(wedge, 8)
         assert kp_residue(image).is_zero
 
@@ -93,7 +93,7 @@ def test_acceptance_2_cross_representation_oracle():
         if a.charge != b.charge or a == b:
             continue
         vec = FockVector({a: F(rng.randint(1, 3)), b: F(rng.randint(1, 3))})
-        ferm = fermionic_bilinear_check(vec.to_ints(), vec.to_ints(), ())
+        ferm = fermionic_bilinear_check(vec, vec, ())
         if ferm.passed:
             continue  # accidentally decomposable; not part of this batch
         image = sigma_single(vec, 8)

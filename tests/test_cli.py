@@ -929,8 +929,8 @@ def construct_digest_jobs(tmp_path) -> dict[str, list[str]]:
     """{id: argv} of the construct reports pinned below: a rational chain
     matrix accepted with one violation and rejected with none allowed, a
     rank-3 matrix at k = 2, the filtration data of a weight-6 rational
-    point at k = 1 and 2, and psi+ on a rational vector over three
-    charges."""
+    point at k = 1 and 2, and psi+, psi-, alpha and Q on a rational
+    vector over three charges."""
     payloads = {
         "matrix": {"rows": 5, "cols": 2,
                    "entries": [["1/2", "-3"], ["-3", "2/3"], ["2/3", "0"],
@@ -965,9 +965,11 @@ def construct_digest_jobs(tmp_path) -> dict[str, list[str]]:
         for k in (1, 2):
             jobs[f"grass-{action}-k{k}"] = ["grass", action, "--grpoint",
                                             path["point"], "--k", str(k)]
-    for index in ("1/2", "-5/2"):
-        jobs[f"psi+{index}"] = ["fock-apply", "--op", "psi+", f"--index={index}",
-                                "--vector", path["vector"]]
+    for op, indices in (("psi+", ("1/2", "-5/2")), ("psi-", ("3/2", "-1/2")),
+                        ("alpha", ("0", "2", "-1")), ("Q", ("-2",))):
+        for index in indices:
+            jobs[f"{op}{index}"] = ["fock-apply", "--op", op, f"--index={index}",
+                                    "--vector", path["vector"]]
     return {name: [str(a) for a in argv] for name, argv in jobs.items()}
 
 
@@ -989,7 +991,7 @@ class TestGoldenDigests:
     P * P^-1 product check and compositions at full depth (the --order 3
     and 8 cases with the dressing at max(T, k + 3) + k + 1), of verify
     stdout, computed with every residue read off the doubled-space triple
-    product, and of tau-from-matrix, grass and fock-apply psi+ stdout; a
+    product, and of tau-from-matrix, grass and fock-apply stdout; a
     change of any byte fails."""
 
     LAX = {
@@ -1067,6 +1069,18 @@ class TestGoldenDigests:
             (0, "18d520fb91f084d555fd438429fbceac1223dda9faf1282baae0086769154137"),
         "psi+-5/2":
             (0, "0c2e2052da54437b1044602a4311cedd1698809350f4b59ed9d7102207ebfe2b"),
+        "psi-3/2":
+            (0, "08efceebf4dff2fee8c71f958d494ad23a1ed482ffc90b5debd6ae30c62689f8"),
+        "psi--1/2":
+            (0, "9a8939f02253e59652d994b58168d182820eb9d53b8c57d62184aaf7357c07ef"),
+        "alpha0":
+            (0, "2423d8095acfef1f4bb95e6d25f7659749b0cef6169f7f3447456a636bffa344"),
+        "alpha2":
+            (0, "2d28ed2db794da4554f2dbd8bfcda6693cf212c527474461ec86e749a085243e"),
+        "alpha-1":
+            (0, "b6378b32f74e7b3eec98f01948f2e22bff3a424ce6fb31dc33e162f1d76d66b2"),
+        "Q-2":
+            (0, "d97410647ddaba10e5a18b177abbd270bd1a2207dd199196d48a80c171d33777"),
     }
 
     @staticmethod

@@ -9,11 +9,11 @@ from tauforge.zseries import ZSeries
 from tauforge.schur import (DomainError, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
-                           _code, _position, _remove, _wedge, alpha,
+                           _code, _codes, _contracted, _wedged, alpha,
                            apply_window_matrix, fermionic_pairing, pairing_defect,
                            poly_to_fock, psi_minus, psi_plus, r_matrix_unit,
-                           shift_charge, sigma_map, sigma_single, wedge_ints,
-                           wedge_vector)
+                           shift_charge, sigma_map, sigma_single, wedge_columns,
+                           wedge_ints, wedge_vector)
 from tauforge.hirota import fermionic_bilinear_check
 
 from conftest import half, one_state, partitions_up_to, product_coeff, random_state
@@ -25,19 +25,35 @@ def index(state, s):
     return F(2 * (lam + state.charge - s) + 1, 2)
 
 
+def position(state, p):
+    """The position s holding the half-integer index p, or None when p is
+    free: at or below the top of the filled tail the code m - s."""
+    c, m = _code(p), state.charge
+    codes = _codes(m, state.parts)
+    if c <= codes[-1]:
+        return m - c
+    return codes.index(c) + 1 if c in codes else None
+
+
 def occupied(state, p):
     """Whether the half-integer index p is filled in state."""
-    return _position(state, _code(p)) is not None
+    return position(state, p) is not None
 
 
 def insert_index(state, p):
     """Wedge v_p in front and sort; None when p is already occupied."""
-    return _wedge(state, _code(p))
+    m, parts = state.charge, state.parts
+    hit = _wedged(_codes(m, parts), m, parts, _code(p))
+    return None if hit is None else (hit[0], MayaState(m + 1, hit[1]))
 
 
 def remove_index(state, p):
     """Contract index p with sign (-1)**(s+1); None when p is absent."""
-    return _remove(state, _code(p))
+    s = position(state, p)
+    if s is None:
+        return None
+    sign, parts = _contracted(state.parts, s)
+    return sign, MayaState(state.charge - 1, parts)
 
 
 def VAC(m):
@@ -333,10 +349,10 @@ class TestWedgeKernel:
             v = _random_vector(rng, size=5)
             column = {rng.randint(-5, 5): rng.randint(-4, 4) for _ in range(4)}
             column = {c: a for c, a in column.items() if a}
-            vec, den = v.to_ints()
-            got = FockVector.from_ints(wedge_ints(column, vec), den)
+            got = wedge_ints(column, v.num)
             want = _ref_wedge_vector({half(2 * c + 1): F(a) for c, a in column.items()}, v)
-            assert got == want
+            assert FockVector({MayaState(*key): F(n, v.den) for key, n in got.items()}) == want
+            assert wedge_columns([column], v) == want
 
 
 class TestPairing:
@@ -431,16 +447,16 @@ def _accumulate(out, key, value):
 
 def _ref_wedge_vector(column, v):
     """wedge_vector by the per-term loop it used to run: the column and v
-    over one denominator each, and every state wedged by ``_wedge``."""
-    col = {_code(p): F(coef) for p, coef in column.items() if coef}
+    over one denominator each, and every state wedged by ``insert_index``."""
+    col = {p: F(coef) for p, coef in column.items() if coef}
     den_col = math.lcm(*(a.denominator for a in col.values()))
     den_v = math.lcm(*(c.denominator for c in v.terms.values()))
     vec = [(s, c.numerator * (den_v // c.denominator)) for s, c in v.terms.items()]
     out = {}
-    for c, a in col.items():
+    for p, a in col.items():
         a = a.numerator * (den_col // a.denominator)
         for state, b in vec:
-            hit = _wedge(state, c)
+            hit = insert_index(state, p)
             if hit is not None:
                 out[hit[1]] = out.get(hit[1], 0) + hit[0] * a * b
     den = den_col * den_v
@@ -500,6 +516,11 @@ class TestAgainstIndexLists:
                 assert insert_index(state, p) == _ref_insert(state, p), (state, p)
                 assert remove_index(state, p) == _ref_remove(state, p), (state, p)
                 assert occupied(state, p) == (p in _ref_indices(state, _ref_depth(state, p)))
+                # the operators find the position themselves
+                for op, ref in ((psi_plus, _ref_insert(state, -p)),
+                                (psi_minus, _ref_remove(state, p))):
+                    want = FockVector() if ref is None else one_state(ref[1], ref[0])
+                    assert op(p, one_state(state)) == want, (op, state, p)
 
     def test_filled_tail_top(self):
         for state in [MayaState(0), MayaState(2, (3, 1)), MayaState(-3, (1, 1, 1))]:
@@ -554,13 +575,12 @@ class TestAgainstIndexLists:
             ref = tensor_sum([_ref_pairing(u, v),
                               *({key: -c for key, c in tensor_of(a, b).items()}
                                 for a, b in pairs)])
-            ints = [(a.to_ints(), b.to_ints()) for a, b in pairs]
-            defect, den = pairing_defect(u.to_ints(), v.to_ints(), ints)
+            defect, den = pairing_defect(u, v, pairs)
             assert all(type(n) is int and n for n in defect.values())
             assert {(MayaState(m, lam), MayaState(n, mu)): F(c, den)
                     for (m, lam, n, mu), c in defect.items()} == ref
             assert not cancel or not ref
-            got = fermionic_bilinear_check(u.to_ints(), v.to_ints(), ints)
+            got = fermionic_bilinear_check(u, v, pairs)
             assert got.passed == (not ref)
             if ref:
                 key = sorted(ref, key=lambda st: (st[0].sort_key(), st[1].sort_key()))[0]
@@ -575,6 +595,33 @@ class TestAgainstIndexLists:
             v = _random_vector(rng)
             for k in modes:
                 assert alpha(k, v) == _ref_alpha(k, v), (v, k)
+
+
+def test_fock_vector_canonical_form():
+    # as MPoly's: equal vectors have equal num and den, zero is {} over 1,
+    # a negative den is normalized, and the constructor, from_json and
+    # the wedge kernel agree
+    a = FockVector({MayaState(0, (1,)): F(2, 4), MayaState(1): F(-3, 6)})
+    b = one_state(MayaState(0, (1,)), F(1, 2)) - one_state(MayaState(1), F(1, 2))
+    assert (a.num, a.den) == (b.num, b.den) == ({(0, (1,)): 1, (1, ()): -1}, 2)
+    for zero in (FockVector(), FockVector({MayaState(0): F(0)}), a - b, a * 0,
+                 psi_minus(half(1), VAC(0))):
+        assert (zero.num, zero.den) == ({}, 1)
+    neg = FockVector._canonical({(0, ()): 3, (1, (2,)): -9}, -6)
+    assert (neg.num, neg.den) == ({(0, ()): -1, (1, (2,)): 3}, 2)
+    quarter = {"state": {"charge": 1, "partition": []}, "coef": "1/4"}
+    for w in (FockVector({MayaState(1): F(1, 2)}), FockVector.from_json([quarter] * 2),
+              wedge_vector({half(1): F(3, 6)}, VAC(0))):
+        assert (w.num, w.den) == ({(1, ()): 1}, 2)
+    rng = random.Random(59)
+    for _ in range(100):
+        u, v = _random_vector(rng), _random_vector(rng)
+        for w in (u + v, u * F(-3, 4), wedge_vector({half(1): F(2, 3), half(-3): F(5, 2)}, u),
+                  psi_minus(half(-1), u), alpha(-2, u), alpha(0, u), shift_charge(2, u)):
+            assert w.den > 0 and math.gcd(w.den, *w.num.values()) == 1
+            assert all(w.num.values())
+            rebuilt = FockVector(w.terms)
+            assert (rebuilt.num, rebuilt.den) == (w.num, w.den)
 
 
 def test_fock_vector_json_roundtrip():

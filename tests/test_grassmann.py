@@ -59,6 +59,10 @@ class TestReduce:
         a = reduce_point([{-2: F(2), -1: F(4)}], 0)
         b = reduce_point([{-2: F(1), -1: F(2)}, {-2: F(3), -1: F(6)}], 0)
         assert a == b
+        # int coefficients become exact Fractions, never a float from 1/2
+        c = reduce_point([{-2: 2, -1: 1}], 0)
+        assert c == reduce_point([{-2: F(1), -1: F(1, 2)}], 0)
+        assert all(type(coef) is F for row in c.basis for _, coef in row)
 
     def test_membership(self):
         p = reduce_point([{-2: F(1), -1: F(1)}], 0)
@@ -202,8 +206,7 @@ class TestWedgeMinors:
                     if c:
                         vec[e] = F(c, rng.randint(1, 5)) if trial % 2 else F(c)
                 factors.append(vec)
-            vec, den = _wedge_factors(factors, tail)
-            got = {MayaState(*key): F(n, den) for key, n in vec.items()}
+            got = _wedge_factors(factors, tail).terms
             free = sorted({-e - 1 for f in factors for e in f if -e - 1 >= tail},
                           reverse=True)
             want = {}

@@ -388,7 +388,7 @@ class TestIdentityFamily:
 class TestFermionicCheck:
     def test_vacuum(self):
         vac = one_state(MayaState(0))
-        assert fermionic_bilinear_check(vac.to_ints(), vac.to_ints(), ()).passed
+        assert fermionic_bilinear_check(vac, vac, ()).passed
 
     def test_random_wedges_pass(self):
         rng = random.Random(3)
@@ -406,12 +406,12 @@ class TestFermionicCheck:
                 wedge = apply_window_matrix(WindowMatrix(N, entries), m)
             except Exception:
                 continue
-            assert fermionic_bilinear_check(wedge.to_ints(), wedge.to_ints(), ()).passed
+            assert fermionic_bilinear_check(wedge, wedge, ()).passed
             done += 1
 
     def test_non_decomposable_fails(self):
         bad = one_state(MayaState(0, (2,))) + one_state(MayaState(0, (1, 1)))
-        check = fermionic_bilinear_check(bad.to_ints(), bad.to_ints(), ())
+        check = fermionic_bilinear_check(bad, bad, ())
         assert not check.passed and check.tensor_witness is not None
 
 

@@ -141,6 +141,33 @@ def test_one_product_kernel():
     assert found == {}
 
 
+INTEGER_FORM = {"_canonical", "_over_one_den", "IntVector", "to_ints", "from_ints"}
+RETIRED_FORM = {"IntVector", "to_ints", "from_ints"}
+
+
+def integer_form_reads(source: str) -> set[str]:
+    """The names of FockVector's integer constructors (``_canonical`` and
+    the ``_over_one_den`` it reads) and of the retired second vector form
+    that a source imports or reads."""
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return INTEGER_FORM & (imported | names_read(source))
+
+
+def test_one_fock_vector_form():
+    # only fock.py builds a FockVector from integer numerators, and no
+    # module keeps a second vector form, so the conversions cannot come back
+    assert integer_form_reads("from .fock import IntVector, _over_one_den\n"
+                              "FockVector._canonical(n, d)\nv.to_ints()\n"
+                              "FockVector.from_ints(n, d)\n") == INTEGER_FORM
+    found = {path.name: sorted(names) for path in PACKAGE.glob("*.py")
+             if (names := integer_form_reads(path.read_text())
+                 - (INTEGER_FORM - RETIRED_FORM if path.name == "fock.py" else set()))}
+    assert found == {}
+    assert integer_form_reads((PACKAGE / "fock.py").read_text()) == \
+        INTEGER_FORM - RETIRED_FORM
+
+
 ASSEMBLY = {"_wave", "_defect"}
 
 
