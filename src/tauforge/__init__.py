@@ -7,7 +7,7 @@ all over exact rational arithmetic.
 
 from .mpoly import MPoly, PolyError, divexact, format_rat, parse_rat
 from .zseries import ExactnessError, ZSeries
-from .ratfun import RatFun, TauFrac, TauRing
+from .ratfun import TauFrac, TauRing
 from .schur import (ChargedPoly, DomainError, Partition, bilinear_window,
                     elementary_schur, hall_product, miwa_shift,
                     schur_expand, schur_of_partition, xi_series)

@@ -26,11 +26,16 @@ from .psdo import dress_from_tau, lax_depth, verify_lax
 
 
 # Upper bounds on the variable count of a polynomial file, --order, --k and
-# the fock-apply --index and state charges: work grows linearly in D, about
-# cubically in the depth, about 7x per step of 4 in --k, quadratically in
-# the index of a current mode and linearly in the charge of a state that
-# psi- contracts inside its filled tail, so no flag, file or vector can ask
-# for unbounded work.
+# the fock-apply --index, state charges and partition lengths: work grows
+# linearly in D, about cubically in the depth, about 7x per step of 4 in
+# --k, quadratically in the index of a current mode and in the number of
+# parts of a state, and linearly in the charge of a state that psi-
+# contracts inside its filled tail, so no flag, file or vector can ask for
+# unbounded work.  On one state 1^n, fock-apply --op alpha --index 1 took
+# 0.50 s at n = 2,000 and 6.4 s at n = 8,000 (in a child process, start-up
+# included, best of two, on a 2-core x86 machine under CPython 3.11); with
+# at most 64 parts per state the work grows linearly in the number of
+# states, and 1,000 random 64-part states under --index -64 took 3.5 s.
 MAX_VARS = 64
 MAX_TRUNCATION = 64
 MAX_K = 16
@@ -64,12 +69,12 @@ MAX_WEIGHT = 8
 # and 4 at depth 10.  It bounds the witness path only, which every corner
 # below takes: the first n terms of S_(8) (in 8 variables, weight 8) are no
 # KP tau for n < 22, and all 22 fail constrained-1.  Timed as above, lax at
-# --order 5 (dress --order 3 at depth 4), (n, depth) inside: (4, 10)
-# 0.47 s, (5, 8) 0.48 s, (3, 12) 0.48 s, (8, 6) 0.37 s, (15, 4) 0.23 s,
-# (2, 15) 0.32 s, (1, 20) 0.37 s; outside: (6, 8) 0.69 s, (6, 10) 2.3 s,
-# (5, 10) 1.2 s, (4, 12) 1.2 s, (3, 16) 2.2 s, (2, 20) 0.88 s (1.5 s on
-# t_1^8 + t_2^4), (3, 20) 7.0 s, (22, 4) 0.27 s, and (22, 6) at lax --k 1
-# 1.7 s.
+# --order 5 (dress --order 3 at depth 4), (n, depth) inside, witnesses
+# printed at the least power of tau: (4, 10) 0.45 s, (5, 8) 0.46 s,
+# (3, 12) 0.46 s, (8, 6) 0.30 s, (15, 4) 0.17 s, (2, 15) 0.26 s, (1, 20)
+# 0.29 s; outside: (6, 8) 0.91 s, (6, 10) 3.2 s, (5, 10) 1.9 s, (4, 12)
+# 1.3 s, (3, 16) 2.6 s, (2, 20) 0.84 s (1.5 s on t_1^8 + t_2^4), (3, 20)
+# 6.5 s, (22, 4) 0.19 s, and (22, 6) at lax --k 1 1.2 s.
 MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The
@@ -190,6 +195,9 @@ def _load_fock(path: str) -> FockVector:
     if any(abs(m) > MAX_INDEX for m in vec.charges()):
         raise InputError(f"{path}: state charges must be at most {MAX_INDEX} "
                          "in absolute value")
+    if any(len(parts) > MAX_INDEX for _, parts in vec.num):
+        raise InputError(f"{path}: a state's partition has more than {MAX_INDEX} "
+                         "parts")
     return vec
 
 

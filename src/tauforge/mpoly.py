@@ -394,9 +394,6 @@ class MPoly:
             default=0,
         )
 
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self.terms), default=0)
-
     def max_var_used(self) -> int:
         """Largest 1-based variable index with a nonzero exponent (0 if none)."""
         used = 0

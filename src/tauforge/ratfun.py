@@ -5,8 +5,9 @@ power of one fixed tau, so an element is stored as (numerator, power of
 tau).  Addition lifts to the larger power, multiplication adds powers,
 and the zero test is "numerator is zero"; nothing is cancelled during
 arithmetic.  Only when an element is rendered for a report (``RatFun``)
-is the content/sign rule applied to the denominator tau**power, which is
-cancelled when it divides the numerator (the value is a polynomial).
+is tau cancelled, one factor at a time while it divides the numerator,
+so a value prints at the least power of tau it has, whatever the
+arithmetic that reached it: equal values print alike.
 """
 
 from __future__ import annotations
@@ -137,51 +138,35 @@ class TauFrac:
 
     __hash__ = None
 
-    def rendered(self) -> "RatFun":
-        return RatFun(self.num, self.ring.power(self.power))
-
     def to_json(self) -> dict:
-        return self.rendered().to_json()
+        return RatFun(self.num, self.ring.tau, self.power).to_json()
 
     def __repr__(self) -> str:
-        return repr(self.rendered())
+        return repr(RatFun(self.num, self.ring.tau, self.power))
 
 
 class RatFun:
-    """num/den as reports print it.
+    """num / tau**power in its one printed form.
 
-    den is divided by its content, which carries the sign that makes its
-    graded-lex leading coefficient positive, and is cancelled when it
-    divides num; a constant den folds into num.
+    tau is cancelled one factor at a time while it divides num; the
+    denominator left, tau**p, is divided by its content c, which carries
+    the sign that makes its graded-lex leading coefficient positive, and
+    num by c with it.  At p = 0 the denominator is 1.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, den: MPoly | None = None):
-        one = MPoly.const(num.vars, 1)
-        den = one if den is None else den
-        if den.vars != num.vars:
-            raise PolyError("numerator and denominator variable counts differ")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = num, one
-            return
+    def __init__(self, num: MPoly, tau: MPoly, power: int = 1):
+        while power and (q := divexact(num, tau)) is not None:
+            num, power = q, power - 1
+        den = tau ** power
         c = den.content()
-        den = den / c
-        if den.total_degree():
-            q = divexact(num, den)
-            if q is not None:
-                num, den = q, one
-        else:
-            den = one
-        self.num = num / c if c != 1 else num
-        self.den = den
+        self.num, self.den = num / c, den / c
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     def __repr__(self) -> str:
-        if self.den.total_degree() == 0:
-            return self.num.format()
-        return f"({self.num.format()}) / ({self.den.format()})"
+        if self.den.max_var_used():
+            return f"({self.num.format()}) / ({self.den.format()})"
+        return self.num.format()

@@ -992,7 +992,13 @@ class TestGoldenDigests:
     and 8 cases with the dressing at max(T, k + 3) + k + 1), of verify
     stdout, computed with every residue read off the doubled-space triple
     product, and of tau-from-matrix, grass and fock-apply stdout; a
-    change of any byte fails."""
+    change of any byte fails.
+
+    Lax and dress coefficients print at the least power of tau.  The
+    five pins that rule moved (lax golden-k2-unpaired, t1^3-k2 and
+    S2^2-k1, dress t1^3 and S2^2) were checked against the reports they
+    replace: the same exit codes and verdicts, and every changed
+    coefficient equal to the old one by cross-multiplication."""
 
     LAX = {
         "golden-k1":
@@ -1002,15 +1008,15 @@ class TestGoldenDigests:
         "golden-k2":
             (0, "bd6f7eb1dd34b8183859e99503f0fb68c3b5960f7fbf8c9fd5c1a9162c2bc096"),
         "golden-k2-unpaired":
-            (1, "d07fe7b6eac701196b1bd9a1aa270b01e321a0be8721f3afdafdf70e5a30201c"),
+            (1, "c11ece18743cb454c0ea293dc7d524419bf1b775affc7f0fd29bcc77f80e65fb"),
         "golden-k3":
             (0, "5e8c4ca993c7ab15e2c1c057914b94bece59f3823ebd86842d5cb5af7dbc49fc"),
         "3t1t2-k2":
             (0, "fe82b7fd55cea6d5cf408fedbaf351909b7c364e7e121c3d6a27625bc5c46803"),
         "t1^3-k2":
-            (1, "7c55610de4e0986078a36f799b415a0e9f07ec8f95781f5643c1931c8c0da6b4"),
+            (1, "aea3314c3fac94ecf5be6115fb077a52a9693dcb91957bcf0ae97cce39abc387"),
         "S2^2-k1":
-            (1, "6ccf9cb3220460054acfb814a25e13e0e08adfed14bfeb49ee2775aff58f5658"),
+            (1, "d2fcbdd45d7f27bc7dbd71c921912b4e50d1f436e67da45747023f008e83f518"),
         "golden-k2-o3":
             (0, "fc6e1b977727419c15d7cf2611f33c0d6ecb8c44413b86ee85e0aba9b66a539b"),
         "golden-k3-o3":
@@ -1026,9 +1032,9 @@ class TestGoldenDigests:
         "3t1t2":
             (0, "baf1321f29a80bd482b4b498b4312512f50f7ea56398f4780592b6acde9e1f04"),
         "t1^3":
-            (0, "9c65ce27baccef038992448d25dc7c0051f361e74619708e4cee5db9df392fd7"),
+            (0, "3edc94e55c1c8890970425865e10befac8d6dd72967ccec6d2fe1ec4f433e20d"),
         "S2^2":
-            (0, "5f18802ecfefc7a9774c219086448b2b85b0587466b18a4e73903c0c05a31132"),
+            (0, "1ee4be30631811917cb72328e92f210533ad4605967f3e55f0cbb0149669d43c"),
     }
     VERIFY = {
         "golden-k1":
@@ -1161,6 +1167,23 @@ class TestFockApply:
                                       "--index=1/2", "--vector", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("input error:") and "state charges" in err
+
+    @pytest.mark.parametrize("length,exit_code", [(cli.MAX_INDEX, 0),
+                                                  (cli.MAX_INDEX + 1, 2)])
+    def test_partition_length_limit(self, capsys, tmp_path, length, exit_code):
+        # alpha is quadratic in the number of parts of a state
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps(
+            [{"state": {"charge": 0, "partition": [1] * length}, "coef": "1"}]))
+        code, out, err = run(capsys, ["fock-apply", "--op", "alpha",
+                                      "--index", "1", "--vector", str(path)])
+        assert code == exit_code
+        if exit_code:
+            assert out == ""
+            assert err == (f"input error: {path}: a state's partition has more "
+                           f"than {cli.MAX_INDEX} parts\n")
+        else:
+            assert json.loads(out)["result"]
 
     @pytest.mark.parametrize("parts", [[1, 2], [2, 0]])
     def test_state_not_a_partition(self, capsys, tmp_path, parts):

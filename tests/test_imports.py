@@ -141,6 +141,25 @@ def test_one_product_kernel():
     assert found == {}
 
 
+def reads_divexact(source: str) -> bool:
+    """Whether a source imports or reads ``divexact``."""
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return "divexact" in imported | names_read(source)
+
+
+def test_one_cancellation_rule():
+    # tau is cancelled only where a Lax coefficient is printed, so a
+    # second printed form of one value cannot come back
+    assert reads_divexact("from .mpoly import divexact as d\n")
+    assert reads_divexact("mpoly.divexact(p, tau)\n")
+    assert not reads_divexact("from .mpoly import dot\n")
+    found = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if path.name not in ("__init__.py", "mpoly.py")
+                   and reads_divexact(path.read_text()))
+    assert found == ["ratfun.py"]
+
+
 INTEGER_FORM = {"_canonical", "_over_one_den", "IntVector", "to_ints", "from_ints"}
 RETIRED_FORM = {"IntVector", "to_ints", "from_ints"}
 

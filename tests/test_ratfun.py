@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tauforge.mpoly import MPoly
-from tauforge.ratfun import RatFun, TauRing
+from tauforge.mpoly import MPoly, divexact
+from tauforge.ratfun import TauRing
 
 from conftest import evaluate, random_poly
 
@@ -24,49 +24,69 @@ def random_element(rng, ring):
     return ring.frac(random_poly(rng, 2), rng.randint(0, 2))
 
 
+def printed(num: MPoly, den: MPoly) -> dict:
+    return {"num": num.to_json(), "den": den.to_json()}
+
+
 class TestNormalization:
     def test_scalar_denominator(self):
-        f = RatFun(V(1) * 2, MPoly.const(2, 2))
-        assert f.num == V(1)
-        assert f.den == MPoly.const(2, 1)
+        # a constant tau folds into the numerator
+        f = TauRing(MPoly.const(2, -3)).frac(V(1) * 2, 2)
+        assert f.to_json() == printed(V(1) * F(2, 9), MPoly.const(2, 1))
 
     def test_gcd_style_cancellation(self):
-        f = RatFun(V(1)**2 - V(2)**2, V(1) + V(2))
-        assert f.num == V(1) - V(2)
-        assert f.den == MPoly.const(2, 1)
+        f = TauRing(V(1) + V(2)).frac(V(1)**2 - V(2)**2, 1)
+        assert f.to_json() == printed(V(1) - V(2), MPoly.const(2, 1))
 
     def test_zero_numerator(self):
-        f = RatFun(MPoly.zero(2), V(1))
-        assert f.num.is_zero
-        assert f.den == MPoly.const(2, 1)
-        assert TauRing(V(1)).frac(MPoly.zero(2), 3).power == 0
+        f = TauRing(V(1)).frac(MPoly.zero(2), 3)
+        assert f.power == 0
+        assert f.to_json() == printed(MPoly.zero(2), MPoly.const(2, 1))
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RatFun(V(1), MPoly.zero(2))
         with pytest.raises(ZeroDivisionError):
             TauRing(MPoly.zero(2))
 
     def test_power_cancellation(self):
-        # the ring never cancels; rendering cancels tau^p when it divides
+        # the ring never cancels; rendering cancels tau one factor at a time
         tau = V(1)**2 + V(2)
         R = TauRing(tau)
         f = R.frac(tau * V(2), 1) * R.frac(tau * 2, 1)
         assert (f.num, f.power) == (tau * tau * V(2) * 2, 2)
-        shown = f.rendered()
-        assert shown.num == V(2) * 2
-        assert shown.den == MPoly.const(2, 1)
-        # otherwise the power the arithmetic reached is kept
+        assert f.to_json() == printed(V(2) * 2, MPoly.const(2, 1))
+        assert repr(f) == "2*t2"
+        # a part of tau^p is cancelled too: the value prints at tau^1
         g = R.frac(tau * V(2), 1) * R.frac(MPoly.const(2, 3), 1)
-        shown = g.rendered()
-        assert (shown.num, shown.den) == (tau * V(2) * 3, tau * tau)
+        assert (g.num, g.power) == (tau * V(2) * 3, 2)
+        assert g.to_json() == printed(V(2) * 3, tau)
+        assert repr(g) == "(3*t2) / (t1^2 + t2)"
 
-    def test_normalize_idempotent(self):
-        f = RatFun(V(1) * 6, V(2) * 4)
-        g = RatFun(f.num, f.den)
-        assert (g.num, g.den) == (f.num, f.den)
-        assert g.den.content() == 1
-        assert (f.num * V(2) * 4 - V(1) * 6 * f.den).is_zero
+    def test_denominator_content_and_sign(self):
+        # tau^p / c has coprime integer coefficients and a positive
+        # graded-lex leading coefficient; the numerator carries 1/c
+        R = TauRing(V(1) * -2 + 4)
+        assert R.frac(V(2) * 3, 2).to_json() == \
+            printed(V(2) * F(3, 4), (V(1) - 2)**2)
+        assert R.frac(V(2), 1).to_json() == printed(V(2) * F(-1, 2), V(1) - 2)
+
+    def test_printed_form_is_canonical(self):
+        # one value, one printed form: x and x at a larger power of tau
+        # print alike, at the least power of tau
+        rng = random.Random(29)
+        cancelled = 0
+        for _ in range(40):
+            R = random_ring(rng)
+            x = random_element(rng, R)
+            shown = x.to_json()
+            for j in (1, 2):
+                assert R.frac(x.num * R.power(j), x.power + j).to_json() == shown
+            num, den = (MPoly.from_json(shown[key]) for key in ("num", "den"))
+            assert (num * R.power(x.power) - x.num * den).is_zero
+            if den.max_var_used():
+                assert divexact(num, R.tau) is None
+            else:
+                cancelled += x.power > 0
+        assert cancelled  # a constant tau, or a numerator tau divides
 
 
 class TestArithmetic:
@@ -135,7 +155,8 @@ class TestEvaluation:
         R = TauRing(V(1) - V(2))
         assert value(R.frac(V(1)**2 - V(2)**2, 1), [F(3), F(1)]) == 4
         assert value(R.frac(V(1), 1), [F(1), F(1)]) is None
-        assert evaluate(RatFun(V(1)**2 - V(2)**2, V(1) - V(2)).num, [F(3), F(1)]) == 4
+        shown = R.frac(V(1)**2 - V(2)**2, 1).to_json()
+        assert evaluate(MPoly.from_json(shown["num"]), [F(3), F(1)]) == 4
 
     def test_cross_mult_equality_matches_evaluation(self):
         rng = random.Random(13)
