@@ -67,14 +67,14 @@ MAX_WEIGHT = 8
 # being that of the dressing (see MAX_DEPTH); verify is not bounded by it.
 # It admits 5 terms at depth 8, the deepest bench lax job (--k 3 --order 5),
 # and 4 at depth 10.  It bounds the witness path only, which every corner
-# below takes: the first n terms of S_(8) (in 8 variables, weight 8) are no
-# KP tau for n < 22, and all 22 fail constrained-1.  Timed as above, lax at
-# --order 5 (dress --order 3 at depth 4), (n, depth) inside, witnesses
-# printed at the least power of tau: (4, 10) 0.45 s, (5, 8) 0.46 s,
-# (3, 12) 0.46 s, (8, 6) 0.30 s, (15, 4) 0.17 s, (2, 15) 0.26 s, (1, 20)
-# 0.29 s; outside: (6, 8) 0.91 s, (6, 10) 3.2 s, (5, 10) 1.9 s, (4, 12)
-# 1.3 s, (3, 16) 2.6 s, (2, 20) 0.84 s (1.5 s on t_1^8 + t_2^4), (3, 20)
-# 6.5 s, (22, 4) 0.19 s, and (22, 6) at lax --k 1 1.2 s.
+# below takes: the first n printed terms of S_(8) (8 variables, weight 8)
+# are no KP tau for n < 22, and all 22 fail constrained-1.  Timed as above,
+# lax at --order 5 (dress --order 3 at depth 4), (n, depth) inside: (4, 10)
+# 0.33 s, (5, 8) 0.32 s, (3, 12) 0.37 s, (8, 6) 0.23 s, (15, 4) 0.15 s,
+# (2, 15) 0.23 s, (1, 20) 0.24 s; outside, with the limit lifted: (6, 8)
+# 0.53 s, (6, 10) 1.7 s, (5, 10) 1.1 s, (4, 12) 0.84 s, (3, 16) 1.7 s,
+# (2, 20) 0.56 s (1.2 s on t_1^8 + t_2^4), (3, 20) 5.3 s, (22, 4) 0.21 s,
+# and (22, 6) at lax --k 1 1.3 s.
 MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The

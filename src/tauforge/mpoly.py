@@ -21,8 +21,8 @@ product whose key has any guard bit set (``_guard``) would leave that
 range, and raises ArithmeticError instead of building the monomial.
 The constructor refuses an exponent outside 0..2**15 - 1 with PolyError.
 Keys unpack to tuples only at the edges: ``terms``, serialization,
-printing (graded-lex order compares tuples), ``content``, evaluation
-and ``divexact``.
+printing (graded-lex order compares tuples), ``content`` and
+``scale_vars``.  Exact division, ``divexact``, runs on the packed keys.
 
 ``dot(vars, pairs)`` is the one product kernel: sum a*b over its pairs,
 on integers over one common denominator, with one guard-bit check and
@@ -402,11 +402,8 @@ class MPoly:
         return -(-used.bit_length() // _BITS)
 
     def content(self) -> Fraction:
-        """Positive rational c with self/c integer, coprime coefficients.
-
-        Carries the sign of the graded-lex leading coefficient so that
-        self/content() has positive leading coefficient.  Zero maps to 1.
-        """
+        """+-gcd(num)/den: the c with self/c of coprime integer coefficients
+        and a positive graded-lex leading one.  Zero maps to 1."""
         if not self.num:
             return Fraction(1)
         g = 0
@@ -546,59 +543,60 @@ def dot(vars: int, pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
 def divexact(p: MPoly, d: MPoly) -> MPoly | None:
     """Exact polynomial quotient p/d, or None when d does not divide p.
 
-    Single-divisor division in graded-lex order; sound as an exact
-    divisibility test because a failed leading-term step implies a
-    nonzero remainder.  The remainder starts as p's integer numerators,
-    so the divisor's coefficients carry both denominators; quotient
-    coefficients are Fractions.
+    Single-divisor division on packed keys and integer numerators.  Key
+    order is a monomial order (lex, t_D most significant; fields never
+    carry), so a remainder whose leading monomial is not a multiple of
+    d's never reaches zero; the quotient is unique, whatever the order.
+    Gauss's lemma keeps coefficients integral: d.num / gcd(d.num) is
+    primitive, so when it divides p.num the quotient and each term met on
+    the way are integers, and a nonzero integer remainder proves it does
+    not.  While d divides p no remainder key exceeds p's exponents, so a
+    key reaching a guard bit proves it does not either.
     """
     if d.vars != p.vars:
         raise PolyError("variable counts differ in division")
-    if d.is_zero:
+    if not d.num:
         raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero:
-        return MPoly.zero(p.vars)
-    # both extreme monomials of p must be divisible by those of d
     vars = p.vars
-    d_num = {_unpack(k, vars): c for k, c in d.num.items()}
-    d_exp = max(d_num, key=_grlex_key)
-    d_low = min(d_num, key=_grlex_key)
-    rem: dict[Exponent, int | Fraction] = {_unpack(k, vars): c for k, c in p.num.items()}
-    p_low = min(rem, key=_grlex_key)
-    if any(a < b for a, b in zip(p_low, d_low)):
+    if not p.num:
+        return MPoly.zero(vars)
+    guard = _guard(vars)
+    # the least monomial of p is that of d times that of the quotient
+    if ((min(p.num) | guard) - min(d.num)) & guard != guard:
         return None
-    # p / d = p.num / (d.num * p.den / d.den)
-    scale = Fraction(p.den, d.den)
-    d_coef = d_num[d_exp] * scale
-    d_rest = [(exp, coef * scale) for exp, coef in d_num.items() if exp != d_exp]
-    quotient: dict[Exponent, Fraction] = {}
+    g = _gcd(*d.num.values())
+    lead = max(d.num)
+    lead_coef = d.num[lead] // g
+    rest = [(k, c // g) for k, c in d.num.items() if k != lead]
+    rem = dict(p.num)
     get = rem.get
-
-    def heap_key(exp: Exponent):
-        return (-sum(exp), tuple(-e for e in exp))
-
-    heap = [(heap_key(exp), exp) for exp in rem]
+    heap = [-k for k in rem]
     heapq.heapify(heap)
+    quotient: dict[int, int] = {}
     while heap:
-        _, r_exp = heapq.heappop(heap)
-        r_coef = get(r_exp)
-        if r_coef is None:
+        r = -heapq.heappop(heap)
+        c = rem.pop(r, None)
+        if c is None:
             continue  # stale entry
-        del rem[r_exp]
-        q_exp = tuple(map(int.__sub__, r_exp, d_exp))
-        if any(e < 0 for e in q_exp):
+        q = (r | guard) - lead
+        if q & guard != guard:
             return None
-        q_coef = r_coef / d_coef
-        quotient[q_exp] = q_coef
-        for exp, coef in d_rest:
-            key = tuple(map(int.__add__, q_exp, exp))
+        q ^= guard
+        q_coef, left = divmod(c, lead_coef)
+        if left:
+            return None
+        quotient[q] = q_coef * d.den
+        for k, coef in rest:
+            key = q + k
             c = get(key)
             prod = q_coef * coef
             if c is None:
+                if key & guard:
+                    return None
                 rem[key] = -prod
-                heapq.heappush(heap, (heap_key(key), key))
+                heapq.heappush(heap, -key)
             elif c == prod:
                 del rem[key]
             else:
                 rem[key] = c - prod
-    return MPoly(p.vars, quotient)
+    return MPoly._reduced(vars, quotient, g * p.den)

@@ -141,6 +141,28 @@ def test_one_product_kernel():
     assert found == {}
 
 
+TUPLE_EDGES = {"Fraction", "_unpack", "_grlex_key"}
+
+
+def function_reads(source: str, name: str) -> set[str]:
+    """The names read by the module-level function name of a source."""
+    node, = (node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name == name)
+    return names_read(ast.unparse(node))
+
+
+def test_kernels_stay_on_the_packed_form():
+    # multiplication and exact division work on packed keys and integer
+    # numerators, so neither a Fraction nor an exponent tuple comes back
+    assert function_reads("def f(k):\n    return Fraction(_unpack(k, 2))\n"
+                          "def g(e):\n    return _grlex_key(e)\n", "f") & TUPLE_EDGES == \
+        {"Fraction", "_unpack"}
+    source = (PACKAGE / "mpoly.py").read_text()
+    found = {name: sorted(TUPLE_EDGES & function_reads(source, name))
+             for name in ("dot", "divexact")}
+    assert found == {"dot": [], "divexact": []}
+
+
 def reads_divexact(source: str) -> bool:
     """Whether a source imports or reads ``divexact``."""
     imported = {alias.name for node in ast.walk(ast.parse(source))

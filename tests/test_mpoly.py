@@ -199,6 +199,56 @@ class TestDivision:
                 continue
             assert divexact(a * b, b) == a
 
+    def test_monomial_test_does_not_borrow_across_fields(self):
+        t1, t2 = V(2, 1), V(2, 2)
+        assert divexact(t2, t1) is None
+        assert divexact(t1, t2) is None
+        top = 2**15 - 1
+        assert divexact(t1**top * t2**top, t1**top) == t2**top
+        assert divexact(t1**top * t2**top, t2**top * t1) == t1**(top - 1)
+        assert divexact(t2**top, t1 * t2) is None
+        # a remainder key past p's exponents proves non-divisibility
+        assert divexact(t1**top * t2, t2 + t1**100) is None
+
+    def test_divisor_with_rational_content_and_negative_lead(self):
+        x, y = V(2, 1), V(2, 2)
+        d = (y * 2 - x * 3 + 1) * F(-5, 6)  # key order: leads with -5/3 y; content 5/6
+        a = x * F(7, 4) - y**2 + F(1, 9)
+        q = divexact(a * d, d)
+        assert q == a
+        assert_canonical(q)
+        assert divexact(d, d) == MPoly.const(2, 1)
+        assert divexact(d * F(3, 7), d * -2) == MPoly.const(2, F(-3, 14))
+
+    def test_leading_coefficient_alone_proves_non_divisibility(self):
+        # every monomial step succeeds, but 2 does not divide the integer
+        # leading numerator 1 of x + 1 over the primitive divisor 2x + 1
+        x = V(1, 1)
+        assert divexact(x + 1, x * 2 + 1) is None
+        assert divexact((x + 1) / 5, (x * 2 + 1) * F(3, 7)) is None
+        assert divexact(x * 2 + 1, x + 1) is None
+
+    def test_constants_in_no_variables(self):
+        c = MPoly.const
+        assert divexact(c(0, 6), c(0, F(-3, 4))) == c(0, -8)
+        assert divexact(c(0, F(1, 3)), c(0, 7)) == c(0, F(1, 21))
+        assert divexact(MPoly.zero(0), c(0, 5)) == MPoly.zero(0)
+        with pytest.raises(ZeroDivisionError):
+            divexact(c(0, 1), MPoly.zero(0))
+
+    def test_products_divide_back_and_shifted_ones_do_not(self):
+        rng = random.Random(29)
+        cs = [F(1), F(-1, 2), F(7, 3)]
+        for _ in range(40):
+            a = random_poly(rng, 3, max_terms=12, max_exp=5)
+            b = random_poly(rng, 3, max_terms=20, max_exp=4)
+            if a.is_zero or not b.max_var_used():
+                continue
+            ab = a * b
+            assert divexact(ab, b) == a
+            for c in cs:
+                assert divexact(ab + c, b) is None
+
 
 class TestPacking:
     """Exponent vectors are packed ints; a product that would reach a guard
