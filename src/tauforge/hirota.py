@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mpoly import MPoly, dot
+from .mpoly import MPoly, dot, lincomb
 from .schur import (ChargedPoly, bilinear_window, embed_t, embed_tprime,
                     miwa_shift, schur_of_partition, xi_series)
 from .fock import (FockVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
@@ -86,12 +86,13 @@ def _wave(p: MPoly, sign: int, kmax: int, weight: int) -> ZSeries:
     hi = kmax - weight, since the shift reaches down to z**-weight at most;
     orders above hi are not claimed, so reading one is an ExactnessError.
     The kernel is cut at the least order that keeps those exact, hi - lo
-    for the shift's lowest order lo (kmax when lo = -weight).
+    for the shift's lowest order lo (kmax when lo = -weight), so the
+    product is already exact to hi and no further: it needs no cut.
     """
     hi = kmax - weight
     shift = miwa_shift(p, sign)
     lo = shift.min_order if shift.coeffs else 0
-    return (shift * xi_series(p.vars, hi - lo, -sign)).cut(hi)
+    return shift * xi_series(p.vars, hi - lo, -sign)
 
 
 class _Echelon:
@@ -126,7 +127,7 @@ class _Echelon:
             # the lead of rest drops below key, so row k comes up once
             c = Fraction(rest.num[key] * row.den, rest.den * row.num[key])
             out[k] = c
-            rest = rest - row * c
+            rest = lincomb(rest.vars, ((rest, 1), (row, -c)))
         self._seen[id(p)] = (p, out)  # holding p keeps its id unique
         return out
 
@@ -145,18 +146,20 @@ def _defect(left: ZSeries, right: ZSeries, wl: int, wr: int, weight: int,
     m = -wl..N + wr, the orders the window bilinear_window(wl, wr, weight)
     spans.  Both factors are read through copies cut at the orders that
     window proves, A up to kmax - wl and B up to kmax - wr, so a window
-    too short for the identity raises ExactnessError.
+    too short for the identity raises ExactnessError.  Each b is written
+    in the echelon rows, and each X_k is one ``lincomb`` of the a by
+    their coordinates on row k.
     """
     A, B = left.cut(kmax - wl), right.cut(kmax - wr)
     N = -1 - weight
     terms = [(A.coeff(m), B.coeff(N - m)) for m in range(-wl, N + wr + 1)]
     terms += [(-a, b) for a, b in pairs]
-    combos: dict[int, MPoly] = {}
+    parts: dict[int, list[tuple[MPoly, Fraction]]] = {}
     for a, b in terms:
         if a.num and b.num:
             for k, c in echelon.coords(b).items():
-                x = combos.get(k)
-                combos[k] = a * c if x is None else x + a * c
+                parts.setdefault(k, []).append((a, c))
+    combos = {k: lincomb(left.vars, part) for k, part in parts.items()}
     return {k: x for k, x in combos.items() if x.num}
 
 

@@ -22,14 +22,20 @@ range, and raises ArithmeticError instead of building the monomial.
 The constructor refuses an exponent outside 0..2**15 - 1 with PolyError.
 Keys unpack to tuples only at the edges: ``terms``, serialization,
 printing (graded-lex order compares tuples), ``content`` and
-``scale_vars``.  Exact division, ``divexact``, runs on the packed keys.
+``scale_vars``.
 
-``dot(vars, pairs)`` is the one product kernel: sum a*b over its pairs,
-on integers over one common denominator, with one guard-bit check and
-one gcd pass.  ``MPoly * MPoly`` is its one-pair case, a ZSeries
-product calls it once per z-order, and the Jacobi-Trudi determinants
-and witness expansions call it once per sum.  No other code reads the
-guard bits.
+Three kernels do the arithmetic on packed keys and integer numerators,
+each with one gcd pass per result:
+``dot(vars, pairs)`` sums products a*b, ``lincomb(vars, pairs)`` sums
+scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
+``MPoly * MPoly`` is dot's one-pair case, a ZSeries product calls it
+once per z-order, and the Jacobi-Trudi determinants and witness
+expansions call it once per sum; no other module reads the guard bits.
+The residue defects, their echelon form and the Schur expansion's check
+call lincomb once per sum; ``+``, ``-`` and scalar ``*`` keep their
+two-operand loops, which are faster on two terms.  ``MPoly.from_json``
+sums on packed keys too, reading each "p/q" as an integer pair through
+the one rational grammar, which ``parse_rat`` also reads.
 
 The weighted degree gives variable t_i weight i, so wdeg(t_2) = 2 and
 wdeg(t_1**3) = 3.  This is the grading under which the generating-series
@@ -45,6 +51,7 @@ import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -66,8 +73,8 @@ class PolyError(ValueError):
     """Variable-count mismatch or invalid variable index."""
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse an exact rational from a "p" or "p/q" string.
+def _ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q), q > 0 and not reduced, of a "p" or "p/q" string.
 
     Anything else, a JSON number or a zero denominator included, is a
     ValueError, which the CLI reports as an input error.
@@ -77,11 +84,17 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f'rational must be a "p/q" string, got {text!r}')
     num, _, den = match.group().partition("/")
     if not den:
-        return Fraction(int(num))
+        return int(num), 1
     den = int(den)
     if not den:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), den)
+    return int(num), den
+
+
+def parse_rat(text: str) -> Fraction:
+    """Parse an exact rational from a "p" or "p/q" string, as ``_ratio``."""
+    num, den = _ratio(text)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def parse_int(value, minimum: int | None = None) -> int:
@@ -120,6 +133,16 @@ def _guard(vars: int) -> int:
 def _pack(exp: Exponent) -> int:
     """One int for an exponent tuple with entries in 0..2**16 - 1."""
     return int.from_bytes(_layout(len(exp)).pack(*exp), "little")
+
+
+def _checked_pack(exp: Exponent, vars: int) -> int:
+    """The key of exp, refusing with PolyError an exponent of other than
+    vars entries or with an entry outside 0..2**15 - 1."""
+    if len(exp) != vars:
+        raise PolyError(f"exponent {exp} has length {len(exp)}, expected {vars}")
+    if not all(0 <= e < _LIMIT for e in exp):
+        raise PolyError(f"exponent {exp} has an entry outside 0..{_LIMIT - 1}")
+    return _pack(exp)
 
 
 def _unpack(key: int, vars: int) -> Exponent:
@@ -174,13 +197,10 @@ class MPoly:
             raise PolyError(f"variable count must be nonnegative, got {vars}")
         coefs: dict[int, Fraction] = {}
         for exp, coef in (terms or {}).items():
-            if len(exp) != vars:
-                raise PolyError(f"exponent {exp} has length {len(exp)}, expected {vars}")
-            if not all(0 <= e < _LIMIT for e in exp):
-                raise PolyError(f"exponent {exp} has an entry outside 0..{_LIMIT - 1}")
+            key = _checked_pack(exp, vars)
             c = Fraction(coef)
             if c != 0:
-                coefs[_pack(exp)] = c
+                coefs[key] = c
         # over the lcm of the denominators some numerator is prime to each
         # prime power of it, so the form is already canonical
         den = math.lcm(*(c.denominator for c in coefs.values()))
@@ -459,12 +479,24 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MPoly":
+        """The polynomial of a payload, with the constructor's checks and
+        messages, summed on packed keys over the lcm of the denominators.
+
+        Every item is parsed before any check, and each exponent is
+        checked before it is packed."""
         vars = parse_int(data["vars"])
-        terms = {}
-        for item in data.get("terms", []):
-            exp = tuple(parse_int(e, 0) for e in item["exp"])
-            terms[exp] = terms.get(exp, Fraction(0)) + parse_rat(item["coef"])
-        return cls(vars, terms)
+        items = [(tuple(parse_int(e, 0) for e in item["exp"]), _ratio(item["coef"]))
+                 for item in data.get("terms", [])]
+        if vars < 0:
+            raise PolyError(f"variable count must be nonnegative, got {vars}")
+        keys = [_checked_pack(exp, vars) for exp, _ in items]
+        den = _lcm(*(q for _, (_, q) in items))
+        out: dict[int, int] = {}
+        get = out.get
+        for key, (_, (p, q)) in zip(keys, items):
+            out[key] = get(key, 0) + p * (den // q)
+        # a key keeps the place of its first term, as in the constructor
+        return cls._reduced(vars, {k: c for k, c in out.items() if c}, den)
 
     def format(self) -> str:
         """Render with terms in descending graded-lex order."""
@@ -537,6 +569,41 @@ def dot(vars: int, pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
                         del out[exp]
     if any(map(_guard(vars).__and__, out)):
         raise ArithmeticError(f"an exponent of the product reaches {_LIMIT}")
+    return MPoly._reduced(vars, out, den)
+
+
+def lincomb(vars: int, pairs: Iterable[tuple[MPoly, Rational]]) -> MPoly:
+    """sum c*p over the pairs, all p in vars variables and each c an int
+    or a Fraction: the one kernel for linear combinations.
+
+    Summed on integers over one common denominator, the lcm of the
+    p.den * c.denominator, dropping a key as soon as it cancels; one gcd
+    pass finishes the sum.  No keys are added, so no guard bit is read.
+    A zero p or c adds nothing, and no pair left gives zero.
+    """
+    live = []
+    den = 1
+    for p, c in pairs:
+        if p.vars != vars:
+            raise PolyError(f"variable counts differ: {p.vars} vs {vars}")
+        if p.num and c:
+            d = p.den * c.denominator
+            live.append((p.num, c.numerator, d))
+            den = _lcm(den, d)
+    out: dict[int, int] = {}
+    get = out.get
+    for num, n, d in live:
+        f = n * (den // d)
+        for e, c in num.items():
+            x = get(e)
+            if x is None:
+                out[e] = c * f
+            else:
+                x += c * f
+                if x:
+                    out[e] = x
+                else:
+                    del out[e]
     return MPoly._reduced(vars, out, den)
 
 

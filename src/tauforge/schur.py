@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .mpoly import _BITS, MPoly, PolyError, _unpack, dot, parse_int
+from .mpoly import _BITS, MPoly, PolyError, _unpack, dot, lincomb, parse_int
 from .zseries import ZSeries
 
 
@@ -282,8 +282,7 @@ def schur_expand(p: MPoly, weight: int) -> dict[Partition, Fraction]:
             c = sum(num[key] * h for key, h in weights if key in num)
             if c:
                 out[shape] = Fraction(c, lifted.den * den)
-    check = dot(D, [(schur_of_partition(shape, D), MPoly.const(D, c))
-                    for shape, c in out.items()])
+    check = lincomb(D, [(schur_of_partition(shape, D), c) for shape, c in out.items()])
     if check != lifted:
         raise ArithmeticError("Schur expansion failed to reproduce the input")
     return out

@@ -296,6 +296,60 @@ class TestExponentRange:
         assert "Traceback" not in err
 
 
+def _term(exp, coef="1"):
+    return {"exp": exp, "coef": coef}
+
+
+class TestPolynomialReader:
+    """Each malformed polynomial payload gets the one message it always got:
+    every item is parsed first, then the variable count is checked, then
+    each term's exponent length and range, in file order."""
+
+    BAD = "input error: {path}: bad polynomial payload ({reason})\n"
+
+    @pytest.mark.parametrize("vars,terms,reason", [
+        (1, [_term([True])], "expected a JSON integer, got True"),
+        (1, [_term([1.5])], "expected a JSON integer, got 1.5"),
+        (1, [_term(["1"])], "expected a JSON integer, got '1'"),
+        (1, [_term([-1])], "expected an integer >= 0, got -1"),
+        (1, [_term([2**15])], "exponent (32768,) has an entry outside 0..32767"),
+        (2, [_term([1])], "exponent (1,) has length 1, expected 2"),
+        (-1, [_term([1])], "variable count must be nonnegative, got -1"),
+        (-1, [], "variable count must be nonnegative, got -1"),
+        (1, [_term([1], "1/0")], "zero denominator in '1/0'"),
+        (1, [_term([1], "1.5")], "rational must be a \"p/q\" string, got '1.5'"),
+        (1, [_term([1], 2)], "rational must be a \"p/q\" string, got 2"),
+        # a bad coefficient of a later item comes before an earlier range error
+        (1, [_term([2**15]), _term([1], "x")], "rational must be a \"p/q\" string, got 'x'"),
+        (1, [_term([2**15]), _term([1, 2])],
+         "exponent (32768,) has an entry outside 0..32767"),
+        (1, [_term([1, 2]), _term([2**15])], "exponent (1, 2) has length 2, expected 1"),
+        (1, [_term([2**15, 0])], "exponent (32768, 0) has length 2, expected 1"),
+    ])
+    def test_bad_payload_message(self, capsys, tmp_path, vars, terms, reason):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"charge": 0, "poly": {"vars": vars, "terms": terms}}))
+        code, out, err = run(capsys, ["verify", "--tau", str(path), "--k", "1"])
+        assert (code, out) == (2, "")
+        assert err == self.BAD.format(path=path, reason=reason)
+
+    def test_vast_variable_count_meets_the_limit(self, capsys, tmp_path):
+        # no exponent is packed, so 10**30 fields are never laid out
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"charge": 0, "poly": {"vars": 10**30, "terms": []}}))
+        code, out, err = run(capsys, ["verify", "--tau", str(path), "--k", "1"])
+        assert (code, out) == (2, "")
+        assert err == (f"input error: {path}: {10**30} variables is above the "
+                       f"limit {cli.MAX_VARS}\n")
+
+    def test_duplicates_cancelling_to_zero(self, capsys, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"charge": 0, "poly": {"vars": 1, "terms": [
+            _term([1], "1/2"), _term([1], "-1/2")]}}))
+        code, out, err = run(capsys, ["verify", "--tau", str(path), "--k", "1"])
+        assert (code, out, err) == (2, "", "input error: tau must be nonzero\n")
+
+
 class TestDeepNesting:
     """JSON nested past the decoder's recursion limit is an input error."""
 

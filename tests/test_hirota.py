@@ -112,6 +112,34 @@ class TestKpResidue:
             assert swap_and_flip(flipped, D) == -direct
 
 
+class TestEchelon:
+    """The right-hand factors' echelon form: coords(p) writes p in the rows,
+    whose leading keys stay distinct, and each factor is reduced once."""
+
+    def test_coordinates_rebuild_each_polynomial(self):
+        rng = random.Random(31)
+        echelon = hirota._Echelon()
+        polys = []
+        for case in range(60):
+            if case % 3 == 2:
+                # a combination of earlier inputs lies in the rows' span
+                p = sum((q * F(rng.randint(-3, 3), rng.randint(1, 4))
+                         for q in rng.sample(polys, 2)), MPoly.zero(3))
+            else:
+                p = random_poly(rng, 3, max_terms=5)
+            rows = len(echelon.rows)
+            coords = echelon.coords(p)
+            assert len(echelon.rows) <= rows + (case % 3 != 2)
+            assert echelon.coords(p) is coords
+            polys.append(p)
+        leads = [max(row.num) for row in echelon.rows]
+        assert len(set(leads)) == len(leads) > 10
+        # rows never change once made, so every coordinate vector still holds
+        for p in polys:
+            assert sum((echelon.rows[k] * c for k, c in echelon.coords(p).items()),
+                       MPoly.zero(3)) == p
+
+
 class TestKpResidueOracle:
     """kp_residue against SymPy: the z**-1 coefficient of
     tau(t - [1/z]) tau(t' + [1/z]) exp(sum_{i <= kmax} (t_i - t'_i) z**i)."""

@@ -152,15 +152,44 @@ def function_reads(source: str, name: str) -> set[str]:
 
 
 def test_kernels_stay_on_the_packed_form():
-    # multiplication and exact division work on packed keys and integer
-    # numerators, so neither a Fraction nor an exponent tuple comes back
+    # multiplication, linear combination and exact division work on packed
+    # keys and integer numerators, so neither a Fraction nor an exponent
+    # tuple comes back
     assert function_reads("def f(k):\n    return Fraction(_unpack(k, 2))\n"
                           "def g(e):\n    return _grlex_key(e)\n", "f") & TUPLE_EDGES == \
         {"Fraction", "_unpack"}
     source = (PACKAGE / "mpoly.py").read_text()
     found = {name: sorted(TUPLE_EDGES & function_reads(source, name))
-             for name in ("dot", "divexact")}
-    assert found == {"dot": [], "divexact": []}
+             for name in ("dot", "lincomb", "divexact")}
+    assert found == {"dot": [], "lincomb": [], "divexact": []}
+
+
+def grammar_readers(source: str) -> set[str]:
+    """The functions and methods of a source that read ``_RATIONAL``, and
+    ``<import>`` if the source imports it."""
+    tree = ast.parse(source)
+    found = {"<import>" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name == "_RATIONAL"}
+    return found | {node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and "_RATIONAL" in names_read(ast.unparse(node))}
+
+
+def test_one_rational_grammar():
+    # the "p/q" grammar is read in one routine, mpoly._ratio, which both
+    # parse_rat and the polynomial reader call, so a second copy cannot
+    # come back
+    assert grammar_readers("from .mpoly import _RATIONAL\ndef f():\n    g()\n"
+                           "class K:\n    def m(self):\n        mpoly._RATIONAL\n") == \
+        {"<import>", "m"}
+    found = {path.name: sorted(names) for path in PACKAGE.glob("*.py")
+             if (names := grammar_readers(path.read_text()))}
+    assert found == {"mpoly.py": ["_ratio"]}
+    source = (PACKAGE / "mpoly.py").read_text()
+    reader, = (node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef) and node.name == "from_json")
+    assert "_ratio" in function_reads(source, "parse_rat")
+    assert "_ratio" in names_read(ast.unparse(reader))
 
 
 def reads_divexact(source: str) -> bool:

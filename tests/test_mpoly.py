@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.mpoly import (_BITS, MPoly, PolyError, _guard, _pack, _unpack, divexact,
-                            dot, format_rat, parse_rat)
+                            dot, format_rat, lincomb, parse_rat)
 
 from conftest import evaluate, random_poly
 
@@ -520,3 +520,44 @@ class TestDot:
         for pairs in ([(a, b)], [(b, a)], [(a, a), (b, b)], [(MPoly.zero(3), a)]):
             with pytest.raises(PolyError):
                 dot(2, pairs)
+
+
+class TestLincomb:
+    """lincomb(vars, pairs) is sum c*p, checked against Fraction arithmetic."""
+
+    def test_matches_fraction_arithmetic(self):
+        rng = random.Random(30)
+        for _ in range(300):
+            pairs = []
+            for _ in range(rng.randint(0, 5)):
+                p = random_poly(rng, 3) if rng.random() < 0.8 else MPoly.zero(3)
+                c = rng.choice([0, rng.randint(-6, 6), F(rng.randint(-6, 6), rng.randint(1, 9))])
+                pairs.append((p, c))
+            cancel = rng.random() < 0.25
+            if cancel:
+                pairs += [(p, -c) for p, c in pairs]
+            want = {}
+            for p, c in pairs:
+                for exp, coef in p.terms.items():
+                    want[exp] = want.get(exp, F(0)) + coef * c
+            got = lincomb(3, pairs)
+            assert_canonical(got)
+            assert dict(got.terms) == {e: v for e, v in want.items() if v}
+            assert got.is_zero or not cancel
+
+    def test_no_pairs_and_zero_factors(self):
+        p = random_poly(random.Random(1), 2)
+        for pairs in ([], [(p, 0)], [(MPoly.zero(2), F(3, 4))], [(p, F(0)), (p, 0)]):
+            assert lincomb(2, pairs) == MPoly.zero(2)
+
+    def test_full_cancellation_is_canonical_zero(self):
+        x, y = V(2, 1), V(2, 2)
+        p = x * F(1, 6) + y * F(5, 4)
+        got = lincomb(2, [(p, F(2, 3)), (p * 2, F(-1, 3)), (x, 0)])
+        assert (got.num, got.den) == ({}, 1)
+
+    def test_other_variable_count_raises(self):
+        a, b = V(2, 1), V(3, 1)
+        for pairs in ([(b, 1)], [(a, 1), (b, F(1, 2))], [(MPoly.zero(3), 1)], [(b, 0)]):
+            with pytest.raises(PolyError):
+                lincomb(2, pairs)
