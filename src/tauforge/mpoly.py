@@ -31,9 +31,10 @@ scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
 ``MPoly * MPoly`` is dot's one-pair case, a ZSeries product calls it
 once per z-order, and the Jacobi-Trudi determinants and witness
 expansions call it once per sum; no other module reads the guard bits.
-The residue defects, their echelon form and the Schur expansion's check
-call lincomb once per sum; ``+``, ``-`` and scalar ``*`` keep their
-two-operand loops, which are faster on two terms.  ``MPoly.from_json``
+``+`` and ``-`` are lincomb's two-pair case, and the residue defects,
+their echelon form and the Schur expansion's check call it once per sum;
+scalar ``*`` keeps its own loop, which cancels a common factor before it
+multiplies.  ``MPoly.from_json``
 sums on packed keys too, reading each "p/q" as an integer pair through
 the one rational grammar, which ``parse_rat`` also reads.
 
@@ -93,8 +94,7 @@ def _ratio(text: str) -> tuple[int, int]:
 
 def parse_rat(text: str) -> Fraction:
     """Parse an exact rational from a "p" or "p/q" string, as ``_ratio``."""
-    num, den = _ratio(text)
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    return Fraction(*_ratio(text))
 
 
 def parse_int(value, minimum: int | None = None) -> int:
@@ -133,6 +133,12 @@ def _guard(vars: int) -> int:
 def _pack(exp: Exponent) -> int:
     """One int for an exponent tuple with entries in 0..2**16 - 1."""
     return int.from_bytes(_layout(len(exp)).pack(*exp), "little")
+
+
+def _check_vars(vars: int) -> None:
+    """Refuse a negative variable count with PolyError."""
+    if vars < 0:
+        raise PolyError(f"variable count must be nonnegative, got {vars}")
 
 
 def _checked_pack(exp: Exponent, vars: int) -> int:
@@ -193,8 +199,7 @@ class MPoly:
 
     def __init__(self, vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         """The polynomial with the given rational coefficients; zeros are dropped."""
-        if vars < 0:
-            raise PolyError(f"variable count must be nonnegative, got {vars}")
+        _check_vars(vars)
         coefs: dict[int, Fraction] = {}
         for exp, coef in (terms or {}).items():
             key = _checked_pack(exp, vars)
@@ -284,31 +289,11 @@ class MPoly:
             raise PolyError(f"variable counts differ: {self.vars} vs {other.vars}")
 
     def _combine(self, other, sign: int) -> "MPoly":
-        """self + sign * other over the lcm of the two denominators."""
+        """self + sign * other, lincomb's two-pair case."""
         if not isinstance(other, MPoly):
             other = MPoly.const(self.vars, other)
         self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            out = dict(self.num)
-            fb = sign
-        else:
-            g = _gcd(da, db)
-            fa, fb = db // g, sign * (da // g)
-            out = {e: c * fa for e, c in self.num.items()}
-            da *= fa
-        get = out.get
-        for exp, coef in other.num.items():
-            c = get(exp)
-            if c is None:
-                out[exp] = coef * fb
-            else:
-                c += coef * fb
-                if c:
-                    out[exp] = c
-                else:
-                    del out[exp]
-        return MPoly._reduced(self.vars, out, da)
+        return lincomb(self.vars, ((self, 1), (other, sign)))
 
     def __add__(self, other) -> "MPoly":
         return self._combine(other, 1)
@@ -487,8 +472,7 @@ class MPoly:
         vars = parse_int(data["vars"])
         items = [(tuple(parse_int(e, 0) for e in item["exp"]), _ratio(item["coef"]))
                  for item in data.get("terms", [])]
-        if vars < 0:
-            raise PolyError(f"variable count must be nonnegative, got {vars}")
+        _check_vars(vars)
         keys = [_checked_pack(exp, vars) for exp, _ in items]
         den = _lcm(*(q for _, (_, q) in items))
         out: dict[int, int] = {}

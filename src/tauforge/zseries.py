@@ -51,14 +51,8 @@ class ZSeries:
 
     def cut(self, hi: int) -> "ZSeries":
         """The same coefficients, claimed exact up to z**hi at most: a
-        bound the series already has below hi stays.  The copy shares this
-        series' coefficient dict, already checked, and checks nothing
-        again."""
-        out = object.__new__(ZSeries)
-        out.vars = self.vars
-        out.coeffs = self.coeffs
-        out.exact_hi = self._min_hi(self.exact_hi, hi)
-        return out
+        bound the series already has below hi stays."""
+        return ZSeries(self.vars, self.coeffs, self._min_hi(self.exact_hi, hi))
 
     def _check(self, other: "ZSeries") -> None:
         if self.vars != other.vars:
