@@ -47,12 +47,12 @@ MAX_INDEX = 64
 # and, for k >= 2, the commutator: none of these taus is a KP tau.  Timed
 # in a child process, start-up included, best of two, on a 2-core x86
 # machine under CPython 3.11, on t_1^2 + t_2: depth 20 (lax --k 16 --order
-# 4) 0.29 s, (--k 1 --order 19) 0.27 s; 28 (--k 16 --order 12) 0.59 s; 32
-# (--order 16) 0.88 s; 36 (--order 20) 1.2 s; 42 (--k 1 --order 41) 1.7 s;
-# 80 (--k 16 --order 64) ran past 60 s when last tried.  On t_1^8: depth 20
-# (--k 16 --order 4) 0.31 s.  On t_1^8 + t_2^4, at the weight limit: depth
-# 15 (--k 11 --order 4) 0.46 s, 16 (--k 12) 0.64 s, 20 (--k 16) 1.5 s, 24
-# (--k 1 --order 23) 2.2 s.
+# 4) 0.16 s, (--k 1 --order 19) 0.13 s; 28 (--k 16 --order 12) 0.28 s; 32
+# (--order 16) 0.40 s; 36 (--order 20) 0.61 s; 42 (--k 1 --order 41) 0.68 s;
+# 80 (--k 16 --order 64) 27 s in one run.  On t_1^8: depth 20 (--k 16
+# --order 4) 0.15 s.  On t_1^8 + t_2^4, at the weight limit: depth 15 (--k
+# 11 --order 4) 0.21 s, 16 (--k 12) 0.25 s, 20 (--k 16) 0.56 s, 24 (--k 1
+# --order 23) 0.71 s.
 MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file and
 # of the tau of a --grpoint point: the bilinear residues of verify grow
@@ -70,11 +70,12 @@ MAX_WEIGHT = 8
 # below takes: the first n printed terms of S_(8) (8 variables, weight 8)
 # are no KP tau for n < 22, and all 22 fail constrained-1.  Timed as above,
 # lax at --order 5 (dress --order 3 at depth 4), (n, depth) inside: (4, 10)
-# 0.33 s, (5, 8) 0.32 s, (3, 12) 0.37 s, (8, 6) 0.23 s, (15, 4) 0.15 s,
-# (2, 15) 0.23 s, (1, 20) 0.24 s; outside, with the limit lifted: (6, 8)
-# 0.53 s, (6, 10) 1.7 s, (5, 10) 1.1 s, (4, 12) 0.84 s, (3, 16) 1.7 s,
-# (2, 20) 0.56 s (1.2 s on t_1^8 + t_2^4), (3, 20) 5.3 s, (22, 4) 0.21 s,
-# and (22, 6) at lax --k 1 1.3 s.
+# 0.33 s, (5, 8) 0.29 s, (3, 12) 0.31 s, (8, 6) 0.19 s, (15, 4) 0.14 s,
+# (2, 15) 0.17 s, (1, 20) 0.16 s; outside, with the limit lifted: (6, 8)
+# 0.39 s, (6, 10) 1.2 s, (5, 10) 0.72 s, (4, 12) 0.44 s, (3, 16) 0.75 s,
+# (2, 20) 0.28 s (0.56 s on t_1^8 + t_2^4), (3, 20) 2.4 s, (22, 4) 0.17 s,
+# and (22, 6) at lax --k 1 0.98 s.  So the limit refuses jobs of under 1 s;
+# its model has no --k term, and it stays until one is fitted.
 MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The

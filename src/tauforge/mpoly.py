@@ -31,10 +31,9 @@ scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
 ``MPoly * MPoly`` is dot's one-pair case, a ZSeries product calls it
 once per z-order, and the Jacobi-Trudi determinants and witness
 expansions call it once per sum; no other module reads the guard bits.
-``+`` and ``-`` are lincomb's two-pair case, and the residue defects,
-their echelon form and the Schur expansion's check call it once per sum;
-scalar ``*`` keeps its own loop, which cancels a common factor before it
-multiplies.  ``MPoly.from_json``
+``+`` and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``)
+its one-pair case, and the residue defects, their echelon form and the
+Schur expansion's check call it once per sum.  ``MPoly.from_json``
 sums on packed keys too, reading each "p/q" as an integer pair through
 the one rational grammar, which ``parse_rat`` also reads.
 
@@ -306,33 +305,12 @@ class MPoly:
     def __sub__(self, other) -> "MPoly":
         return self._combine(other, -1)
 
-    def _scaled(self, p: int, q: int) -> "MPoly":
-        """self * p/q for coprime p and q > 0."""
-        if not p or not self.num:
-            return MPoly.zero(self.vars)
-        g = _gcd(p, self.den)
-        p //= g
-        den = self.den // g
-        if q != 1:
-            # gcd(den, num) = 1 and gcd(p, q) = 1 already, so the only
-            # factors left to cancel are shared by q and every numerator
-            h = q
-            for c in self.num.values():
-                h = _gcd(h, c)
-                if h == 1:
-                    break
-            den *= q // h
-            if h != 1:
-                return MPoly._make(self.vars, {e: c // h * p for e, c in self.num.items()}, den)
-        return MPoly._make(self.vars, {e: c * p for e, c in self.num.items()}, den)
-
     def __mul__(self, other) -> "MPoly":
-        if not isinstance(other, MPoly):
-            if isinstance(other, int):
-                return self._scaled(other, 1)
-            c = Fraction(other)
-            return self._scaled(c.numerator, c.denominator)
-        return dot(self.vars, ((self, other),))
+        if isinstance(other, MPoly):
+            return dot(self.vars, ((self, other),))
+        if not isinstance(other, int):
+            other = Fraction(other)
+        return lincomb(self.vars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -561,9 +539,11 @@ def lincomb(vars: int, pairs: Iterable[tuple[MPoly, Rational]]) -> MPoly:
     or a Fraction: the one kernel for linear combinations.
 
     Summed on integers over one common denominator, the lcm of the
-    p.den * c.denominator, dropping a key as soon as it cancels; one gcd
-    pass finishes the sum.  No keys are added, so no guard bit is read.
-    A zero p or c adds nothing, and no pair left gives zero.
+    p.den * c.denominator, each cancelled against c.numerator first (so an
+    integer c times p needs no division in the closing pass), dropping a
+    key as soon as it cancels; one gcd pass finishes the sum.  No keys are
+    added, so no guard bit is read.  A zero p or c adds nothing, and no
+    pair left gives zero.
     """
     live = []
     den = 1
@@ -571,9 +551,10 @@ def lincomb(vars: int, pairs: Iterable[tuple[MPoly, Rational]]) -> MPoly:
         if p.vars != vars:
             raise PolyError(f"variable counts differ: {p.vars} vs {vars}")
         if p.num and c:
-            d = p.den * c.denominator
-            live.append((p.num, c.numerator, d))
-            den = _lcm(den, d)
+            n, d = c.numerator, p.den * c.denominator
+            g = _gcd(n, d)
+            live.append((p.num, n // g, d // g))
+            den = _lcm(den, d // g)
     out: dict[int, int] = {}
     get = out.get
     for num, n, d in live:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .mpoly import MPoly, PolyError
+from .mpoly import MPoly
 from .ratfun import TauFrac, TauRing
 from .hirota import _kp_defect, bilinear_defects, identity_family
 from .schur import ChargedPoly, miwa_shift
@@ -64,13 +64,13 @@ def _tightest(*bounds: int | None) -> int | None:
     return max(known) if known else NEG_INF
 
 
-def _leibniz(out: dict[int, TauFrac], a: TauFrac | int, i: int, b: TauFrac, l: int,
+def _leibniz(out: dict[int, list], a: TauFrac, i: int, b: TauFrac, l: int,
              floor: int) -> bool:
-    """Add a d^i b d^l = sum_j C(i, j) a b^(j) d^(i-j+l) into out, in that
-    order of j, down to floor; True if the series was cut there.
+    """List the terms of a d^i b d^l = sum_j C(i, j) a b^(j) d^(i-j+l) in
+    out by order, as ``TauRing.sum`` terms (C(i, j), a, b^(j)), down to
+    floor; True if the series was cut there.
 
-    a is a coefficient or an integer sign.  The series stops where b^(j)
-    vanishes or, for i >= 0, at j = i.
+    The series stops where b^(j) vanishes or, for i >= 0, at j = i.
     """
     deriv = b
     j = 0
@@ -82,11 +82,9 @@ def _leibniz(out: dict[int, TauFrac], a: TauFrac | int, i: int, b: TauFrac, l: i
             deriv = deriv.differentiate(1)  # cached on the element
         if deriv.is_zero:
             return False
-        c = _binomial(i, j)
-        if c:
-            term = (a if c == 1 else a * c) * deriv
-            cur = out.get(order)
-            out[order] = term if cur is None else cur + term
+        n = _binomial(i, j)
+        if n:
+            out.setdefault(order, []).append((n, a, deriv))
         if i >= 0 and j >= i:
             return False
         j += 1
@@ -107,8 +105,7 @@ class PsiDO:
         self.floor = floor
         clean: dict[int, TauFrac] = {}
         for order, fn in coeffs.items():
-            if fn.ring is not ring and fn.ring.tau != ring.tau:
-                raise PolyError("coefficient ring mismatch")
+            ring._check(fn)
             if fn.is_zero:
                 continue
             if order >= floor:
@@ -163,25 +160,30 @@ class PsiDO:
 
     # -- ring operations ----------------------------------------------------------
 
+    def _combine(self, other: "PsiDO", sign: int) -> "PsiDO":
+        """self + sign * other, one ``TauRing.sum`` per order."""
+        one = self.ring.one
+        out = {o: [(1, f, one)] for o, f in self.coeffs.items()}
+        for o, f in other.coeffs.items():
+            out.setdefault(o, []).append((sign, f, one))
+        return PsiDO(self.ring, {o: self.ring.sum(t) for o, t in out.items()},
+                     max(self.floor, other.floor), _tightest(self.exact_to, other.exact_to))
+
     def __add__(self, other: "PsiDO") -> "PsiDO":
-        out = dict(self.coeffs)
-        for order, fn in other.coeffs.items():
-            cur = out.get(order)
-            out[order] = fn if cur is None else cur + fn
-        return PsiDO(self.ring, out, max(self.floor, other.floor),
-                     _tightest(self.exact_to, other.exact_to))
+        return self._combine(other, 1)
 
     def __neg__(self) -> "PsiDO":
         return PsiDO(self.ring, {o: -f for o, f in self.coeffs.items()},
                      self.floor, self.exact_to)
 
     def __sub__(self, other: "PsiDO") -> "PsiDO":
-        return self + -other
+        return self._combine(other, -1)
 
     def __mul__(self, other: "PsiDO") -> "PsiDO":
         """Composition; exactness shrinks by the partner's top order."""
+        ring = self.ring
         floor = max(self.floor, other.floor)
-        out: dict[int, TauFrac] = {}
+        out: dict[int, list] = {}
         dropped = False
         for i, a in self.coeffs.items():
             for l, b in other.coeffs.items():
@@ -190,18 +192,21 @@ class PsiDO:
         if self.coeffs and other.coeffs:
             e = _tightest(None if self.exact_to is None else self.exact_to + other.max_order,
                           None if other.exact_to is None else other.exact_to + self.max_order)
-        return PsiDO(self.ring, out, floor, _tightest(e, floor) if dropped else e)
+        return PsiDO(ring, {o: ring.sum(t) for o, t in out.items()}, floor,
+                     _tightest(e, floor) if dropped else e)
 
     # -- involutions and parts ------------------------------------------------------
 
     def adjoint(self) -> "PsiDO":
         """(a d^i)* = (-d)^i a, extended linearly; an anti-involution."""
-        out: dict[int, TauFrac] = {}
+        ring = self.ring
+        out: dict[int, list] = {}
         dropped = False
         for i, a in self.coeffs.items():
-            dropped |= _leibniz(out, 1 if i % 2 == 0 else -1, i, a, 0, self.floor)
+            dropped |= _leibniz(out, -ring.one if i % 2 else ring.one, i, a, 0, self.floor)
         e = self.exact_to
-        return PsiDO(self.ring, out, self.floor, _tightest(e, self.floor) if dropped else e)
+        return PsiDO(ring, {o: ring.sum(t) for o, t in out.items()}, self.floor,
+                     _tightest(e, self.floor) if dropped else e)
 
     def plus_part(self) -> "PsiDO":
         """Differential part (orders >= 0), always fully exact."""
@@ -217,16 +222,15 @@ class PsiDO:
         """Apply a differential operator to a function."""
         if any(o < 0 for o in self.coeffs):
             raise ValueError("only differential operators act on functions")
-        out = self.ring.const(0)
-        by_order = sorted(self.coeffs.items())
+        terms = []
         deriv = fn
         level = 0
-        for order, a in by_order:
+        for order, a in sorted(self.coeffs.items()):
             while level < order:
                 deriv = deriv.differentiate(1)
                 level += 1
-            out = out + a * deriv
-        return out
+            terms.append((1, a, deriv))
+        return self.ring.sum(terms)
 
     def diff_coeffs(self, k: int) -> "PsiDO":
         """Coefficient-wise d/dt_k."""

@@ -2,30 +2,35 @@
 
 Every coefficient the dressing pipeline produces is a polynomial over a
 power of one fixed tau, so an element is stored as (numerator, power of
-tau).  Addition lifts to the larger power, multiplication adds powers,
-and the zero test is "numerator is zero"; nothing is cancelled during
-arithmetic.  Only when an element is rendered for a report (``RatFun``)
-is tau cancelled, one factor at a time while it divides the numerator,
-so a value prints at the least power of tau it has, whatever the
-arithmetic that reached it: equal values print alike.
+tau).  Every sum goes through ``TauRing.sum``: the products at each
+power of tau are one ``mpoly.dot``, and one more lifts those group sums
+to the largest power, so no partial sum is lifted twice.  Multiplication
+adds powers, and the zero test is "numerator is zero"; nothing is
+cancelled during arithmetic.  Only when an element is rendered for a
+report (``RatFun``) is tau cancelled, one factor at a time while it
+divides the numerator, so a value prints at the least power of tau it
+has, whatever the arithmetic that reached it: equal values print alike.
 """
 
 from __future__ import annotations
 
-from .mpoly import MPoly, PolyError, divexact
+from typing import Iterable
+
+from .mpoly import MPoly, PolyError, divexact, dot
 
 
 class TauRing:
     """Q[t][1/tau] for one nonzero tau, with its powers and first derivatives cached."""
 
-    __slots__ = ("tau", "vars", "_powers", "_derivs")
+    __slots__ = ("tau", "vars", "one", "_powers", "_derivs")
 
     def __init__(self, tau: MPoly):
         if tau.is_zero:
             raise ZeroDivisionError("tau must be nonzero")
         self.tau = tau
         self.vars = tau.vars
-        self._powers = [MPoly.const(tau.vars, 1), tau]
+        self.one = TauFrac(self, MPoly.const(tau.vars, 1), 0)
+        self._powers = [self.one.num, tau]
         self._derivs: dict[int, MPoly] = {}
 
     def power(self, p: int) -> MPoly:
@@ -49,6 +54,35 @@ class TauRing:
     def const(self, value) -> "TauFrac":
         return TauFrac(self, MPoly.const(self.vars, value), 0)
 
+    def _check(self, f: "TauFrac") -> None:
+        if f.ring is not self and f.ring.tau != self.tau:
+            raise PolyError("elements of different tau rings")
+
+    def sum(self, terms: Iterable[tuple[int, "TauFrac", "TauFrac"]]) -> "TauFrac":
+        """sum c*a*b over (int, TauFrac, TauFrac) terms: the one sum of the ring.
+
+        The products at each power of tau are one ``dot``, and one more
+        ``dot`` against the powers of tau lifts the nonzero group sums to
+        the largest power, so no partial sum is lifted twice.  A term with
+        a zero factor adds nothing, and no term left gives zero.
+        """
+        groups: dict[int, list[tuple[MPoly, MPoly]]] = {}
+        for c, a, b in terms:
+            self._check(a)
+            self._check(b)
+            if c and a.num and b.num:
+                groups.setdefault(a.power + b.power, []).append(
+                    (a.num if c == 1 else a.num * c, b.num))
+        vars = self.vars
+        sums = {p: s for p, pairs in groups.items() if (s := dot(vars, pairs))}
+        if not sums:
+            return TauFrac(self, MPoly.zero(vars), 0)
+        top = max(sums)
+        if len(sums) == 1:
+            return TauFrac(self, sums[top], top)
+        return TauFrac(self, dot(vars, ((s, self.power(top - p)) for p, s in sums.items())),
+                       top)
+
 
 class TauFrac:
     """Immutable element num / tau**power of a TauRing.
@@ -69,42 +103,18 @@ class TauFrac:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _check(self, other: "TauFrac") -> None:
-        if other.ring is not self.ring and other.ring.tau != self.ring.tau:
-            raise PolyError("elements of different tau rings")
-
-    def _lifted(self, other: "TauFrac") -> tuple[MPoly, MPoly, int]:
-        """Both numerators over the larger power of tau."""
-        self._check(other)
-        p, q = self.power, other.power
-        if p == q:
-            return self.num, other.num, p
-        if p < q:
-            return self.num * self.ring.power(q - p), other.num, q
-        return self.num, other.num * self.ring.power(p - q), p
-
     def __add__(self, other: "TauFrac") -> "TauFrac":
-        if other.num.is_zero:
-            return self
-        if self.num.is_zero:
-            return other
-        a, b, p = self._lifted(other)
-        return TauFrac(self.ring, a + b, p)
+        return self.ring.sum(((1, self, self.ring.one), (1, other, self.ring.one)))
 
     def __neg__(self) -> "TauFrac":
         return TauFrac(self.ring, -self.num, self.power)
 
     def __sub__(self, other: "TauFrac") -> "TauFrac":
-        if other.num.is_zero:
-            return self
-        if self.num.is_zero:
-            return -other
-        a, b, p = self._lifted(other)
-        return TauFrac(self.ring, a - b, p)
+        return self.ring.sum(((1, self, self.ring.one), (-1, other, self.ring.one)))
 
     def __mul__(self, other) -> "TauFrac":
         if isinstance(other, TauFrac):
-            self._check(other)
+            self.ring._check(other)
             return TauFrac(self.ring, self.num * other.num, self.power + other.power)
         return TauFrac(self.ring, self.num * other, self.power)
 
@@ -120,16 +130,16 @@ class TauFrac:
             if not p:
                 out = TauFrac(ring, self.num.differentiate(i), 0)
             else:
-                num = (self.num.differentiate(i) * ring.tau
-                       - self.num * ring.deriv(i) * p)
+                num = dot(ring.vars, ((self.num.differentiate(i), ring.tau),
+                                      (self.num, ring.deriv(i) * -p)))
                 out = TauFrac(ring, num, p + 1)
             self._derivs[i] = out
         return out
 
     def equals(self, other: "TauFrac") -> bool:
         """Cross-multiplied exact equality, also across rings."""
-        return (self.num * other.ring.power(other.power)
-                - other.num * self.ring.power(self.power)).is_zero
+        return not dot(self.num.vars, ((self.num, other.ring.power(other.power)),
+                                       (-other.num, self.ring.power(self.power))))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TauFrac):

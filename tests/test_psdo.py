@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tauforge.mpoly import MPoly
-from tauforge.ratfun import TauRing
+from tauforge.ratfun import TauFrac, TauRing
 from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.grassmann import companions, reduce_point, tau_of
@@ -114,6 +114,57 @@ class TestAdjoint:
             b = PsiDO(R, {rng.randint(-1, 2): R.frac(random_poly(rng, D))
                           for _ in range(2)}, FL)
             assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+
+
+class TestOneSumPerOrder:
+    """Composition, the adjoint, + and - and apply_to form each output order
+    with one TauRing.sum and no running TauFrac + or -."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a running TauFrac sum")
+
+        monkeypatch.setattr(TauFrac, "__add__", refuse)
+        monkeypatch.setattr(TauFrac, "__sub__", refuse)
+        calls = []
+        real = TauRing.sum
+
+        def counted(ring, terms):
+            calls.append(ring)
+            return real(ring, terms)
+
+        monkeypatch.setattr(TauRing, "sum", counted)
+        return calls
+
+    def test_each_operation(self, sums):
+        # over tau = t1: f = t2 / t1, g = t1 t3 + 1 and h = t1^2 t2
+        t1, t2, t3 = (MPoly.variable(D, i) for i in (1, 2, 3))
+        f, g, h = R.frac(t2, 1), R.frac(t1 * t3 + 1), R.frac(t1 * t1 * t2)
+        one = R.one
+        cases = [
+            # (d + f)(d + g) = d^2 + (f + g) d + g' + f g
+            (lambda: PsiDO(R, {1: one, 0: f}, FL) * PsiDO(R, {1: one, 0: g}, FL),
+             {2: one, 1: R.frac(t2 + t1 * (t1 * t3 + 1), 1),
+              0: R.frac(t1 * t3 + t2 * (t1 * t3 + 1), 1)}),
+            # (d^2 + f d)* = d^2 - f d - f', f' = -t2 / t1^2
+            (lambda: PsiDO(R, {2: one, 1: f}, FL).adjoint(),
+             {2: one, 1: R.frac(-t2, 1), 0: R.frac(t2, 2)}),
+            (lambda: PsiDO(R, {1: f, 0: g}, FL) + PsiDO(R, {0: f, -1: g}, FL),
+             {1: f, 0: R.frac(t1 * (t1 * t3 + 1) + t2, 1), -1: g}),
+            (lambda: PsiDO(R, {1: f, 0: g}, FL) - PsiDO(R, {0: f, -1: g}, FL),
+             {1: f, 0: R.frac(t1 * (t1 * t3 + 1) - t2, 1), -1: R.frac(-(t1 * t3 + 1))}),
+        ]
+        for op, expected in cases:
+            sums.clear()
+            got = op()
+            assert got == PsiDO(R, expected, FL)
+            assert len(sums) == len(expected) == len(got.coeffs)
+        # (f d + g) h = f h' + g h, one sum for the one function
+        sums.clear()
+        got = PsiDO(R, {1: f, 0: g}, FL).apply_to(h)
+        assert got.equals(R.frac(2 * t2 * t2 + (t1 * t3 + 1) * t1 * t1 * t2))
+        assert len(sums) == 1
 
 
 class TestSplit:

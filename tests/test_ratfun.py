@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tauforge.mpoly import MPoly, divexact
+from tauforge.mpoly import MPoly, PolyError, divexact
 from tauforge.ratfun import TauRing
 
 from conftest import evaluate, random_poly
@@ -121,6 +121,14 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             f + TauRing(V(1)).frac(V(1), 1)  # different tau
 
+    def test_equality_across_rings(self):
+        # two ring objects with equal taus compare by value
+        tau = V(1)**2 + V(2)
+        R, S = TauRing(tau), TauRing(tau)
+        x = R.frac(V(1), 1)
+        assert x.equals(S.frac(V(1) * tau, 2)) and S.frac(V(1) * tau, 2) == x
+        assert not x.equals(S.frac(V(1), 2))
+
 
 class TestDerivative:
     def test_inverse_power_rule(self):
@@ -187,3 +195,47 @@ class TestEvaluation:
                 assert not all(values)
             outcomes.append(agree)
         assert True in outcomes and False in outcomes
+
+
+class TestSum:
+    def test_matches_evaluation(self):
+        # sum c*a*b at rational points is the sum of the values, over powers
+        # 0 to 3 and integer factors that are 0, negative or above 1
+        rng = random.Random(31)
+        factors, powers = set(), set()
+        for _ in range(25):
+            R = random_ring(rng)
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                a, b = (R.frac(random_poly(rng, 2), rng.randint(0, 3)) for _ in range(2))
+                terms.append((rng.choice([0, -3, -1, 1, 2, 5]), a, b))
+                factors.add(terms[-1][0])
+                powers.update((a.power, b.power))
+            s = R.sum(terms)
+            assert s.power <= max(a.power + b.power for _, a, b in terms)
+            checked = 0
+            while checked < 5:
+                pt = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+                v = value(s, pt)
+                if v is not None:
+                    assert v == sum(c * value(a, pt) * value(b, pt) for c, a, b in terms)
+                    checked += 1
+        assert factors == {0, -3, -1, 1, 2, 5} and powers == {0, 1, 2, 3}
+
+    def test_cancellation_gives_zero_at_power_zero(self):
+        R = TauRing(V(1)**2 + V(2))
+        a, b = R.frac(V(1), 2), R.frac(V(2) + 1, 3)
+        for terms in ([(2, a, b), (-1, a, b), (-1, b, a)], []):
+            s = R.sum(terms)
+            assert s.is_zero and s.power == 0
+        # a group that cancels is not lifted: the rest keeps its power
+        s = R.sum([(1, a, b), (-1, b, a), (3, a, R.one)])
+        assert (s.num, s.power) == (V(1) * 3, 2)
+
+    def test_another_tau_is_refused(self):
+        R = TauRing(V(1))
+        with pytest.raises(PolyError):
+            R.sum([(1, R.one, TauRing(V(2)).one)])
+        # an equal tau in another ring object is the same ring
+        other = TauRing(V(1)).frac(V(2), 1)
+        assert R.sum([(1, R.frac(V(2), 1), other)]).equals(R.frac(V(2)**2, 2))
