@@ -30,7 +30,9 @@ each with one gcd pass per result:
 scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
 ``MPoly * MPoly`` is dot's one-pair case, a ZSeries product calls it
 once per z-order, and the Jacobi-Trudi determinants and witness
-expansions call it once per sum; no other module reads the guard bits.
+expansions call it once per sum.  No other module knows the layout
+(field width, guard bits, packing): the Miwa shift is built from
+``differentiate`` and the Hall weights read exponents through ``terms``.
 ``+`` and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``)
 its one-pair case, and the residue defects, their echelon form and the
 Schur expansion's check call it once per sum.  ``MPoly.from_json``
@@ -52,6 +54,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Exponent = tuple[int, ...]
@@ -155,6 +158,14 @@ def _unpack(key: int, vars: int) -> Exponent:
     return _layout(vars).unpack(key.to_bytes(2 * vars, "little"))
 
 
+def _exponent(exp) -> Exponent:
+    """The tuple of a JSON exponent list, after one type-and-sign test of
+    the list; parse_int words the error of a list that fails it."""
+    if type(exp) is list and all([type(e) is int and e >= 0 for e in exp]):
+        return tuple(exp)
+    return tuple(parse_int(e, 0) for e in exp)
+
+
 def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
 
@@ -163,6 +174,8 @@ class Terms(Mapping):
     """Read-only exponent -> Fraction view of a polynomial's coefficients.
 
     A Fraction is built only when an item is read; the length is O(1).
+    Iteration follows ``num``, so zip(p.terms, p.num.items()) pairs each
+    exponent tuple with its key.
     """
 
     __slots__ = ("_num", "_den", "_vars")
@@ -372,10 +385,8 @@ class MPoly:
 
         The zero polynomial reports 0.
         """
-        return max(
-            (sum(w * e for w, e in enumerate(exp, start=1)) for exp in self.terms),
-            default=0,
-        )
+        weights = range(1, self.vars + 1)
+        return max((sum(map(mul, exp, weights)) for exp in self.terms), default=0)
 
     def max_var_used(self) -> int:
         """Largest 1-based variable index with a nonzero exponent (0 if none)."""
@@ -448,7 +459,7 @@ class MPoly:
         Every item is parsed before any check, and each exponent is
         checked before it is packed."""
         vars = parse_int(data["vars"])
-        items = [(tuple(parse_int(e, 0) for e in item["exp"]), _ratio(item["coef"]))
+        items = [(_exponent(item["exp"]), _ratio(item["coef"]))
                  for item in data.get("terms", [])]
         _check_vars(vars)
         keys = [_checked_pack(exp, vars) for exp, _ in items]

@@ -3,11 +3,16 @@ and the exponential kernel exp(+-xi(t, z)) of the wave functions that
 drive the bilinear residue checks.
 
 Conventions.  S_i(t) is the coefficient of z**i in exp(sum t_j z**j),
-with S_i = 0 for i < 0.  A partition indexes S_lambda through the
-determinant det(S_{lambda_i - i + j}), which needs D at least the hook
-lambda_1 + len(lambda) - 1.  The doubled variable space for
-two-point identities puts t_1..t_D in slots 1..D and the primed copies
-t'_1..t'_D in slots D+1..2D of a single polynomial ring.
+with S_i = 0 for i < 0.  Both halves of a wave factor come from one
+recursion, the derivative in z of an exponential generating series:
+i*S_i = sum_j j*t_j*S_{i-j}, and the Miwa shift
+p(t + s[z**-1]) = exp(s * sum_j z**-j d/dt_j / j) p, whose z**-n
+coefficient A_n obeys n*A_n = s * sum_j d A_{n-j} / dt_j.  A partition
+indexes S_lambda through the determinant det(S_{lambda_i - i + j}),
+which needs D at least the hook lambda_1 + len(lambda) - 1.  The doubled
+variable space for two-point identities puts t_1..t_D in slots 1..D and
+the primed copies t'_1..t'_D in slots D+1..2D of a single polynomial
+ring.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .mpoly import _BITS, MPoly, PolyError, _unpack, dot, lincomb, parse_int
+from .mpoly import MPoly, PolyError, dot, lincomb, parse_int
 from .zseries import ZSeries
 
 
@@ -145,44 +150,23 @@ def _det(grid: list[list[MPoly]], D: int) -> MPoly:
 def miwa_shift(p: MPoly, sign: int) -> ZSeries:
     """Substitute t_i -> t_i + sign * z**-i / i and expand exactly.
 
-    The result is a Laurent polynomial in z**-1 with orders in
-    [-wdeg(p), 0]; the z**0 coefficient is p itself.
+    The shift is exp(sign * sum_j z**-j d/dt_j / j) applied to p, so the
+    z**-n coefficient A_n follows the recursion of elementary_schur with
+    t_j read as sign * d/dt_j / j: A_0 = p and
+    n*A_n = sign * sum_{j=1..min(n,u)} d A_{n-j} / dt_j, one lincomb per
+    order, u the last variable p uses.  The result is a Laurent
+    polynomial in z**-1 with orders in [-wdeg(p), 0]; the z**0
+    coefficient is p itself.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    D = p.vars
-    exps = [(_unpack(key, D), key, coef) for key, coef in p.num.items()]
-    # every coefficient is an integer over p.den * scale: a term that takes
-    # j_i factors z**-i/i from t_i is divided by prod i**j_i, which divides
-    # scale = prod i**top_i, top_i the highest power of t_i
-    scale = 1
-    for w in range(2, D + 1):
-        scale *= w ** max((exp[w - 1] for exp, _, _ in exps), default=0)
-    out: dict[int, dict[int, int]] = {}
-    for exp, key, coef in exps:
-        # expand prod (t_i + sign*z^-i/i)^e_i over choices of binomial splits;
-        # a partial carries (z order, packed exponent, numerator, divisor)
-        partials: list[tuple[int, int, int, int]] = [(0, key, coef, 1)]
-        for w, e in enumerate(exp, start=1):
-            if e == 0:
-                continue
-            unit = 1 << (_BITS * (w - 1))
-            nxt: list[tuple[int, int, int, int]] = []
-            for order, cur_key, cur_coef, div in partials:
-                binom = 1
-                for j in range(e + 1):
-                    if j:
-                        binom = binom * (e - j + 1) // j
-                    nxt.append((order - w * j, cur_key - j * unit,
-                                cur_coef * binom * sign**j, div * w**j))
-            partials = nxt
-        for order, new_key, c, div in partials:
-            bucket = out.setdefault(order, {})
-            bucket[new_key] = bucket.get(new_key, 0) + c * (scale // div)
-    den = p.den * scale
-    coeffs = {order: MPoly._reduced(D, {e: c for e, c in bucket.items() if c}, den)
-              for order, bucket in out.items()}
-    return ZSeries(D, coeffs, None)
+    D, used = p.vars, p.max_var_used()
+    shifted = [p]
+    for n in range(1, p.wdeg() + 1):
+        c = Fraction(sign, n)
+        shifted.append(lincomb(D, [(shifted[n - j].differentiate(j), c)
+                                   for j in range(1, min(n, used) + 1)]))
+    return ZSeries(D, {-n: a for n, a in enumerate(shifted)}, None)
 
 
 @lru_cache(maxsize=None)
@@ -224,11 +208,11 @@ def bilinear_window(w_left: int, w_right: int, weight: int) -> int:
     return max(w_left + w_right - 1 - weight, 0)
 
 
-def _hall_norm(key: int, D: int) -> tuple[int, int]:
-    """<t^a, t^a> = prod_i a_i! / i^a_i of the monomial with packed key,
-    as (numerator, denominator)."""
+def _hall_norm(exp: tuple[int, ...]) -> tuple[int, int]:
+    """<t^a, t^a> = prod_i a_i! / i^a_i of the monomial t^exp, as
+    (numerator, denominator)."""
     num = den = 1
-    for i, e in enumerate(_unpack(key, D), start=1):
+    for i, e in enumerate(exp, start=1):
         if e:
             num *= math.factorial(e)
             den *= i**e
@@ -244,10 +228,11 @@ def hall_product(f: MPoly, g: MPoly) -> Fraction:
     if f.vars != g.vars:
         raise PolyError("variable counts differ")
     total = Fraction(0)
-    for key, cf in f.num.items():
+    # terms iterates in num order, so each exponent meets its own key
+    for exp, (key, cf) in zip(f.terms, f.num.items()):
         cg = g.num.get(key)
         if cg is not None:
-            norm_num, norm_den = _hall_norm(key, f.vars)
+            norm_num, norm_den = _hall_norm(exp)
             total += Fraction(cf * cg * norm_num, norm_den)
     return total / (f.den * g.den)
 
@@ -255,9 +240,9 @@ def hall_product(f: MPoly, g: MPoly) -> Fraction:
 @lru_cache(maxsize=None)
 def _hall_weights(shape: Partition, D: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The Hall weights <t^a, S_shape> of the monomials t^a of S_shape, as
-    (packed key, integer) pairs over one common denominator."""
+    (key, integer) pairs over one common denominator."""
     s = schur_of_partition(shape, D)
-    norms = [(key, c, *_hall_norm(key, D)) for key, c in s.num.items()]
+    norms = [(key, c, *_hall_norm(exp)) for exp, (key, c) in zip(s.terms, s.num.items())]
     common = math.lcm(*(den for *_, den in norms))
     return (tuple((key, c * num * (common // den)) for key, c, num, den in norms),
             s.den * common)

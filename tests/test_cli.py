@@ -325,6 +325,12 @@ class TestPolynomialReader:
          "exponent (32768,) has an entry outside 0..32767"),
         (1, [_term([1, 2]), _term([2**15])], "exponent (1, 2) has length 2, expected 1"),
         (1, [_term([2**15, 0])], "exponent (32768, 0) has length 2, expected 1"),
+        (2, [_term([0, True])], "expected a JSON integer, got True"),
+        (1, [_term("12")], "expected a JSON integer, got '1'"),
+        (1, [_term(3)], "'int' object is not iterable"),
+        # each item's exponent is read before its coefficient, in file order
+        (1, [_term([1], "x"), _term([-1])], "rational must be a \"p/q\" string, got 'x'"),
+        (1, [_term([1]), _term([-1], "x")], "expected an integer >= 0, got -1"),
     ])
     def test_bad_payload_message(self, capsys, tmp_path, vars, terms, reason):
         path = tmp_path / "tau.json"

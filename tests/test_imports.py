@@ -119,20 +119,25 @@ def test_no_unread_definitions():
     assert found == {}
 
 
-KERNEL_PRIVATES = {"_guard", "_LIMIT"}
+KERNEL_PRIVATES = {"_BITS", "_FIELD", "_LIMIT", "_guard", "_layout", "_pack",
+                   "_checked_pack", "_unpack"}
 
 
 def kernel_privates_read(source: str) -> set[str]:
-    """The names of the packed-exponent guard a source imports or reads."""
+    """The names of the packed exponent layout a source imports or reads."""
     imported = {alias.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     return KERNEL_PRIVATES & (imported | names_read(source))
 
 
 def test_one_product_kernel():
-    # the guard bits are read only where the one product kernel,
-    # mpoly.dot, lives, so a second multiply loop cannot come back
-    assert kernel_privates_read("from .mpoly import _guard as g\nmpoly._LIMIT\n") == \
+    # the packed exponent layout (field width, guard bits, packing) is
+    # known only to mpoly, where the one product kernel, mpoly.dot, lives,
+    # so neither a second multiply loop nor a second expansion on packed
+    # keys can come back
+    assert kernel_privates_read("from .mpoly import _guard as g, _pack, _BITS\n"
+                                "mpoly._LIMIT\nmpoly._unpack(k, 2) & mpoly._FIELD\n"
+                                "mpoly._layout(2)\nmpoly._checked_pack(e, 2)\n") == \
         KERNEL_PRIVATES
     modules = [p for p in PACKAGE.glob("*.py") if p.name != "mpoly.py"]
     assert len(modules) > 5

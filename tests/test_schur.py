@@ -166,6 +166,58 @@ class TestMiwaShift:
             assert s.min_order is None or s.min_order >= -p.wdeg()
 
 
+def weighted_poly(rng: random.Random, vars: int, weight: int) -> MPoly:
+    """A seeded polynomial in vars variables of weighted degree at most weight."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        budget = rng.randint(0, weight)
+        exp = [0] * vars
+        for i in range(vars, 0, -1):
+            exp[i - 1] = rng.randint(0, budget // i)
+            budget -= i * exp[i - 1]
+        terms[tuple(exp)] = F(rng.randint(-5, 5), rng.randint(1, 4))
+    return MPoly(vars, terms)
+
+
+class TestMiwaShiftOracle:
+    """miwa_shift against SymPy substituting t_i -> t_i + sign * z**-i / i
+    and expanding, compared coefficient by coefficient in z."""
+
+    @staticmethod
+    def to_sympy(sp, symbols, p: MPoly):
+        return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                        * sp.Mul(*(t**e for t, e in zip(symbols, exp)))
+                        for exp, c in p.terms.items()))
+
+    def check(self, sp, p: MPoly, sign: int):
+        ts = sp.symbols(f"t1:{p.vars + 1}")
+        w = sp.Symbol("w")  # z**-1
+        shifted = sp.expand(self.to_sympy(sp, ts, p).subs(
+            {t: t + sp.Rational(sign, i) * w**i for i, t in enumerate(ts, start=1)},
+            simultaneous=True))
+        want = {-n: c for (n,), c in sp.Poly(shifted, w).as_dict().items()}
+        got = miwa_shift(p, sign)
+        assert got.exact_hi is None and got.vars == p.vars
+        assert sorted(got.coeffs) == sorted(want)
+        for order, c in want.items():
+            assert sp.expand(self.to_sympy(sp, ts, got.coeff(order)) - c) == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_seeded_polynomials(self, sign):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(20 + sign)
+        for _ in range(40):
+            self.check(sp, weighted_poly(rng, rng.randint(1, 6), rng.randint(0, 8)), sign)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_edges(self, sign):
+        sp = pytest.importorskip("sympy")
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        for p in (MPoly.zero(3), MPoly.const(0, F(-3, 4)),
+                  (t1**2 * t2 - t2 / 3).embed(6)):  # weight 4 in 6 variables
+            self.check(sp, p, sign)
+
+
 class TestKernel:
     """The one-sided kernel exp(+-xi(t, z)) = sum_j S_j(+-t) z**j."""
 
