@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, count, islice
 from typing import Iterable, Iterator, Mapping
 
-from .mpoly import MPoly, format_rat, parse_int, parse_rat
+from .mpoly import MPoly, format_rat, lincomb, parse_int, parse_rat
 from .schur import ChargedPoly, Partition, schur_expand, schur_of_partition
 
 
@@ -396,16 +396,17 @@ def apply_window_matrix(matrix: WindowMatrix, charge: int,
 def sigma_map(v: FockVector, D: int) -> list[ChargedPoly]:
     """Per charge, the sum of coefficients times S_lambda (DomainError below a hook).
 
-    The S_lambda whose hook fits in D are polynomials in the algebraically
-    independent S_1..S_D, so they are linearly independent: every charge
-    of a vector has a nonzero image.
+    Sato's formula on the integer numerators: each charge's image is one
+    lincomb of its (S_lambda, numerator) pairs, divided by the vector's
+    denominator once.  The S_lambda whose hook fits in D are polynomials
+    in the algebraically independent S_1..S_D, so they are linearly
+    independent: every charge of a vector has a nonzero image.
     """
-    by_charge: dict[int, MPoly] = {}
+    by_charge: dict[int, list[tuple[MPoly, int]]] = {}
     for (m, parts), n in v.num.items():
-        poly = schur_of_partition(Partition.trusted(parts), D) * n
-        prev = by_charge.get(m)
-        by_charge[m] = poly if prev is None else prev + poly
-    return [ChargedPoly(by_charge[m] / v.den, m) for m in sorted(by_charge)]
+        by_charge.setdefault(m, []).append(
+            (schur_of_partition(Partition.trusted(parts), D), n))
+    return [ChargedPoly(lincomb(D, by_charge[m]) / v.den, m) for m in sorted(by_charge)]
 
 
 def sigma_single(v: FockVector, D: int) -> ChargedPoly:

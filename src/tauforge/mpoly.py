@@ -25,7 +25,7 @@ printing (graded-lex order compares tuples), ``content`` and
 ``scale_vars``.
 
 Three kernels do the arithmetic on packed keys and integer numerators,
-each with one gcd pass per result:
+each with at most one gcd pass per result:
 ``dot(vars, pairs)`` sums products a*b, ``lincomb(vars, pairs)`` sums
 scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
 ``MPoly * MPoly`` is dot's one-pair case, a ZSeries product calls it
@@ -35,7 +35,8 @@ expansions call it once per sum.  No other module knows the layout
 ``differentiate`` and the Hall weights read exponents through ``terms``.
 ``+`` and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``)
 its one-pair case, and the residue defects, their echelon form and the
-Schur expansion's check call it once per sum.  ``MPoly.from_json``
+Schur expansion's check call it once per sum and Sato's formula
+(``fock.sigma_map``) once per charge.  ``MPoly.from_json``
 sums on packed keys too, reading each "p/q" as an integer pair through
 the one rational grammar, which ``parse_rat`` also reads.
 
@@ -160,8 +161,11 @@ def _unpack(key: int, vars: int) -> Exponent:
 
 def _exponent(exp) -> Exponent:
     """The tuple of a JSON exponent list, after one type-and-sign test of
-    the list; parse_int words the error of a list that fails it."""
-    if type(exp) is list and all([type(e) is int and e >= 0 for e in exp]):
+    the list; parse_int words the error of a list that fails it.  Anything
+    but a list is a ValueError: a string or a dict would iterate."""
+    if type(exp) is not list:
+        raise ValueError("an exponent must be a JSON list")
+    if all([type(e) is int and e >= 0 for e in exp]):
         return tuple(exp)
     return tuple(parse_int(e, 0) for e in exp)
 
@@ -555,6 +559,11 @@ def lincomb(vars: int, pairs: Iterable[tuple[MPoly, Rational]]) -> MPoly:
     key as soon as it cancels; one gcd pass finishes the sum.  No keys are
     added, so no guard bit is read.  A zero p or c adds nothing, and no
     pair left gives zero.
+
+    One pair with an integer c (scalar ``p * c``) skips the gcd pass: with
+    g = gcd(c, p.den), the result is p.num * (c/g) over p.den/g, and
+    gcd(c/g, p.den/g) = 1 while p.den/g divides p.den, which is prime to
+    the gcd of p.num, so that form is already canonical.
     """
     live = []
     den = 1
@@ -566,6 +575,10 @@ def lincomb(vars: int, pairs: Iterable[tuple[MPoly, Rational]]) -> MPoly:
             g = _gcd(n, d)
             live.append((p.num, n // g, d // g))
             den = _lcm(den, d // g)
+            integral = c.denominator == 1
+    if len(live) == 1 and integral:
+        num, n, d = live[0]
+        return MPoly._make(vars, {e: x * n for e, x in num.items()}, d)
     out: dict[int, int] = {}
     get = out.get
     for num, n, d in live:

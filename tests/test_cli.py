@@ -326,11 +326,14 @@ class TestPolynomialReader:
         (1, [_term([1, 2]), _term([2**15])], "exponent (1, 2) has length 2, expected 1"),
         (1, [_term([2**15, 0])], "exponent (32768, 0) has length 2, expected 1"),
         (2, [_term([0, True])], "expected a JSON integer, got True"),
-        (1, [_term("12")], "expected a JSON integer, got '1'"),
-        (1, [_term(3)], "'int' object is not iterable"),
+        (1, [_term("12")], "an exponent must be a JSON list"),
+        (1, [_term(3)], "an exponent must be a JSON list"),
         # each item's exponent is read before its coefficient, in file order
         (1, [_term([1], "x"), _term([-1])], "rational must be a \"p/q\" string, got 'x'"),
         (1, [_term([1]), _term([-1], "x")], "expected an integer >= 0, got -1"),
+        # a string or a dict iterates: read as a list, "" is the constant term
+        (0, [_term("")], "an exponent must be a JSON list"),
+        (1, [_term({"a": 1})], "an exponent must be a JSON list"),
     ])
     def test_bad_payload_message(self, capsys, tmp_path, vars, terms, reason):
         path = tmp_path / "tau.json"
@@ -988,9 +991,11 @@ def verify_digest_cases(golden_point):
 def construct_digest_jobs(tmp_path) -> dict[str, list[str]]:
     """{id: argv} of the construct reports pinned below: a rational chain
     matrix accepted with one violation and rejected with none allowed, a
-    rank-3 matrix at k = 2, the filtration data of a weight-6 rational
-    point at k = 1 and 2, and psi+, psi-, alpha and Q on a rational
-    vector over three charges."""
+    rank-3 matrix at k = 2, a rational 7 x 4 chain matrix of weight 12 at
+    k = 2 (35 wedge states over one denominator above 1), the filtration
+    data of a weight-6 rational point at k = 1 and 2, the companions of a
+    weight-7 rational point at k = 1 (n = 2), and psi+, psi-, alpha and Q
+    on a rational vector over three charges."""
     payloads = {
         "matrix": {"rows": 5, "cols": 2,
                    "entries": [["1/2", "-3"], ["-3", "2/3"], ["2/3", "0"],
@@ -999,10 +1004,23 @@ def construct_digest_jobs(tmp_path) -> dict[str, list[str]]:
                     "entries": [["1", "0", "0"], ["-1/3", "7/2", "0"],
                                 ["7/2", "0", "1"], ["0", "4/9", "0"],
                                 ["4/9", "0", "-2"], ["0", "-2", "0"]]},
+        "matrix7x4": {"rows": 7, "cols": 4,
+                      "entries": [["4/5", "7/3", "7/3", "-5/2"],
+                                  ["-2/3", "4/5", "1/2", "-2/3"],
+                                  ["7/3", "-2/3", "-5/2", "7/3"],
+                                  ["4/5", "0", "-2/3", "3/4"],
+                                  ["-2/3", "1/2", "7/3", "0"],
+                                  ["0", "0", "3/4", "0"],
+                                  ["1/2", "0", "0", "0"]]},
         "point": {"tail": 0, "basis": [
             {"minExp": -5, "coefs": ["1", "0", "0", "2/7", "1/8"]},
             {"minExp": -4, "coefs": ["1", "0", "0", "3"]},
             {"minExp": -3, "coefs": ["1", "0", "1/4"]}]},
+        "point7": {"tail": -2, "basis": [
+            {"minExp": -4, "coefs": ["3/4", "0", "7/3", "0", "0", "0"]},
+            {"minExp": -2, "coefs": ["-2/3", "7/3", "4/5"]},
+            {"minExp": -3, "coefs": ["3/4", "7/3"]},
+            {"minExp": 0, "coefs": ["7/3", "7/3"]}]},
         "vector": [
             {"state": {"charge": 0, "partition": [2, 1]}, "coef": "-3/4"},
             {"state": {"charge": 0, "partition": [3]}, "coef": "5"},
@@ -1020,6 +1038,10 @@ def construct_digest_jobs(tmp_path) -> dict[str, list[str]]:
                       "--k", "1", "--n", "0"],
         "matrix3-k2": ["tau-from-matrix", "--matrix", path["matrix3"],
                        "--k", "2", "--n", "3"],
+        "matrix7x4-w12": ["tau-from-matrix", "--matrix", path["matrix7x4"],
+                          "--k", "2", "--n", "2"],
+        "grass-companions-w7": ["grass", "companions", "--grpoint", path["point7"],
+                                "--k", "1"],
     }
     for action in ("min-n", "companions", "dtk"):
         for k in (1, 2):
@@ -1131,6 +1153,10 @@ class TestGoldenDigests:
             (0, "5e636e1b59049a911acacaa9c4f284efd16d38f4c58187ab4e7c520ec9deb8d2"),
         "grass-dtk-k2":
             (0, "648919df28737014b660deba200613ee7bc93c527d8d80b6ca37b7281eeb3e62"),
+        "matrix7x4-w12":
+            (0, "4cdb3813fc732448db5b0e45de674c0920927202d1389874aed77cce7cc7baec"),
+        "grass-companions-w7":
+            (0, "23ee2bcc8e3686ba5ed6d1503365ac6098d678d80358f21b384460cd79bf42e3"),
         "psi+1/2":
             (0, "18d520fb91f084d555fd438429fbceac1223dda9faf1282baae0086769154137"),
         "psi+-5/2":

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import tauforge.fock as fock
 from tauforge.mpoly import MPoly
 from tauforge.zseries import ZSeries
 from tauforge.schur import (DomainError, Partition, elementary_schur, miwa_shift,
@@ -329,6 +332,33 @@ class TestSigmaMap:
             assert [cp.charge for cp in images] == sorted(v.charges())
             assert all(cp.poly == want[cp.charge] and not cp.poly.is_zero
                        for cp in images)
+
+    def test_one_lincomb_per_charge(self, monkeypatch):
+        # Sato's formula sums each charge's Schur images with one lincomb,
+        # so a running polynomial sum cannot come back
+        tree = ast.parse(inspect.getsource(sigma_map))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Add)]
+        vec = FockVector({MayaState(0, (2, 1)): F(-3, 4), MayaState(0, (3,)): F(5),
+                          MayaState(0, ()): F(1, 6), MayaState(1, ()): F(2, 9),
+                          MayaState(-2, (1, 1, 1)): F(-1, 6), MayaState(-2, (2,)): F(7)})
+        want = sigma_map(vec, 3)  # fills the Schur cache first
+        calls = []
+        real = fock.lincomb
+
+        def counted(vars, pairs):
+            calls.append(pairs)
+            return real(vars, pairs)
+
+        def refuse(self, other):
+            raise AssertionError("a running MPoly sum")
+
+        monkeypatch.setattr(fock, "lincomb", counted)
+        monkeypatch.setattr(MPoly, "__add__", refuse)
+        monkeypatch.setattr(MPoly, "__radd__", refuse)
+        assert sigma_map(vec, 3) == want
+        assert [len(pairs) for pairs in calls] == [2, 3, 1]  # charges -2, 0, 1
 
 
 class TestWedgeKernel:

@@ -545,6 +545,27 @@ class TestLincomb:
             assert dict(got.terms) == {e: v for e, v in want.items() if v}
             assert got.is_zero or not cancel
 
+    def test_one_integer_factor_is_canonical(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        # scalar p * c skips the closing gcd pass, so the per-pair cancel
+        # alone must leave the result canonical; the integers share factors
+        # with the denominators _polys draws, and pairs that add nothing,
+        # one with a non-integer factor, may stand around the live one
+        @_settings(hyp)
+        @hyp.given(_polys(st),
+                   st.one_of(st.sampled_from([0, 1, -1]), st.integers(-72, 72),
+                             st.integers(-72, 72).map(F)),
+                   st.booleans())
+        def check(p, c, pad):
+            idle = [(MPoly.zero(ORACLE_VARS), F(1, 3)), (p, 0)] if pad else []
+            got = lincomb(ORACLE_VARS, idle + [(p, c)] + idle)
+            assert_canonical(got)
+            assert dict(got.terms) == {e: v * c for e, v in p.terms.items() if c}
+
+        check()
+
     def test_no_pairs_and_zero_factors(self):
         p = random_poly(random.Random(1), 2)
         for pairs in ([], [(p, 0)], [(MPoly.zero(2), F(3, 4))], [(p, F(0)), (p, 0)]):
