@@ -6,6 +6,11 @@ carries the witness), 2 means malformed input, 3 means an internal
 fault (an exactness guard or a self-check of the arithmetic failed; no
 input should cause it).  All numbers are exact rational strings;
 nothing is ever printed in decimal.
+
+Each command's parser is built once per process, on the first job that
+names it, so a batch of jobs in one process pays argparse's set-up once;
+the listing parser of every command is built only to print help or the
+usage error of an argv that names no command.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .mpoly import parse_int, parse_rat
 from .schur import ChargedPoly
@@ -349,6 +355,15 @@ def _add_arguments(p: argparse.ArgumentParser, add_args) -> argparse.ArgumentPar
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one named command, built on its first use in a process
+    and reused after: parse_args leaves it as it was, and help text reads
+    COLUMNS when it is printed."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"tauforge {name}"),
+                          COMMANDS[name][2])
+
+
 def _listing_parser() -> argparse.ArgumentParser:
     """The top-level parser with every command as a subparser: it prints the
     help that lists them, and the usage error of an argv that names none."""
@@ -364,12 +379,11 @@ def _listing_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only the named command's parser is built, and every call builds its own
+    # a named command parses with its own cached parser; the listing parser
+    # is built only for -h, an empty argv or an unknown command
     if argv and argv[0] in COMMANDS:
-        _, fn, add_args = COMMANDS[argv[0]]
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"tauforge {argv[0]}"),
-                                add_args)
-        args = parser.parse_args(argv[1:])
+        args = _parser(argv[0]).parse_args(argv[1:])
+        fn = COMMANDS[argv[0]][1]
     else:
         args = _listing_parser().parse_args(argv)
         fn = COMMANDS[args.command][1]

@@ -32,7 +32,8 @@ scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
 once per z-order, and the Jacobi-Trudi determinants and witness
 expansions call it once per sum.  No other module knows the layout
 (field width, guard bits, packing): the Miwa shift is built from
-``differentiate`` and the Hall weights read exponents through ``terms``.
+``dlincomb``, lincomb's sum of partial derivatives, and the Hall weights
+read exponents through ``terms``.
 ``+`` and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``)
 its one-pair case, and the residue defects, their echelon form and the
 Schur expansion's check call it once per sum and Sato's formula
@@ -353,16 +354,7 @@ class MPoly:
 
     def differentiate(self, i: int) -> "MPoly":
         """Exact partial derivative with respect to t_i (1-based)."""
-        if not 1 <= i <= self.vars:
-            raise PolyError(f"variable index {i} out of range 1..{self.vars}")
-        shift = _BITS * (i - 1)
-        unit = 1 << shift
-        out: dict[int, int] = {}
-        for key, coef in self.num.items():
-            e = (key >> shift) & _FIELD
-            if e:
-                out[key - unit] = coef * e
-        return MPoly._reduced(self.vars, out, self.den)
+        return MPoly._reduced(self.vars, _derivative(self, i), self.den)
 
     def _power_tables(self, point: Sequence[Fraction]) -> tuple[list[list[int]], int]:
         """Integer tables T and B with prod_i point_i**e_i = prod_i T[i][e_i] / B.
@@ -579,6 +571,50 @@ def lincomb(vars: int, pairs: Iterable[tuple[MPoly, Rational]]) -> MPoly:
     if len(live) == 1 and integral:
         num, n, d = live[0]
         return MPoly._make(vars, {e: x * n for e, x in num.items()}, d)
+    return _lincomb_sum(vars, live, den)
+
+
+def dlincomb(vars: int, triples: Iterable[tuple[MPoly, int, Rational]]) -> MPoly:
+    """sum c * dp/dt_j over (p, j, c) triples, all p in vars variables:
+    lincomb of partial derivatives.
+
+    Each derivative's integer numerators join the sum over p.den as they
+    are, not reduced, so the closing gcd pass is the only one.  Such
+    numerators are not in canonical form, so lincomb's one-pair path,
+    which returns its input's form, is never taken.
+    """
+    live = []
+    den = 1
+    for p, j, c in triples:
+        if p.vars != vars:
+            raise PolyError(f"variable counts differ: {p.vars} vs {vars}")
+        num = _derivative(p, j)
+        if num and c:
+            n, d = c.numerator, p.den * c.denominator
+            g = _gcd(n, d)
+            live.append((num, n // g, d // g))
+            den = _lcm(den, d // g)
+    return _lincomb_sum(vars, live, den)
+
+
+def _derivative(p: MPoly, i: int) -> dict[int, int]:
+    """The integer numerators of dp/dt_i over p.den, not reduced."""
+    if not 1 <= i <= p.vars:
+        raise PolyError(f"variable index {i} out of range 1..{p.vars}")
+    shift = _BITS * (i - 1)
+    unit = 1 << shift
+    out: dict[int, int] = {}
+    for key, coef in p.num.items():
+        e = (key >> shift) & _FIELD
+        if e:
+            out[key - unit] = coef * e
+    return out
+
+
+def _lincomb_sum(vars: int, live: list[tuple[dict[int, int], int, int]],
+                 den: int) -> MPoly:
+    """sum n/d * num over (num, n, d) with every d dividing den, reduced by
+    one gcd pass: the summing loop of lincomb and dlincomb."""
     out: dict[int, int] = {}
     get = out.get
     for num, n, d in live:

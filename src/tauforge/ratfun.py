@@ -10,10 +10,13 @@ cancelled during arithmetic.  Only when an element is rendered for a
 report (``RatFun``) is tau cancelled, one factor at a time while it
 divides the numerator, so a value prints at the least power of tau it
 has, whatever the arithmetic that reached it: equal values print alike.
+An element renders over its ring's cached power of tau, each printed
+denominator formed once per ring.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .mpoly import MPoly, PolyError, divexact, dot
@@ -22,7 +25,7 @@ from .mpoly import MPoly, PolyError, divexact, dot
 class TauRing:
     """Q[t][1/tau] for one nonzero tau, with its powers and first derivatives cached."""
 
-    __slots__ = ("tau", "vars", "one", "_powers", "_derivs")
+    __slots__ = ("tau", "vars", "one", "_powers", "_derivs", "_dens")
 
     def __init__(self, tau: MPoly):
         if tau.is_zero:
@@ -32,12 +35,23 @@ class TauRing:
         self.one = TauFrac(self, MPoly.const(tau.vars, 1), 0)
         self._powers = [self.one.num, tau]
         self._derivs: dict[int, MPoly] = {}
+        self._dens: dict[int, tuple[Fraction, MPoly]] = {}
 
     def power(self, p: int) -> MPoly:
         powers = self._powers
         while len(powers) <= p:
             powers.append(powers[-1] * self.tau)
         return powers[p]
+
+    def den(self, p: int) -> tuple[Fraction, MPoly]:
+        """(c, tau**p / c), c the content of tau**p: the printed denominator
+        at power p and the scalar that leaves it primitive."""
+        d = self._dens.get(p)
+        if d is None:
+            den = self.power(p)
+            c = den.content()
+            d = self._dens[p] = (c, den / c)
+        return d
 
     def deriv(self, i: int) -> MPoly:
         d = self._derivs.get(i)
@@ -149,10 +163,10 @@ class TauFrac:
     __hash__ = None
 
     def to_json(self) -> dict:
-        return RatFun(self.num, self.ring.tau, self.power).to_json()
+        return RatFun(self.num, self.ring.tau, self.power, self.ring).to_json()
 
     def __repr__(self) -> str:
-        return repr(RatFun(self.num, self.ring.tau, self.power))
+        return repr(RatFun(self.num, self.ring.tau, self.power, self.ring))
 
 
 class RatFun:
@@ -161,17 +175,18 @@ class RatFun:
     tau is cancelled one factor at a time while it divides num; the
     denominator left, tau**p, is divided by its content c, which carries
     the sign that makes its graded-lex leading coefficient positive, and
-    num by c with it.  At p = 0 the denominator is 1.
+    num by c with it.  At p = 0 the denominator is 1.  ring, tau's ring
+    when given, supplies tau**p and c from its cache.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, tau: MPoly, power: int = 1):
+    def __init__(self, num: MPoly, tau: MPoly, power: int = 1,
+                 ring: TauRing | None = None):
         while power and (q := divexact(num, tau)) is not None:
             num, power = q, power - 1
-        den = tau ** power
-        c = den.content()
-        self.num, self.den = num / c, den / c
+        c, self.den = (ring or TauRing(tau)).den(power)
+        self.num = num / c
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

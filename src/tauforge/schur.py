@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .mpoly import MPoly, PolyError, dot, lincomb, parse_int
+from .mpoly import MPoly, PolyError, dlincomb, dot, lincomb, parse_int
 from .zseries import ZSeries
 
 
@@ -153,9 +153,9 @@ def miwa_shift(p: MPoly, sign: int) -> ZSeries:
     The shift is exp(sign * sum_j z**-j d/dt_j / j) applied to p, so the
     z**-n coefficient A_n follows the recursion of elementary_schur with
     t_j read as sign * d/dt_j / j: A_0 = p and
-    n*A_n = sign * sum_{j=1..min(n,u)} d A_{n-j} / dt_j, one lincomb per
-    order, u the last variable p uses.  The result is a Laurent
-    polynomial in z**-1 with orders in [-wdeg(p), 0]; the z**0
+    n*A_n = sign * sum_{j=1..min(n,u)} d A_{n-j} / dt_j, one dlincomb (so
+    one gcd pass) per order, u the last variable p uses.  The result is a
+    Laurent polynomial in z**-1 with orders in [-wdeg(p), 0]; the z**0
     coefficient is p itself.
     """
     if sign not in (1, -1):
@@ -164,8 +164,8 @@ def miwa_shift(p: MPoly, sign: int) -> ZSeries:
     shifted = [p]
     for n in range(1, p.wdeg() + 1):
         c = Fraction(sign, n)
-        shifted.append(lincomb(D, [(shifted[n - j].differentiate(j), c)
-                                   for j in range(1, min(n, used) + 1)]))
+        shifted.append(dlincomb(D, [(shifted[n - j], j, c)
+                                    for j in range(1, min(n, used) + 1)]))
     return ZSeries(D, {-n: a for n, a in enumerate(shifted)}, None)
 
 

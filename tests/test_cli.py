@@ -1326,8 +1326,9 @@ def command_argvs(files) -> dict[str, list[str]]:
 
 
 class TestParsers:
-    """main builds only the parser of the command argv[0] names; the listing
-    parser, every command a subparser, serves an argv that names none."""
+    """main parses a named command with that command's own parser, built on
+    its first use in a process and reused after; the listing parser, every
+    command a subparser, serves an argv that names none."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1343,10 +1344,61 @@ class TestParsers:
         return progs
 
     @pytest.mark.parametrize("name", list(cli.COMMANDS))
-    def test_one_parser_per_call(self, capsys, golden_files, built, name):
-        code, out, err = run(capsys, command_argvs(golden_files)[name])
-        assert (code, err) == (0, "") and out
+    def test_one_parser_per_command(self, capsys, golden_files, built, name):
+        # the first call builds the command's parser, the second reuses it
+        cli._parser.cache_clear()
+        for expected in ([f"tauforge {name}"], []):
+            built.clear()
+            code, out, err = run(capsys, command_argvs(golden_files)[name])
+            assert (code, err) == (0, "") and out
+            assert built == expected
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_named_command_never_builds_the_listing_parser(self, capsys, golden_files,
+                                                           built, name):
+        cli._parser.cache_clear()
+        code, _, _ = run(capsys, command_argvs(golden_files)[name])
+        assert code == 0
+        for rest, code in ([["-h"], 0], [[], 2], [["--bogus"], 2]):
+            with pytest.raises(SystemExit) as exc:
+                main([name, *rest])
+            assert exc.value.code == code
+        capsys.readouterr()
         assert built == [f"tauforge {name}"]
+
+    def test_reuse_leaks_nothing_between_calls(self, monkeypatch, golden_files):
+        seen = []
+        for name in ("verify", "lax"):
+            help_line, _, add_args = cli.COMMANDS[name]
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                (help_line, lambda args: seen.append(vars(args)) or 0,
+                                 add_args))
+        tau, rho, sigma = (golden_files[key] for key in ("tau", "rho", "sigma"))
+        for argv in (["verify", "--tau", tau, "--rho", rho, "--rho", rho, "--k", "1"],
+                     ["verify", "--tau", tau, "--k", "1"],
+                     ["lax", "--tau", tau, "--sigma", sigma, "--k", "1", "--order", "3"],
+                     ["lax", "--tau", tau, "--k", "1"]):
+            assert main(argv) == 0
+        assert [(args["rho"], args["sigma"]) for args in seen] == \
+            [([rho, rho], []), ([], []), ([], [sigma]), ([], [])]
+        assert [args.get("order") for args in seen] == [None, None, 3, 5]
+
+    @pytest.mark.parametrize("name", ["verify", "lax"])
+    def test_help_follows_columns_when_printed(self, capsys, monkeypatch, name):
+        # the cached parser is built once, at whatever width, and wraps its
+        # help at the width in force when it prints
+        cli._parser(name)
+        texts = {}
+        for columns in ("80", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for parse in (main, cli._listing_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse([name, "-h"])
+                assert exc.value.code == 0
+                texts.setdefault(columns, []).append(capsys.readouterr().out)
+        assert texts["80"][0] == texts["80"][1]
+        assert texts["120"][0] == texts["120"][1]
+        assert texts["80"][0] != texts["120"][0]
 
     @pytest.mark.parametrize("argv,code", [(["-h"], 0), ([], 2), (["bogus"], 2)])
     def test_listing_parser_when_no_command_is_named(self, capsys, built, argv, code):

@@ -14,6 +14,8 @@ definition must be found by reading the sources.
 import ast
 from pathlib import Path
 
+from tauforge import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
                if path.name != "__init__.py")
@@ -157,16 +159,17 @@ def function_reads(source: str, name: str) -> set[str]:
 
 
 def test_kernels_stay_on_the_packed_form():
-    # multiplication, linear combination and exact division work on packed
-    # keys and integer numerators, so neither a Fraction nor an exponent
-    # tuple comes back
+    # multiplication, linear combination (of derivatives too) and exact
+    # division work on packed keys and integer numerators, so neither a
+    # Fraction nor an exponent tuple comes back
     assert function_reads("def f(k):\n    return Fraction(_unpack(k, 2))\n"
                           "def g(e):\n    return _grlex_key(e)\n", "f") & TUPLE_EDGES == \
         {"Fraction", "_unpack"}
     source = (PACKAGE / "mpoly.py").read_text()
+    kernels = ("dot", "lincomb", "dlincomb", "_lincomb_sum", "_derivative", "divexact")
     found = {name: sorted(TUPLE_EDGES & function_reads(source, name))
-             for name in ("dot", "lincomb", "divexact")}
-    assert found == {"dot": [], "lincomb": [], "divexact": []}
+             for name in kernels}
+    assert found == {name: [] for name in kernels}
 
 
 def grammar_readers(source: str) -> set[str]:
@@ -360,3 +363,43 @@ def test_no_unused_options():
     found = {path.name: unused for path in modules
              if (unused := unused_options(defaulted_parameters(path.read_text()), made))}
     assert found == {}
+
+
+def module_level_caches(source: str) -> list[str]:
+    """Module-level names assigned an empty ``{}``, ``[]``, ``set()`` or
+    ``dict()``, which is how a hand-rolled cache starts."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if (isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.List) and not value.elts
+                or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("set", "dict")
+                and not value.args and not value.keywords):
+            found += [f"line {node.lineno}: {ast.unparse(t)}" for t in targets]
+    return found
+
+
+def test_scan_sees_module_level_caches():
+    source = ("A = {}\nB: dict[int, str] = {}\nC = []\nD = set()\nE = dict()\n"
+              "F = {1: 2}\nG = [0]\nH = set(G)\nI: list\n"
+              "def f():\n    J = {}\nclass K:\n    L = []\n")
+    assert module_level_caches(source) == \
+        ["line 1: A", "line 2: B", "line 3: C", "line 4: D", "line 5: E"]
+
+
+def test_every_cache_is_one_the_bench_can_clear():
+    # bench/run.py's clear_caches empties every module-level object with a
+    # cache_clear before each set-up, so setup_s stays a cold time only
+    # while every cache is an lru_cache: a module-level dict or list that
+    # fills as jobs run would stay warm
+    found = {path.name: caches for path in sorted(PACKAGE.glob("*.py"))
+             if (caches := module_level_caches(path.read_text()))}
+    assert found == {}
+    assert callable(getattr(cli._parser, "cache_clear", None))

@@ -165,6 +165,22 @@ class TestMiwaShift:
             assert s.coeff(0) == p
             assert s.min_order is None or s.min_order >= -p.wdeg()
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficients_are_canonical(self, sign):
+        # each derivative enters its order's sum unreduced, so the sum alone
+        # must leave every coefficient in lowest terms, order 1's one
+        # derivative (t_1^2 / 2 -> 2 t_1 / 2) included
+        rng = random.Random(40 + sign)
+        t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+        polys = [t1**2 / 2, (t1**3 * 3 + t2 * 6) / 5, t1 * t2 * F(4, 3)]
+        polys += [weighted_poly(rng, rng.randint(1, 6), rng.randint(1, 8))
+                  * F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
+        for p in polys:
+            for order, c in miwa_shift(p, sign).coeffs.items():
+                assert c.den > 0 and 0 not in c.num.values()
+                assert math.gcd(c.den, *c.num.values()) == 1, (p, order)
+                assert c == MPoly(c.vars, dict(c.terms))
+
 
 def weighted_poly(rng: random.Random, vars: int, weight: int) -> MPoly:
     """A seeded polynomial in vars variables of weighted degree at most weight."""
