@@ -31,9 +31,9 @@ from .hirota import verify_suite
 from .psdo import dress_from_tau, lax_depth, verify_lax
 
 
-# Upper bounds on the variable count of a polynomial file, --order, --k and
-# the fock-apply --index, state charges and partition lengths: work grows
-# linearly in D, about cubically in the depth, about 7x per step of 4 in
+# Upper bounds on the variable count of a polynomial file, --k and the
+# fock-apply --index, state charges and partition lengths: work grows
+# linearly in D (MAX_DEPTH bounds the depth), about 7x per step of 4 in
 # --k, quadratically in the index of a current mode and in the number of
 # parts of a state, and linearly in the charge of a state that psi-
 # contracts inside its filled tail, so no flag, file or vector can ask for
@@ -43,11 +43,12 @@ from .psdo import dress_from_tau, lax_depth, verify_lax
 # at most 64 parts per state the work grows linearly in the number of
 # states, and 1,000 random 64-part states under --index -64 took 3.5 s.
 MAX_VARS = 64
-MAX_TRUNCATION = 64
 MAX_K = 16
 MAX_INDEX = 64
-# Upper bound on the dressing depth: lax_depth(k, T) = max(T, 4) + k for
-# lax, T + 1 for dress, so the limits on --k and --order cannot multiply.
+# Upper bound on the dressing depth, the one bound on --order: the depth is
+# lax_depth(k, T) = max(T, 4) + k for lax and T + 1 for dress, so --k and
+# --order share one limit and cannot multiply; work grows about cubically in
+# the depth.
 # Only lax's witness path dresses; a job whose bilinear identities all hold
 # does not.  Every corner below takes the witness path, with Newton steps
 # and, for k >= 2, the commutator: none of these taus is a KP tau.  Timed
@@ -394,9 +395,6 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--k must be at most {MAX_K}, got {args.k}")
         if getattr(args, "n", 0) < 0:
             raise InputError(f"--n must be at least 0, got {args.n}")
-        if getattr(args, "order", 0) > MAX_TRUNCATION:
-            raise InputError(f"--order must be at most {MAX_TRUNCATION}, "
-                             f"got {args.order}")
         return fn(args)
     except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -31,8 +31,18 @@ class GrassmannError(ValueError):
     pass
 
 
-class DegenerateCompanionError(GrassmannError):
-    """A companion vanished, so the requested pair count is not minimal."""
+class PivotError(ArithmeticError):
+    """An invariant of the echelon bookkeeping failed.
+
+    An internal fault like ExactnessError, not a property of the input,
+    since no reduced point reaches one: each kernel vector of the stable
+    split lies in the span of the point's rows, so its pivot is one of
+    theirs; an echelon wedge's pivot minor is triangular with the pivot
+    coefficients on its diagonal, so it is nonzero; a complement factor
+    w_j has s**k w_j outside the point, since otherwise its pivot would be
+    a kernel pivot, so rho_j is nonzero; and the shifted factors stay
+    independent, so sigma_j is nonzero.
+    """
 
 
 def index_to_exp(i: Fraction) -> int:
@@ -191,7 +201,7 @@ def _stable_split(point: GrPoint, k: int) -> tuple[list[LaurentVector], int]:
     complement = [v for v in extras if min(v) not in kernel_pivots]
     n = len(extras) - len(kernel_vecs)
     if len(complement) != n:
-        raise GrassmannError("pivot bookkeeping failed in the stable split")
+        raise PivotError("pivot bookkeeping failed in the stable split")
     return complement + kernel_vecs, n
 
 
@@ -232,7 +242,7 @@ def _pivot_minor(factors: Sequence[LaurentVector], tail: int
     wedge = _wedge_factors(factors, tail)
     pivot = wedge.num.get(_pivot_state([min(v) for v in factors], tail))
     if not pivot:
-        raise GrassmannError("echelon wedge lost its pivot coordinate")
+        raise PivotError("echelon wedge lost its pivot coordinate")
     return wedge, Fraction(pivot, wedge.den)
 
 
@@ -281,12 +291,12 @@ def companion_wedges(point: GrPoint, k: int
     for j in range(n):
         rho = wedge_columns([_column(vec_mul_sk(factors[j], k))], tau)
         if rho.is_zero:
-            raise DegenerateCompanionError(f"companion {j + 1} vanished")
+            raise PivotError(f"companion {j + 1} vanished")
         rho_fvs.append(rho)
         rest = [vec_mul_sk(f, k) for i, f in enumerate(factors) if i != j]
         sigma = _wedge_factors(rest, point.tail - k) * ((-1 if j % 2 else 1) / c)
         if sigma.is_zero:
-            raise DegenerateCompanionError(f"companion {j + 1} vanished")
+            raise PivotError(f"companion {j + 1} vanished")
         sigma_fvs.append(sigma)
     return tau, rho_fvs, sigma_fvs
 

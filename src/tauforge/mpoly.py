@@ -21,8 +21,7 @@ product whose key has any guard bit set (``_guard``) would leave that
 range, and raises ArithmeticError instead of building the monomial.
 The constructor refuses an exponent outside 0..2**15 - 1 with PolyError.
 Keys unpack to tuples only at the edges: ``terms``, serialization,
-printing (graded-lex order compares tuples), ``content`` and
-``scale_vars``.
+printing (graded-lex order compares tuples) and ``content``.
 
 Three kernels do the arithmetic on packed keys and integer numerators,
 each with at most one gcd pass per result:
@@ -57,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Exponent = tuple[int, ...]
 
@@ -350,29 +349,11 @@ class MPoly:
             n >>= 1
         return result
 
-    # -- calculus and evaluation ----------------------------------------
+    # -- calculus --------------------------------------------------------
 
     def differentiate(self, i: int) -> "MPoly":
         """Exact partial derivative with respect to t_i (1-based)."""
         return MPoly._reduced(self.vars, _derivative(self, i), self.den)
-
-    def _power_tables(self, point: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-        """Integer tables T and B with prod_i point_i**e_i = prod_i T[i][e_i] / B.
-
-        Coordinate a/b has T[i][e] = a**e * b**(top - e) over the common
-        denominator B = prod_i b**top, top being the highest power of t_i
-        in self, so every monomial of self evaluates to an integer over B.
-        """
-        if len(point) != self.vars:
-            raise PolyError(f"point has {len(point)} coordinates, expected {self.vars}")
-        tops = [max(col) for col in zip(*self.terms)] if self.num else [0] * self.vars
-        tables = []
-        common = 1
-        for v, top in zip(point, tops):
-            a, b = v.numerator, v.denominator
-            tables.append([a**e * b ** (top - e) for e in range(top + 1)])
-            common *= b**top
-        return tables, common
 
     # -- structure -------------------------------------------------------
 
@@ -416,20 +397,6 @@ class MPoly:
         shift = _BITS * offset
         return MPoly._make(new_vars, {k << shift: c for k, c in self.num.items()},
                            self.den)
-
-    def scale_vars(self, factors: Sequence[Fraction]) -> "MPoly":
-        """Substitute t_i -> factors[i-1] * t_i."""
-        if len(factors) != self.vars:
-            raise PolyError("one scale factor per variable required")
-        tables, common = self._power_tables(factors)
-        at = list.__getitem__
-        vars = self.vars
-        out = {}
-        for key, coef in self.num.items():
-            c = coef * math.prod(map(at, tables, _unpack(key, vars)))
-            if c:
-                out[key] = c
-        return MPoly._reduced(self.vars, out, self.den * common)
 
     # -- serialization ------------------------------------------------------
 

@@ -125,10 +125,6 @@ class PsiDO:
     def d(cls, ring: TauRing, floor: int, power: int = 1) -> "PsiDO":
         return cls(ring, {power: ring.const(1)}, floor)
 
-    @classmethod
-    def multiplier(cls, fn: TauFrac, floor: int) -> "PsiDO":
-        return cls(fn.ring, {0: fn}, floor)
-
     # -- structure ------------------------------------------------------------
 
     @property
@@ -410,21 +406,23 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
     rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]
     # P d^k P^-1 is exact down to floor + k only, so no composition of
-    # L^k, nor of the q d^-1 r beside it, goes below that
+    # L^k goes below that
     cut = floor + k
     Lk = P * PsiDO.d(ring, cut, k) * Pinv
     Lk_plus = Lk.plus_part()
-    defect = Lk - Lk_plus
-    dinv = PsiDO.d(ring, cut, -1)
+    # the constraint's orders -1..-T of (L^k)_- - sum q_j d^-1 r_j, one sum
+    # per order; Lk.coeff guards each order against truncation
+    terms: dict[int, list] = {}
     for q, r in zip(qs, rs):
-        defect = defect - PsiDO.multiplier(q, cut) * dinv * PsiDO.multiplier(r, cut)
-    checks = [_zero_checks(defect, constraint)]
+        _leibniz(terms, -q, -1, r, 0, -T)
+    checks = [[_zero_check(o, ring.sum([(1, Lk.coeff(o), ring.one), *terms.get(o, ())]))
+               for o in constraint]]
     if k == 1 or kp:
         checks.append(_passed(flow))
     else:
         L = P * PsiDO.d(ring, floor + 1) * Pinv
         checks.append(_zero_checks(L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus), flow))
-    adj = Lk_plus.adjoint()
+    adj = Lk_plus.adjoint() if rs else None  # read only by the r flows
     for q, r in zip(qs, rs):
         checks += [[_zero_check(0, q.differentiate(k) - Lk_plus.apply_to(q))],
                    [_zero_check(0, r.differentiate(k) + adj.apply_to(r))]]

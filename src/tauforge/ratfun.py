@@ -10,8 +10,8 @@ cancelled during arithmetic.  Only when an element is rendered for a
 report (``RatFun``) is tau cancelled, one factor at a time while it
 divides the numerator, so a value prints at the least power of tau it
 has, whatever the arithmetic that reached it: equal values print alike.
-An element renders over its ring's cached power of tau, each printed
-denominator formed once per ring.
+An element renders over its ring's cached power of tau, made primitive by
+content(tau)**p, tau's content being read once per ring.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .mpoly import MPoly, PolyError, divexact, dot
 class TauRing:
     """Q[t][1/tau] for one nonzero tau, with its powers and first derivatives cached."""
 
-    __slots__ = ("tau", "vars", "one", "_powers", "_derivs", "_dens")
+    __slots__ = ("tau", "vars", "one", "_content", "_powers", "_derivs")
 
     def __init__(self, tau: MPoly):
         if tau.is_zero:
@@ -33,9 +33,9 @@ class TauRing:
         self.tau = tau
         self.vars = tau.vars
         self.one = TauFrac(self, MPoly.const(tau.vars, 1), 0)
+        self._content = tau.content()
         self._powers = [self.one.num, tau]
         self._derivs: dict[int, MPoly] = {}
-        self._dens: dict[int, tuple[Fraction, MPoly]] = {}
 
     def power(self, p: int) -> MPoly:
         powers = self._powers
@@ -45,13 +45,15 @@ class TauRing:
 
     def den(self, p: int) -> tuple[Fraction, MPoly]:
         """(c, tau**p / c), c the content of tau**p: the printed denominator
-        at power p and the scalar that leaves it primitive."""
-        d = self._dens.get(p)
-        if d is None:
-            den = self.power(p)
-            c = den.content()
-            d = self._dens[p] = (c, den / c)
-        return d
+        at power p and the scalar that leaves it primitive.
+
+        c is content(tau)**p: by Gauss's lemma a product of primitive
+        polynomials is primitive, and graded lex is a monomial order, so
+        the leading term of tau**p is the p-th power of tau's and carries
+        the sign of c**p.
+        """
+        c = self._content**p
+        return c, self.power(p) / c
 
     def deriv(self, i: int) -> MPoly:
         d = self._derivs.get(i)
@@ -176,7 +178,7 @@ class RatFun:
     denominator left, tau**p, is divided by its content c, which carries
     the sign that makes its graded-lex leading coefficient positive, and
     num by c with it.  At p = 0 the denominator is 1.  ring, tau's ring
-    when given, supplies tau**p and c from its cache.
+    when given, supplies tau**p and c.
     """
 
     __slots__ = ("num", "den")

@@ -5,7 +5,8 @@ drive the bilinear residue checks.
 Conventions.  S_i(t) is the coefficient of z**i in exp(sum t_j z**j),
 with S_i = 0 for i < 0.  Both halves of a wave factor come from one
 recursion, the derivative in z of an exponential generating series:
-i*S_i = sum_j j*t_j*S_{i-j}, and the Miwa shift
+i*S_i(+-t) = +-sum_j j*t_j*S_{i-j}(+-t), which gives the kernel of either
+sign, and the Miwa shift
 p(t + s[z**-1]) = exp(s * sum_j z**-j d/dt_j / j) p, whose z**-n
 coefficient A_n obeys n*A_n = s * sum_j d A_{n-j} / dt_j.  A partition
 indexes S_lambda through the determinant det(S_{lambda_i - i + j}),
@@ -104,8 +105,9 @@ class ChargedPoly:
 
 
 @lru_cache(maxsize=None)
-def elementary_schur(i: int, D: int) -> MPoly:
-    """S_i in variables t_1..t_D.
+def elementary_schur(i: int, D: int, sign: int = 1) -> MPoly:
+    """S_i(sign * t) in variables t_1..t_D, the coefficient of z**i in
+    exp(sign * xi(t, z)).
 
     S_i only involves t_j for j <= i, so D >= i is required (and enough);
     S_i = 0 for i < 0 and S_0 = 1.
@@ -116,9 +118,9 @@ def elementary_schur(i: int, D: int) -> MPoly:
         return MPoly.zero(D)
     if i == 0:
         return MPoly.const(D, 1)
-    # i*S_i = sum_{j=1..i} j*t_j*S_{i-j}, from d/dz of the generating series
-    return dot(D, [(MPoly.variable(D, j) * Fraction(j, i), elementary_schur(i - j, D))
-                   for j in range(1, i + 1)])
+    # i*S_i = sign * sum_{j=1..i} j*t_j*S_{i-j}, from d/dz of the generating series
+    return dot(D, [(MPoly.variable(D, j) * Fraction(sign * j, i),
+                    elementary_schur(i - j, D, sign)) for j in range(1, i + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -169,12 +171,6 @@ def miwa_shift(p: MPoly, sign: int) -> ZSeries:
     return ZSeries(D, {-n: a for n, a in enumerate(shifted)}, None)
 
 
-@lru_cache(maxsize=None)
-def _flipped_schur(i: int, D: int) -> MPoly:
-    """S_i(-t), the coefficient of z**i in exp(-xi(t, z))."""
-    return elementary_schur(i, D).scale_vars([-1] * D)
-
-
 def xi_series(D: int, order: int, sign: int) -> ZSeries:
     """exp(sign * xi(t, z)) = sum_{j=0..order} S_j(sign * t) z**j in D variables.
 
@@ -184,8 +180,8 @@ def xi_series(D: int, order: int, sign: int) -> ZSeries:
         raise ValueError("sign must be +1 or -1")
     if order > D:
         raise DomainError(f"kernel order {order} exceeds variable count {D}")
-    schur = elementary_schur if sign == 1 else _flipped_schur
-    return ZSeries(D, {j: schur(j, D) for j in range(max(order, 0) + 1)}, order)
+    return ZSeries(D, {j: elementary_schur(j, D, sign) for j in range(max(order, 0) + 1)},
+                   order)
 
 
 def embed_t(p: MPoly, D: int) -> MPoly:

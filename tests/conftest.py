@@ -84,6 +84,14 @@ def evaluate(p: MPoly, point) -> Fraction:
                 for exp, c in p.terms.items()), Fraction(0))
 
 
+def flip_signs(p: MPoly, signs) -> MPoly:
+    """p with t_i replaced by signs[i-1] * t_i, each sign +1 or -1: the
+    substitution read off p.terms, independent of the library's own."""
+    assert len(signs) == p.vars and all(s in (1, -1) for s in signs)
+    return MPoly(p.vars, {exp: c * math.prod(s**e for s, e in zip(signs, exp))
+                          for exp, c in p.terms.items()})
+
+
 def partitions_up_to(n: int):
     return [p for w in range(n + 1) for p in partitions_of(w)]
 

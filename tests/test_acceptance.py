@@ -21,8 +21,8 @@ from tauforge.grassmann import (companions, dtk_decomposition,
 from tauforge.hirota import fermionic_bilinear_check, kp_residue, verify_suite
 from tauforge.psdo import PsiDO, dress_from_tau, verify_lax
 
-from conftest import (half, one_state, partitions_up_to, product_coeff,
-                      random_grpoint, random_poly, random_state)
+from conftest import (flip_signs, half, one_state, partitions_up_to,
+                      product_coeff, random_grpoint, random_poly, random_state)
 
 
 def report(number: int, text: str) -> None:
@@ -264,7 +264,7 @@ def test_acceptance_6_algebraic_relation_suites():
         for i in range(23):
             s = elementary_schur(i, DV)
             if sign < 0:
-                s = s.scale_vars([F(-1)] * DV)
+                s = flip_signs(s, [-1] * DV)
             coeffs[i] = s
         return ZSeries(DV, coeffs, 22)
 

@@ -17,9 +17,11 @@ import pytest
 
 import tauforge
 import tauforge.cli as cli
+import tauforge.grassmann as grassmann
 import tauforge.psdo as psdo
 from tauforge.cli import main
-from tauforge.grassmann import DegenerateCompanionError, companions
+from tauforge.fock import FockVector
+from tauforge.grassmann import GrPoint, companions
 from tauforge.hirota import verify_suite
 from tauforge.mpoly import MPoly, dot
 from tauforge.zseries import ZSeries
@@ -422,12 +424,11 @@ class TestDepthBudget:
     the message names the flags that set the depth."""
 
     def test_largest_flags_exit_at_once(self, golden_files):
-        # each flag is within its own limit; together they ask for depth
-        # lax_depth(16, 64) = 80.  A child process keeps a hang from
-        # stalling the suite
+        # the largest --k with --order 64 asks for depth lax_depth(16, 64)
+        # = 80.  A child process keeps a hang from stalling the suite
         src = str(Path(tauforge.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        k, order = cli.MAX_K, cli.MAX_TRUNCATION
+        k, order = cli.MAX_K, 64
         done = subprocess.run([sys.executable, "-m", "tauforge.cli", "lax",
                                "--tau", golden_files["tau"], "--k", str(k),
                                "--order", str(order)],
@@ -736,20 +737,14 @@ def library_error(call) -> str:
 
 
 class TestLibraryErrors:
-    """A ValueError from the library (DomainError and GrassmannError among
-    them) exits 2 with the library's message, unchanged."""
+    """A ValueError from the library exits 2 with the library's message,
+    unchanged."""
 
-    @pytest.mark.parametrize("case", ["verify-unequal-pairs", "lax-unequal-pairs",
-                                      "grass-degenerate-companion"])
-    def test_exit_two_with_library_message(self, capsys, monkeypatch,
-                                           golden_point, golden_files, case):
+    @pytest.mark.parametrize("case", ["verify-unequal-pairs", "lax-unequal-pairs"])
+    def test_exit_two_with_library_message(self, capsys, golden_point, golden_files,
+                                           case):
         tau, rhos, _ = companions(golden_point, 1)
         f = golden_files
-        if case == "grass-degenerate-companion":
-            def degenerate(*args):
-                raise DegenerateCompanionError("companion 1 vanished")
-
-            monkeypatch.setattr(cli, "companions", degenerate)
         argv, call = {
             "verify-unequal-pairs": (
                 ["verify", "--tau", f["tau"], "--rho", f["rho"], "--k", "1"],
@@ -757,13 +752,50 @@ class TestLibraryErrors:
             "lax-unequal-pairs": (
                 ["lax", "--tau", f["tau"], "--rho", f["rho"], "--k", "1"],
                 lambda: verify_lax(tau, rhos, [], 1, 5)),
-            "grass-degenerate-companion": (
-                ["grass", "companions", "--grpoint", f["point"], "--k", "1"],
-                lambda: cli.companions(golden_point, 1)),
         }[case]
         expected = library_error(call)
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", expected)
+
+
+def zero_on_call(monkeypatch, name, nth):
+    """grassmann.<name> with its nth call returning the zero vector."""
+    real, calls = getattr(grassmann, name), []
+
+    def broken(*args):
+        calls.append(1)
+        return FockVector() if len(calls) == nth else real(*args)
+
+    monkeypatch.setattr(grassmann, name, broken)
+
+
+class TestPivotFaults:
+    """A broken echelon invariant of the Grassmannian layer is an internal
+    fault (grassmann.PivotError), which no reduced point reaches: exit 3
+    with "internal error:", never "input error:".  Each case breaks one
+    library call on the golden point (tail -1, one factor s^-2, k = 1)."""
+
+    @pytest.mark.parametrize("action,break_call,message", [
+        # the kernel echelon gains a pivot the point lacks
+        ("min-n", lambda mp: mp.setattr(grassmann, "reduce_point",
+                                        lambda vectors, tail: GrPoint(tail, (((-5, 1),),))),
+         "pivot bookkeeping failed in the stable split"),
+        # the wedge of the factors, whose pivot minor dtk reads
+        ("dtk", lambda mp: zero_on_call(mp, "wedge_columns", 1),
+         "echelon wedge lost its pivot coordinate"),
+        # rho_1 = (s w_1) wedge tau, the second wedge companions forms
+        ("companions", lambda mp: zero_on_call(mp, "wedge_columns", 2),
+         "companion 1 vanished"),
+        # sigma_1, the second wedge of factors, after the pivot minor's
+        ("companions", lambda mp: zero_on_call(mp, "_wedge_factors", 2),
+         "companion 1 vanished"),
+    ], ids=["split", "pivot-minor", "rho", "sigma"])
+    def test_exit_three(self, capsys, monkeypatch, golden_files, action, break_call,
+                        message):
+        break_call(monkeypatch)
+        code, out, err = run(capsys, ["grass", action, "--grpoint", golden_files["point"],
+                                      "--k", "1"])
+        assert (code, out, err) == (3, "", f"internal error: PivotError: {message}\n")
 
 
 class TestGrass:
@@ -871,9 +903,14 @@ class TestDressAndLax:
         assert exc.value.code == 2
 
     def test_order_above_limit(self, capsys, golden_files):
-        code, _, err = run(capsys, ["dress", "--tau", golden_files["tau"],
-                                    "--order", str(cli.MAX_TRUNCATION + 1)])
-        assert code == 2 and "--order must be at most" in err
+        # --order has no bound of its own: the dressing depth refuses it,
+        # 65 + 1 for dress and lax_depth(1, 65) = 66 for lax
+        for argv, flags in [(["dress"], "--order 65"),
+                            (["lax", "--k", "1"], "--k 1 and --order 65")]:
+            code, out, err = run(capsys, [*argv, "--tau", golden_files["tau"],
+                                          "--order", "65"])
+            assert (code, out, err) == (2, "", f"input error: {flags}: dressing depth "
+                                               f"66 is above the limit {cli.MAX_DEPTH}\n")
 
     def test_truncation_fault_is_internal_error(self, capsys, golden_files,
                                                 monkeypatch):
@@ -912,15 +949,16 @@ class TestDressAndLax:
             counts.append(len(calls))
         assert counts == [0, 1]
 
-    @pytest.mark.parametrize("k,unpaired,forced", [(1, 2, 5), (2, 2, 9)])
+    @pytest.mark.parametrize("k,unpaired,forced", [(1, 2, 3), (2, 2, 7)])
     def test_compositions_per_job(self, capsys, tmp_path, golden_point,
                                   monkeypatch, k, unpaired, forced):
         # a passing job composes nothing.  The golden tau without its pair
         # is a KP tau, so P^-1 = B* with no Newton step and L^k = P d^k P^-1
         # is two compositions; the flow passes by KP.  With every identity
-        # forced false, the paired job also checks P B* = 1 by one product,
-        # composes q d^-1 r and, for k >= 2, decides the flow by the
-        # commutator: L and [(L^k)_+, L], four more
+        # forced false, the paired job also checks P B* = 1 by one product
+        # and, for k >= 2, decides the flow by the commutator: L and
+        # [(L^k)_+, L], four more.  The constraint's q d^-1 r terms are
+        # summed per order, with no composition
         paired, bare = self.golden_jobs(tmp_path, golden_point, k)
         calls = []
         compose = psdo.PsiDO.__mul__

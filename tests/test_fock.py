@@ -19,7 +19,8 @@ from tauforge.fock import (FockVector, MayaState, WindowError, WindowMatrix,
                            wedge_ints, wedge_vector)
 from tauforge.hirota import fermionic_bilinear_check
 
-from conftest import half, one_state, partitions_up_to, product_coeff, random_state
+from conftest import (flip_signs, half, one_state, partitions_up_to,
+                      product_coeff, random_state)
 
 
 def index(state, s):
@@ -275,7 +276,7 @@ class TestSigmaMap:
             for i in range(23):
                 s = elementary_schur(i, D)
                 if sign < 0:
-                    s = s.scale_vars([F(-1)] * D)
+                    s = flip_signs(s, [-1] * D)
                 coeffs[i] = s
             return ZSeries(D, coeffs, 22)
 

@@ -17,8 +17,8 @@ from tauforge.hirota import (bilinear_defects, fermionic_bilinear_check,
                              identity_family, kp_residue, tensor_to_poly,
                              verify_suite)
 
-from conftest import (half, one_state, partitions_up_to, product_coeff,
-                      random_grpoint, random_poly, random_state)
+from conftest import (flip_signs, half, one_state, partitions_up_to,
+                      product_coeff, random_grpoint, random_poly, random_state)
 
 
 ONE = ChargedPoly(MPoly.const(1, 1), 0)
@@ -39,12 +39,12 @@ def swap_and_flip(p: MPoly, D: int) -> MPoly:
     out = {}
     for exp, c in p.terms.items():
         out[tuple(list(exp[D:]) + list(exp[:D]))] = c
-    signs = [F((-1) ** i) for i in range(D)] * 2
-    return MPoly(2 * D, out).scale_vars(signs)
+    signs = [(-1) ** i for i in range(D)] * 2
+    return flip_signs(MPoly(2 * D, out), signs)
 
 
 def flip_times(p: MPoly) -> MPoly:
-    return p.scale_vars([F((-1) ** i) for i in range(p.vars)])
+    return flip_signs(p, [(-1) ** i for i in range(p.vars)])
 
 
 def residue(u: ChargedPoly, v: ChargedPoly) -> MPoly:
@@ -234,10 +234,10 @@ def doubled_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
     kernel built from elementary_schur by S_i(t - t') = sum_j S_j(t) S_{i-j}(-t')."""
     weight = u.charge - v.charge
     kmax = bilinear_window(u.poly.wdeg(), v.poly.wdeg(), weight)
-    flip = [F(-1)] * D
+    flip = [-1] * D
     kernel = ZSeries(2 * D, {
         i: sum((embed_t(elementary_schur(j, D), D)
-                * embed_tprime(elementary_schur(i - j, D).scale_vars(flip), D)
+                * embed_tprime(flip_signs(elementary_schur(i - j, D), flip), D)
                 for j in range(i + 1)), MPoly.zero(2 * D))
         for i in range(kmax + 1)}, kmax)
     left, right = (ZSeries(2 * D, {o: embed(c, D) for o, c in

@@ -39,7 +39,8 @@ def var(i, vars=D):
 
 
 def mult(f):
-    return PsiDO.multiplier(f, FL)
+    """The multiplication operator by f."""
+    return PsiDO(f.ring, {0: f}, FL)
 
 
 d = PsiDO.d(R, FL)

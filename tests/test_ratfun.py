@@ -69,6 +69,16 @@ class TestNormalization:
             printed(V(2) * F(3, 4), (V(1) - 2)**2)
         assert R.frac(V(2), 1).to_json() == printed(V(2) * F(-1, 2), V(1) - 2)
 
+    def test_denominator_content_is_a_power_of_taus(self):
+        # TauRing.den reads content(tau)**p (Gauss's lemma); the content of
+        # tau**p itself, sign included, is the oracle
+        rng = random.Random(31)
+        for _ in range(40):
+            R = random_ring(rng)
+            for p in range(5):
+                c = R.power(p).content()
+                assert R.den(p) == (c, R.power(p) / c)
+
     def test_printed_form_is_canonical(self):
         # one value, one printed form: x and x at a larger power of tau
         # print alike, at the least power of tau

@@ -13,7 +13,7 @@ from tauforge.schur import (ChargedPoly, DomainError, Partition,
                             miwa_shift, partitions_of, schur_expand,
                             schur_of_partition, xi_series)
 
-from conftest import partitions_up_to, random_poly
+from conftest import flip_signs, partitions_up_to, random_poly
 
 
 def conjugate(lam):
@@ -87,11 +87,11 @@ class TestPartitionSchur:
         # flipping even-indexed times sends S_lambda to its conjugate,
         # with stable sign +1
         D = 8
-        signs = [F((-1) ** i) for i in range(D)]
+        signs = [(-1) ** i for i in range(D)]
         for lam in partitions_up_to(6):
             direct = schur_of_partition(lam, D)
             conj = schur_of_partition(conjugate(lam), D)
-            assert conj.scale_vars(signs) == direct, lam
+            assert flip_signs(conj, signs) == direct, lam
 
     def test_rejects_small_var_count(self):
         # the hook rule names the shape; elementary_schur would name S_4
@@ -260,6 +260,13 @@ class TestKernel:
         product = plus * minus
         assert product.exact_hi == D
         assert {o: p for o, p in product.coeffs.items()} == {0: MPoly.const(D, 1)}
+
+    def test_minus_sign_flips_every_time(self):
+        # S_j(-t), from the recursion with the sign, is S_j(t) at -t
+        D = 8
+        plus, minus = xi_series(D, D, 1), xi_series(D, D, -1)
+        for j in range(D + 1):
+            assert minus.coeff(j) == flip_signs(plus.coeff(j), [-1] * D), j
 
     def test_order_above_vars_rejected(self):
         with pytest.raises(DomainError):
