@@ -88,9 +88,9 @@ MAX_LAX_WORK = 4**2 * 10**3
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The
 # elimination grows about cubically in the rows and faster than linearly in
 # the digits.  On the machine above, in process, on r rows of r + 8 random
-# coefficients at the limit: r = 41 of 1 digit 0.43 s, 28 of 2 characters
-# 0.16 s, 10 of 10 digits 0.02 s; unbounded, 64 rows of 72 60-digit ones
-# took 2 minutes, 64 rows of 4,096 85 s and 8 rows of 20,000 6.4 s.
+# coefficients at the limit: r = 41 of 1 digit 0.03 s, 28 of 2 characters
+# 0.02 s, 10 of 10 digits 0.004 s; unbounded, 64 rows of 72 60-digit ones
+# took 16 s, 64 rows of 4,096 3.4 s and 8 rows of 20,000 0.6 s.
 MAX_POINT_CHARS = 2048
 # Upper bounds on the shape of a --matrix and on the characters of its
 # entries, counted before any is parsed: tau is the Schur image of the wedge

@@ -1,10 +1,11 @@
 """Points of the polynomial Grassmannian and their tau-function data.
 
 A point is a tail level T (the full cone spanned by s**-T, s**-T+1, ...)
-plus finitely many extra Laurent vectors in the loop variable s, held in
-reduced echelon form: pivots are lowest exponents, strictly increasing,
-monic, and supported strictly below the tail.  The loop variable is
-written s to keep it apart from the time variables t_i.
+plus finitely many extra Laurent vectors in the loop variable s (apart
+from the times t_i), held in reduced echelon form: pivots are lowest
+exponents, strictly increasing, monic, and supported strictly below the
+tail.  ``mpoly.Echelon`` reduces them as one-variable polynomials,
+s**e -> x**(-T - 1 - e), whose lead is the pivot.
 
 The fermion dictionary identifies s**e with the wedge index -e - 1/2, so
 multiplication by s**k is the k-fold index lowering on wedge factors.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .mpoly import format_rat, parse_int, parse_rat
+from .mpoly import Echelon, MPoly, format_rat, lincomb, parse_int, parse_rat
 from .schur import ChargedPoly
 from .fock import (FockVector, MayaState, State, WindowMatrix, sigma_single,
                    wedge_columns)
@@ -52,52 +53,15 @@ def index_to_exp(i: Fraction) -> int:
     return int(e)
 
 
-def _vec_scale(vec: LaurentVector, c: Fraction) -> LaurentVector:
-    return {e: v * c for e, v in vec.items()} if c else {}
-
-
-def _vec_sub(a: LaurentVector, b: LaurentVector, c: Fraction) -> LaurentVector:
-    out = dict(a)
-    for e, v in b.items():
-        w = out.get(e, Fraction(0)) - c * v
-        if w:
-            out[e] = w
-        else:
-            out.pop(e, None)
-    return out
-
-
 def vec_mul_sk(vec: LaurentVector, k: int) -> LaurentVector:
     return {e + k: c for e, c in vec.items()}
 
 
-def _below(vec: Mapping[int, Fraction], tail: int) -> LaurentVector:
-    """The nonzero part of vec strictly below the tail; the rest is in H_tail."""
-    return {e: c for e, c in vec.items() if c and e < -tail}
-
-
-Rows = dict[int, tuple[LaurentVector, LaurentVector]]
-
-
-def _eliminate(rows: Rows, vec: LaurentVector, carry: LaurentVector
-               ) -> tuple[LaurentVector, LaurentVector]:
-    """Reduce vec against echelon rows keyed by their pivot (lowest exponent).
-
-    Each row is a (vector, carry) pair.  Every multiple of a row taken off
-    vec is taken off carry with the row's carry, so a carry records what
-    its vector was built from.  The remainder is empty or its lowest
-    exponent is no pivot; it is empty exactly when vec lies in the span.
-    """
-    while vec:
-        p = min(vec)
-        hit = rows.get(p)
-        if hit is None:
-            break
-        row, row_carry = hit
-        c = vec[p] / row[p]
-        vec = _vec_sub(vec, row, c)
-        carry = _vec_sub(carry, row_carry, c)
-    return vec, carry
+def _loop_poly(vec: Iterable[tuple[int, Fraction]], tail: int) -> MPoly:
+    """The nonzero part of vec strictly below the tail (the rest is in
+    H_tail) as a polynomial in one variable, s**e -> x**(-tail - 1 - e)."""
+    top = -tail - 1
+    return MPoly.from_powers((top - e, c) for e, c in vec if c and e <= top)
 
 
 @dataclass(frozen=True)
@@ -150,59 +114,59 @@ def point_rows(data: dict) -> tuple[list[LaurentVector], int]:
 
 
 def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoint:
-    """Canonical echelon representative of span(vectors) + H_tail.
+    """Canonical echelon representative of span(vectors) + H_tail; an int
+    coefficient from a caller comes back a Fraction."""
+    rows = Echelon()
+    for vec in vectors:
+        rows.insert(_loop_poly(vec.items(), tail))
+    return _point(rows, tail)
 
-    A coefficient that is not a Fraction (an int from a caller) becomes
-    one here, once, so every division below stays exact.
-    """
-    pivoted: Rows = {}
-    for raw in vectors:
-        vec = {e: c if type(c) is Fraction else Fraction(c)
-               for e, c in _below(raw, tail).items()}
-        vec, _ = _eliminate(pivoted, vec, {})
-        if vec:
-            p = min(vec)
-            pivoted[p] = (_vec_scale(vec, 1 / vec[p]), {})
-    rows = [pivoted[p][0] for p in sorted(pivoted)]
-    for i, row in enumerate(rows):  # back-substitute for a fully reduced form
-        for other in rows[i + 1:]:
-            p = min(other)
-            if p in row:
-                row = _vec_sub(row, other, row[p] / other[p])
-        rows[i] = row
-    return GrPoint(tail, tuple(tuple(sorted(r.items())) for r in rows))
+
+def _point(rows: Echelon, tail: int) -> GrPoint:
+    """The point of the rows' span over H_tail, pivots ascending."""
+    return GrPoint(tail, tuple(tuple(sorted((-tail - 1 - d, c) for d, c in row.powers()))
+                               for row in reversed(rows.reduced())))
 
 
 # -- the stability filtration ---------------------------------------------------
 
-def _stable_split(point: GrPoint, k: int) -> tuple[list[LaurentVector], int]:
+def _stable_split(point: GrPoint, k: int
+                  ) -> tuple[list[LaurentVector], int, GrPoint]:
     """Kernel/complement split of multiplication by s**k modulo the point.
 
-    Returns (factors, codimension n): the n complement vectors first, then
-    the kernel vectors.  Each s**k v_i, cut at the tail, is eliminated
-    against the point's rows and the earlier shifted rows, carrying v_i;
-    a shift that vanishes leaves a carry whose s**k multiple lies in the
-    point.  Kernel vectors are re-echelonized so all pivots across both
-    groups stay distinct, which the wedge constructions rely on.
+    Returns (factors, codimension n, kernel point): the n complement
+    vectors, then the kernel point's basis.  Each s**k v_i, cut at the
+    tail, is reduced against the point's rows and the earlier shifted
+    rows; its carry is v_i less the multiples taken of the shifted rows'
+    carries, so a shift that reduces to zero leaves a carry whose s**k
+    multiple lies in the point.  The reduced kernel keeps all pivots
+    across both groups distinct, which the wedge constructions rely on.
     """
     if k < 1:
         raise GrassmannError("the constraint power k must be positive")
-    extras = point.vectors()
-    rows: Rows = {min(v): (v, {}) for v in extras}
-    kernel = []
-    for v in extras:
-        rem, carry = _eliminate(rows, _below(vec_mul_sk(v, k), point.tail), v)
-        if rem:
-            rows[min(rem)] = (rem, carry)
+    tail = point.tail
+    rows = Echelon()
+    polys = [_loop_poly(v, tail) for v in point.basis]
+    for p in polys:
+        rows.insert(p)
+    carries: dict[int, MPoly] = {}  # lead of a shifted row -> its carry
+    kernel = Echelon()
+    for v, p in zip(point.basis, polys):
+        # s**k v below H_tail has the keys of v below H_(tail + k)
+        rest, out = rows.insert(_loop_poly(v, tail + k))
+        read = [(carries[lead], -c) for lead, c in out.items() if lead in carries]
+        carry = lincomb(1, [(p, 1), *read]) if read else p
+        if rest.num:
+            carries[max(rest.num)] = carry
         else:
-            kernel.append(carry)
-    kernel_vecs = reduce_point(kernel, point.tail).vectors()
-    kernel_pivots = {min(v) for v in kernel_vecs}
-    complement = [v for v in extras if min(v) not in kernel_pivots]
-    n = len(extras) - len(kernel_vecs)
+            kernel.insert(carry)
+    kernel_point = _point(kernel, tail)
+    kernel_pivots = set(kernel_point.pivots())
+    complement = [v for v in point.vectors() if min(v) not in kernel_pivots]
+    n = len(point.basis) - len(kernel_point.basis)
     if len(complement) != n:
         raise PivotError("pivot bookkeeping failed in the stable split")
-    return complement + kernel_vecs, n
+    return complement + kernel_point.vectors(), n, kernel_point
 
 
 def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
@@ -211,8 +175,8 @@ def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
     The codimension is the minimal pair count n of the filtration level
     containing the point; n = 0 is exactly the k-reduction.
     """
-    factors, n = _stable_split(point, k)
-    return reduce_point(factors[n:], point.tail), n
+    _, n, kernel = _stable_split(point, k)
+    return kernel, n
 
 
 # -- wedges and tau functions -----------------------------------------------------
@@ -283,7 +247,7 @@ def companion_wedges(point: GrPoint, k: int
     rho_j = (s**k w_j) wedge tau and sigma_j = (-1)**(j-1) times the
     shifted wedge with factor j dropped.
     """
-    factors, n = _stable_split(point, k)
+    factors, n, _ = _stable_split(point, k)
     wedge, c = _pivot_minor(factors, point.tail)
     tau = wedge * (1 / c)
     rho_fvs = []
@@ -308,7 +272,7 @@ def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
     vector (pivots are distinct), so only the complement contributes and
     every summand is itself a perfect wedge.
     """
-    factors, n = _stable_split(point, k)
+    factors, n, _ = _stable_split(point, k)
     _, c = _pivot_minor(factors, point.tail)
     wedges = []
     for j in range(n):
@@ -389,12 +353,7 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
 
 def grpoint_from_window_matrix(matrix: WindowMatrix, charge: int) -> GrPoint:
     """The point carrying the same wedge as the matrix columns below charge."""
-    N = matrix.window
-    vectors = []
-    j = Fraction(-2 * N + 1, 2)
-    top = Fraction(2 * charge - 1, 2)
-    while j <= top:
-        col = matrix.column(j)
-        vectors.append({index_to_exp(i): c for i, c in col.items()})
-        j += 1
-    return reduce_point(vectors, -N)
+    N = matrix.window  # the columns j = m - 1/2 for m = 1 - N..charge
+    columns = (matrix.column(Fraction(2 * m - 1, 2)) for m in range(1 - N, charge + 1))
+    return reduce_point([{index_to_exp(i): c for i, c in col.items()} for col in columns],
+                        -N)

@@ -24,15 +24,15 @@ A_m(t) and B_n(t') are polynomials in D variables, one Miwa shift times
 the one-sided kernel sum_j S_j(+-t) z**j.  The residue is
 sum_m A_m (x) B_{N-m}, N = -1 - (a - b), a sum of tensors that is never
 multiplied out.  The right-hand factors B_n and b_j are brought to
-echelon form e_k (distinct leading monomials, so linearly independent)
-and the left-hand combinations X_k carried along, so that the defect is
-sum_k X_k (x) e_k: an identity holds exactly when every X_k is zero, and
-a pass forms no product in the doubled space.  A failure's witness is
-that sum, expanded once over the doubled space (t in slots 1..D, t' in
-slots D+1..2D), in canonical form.  ``bilinear_defects`` is that bosonic
-half and the only place that assembles a bosonic defect: ``kp_residue``
-expands its KP defect, and ``psdo`` reads the Lax verdicts from it and
-expands no witness.
+echelon rows e_k by ``mpoly.Echelon`` (distinct leads k, so linearly
+independent) and the left-hand combinations X_k carried along, so that
+the defect is sum_k X_k (x) e_k: an identity holds exactly when every
+X_k is zero, and a pass forms no product in the doubled space.  A
+failure's witness is that sum, expanded once over the doubled space (t
+in slots 1..D, t' in slots D+1..2D), in canonical form.
+``bilinear_defects`` is that bosonic half and the only place that
+assembles a bosonic defect: ``kp_residue`` expands its KP defect, and
+``psdo`` reads the Lax verdicts from it and expands no witness.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mpoly import MPoly, dot, lincomb
+from .mpoly import Echelon, MPoly, dot, lincomb
 from .schur import (ChargedPoly, bilinear_window, embed_t, embed_tprime,
                     miwa_shift, schur_of_partition, xi_series)
 from .fock import (FockVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
@@ -95,51 +95,29 @@ def _wave(p: MPoly, sign: int, kmax: int, weight: int) -> ZSeries:
     return shift * xi_series(p.vars, hi - lo, -sign)
 
 
-class _Echelon:
-    """Right-hand factors in echelon form over the rationals.
-
-    Every row has a leading monomial (its largest packed key) that no
-    other row has, so the rows are linearly independent.  ``coords(p)``
-    writes p as sum_k c_k rows[k]; what is left of p becomes a new row.
-    Each factor is reduced once, however many identities read it.
-    """
+class _Factors(Echelon):
+    """The right-hand factors' echelon rows, each factor reduced once."""
 
     def __init__(self):
-        self.rows: list[MPoly] = []
-        self._lead: dict[int, int] = {}  # leading key -> row index
+        super().__init__()
         self._seen: dict[int, tuple[MPoly, dict[int, Fraction]]] = {}
 
     def coords(self, p: MPoly) -> dict[int, Fraction]:
+        """p as sum_l c_l rows[l], keyed by lead, from ``insert``."""
         seen = self._seen.get(id(p))
-        if seen is not None:
-            return seen[1]
-        out: dict[int, Fraction] = {}
-        rest = p
-        while rest.num:
-            key = max(rest.num)
-            k = self._lead.get(key)
-            if k is None:
-                self._lead[key] = len(self.rows)
-                out[len(self.rows)] = Fraction(1)
-                self.rows.append(rest)
-                break
-            row = self.rows[k]
-            # the lead of rest drops below key, so row k comes up once
-            c = Fraction(rest.num[key] * row.den, rest.den * row.num[key])
-            out[k] = c
-            rest = lincomb(rest.vars, ((rest, 1), (row, -c)))
-        self._seen[id(p)] = (p, out)  # holding p keeps its id unique
-        return out
+        if seen is None:  # holding p keeps its id unique
+            seen = self._seen[id(p)] = (p, self.insert(p)[1])
+        return seen[1]
 
     def expand(self, combos: dict[int, MPoly], D: int) -> MPoly:
-        """sum_k combos[k](t) rows[k](t') over the doubled space."""
-        return dot(2 * D, [(embed_t(x, D), embed_tprime(self.rows[k], D))
-                           for k, x in combos.items()])
+        """sum_l combos[l](t) rows[l](t') over the doubled space."""
+        return dot(2 * D, [(embed_t(x, D), embed_tprime(self.rows[l], D))
+                           for l, x in combos.items()])
 
 
 def _defect(left: ZSeries, right: ZSeries, wl: int, wr: int, weight: int,
             kmax: int, pairs: Sequence[tuple[MPoly, MPoly]],
-            echelon: _Echelon) -> dict[int, MPoly]:
+            echelon: _Factors) -> dict[int, MPoly]:
     """The nonzero X_k with residue - sum a (x) b = sum_k X_k (x) rows[k].
 
     The residue is sum_m A_m (x) B_{N-m}, N = -1 - weight, over
@@ -221,7 +199,7 @@ def tensor_to_poly(tensor: PairTensor, D: int) -> MPoly:
 
 
 def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity],
-                     k: int) -> tuple[int, _Echelon, list[dict[int, MPoly]]]:
+                     k: int) -> tuple[int, _Factors, list[dict[int, MPoly]]]:
     """The bosonic half of verify_suite: each identity's defect, unexpanded.
 
     operands and family are those of ``identity_family``, or a part of
@@ -252,7 +230,7 @@ def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity]
             reach[side] = max(reach.get(side, kmax), kmax)
     waves = {(i, sign): _wave(polys[i], sign, kmax, weights[i])
              for (i, sign), kmax in reach.items()}
-    echelon = _Echelon()
+    echelon = _Factors()
     defects = [_defect(waves[source[left], -1], waves[source[right], +1],
                        weights[left], weights[right], weight, kmax,
                        [(polys[a], polys[b]) for a, b in pairs], echelon)
@@ -260,7 +238,7 @@ def bilinear_defects(operands: Sequence[ChargedPoly], family: Sequence[Identity]
     return D, echelon, defects
 
 
-def _kp_defect(tau: ChargedPoly) -> tuple[int, _Echelon, dict[int, MPoly]]:
+def _kp_defect(tau: ChargedPoly) -> tuple[int, _Factors, dict[int, MPoly]]:
     """The KP identity of tau alone, as ``bilinear_defects`` reads it:
     (D, echelon, combos), combos empty exactly when tau solves the
     hierarchy."""

@@ -24,21 +24,21 @@ Keys unpack to tuples only at the edges: ``terms``, serialization,
 printing (graded-lex order compares tuples) and ``content``.
 
 Three kernels do the arithmetic on packed keys and integer numerators,
-each with at most one gcd pass per result:
-``dot(vars, pairs)`` sums products a*b, ``lincomb(vars, pairs)`` sums
-scaled polynomials c*p and ``divexact(p, d)`` divides exactly.
-``MPoly * MPoly`` is dot's one-pair case, a ZSeries product calls it
-once per z-order, and the Jacobi-Trudi determinants and witness
-expansions call it once per sum.  No other module knows the layout
-(field width, guard bits, packing): the Miwa shift is built from
-``dlincomb``, lincomb's sum of partial derivatives, and the Hall weights
-read exponents through ``terms``.
-``+`` and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``)
-its one-pair case, and the residue defects, their echelon form and the
-Schur expansion's check call it once per sum and Sato's formula
-(``fock.sigma_map``) once per charge.  ``MPoly.from_json``
-sums on packed keys too, reading each "p/q" as an integer pair through
-the one rational grammar, which ``parse_rat`` also reads.
+each with at most one gcd pass per result: ``dot(vars, pairs)`` sums
+products a*b, ``lincomb(vars, pairs)`` sums scaled polynomials c*p and
+``divexact(p, d)`` divides exactly.  ``MPoly * MPoly`` is dot's one-pair
+case, a ZSeries product calls it once per z-order, and the Jacobi-Trudi
+determinants and witness expansions call it once per sum.  No other
+module knows the layout (field width, guard bits, packing): the Miwa
+shift is built from ``dlincomb``, lincomb's sum of partial derivatives,
+the Hall weights read exponents through ``terms``, and the Grassmannian
+writes its vectors in one variable (``from_powers``, ``powers``).  ``+``
+and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``) its
+one-pair case; the residue defects and the Schur expansion's check call
+it once per sum, Sato's formula (``fock.sigma_map``) once per charge and
+``Echelon``, the one exact elimination, once per row multiple.
+``MPoly.from_json`` sums on packed keys too, reading each "p/q" as an
+integer pair through the one rational grammar, which ``parse_rat`` reads.
 
 The weighted degree gives variable t_i weight i, so wdeg(t_2) = 2 and
 wdeg(t_1**3) = 3.  This is the grading under which the generating-series
@@ -270,6 +270,15 @@ class MPoly:
         return cls._make(vars, {0: c.numerator}, c.denominator)
 
     @classmethod
+    def from_powers(cls, pairs: Iterable[tuple[int, Rational]]) -> "MPoly":
+        """The one-variable polynomial sum c x**d over (d, c) pairs, d distinct
+        ints >= 0 and c nonzero ints or Fractions.  The key of x**d is d, so
+        no field bounds d where no key is added: in ``lincomb`` and ``Echelon``."""
+        pairs = list(pairs)
+        den = _lcm(*(c.denominator for _, c in pairs))
+        return cls._make(1, {d: c.numerator * (den // c.denominator) for d, c in pairs}, den)
+
+    @classmethod
     def variable(cls, vars: int, i: int) -> "MPoly":
         """The polynomial t_i (1-based index)."""
         if not 1 <= i <= vars:
@@ -282,6 +291,10 @@ class MPoly:
     def terms(self) -> Terms:
         """The coefficients as a read-only exponent -> Fraction mapping."""
         return Terms(self.num, self.den, self.vars)
+
+    def powers(self) -> Iterator[tuple[int, Fraction]]:
+        """The (d, c) pairs of a one-variable polynomial: from_powers' inverse."""
+        return ((d, Fraction(c, self.den)) for d, c in self.num.items())
 
     @property
     def is_zero(self) -> bool:
@@ -597,6 +610,55 @@ def _lincomb_sum(vars: int, live: list[tuple[dict[int, int], int, int]],
                 else:
                     del out[e]
     return MPoly._reduced(vars, out, den)
+
+
+class Echelon:
+    """Polynomials in echelon form over the rationals, the one exact
+    elimination: ``rows`` maps each row's lead, its largest key, to the
+    row, so no two rows share a lead and the rows are independent.  Each
+    row multiple taken off a polynomial is one ``lincomb``."""
+
+    def __init__(self):
+        self.rows: dict[int, MPoly] = {}
+
+    def reduce(self, p: MPoly) -> tuple[MPoly, dict[int, Fraction]]:
+        """(rest, multiples): p = rest + sum_l multiples[l] rows[l], and
+        rest is zero or leads with a key no row leads with."""
+        out: dict[int, Fraction] = {}
+        while p.num:
+            lead = max(p.num)
+            row = self.rows.get(lead)
+            if row is None:
+                break
+            # the lead of p drops below lead, so each row comes up once
+            c = out[lead] = Fraction(p.num[lead] * row.den, p.den * row.num[lead])
+            p = lincomb(p.vars, ((p, 1), (row, -c)))
+        return p, out
+
+    def insert(self, p: MPoly) -> tuple[MPoly, dict[int, Fraction]]:
+        """``reduce(p)``, keeping a nonzero rest as a row with multiple 1,
+        so that p = sum_l multiples[l] rows[l]."""
+        rest, out = self.reduce(p)
+        if rest.num:
+            lead = max(rest.num)
+            self.rows[lead] = rest
+            out[lead] = Fraction(1)
+        return rest, out
+
+    def reduced(self) -> list[MPoly]:
+        """The reduced echelon basis of the rows' span, least lead first:
+        each row monic and zero at every other lead, by one ``lincomb``
+        with the finished rows of lower leads, which are zero at every
+        lead but their own, so the multiples read off the row itself."""
+        done: dict[int, MPoly] = {}
+        for lead, row in sorted(self.rows.items()):
+            top = row.num[lead]
+            pairs = [(done[key], Fraction(-c, top)) for key, c in row.num.items()
+                     if key in done]
+            if pairs or top != row.den:
+                row = lincomb(row.vars, [(row, Fraction(row.den, top)), *pairs])
+            done[lead] = row
+        return list(done.values())
 
 
 def divexact(p: MPoly, d: MPoly) -> MPoly | None:

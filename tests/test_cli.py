@@ -538,9 +538,10 @@ class TestPointBudget:
                        f"16, above the limit {cli.MAX_WEIGHT}\n")
 
     @pytest.mark.parametrize("rows,width", [
-        (400, None),  # rows of ones, a valid weight-0 point: 2.1 s unbounded
-        (64, 4096),  # random coefficients: 85 s unbounded
-        (8, 20000),  # 6.4 s unbounded
+        # reduce_point in process, unbounded: 0.3, 3.4 and 0.6 s
+        (400, None),  # rows of ones, a valid weight-0 point
+        (64, 4096),  # random coefficients
+        (8, 20000),
     ])
     def test_large_file_exits_at_once(self, tmp_path, rows, width):
         rng = random.Random(rows)
@@ -758,15 +759,20 @@ class TestLibraryErrors:
         assert (code, out, err) == (2, "", expected)
 
 
-def zero_on_call(monkeypatch, name, nth):
-    """grassmann.<name> with its nth call returning the zero vector."""
+def fake_on_call(monkeypatch, name, nth, fake):
+    """grassmann.<name> with its nth call answered by fake."""
     real, calls = getattr(grassmann, name), []
 
     def broken(*args):
         calls.append(1)
-        return FockVector() if len(calls) == nth else real(*args)
+        return (fake if len(calls) == nth else real)(*args)
 
     monkeypatch.setattr(grassmann, name, broken)
+
+
+def zero_on_call(monkeypatch, name, nth):
+    """grassmann.<name> with its nth call returning the zero vector."""
+    fake_on_call(monkeypatch, name, nth, lambda *args: FockVector())
 
 
 class TestPivotFaults:
@@ -776,9 +782,10 @@ class TestPivotFaults:
     library call on the golden point (tail -1, one factor s^-2, k = 1)."""
 
     @pytest.mark.parametrize("action,break_call,message", [
-        # the kernel echelon gains a pivot the point lacks
-        ("min-n", lambda mp: mp.setattr(grassmann, "reduce_point",
-                                        lambda vectors, tail: GrPoint(tail, (((-5, 1),),))),
+        # the kernel point, after the point read from the file, gains a
+        # pivot the point lacks
+        ("min-n", lambda mp: fake_on_call(mp, "_point", 2,
+                                          lambda rows, tail: GrPoint(tail, (((-5, 1),),))),
          "pivot bookkeeping failed in the stable split"),
         # the wedge of the factors, whose pivot minor dtk reads
         ("dtk", lambda mp: zero_on_call(mp, "wedge_columns", 1),

@@ -4,14 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from tauforge.mpoly import MPoly
+from tauforge.mpoly import Echelon, MPoly
 from tauforge.schur import (Partition, _det, elementary_schur,
                             schur_of_partition)
 from tauforge.fock import (FockVector, MayaState, WindowMatrix,
                            apply_window_matrix, fermionic_pairing,
                            poly_to_fock, sigma_single, wedge_vector)
 from tauforge.grassmann import (GeneratorConditionError,
-                                GrassmannError, _below, _eliminate, _wedge_factors,
+                                GrassmannError, _loop_poly, _wedge_factors,
                                 companion_wedges,
                                 companions, dtk_decomposition,
                                 generate_from_matrix, grpoint_from_window_matrix,
@@ -23,8 +23,10 @@ from conftest import half, random_grpoint
 
 def contains_vector(p, vec):
     """Whether the point p contains the Laurent vector vec."""
-    rows = {min(r): (r, {}) for r in p.vectors()}
-    return not _eliminate(rows, _below(vec, p.tail), {})[0]
+    rows = Echelon()
+    for row in p.basis:
+        rows.insert(_loop_poly(row, p.tail))
+    return not rows.reduce(_loop_poly(vec.items(), p.tail))[0]
 
 
 def contains_point(p, other):
@@ -72,6 +74,16 @@ class TestReduce:
     def test_json_roundtrip(self):
         p = reduce_point([{-3: F(1), -1: F(1, 2)}], -1)
         assert reduce_point(*point_rows(p.to_json())) == p
+
+    def test_parts_past_the_exponent_field(self):
+        # a part below the tail at d = -tail - 1 - e >= 2**15, past what a
+        # packed exponent holds, reduces exactly in the library; the CLI
+        # refuses such a point earlier, by MAX_WEIGHT (test_cli.py's
+        # TestPointBudget, at d = 2,000,001)
+        deep = -2**16 - 5
+        p = reduce_point([{deep: F(2), -3: F(4)}, {deep: F(1), -2: F(1)}], 0)
+        assert p.basis == (((deep, F(1)), (-2, F(1))), ((-3, F(1)), (-2, F(-1, 2))))
+        assert contains_vector(p, {deep: F(1), -3: F(2), 5: F(7)})
 
 
 class TestCharge:
@@ -151,6 +163,28 @@ class TestSympyOracle:
                 grid = [[v.get(e, F(0)) for e in coords] for v in stacked]
                 _, n = stable_subspace(p, k)
                 assert n == sympy_rank(grid) - sympy_rank(grid[:len(W)])
+
+    def test_basis_is_the_reduced_row_echelon_form(self):
+        # with the columns in ascending exponent order, the lowest exponent
+        # is the leftmost column, so the basis must be the nonzero rows of
+        # SymPy's rref: pivots leftmost, rows monic and fully reduced
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(47)
+        for _ in range(40):
+            tail = rng.randint(-3, 2)
+            lo = -tail - rng.randint(1, 8)
+            span = range(lo, -tail + 2)  # the top two columns are in H_tail
+            vectors = [{e: F(rng.choice([0, 0, 0, 1, -1, 2, -3]), rng.randint(1, 3))
+                        for e in span} for _ in range(rng.randint(1, 6))]
+            if len(vectors) > 1:  # a dependent row
+                vectors.append({e: vectors[0][e] * 2 - vectors[-1][e] for e in span})
+            coords = range(lo, -tail)
+            rref, _ = sympy.Matrix([[sympy.Rational(v[e].numerator, v[e].denominator)
+                                     for e in coords] for v in vectors]).rref()
+            expected = [[F(int(c.p), int(c.q)) for c in row]
+                        for row in rref.tolist() if any(row)]
+            point = reduce_point(vectors, tail)
+            assert [[v.get(e, F(0)) for e in coords] for v in point.vectors()] == expected
 
     def test_generator_rejects_exactly_the_rank_deficient(self):
         rng = random.Random(43)

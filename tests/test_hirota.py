@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import tauforge.hirota as hirota
-from tauforge.mpoly import MPoly
+from tauforge.mpoly import Echelon, MPoly
 from tauforge.schur import (ChargedPoly, Partition, bilinear_window,
                             elementary_schur, embed_t, embed_tprime, miwa_shift,
                             schur_of_partition)
@@ -113,12 +113,14 @@ class TestKpResidue:
 
 
 class TestEchelon:
-    """The right-hand factors' echelon form: coords(p) writes p in the rows,
-    whose leading keys stay distinct, and each factor is reduced once."""
+    """The right-hand factors' echelon rows, an ``mpoly.Echelon``:
+    coords(p) writes p in the rows, keyed by lead, whose leads stay
+    distinct, and each factor is reduced once."""
 
     def test_coordinates_rebuild_each_polynomial(self):
         rng = random.Random(31)
-        echelon = hirota._Echelon()
+        echelon = hirota._Factors()
+        assert isinstance(echelon, Echelon)
         polys = []
         for case in range(60):
             if case % 3 == 2:
@@ -132,11 +134,13 @@ class TestEchelon:
             assert len(echelon.rows) <= rows + (case % 3 != 2)
             assert echelon.coords(p) is coords
             polys.append(p)
-        leads = [max(row.num) for row in echelon.rows]
-        assert len(set(leads)) == len(leads) > 10
+        # each row is keyed by its own lead, so the leads are distinct
+        assert [max(row.num) for row in echelon.rows.values()] == list(echelon.rows)
+        assert len(echelon.rows) > 10
         # rows never change once made, so every coordinate vector still holds
         for p in polys:
-            assert sum((echelon.rows[k] * c for k, c in echelon.coords(p).items()),
+            assert sum((echelon.rows[lead] * c
+                        for lead, c in echelon.coords(p).items()),
                        MPoly.zero(3)) == p
 
 

@@ -403,3 +403,78 @@ def test_every_cache_is_one_the_bench_can_clear():
              if (caches := module_level_caches(path.read_text()))}
     assert found == {}
     assert callable(getattr(cli._parser, "cache_clear", None))
+
+
+RETIRED_ELIMINATION = {"_eliminate", "_vec_sub", "_vec_scale", "_Echelon"}
+PIVOT = {"min", "max"}
+
+
+def call_name(node: ast.Call) -> str | None:
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def takes_multiple(node: ast.AST) -> bool:
+    """Whether a node takes a multiple off a vector: ``v = f(.., v, ..)``
+    (a pivot pick ``m = min(m, x)`` aside) or ``v = v - ..``, a
+    difference whose right side is a product, or a ``-=``."""
+    if isinstance(node, ast.Assign):
+        value = node.value
+        if isinstance(value, ast.Call):
+            if call_name(value) in PIVOT:
+                return False
+        elif not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Sub)):
+            return False
+        loaded = {n.id for n in ast.walk(value) if isinstance(n, ast.Name)}
+        return any(isinstance(t, ast.Name) and t.id in loaded for t in node.targets)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+
+
+def eliminations(source: str) -> list[str]:
+    """The retired elimination helpers a source defines, and its loops
+    that pick a pivot with min() or max() and take a multiple off a
+    vector, as ``line n: name`` in line order."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name in RETIRED_ELIMINATION):
+            found.add((node.lineno, node.name))
+        if isinstance(node, (ast.For, ast.While)):
+            body = [n for stmt in node.body for n in ast.walk(stmt)]
+            if (any(isinstance(n, ast.Call) and call_name(n) in PIVOT for n in body)
+                    and any(map(takes_multiple, body))):
+                found.add((node.lineno, "loop"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scan_sees_eliminations():
+    # the retired Fraction-dict routine (a pivot by min, _vec_sub), an
+    # in-place back-substitution, the retired MPoly rows (a lead by max,
+    # lincomb); then a running minimum with a sum, and a lincomb that
+    # reads a lead but takes nothing off the vector it rebinds
+    source = ("def _vec_sub(a, b, c): pass\n"
+              "class _Echelon: pass\n"
+              "while vec:\n    p = min(vec)\n    vec = _vec_sub(vec, rows[p], c)\n"
+              "for row in rows:\n    p = min(row)\n"
+              "    for e, c in row.items():\n        vec[e] = vec.get(e, 0) - f * c\n"
+              "while rest.num:\n    key = max(rest.num)\n"
+              "    rest = lincomb(v, ((rest, 1), (rows[key], -c)))\n"
+              "for x in xs:\n    best = min(best, x)\n    total = total + x\n"
+              "for x in xs:\n    lo = max(x)\n    out = lincomb(v, [(x, 1), (y, -lo)])\n")
+    assert eliminations(source) == ["line 1: _vec_sub", "line 2: _Echelon",
+                                    "line 3: loop", "line 6: loop", "line 10: loop"]
+
+
+def test_one_elimination_routine():
+    # mpoly.Echelon is the only routine that takes row multiples off a
+    # vector, so neither the Grassmannian's Fraction-dict elimination nor
+    # the residue's own echelon form can come back
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := eliminations(path.read_text()))}
+    assert list(found) == ["mpoly.py"]
+    source = (PACKAGE / "mpoly.py").read_text()
+    echelon, = (node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == "Echelon")
+    loop, = (node for node in ast.walk(echelon) if isinstance(node, ast.While))
+    assert found["mpoly.py"] == [f"line {loop.lineno}: loop"]

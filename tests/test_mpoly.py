@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tauforge.mpoly import (_BITS, MPoly, PolyError, _guard, _pack, _unpack, divexact,
-                            dot, format_rat, lincomb, parse_rat)
+from tauforge.mpoly import (_BITS, Echelon, MPoly, PolyError, _guard, _pack, _unpack,
+                            divexact, dot, format_rat, lincomb, parse_rat)
 
 from conftest import evaluate, flip_signs, random_poly
 
@@ -578,3 +578,83 @@ class TestLincomb:
         for pairs in ([(b, 1)], [(a, 1), (b, F(1, 2))], [(MPoly.zero(3), 1)], [(b, 0)]):
             with pytest.raises(PolyError):
                 lincomb(2, pairs)
+
+
+class TestPowers:
+    """from_powers and powers: one-variable polynomials keyed by exponent."""
+
+    def test_round_trip_in_canonical_form(self):
+        pairs = [(0, F(1, 6)), (3, -2), (7, F(4, 9))]
+        p = MPoly.from_powers(pairs)
+        assert_canonical(p)
+        assert p == MPoly(1, {(d,): c for d, c in pairs})
+        assert sorted(p.powers()) == pairs
+        assert all(type(c) is F for _, c in p.powers())
+        assert MPoly.from_powers([]) == MPoly.zero(1)
+
+    def test_exponents_past_the_field(self):
+        # the key of x**d is d itself, so lincomb, which adds no keys,
+        # is exact past the 2**15 the packed fields allow
+        d = 2**16 + 5
+        p = MPoly.from_powers([(d, F(1, 2)), (1, 3)])
+        q = lincomb(1, [(p, 2), (MPoly.from_powers([(d, 1)]), F(-1, 3))])
+        assert sorted(q.powers()) == [(1, 6), (d, F(2, 3))]
+
+
+def echelon_inputs(rng, count: int, vars: int = 2) -> list[MPoly]:
+    """Random polynomials, every fourth a combination of earlier ones."""
+    polys = []
+    for case in range(count):
+        if case % 4 == 3:
+            p = lincomb(vars, [(q, F(rng.randint(-3, 3), rng.randint(1, 4)))
+                               for q in rng.sample(polys, 2)])
+        else:
+            p = random_poly(rng, vars, max_terms=4)
+        polys.append(p)
+    return polys
+
+
+class TestEchelon:
+    """mpoly.Echelon, the one exact elimination: reduce and insert write a
+    polynomial in the rows, and reduced() is the canonical basis."""
+
+    def test_reduce_and_insert(self):
+        rows = Echelon()
+        for p in echelon_inputs(random.Random(53), 60, vars=3):
+            before = dict(rows.rows)
+            rest, out = rows.reduce(p)
+            assert rows.rows == before
+            assert set(out) <= set(before)
+            assert lincomb(3, [(rest, 1), *((rows.rows[l], c) for l, c in out.items())]) == p
+            assert not rest.num or max(rest.num) not in before
+            rest2, out2 = rows.insert(p)
+            assert rest2 == rest
+            if rest.num:
+                assert rows.rows == {**before, max(rest.num): rest}
+                assert out2 == {**out, max(rest.num): 1}
+            else:
+                assert rows.rows == before and out2 == out
+            assert lincomb(3, [(rows.rows[l], c) for l, c in out2.items()]) == p
+        assert [max(row.num) for row in rows.rows.values()] == list(rows.rows)
+        assert len(rows.rows) > 15
+
+    def test_reduced_basis_is_canonical(self):
+        rng = random.Random(59)
+        for _ in range(20):
+            rows = Echelon()
+            polys = echelon_inputs(rng, rng.randint(1, 12))
+            for p in polys:
+                rows.insert(p)
+            basis = rows.reduced()
+            leads = [max(row.num) for row in basis]
+            assert leads == sorted(rows.rows)
+            for row, lead in zip(basis, leads):
+                assert row.num[lead] == row.den  # monic
+                assert not set(row.num) & (set(leads) - {lead})
+            # the same span: every input reduces to zero on the basis,
+            # whose own echelon form is itself
+            again = Echelon()
+            for row in basis:
+                again.insert(row)
+            assert all(not again.reduce(p)[0].num for p in polys)
+            assert again.reduced() == basis
