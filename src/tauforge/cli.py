@@ -49,8 +49,11 @@ MAX_INDEX = 64
 # lax_depth(k, T) = max(T, 4) + k for lax and T + 1 for dress, so --k and
 # --order share one limit and cannot multiply; work grows about cubically in
 # the depth.
-# Only lax's witness path dresses; a job whose bilinear identities all hold
-# does not.  Every corner below takes the witness path, with Newton steps
+# Only lax's witness path dresses: a tau that fails KP, or a job whose rho_j
+# or sigma_j fails.  A job whose bilinear identities all hold does not, nor
+# does a KP tau that fails constrained-k alone, whose constraint is read off
+# that defect, so for those the limit refuses jobs that would run no
+# dressing.  Every corner below takes the witness path, with Newton steps
 # and, for k >= 2, the commutator: none of these taus is a KP tau.  Timed
 # in a child process, start-up included, best of two, on a 2-core x86
 # machine under CPython 3.11, on t_1^2 + t_2: depth 20 (lax --k 16 --order
@@ -73,16 +76,20 @@ MAX_WEIGHT = 8
 # Upper bound on terms^2 x depth^3 for the --tau of lax and dress, the depth
 # being that of the dressing (see MAX_DEPTH); verify is not bounded by it.
 # It admits 5 terms at depth 8, the deepest bench lax job (--k 3 --order 5),
-# and 4 at depth 10.  It bounds the witness path only, which every corner
-# below takes: the first n printed terms of S_(8) (8 variables, weight 8)
-# are no KP tau for n < 22, and all 22 fail constrained-1.  Timed as above,
-# lax at --order 5 (dress --order 3 at depth 4), (n, depth) inside: (4, 10)
-# 0.33 s, (5, 8) 0.29 s, (3, 12) 0.31 s, (8, 6) 0.19 s, (15, 4) 0.14 s,
-# (2, 15) 0.17 s, (1, 20) 0.16 s; outside, with the limit lifted: (6, 8)
-# 0.39 s, (6, 10) 1.2 s, (5, 10) 0.72 s, (4, 12) 0.44 s, (3, 16) 0.75 s,
-# (2, 20) 0.28 s (0.56 s on t_1^8 + t_2^4), (3, 20) 2.4 s, (22, 4) 0.17 s,
-# and (22, 6) at lax --k 1 0.98 s.  So the limit refuses jobs of under 1 s;
-# its model has no --k term, and it stays until one is fitted.
+# and 4 at depth 10.  It models the witness path only (a tau that fails KP,
+# or a failing rho_j or sigma_j) but is applied to every lax job, those
+# that dress nothing included.  The first n printed terms of S_(8) (8
+# variables, weight 8) are no KP tau for n < 22, so those corners below
+# dress; all 22 terms are a KP tau that fails constrained-1 alone, which
+# dressed when it was timed.  Timed as above, lax at --order 5 (dress
+# --order 3 at depth 4), (n, depth) inside: (4, 10) 0.33 s, (5, 8) 0.29 s,
+# (3, 12) 0.31 s, (8, 6) 0.19 s, (15, 4) 0.14 s, (2, 15) 0.17 s, (1, 20)
+# 0.16 s; outside, with the limit lifted: (6, 8) 0.39 s, (6, 10) 1.2 s,
+# (5, 10) 0.72 s, (4, 12) 0.44 s, (3, 16) 0.75 s, (2, 20) 0.28 s (0.56 s on
+# t_1^8 + t_2^4), (3, 20) 2.4 s, (22, 4) 0.17 s, and (22, 6) at lax --k 1
+# 0.98 s (0.46-0.76 s with its constraint read off the defect, against
+# 0.99-1.37 s dressed, run alternately).  So the limit refuses jobs of
+# under 1 s; its model has no --k term, and it stays until one is fitted.
 MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The

@@ -20,13 +20,20 @@ lemma res_z (P e^{xz})(Q e^{-xz}) = res_d (P Q*) reads them at t' = t):
 KP gives P B* = 1 and Sato's equation, so the Lax flow along every t_k;
 KP with constrained-k gives (L^k)_- = sum q_j d^-1 r_j; KP with rho_j or
 sigma_j gives the q_j or r_j flow.  So the identities imply the reports,
-and a job whose identities all hold passes with no dressing.  The
-converse fails (3 t1 t2 at k = 2 fails KP and passes the flow), so a job
-with a failing identity is dressed once (lax_depth), and each
-coefficient of the constraint and flow defects is tested for exact zero:
-its numerator over the power of tau is the zero polynomial, and a
-nonzero one is the witness.  At k = 1 the flow holds for every tau, so a
-lax-flow-t1 pass is no evidence about tau.
+and a job whose identities all hold passes with no dressing.  For a KP
+tau, (L^k)_- is the operator of the kernel R(t, t') / (tau(t) tau(t')),
+R the constrained-k residue, and the kernel-to-operator map is linear;
+so the constrained-k defect sum_l X_l (x) e_l is the constraint defect
+sum_l (X_l / tau) d^-1 (e_l / tau), and a KP tau whose rho_j and
+sigma_j hold reads its constraint witnesses off it, with no dressing and
+no composition.  The converse fails (3 t1 t2 at k = 2 fails KP and
+passes the flow), so a job whose tau fails KP, or whose rho_j or sigma_j
+fails, is dressed once (lax_depth).  On either path each coefficient of
+the constraint and flow defects is tested for exact zero: its numerator
+over the power of tau is the zero polynomial, and a nonzero one is the
+witness, which prints in one canonical form whichever path made it.  At
+k = 1 the flow holds for every tau, so a lax-flow-t1 pass is no evidence
+about tau.
 """
 
 from __future__ import annotations
@@ -349,6 +356,28 @@ def _passed(orders: Sequence[int]) -> list[OrderCheck]:
     return [OrderCheck(order, True) for order in orders]
 
 
+def _constraint_defect(poly: MPoly, wide: int, D: int, rows: dict[int, MPoly],
+                       combos: dict[int, MPoly], T: int) -> list[OrderCheck]:
+    """The constraint's checks on orders -1..-T of a KP tau = poly whose
+    constrained-k defect is sum_l combos[l] (x) rows[l] in wide variables:
+    the coefficients of sum_l (X_l / tau) d^-1 (rows[l] / tau) (see the
+    module docstring), one sum per order in tau's ring over the wide
+    variables, each brought down to D variables.  A numerator that uses
+    a variable above t_D is a fault of the arithmetic."""
+    wide_ring, ring = TauRing(poly.embed(wide)), TauRing(poly.embed(D))
+    terms: dict[int, list] = {}
+    for l, x in combos.items():
+        _leibniz(terms, wide_ring.frac(x, 1), -1, wide_ring.frac(rows[l], 1), 0, -T)
+    checks = []
+    for o in range(-1, -T - 1, -1):
+        fn = wide_ring.sum(terms.get(o, ()))
+        if fn.num.max_var_used() > D:
+            raise ArithmeticError(f"constraint coefficient at order {o} uses a "
+                                  f"variable above t_{D}")
+        checks.append(_zero_check(o, TauFrac(ring, fn.num.embed(D), fn.power)))
+    return checks
+
+
 def lax_depth(k: int, T: int) -> int:
     """Depth of the dressing verify_lax makes on its witness path, the least
     at which every order it may read is exact.
@@ -375,31 +404,36 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     The identities of ``identity_family`` imply every report (see the
     module docstring), so they are run first, by ``bilinear_defects`` with
     the charges fixed at 0, 1 and -k-1, since the Lax side ignores
-    charges.  When every identity holds, every report passes, with no
-    dressing and no composition.  The converse fails (3 t1 t2 at k = 2
-    fails KP and passes the Lax flow), so when an identity fails, one
-    dressing of tau is composed and every coefficient is tested for exact
-    zero; its failing orders give the witnesses.  There KP still decides
-    two things: a tau that fails it takes Newton steps to P^-1, and only
-    then does the commutator dL/dt_k - [(L^k)_+, L] decide the flow.  A
-    passing order carries no witness on either path, so the report is the
-    same.  At k = 1, (L)_+ = d and the flow holds for every tau, so
-    lax-flow-t1 passes always and is no evidence about tau.
+    charges.  When KP and every rho_j and sigma_j hold, nothing is
+    dressed or composed: the Lax flow and the q_j/r_j flows pass, and the
+    constraint passes with constrained-k or else takes its witnesses from
+    that identity's defect (``_constraint_defect``).  The converse fails
+    (3 t1 t2 at k = 2 fails KP and passes the Lax flow), so when KP or a
+    rho_j or sigma_j fails, one dressing of tau is composed and every
+    coefficient is tested for exact zero; its failing orders give the
+    witnesses.  There KP still decides two things: a tau that fails it
+    takes Newton steps to P^-1, and only then does the commutator
+    dL/dt_k - [(L^k)_+, L] decide the flow.  A passing order carries no
+    witness on any path, and a witness prints in canonical form, so the
+    report is the same.  At k = 1, (L)_+ = d and the flow holds for every
+    tau, so lax-flow-t1 passes always and is no evidence about tau.
     """
     if T < 3:
         raise ValueError("truncation depth must be at least 3")
     operands, family = identity_family(
         ChargedPoly(tau.poly, 0), [ChargedPoly(cp.poly, 1) for cp in rhos],
         [ChargedPoly(cp.poly, -k - 1) for cp in sigmas], k)
-    defects = bilinear_defects(operands, family, k)[2]
+    wide, echelon, defects = bilinear_defects(operands, family, k)
     labels = [f"constraint-k{k}", f"lax-flow-t{k}"]
     labels += [f"{f}_{j}-flow-t{k}" for j in range(1, len(rhos) + 1) for f in "qr"]
     constraint, flow = range(-1, -T - 1, -1), range(k + 1, -4, -1)
-    if not any(defects):
-        checks = [_passed(constraint), _passed(flow), *[_passed([0])] * 2 * len(rhos)]
-        return [OperatorReport(label, c) for label, c in zip(labels, checks)]
-    kp = not defects[0]
     D = max(k, 1, *[cp.poly.max_var_used() for cp in [tau, *rhos, *sigmas]])
+    kp = not defects[0]
+    if kp and not any(defects[2:]):
+        checks = [_constraint_defect(tau.poly, wide, D, echelon.rows, defects[1], T)
+                  if defects[1] else _passed(constraint),
+                  _passed(flow), *[_passed([0])] * 2 * len(rhos)]
+        return [OperatorReport(label, c) for label, c in zip(labels, checks)]
     floor = -lax_depth(k, T)
     P, Pinv = _dressing(tau.poly, D, floor, kp)
     ring = P.ring

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ import tauforge.grassmann as grassmann
 import tauforge.psdo as psdo
 from tauforge.cli import main
 from tauforge.fock import FockVector
-from tauforge.grassmann import GrPoint, companions
+from tauforge.grassmann import GrPoint, companions, reduce_point
 from tauforge.hirota import verify_suite
 from tauforge.mpoly import MPoly, dot
 from tauforge.zseries import ZSeries
@@ -931,42 +932,68 @@ class TestDressAndLax:
         assert err.startswith("internal error: TruncationError")
         assert "Traceback" not in err
 
+    def test_constraint_variable_fault_is_internal_error(self, capsys, golden_files,
+                                                         monkeypatch):
+        # a constrained-k defect whose numerator uses t_D of the bilinear
+        # D, above the Lax D = 2 of the golden tau: a fault of the
+        # arithmetic, not of the input
+        real = psdo.bilinear_defects
+
+        def widened(operands, family, k):
+            D, echelon, defects = real(operands, family, k)
+            assert D > 2
+            top = MPoly.variable(D, D)
+            return D, echelon, [defects[0], {l: x * top for l, x in defects[1].items()},
+                                *defects[2:]]
+
+        monkeypatch.setattr(psdo, "bilinear_defects", widened)
+        code, out, err = run(capsys, ["lax", "--tau", golden_files["tau"],
+                                      "--k", "1", "--order", "3"])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ArithmeticError")
+        assert "Traceback" not in err
+
     @staticmethod
     def golden_jobs(tmp_path, golden_point, k):
-        """The lax argv of the golden companions at k, with and without
-        their pair."""
+        """The lax argv of the golden companions at k, with their pair,
+        without it, and with t_1 added to sigma_1."""
         tau, rhos, sigmas = companions(golden_point, k)
+        bent = [ChargedPoly(sigmas[0].poly + MPoly.variable(2, 1), sigmas[0].charge)]
         tail = ["--k", str(k), "--order", "4"]
         return (["lax", *write_job(tmp_path, "paired", tau, rhos, sigmas), *tail],
-                ["lax", *write_job(tmp_path, "unpaired", tau, [], []), *tail])
+                ["lax", *write_job(tmp_path, "unpaired", tau, [], []), *tail],
+                ["lax", *write_job(tmp_path, "bent", tau, rhos, bent), *tail])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_dressing_per_job(self, capsys, tmp_path, golden_point,
                                   monkeypatch, k):
-        # a job whose identities all hold is not dressed; the golden tau
-        # without its pair fails constrained-k and is dressed once
+        # a job whose identities all hold is not dressed, nor is the golden
+        # tau without its pair: it is a KP tau that fails constrained-k
+        # alone, so its constraint is read off that defect.  sigma_1 + t_1
+        # fails the sigma_1 identity, so its r_1 flow needs (L^k)_+ and the
+        # job is dressed once.  (2 sigma_1 would not do: the identity is
+        # linear in sigma_1.)
         calls = []
         dressing = psdo._dressing
         monkeypatch.setattr(psdo, "_dressing",
                             lambda *args: calls.append(args) or dressing(*args))
         counts = []
-        for argv, code in zip(self.golden_jobs(tmp_path, golden_point, k), (0, 1)):
+        for argv, code in zip(self.golden_jobs(tmp_path, golden_point, k), (0, 1, 1)):
             calls.clear()
             assert run(capsys, argv)[0] == code
             counts.append(len(calls))
-        assert counts == [0, 1]
+        assert counts == [0, 0, 1]
 
-    @pytest.mark.parametrize("k,unpaired,forced", [(1, 2, 3), (2, 2, 7)])
+    @pytest.mark.parametrize("k,forced", [(1, 3), (2, 7)])
     def test_compositions_per_job(self, capsys, tmp_path, golden_point,
-                                  monkeypatch, k, unpaired, forced):
-        # a passing job composes nothing.  The golden tau without its pair
-        # is a KP tau, so P^-1 = B* with no Newton step and L^k = P d^k P^-1
-        # is two compositions; the flow passes by KP.  With every identity
-        # forced false, the paired job also checks P B* = 1 by one product
-        # and, for k >= 2, decides the flow by the commutator: L and
-        # [(L^k)_+, L], four more.  The constraint's q d^-1 r terms are
-        # summed per order, with no composition
-        paired, bare = self.golden_jobs(tmp_path, golden_point, k)
+                                  monkeypatch, k, forced):
+        # a passing job composes nothing, nor does the golden tau without
+        # its pair: its constraint's terms sum_l (X_l/tau) d^-1 (e_l/tau)
+        # are summed per order, with no composition.  With every identity
+        # forced false, the paired job is dressed: L^k = P d^k P^-1 is two
+        # compositions, P B* = 1 is checked by one product and, for k >= 2,
+        # the commutator decides the flow: L and [(L^k)_+, L], four more
+        paired, bare, _ = self.golden_jobs(tmp_path, golden_point, k)
         calls = []
         compose = psdo.PsiDO.__mul__
         monkeypatch.setattr(psdo.PsiDO, "__mul__",
@@ -979,7 +1006,7 @@ class TestDressAndLax:
         monkeypatch.setattr(psdo, "bilinear_defects", refute)
         calls.clear()
         run(capsys, paired)
-        assert (*counts, len(calls)) == (0, unpaired, forced)
+        assert (*counts, len(calls)) == (0, 0, forced)
 
     def test_seeded_determinism(self, capsys, golden_files):
         argv = ["lax", "--tau", golden_files["tau"],
@@ -998,7 +1025,8 @@ def digest_cases(golden_point):
     (KP fails and the commutator decides) and two taus that are no KP
     taus, whose P^-1 needs Newton steps, at the default --order 5; then
     the corners of lax_depth: --order 3, where the flow reads bind the
-    depth, and --order 8 at k = 1.
+    depth, and --order 8 at k = 1; then two KP taus that fail only
+    constrained-k, whose constraint witnesses are read off its defect.
     """
     t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
     s2 = schur_of_partition(Partition((2,)), 2)
@@ -1014,6 +1042,15 @@ def digest_cases(golden_point):
     cases += [(f"golden-k{k}-o{order}", *golden[k], k, order)
               for k, order in ((2, 3), (3, 3), (1, 8))]
     cases.append(("3t1t2-k2-o3", ChargedPoly(t1 * t2 * 3, 0), [], [], 2, 3))
+    # a KP tau whose rho_j and sigma_j hold and whose constrained-k fails:
+    # a weight-3 point without its one pair at k = 3, and with rho_1 + rho_2
+    # in place of rho_1 at k = 1 (n = 2)
+    seeded = reduce_point([{-4: Fraction(1), -3: Fraction(-3, 2)}, {-2: Fraction(1)}], 0)
+    tau, rhos, sigmas = companions(seeded, 3)
+    cases.append(("seeded-k3-unpaired", tau, rhos[:-1], sigmas[:-1], 3, 5))
+    tau, rhos, sigmas = companions(seeded, 1)
+    summed = ChargedPoly(rhos[0].poly + rhos[1].poly, rhos[0].charge)
+    cases.append(("seeded-k1-rho-sum", tau, [summed, *rhos[1:]], sigmas, 1, 5))
     return cases
 
 
@@ -1125,7 +1162,11 @@ class TestGoldenDigests:
     five pins that rule moved (lax golden-k2-unpaired, t1^3-k2 and
     S2^2-k1, dress t1^3 and S2^2) were checked against the reports they
     replace: the same exit codes and verdicts, and every changed
-    coefficient equal to the old one by cross-multiplication."""
+    coefficient equal to the old one by cross-multiplication.  The lax
+    seeded-k3-unpaired and seeded-k1-rho-sum pins and the dress seeded pin
+    were computed with L^k = P d^k P^-1 composed for every failing job, so
+    they hold the constraint witnesses read off the defect to the
+    dressing's bytes."""
 
     LAX = {
         "golden-k1":
@@ -1152,6 +1193,10 @@ class TestGoldenDigests:
             (0, "38932f875eeda6b34f5dc07caac82f88235aee11c34a8e2260e354b3732f05bc"),
         "3t1t2-k2-o3":
             (0, "479f4be893e3f4d421db902fc05e2084cd7d00da8121e745f00860fd36c9faaf"),
+        "seeded-k3-unpaired":
+            (1, "14019d06f67d6eb302e4f1136d55ded4a51c330d31cefc7a3d183903e55f6986"),
+        "seeded-k1-rho-sum":
+            (1, "62802b66debc1bbf11e0c7ef829b40c4b6223664f7c554b1c093641d3be2657a"),
     }
     DRESS = {
         "golden":
@@ -1162,6 +1207,8 @@ class TestGoldenDigests:
             (0, "3edc94e55c1c8890970425865e10befac8d6dd72967ccec6d2fe1ec4f433e20d"),
         "S2^2":
             (0, "1ee4be30631811917cb72328e92f210533ad4605967f3e55f0cbb0149669d43c"),
+        "seeded":
+            (0, "64b726238c647e18abad44df15bb3e3c7e3b4e56be7bac9a9d93fd86a80fc21d"),
     }
     VERIFY = {
         "golden-k1":

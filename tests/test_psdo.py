@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -515,17 +517,22 @@ class TestLaxDepth:
     def test_one_less_is_refused(self, golden_point, monkeypatch):
         real = lax_depth
         monkeypatch.setattr(psdo, "lax_depth", lambda k, T: real(k, T) - 1)
-        # only the witness path dresses: the golden tau without its pair
-        # and two non-KP taus; for T >= 4 the constraint's order -T binds
+        # only the witness path dresses: two non-KP taus, and the golden
+        # KP tau without its pair only with every identity forced false;
+        # for T >= 4 the constraint's order -T binds
         t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
-        golden = companions(golden_point, 1)[0].poly
-        for poly in (golden, t1 * t2 * 3, t1 * t1 * t1):
+        for poly in (t1 * t2 * 3, t1 * t1 * t1):
             for k, T in ((1, 4), (2, 4), (1, 5), (2, 6)):
                 with pytest.raises(TruncationError):
                     verify_lax(ChargedPoly(poly, 0), [], [], k, T)
         # at T = 3 the commutator's order -3 binds: 3 t1 t2 fails KP at k = 2
         with pytest.raises(TruncationError):
             verify_lax(ChargedPoly(t1 * t2 * 3, 0), [], [], 2, 3)
+        golden = companions(golden_point, 1)[0]
+        monkeypatch.setattr(psdo, "bilinear_defects", refute)
+        for k, T in ((1, 4), (2, 4), (1, 5), (2, 6)):
+            with pytest.raises(TruncationError):
+                verify_lax(golden, [], [], k, T)
 
     def test_enough_on_both_paths(self, golden_point, monkeypatch):
         cases = [(ChargedPoly(poly, 0), k, T) for poly in self.taus(golden_point)
@@ -536,6 +543,86 @@ class TestLaxDepth:
         monkeypatch.setattr(psdo, "bilinear_defects", refute)
         for case in cases:
             verify_lax(case[0], [], [], *case[1:])
+
+
+@pytest.fixture
+def dressed(monkeypatch):
+    """Counts of psdo._dressing and PsiDO.__mul__ calls."""
+    calls = {"dressing": 0, "compose": 0}
+    dressing, compose = psdo._dressing, PsiDO.__mul__
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(psdo, "_dressing", count("dressing", dressing))
+    monkeypatch.setattr(PsiDO, "__mul__", count("compose", compose))
+    return calls
+
+
+class TestConstraintFromDefect:
+    """A KP tau whose rho_j and sigma_j identities hold reads its
+    constraint witnesses off the constrained-k defect, with no dressing;
+    the reports equal the dressing's, witnesses included."""
+
+    @staticmethod
+    def bent_cases():
+        """Companions of seeded points of weight 2..4 at k = 1..3 and
+        T = 3..6: without their last pair, with sigma_1 doubled and, for
+        n >= 2, with rho_1 + rho_2 in place of rho_1."""
+        rng = random.Random(3)
+        points = []
+        while len(points) < 11:
+            point = random_grpoint(rng, 3, 5)
+            if 2 <= point.weight <= 4:
+                points.append(point)
+        cases = []
+        for i, (point, k) in enumerate(itertools.product(points, (1, 2, 3))):
+            tau, rhos, sigmas = companions(point, k)
+            T = 3 + i % 4
+            if rhos:
+                doubled = ChargedPoly(sigmas[0].poly * 2, sigmas[0].charge)
+                cases += [(tau, rhos[:-1], sigmas[:-1], k, T),
+                          (tau, rhos, [doubled, *sigmas[1:]], k, T)]
+            if len(rhos) > 1:
+                summed = ChargedPoly(rhos[0].poly + rhos[1].poly, rhos[0].charge)
+                cases.append((tau, [summed, *rhos[1:]], sigmas, k, T))
+        return cases
+
+    def test_equals_the_dressing(self, dressed, monkeypatch):
+        cases = self.bent_cases()
+        assert len(cases) >= 55
+        assert {len(rhos) for _, rhos, *_ in cases} >= {0, 1, 2}
+        assert {T for *_, T in cases} == {3, 4, 5, 6}
+        got = [[r.to_json() for r in verify_lax(*case)] for case in cases]
+        assert dressed == {"dressing": 0, "compose": 0}
+        assert all(not report[0]["pass"] and all(r["pass"] for r in report[1:])
+                   for report in got)
+        monkeypatch.setattr(psdo, "bilinear_defects", refute)
+        assert [[r.to_json() for r in verify_lax(*case)] for case in cases] == got
+        assert dressed["dressing"] == len(cases)
+
+    def test_lax_corpus_neither_dresses_nor_composes(self, dressed):
+        # every triple of the committed lax bench corpus, with and without
+        # its last pair, at the bench's --order 5
+        path = Path(__file__).resolve().parents[1] / "bench" / "corpus" / "lax.jsonl"
+        jobs = 0
+        with open(path) as fh:
+            for line in fh:
+                entry = json.loads(line)
+                k = entry["sig"][0]
+                tau = ChargedPoly.from_json(entry["tau"])
+                rhos = [ChargedPoly.from_json(r) for r in entry["rho"]]
+                sigmas = [ChargedPoly.from_json(s) for s in entry["sigma"]]
+                for n in {len(rhos), max(len(rhos) - 1, 0)}:
+                    reports = verify_lax(tau, rhos[:n], sigmas[:n], k, 5)
+                    assert reports[0].all_pass == (n == len(rhos)), line
+                    assert all(r.all_pass for r in reports[1:]), line
+                    jobs += 1
+        assert jobs > 1000
+        assert dressed == {"dressing": 0, "compose": 0}
 
 
 def test_json_emits_only_the_exact_range():
