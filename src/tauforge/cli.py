@@ -26,7 +26,7 @@ from .schur import ChargedPoly
 from .fock import FockVector, alpha, psi_minus, psi_plus, shift_charge
 from .grassmann import (GeneratorConditionError, GrassmannError, GrPoint,
                         companions, dtk_decomposition, generate_from_matrix,
-                        point_rows, reduce_point, stable_subspace)
+                        point_rows, reduce_rows, stable_subspace)
 from .hirota import verify_suite
 from .psdo import dress_from_tau, lax_depth, verify_lax
 
@@ -94,21 +94,28 @@ MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The
 # elimination grows about cubically in the rows and faster than linearly in
-# the digits.  On the machine above, in process, on r rows of r + 8 random
-# coefficients at the limit: r = 41 of 1 digit 0.03 s, 28 of 2 characters
-# 0.02 s, 10 of 10 digits 0.004 s; unbounded, 64 rows of 72 60-digit ones
-# took 16 s, 64 rows of 4,096 3.4 s and 8 rows of 20,000 0.6 s.
+# the digits, so the characters bound its cost only loosely.  In a child
+# process on the machine above, cli.main's own time (the file read into
+# integer rows, reduced, then refused by MAX_WEIGHT), best of two, on r rows
+# of r + 8 random coefficients at the limit: r = 41 of 1 digit 0.03-0.05 s,
+# 28 of 2 characters 0.02 s, 20 of 3 digits and 16 of 5 digits 0.01 s, 10 of
+# 10 digits and 8 of 16 digits 0.005 s, 1 to 4 rows of 40 to 250 digits
+# 0.003 s; with the limit lifted, 64 rows of 72 60-digit ones 17 s, 64 rows
+# of 4,096 2-character ones 0.6 s and 8 rows of 20,000 0.4 s.
 MAX_POINT_CHARS = 2048
 # Upper bounds on the shape of a --matrix and on the characters of its
 # entries, counted before any is parsed: tau is the Schur image of the wedge
 # of the columns (Sato's formula), whose states fill the cols x (rows - cols)
 # box, so the work grows with the box and with the digits.  They admit every
-# bench tau-from-matrix job (at most 8 x 4 of small integers).  On the
-# machine above, in process, on random entries: inside, 8 x 6 of one digit
-# 0.05 s and at 2,048 characters (20-digit over 20-digit rationals) 0.07 s,
-# 8 x 5 and 7 x 6 at 2,048 characters 0.09 and 0.02 s; outside, 8 x 7 0.03 s
-# (0.04 s at 2,048 characters), 9 x 6 0.25 s, 12 x 4 5.3 s, 12 x 5 25 s,
-# 20 x 3 past 40 s, and 8 x 4 of 1,000-digit rationals 9.4 s.
+# bench tau-from-matrix job (at most 8 x 4 of small integers).  In a child
+# process on the machine above, cli.main's own time, best of two, on random
+# entries: inside, 8 x 6 of one digit 0.015 s and at 1,968 characters
+# (20-digit over 20-digit rationals) 0.03 s, 8 x 5 and 7 x 6 of such
+# rationals 0.05 and 0.01 s; outside, 8 x 7 0.007 s (0.02 s at 2,296
+# characters), 9 x 6 0.11 s, 12 x 4 1.9 s, 12 x 5 10 s (one run), 20 x 3
+# past 45 s, and 8 x 4 of 1,000-digit rationals 1.7 s before the printing
+# of its tau, whose coefficients pass CPython's 4,300-digit limit on int
+# strings, exits 2.
 MAX_MATRIX_ROWS = 8
 MAX_MATRIX_COLS = 6
 MAX_MATRIX_CHARS = 2048
@@ -161,21 +168,21 @@ def _load_grpoint(path: str) -> GrPoint:
     def parse(data) -> GrPoint:
         if not isinstance(data, dict):
             raise InputError(f"{path}: a point must be a JSON object")
-        rows = data.get("basis", [])
-        chars = sum(len(str(c)) for row in rows for c in row["coefs"])
-        if len(rows) > MAX_INDEX or chars > MAX_POINT_CHARS:
-            raise InputError(f"{path}: {len(rows)} rows of {chars} coefficient "
+        basis = data.get("basis", [])
+        chars = sum(len(str(c)) for row in basis for c in row["coefs"])
+        if len(basis) > MAX_INDEX or chars > MAX_POINT_CHARS:
+            raise InputError(f"{path}: {len(basis)} rows of {chars} coefficient "
                              f"characters is above the limit of {MAX_INDEX} rows "
                              f"of {MAX_POINT_CHARS} characters")
-        vectors, tail = point_rows(data)
-        low = min((e for v in vectors for e, c in v.items() if c and e < -tail),
-                  default=-tail)
-        # the top part of the pivot partition, -low - tail - (pivot count)
-        least = -low - tail - len(rows)
+        rows, tail = point_rows(data)
+        # the top part of the pivot partition, -low - tail - (pivot count),
+        # the lowest exponent below the tail being low = -tail - 1 - (top key)
+        top = max((max(row.num) for row in rows if row.num), default=-1)
+        least = top + 1 - len(rows)
         if least > MAX_WEIGHT:
             raise InputError(f"{path}: the point's tau has weighted degree at "
                              f"least {least}, above the limit {MAX_WEIGHT}")
-        return reduce_point(vectors, tail)
+        return reduce_rows(rows, tail)
 
     point = _load(path, "point", parse)
     if point.weight > MAX_WEIGHT:

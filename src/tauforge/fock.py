@@ -21,8 +21,10 @@ MayaState is hashed and no Fraction is built on the way; ``terms`` reads
 the coefficients back as a MayaState -> Fraction dict.
 ``FockVector._canonical`` is the one constructor from integer
 numerators.  ``wedge_ints`` is the one wedge kernel: ``wedge_columns``
-wedges a list of columns in front of a vector with it, for
-``wedge_vector``, ``apply_window_matrix`` and the Grassmannian wedges.
+wedges a list of integer columns, each over its denominator, in front of
+a vector with it, for the Grassmannian wedges, whose rows are integer
+already, and for ``wedge_vector`` and ``apply_window_matrix``, which put
+their Fraction columns over one denominator first.
 ``pairing_defect`` keys its sums by (charge, parts, charge, parts)
 tuples; ``fermionic_pairing`` is its case with no pairs.
 """
@@ -308,23 +310,22 @@ def shift_charge(power: int, v: FockVector) -> FockVector:
                                   for (m, parts), n in v.num.items()}, v.den)
 
 
-def wedge_columns(columns: Iterable[Mapping[int, Fraction]], v: FockVector
+def wedge_columns(columns: Iterable[tuple[Mapping[int, int], int]], v: FockVector
                   ) -> FockVector:
-    """Wedge each column, a map from codes to rationals, in front of v in
-    turn.  Each column goes over its own denominator and ``wedge_ints``
+    """Wedge each column in front of v in turn.  A column is a map from
+    codes to int numerators over a positive denominator; ``wedge_ints``
     sums on integers over the product of the denominators, reduced once
     at the end."""
     num, den = v.num, v.den
-    for column in columns:
-        col, d = _over_one_den(column.items())
+    for col, d in columns:
         num, den = wedge_ints(col, num), den * d
     return FockVector._canonical(num, den)
 
 
 def wedge_vector(column: Mapping[Fraction, Fraction], v: FockVector) -> FockVector:
     """Wedge a general vector sum_p column[p] v_p in front."""
-    return wedge_columns([{_code(p): Fraction(coef) for p, coef in column.items()
-                           if coef}], v)
+    return wedge_columns([_over_one_den((_code(p), Fraction(coef))
+                                        for p, coef in column.items() if coef)], v)
 
 
 # -- window matrices ---------------------------------------------------------
@@ -381,7 +382,7 @@ def apply_window_matrix(matrix: WindowMatrix, charge: int,
             raise WindowError(f"modified column {j} has support at {i} "
                               f"outside target window {target}")
     # columns j = -N + 1/2 .. charge - 1/2, each wedged in front of H_-N
-    columns = ({_code(i): c for i, c in matrix.column(j).items()}
+    columns = (_over_one_den((_code(i), c) for i, c in matrix.column(j).items())
                for j in (Fraction(2 * r + 1, 2) for r in range(-N, charge)))
     v = wedge_columns(columns, FockVector({MayaState(-N): 1}))
     if v.is_zero:

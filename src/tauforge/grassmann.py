@@ -2,30 +2,37 @@
 
 A point is a tail level T (the full cone spanned by s**-T, s**-T+1, ...)
 plus finitely many extra Laurent vectors in the loop variable s (apart
-from the times t_i), held in reduced echelon form: pivots are lowest
-exponents, strictly increasing, monic, and supported strictly below the
-tail.  ``mpoly.Echelon`` reduces them as one-variable polynomials,
-s**e -> x**(-T - 1 - e), whose lead is the pivot.
+from the times t_i).  From the JSON file to the wedge each vector has one
+form, a row: its part strictly below the tail as a one-variable MPoly,
+s**e -> x**d with d = -T - 1 - e, integer numerators over one
+denominator.  ``point_rows`` reads a payload's coefficients as integer
+pairs (``mpoly._ratio``) and ``reduce_point`` a caller's ints or
+Fractions, both through one row builder, which puts each row over the lcm
+of its denominators with one gcd pass.  ``mpoly.Echelon`` reduces the
+rows, and a point keeps the reduced echelon rows: monic, zero at every
+other lead, pivots (lowest exponents, so the leads) ascending.
+Multiplication by s**k, cut at the tail, is the key shift d -> d - k on
+the keys d >= k.
 
 The fermion dictionary identifies s**e with the wedge index -e - 1/2, so
 multiplication by s**k is the k-fold index lowering on wedge factors.
-The wedges are summed on integers by ``fock.wedge_columns``: s**e is the
-code -e - 1, and each finished wedge is a FockVector, which the
-companions and the d/dt_k summands scale by their pivot minor.
+The wedges are summed on the rows' integer numerators over their
+denominators by ``fock.wedge_columns``: s**e is the code -e - 1 = T + d,
+and T + d - k for its s**k multiple.  Each finished wedge is a
+FockVector, which the companions and the d/dt_k summands scale by their
+pivot minor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .mpoly import Echelon, MPoly, format_rat, lincomb, parse_int, parse_rat
+from .mpoly import Echelon, MPoly, _format, _ratio, lincomb, parse_int
 from .schur import ChargedPoly
-from .fock import (FockVector, MayaState, State, WindowMatrix, sigma_single,
-                   wedge_columns)
-
-LaurentVector = dict[int, Fraction]
+from .fock import FockVector, MayaState, State, WindowMatrix, sigma_single, wedge_columns
 
 
 class GrassmannError(ValueError):
@@ -53,120 +60,118 @@ def index_to_exp(i: Fraction) -> int:
     return int(e)
 
 
-def vec_mul_sk(vec: LaurentVector, k: int) -> LaurentVector:
-    return {e + k: c for e, c in vec.items()}
-
-
-def _loop_poly(vec: Iterable[tuple[int, Fraction]], tail: int) -> MPoly:
-    """The nonzero part of vec strictly below the tail (the rest is in
-    H_tail) as a polynomial in one variable, s**e -> x**(-tail - 1 - e)."""
+def _row(triples: Iterable[tuple[int, int, int]], tail: int) -> MPoly:
+    """The row of sum p/q s**e over (e, p, q) triples, e distinct and
+    q > 0: its part strictly below the tail (the rest is in H_tail) as a
+    polynomial in one variable, s**e -> x**(-tail - 1 - e), over the lcm
+    of the q's with one gcd pass."""
     top = -tail - 1
-    return MPoly.from_powers((top - e, c) for e, c in vec if c and e <= top)
+    kept = [(top - e, p, q) for e, p, q in triples if p and e <= top]
+    den = math.lcm(*(q for _, _, q in kept))
+    return MPoly.from_powers({d: p * (den // q) for d, p, q in kept}, den)
+
+
+def _shift(row: MPoly, k: int) -> MPoly:
+    """s**k times the row's vector, cut at the tail: the key shift
+    d -> d - k on the keys d >= k."""
+    return MPoly.from_powers({d - k: n for d, n in row.num.items() if d >= k}, row.den)
 
 
 @dataclass(frozen=True)
 class GrPoint:
-    """Reduced representative: tail level plus echelon extra basis."""
+    """Reduced representative: the tail level and the reduced echelon rows
+    (x**d for s**(-tail - 1 - d)), pivots ascending."""
 
     tail: int
-    basis: tuple[tuple[tuple[int, Fraction], ...], ...] = ()
-
-    def vectors(self) -> list[LaurentVector]:
-        return [dict(v) for v in self.basis]
+    rows: tuple[MPoly, ...] = ()
 
     @property
     def charge(self) -> int:
-        return self.tail + len(self.basis)
-
-    def pivots(self) -> list[int]:
-        return [min(dict(v)) for v in self.basis]
+        return self.tail + len(self.rows)
 
     @property
     def weight(self) -> int:
         """Weighted degree of the point's tau: the weight of its pivot partition."""
-        return sum(_pivot_state(self.pivots(), self.tail)[1])
+        return sum(_pivot_state(self.rows, self.tail)[1])
 
     def to_json(self) -> dict:
-        rows = []
-        for vec in self.vectors():
-            lo, hi = min(vec), max(vec)
-            rows.append({"minExp": lo,
-                         "coefs": [format_rat(vec.get(e, Fraction(0)))
-                                   for e in range(lo, hi + 1)]})
-        return {"tail": self.tail, "basis": rows}
-
-    def __str__(self) -> str:
-        def fmt(vec):
-            return " + ".join(f"{format_rat(c)}*s^{e}" for e, c in sorted(vec.items()))
-        body = ", ".join(fmt(v) for v in self.vectors()) or "-"
-        return f"GrPoint(tail H_{self.tail}; {body})"
+        top = -self.tail - 1
+        basis = []
+        for row in self.rows:
+            num, den = row.num, row.den
+            coefs = []
+            for d in range(max(num), min(num) - 1, -1):  # exponents ascending
+                n = num.get(d, 0)
+                g = math.gcd(n, den)  # each coefficient n/den in lowest terms
+                coefs.append(_format(n // g, den // g))
+            basis.append({"minExp": top - max(num), "coefs": coefs})
+        return {"tail": self.tail, "basis": basis}
 
 
-def point_rows(data: dict) -> tuple[list[LaurentVector], int]:
-    """The raw vectors and the tail of a point payload, before any elimination."""
-    vectors = []
+def point_rows(data: dict) -> tuple[list[MPoly], int]:
+    """The rows, one per basis row of a point payload (a zero row too),
+    and the tail, before any elimination."""
+    triples = []
     for row in data.get("basis", []):
         lo = parse_int(row["minExp"])
         if not isinstance(row["coefs"], list):
             raise ValueError("the coefs of a basis row must be a list")
-        vectors.append({lo + i: parse_rat(c) for i, c in enumerate(row["coefs"])})
-    return vectors, parse_int(data["tail"])
+        triples.append([(lo + i, *_ratio(c)) for i, c in enumerate(row["coefs"])])
+    tail = parse_int(data["tail"])
+    return [_row(t, tail) for t in triples], tail
 
 
-def reduce_point(vectors: Iterable[Mapping[int, Fraction]], tail: int) -> GrPoint:
-    """Canonical echelon representative of span(vectors) + H_tail; an int
-    coefficient from a caller comes back a Fraction."""
-    rows = Echelon()
-    for vec in vectors:
-        rows.insert(_loop_poly(vec.items(), tail))
-    return _point(rows, tail)
+def reduce_point(vectors: Iterable[Mapping[int, int | Fraction]], tail: int) -> GrPoint:
+    """Canonical echelon representative of span(vectors) + H_tail, each
+    vector mapping exponents to ints or Fractions."""
+    return reduce_rows([_row(((e, c.numerator, c.denominator) for e, c in vec.items()), tail)
+                        for vec in vectors], tail)
 
 
-def _point(rows: Echelon, tail: int) -> GrPoint:
-    """The point of the rows' span over H_tail, pivots ascending."""
-    return GrPoint(tail, tuple(tuple(sorted((-tail - 1 - d, c) for d, c in row.powers()))
-                               for row in reversed(rows.reduced())))
+def reduce_rows(rows: Iterable[MPoly], tail: int) -> GrPoint:
+    """The point of the rows' span over H_tail: its reduced echelon rows,
+    pivots ascending."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert(row)
+    return GrPoint(tail, tuple(reversed(echelon.reduced())))
 
 
 # -- the stability filtration ---------------------------------------------------
 
-def _stable_split(point: GrPoint, k: int
-                  ) -> tuple[list[LaurentVector], int, GrPoint]:
+def _stable_split(point: GrPoint, k: int) -> tuple[list[MPoly], int, GrPoint]:
     """Kernel/complement split of multiplication by s**k modulo the point.
 
     Returns (factors, codimension n, kernel point): the n complement
-    vectors, then the kernel point's basis.  Each s**k v_i, cut at the
-    tail, is reduced against the point's rows and the earlier shifted
-    rows; its carry is v_i less the multiples taken of the shifted rows'
-    carries, so a shift that reduces to zero leaves a carry whose s**k
-    multiple lies in the point.  The reduced kernel keeps all pivots
-    across both groups distinct, which the wedge constructions rely on.
+    rows, then the kernel point's rows.  Each s**k v_i, cut at the tail,
+    is reduced against the point's rows and the earlier shifted rows; its
+    carry is v_i less the multiples taken of the shifted rows' carries, so
+    a shift that reduces to zero leaves a carry whose s**k multiple lies
+    in the point.  The reduced kernel keeps all pivots across both groups
+    distinct, which the wedge constructions rely on.
     """
     if k < 1:
         raise GrassmannError("the constraint power k must be positive")
-    tail = point.tail
     rows = Echelon()
-    polys = [_loop_poly(v, tail) for v in point.basis]
-    for p in polys:
+    for p in point.rows:
         rows.insert(p)
     carries: dict[int, MPoly] = {}  # lead of a shifted row -> its carry
-    kernel = Echelon()
-    for v, p in zip(point.basis, polys):
-        # s**k v below H_tail has the keys of v below H_(tail + k)
-        rest, out = rows.insert(_loop_poly(v, tail + k))
+    kernel = []
+    for p in point.rows:
+        rest, out = rows.insert(_shift(p, k))
         read = [(carries[lead], -c) for lead, c in out.items() if lead in carries]
         carry = lincomb(1, [(p, 1), *read]) if read else p
         if rest.num:
             carries[max(rest.num)] = carry
         else:
-            kernel.insert(carry)
-    kernel_point = _point(kernel, tail)
-    kernel_pivots = set(kernel_point.pivots())
-    complement = [v for v in point.vectors() if min(v) not in kernel_pivots]
-    n = len(point.basis) - len(kernel_point.basis)
+            kernel.append(carry)
+    kernel_point = reduce_rows(kernel, point.tail)
+    kernel_leads = {max(row.num) for row in kernel_point.rows}
+    complement = [p for p in point.rows if max(p.num) not in kernel_leads]
+    n = len(point.rows) - len(kernel_point.rows)
     if len(complement) != n:
         raise PivotError("pivot bookkeeping failed in the stable split")
-    return complement + kernel_point.vectors(), n, kernel_point
+    return complement + list(kernel_point.rows), n, kernel_point
 
 
 def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
@@ -181,30 +186,32 @@ def stable_subspace(point: GrPoint, k: int) -> tuple[GrPoint, int]:
 
 # -- wedges and tau functions -----------------------------------------------------
 
-def _column(vec: LaurentVector) -> dict[int, Fraction]:
-    """The factor vec as a wedge column: s**e at code -e - 1."""
-    return {-e - 1: c for e, c in vec.items() if c}
+def _vacuum(tail: int) -> FockVector:
+    """H_tail, the vacuum of charge tail."""
+    return FockVector({MayaState(tail): 1})
 
 
-def _wedge_factors(factors: Sequence[LaurentVector], tail: int) -> FockVector:
-    """The wedge of the factors over H_tail."""
-    return wedge_columns(map(_column, reversed(factors)), FockVector({MayaState(tail): 1}))
+def _wedge(factors: Sequence[tuple[MPoly, int]], v: FockVector) -> FockVector:
+    """f_1 ^ .. ^ f_n ^ v for the factors (row, low), the x**d of a row
+    at code low + d: low is T for a row of a point over H_T, and T - k for
+    its s**k multiple."""
+    return wedge_columns([({low + d: n for d, n in row.num.items()}, row.den)
+                          for row, low in reversed(factors)], v)
 
 
-def _pivot_state(pivots: Sequence[int], tail: int) -> State:
-    """The (charge, parts) of the Maya state whose wedge codes are -e - 1
-    over the pivots, then H_tail."""
-    charge = tail + len(pivots)
-    codes = sorted((-e - 1 for e in pivots), reverse=True)
+def _pivot_state(rows: Sequence[MPoly], tail: int) -> State:
+    """The (charge, parts) of the Maya state whose wedge codes are those of
+    the rows' pivots, tail + lead, then H_tail."""
+    charge = tail + len(rows)
+    codes = sorted((tail + max(row.num) for row in rows), reverse=True)
     parts = (c - charge + s for s, c in enumerate(codes, start=1))
     return charge, tuple(lam for lam in parts if lam)
 
 
-def _pivot_minor(factors: Sequence[LaurentVector], tail: int
-                 ) -> tuple[FockVector, Fraction]:
-    """The wedge of echelon factors over H_tail and its pivot minor."""
-    wedge = _wedge_factors(factors, tail)
-    pivot = wedge.num.get(_pivot_state([min(v) for v in factors], tail))
+def _pivot_minor(rows: Sequence[MPoly], tail: int) -> tuple[FockVector, Fraction]:
+    """The wedge of echelon rows over H_tail and its pivot minor."""
+    wedge = _wedge([(row, tail) for row in rows], _vacuum(tail))
+    pivot = wedge.num.get(_pivot_state(rows, tail))
     if not pivot:
         raise PivotError("echelon wedge lost its pivot coordinate")
     return wedge, Fraction(pivot, wedge.den)
@@ -217,7 +224,7 @@ def _wedge_vars(wedges: Sequence[FockVector]) -> int:
 
 def fock_of(point: GrPoint) -> FockVector:
     """The perfect wedge of the point, scaled so the pivot minor is 1."""
-    wedge, c = _pivot_minor(point.vectors(), point.tail)
+    wedge, c = _pivot_minor(point.rows, point.tail)
     return wedge * (1 / c)
 
 
@@ -245,20 +252,22 @@ def companion_wedges(point: GrPoint, k: int
     With factors ordered complement-first, the pairing of tau against its
     k-shifted wedge telescopes onto the complement, giving
     rho_j = (s**k w_j) wedge tau and sigma_j = (-1)**(j-1) times the
-    shifted wedge with factor j dropped.
+    shifted wedge with factor j dropped.  Over H_(T-k) the shifted factors
+    have the codes of the unshifted rows at low T - k.
     """
     factors, n, _ = _stable_split(point, k)
+    low = point.tail - k
     wedge, c = _pivot_minor(factors, point.tail)
     tau = wedge * (1 / c)
     rho_fvs = []
     sigma_fvs = []
     for j in range(n):
-        rho = wedge_columns([_column(vec_mul_sk(factors[j], k))], tau)
+        rho = _wedge([(factors[j], low)], tau)
         if rho.is_zero:
             raise PivotError(f"companion {j + 1} vanished")
         rho_fvs.append(rho)
-        rest = [vec_mul_sk(f, k) for i, f in enumerate(factors) if i != j]
-        sigma = _wedge_factors(rest, point.tail - k) * ((-1 if j % 2 else 1) / c)
+        rest = [(f, low) for i, f in enumerate(factors) if i != j]
+        sigma = _wedge(rest, _vacuum(low)) * ((-1 if j % 2 else 1) / c)
         if sigma.is_zero:
             raise PivotError(f"companion {j + 1} vanished")
         sigma_fvs.append(sigma)
@@ -270,14 +279,16 @@ def dtk_decomposition(point: GrPoint, k: int) -> list[ChargedPoly]:
 
     Replacing a stable factor by its s**k multiple reproduces no basis
     vector (pivots are distinct), so only the complement contributes and
-    every summand is itself a perfect wedge.
+    every summand is itself a perfect wedge.  The multiple's codes below
+    the tail hit filled codes of H_T and drop out of the wedge.
     """
     factors, n, _ = _stable_split(point, k)
-    _, c = _pivot_minor(factors, point.tail)
+    tail = point.tail
+    _, c = _pivot_minor(factors, tail)
     wedges = []
     for j in range(n):
-        replaced = factors[:j] + [vec_mul_sk(factors[j], k)] + factors[j + 1:]
-        fv = _wedge_factors(replaced, point.tail) * (1 / c)
+        replaced = [(f, tail - k if i == j else tail) for i, f in enumerate(factors)]
+        fv = _wedge(replaced, _vacuum(tail)) * (1 / c)
         if not fv.is_zero:
             wedges.append(fv)
     D = _wedge_vars(wedges)
@@ -304,7 +315,7 @@ class GeneratorConditionError(GrassmannError):
         self.report = report
 
 
-def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
+def generate_from_matrix(entries: Sequence[Sequence[int | Fraction]], k: int,
                          n: int) -> tuple[GrPoint, ChargedPoly, GeneratorReport]:
     """Polynomial solution from an M x N rank-N matrix of chain data.
 
@@ -316,6 +327,8 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
     Pluecker coordinates times S_lambda.  Wedging the columns in reverse
     order cancels the reversal sign (-1)**(N(N-1)/2), so tau equals the
     determinant det(sum_l S_{l-i} A_{lj}) exactly, not up to a scalar.
+    Entries are ints or Fractions; each column is a row of the point, entry
+    l at key l - 1, and R A_j is the key shift of s**k.
     """
     if k < 1:
         raise GrassmannError("the constraint power k must be positive")
@@ -325,16 +338,16 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
     N = len(entries[0])
     if not (M > N > 0):
         raise GrassmannError(f"need rows > cols > 0, got {M} x {N}")
-    columns = [[row[j] for row in entries] for j in range(N)]
     # every exponent N - l lies below the tail at -N, so no entry is cut
-    vectors = [{N - l: c for l, c in enumerate(col, start=1) if c} for col in columns]
-    point = reduce_point(vectors, -N)
-    if len(point.basis) != N:
+    columns = [_row(((N - l, c.numerator, c.denominator) for l, c in enumerate(col, start=1)),
+                    -N) for col in zip(*entries)]
+    point = reduce_rows(columns, -N)
+    if len(point.rows) != N:
         raise GrassmannError(f"matrix rank below {N}")
     violating = []
     for j, col in enumerate(columns):
-        r_col = col[k:] + [Fraction(0)] * min(k, M)  # R A_j
-        if not any(r_col):
+        r_col = _shift(col, k)  # R A_j
+        if not r_col:
             continue
         if r_col in columns[:j]:
             raise GrassmannError(f"shift of column {j + 1} duplicates earlier "
@@ -347,7 +360,8 @@ def generate_from_matrix(entries: Sequence[Sequence[Fraction]], k: int,
             f"{len(violating)} columns break the chain condition, allowed {n}",
             report)
     # the box N x (M - N) holds every state, so its hook M - 1 is enough
-    tau = sigma_single(_wedge_factors(vectors[::-1], -N), max(M - 1, 1))
+    tau = sigma_single(_wedge([(col, -N) for col in reversed(columns)], _vacuum(-N)),
+                       max(M - 1, 1))
     return point, tau, report
 
 

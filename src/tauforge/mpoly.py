@@ -32,13 +32,14 @@ determinants and witness expansions call it once per sum.  No other
 module knows the layout (field width, guard bits, packing): the Miwa
 shift is built from ``dlincomb``, lincomb's sum of partial derivatives,
 the Hall weights read exponents through ``terms``, and the Grassmannian
-writes its vectors in one variable (``from_powers``, ``powers``).  ``+``
-and ``-`` are lincomb's two-pair case and scalar ``*`` (so ``/``) its
-one-pair case; the residue defects and the Schur expansion's check call
-it once per sum, Sato's formula (``fock.sigma_map``) once per charge and
-``Echelon``, the one exact elimination, once per row multiple.
-``MPoly.from_json`` sums on packed keys too, reading each "p/q" as an
-integer pair through the one rational grammar, which ``parse_rat`` reads.
+writes its rows in one variable (``from_powers``), whose keys are the
+exponents.  ``+`` and ``-`` are lincomb's two-pair case and scalar ``*``
+(so ``/``) its one-pair case; the residue defects and the Schur
+expansion's check call it once per sum, Sato's formula
+(``fock.sigma_map``) once per charge and ``Echelon``, the one exact
+elimination, once per row multiple.  ``MPoly.from_json`` sums on packed
+keys too, reading each "p/q" as an integer pair through the one rational
+grammar, which ``parse_rat`` and the Grassmannian's point reader read.
 
 The weighted degree gives variable t_i weight i, so wdeg(t_2) = 2 and
 wdeg(t_1**3) = 3.  This is the grading under which the generating-series
@@ -270,13 +271,12 @@ class MPoly:
         return cls._make(vars, {0: c.numerator}, c.denominator)
 
     @classmethod
-    def from_powers(cls, pairs: Iterable[tuple[int, Rational]]) -> "MPoly":
-        """The one-variable polynomial sum c x**d over (d, c) pairs, d distinct
-        ints >= 0 and c nonzero ints or Fractions.  The key of x**d is d, so
-        no field bounds d where no key is added: in ``lincomb`` and ``Echelon``."""
-        pairs = list(pairs)
-        den = _lcm(*(c.denominator for _, c in pairs))
-        return cls._make(1, {d: c.numerator * (den // c.denominator) for d, c in pairs}, den)
+    def from_powers(cls, num: dict[int, int], den: int) -> "MPoly":
+        """The one-variable polynomial sum n/den x**d over num's (d, n) items,
+        d ints >= 0, n nonzero ints and den > 0, reduced by one gcd pass.
+        The key of x**d is d, so no field bounds d where no key is added:
+        in ``lincomb`` and ``Echelon``."""
+        return cls._reduced(1, num, den)
 
     @classmethod
     def variable(cls, vars: int, i: int) -> "MPoly":
@@ -291,10 +291,6 @@ class MPoly:
     def terms(self) -> Terms:
         """The coefficients as a read-only exponent -> Fraction mapping."""
         return Terms(self.num, self.den, self.vars)
-
-    def powers(self) -> Iterator[tuple[int, Fraction]]:
-        """The (d, c) pairs of a one-variable polynomial: from_powers' inverse."""
-        return ((d, Fraction(c, self.den)) for d, c in self.num.items())
 
     @property
     def is_zero(self) -> bool:

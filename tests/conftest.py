@@ -66,6 +66,24 @@ def random_grpoint(rng: random.Random, max_extras: int = 2,
     return reduce_point(vectors, tail)
 
 
+def vectors(point) -> list[dict[int, Fraction]]:
+    """The point's rows as Laurent vectors, s**e -> coefficient, pivots
+    ascending: row key d is the exponent -tail - 1 - d."""
+    top = -point.tail - 1
+    return [{top - d: Fraction(n, row.den) for d, n in row.num.items()}
+            for row in point.rows]
+
+
+def pivots(point) -> list[int]:
+    """The pivots, the lowest exponents of the point's rows, ascending."""
+    return [min(vec) for vec in vectors(point)]
+
+
+def shifted(vec: dict, k: int) -> dict:
+    """s**k times the Laurent vector vec."""
+    return {e + k: c for e, c in vec.items()}
+
+
 def one_state(state: MayaState, coef=1) -> FockVector:
     """coef times one basis state."""
     return FockVector({state: Fraction(coef)})

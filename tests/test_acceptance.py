@@ -22,7 +22,8 @@ from tauforge.hirota import fermionic_bilinear_check, kp_residue, verify_suite
 from tauforge.psdo import PsiDO, dress_from_tau, verify_lax
 
 from conftest import (flip_signs, half, one_state, partitions_up_to,
-                      product_coeff, random_grpoint, random_poly, random_state)
+                      product_coeff, random_grpoint, random_poly, random_state,
+                      vectors)
 
 
 def report(number: int, text: str) -> None:
@@ -109,7 +110,7 @@ def test_acceptance_3_filtration_end_to_end():
     points = []
     while len(points) < 20:
         p = random_grpoint(rng, max_extras=2, span=4)
-        if not p.basis:
+        if not p.rows:
             continue
         tau = tau_of(p)
         if tau.poly.wdeg() > 4 or len(tau.poly.terms) > 5:
@@ -304,10 +305,10 @@ def test_acceptance_7_filtration_bounds():
         point = random_grpoint(rng, max_extras=3, span=5)
         k = rng.randint(1, 3)
         _, n = stable_subspace(point, k)
-        assert 0 <= n <= len(point.basis) + k, (trial, n)
+        assert 0 <= n <= len(point.rows) + k, (trial, n)
         # membership is monotone: the same pair data certifies every
         # level above n, and growing the tail never raises the level
-        grown = reduce_point(point.vectors(), point.tail + 1)
+        grown = reduce_point(vectors(point), point.tail + 1)
         _, n_grown = stable_subspace(grown, k)
         assert n_grown <= n, trial
     report(7, "100 points: filtration index finite, bounded by extras + k, "

@@ -539,7 +539,8 @@ class TestPointBudget:
                        f"16, above the limit {cli.MAX_WEIGHT}\n")
 
     @pytest.mark.parametrize("rows,width", [
-        # reduce_point in process, unbounded: 0.3, 3.4 and 0.6 s
+        # unbounded, in process: 0.3 s; in a child process, on integer
+        # rows: 0.6 and 0.4 s (see cli.MAX_POINT_CHARS)
         (400, None),  # rows of ones, a valid weight-0 point
         (64, 4096),  # random coefficients
         (8, 20000),
@@ -578,11 +579,11 @@ class TestMatrixBudget:
     elimination or determinant."""
 
     @pytest.mark.parametrize("rows,cols,digits", [
-        (12, 4, 1),  # unbounded 5.3 s
-        (12, 5, 1),  # 25 s
-        (20, 3, 1),  # past 40 s
-        (8, 7, 1),  # 0.03 s: a shape limit, not a time limit
-        (8, 4, 1000),  # 1,000-digit rationals: 9.4 s
+        (12, 4, 1),  # unbounded 1.9 s (see cli.MAX_MATRIX_ROWS)
+        (12, 5, 1),  # 10 s
+        (20, 3, 1),  # past 45 s
+        (8, 7, 1),  # 0.007 s: a shape limit, not a time limit
+        (8, 4, 1000),  # 1,000-digit rationals: 1.7 s, then exit 2 on printing
     ])
     def test_above_the_limit_exits_at_once(self, tmp_path, rows, cols, digits):
         rng = random.Random(rows * cols)
@@ -783,10 +784,11 @@ class TestPivotFaults:
     library call on the golden point (tail -1, one factor s^-2, k = 1)."""
 
     @pytest.mark.parametrize("action,break_call,message", [
-        # the kernel point, after the point read from the file, gains a
-        # pivot the point lacks
-        ("min-n", lambda mp: fake_on_call(mp, "_point", 2,
-                                          lambda rows, tail: GrPoint(tail, (((-5, 1),),))),
+        # the kernel point gains a pivot the point lacks: s^-5, key 5 over
+        # H_-1 (the file's point is reduced through cli's own import)
+        ("min-n", lambda mp: fake_on_call(
+            mp, "reduce_rows", 1,
+            lambda rows, tail: GrPoint(tail, (MPoly.from_powers({5: 1}, 1),))),
          "pivot bookkeeping failed in the stable split"),
         # the wedge of the factors, whose pivot minor dtk reads
         ("dtk", lambda mp: zero_on_call(mp, "wedge_columns", 1),
@@ -794,8 +796,8 @@ class TestPivotFaults:
         # rho_1 = (s w_1) wedge tau, the second wedge companions forms
         ("companions", lambda mp: zero_on_call(mp, "wedge_columns", 2),
          "companion 1 vanished"),
-        # sigma_1, the second wedge of factors, after the pivot minor's
-        ("companions", lambda mp: zero_on_call(mp, "_wedge_factors", 2),
+        # sigma_1, the third wedge of rows, after the pivot minor's and rho_1's
+        ("companions", lambda mp: zero_on_call(mp, "_wedge", 3),
          "companion 1 vanished"),
     ], ids=["split", "pivot-minor", "rho", "sigma"])
     def test_exit_three(self, capsys, monkeypatch, golden_files, action, break_call,
@@ -827,6 +829,74 @@ class TestGrass:
         parts = json.loads(out)["parts"]
         assert len(parts) == 1
         assert parts[0]["poly"]["terms"] == [{"exp": [1], "coef": "1"}]
+
+
+def ratio_text(rng, c: Fraction) -> str:
+    """c as a "p" or "p/q" string, at random not in lowest terms."""
+    m = rng.randint(1, 3)
+    if c.denominator == 1 and rng.random() < 0.5:
+        return str(c.numerator)
+    return f"{c.numerator * m}/{c.denominator * m}"
+
+
+class TestOnePointForm:
+    """Oracle for the integer rows: the CLI reads a point file on integer
+    pairs into the point reduce_point builds from Fractions, prints it
+    back to the same point, and the generator gives byte-identical
+    reports on a matrix of ints and on one of equal Fractions."""
+
+    @staticmethod
+    def seeded_points(rng):
+        """(tail, lowest exponent, rational vectors) with entries below, at
+        and above the tail, a zero vector among them now and then."""
+        for _ in range(60):
+            tail = rng.randint(-3, 2)
+            lo = -tail - rng.randint(1, 5)
+            vectors = [{e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                        for e in range(lo, -tail + 2) if rng.random() < 0.6}
+                       for _ in range(rng.randint(1, 4))]
+            yield tail, lo, vectors
+
+    def test_reader_matches_reduce_point(self, capsys, tmp_path):
+        rng = random.Random(71)
+        path = tmp_path / "point.json"
+        for tail, lo, vectors in self.seeded_points(rng):
+            top = max((e for v in vectors for e in v), default=lo)
+            basis = [{"minExp": lo, "coefs": [ratio_text(rng, v.get(e, Fraction(0)))
+                                              for e in range(lo, top + 1)]}
+                     for v in vectors]
+            path.write_text(json.dumps({"tail": tail, "basis": basis}))
+            point = reduce_point(vectors, tail)
+            assert cli._load_grpoint(str(path)) == point
+            # printed and read again, through the command that reads it
+            path.write_text(json.dumps(point.to_json()))
+            assert cli._load_grpoint(str(path)) == point
+            k = rng.randint(1, 3)
+            sub, n = grassmann.stable_subspace(point, k)
+            code, out, err = run(capsys, ["grass", "min-n", "--grpoint", str(path),
+                                          "--k", str(k)])
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"n": n, "stable": sub.to_json(),
+                                       "charge": point.charge}
+
+    def test_int_and_fraction_matrices_agree(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            M = rng.randint(2, cli.MAX_MATRIX_ROWS)
+            N = rng.randint(1, min(M - 1, cli.MAX_MATRIX_COLS))
+            k, n = rng.randint(1, 2), rng.randint(0, N)
+            ints = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(N)] for _ in range(M)]
+            fractions = [[Fraction(c) for c in row] for row in ints]
+            reports = []
+            for entries in (ints, fractions):
+                try:
+                    point, tau, report = grassmann.generate_from_matrix(entries, k, n)
+                except grassmann.GrassmannError as exc:
+                    reports.append(str(exc))
+                else:
+                    reports.append(json.dumps([point.to_json(), tau.to_json(),
+                                               report.to_json()]))
+            assert reports[0] == reports[1]
 
 
 class TestVariableCount:

@@ -383,7 +383,8 @@ class TestWedgeKernel:
             got = wedge_ints(column, v.num)
             want = _ref_wedge_vector({half(2 * c + 1): F(a) for c, a in column.items()}, v)
             assert FockVector({MayaState(*key): F(n, v.den) for key, n in got.items()}) == want
-            assert wedge_columns([column], v) == want
+            assert wedge_columns([(column, 1)], v) == want
+            assert wedge_columns([(column, 3)], v) == want * F(1, 3)
 
 
 class TestPairing:

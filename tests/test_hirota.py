@@ -392,7 +392,7 @@ class TestIdentityFamily:
         cases, failed = 0, set()
         while cases < 12:
             point = random_grpoint(rng, max_extras=3, span=4)
-            if not point.basis or tau_of(point).poly.wdeg() > 4:
+            if not point.rows or tau_of(point).poly.wdeg() > 4:
                 continue
             k = 1 + cases % 3
             tau, rhos, sigmas = companions(point, k)

@@ -478,3 +478,59 @@ def test_one_elimination_routine():
                 if isinstance(node, ast.ClassDef) and node.name == "Echelon")
     loop, = (node for node in ast.walk(echelon) if isinstance(node, ast.While))
     assert found["mpoly.py"] == [f"line {loop.lineno}: loop"]
+
+
+RETIRED_POINT_FORM = {"LaurentVector", "_column", "vec_mul_sk"}
+# the Grassmannian's functions from the JSON file to the wedge: the reader,
+# the row builder, the elimination, the shift, the wedge and the printer
+POINT_JOB_PATH = {"point_rows", "_row", "reduce_point", "reduce_rows", "_shift",
+                  "_stable_split", "_wedge", "generate_from_matrix", "GrPoint.to_json"}
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name a source defines, imports or reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "attr", "name", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                found.add(value)
+    return found
+
+
+def rational_reads(source: str) -> dict[str, set[str]]:
+    """Per module-level function and method (``Class.method``), the
+    ``parse_rat`` reads and ``Fraction(`` calls in its body."""
+    found = {}
+    for top in ast.parse(source).body:
+        methods = [(f"{top.name}.", node) for node in top.body] \
+            if isinstance(top, ast.ClassDef) else [("", top)]
+        for prefix, node in methods:
+            if isinstance(node, ast.FunctionDef):
+                found[prefix + node.name] = (
+                    {"parse_rat"} & names_read(ast.unparse(node))
+                    | {"Fraction(" for call in ast.walk(node)
+                       if isinstance(call, ast.Call) and call_name(call) == "Fraction"})
+    return found
+
+
+def test_scan_sees_point_form():
+    source = ("LaurentVector = dict\nfrom .g import vec_mul_sk as v\n"
+              "def f(x: Fraction):\n    return mpoly.parse_rat(x)\n"
+              "class P:\n    def to_json(self):\n        return Fraction(1, 2)\n"
+              "    def g(self):\n        return self._column\n")
+    assert identifiers(source) & RETIRED_POINT_FORM == RETIRED_POINT_FORM
+    assert rational_reads(source) == {"f": {"parse_rat"}, "P.to_json": {"Fraction("},
+                                      "P.g": set()}
+
+
+def test_one_point_form():
+    # a point's vectors are integer rows from the file to the wedge: the
+    # Laurent-dict form and its helpers cannot come back anywhere, and the
+    # job path of grassmann.py builds no Fraction and reads no parse_rat
+    found = {path.name: sorted(names) for path in sorted(PACKAGE.glob("*.py"))
+             if (names := identifiers(path.read_text()) & RETIRED_POINT_FORM)}
+    assert found == {}
+    reads = rational_reads((PACKAGE / "grassmann.py").read_text())
+    assert POINT_JOB_PATH <= set(reads)
+    assert {name: sorted(reads[name]) for name in POINT_JOB_PATH if reads[name]} == {}

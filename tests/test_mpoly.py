@@ -581,24 +581,27 @@ class TestLincomb:
 
 
 class TestPowers:
-    """from_powers and powers: one-variable polynomials keyed by exponent."""
+    """from_powers: one-variable polynomials keyed by exponent, from integer
+    numerators over one denominator."""
 
     def test_round_trip_in_canonical_form(self):
-        pairs = [(0, F(1, 6)), (3, -2), (7, F(4, 9))]
-        p = MPoly.from_powers(pairs)
+        # 2/12 + -24/12 x**3 + 6/12 x**7 is 1/6 - 2 x**3 + 1/2 x**7, by
+        # one gcd pass
+        p = MPoly.from_powers({0: 2, 3: -24, 7: 6}, 12)
         assert_canonical(p)
-        assert p == MPoly(1, {(d,): c for d, c in pairs})
-        assert sorted(p.powers()) == pairs
-        assert all(type(c) is F for _, c in p.powers())
-        assert MPoly.from_powers([]) == MPoly.zero(1)
+        assert (p.num, p.den) == ({0: 1, 3: -12, 7: 3}, 6)
+        assert MPoly.from_powers(p.num, p.den) == p
+        assert p == MPoly(1, {(0,): F(1, 6), (3,): -2, (7,): F(1, 2)})
+        assert MPoly.from_powers({}, 1) == MPoly.zero(1)
+        assert MPoly.from_powers({2: 5}, 1).num == {2: 5}
 
     def test_exponents_past_the_field(self):
         # the key of x**d is d itself, so lincomb, which adds no keys,
         # is exact past the 2**15 the packed fields allow
         d = 2**16 + 5
-        p = MPoly.from_powers([(d, F(1, 2)), (1, 3)])
-        q = lincomb(1, [(p, 2), (MPoly.from_powers([(d, 1)]), F(-1, 3))])
-        assert sorted(q.powers()) == [(1, 6), (d, F(2, 3))]
+        p = MPoly.from_powers({d: 1, 1: 6}, 2)
+        q = lincomb(1, [(p, 2), (MPoly.from_powers({d: 1}, 1), F(-1, 3))])
+        assert (q.num, q.den) == ({1: 18, d: 2}, 3)
 
 
 def echelon_inputs(rng, count: int, vars: int = 2) -> list[MPoly]:
