@@ -67,10 +67,12 @@ MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file and
 # of the tau of a --grpoint point: the bilinear residues of verify grow
 # about 2x per step of weight (verify --k 1 on t_1^8 takes 0.23 s of CPU,
-# start-up included; in process, with cold caches, verify_suite takes 0.036,
-# 0.075 and 0.13 s on t_1^8, t_1^9 and t_1^10, on a 2-core x86 machine under
-# CPython 3.11); grass companions took 7 s on a weight-19 point, at most
-# 0.3 s on weight-8 points for --k 1..16, with tails of 0, -10^6 and
+# start-up included; in process, with cold caches, verify_suite takes 0.024,
+# 0.045 and 0.099 s on t_1^8, t_1^9 and t_1^10, best of 28, and up to 0.038,
+# 0.078 and 0.17 s, on a 2-core x86 machine under CPython 3.11: no wave
+# factor of these taus vanishes at an order a residue reads, so every
+# order is formed); grass companions took 7 s on a weight-19 point, at
+# most 0.3 s on weight-8 points for --k 1..16, with tails of 0, -10^6 and
 # -10^300 alike.
 MAX_WEIGHT = 8
 # Upper bound on terms^2 x depth^3 for the --tau of lax and dress, the depth

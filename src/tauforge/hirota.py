@@ -21,15 +21,17 @@ bosonic result, so the mirror stays an independent oracle.
 
 Each wave factor is built once per operand and side: its z-coefficients
 A_m(t) and B_n(t') are polynomials in D variables, one Miwa shift times
-the one-sided kernel sum_j S_j(+-t) z**j.  The residue is
-sum_m A_m (x) B_{N-m}, N = -1 - (a - b), a sum of tensors that is never
-multiplied out.  The right-hand factors B_n and b_j are brought to
-echelon rows e_k by ``mpoly.Echelon`` (distinct leads k, so linearly
-independent) and the left-hand combinations X_k carried along, so that
-the defect is sum_k X_k (x) e_k: an identity holds exactly when every
-X_k is zero, and a pass forms no product in the doubled space.  A
-failure's witness is that sum, expanded once over the doubled space (t
-in slots 1..D, t' in slots D+1..2D), in canonical form.
+the one-sided kernel sum_j S_j(+-t) z**j, each formed on its first read.
+The residue is sum_m A_m (x) B_{N-m}, N = -1 - (a - b), a sum of tensors
+that is never multiplied out; a term with a zero factor is dropped, and
+its other factor is not formed unless another term reads it.  The
+right-hand factors B_n and b_j are brought to echelon rows e_k by
+``mpoly.Echelon`` (distinct leads k, so linearly independent) and the
+left-hand combinations X_k carried along, so that the defect is
+sum_k X_k (x) e_k: an identity holds exactly when every X_k is zero, and
+a pass forms no product in the doubled space.  A failure's witness is
+that sum, expanded once over the doubled space (t in slots 1..D, t' in
+slots D+1..2D), in canonical form.
 ``bilinear_defects`` is that bosonic half and the only place that
 assembles a bosonic defect: ``kp_residue`` expands its KP defect, and
 ``psdo`` reads the Lax verdicts from it and expands no witness.
@@ -42,11 +44,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mpoly import Echelon, MPoly, dot, lincomb
-from .schur import (ChargedPoly, bilinear_window, embed_t, embed_tprime,
-                    miwa_shift, schur_of_partition, xi_series)
+from .schur import (ChargedPoly, DomainError, bilinear_window, elementary_schur,
+                    embed_t, embed_tprime, miwa_shift, schur_of_partition)
 from .fock import (FockVector, MayaState, PairTensor, pairing_defect, poly_to_fock,
                    shift_charge)
-from .zseries import ZSeries
+from .zseries import ExactnessError
 
 
 @dataclass(frozen=True)
@@ -79,20 +81,57 @@ class BilinearReport:
         return {"checks": [c.to_json() for c in self.checks]}
 
 
-def _wave(p: MPoly, sign: int, kmax: int, weight: int) -> ZSeries:
-    """The z-coefficients of p(t + sign [z**-1]) exp(-sign xi(t, z)).
+class _Wave:
+    """A wave factor whose z-coefficients are formed on first read.
+
+    Order m is sum_n a_n S_{m+n}(kernel_sign * t), a_n the Miwa shift's
+    nonzero z**-n coefficients: one ``mpoly.dot`` over the n with
+    m + n >= 0, kept once formed.  Orders below the shift's lowest order
+    lo are zero.  Each order up to hi is exact, and ``claim`` refuses a
+    read above it.
+    """
+
+    __slots__ = ("vars", "lo", "hi", "_shift", "_sign", "_orders")
+
+    def __init__(self, shift: dict[int, MPoly], vars: int, kernel_sign: int,
+                 lo: int, hi: int):
+        self.vars, self.lo, self.hi = vars, lo, hi
+        self._shift = [(-order, a) for order, a in shift.items()]  # n ascending
+        self._sign = kernel_sign
+        self._orders: dict[int, MPoly] = {}
+
+    def claim(self, order: int, limit: int) -> None:
+        """Refuse a read at order above min(hi, limit)."""
+        bound = min(self.hi, limit)
+        if order > bound:
+            raise ExactnessError(f"order {order} above guaranteed-exact bound {bound}")
+
+    def coeff(self, m: int) -> MPoly:
+        """Order m, formed on its first read."""
+        c = self._orders.get(m)
+        if c is None:
+            D = self.vars
+            c = self._orders[m] = dot(D, [(a, elementary_schur(m + n, D, self._sign))
+                                          for n, a in self._shift if m + n >= 0])
+        return c
+
+
+def _wave(p: MPoly, sign: int, kmax: int, weight: int) -> _Wave:
+    """The z-coefficients of p(t + sign [z**-1]) exp(-sign xi(t, z)), lazily.
 
     A kernel of order kmax proves the factor exact up to z**hi,
     hi = kmax - weight, since the shift reaches down to z**-weight at most;
-    orders above hi are not claimed, so reading one is an ExactnessError.
-    The kernel is cut at the least order that keeps those exact, hi - lo
-    for the shift's lowest order lo (kmax when lo = -weight), so the
-    product is already exact to hi and no further: it needs no cut.
+    orders above hi are not claimed.  The kernel orders it reads go up to
+    hi - lo for the shift's lowest order lo (kmax when lo = -weight),
+    which must not pass the D variables: a longer kernel is a DomainError
+    here, before any order is formed.
     """
     hi = kmax - weight
-    shift = miwa_shift(p, sign)
-    lo = shift.min_order if shift.coeffs else 0
-    return shift * xi_series(p.vars, hi - lo, -sign)
+    shift = miwa_shift(p, sign, weight).coeffs
+    lo = min(shift) if shift else 0
+    if hi - lo > p.vars:
+        raise DomainError(f"kernel order {hi - lo} exceeds variable count {p.vars}")
+    return _Wave(shift, p.vars, -sign, lo, hi)
 
 
 class _Factors(Echelon):
@@ -115,22 +154,36 @@ class _Factors(Echelon):
                            for l, x in combos.items()])
 
 
-def _defect(left: ZSeries, right: ZSeries, wl: int, wr: int, weight: int,
+def _defect(left: _Wave, right: _Wave, wl: int, wr: int, weight: int,
             kmax: int, pairs: Sequence[tuple[MPoly, MPoly]],
             echelon: _Factors) -> dict[int, MPoly]:
     """The nonzero X_k with residue - sum a (x) b = sum_k X_k (x) rows[k].
 
     The residue is sum_m A_m (x) B_{N-m}, N = -1 - weight, over
     m = -wl..N + wr, the orders the window bilinear_window(wl, wr, weight)
-    spans.  Both factors are read through copies cut at the orders that
-    window proves, A up to kmax - wl and B up to kmax - wr, so a window
-    too short for the identity raises ExactnessError.  Each b is written
-    in the echelon rows, and each X_k is one ``lincomb`` of the a by
-    their coordinates on row k.
+    spans.  Every order the window reads is first claimed against what
+    that window proves, A up to kmax - wl and B up to kmax - wr, so a
+    window too short for the identity raises ExactnessError, also at an
+    order whose term is then skipped.  A term is kept only when both
+    factors are nonzero: the one nearer its lowest order, the cheaper to
+    form, is formed first and the other only if it is nonzero.  Each b is
+    written in the echelon rows, and each X_k is one ``lincomb`` of the a
+    by their coordinates on row k.
     """
-    A, B = left.cut(kmax - wl), right.cut(kmax - wr)
     N = -1 - weight
-    terms = [(A.coeff(m), B.coeff(N - m)) for m in range(-wl, N + wr + 1)]
+    orders = range(-wl, N + wr + 1)
+    for m in orders:
+        left.claim(m, kmax - wl)
+        right.claim(N - m, kmax - wr)
+    terms = []
+    for m in orders:
+        if m - left.lo <= N - m - right.lo:
+            a = left.coeff(m)
+            b = right.coeff(N - m) if a.num else a
+        else:
+            b = right.coeff(N - m)
+            a = left.coeff(m) if b.num else b
+        terms.append((a, b))
     terms += [(-a, b) for a, b in pairs]
     parts: dict[int, list[tuple[MPoly, Fraction]]] = {}
     for a, b in terms:
@@ -167,7 +220,7 @@ def identity_family(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     for j, sig in enumerate(sigmas, start=1):
         if sig.charge != m - k - 1:
             raise ValueError(f"sigma_{j} has charge {sig.charge}, expected {m - k - 1}")
-    operands = [tau, ChargedPoly(tau.poly, m - k), *rhos, *sigmas]
+    operands = [tau, tau.at_charge(m - k), *rhos, *sigmas]
     rho_at, sigma_at = range(2, 2 + n), range(2 + n, 2 + 2 * n)
     family: list[Identity] = [("KP", 0, 0, ()),
                               ("constrained-k", 0, 1, tuple(zip(rho_at, sigma_at)))]

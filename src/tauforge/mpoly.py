@@ -27,13 +27,13 @@ Three kernels do the arithmetic on packed keys and integer numerators,
 each with at most one gcd pass per result: ``dot(vars, pairs)`` sums
 products a*b, ``lincomb(vars, pairs)`` sums scaled polynomials c*p and
 ``divexact(p, d)`` divides exactly.  ``MPoly * MPoly`` is dot's one-pair
-case, a ZSeries product calls it once per z-order, and the Jacobi-Trudi
-determinants and witness expansions call it once per sum.  No other
-module knows the layout (field width, guard bits, packing): the Miwa
-shift is built from ``dlincomb``, lincomb's sum of partial derivatives,
-the Hall weights read exponents through ``terms``, and the Grassmannian
-writes its rows in one variable (``from_powers``), whose keys are the
-exponents.  ``+`` and ``-`` are lincomb's two-pair case and scalar ``*``
+case, a residue's wave factor calls it once per z-order it forms, and
+the Jacobi-Trudi determinants and witness expansions call it once per
+sum.  No other module knows the layout (field width, guard bits,
+packing): the Miwa shift is built from ``dlincomb``, lincomb's sum of
+partial derivatives, the Hall weights read exponents through ``terms``,
+and the Grassmannian writes its rows in one variable (``from_powers``),
+whose keys are the exponents.  ``+`` and ``-`` are lincomb's two-pair case and scalar ``*``
 (so ``/``) its one-pair case; the residue defects and the Schur
 expansion's check call it once per sum, Sato's formula
 (``fock.sigma_map``) once per charge and ``Echelon``, the one exact

@@ -266,8 +266,9 @@ class DressingPair:
     L: PsiDO
 
 
-def _dressing(poly: MPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, PsiDO]:
-    """P and P^-1 of tau = poly in D variables, cut at floor.
+def _dressing(tau: ChargedPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, PsiDO]:
+    """P and P^-1 of tau's polynomial in D variables, cut at floor, with
+    the weight tau holds, not scanned again.
 
     a_i and b_i are the z**-i coefficients of tau(t -/+ [z^-1]) / tau(t);
     P = 1 + sum a_i d^-i and P^-1 = B* with B = 1 + sum (-1)^i b_i d^-i,
@@ -278,11 +279,11 @@ def _dressing(poly: MPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, PsiDO]:
     order.  A tau that fails it takes Newton steps Q <- Q - Q (P Q - 1),
     each squaring the error, to the exact inverse.
     """
-    ring = TauRing(poly.embed(D))
-    minus, plus = miwa_shift(ring.tau, -1), miwa_shift(ring.tau, +1)
+    ring, w = TauRing(tau.poly.embed(D)), tau.weight
+    minus, plus = miwa_shift(ring.tau, -1, w), miwa_shift(ring.tau, +1, w)
     a = {0: ring.const(1)}
     b = {0: ring.const(1)}
-    for i in range(1, ring.tau.wdeg() + 1):
+    for i in range(1, w + 1):
         a[-i] = ring.frac(minus.coeff(-i), 1)
         b[-i] = ring.frac(plus.coeff(-i) * (-1) ** i, 1)
     P = PsiDO(ring, a, floor)
@@ -309,7 +310,7 @@ def dress_from_tau(tau: ChargedPoly, T: int) -> DressingPair:
         raise ValueError("truncation depth must be positive")
     kp = not _kp_defect(tau)[2]
     floor = -(T + 1)
-    P, Pinv = _dressing(tau.poly, max(tau.poly.max_var_used(), 1), floor, kp)
+    P, Pinv = _dressing(tau, max(tau.poly.max_var_used(), 1), floor, kp)
     return DressingPair(P, P * PsiDO.d(P.ring, floor + 1) * Pinv)
 
 
@@ -421,8 +422,8 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
     if T < 3:
         raise ValueError("truncation depth must be at least 3")
     operands, family = identity_family(
-        ChargedPoly(tau.poly, 0), [ChargedPoly(cp.poly, 1) for cp in rhos],
-        [ChargedPoly(cp.poly, -k - 1) for cp in sigmas], k)
+        tau.at_charge(0), [cp.at_charge(1) for cp in rhos],
+        [cp.at_charge(-k - 1) for cp in sigmas], k)
     wide, echelon, defects = bilinear_defects(operands, family, k)
     labels = [f"constraint-k{k}", f"lax-flow-t{k}"]
     labels += [f"{f}_{j}-flow-t{k}" for j in range(1, len(rhos) + 1) for f in "qr"]
@@ -435,7 +436,7 @@ def verify_lax(tau: ChargedPoly, rhos: Sequence[ChargedPoly],
                   _passed(flow), *[_passed([0])] * 2 * len(rhos)]
         return [OperatorReport(label, c) for label, c in zip(labels, checks)]
     floor = -lax_depth(k, T)
-    P, Pinv = _dressing(tau.poly, D, floor, kp)
+    P, Pinv = _dressing(tau, D, floor, kp)
     ring = P.ring
     qs = [ring.frac(cp.poly.embed(D), 1) for cp in rhos]
     rs = [ring.frac(cp.poly.embed(D), 1) for cp in sigmas]

@@ -93,6 +93,13 @@ class ChargedPoly:
         """The weighted degree of the polynomial, scanned once."""
         return self.poly.wdeg()
 
+    def at_charge(self, charge: int) -> "ChargedPoly":
+        """The same polynomial at another charge, its weight carried over
+        rather than scanned again."""
+        out = ChargedPoly(self.poly, charge)
+        out.__dict__["weight"] = self.weight
+        return out
+
     def to_json(self) -> dict:
         return {"charge": self.charge, "poly": self.poly.to_json()}
 
@@ -149,22 +156,23 @@ def _det(grid: list[list[MPoly]], D: int) -> MPoly:
                    for i, entry in enumerate(r[0] for r in grid) if entry.num])
 
 
-def miwa_shift(p: MPoly, sign: int) -> ZSeries:
+def miwa_shift(p: MPoly, sign: int, weight: int) -> ZSeries:
     """Substitute t_i -> t_i + sign * z**-i / i and expand exactly.
 
     The shift is exp(sign * sum_j z**-j d/dt_j / j) applied to p, so the
     z**-n coefficient A_n follows the recursion of elementary_schur with
     t_j read as sign * d/dt_j / j: A_0 = p and
     n*A_n = sign * sum_{j=1..min(n,u)} d A_{n-j} / dt_j, one dlincomb (so
-    one gcd pass) per order, u the last variable p uses.  The result is a
-    Laurent polynomial in z**-1 with orders in [-wdeg(p), 0]; the z**0
-    coefficient is p itself.
+    one gcd pass) per order, u the last variable p uses.  weight is
+    wdeg(p), which the caller holds (``ChargedPoly.weight``), so p is not
+    scanned again.  The result is a Laurent polynomial in z**-1 with
+    orders in [-weight, 0]; the z**0 coefficient is p itself.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     D, used = p.vars, p.max_var_used()
     shifted = [p]
-    for n in range(1, p.wdeg() + 1):
+    for n in range(1, weight + 1):
         c = Fraction(sign, n)
         shifted.append(dlincomb(D, [(shifted[n - j], j, c)
                                     for j in range(1, min(n, used) + 1)]))

@@ -49,11 +49,6 @@ class ZSeries:
         poly = self.coeffs.get(order)
         return MPoly.zero(self.vars) if poly is None else poly
 
-    def cut(self, hi: int) -> "ZSeries":
-        """The same coefficients, claimed exact up to z**hi at most: a
-        bound the series already has below hi stays."""
-        return ZSeries(self.vars, self.coeffs, self._min_hi(self.exact_hi, hi))
-
     def _check(self, other: "ZSeries") -> None:
         if self.vars != other.vars:
             raise PolyError("variable counts differ")

@@ -279,11 +279,11 @@ def test_acceptance_6_algebraic_relation_suites():
         zpow = int(-k - F(1, 2))
         ferm = sigma_map(psi_plus(k, st), DV)
         got = ferm[0].poly if ferm else MPoly.zero(DV)
-        assert got == product_coeff(plus_kernel, miwa_shift(f.poly, -1),
+        assert got == product_coeff(plus_kernel, miwa_shift(f.poly, -1, f.weight),
                                             order=zpow - a)
         ferm = sigma_map(psi_minus(k, st), DV)
         got = ferm[0].poly if ferm else MPoly.zero(DV)
-        assert got == product_coeff(minus_kernel, miwa_shift(f.poly, +1),
+        assert got == product_coeff(minus_kernel, miwa_shift(f.poly, +1, f.weight),
                                             order=zpow + a)
 
     FL = -5

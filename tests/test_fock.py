@@ -286,8 +286,8 @@ class TestSigmaMap:
             st = one_state(random_state(rng, max_part=4, max_len=2))
             a = next(iter(st.terms)).charge
             f = sigma_single(st, D)
-            lowered = miwa_shift(f.poly, -1)
-            raised = miwa_shift(f.poly, +1)
+            lowered = miwa_shift(f.poly, -1, f.weight)
+            raised = miwa_shift(f.poly, +1, f.weight)
             for n in range(-4, 9):
                 k = F(2 * n - 1, 2)
                 zpow = int(-k - F(1, 2))

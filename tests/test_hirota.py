@@ -7,9 +7,9 @@ import pytest
 
 import tauforge.hirota as hirota
 from tauforge.mpoly import Echelon, MPoly
-from tauforge.schur import (ChargedPoly, Partition, bilinear_window,
+from tauforge.schur import (ChargedPoly, DomainError, Partition, bilinear_window,
                             elementary_schur, embed_t, embed_tprime, miwa_shift,
-                            schur_of_partition)
+                            schur_of_partition, xi_series)
 from tauforge.fock import FockVector, MayaState, fermionic_pairing, sigma_map
 from tauforge.grassmann import companions, reduce_point, tau_of
 from tauforge.zseries import ExactnessError, ZSeries
@@ -244,8 +244,8 @@ def doubled_residue(u: ChargedPoly, v: ChargedPoly, D: int) -> MPoly:
                 * embed_tprime(flip_signs(elementary_schur(i - j, D), flip), D)
                 for j in range(i + 1)), MPoly.zero(2 * D))
         for i in range(kmax + 1)}, kmax)
-    left, right = (ZSeries(2 * D, {o: embed(c, D) for o, c in
-                                   miwa_shift(cp.poly.embed(D), sign).coeffs.items()})
+    left, right = (ZSeries(2 * D, {o: embed(c, D) for o, c in miwa_shift(
+                               cp.poly.embed(D), sign, cp.weight).coeffs.items()})
                    for cp, sign, embed in ((u, -1, embed_t), (v, 1, embed_tprime)))
     return product_coeff(left, right, kernel, order=-1 - weight)
 
@@ -314,6 +314,100 @@ class TestDoubledSpaceOracle:
                     verdicts.add((label.split("_")[0], check.passed))
         assert {("KP", True), ("KP", False), ("constrained-k", True),
                 ("constrained-k", False), ("rho", True), ("sigma", True)} <= verdicts
+
+
+def record_waves(monkeypatch) -> list:
+    """(p, sign, factor) for every wave factor ``_wave`` builds."""
+    built, real = [], hirota._wave
+
+    def wave(p, sign, kmax, weight):
+        built.append((p, sign, real(p, sign, kmax, weight)))
+        return built[-1][2]
+
+    monkeypatch.setattr(hirota, "_wave", wave)
+    return built
+
+
+class TestLazyWave:
+    """The wave factors of ``_wave``, each order formed on first read."""
+
+    def test_orders_match_the_product(self):
+        # every order up to hi is that order of the ZSeries product of the
+        # Miwa shift and the kernel cut at hi - lo, the lowest order lo of
+        # the shift: zero, constant, KP and other operands, both signs
+        rng = random.Random(39)
+        D = 9
+        polys = [MPoly.zero(3), MPoly.const(3, 2)]
+        polys += [seeded_operand(rng, case % 2 == 0) for case in range(16)]
+        for p in polys:
+            p, w = p.embed(D), p.wdeg()
+            for sign in (1, -1):
+                shift = miwa_shift(p, sign, w)
+                lo = shift.min_order if shift.coeffs else 0
+                for kmax in {0, w, 2 * w}:
+                    factor = hirota._wave(p, sign, kmax, w)
+                    hi = kmax - w
+                    assert (factor.lo, factor.hi) == (lo, hi)
+                    product = shift * xi_series(D, hi - lo, -sign)
+                    for m in range(-w - 2, hi + 1):
+                        assert factor.coeff(m) == product.coeff(m), (p, sign, kmax, m)
+
+    def test_kernel_past_the_variables_is_a_domain_error(self):
+        # t_1 shifts down to z^-1, so a factor exact to z^hi reads the
+        # kernel to hi + 1, which two variables carry up to hi = 1; the
+        # factor refuses it when built, with xi_series' error
+        t1 = MPoly.variable(2, 1)
+        assert hirota._wave(t1, -1, 2, 1).hi == 1
+        for p, kmax, weight in ((t1, 3, 1), (MPoly.zero(2), 3, 0)):
+            with pytest.raises(DomainError, match="kernel order 3 exceeds variable count 2"):
+                hirota._wave(p, -1, kmax, weight)
+        with pytest.raises(DomainError, match="kernel order 3 exceeds variable count 2"):
+            xi_series(2, 3, 1)
+
+    def test_window_is_claimed_before_any_skip(self, monkeypatch):
+        # S_(2)(t - [z^-1]) has no z^-2 term, so KP's left factor A_-2 is
+        # zero and its partner B_1 is never formed; a window one order
+        # short proves B up to z^0 only, and the read of B_1 still faults
+        tau = charged(schur_of_partition(Partition((2,)), 3))
+        assert miwa_shift(tau.poly, -1, 2).coeff(-2).is_zero
+        built = record_waves(monkeypatch)
+        kp_residue(tau)
+        [(_, _, right)] = [entry for entry in built if entry[1] == +1]
+        assert 1 not in right._orders
+        real = hirota.bilinear_window
+        monkeypatch.setattr(hirota, "bilinear_window", lambda *args: real(*args) - 1)
+        with pytest.raises(ExactnessError, match="order 1 above guaranteed-exact bound 0"):
+            kp_residue(tau)
+
+    def test_orders_whose_partner_vanishes_are_never_formed(self, monkeypatch):
+        # a heavy KP triple: of each term A_m (x) B_{N-m}, the factor nearer
+        # its lowest order is formed, and the other only if that is nonzero
+        rng = random.Random(5)
+        while True:
+            tau, rhos, sigmas = companions(random_grpoint(rng, max_extras=3, span=4), 2)
+            if tau.weight >= 4 and rhos:
+                break
+        built = record_waves(monkeypatch)
+        assert verify_suite(tau, rhos, sigmas, 2).all_pass
+        operands, family = identity_family(tau, rhos, sigmas, 2)
+        source = [0, 0, *range(2, len(operands))]
+        factor = {}
+        for p, sign, f in built:
+            [i] = [i for i in set(source) if operands[i].poly.embed(p.vars) == p]
+            factor[i, sign] = f
+        formed, skipped = {f: set() for *_, f in built}, set()
+        for _, left, right, _ in family:
+            A, B = factor[source[left], -1], factor[source[right], +1]
+            N = -1 - (operands[left].charge - operands[right].charge)
+            for m in range(-operands[left].weight, N + operands[right].weight + 1):
+                near, far = sorted([(A, m), (B, N - m)], key=lambda r: r[1] - r[0].lo)
+                formed[near[0]].add(near[1])
+                if near[0].coeff(near[1]).num:
+                    formed[far[0]].add(far[1])
+                else:
+                    skipped.add(far)
+        assert {f: set(f._orders) for f in formed} == formed
+        assert {(f, o) for f, o in skipped if o not in formed[f]}
 
 
 class TestConstrainedResidue:

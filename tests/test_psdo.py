@@ -12,7 +12,7 @@ from tauforge.ratfun import TauFrac, TauRing
 from tauforge.schur import (ChargedPoly, Partition, elementary_schur, miwa_shift,
                             schur_of_partition)
 from tauforge.grassmann import companions, reduce_point, tau_of
-from tauforge.hirota import kp_residue
+from tauforge.hirota import kp_residue, verify_suite
 import tauforge.psdo as psdo
 from tauforge.psdo import (OperatorReport, PsiDO, TruncationError, _dressing,
                            _zero_checks, dress_from_tau, lax_depth, verify_lax)
@@ -239,7 +239,7 @@ class TestDressing:
         S2 = elementary_schur(2, 2)
         for poly, kp in [(S2 + t1 * 3, True), (S2 * S2, False), (t1 * t1, False)]:
             compositions.clear()
-            _, Pinv = _dressing(poly, 2, FL, kp)
+            _, Pinv = _dressing(ChargedPoly(poly, 0), 2, FL, kp)
             # the KP identity settles P B* = 1 with no composition; only a
             # tau that fails it composes, for the Newton steps
             assert (len(compositions) == 0) is kp
@@ -255,8 +255,9 @@ def adjoint_wave_dressing(poly, D, floor):
     """The Miwa shifts tau(t -/+ [z^-1]), P and B* of poly in D variables,
     before any Newton step."""
     ring = TauRing(poly.embed(D))
-    minus, plus = miwa_shift(ring.tau, -1), miwa_shift(ring.tau, +1)
-    top = ring.tau.wdeg() + 1
+    w = ring.tau.wdeg()
+    minus, plus = miwa_shift(ring.tau, -1, w), miwa_shift(ring.tau, +1, w)
+    top = w + 1
     P = PsiDO(ring, {-i: ring.frac(minus.coeff(-i), 1) for i in range(top)}, floor)
     B = PsiDO(ring, {-i: ring.frac(plus.coeff(-i) * (-1) ** i, 1)
                      for i in range(top)}, floor)
@@ -311,7 +312,7 @@ class TestBilinearCertificate:
             monkeypatch.setattr(PsiDO, "__mul__",
                                 lambda a, b: compositions.append(1) or compose(a, b))
             compositions.clear()
-            P, Pinv = dressing(poly, 2, FL, False)
+            P, Pinv = dressing(ChargedPoly(poly, 0), 2, FL, False)
             assert compositions, poly  # the Newton loop ran
             monkeypatch.setattr(PsiDO, "__mul__", compose)
             assert P * Pinv == PsiDO.identity(P.ring, FL), poly
@@ -402,7 +403,8 @@ def commutator_flow(poly, k, T):
     """The lax-flow-t{k} report of a tau without pairs from
     dL/dt_k - [(L^k)_+, L] alone: the reference for both paths."""
     floor = -lax_depth(k, T)
-    P, Pinv = _dressing(poly, max(k, poly.max_var_used(), 1), floor, False)
+    P, Pinv = _dressing(ChargedPoly(poly, 0), max(k, poly.max_var_used(), 1), floor,
+                        False)
     L = P * PsiDO.d(P.ring, floor) * Pinv
     Lk_plus = (P * PsiDO.d(P.ring, floor, k) * Pinv).plus_part()
     lax = L.diff_coeffs(k) - (Lk_plus * L - L * Lk_plus)
@@ -625,6 +627,24 @@ class TestConstraintFromDefect:
         assert dressed == {"dressing": 0, "compose": 0}
 
 
+def test_each_weight_is_scanned_once(monkeypatch, golden_point):
+    # verify, lax (both paths) and dress read each operand's weighted
+    # degree as its ChargedPoly holds it, scanned once before the jobs
+    tau, rhos, sigmas = companions(golden_point, 2)
+    not_kp = ChargedPoly(MPoly.variable(2, 1) ** 2, 0)
+    for cp in (tau, *rhos, *sigmas, not_kp):
+        assert cp.weight >= 0
+
+    def scan(self):
+        raise AssertionError("weighted degree scanned again")
+
+    monkeypatch.setattr(MPoly, "wdeg", scan)
+    assert verify_suite(tau, rhos, sigmas, 2).all_pass
+    assert all(r.all_pass for r in verify_lax(tau, rhos, sigmas, 2, 4))
+    assert not verify_lax(not_kp, [], [], 2, 3)[0].all_pass
+    dress_from_tau(not_kp, 4)
+
+
 def test_json_emits_only_the_exact_range():
     op = dinv * mult(inv_t1)  # infinite tail, exact down to FL
     cut = PsiDO(R, op.coeffs, FL - 2, op.exact_to + 1)
@@ -652,7 +672,8 @@ class TestIndependentOracle:
         # Res L^k = d_1 d_k log tau = (tau tau_1k - tau_1 tau_k) / tau^2
         for poly in self.taus():
             for k in (1, 2, 3):
-                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1), True)
+                P, Pinv = _dressing(ChargedPoly(poly, 0), max(poly.max_var_used(), k),
+                                    -(3 + k + 1), True)
                 Lk = P * PsiDO.d(P.ring, P.floor, k) * Pinv
                 tau = poly.embed(Lk.ring.vars)
                 t1, tk = tau.differentiate(1), tau.differentiate(k)
@@ -686,7 +707,8 @@ class TestIndependentOracle:
         sp = pytest.importorskip("sympy")
         for poly in self.taus():
             for k in (1, 2, 3):
-                P, Pinv = _dressing(poly, max(poly.max_var_used(), k), -(3 + k + 1), True)
+                P, Pinv = _dressing(ChargedPoly(poly, 0), max(poly.max_var_used(), k),
+                                    -(3 + k + 1), True)
                 got = (P * PsiDO.d(P.ring, P.floor, k) * Pinv).coeff(-1)
                 assert self.sympy_minus_log_derivative(sp, poly, got, k) == 0, (poly, k)
 
@@ -696,7 +718,7 @@ class TestIndependentOracle:
         for poly, kp in [(poly, True) for poly in self.taus()] + \
                 [(poly, False) for poly in not_kp]:
             floor = -6
-            P, Pinv = _dressing(poly, max(poly.max_var_used(), 1), floor, kp)
+            P, Pinv = _dressing(ChargedPoly(poly, 0), max(poly.max_var_used(), 1), floor, kp)
             tau = poly.embed(P.ring.vars)
             for prod in (P * Pinv, Pinv * P):
                 assert prod.exact_to == floor

@@ -131,7 +131,7 @@ class TestMiwaShift:
     def test_single_time(self):
         D = 2
         t2 = MPoly.variable(D, 2)
-        s = miwa_shift(t2, -1)
+        s = miwa_shift(t2, -1, 2)
         assert s.coeff(0) == t2
         assert s.coeff(-2) == MPoly.const(D, -1) * F(1, 2)
         assert s.coeff(-1).is_zero
@@ -139,7 +139,7 @@ class TestMiwaShift:
     def test_square(self):
         D = 1
         t1 = MPoly.variable(D, 1)
-        s = miwa_shift(t1**2, -1)
+        s = miwa_shift(t1**2, -1, 2)
         assert s.coeff(0) == t1**2
         assert s.coeff(-1) == t1 * -2
         assert s.coeff(-2) == MPoly.const(D, 1)
@@ -147,21 +147,21 @@ class TestMiwaShift:
     def test_cancellation_in_s2(self):
         D = 2
         p = elementary_schur(2, D)
-        s = miwa_shift(p, -1)
+        s = miwa_shift(p, -1, 2)
         assert s.coeff(0) == p
         assert s.coeff(-1) == -MPoly.variable(D, 1)
         assert s.coeff(-2).is_zero  # the two z^-2 contributions cancel
 
     def test_plus_shift_reinforces(self):
         D = 2
-        s = miwa_shift(elementary_schur(2, D), +1)
+        s = miwa_shift(elementary_schur(2, D), +1, 2)
         assert s.coeff(-2) == MPoly.const(D, 1)
 
     def test_constant_term_recovers_input(self):
         rng = random.Random(3)
         for _ in range(20):
             p = random_poly(rng, 3)
-            s = miwa_shift(p, -1)
+            s = miwa_shift(p, -1, p.wdeg())
             assert s.coeff(0) == p
             assert s.min_order is None or s.min_order >= -p.wdeg()
 
@@ -176,7 +176,7 @@ class TestMiwaShift:
         polys += [weighted_poly(rng, rng.randint(1, 6), rng.randint(1, 8))
                   * F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
         for p in polys:
-            for order, c in miwa_shift(p, sign).coeffs.items():
+            for order, c in miwa_shift(p, sign, p.wdeg()).coeffs.items():
                 assert c.den > 0 and 0 not in c.num.values()
                 assert math.gcd(c.den, *c.num.values()) == 1, (p, order)
                 assert c == MPoly(c.vars, dict(c.terms))
@@ -212,7 +212,7 @@ class TestMiwaShiftOracle:
             {t: t + sp.Rational(sign, i) * w**i for i, t in enumerate(ts, start=1)},
             simultaneous=True))
         want = {-n: c for (n,), c in sp.Poly(shifted, w).as_dict().items()}
-        got = miwa_shift(p, sign)
+        got = miwa_shift(p, sign, p.wdeg())
         assert got.exact_hi is None and got.vars == p.vars
         assert sorted(got.coeffs) == sorted(want)
         for order, c in want.items():
