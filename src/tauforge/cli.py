@@ -57,12 +57,12 @@ MAX_INDEX = 64
 # and, for k >= 2, the commutator: none of these taus is a KP tau.  Timed
 # in a child process, start-up included, best of two, on a 2-core x86
 # machine under CPython 3.11, on t_1^2 + t_2: depth 20 (lax --k 16 --order
-# 4) 0.16 s, (--k 1 --order 19) 0.13 s; 28 (--k 16 --order 12) 0.28 s; 32
-# (--order 16) 0.40 s; 36 (--order 20) 0.61 s; 42 (--k 1 --order 41) 0.68 s;
-# 80 (--k 16 --order 64) 27 s in one run.  On t_1^8: depth 20 (--k 16
+# 4) 0.15 s, (--k 1 --order 19) 0.12 s; 28 (--k 16 --order 12) 0.26 s; 32
+# (--order 16) 0.37 s; 36 (--order 20) 0.53 s; 42 (--k 1 --order 41) 0.63 s;
+# 80 (--k 16 --order 64) 16-19 s in two runs.  On t_1^8: depth 20 (--k 16
 # --order 4) 0.15 s.  On t_1^8 + t_2^4, at the weight limit: depth 15 (--k
-# 11 --order 4) 0.21 s, 16 (--k 12) 0.25 s, 20 (--k 16) 0.56 s, 24 (--k 1
-# --order 23) 0.71 s.
+# 11 --order 4) 0.20 s, 16 (--k 12) 0.25 s, 20 (--k 16) 0.56 s, 24 (--k 1
+# --order 23) 0.65 s.
 MAX_DEPTH = 20
 # Upper bound on the weighted degree of a --tau, --rho or --sigma file and
 # of the tau of a --grpoint point: the bilinear residues of verify grow
@@ -82,16 +82,15 @@ MAX_WEIGHT = 8
 # or a failing rho_j or sigma_j) but is applied to every lax job, those
 # that dress nothing included.  The first n printed terms of S_(8) (8
 # variables, weight 8) are no KP tau for n < 22, so those corners below
-# dress; all 22 terms are a KP tau that fails constrained-1 alone, which
-# dressed when it was timed.  Timed as above, lax at --order 5 (dress
-# --order 3 at depth 4), (n, depth) inside: (4, 10) 0.33 s, (5, 8) 0.29 s,
-# (3, 12) 0.31 s, (8, 6) 0.19 s, (15, 4) 0.14 s, (2, 15) 0.17 s, (1, 20)
-# 0.16 s; outside, with the limit lifted: (6, 8) 0.39 s, (6, 10) 1.2 s,
-# (5, 10) 0.72 s, (4, 12) 0.44 s, (3, 16) 0.75 s, (2, 20) 0.28 s (0.56 s on
-# t_1^8 + t_2^4), (3, 20) 2.4 s, (22, 4) 0.17 s, and (22, 6) at lax --k 1
-# 0.98 s (0.46-0.76 s with its constraint read off the defect, against
-# 0.99-1.37 s dressed, run alternately).  So the limit refuses jobs of
-# under 1 s; its model has no --k term, and it stays until one is fitted.
+# dress; all 22 terms are a KP tau that fails constrained-1 alone, whose
+# constraint lax reads off the defect, dressing nothing.  Timed as above,
+# lax at --order 5 (dress --order 3 at depth 4), (n, depth) inside: (4, 10)
+# 0.21 s, (5, 8) 0.23 s, (3, 12) 0.23 s, (8, 6) 0.17 s, (15, 4) 0.17 s,
+# (2, 15) 0.14 s, (1, 20) 0.17 s; outside, with the limit lifted: (6, 8)
+# 0.29 s, (6, 10) 0.95 s, (5, 10) 0.59 s, (4, 12) 0.38 s, (3, 16) 0.69 s,
+# (2, 20) 0.24 s (0.52 s on t_1^8 + t_2^4), (3, 20) 2.2 s, (22, 4) 0.15 s,
+# and (22, 6) at lax --k 1 0.48 s.  So the limit refuses jobs of under
+# 1 s; its model has no --k term, and it stays until one is fitted.
 MAX_LAX_WORK = 4**2 * 10**3
 # Upper bound on the characters of the coefficients of a --grpoint file,
 # counted before any is parsed; a file also has at most MAX_INDEX rows.  The

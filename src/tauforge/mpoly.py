@@ -409,18 +409,23 @@ class MPoly:
 
     # -- serialization ------------------------------------------------------
 
-    def _sorted(self) -> list[tuple[Exponent, int]]:
-        """(exponent, numerator) pairs in descending graded-lex order."""
+    def _sorted(self) -> list[tuple[int, Exponent, int]]:
+        """(degree, exponent, numerator) triples in descending graded-lex
+        order, each key unpacked once and the triples sorted as they are:
+        no two share an exponent, so a numerator never decides the order."""
         vars = self.vars
-        return sorted(((_unpack(k, vars), c) for k, c in self.num.items()),
-                      key=lambda item: _grlex_key(item[0]), reverse=True)
+        terms = [(sum(e), e, c) for k, c in self.num.items()
+                 for e in (_unpack(k, vars),)]
+        terms.sort(reverse=True)
+        return terms
 
     def to_json(self) -> dict:
         den = self.den
-        terms = []
-        for e, c in self._sorted():
-            g = _gcd(c, den)  # each coefficient c/den in lowest terms
-            terms.append({"exp": list(e), "coef": _format(c // g, den // g)})
+        if den == 1:
+            terms = [{"exp": list(e), "coef": str(c)} for _, e, c in self._sorted()]
+        else:  # each coefficient c/den in lowest terms
+            terms = [{"exp": list(e), "coef": _format(c // g, den // g)}
+                     for _, e, c in self._sorted() for g in (_gcd(c, den),)]
         return {"vars": self.vars, "terms": terms}
 
     @classmethod
@@ -448,7 +453,7 @@ class MPoly:
         if not self.num:
             return "0"
         parts = []
-        for exp, c in self._sorted():
+        for _, exp, c in self._sorted():
             coef = Fraction(c, self.den)
             factors = [
                 f"t{i}" if e == 1 else f"t{i}^{e}"

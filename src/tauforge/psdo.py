@@ -270,10 +270,12 @@ def _dressing(tau: ChargedPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, Ps
     """P and P^-1 of tau's polynomial in D variables, cut at floor, with
     the weight tau holds, not scanned again.
 
-    a_i and b_i are the z**-i coefficients of tau(t -/+ [z^-1]) / tau(t);
-    P = 1 + sum a_i d^-i and P^-1 = B* with B = 1 + sum (-1)^i b_i d^-i,
-    the dressing operator of the adjoint wave function.  The adjoint's
-    infinite tails are cut at floor, so P^-1 is exact down to floor.
+    a_i and b_i are the z**-i coefficients of tau(t -/+ [z^-1]) / tau(t),
+    read off the shifts of the ring's primitive tau: the shift is linear,
+    so the quotient does not depend on tau's scale.  P = 1 + sum a_i d^-i
+    and P^-1 = B* with B = 1 + sum (-1)^i b_i d^-i, the dressing operator
+    of the adjoint wave function.  The adjoint's infinite tails are cut at
+    floor, so P^-1 is exact down to floor.
 
     kp is the verdict of the KP identity, which gives P B* = 1 on every
     order.  A tau that fails it takes Newton steps Q <- Q - Q (P Q - 1),
@@ -284,8 +286,8 @@ def _dressing(tau: ChargedPoly, D: int, floor: int, kp: bool) -> tuple[PsiDO, Ps
     a = {0: ring.const(1)}
     b = {0: ring.const(1)}
     for i in range(1, w + 1):
-        a[-i] = ring.frac(minus.coeff(-i), 1)
-        b[-i] = ring.frac(plus.coeff(-i) * (-1) ** i, 1)
+        a[-i] = TauFrac(ring, minus.coeff(-i), 1)
+        b[-i] = TauFrac(ring, plus.coeff(-i) * (-1) ** i, 1)
     P = PsiDO(ring, a, floor)
     Pinv = PsiDO(ring, PsiDO(ring, b, floor).adjoint().coeffs, floor, floor)
     if kp:

@@ -2,58 +2,53 @@
 
 Every coefficient the dressing pipeline produces is a polynomial over a
 power of one fixed tau, so an element is stored as (numerator, power of
-tau).  Every sum goes through ``TauRing.sum``: the products at each
-power of tau are one ``mpoly.dot``, and one more lifts those group sums
-to the largest power, so no partial sum is lifted twice.  Multiplication
-adds powers, and the zero test is "numerator is zero"; nothing is
-cancelled during arithmetic.  Only when an element is rendered for a
-report (``RatFun``) is tau cancelled, one factor at a time while it
-divides the numerator, so a value prints at the least power of tau it
-has, whatever the arithmetic that reached it: equal values print alike.
-An element renders over its ring's cached power of tau, made primitive by
-content(tau)**p, tau's content being read once per ring.
+tau), over the powers of tau's primitive part tau / content(tau).  Every
+sum goes through ``TauRing.sum``: the products at each power of tau are
+one ``mpoly.dot``, and one more lifts those group sums to the largest
+power, so no partial sum is lifted twice.  Multiplication adds powers,
+and the zero test is "numerator is zero"; nothing is cancelled during
+arithmetic.  Only when an element is rendered for a report (``RatFun``)
+is tau cancelled, one factor at a time while it divides the numerator,
+so a value prints at the least power of tau it has, whatever the
+arithmetic that reached it: equal values print alike.  It prints over
+the ring's cached power of its primitive tau, with no content divided out.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .mpoly import MPoly, PolyError, divexact, dot
 
 
 class TauRing:
-    """Q[t][1/tau] for one nonzero tau, with its powers and first derivatives cached."""
+    """Q[t][1/tau] for one nonzero tau, with its powers and first derivatives cached.
+
+    ``tau`` is the primitive part tau / content(tau), over whose powers
+    elements are stored; only ``frac`` reads a numerator against the tau
+    given.  Rings over tau and c*tau share it, so their elements mix and
+    compare equal by value.
+    """
 
     __slots__ = ("tau", "vars", "one", "_content", "_powers", "_derivs")
 
     def __init__(self, tau: MPoly):
         if tau.is_zero:
             raise ZeroDivisionError("tau must be nonzero")
-        self.tau = tau
+        self._content = c = tau.content()
+        self.tau = tau if c == 1 else tau / c
         self.vars = tau.vars
         self.one = TauFrac(self, MPoly.const(tau.vars, 1), 0)
-        self._content = tau.content()
-        self._powers = [self.one.num, tau]
+        self._powers = [self.one.num, self.tau]
         self._derivs: dict[int, MPoly] = {}
 
     def power(self, p: int) -> MPoly:
+        """tau**p, formed once per ring: primitive with a positive graded-lex
+        lead, by Gauss's lemma, graded lex being a monomial order."""
         powers = self._powers
         while len(powers) <= p:
             powers.append(powers[-1] * self.tau)
         return powers[p]
-
-    def den(self, p: int) -> tuple[Fraction, MPoly]:
-        """(c, tau**p / c), c the content of tau**p: the printed denominator
-        at power p and the scalar that leaves it primitive.
-
-        c is content(tau)**p: by Gauss's lemma a product of primitive
-        polynomials is primitive, and graded lex is a monomial order, so
-        the leading term of tau**p is the p-th power of tau's and carries
-        the sign of c**p.
-        """
-        c = self._content**p
-        return c, self.power(p) / c
 
     def deriv(self, i: int) -> MPoly:
         d = self._derivs.get(i)
@@ -62,9 +57,12 @@ class TauRing:
         return d
 
     def frac(self, num: MPoly, power: int = 0) -> "TauFrac":
-        """The element num / tau**power."""
+        """The element num / tau**power, tau as the ring was given it: num
+        is scaled by content(tau)**-power once, onto the primitive tau."""
         if num.vars != self.vars:
             raise PolyError("numerator and tau variable counts differ")
+        if power and self._content != 1:
+            num = num * self._content**-power
         return TauFrac(self, num, power)
 
     def const(self, value) -> "TauFrac":
@@ -174,21 +172,22 @@ class TauFrac:
 class RatFun:
     """num / tau**power in its one printed form.
 
-    tau is cancelled one factor at a time while it divides num; the
-    denominator left, tau**p, is divided by its content c, which carries
-    the sign that makes its graded-lex leading coefficient positive, and
-    num by c with it.  At p = 0 the denominator is 1.  ring, tau's ring
-    when given, supplies tau**p and c.
+    num is read over the primitive tau of tau's ring (``TauRing.frac``),
+    which is cancelled one factor at a time while it divides num; the
+    denominator left is the ring's cached tau**p, 1 at p = 0.  ring, when
+    given, is tau's ring and tau its own tau, so num prints as stored.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MPoly, tau: MPoly, power: int = 1,
                  ring: TauRing | None = None):
-        while power and (q := divexact(num, tau)) is not None:
+        if ring is None:
+            ring = TauRing(tau)
+            num = ring.frac(num, power).num
+        while power and (q := divexact(num, ring.tau)) is not None:
             num, power = q, power - 1
-        c, self.den = (ring or TauRing(tau)).den(power)
-        self.num = num / c
+        self.num, self.den = num, ring.power(power)
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

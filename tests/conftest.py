@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tauforge.hirota as hirota
-from tauforge.mpoly import MPoly
+from tauforge.mpoly import MPoly, divexact
 from tauforge.fock import FockVector, MayaState
 from tauforge.grassmann import reduce_point
 from tauforge.schur import partitions_of
@@ -100,6 +100,16 @@ def evaluate(p: MPoly, point) -> Fraction:
     assert len(point) == p.vars
     return sum((c * math.prod(Fraction(x) ** e for x, e in zip(point, exp))
                 for exp, c in p.terms.items()), Fraction(0))
+
+
+def printed_over_tau(num: MPoly, tau: MPoly, power: int) -> dict:
+    """The printed form of num / tau**power, computed over tau itself: tau
+    cancelled while divexact divides num, then num and the tau**p left
+    both divided by content(tau)**p."""
+    while power and (q := divexact(num, tau)) is not None:
+        num, power = q, power - 1
+    c = tau.content()**power
+    return {"num": (num / c).to_json(), "den": (tau**power / c).to_json()}
 
 
 def flip_signs(p: MPoly, signs) -> MPoly:

@@ -1121,6 +1121,13 @@ def digest_cases(golden_point):
     tau, rhos, sigmas = companions(seeded, 1)
     summed = ChargedPoly(rhos[0].poly + rhos[1].poly, rhos[0].charge)
     cases.append(("seeded-k1-rho-sum", tau, [summed, *rhos[1:]], sigmas, 1, 5))
+    # the seeded tau times -2/3, a content that is negative and no integer,
+    # with its pair at k = 3: KP and the pair's identities hold and
+    # constrained-k fails, so lax reads witnesses that depend on the scale
+    # off the defect; dress prints P and L, which do not
+    tau, rhos, sigmas = companions(seeded, 3)
+    scaled = ChargedPoly(tau.poly * Fraction(-2, 3), tau.charge)
+    cases.append(("scaled-k3", scaled, rhos, sigmas, 3, 5))
     return cases
 
 
@@ -1236,7 +1243,10 @@ class TestGoldenDigests:
     seeded-k3-unpaired and seeded-k1-rho-sum pins and the dress seeded pin
     were computed with L^k = P d^k P^-1 composed for every failing job, so
     they hold the constraint witnesses read off the defect to the
-    dressing's bytes."""
+    dressing's bytes.  The lax scaled-k3 and dress scaled pins, on the
+    seeded tau times -2/3, pin the sign and scale of printed denominators
+    on the defect and the dressing route; dress scaled prints the bytes
+    of dress seeded, since P and L do not depend on tau's scale."""
 
     LAX = {
         "golden-k1":
@@ -1267,6 +1277,8 @@ class TestGoldenDigests:
             (1, "14019d06f67d6eb302e4f1136d55ded4a51c330d31cefc7a3d183903e55f6986"),
         "seeded-k1-rho-sum":
             (1, "62802b66debc1bbf11e0c7ef829b40c4b6223664f7c554b1c093641d3be2657a"),
+        "scaled-k3":
+            (1, "f0017f31af568c4678495bd856317859a1e86854b3cb8df139c8c91cc43c9640"),
     }
     DRESS = {
         "golden":
@@ -1278,6 +1290,8 @@ class TestGoldenDigests:
         "S2^2":
             (0, "1ee4be30631811917cb72328e92f210533ad4605967f3e55f0cbb0149669d43c"),
         "seeded":
+            (0, "64b726238c647e18abad44df15bb3e3c7e3b4e56be7bac9a9d93fd86a80fc21d"),
+        "scaled":
             (0, "64b726238c647e18abad44df15bb3e3c7e3b4e56be7bac9a9d93fd86a80fc21d"),
     }
     VERIFY = {

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tauforge.mpoly import (_BITS, Echelon, MPoly, PolyError, _guard, _pack, _unpack,
-                            divexact, dot, format_rat, lincomb, parse_rat)
+from tauforge.mpoly import (_BITS, Echelon, MPoly, PolyError, _grlex_key, _guard, _pack,
+                            _unpack, divexact, dot, format_rat, lincomb, parse_rat)
 
 from conftest import evaluate, flip_signs, random_poly
 
@@ -80,6 +80,33 @@ class TestRationals:
             assert printed == {e: format_rat(F(c)) for e, c in terms.items() if c}
 
         check()
+
+    def test_to_json_matches_a_grlex_sort(self):
+        # term order and coefficient strings of the writer against a sort
+        # of the Fraction terms by _grlex_key, in 0 to 8 variables, over
+        # den 1 and over den > 1
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        seen = set()
+
+        def polys(vars):
+            exps = st.tuples(*[st.integers(0, 3)] * vars)
+            coefs = st.one_of(st.integers(-50, 50).map(F),
+                              st.builds(F, st.integers(-50, 50), st.integers(1, 12)))
+            return st.dictionaries(exps, coefs, max_size=8).map(
+                lambda terms: MPoly(vars, terms))
+
+        @hyp.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hyp.given(st.integers(0, 8).flatmap(polys))
+        def check(p):
+            seen.add(p.den == 1)
+            ordered = sorted(p.terms.items(), key=lambda item: _grlex_key(item[0]),
+                             reverse=True)
+            assert p.to_json() == {"vars": p.vars, "terms": [
+                {"exp": list(e), "coef": format_rat(c)} for e, c in ordered]}
+
+        check()
+        assert seen == {True, False}
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -252,14 +252,14 @@ class TestDressing:
 
 
 def adjoint_wave_dressing(poly, D, floor):
-    """The Miwa shifts tau(t -/+ [z^-1]), P and B* of poly in D variables,
-    before any Newton step."""
+    """The Miwa shifts tau(t -/+ [z^-1]) of the ring's tau, P and B* of
+    poly in D variables, before any Newton step."""
     ring = TauRing(poly.embed(D))
     w = ring.tau.wdeg()
     minus, plus = miwa_shift(ring.tau, -1, w), miwa_shift(ring.tau, +1, w)
     top = w + 1
-    P = PsiDO(ring, {-i: ring.frac(minus.coeff(-i), 1) for i in range(top)}, floor)
-    B = PsiDO(ring, {-i: ring.frac(plus.coeff(-i) * (-1) ** i, 1)
+    P = PsiDO(ring, {-i: TauFrac(ring, minus.coeff(-i), 1) for i in range(top)}, floor)
+    B = PsiDO(ring, {-i: TauFrac(ring, plus.coeff(-i) * (-1) ** i, 1)
                      for i in range(top)}, floor)
     return minus, plus, P, B.adjoint()
 
@@ -675,7 +675,7 @@ class TestIndependentOracle:
                 P, Pinv = _dressing(ChargedPoly(poly, 0), max(poly.max_var_used(), k),
                                     -(3 + k + 1), True)
                 Lk = P * PsiDO.d(P.ring, P.floor, k) * Pinv
-                tau = poly.embed(Lk.ring.vars)
+                tau = Lk.ring.tau  # log tau' = log tau + const
                 t1, tk = tau.differentiate(1), tau.differentiate(k)
                 want = tau * t1.differentiate(k) - t1 * tk
                 got = Lk.coeff(-1)
@@ -683,7 +683,8 @@ class TestIndependentOracle:
 
     @staticmethod
     def sympy_minus_log_derivative(sp, poly, got, k):
-        """SymPy's got - d/dt_1 d/dt_k log tau, canceled; got is over tau."""
+        """SymPy's got - d/dt_1 d/dt_k log tau, canceled; got is over its
+        ring's tau."""
         t = sp.symbols(f"t1:{got.num.vars + 1}")
 
         def expr(p):
@@ -693,7 +694,7 @@ class TestIndependentOracle:
 
         tau = expr(poly.embed(got.num.vars))
         want = sp.cancel(sp.diff(sp.log(tau), t[0], t[k - 1]))
-        return sp.cancel(expr(got.num) / tau**got.power - want)
+        return sp.cancel(expr(got.num) / expr(got.ring.tau)**got.power - want)
 
     def test_residue_of_L_matches_sympy(self):
         # the d^-1 coefficient of L is u_1 = d^2/dt_1^2 log tau
@@ -719,7 +720,7 @@ class TestIndependentOracle:
                 [(poly, False) for poly in not_kp]:
             floor = -6
             P, Pinv = _dressing(ChargedPoly(poly, 0), max(poly.max_var_used(), 1), floor, kp)
-            tau = poly.embed(P.ring.vars)
+            tau = P.ring.tau
             for prod in (P * Pinv, Pinv * P):
                 assert prod.exact_to == floor
                 for order in range(floor, 1):

@@ -3,21 +3,26 @@ from fractions import Fraction as F
 
 import pytest
 
+import tauforge.mpoly as mpoly
 from tauforge.mpoly import MPoly, PolyError, divexact
-from tauforge.ratfun import TauRing
+from tauforge.ratfun import RatFun, TauFrac, TauRing
 
-from conftest import evaluate, random_poly
+from conftest import evaluate, printed_over_tau, random_poly
 
 
 def V(i, vars=2):
     return MPoly.variable(vars, i)
 
 
-def random_ring(rng):
+def random_tau(rng):
     tau = MPoly.zero(2)
     while tau.is_zero:
         tau = random_poly(rng, 2)
-    return TauRing(tau)
+    return tau
+
+
+def random_ring(rng):
+    return TauRing(random_tau(rng))
 
 
 def random_element(rng, ring):
@@ -70,14 +75,17 @@ class TestNormalization:
         assert R.frac(V(2), 1).to_json() == printed(V(2) * F(-1, 2), V(1) - 2)
 
     def test_denominator_content_is_a_power_of_taus(self):
-        # TauRing.den reads content(tau)**p (Gauss's lemma); the content of
-        # tau**p itself, sign included, is the oracle
+        # the ring prints over powers of tau / content(tau), which are
+        # tau**p / content(tau**p) since content(tau**p) = content(tau)**p,
+        # sign included (Gauss's lemma)
         rng = random.Random(31)
         for _ in range(40):
-            R = random_ring(rng)
+            tau = random_tau(rng)
+            R = TauRing(tau)
             for p in range(5):
-                c = R.power(p).content()
-                assert R.den(p) == (c, R.power(p) / c)
+                c = (tau**p).content()
+                assert c == tau.content()**p
+                assert R.power(p) == tau**p / c
 
     def test_printed_form_is_canonical(self):
         # one value, one printed form: x and x at a larger power of tau
@@ -89,7 +97,7 @@ class TestNormalization:
             x = random_element(rng, R)
             shown = x.to_json()
             for j in (1, 2):
-                assert R.frac(x.num * R.power(j), x.power + j).to_json() == shown
+                assert TauFrac(R, x.num * R.power(j), x.power + j).to_json() == shown
             num, den = (MPoly.from_json(shown[key]) for key in ("num", "den"))
             assert (num * R.power(x.power) - x.num * den).is_zero
             if den.max_var_used():
@@ -97,6 +105,67 @@ class TestNormalization:
             else:
                 cancelled += x.power > 0
         assert cancelled  # a constant tau, or a numerator tau divides
+
+
+class TestPrimitiveTau:
+    """The ring holds tau / content(tau) and prints over its powers."""
+
+    def test_prints_as_over_tau_itself(self):
+        # taus whose content is negative and no integer, numerators with and
+        # without factors of tau, powers 0 to 4
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        ints = st.dictionaries(exps, st.integers(-6, 6), min_size=1, max_size=4)
+        rats = st.dictionaries(exps, st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                               max_size=4)
+        scales = st.builds(F, st.integers(-9, -1), st.integers(2, 9)).filter(
+            lambda c: c.denominator > 1)
+
+        @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        @hyp.given(ints.map(lambda t: MPoly(2, t)).filter(lambda p: not p.is_zero),
+                   scales, rats, st.integers(0, 2), st.integers(0, 4))
+        def check(base, c, terms, j, p):
+            tau = base / base.content() * c
+            assert tau.content() == c
+            num = MPoly(2, terms) * tau**j
+            want = printed_over_tau(num, tau, p)
+            assert TauRing(tau).frac(num, p).to_json() == want
+            assert RatFun(num, tau, p).to_json() == want
+
+        check()
+
+    def test_rings_over_scaled_taus_mix(self):
+        # tau and c*tau have one primitive part, so elements of their rings
+        # compare equal by value and sum together
+        tau, c = V(1)**2 + V(2), F(-2, 3)
+        R, S = TauRing(tau), TauRing(tau * c)
+        assert R.tau == S.tau
+        x, y = R.frac(V(1), 2), S.frac(V(1) * c**2, 2)  # num / tau**2 both
+        assert x == y and y == x and not x.equals(S.frac(V(1), 2))
+        assert R.sum([(1, x, S.one), (-1, y, R.one)]).is_zero
+        assert (x + y).equals(S.frac(V(1) * c**2 * 2, 2))
+
+    def test_printing_divides_no_content(self, monkeypatch):
+        # a non-primitive tau prints with no scalar division or scaling, and
+        # each power of the ring's tau is formed once
+        R = TauRing(V(1)**2 * F(-2, 3) + V(2) * F(4, 9))
+        xs = [R.frac(V(2) + p, p) for p in range(5)]
+        calls = {"/": 0, "lincomb": 0, "dot": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(MPoly, "__truediv__", counted("/", MPoly.__truediv__))
+        monkeypatch.setattr(mpoly, "lincomb", counted("lincomb", mpoly.lincomb))
+        monkeypatch.setattr(mpoly, "dot", counted("dot", mpoly.dot))
+        shown = [[x.to_json() for x in xs] for _ in range(2)]
+        assert calls == {"/": 0, "lincomb": 0, "dot": 3}  # tau**2, tau**3, tau**4
+        assert shown[0] == shown[1]
+        assert all(RatFun(x.num, R.tau, x.power, R).den is R.power(x.power) for x in xs)
 
 
 class TestArithmetic:
