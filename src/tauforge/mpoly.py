@@ -420,12 +420,9 @@ class MPoly:
         return terms
 
     def to_json(self) -> dict:
-        den = self.den
-        if den == 1:
-            terms = [{"exp": list(e), "coef": str(c)} for _, e, c in self._sorted()]
-        else:  # each coefficient c/den in lowest terms
-            terms = [{"exp": list(e), "coef": _format(c // g, den // g)}
-                     for _, e, c in self._sorted() for g in (_gcd(c, den),)]
+        den = self.den  # each coefficient c/den in lowest terms
+        terms = [{"exp": list(e), "coef": _format(c // g, den // g)}
+                 for _, e, c in self._sorted() for g in (_gcd(c, den),)]
         return {"vars": self.vars, "terms": terms}
 
     @classmethod

@@ -163,28 +163,34 @@ class TauFrac:
     __hash__ = None
 
     def to_json(self) -> dict:
-        return RatFun(self.num, self.ring.tau, self.power, self.ring).to_json()
+        return RatFun._of(self).to_json()
 
     def __repr__(self) -> str:
-        return repr(RatFun(self.num, self.ring.tau, self.power, self.ring))
+        return repr(RatFun._of(self))
 
 
 class RatFun:
     """num / tau**power in its one printed form.
 
-    num is read over the primitive tau of tau's ring (``TauRing.frac``),
-    which is cancelled one factor at a time while it divides num; the
-    denominator left is the ring's cached tau**p, 1 at p = 0.  ring, when
-    given, is tau's ring and tau its own tau, so num prints as stored.
+    The element is read over the primitive tau of its ring, which is
+    cancelled one factor at a time while it divides num; the denominator
+    left is the ring's cached power of its primitive tau, 1 at p = 0.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, tau: MPoly, power: int = 1,
-                 ring: TauRing | None = None):
-        if ring is None:
-            ring = TauRing(tau)
-            num = ring.frac(num, power).num
+    def __init__(self, num: MPoly, tau: MPoly, power: int = 1):
+        self._cancel(TauRing(tau).frac(num, power))
+
+    @classmethod
+    def _of(cls, f: TauFrac) -> "RatFun":
+        """The printed form of a ring element, with no new ring built."""
+        out = cls.__new__(cls)
+        out._cancel(f)
+        return out
+
+    def _cancel(self, f: TauFrac) -> None:
+        num, power, ring = f.num, f.power, f.ring
         while power and (q := divexact(num, ring.tau)) is not None:
             num, power = q, power - 1
         self.num, self.den = num, ring.power(power)

@@ -1096,7 +1096,8 @@ def digest_cases(golden_point):
     taus, whose P^-1 needs Newton steps, at the default --order 5; then
     the corners of lax_depth: --order 3, where the flow reads bind the
     depth, and --order 8 at k = 1; then two KP taus that fail only
-    constrained-k, whose constraint witnesses are read off its defect.
+    constrained-k, whose constraint witnesses are read off its defect;
+    then one of them times -2/3, with its pair and with a rho that fails.
     """
     t1, t2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
     s2 = schur_of_partition(Partition((2,)), 2)
@@ -1128,6 +1129,12 @@ def digest_cases(golden_point):
     tau, rhos, sigmas = companions(seeded, 3)
     scaled = ChargedPoly(tau.poly * Fraction(-2, 3), tau.charge)
     cases.append(("scaled-k3", scaled, rhos, sigmas, 3, 5))
+    # and with rho_1 + t1 in place of rho_1, so rho_1's identity fails and
+    # lax dresses the scaled tau: its q_1 = rho_1 / tau and the witnesses
+    # built from it depend on the scale
+    rho = rhos[0].poly
+    bumped = ChargedPoly(rho + MPoly.variable(rho.vars, 1), rhos[0].charge)
+    cases.append(("scaled-k3-rho-bumped", scaled, [bumped], sigmas, 3, 5))
     return cases
 
 
@@ -1243,10 +1250,12 @@ class TestGoldenDigests:
     seeded-k3-unpaired and seeded-k1-rho-sum pins and the dress seeded pin
     were computed with L^k = P d^k P^-1 composed for every failing job, so
     they hold the constraint witnesses read off the defect to the
-    dressing's bytes.  The lax scaled-k3 and dress scaled pins, on the
-    seeded tau times -2/3, pin the sign and scale of printed denominators
-    on the defect and the dressing route; dress scaled prints the bytes
-    of dress seeded, since P and L do not depend on tau's scale."""
+    dressing's bytes.  The lax scaled-k3, lax scaled-k3-rho-bumped and
+    dress scaled pins, on the seeded tau times -2/3, pin the sign and
+    scale of printed denominators on the defect route and on the lax and
+    dress dressing routes; dress scaled prints the bytes of dress seeded,
+    since P and L do not depend on tau's scale, while the bumped rho's
+    q_1 d^-1 r_1 witnesses do."""
 
     LAX = {
         "golden-k1":
@@ -1279,6 +1288,8 @@ class TestGoldenDigests:
             (1, "62802b66debc1bbf11e0c7ef829b40c4b6223664f7c554b1c093641d3be2657a"),
         "scaled-k3":
             (1, "f0017f31af568c4678495bd856317859a1e86854b3cb8df139c8c91cc43c9640"),
+        "scaled-k3-rho-bumped":
+            (1, "53500fbc9f7558869cc384864b84eca865a5211dedf85507eb23c2e0093d09aa"),
     }
     DRESS = {
         "golden":

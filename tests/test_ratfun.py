@@ -165,7 +165,7 @@ class TestPrimitiveTau:
         shown = [[x.to_json() for x in xs] for _ in range(2)]
         assert calls == {"/": 0, "lincomb": 0, "dot": 3}  # tau**2, tau**3, tau**4
         assert shown[0] == shown[1]
-        assert all(RatFun(x.num, R.tau, x.power, R).den is R.power(x.power) for x in xs)
+        assert all(RatFun._of(x).den is R.power(x.power) for x in xs)
 
 
 class TestArithmetic:
